@@ -9,8 +9,8 @@
 //! bucket-traversal CCDF of Figure 2, and worst-case PCV bindings for
 //! conservative class queries.
 //!
-//! The Distiller is a [`Tracer`]: tee it alongside the counting sink and
-//! the hardware model when running a workload. It never affects the
+//! The Distiller is a [`Tracer`]: pair it with the counting sink and the
+//! hardware model when running a workload. It never affects the
 //! contract (§4: "the distiller does not affect the generated performance
 //! contract in any way").
 
@@ -27,21 +27,49 @@ use bolt_trace::{Marker, TraceEvent, Tracer};
 /// Per-packet PCV observations. Within one packet, repeated observations
 /// of the same PCV keep the maximum (the conservative per-packet binding)
 /// and the sum (useful for totals like "collisions seen while expiring").
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PacketObs {
     /// Packet sequence number.
     pub seq: u64,
-    /// Max-combined per-PCV values.
-    pub max: PcvAssignment,
-    /// Sum-combined per-PCV values.
-    pub sum: BTreeMap<PcvId, u64>,
+    /// `(pcv, max, sum)` in order of first observation: a packet sees a
+    /// handful of PCVs at most, and none costs no allocation.
+    obs: Box<[(PcvId, u64, u64)]>,
+}
+
+impl PacketObs {
+    /// The largest value `pcv` took in this packet (0 if unobserved).
+    pub fn max(&self, pcv: PcvId) -> u64 {
+        self.obs.iter().find(|o| o.0 == pcv).map_or(0, |o| o.1)
+    }
+
+    /// The sum of the values `pcv` took in this packet.
+    pub fn sum(&self, pcv: PcvId) -> u64 {
+        self.obs.iter().find(|o| o.0 == pcv).map_or(0, |o| o.2)
+    }
+
+    /// The packet's max-combined binding of every PCV it observed.
+    pub fn max_assignment(&self) -> PcvAssignment {
+        let mut out = PcvAssignment::new();
+        self.max_into(&mut out);
+        out
+    }
+
+    /// Raise `out` pointwise to this packet's maxima.
+    fn max_into(&self, out: &mut PcvAssignment) {
+        for &(pcv, max, _) in self.obs.iter() {
+            out.set(pcv, out.get(pcv).max(max));
+        }
+    }
 }
 
 /// The Distiller sink.
 #[derive(Debug, Default)]
 pub struct Distiller {
     packets: Vec<PacketObs>,
-    current: Option<PacketObs>,
+    /// Sequence number of the packet in flight, whose observations
+    /// gather in `scratch` until it closes.
+    current: Option<u64>,
+    scratch: Vec<(PcvId, u64, u64)>,
 }
 
 impl Distiller {
@@ -50,16 +78,30 @@ impl Distiller {
         Self::default()
     }
 
+    /// Make room for `packets` more packets' observations.
+    pub fn reserve(&mut self, packets: usize) {
+        self.packets.reserve(packets);
+    }
+
     /// Per-packet observations, in arrival order.
     pub fn packets(&self) -> &[PacketObs] {
         &self.packets
+    }
+
+    /// File the packet in flight, if any.
+    fn close(&mut self) {
+        if let Some(seq) = self.current.take() {
+            let obs = self.scratch.as_slice().into();
+            self.scratch.clear();
+            self.packets.push(PacketObs { seq, obs });
+        }
     }
 
     /// Histogram of a PCV's per-packet (max) values.
     pub fn histogram(&self, pcv: PcvId) -> BTreeMap<u64, u64> {
         let mut h = BTreeMap::new();
         for p in &self.packets {
-            *h.entry(p.max.get(pcv)).or_insert(0u64) += 1;
+            *h.entry(p.max(pcv)).or_insert(0u64) += 1;
         }
         h
     }
@@ -88,11 +130,7 @@ impl Distiller {
 
     /// The worst observed value of a PCV.
     pub fn worst(&self, pcv: PcvId) -> u64 {
-        self.packets
-            .iter()
-            .map(|p| p.max.get(pcv))
-            .max()
-            .unwrap_or(0)
+        self.packets.iter().map(|p| p.max(pcv)).max().unwrap_or(0)
     }
 
     /// The pointwise-worst PCV binding over the whole trace — the binding
@@ -107,7 +145,7 @@ impl Distiller {
     pub fn worst_assignment_from(&self, from: u64) -> PcvAssignment {
         let mut out = PcvAssignment::new();
         for p in self.packets.iter().filter(|p| p.seq >= from) {
-            out.max_with(&p.max);
+            p.max_into(&mut out);
         }
         out
     }
@@ -140,6 +178,7 @@ impl Distiller {
 }
 
 impl Tracer for Distiller {
+    #[inline]
     fn event(&mut self, ev: TraceEvent) {
         match ev {
             TraceEvent::Mark(Marker::PacketStart(seq)) => {
@@ -151,24 +190,14 @@ impl Tracer for Distiller {
                 // last packet — coarse (and conservative for max-style
                 // queries), exactly the attribution the burst trades
                 // away.
-                if let Some(p) = self.current.take() {
-                    self.packets.push(p);
-                }
-                self.current = Some(PacketObs {
-                    seq,
-                    ..Default::default()
-                });
+                self.close();
+                self.current = Some(seq);
             }
-            TraceEvent::Mark(Marker::PacketEnd(_)) => {
-                if let Some(p) = self.current.take() {
-                    self.packets.push(p);
-                }
-            }
-            TraceEvent::Pcv { pcv, value } => {
-                if let Some(cur) = &mut self.current {
-                    let old = cur.max.get(pcv);
-                    cur.max.set(pcv, old.max(value));
-                    *cur.sum.entry(pcv).or_insert(0) += value;
+            TraceEvent::Mark(Marker::PacketEnd(_)) => self.close(),
+            TraceEvent::Pcv { pcv, value } if self.current.is_some() => {
+                match self.scratch.iter_mut().find(|o| o.0 == pcv) {
+                    Some(o) => *o = (pcv, o.1.max(value), o.2 + value),
+                    None => self.scratch.push((pcv, value, value)),
                 }
             }
             _ => {}
@@ -234,8 +263,9 @@ mod tests {
         let mut d = Distiller::new();
         feed(&mut d, &[&[(0, 3), (0, 7), (0, 2)]]);
         assert_eq!(d.packets().len(), 1);
-        assert_eq!(d.packets()[0].max.get(PcvId(0)), 7);
-        assert_eq!(d.packets()[0].sum[&PcvId(0)], 12);
+        assert_eq!(d.packets()[0].max(PcvId(0)), 7);
+        assert_eq!(d.packets()[0].sum(PcvId(0)), 12);
+        assert_eq!(d.packets()[0].max_assignment().get(PcvId(0)), 7);
     }
 
     #[test]

@@ -73,14 +73,14 @@ pub fn pool_free_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
     t.instr(InstrClass::Ret, 1);
 }
 
-/// A pool of fixed-size packet buffers, recycled FIFO like an
-/// `rte_mempool`.
+/// A pool of fixed-size packet buffers; the buffer freed last is handed
+/// out next, like an `rte_mempool`'s per-core cache.
 #[derive(Debug)]
 pub struct Mempool {
+    /// In ascending address order.
     buffers: Vec<MemRegion>,
     free: Vec<usize>,
     meta: MemRegion,
-    by_base: std::collections::HashMap<u64, usize>,
 }
 
 impl Mempool {
@@ -89,16 +89,10 @@ impl Mempool {
         assert!(n > 0);
         let meta = aspace.alloc_table(64);
         let buffers: Vec<MemRegion> = (0..n).map(|_| aspace.alloc_table(buf_size)).collect();
-        let by_base = buffers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.base, i))
-            .collect();
         Mempool {
             free: (0..n).rev().collect(),
             buffers,
             meta,
-            by_base,
         }
     }
 
@@ -118,9 +112,9 @@ impl Mempool {
     /// Return a buffer to the pool.
     pub fn free(&mut self, t: &mut dyn Tracer, region: MemRegion) {
         pool_free_costs(t, self.meta);
-        let &i = self
-            .by_base
-            .get(&region.base)
+        let i = self
+            .buffers
+            .binary_search_by_key(&region.base, |r| r.base)
             .expect("freeing a region not owned by this pool");
         debug_assert!(!self.free.contains(&i), "double free of mbuf");
         self.free.push(i);

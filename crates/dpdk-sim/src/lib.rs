@@ -107,7 +107,7 @@ impl DpdkEnv {
         // RX: allocate an mbuf and DMA the frame into it (DMA is free for
         // the CPU; driver descriptor work is charged in rx()).
         let region = self.pool.alloc(ctx.tracer());
-        ctx.register_buffer(region, bytes.to_vec());
+        ctx.register_buffer(region, bytes);
         let mbuf = Mbuf {
             region,
             len: bytes.len() as u64,
@@ -167,7 +167,7 @@ impl DpdkEnv {
         for (i, (bytes, port)) in frames.iter().enumerate() {
             ctx.tracer().mark(Marker::PacketStart(first_seq + i as u64));
             let region = self.pool.alloc(ctx.tracer());
-            ctx.register_buffer(region, bytes.to_vec());
+            ctx.register_buffer(region, bytes);
             mbufs.push(Mbuf {
                 region,
                 len: bytes.len() as u64,
@@ -376,6 +376,32 @@ mod tests {
             });
         }
         assert_eq!(env.packets_seen(), 10);
+    }
+
+    #[test]
+    fn a_short_frame_after_a_long_one_reads_zeros_past_its_end() {
+        let mut tracer = CountingTracer::new();
+        // One mbuf: every packet lands in the same slot of the same ctx.
+        let mut env = DpdkEnv::new(StackLevel::NfOnly, 1, 2048);
+        let mut ctx = ConcreteCtx::new(&mut tracer);
+        let long = vec![0xFFu8; 1500];
+        env.process_packet(&mut ctx, &long, 0, |ctx, mbuf| {
+            let tail = ctx.load(mbuf.region, 1492, 8);
+            assert_eq!(ctx.concrete_value(tail), Some(u64::MAX));
+            // Scribble beyond the frame as well.
+            let v = ctx.lit(u64::MAX, Width::W64);
+            ctx.store(mbuf.region, 2040, v, 8);
+        });
+        let short = sample_packet();
+        env.process_packet(&mut ctx, &short, 0, |ctx, mbuf| {
+            assert_eq!(mbuf.len, short.len() as u64);
+            let buf = ctx.buffer(mbuf.region).unwrap();
+            assert_eq!(buf.len(), 2048);
+            assert_eq!(&buf[..short.len()], &short[..]);
+            assert!(buf[short.len()..].iter().all(|&b| b == 0));
+            let dport = ctx.load(mbuf.region, h::L4_DPORT, 2);
+            assert_eq!(ctx.concrete_value(dport), Some(2222));
+        });
     }
 
     #[test]

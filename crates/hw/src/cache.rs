@@ -55,8 +55,13 @@ impl CacheParams {
 #[derive(Clone, Debug)]
 pub struct CacheSim {
     params: CacheParams,
-    /// `sets[s]` holds up to `ways` line addresses, most recent last.
-    sets: Vec<Vec<u64>>,
+    /// `log2(line_size)`: a tag is `addr >> line_shift`.
+    line_shift: u32,
+    n_sets: u64,
+    /// `sets × ways` tags; set `s` owns `tags[s * ways..][..lens[s]]`,
+    /// most recent last.
+    tags: Vec<u64>,
+    lens: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -69,7 +74,10 @@ impl CacheSim {
         assert!(n > 0, "cache must have at least one set");
         CacheSim {
             params,
-            sets: vec![Vec::new(); n],
+            line_shift: params.line_size.trailing_zeros(),
+            n_sets: n as u64,
+            tags: vec![0; n * params.ways as usize],
+            lens: vec![0; n],
             hits: 0,
             misses: 0,
         }
@@ -78,6 +86,11 @@ impl CacheSim {
     /// Geometry.
     pub fn params(&self) -> CacheParams {
         self.params
+    }
+
+    /// `log2` of the line size: `addr >> line_shift()` numbers the line.
+    pub fn line_shift(&self) -> u32 {
+        self.line_shift
     }
 
     /// Hits recorded so far.
@@ -92,65 +105,74 @@ impl CacheSim {
 
     /// Empty the cache and zero the counters.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lens.fill(0);
         self.hits = 0;
         self.misses = 0;
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        let line = addr / self.params.line_size as u64;
-        (line % self.sets.len() as u64) as usize
+    /// The tag of `addr`'s line and the index of the set it maps to.
+    fn locate(&self, addr: u64) -> (u64, usize) {
+        let tag = addr >> self.line_shift;
+        // Every real geometry has a power-of-two set count.
+        let set = if self.n_sets.is_power_of_two() {
+            tag & (self.n_sets - 1)
+        } else {
+            tag % self.n_sets
+        };
+        (tag, set as usize)
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
-        addr / self.params.line_size as u64 * self.params.line_size as u64
+    /// Make `tag` the most recent line of set `si`, evicting the least
+    /// recent if the set is full. Returns whether it was resident.
+    #[inline]
+    fn touch(&mut self, tag: u64, si: usize) -> bool {
+        let (len, ways) = (self.lens[si] as usize, self.params.ways as usize);
+        let set = &mut self.tags[si * ways..][..ways];
+        let pos = set[..len].iter().position(|&t| t == tag);
+        let from = match pos {
+            Some(p) => p,
+            None if len == ways => 0,
+            None => {
+                set[len] = tag;
+                self.lens[si] += 1;
+                return false;
+            }
+        };
+        // Close the gap the hit (or the evicted LRU way) leaves.
+        if from + 1 < len {
+            set.copy_within(from + 1..len, from);
+        }
+        set[len - 1] = tag;
+        pos.is_some()
     }
 
     /// Access `addr`: returns `true` on hit. On miss the line is installed
     /// (allocate-on-miss), evicting the LRU way if the set is full. On hit
     /// the line becomes most-recently-used.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let si = self.set_of(addr);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            set.remove(pos);
-            set.push(line);
+        let (tag, si) = self.locate(addr);
+        let hit = self.touch(tag, si);
+        if hit {
             self.hits += 1;
-            true
         } else {
-            if set.len() == self.params.ways as usize {
-                set.remove(0);
-            }
-            set.push(line);
             self.misses += 1;
-            false
         }
+        hit
     }
 
     /// Install a line without counting an access (prefetch fills).
+    #[inline]
     pub fn install(&mut self, addr: u64) {
-        let line = self.line_of(addr);
-        let si = self.set_of(addr);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            set.remove(pos);
-            set.push(line);
-            return;
-        }
-        if set.len() == self.params.ways as usize {
-            set.remove(0);
-        }
-        set.push(line);
+        let (tag, si) = self.locate(addr);
+        self.touch(tag, si);
     }
 
     /// Whether the line containing `addr` is currently resident (no LRU
     /// update, no counter change).
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        self.sets[self.set_of(addr)].contains(&line)
+        let (tag, si) = self.locate(addr);
+        self.tags[si * self.params.ways as usize..][..self.lens[si] as usize].contains(&tag)
     }
 }
 

@@ -74,12 +74,10 @@ impl ConservativeModel {
 
     fn mem_access(&mut self, addr: u64, bytes: u8) {
         // An access can straddle a line boundary; charge each line touched.
-        let line = self.l1.params().line_size as u64;
-        let first = addr / line;
-        let last = (addr + bytes.max(1) as u64 - 1) / line;
-        for l in first..=last {
-            let a = l * line;
-            if self.l1.access(a) {
+        let shift = self.l1.line_shift();
+        let last = (addr + bytes.max(1) as u64 - 1) >> shift;
+        for l in addr >> shift..=last {
+            if self.l1.access(l << shift) {
                 self.cycles += self.cost.l1_hit;
             } else {
                 self.cycles += self.cost.mem_latency;
@@ -237,18 +235,17 @@ impl TestbedModel {
     }
 
     fn mem_access(&mut self, addr: u64, bytes: u8, dep: bool, is_store: bool) {
-        let line_size = self.l1.params().line_size as u64;
-        let first = addr / line_size;
-        let last = (addr + bytes.max(1) as u64 - 1) / line_size;
-        for l in first..=last {
-            let line_addr = l * line_size;
+        let shift = self.l1.line_shift();
+        let last = (addr + bytes.max(1) as u64 - 1) >> shift;
+        for l in addr >> shift..=last {
+            let line_addr = l << shift;
             // Prefetch ahead of any detected ascending stream, hit or miss,
             // so an established stream stays resident ahead of the access
             // point.
             let streaming = self.detect_stream(l);
             if streaming {
                 for k in 1..=self.prefetch_degree {
-                    let pf = (l + k) * line_size;
+                    let pf = (l + k) << shift;
                     self.l1.install(pf);
                     self.l2.install(pf);
                     self.l3.install(pf);
@@ -300,6 +297,7 @@ impl Default for TestbedModel {
 }
 
 impl Tracer for TestbedModel {
+    #[inline]
     fn event(&mut self, ev: TraceEvent) {
         match ev {
             TraceEvent::Instr { class, n } => {
@@ -326,6 +324,10 @@ pub struct PerPacketCycles<M: Tracer> {
     pub model: M,
     /// `(packet sequence number, cycles spent)` per completed packet.
     pub samples: Vec<(u64, f64)>,
+    /// `PacketEnd` markers that arrived with no packet open, and so left
+    /// no sample. Zero on a well-bracketed stream; a burst (all its
+    /// starts, then all its ends) orphans every end but one.
+    pub orphan_ends: u64,
     read_cycles: fn(&M) -> f64,
     start: Option<(u64, f64)>,
 }
@@ -338,6 +340,7 @@ impl PerPacketCycles<TestbedModel> {
             samples: Vec::new(),
             read_cycles: TestbedModel::cycles_f64,
             start: None,
+            orphan_ends: 0,
         }
     }
 }
@@ -350,11 +353,13 @@ impl PerPacketCycles<ConservativeModel> {
             samples: Vec::new(),
             read_cycles: |m| m.cycles() as f64,
             start: None,
+            orphan_ends: 0,
         }
     }
 }
 
 impl<M: Tracer> Tracer for PerPacketCycles<M> {
+    #[inline]
     fn event(&mut self, ev: TraceEvent) {
         match ev {
             TraceEvent::Mark(Marker::PacketStart(seq)) => {
@@ -363,9 +368,12 @@ impl<M: Tracer> Tracer for PerPacketCycles<M> {
             }
             TraceEvent::Mark(Marker::PacketEnd(_)) => {
                 self.model.event(ev);
-                if let Some((seq, c0)) = self.start.take() {
-                    let c1 = (self.read_cycles)(&self.model);
-                    self.samples.push((seq, c1 - c0));
+                match self.start.take() {
+                    Some((seq, c0)) => {
+                        let c1 = (self.read_cycles)(&self.model);
+                        self.samples.push((seq, c1 - c0));
+                    }
+                    None => self.orphan_ends += 1,
                 }
             }
             other => self.model.event(other),
@@ -517,6 +525,25 @@ mod tests {
         pp.mark(Marker::PacketEnd(1));
         assert_eq!(pp.samples.len(), 2);
         assert!(pp.samples[1].1 > pp.samples[0].1);
+    }
+
+    #[test]
+    fn per_packet_cycles_counts_ends_it_cannot_pair() {
+        use bolt_trace::Marker;
+        let mut pp = PerPacketCycles::testbed(TestbedModel::new());
+        pp.mark(Marker::PacketEnd(7));
+        assert_eq!((pp.samples.len(), pp.orphan_ends), (0, 1));
+        // A burst: three starts, the body, three ends. Only the last
+        // start is still open when the ends arrive.
+        for seq in 0..3 {
+            pp.mark(Marker::PacketStart(seq));
+        }
+        pp.alu(10);
+        for seq in 0..3 {
+            pp.mark(Marker::PacketEnd(seq));
+        }
+        assert_eq!(pp.samples.len(), 1);
+        assert_eq!(pp.orphan_ends, 3);
     }
 
     #[test]

@@ -1,0 +1,412 @@
+//! The flat [`CacheSim`] against the implementation it replaced, kept
+//! here as the trivially correct model: one `Vec` of line addresses per
+//! set, most recent last, `remove` + `push` on every touch. Any
+//! interleaving of operations must give the same answers, counters and
+//! residency; and the two hardware models, rebuilt here on the model
+//! cache exactly as they stood before the rewrite, must accumulate
+//! bit-identical cycles on arbitrary event streams.
+
+use bolt_hw::{CacheParams, CacheSim, ConservativeModel, CostTable, TestbedModel};
+use bolt_trace::{InstrClass, TraceEvent, Tracer};
+use proptest::prelude::*;
+
+/// The reference: `sets[s]` holds up to `ways` line addresses, most
+/// recent last.
+struct RefCache {
+    params: CacheParams,
+    sets: Vec<Vec<u64>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl RefCache {
+    fn new(params: CacheParams) -> Self {
+        RefCache {
+            params,
+            sets: vec![Vec::new(); params.sets() as usize],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn reset(&mut self) {
+        for s in &mut self.sets {
+            s.clear();
+        }
+        self.hits = 0;
+        self.misses = 0;
+    }
+
+    fn set_of(&self, addr: u64) -> usize {
+        let line = addr / self.params.line_size as u64;
+        (line % self.sets.len() as u64) as usize
+    }
+
+    fn line_of(&self, addr: u64) -> u64 {
+        addr / self.params.line_size as u64 * self.params.line_size as u64
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let line = self.line_of(addr);
+        let si = self.set_of(addr);
+        let set = &mut self.sets[si];
+        if let Some(pos) = set.iter().position(|&l| l == line) {
+            set.remove(pos);
+            set.push(line);
+            self.hits += 1;
+            true
+        } else {
+            if set.len() == self.params.ways as usize {
+                set.remove(0);
+            }
+            set.push(line);
+            self.misses += 1;
+            false
+        }
+    }
+
+    fn install(&mut self, addr: u64) {
+        let line = self.line_of(addr);
+        let si = self.set_of(addr);
+        let set = &mut self.sets[si];
+        if let Some(pos) = set.iter().position(|&l| l == line) {
+            set.remove(pos);
+            set.push(line);
+            return;
+        }
+        if set.len() == self.params.ways as usize {
+            set.remove(0);
+        }
+        set.push(line);
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let line = self.line_of(addr);
+        self.sets[self.set_of(addr)].contains(&line)
+    }
+}
+
+/// 2 ways × 4 sets, a set count that is no power of two, direct-mapped,
+/// and the real L1D, L2 and L3.
+fn geometries() -> [CacheParams; 6] {
+    let small = |sets: u32, ways: u32| CacheParams {
+        size: sets * ways * 64,
+        ways,
+        line_size: 64,
+    };
+    [
+        small(4, 2),
+        small(3, 2),
+        small(4, 1),
+        CacheParams::l1d(),
+        CacheParams::l2(),
+        CacheParams::l3(),
+    ]
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Access(u64),
+    Install(u64),
+    Contains(u64),
+    Reset,
+}
+
+/// Lines drawn from `ROUNDS` rounds over `SETS` neighbouring sets, so
+/// that even the 16-way L3 overflows its sets and evicts.
+const ROUNDS: u64 = 24;
+const SETS: u64 = 4;
+
+fn addr_of(p: CacheParams, round: u64, set: u64, offset: u64) -> u64 {
+    0x1000_0000 + (round * p.sets() as u64 + set) * p.line_size as u64 + offset
+}
+
+fn arb_op() -> impl Strategy<Value = (u8, u64, u64, u64)> {
+    (0u8..32, 0..ROUNDS, 0..SETS, 0u64..64)
+}
+
+fn op_of(p: CacheParams, (kind, round, set, offset): (u8, u64, u64, u64)) -> Op {
+    let addr = addr_of(p, round, set, offset);
+    match kind {
+        0 => Op::Reset,
+        1..=4 => Op::Contains(addr),
+        5..=12 => Op::Install(addr),
+        _ => Op::Access(addr),
+    }
+}
+
+/// The pre-rewrite [`ConservativeModel`], on the reference cache.
+struct RefConservative {
+    l1: RefCache,
+    cost: CostTable,
+    cycles: f64,
+}
+
+impl RefConservative {
+    fn new() -> Self {
+        RefConservative {
+            l1: RefCache::new(CacheParams::l1d()),
+            cost: CostTable::conservative(),
+            cycles: 0.0,
+        }
+    }
+
+    fn mem_access(&mut self, addr: u64, bytes: u8) {
+        let line = self.l1.params.line_size as u64;
+        let first = addr / line;
+        let last = (addr + bytes.max(1) as u64 - 1) / line;
+        for l in first..=last {
+            if self.l1.access(l * line) {
+                self.cycles += self.cost.l1_hit;
+            } else {
+                self.cycles += self.cost.mem_latency;
+            }
+        }
+    }
+}
+
+impl Tracer for RefConservative {
+    fn event(&mut self, ev: TraceEvent) {
+        match ev {
+            TraceEvent::Instr { class, n } => {
+                self.cycles += self.cost.class_cost(class) * n as f64;
+            }
+            TraceEvent::MemRead { addr, bytes, .. } => {
+                self.cycles += self.cost.class_cost(InstrClass::Load);
+                self.mem_access(addr, bytes);
+            }
+            TraceEvent::MemWrite { addr, bytes } => {
+                self.cycles += self.cost.class_cost(InstrClass::Store);
+                self.mem_access(addr, bytes);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The pre-rewrite [`TestbedModel`], on the reference cache, with the
+/// default Xeon-like parameters.
+struct RefTestbed {
+    l1: RefCache,
+    l2: RefCache,
+    l3: RefCache,
+    cost: CostTable,
+    cycles: f64,
+    last_miss_end: f64,
+    outstanding: u32,
+    streams: [u64; 8],
+    stream_next: usize,
+}
+
+impl RefTestbed {
+    const PREFETCH_DEGREE: u64 = 2;
+    const MLP_DEGREE: u32 = 10;
+    const OVERLAP_INCREMENT: f64 = 24.0;
+    const MLP_WINDOW: f64 = 48.0;
+    const L1_HIT_INDEPENDENT: f64 = 1.0;
+
+    fn new() -> Self {
+        RefTestbed {
+            l1: RefCache::new(CacheParams::l1d()),
+            l2: RefCache::new(CacheParams::l2()),
+            l3: RefCache::new(CacheParams::l3()),
+            cost: CostTable::testbed(),
+            cycles: 0.0,
+            last_miss_end: f64::NEG_INFINITY,
+            outstanding: 0,
+            streams: [u64::MAX; 8],
+            stream_next: 0,
+        }
+    }
+
+    fn hierarchy_latency(&mut self, line_addr: u64) -> f64 {
+        if self.l1.access(line_addr) {
+            return self.cost.l1_hit;
+        }
+        if self.l2.access(line_addr) {
+            self.l1.install(line_addr);
+            return self.cost.l2_hit;
+        }
+        if self.l3.access(line_addr) {
+            self.l1.install(line_addr);
+            self.l2.install(line_addr);
+            return self.cost.l3_hit;
+        }
+        self.l1.install(line_addr);
+        self.l2.install(line_addr);
+        self.l3.install(line_addr);
+        self.cost.mem_latency
+    }
+
+    fn detect_stream(&mut self, line: u64) -> bool {
+        let hit = self
+            .streams
+            .iter()
+            .any(|&s| s != u64::MAX && (line == s + 1 || line == s + 2));
+        self.streams[self.stream_next] = line;
+        self.stream_next = (self.stream_next + 1) % self.streams.len();
+        hit
+    }
+
+    fn mem_access(&mut self, addr: u64, bytes: u8, dep: bool, is_store: bool) {
+        let line_size = self.l1.params.line_size as u64;
+        let first = addr / line_size;
+        let last = (addr + bytes.max(1) as u64 - 1) / line_size;
+        for l in first..=last {
+            let line_addr = l * line_size;
+            let streaming = self.detect_stream(l);
+            if streaming {
+                for k in 1..=Self::PREFETCH_DEGREE {
+                    let pf = (l + k) * line_size;
+                    self.l1.install(pf);
+                    self.l2.install(pf);
+                    self.l3.install(pf);
+                }
+            }
+            let lat = self.hierarchy_latency(line_addr);
+            let missed = lat >= self.cost.mem_latency;
+            if missed {
+                if is_store {
+                    self.cycles += self.cost.store_buffer;
+                    continue;
+                }
+                let now = self.cycles;
+                let close = now - self.last_miss_end <= Self::MLP_WINDOW;
+                if !dep && close && self.outstanding < Self::MLP_DEGREE {
+                    self.outstanding += 1;
+                    self.cycles += Self::OVERLAP_INCREMENT;
+                } else {
+                    self.outstanding = 1;
+                    self.cycles += lat;
+                }
+                self.last_miss_end = self.cycles;
+            } else {
+                self.cycles += if is_store {
+                    self.cost.store_buffer
+                } else if !dep && streaming && lat <= self.cost.l1_hit {
+                    Self::L1_HIT_INDEPENDENT
+                } else {
+                    lat
+                };
+            }
+        }
+    }
+}
+
+impl Tracer for RefTestbed {
+    fn event(&mut self, ev: TraceEvent) {
+        match ev {
+            TraceEvent::Instr { class, n } => {
+                self.cycles += self.cost.class_cost(class) * n as f64;
+            }
+            TraceEvent::MemRead { addr, bytes, dep } => {
+                self.cycles += self.cost.class_cost(InstrClass::Load);
+                self.mem_access(addr, bytes, dep, false);
+            }
+            TraceEvent::MemWrite { addr, bytes } => {
+                self.cycles += self.cost.class_cost(InstrClass::Store);
+                self.mem_access(addr, bytes, false, true);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The `conservative_bounds_testbed` generator (`tests/hw_properties.rs`)
+/// with one more address shape: besides the dense 512 KiB window, a
+/// 128 KiB stride that piles lines onto one set of every level, so L1, L2
+/// and L3 all evict; accesses may straddle a line.
+#[derive(Debug, Clone)]
+enum Ev {
+    Instr(u8, u8),
+    Read(u64, u8, bool),
+    Write(u64, u8),
+}
+
+fn arb_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u16>().prop_map(|a| 0x1_0000 + a as u64 * 8),
+        (0u64..40, 0u64..130).prop_map(|(k, off)| 0x100_0000 + k * 128 * 1024 + off),
+    ]
+}
+
+fn arb_ev() -> impl Strategy<Value = Ev> {
+    prop_oneof![
+        (0u8..10, 1u8..8).prop_map(|(c, n)| Ev::Instr(c, n)),
+        (arb_addr(), 1u8..=8, any::<bool>()).prop_map(|(a, b, d)| Ev::Read(a, b, d)),
+        (arb_addr(), 1u8..=8).prop_map(|(a, b)| Ev::Write(a, b)),
+    ]
+}
+
+fn feed(m: &mut dyn Tracer, ev: &Ev) {
+    match *ev {
+        Ev::Instr(c, n) => m.instr(InstrClass::ALL[c as usize % 10], n as u32),
+        Ev::Read(a, b, true) => m.mem_read_dep(a, b),
+        Ev::Read(a, b, false) => m.mem_read(a, b),
+        Ev::Write(a, b) => m.mem_write(a, b),
+    }
+}
+
+fn same_counters(new: &CacheSim, old: &RefCache) -> bool {
+    (new.hits(), new.misses()) == (old.hits, old.misses)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Same return values, same counters, same residency — after every
+    /// step, on every geometry.
+    #[test]
+    fn flat_cache_matches_the_reference(
+        geometry in 0usize..6,
+        ops in prop::collection::vec(arb_op(), 1..300),
+    ) {
+        let p = geometries()[geometry];
+        let mut new = CacheSim::new(p);
+        let mut old = RefCache::new(p);
+        for raw in ops {
+            let op = op_of(p, raw);
+            match op {
+                Op::Access(a) => prop_assert_eq!(new.access(a), old.access(a), "{:?}", op),
+                Op::Install(a) => {
+                    new.install(a);
+                    old.install(a);
+                }
+                Op::Contains(a) => prop_assert_eq!(new.contains(a), old.contains(a), "{:?}", op),
+                Op::Reset => {
+                    new.reset();
+                    old.reset();
+                }
+            }
+            prop_assert!(same_counters(&new, &old), "counters after {:?}", op);
+            for round in 0..ROUNDS {
+                for set in 0..SETS {
+                    let a = addr_of(p, round, set, 0);
+                    prop_assert_eq!(new.contains(a), old.contains(a), "{:#x} after {:?}", a, op);
+                }
+            }
+        }
+    }
+
+    /// Both models accumulate the same cycles, to the bit, and leave
+    /// every cache level with the same counters as before the rewrite.
+    #[test]
+    fn models_are_bit_identical_to_the_reference(
+        evs in prop::collection::vec(arb_ev(), 1..1500),
+    ) {
+        let (mut cons, mut old_cons) = (ConservativeModel::new(), RefConservative::new());
+        let (mut test, mut old_test) = (TestbedModel::new(), RefTestbed::new());
+        for ev in &evs {
+            feed(&mut cons, ev);
+            feed(&mut old_cons, ev);
+            feed(&mut test, ev);
+            feed(&mut old_test, ev);
+            prop_assert_eq!(test.cycles_f64().to_bits(), old_test.cycles.to_bits(), "{:?}", ev);
+        }
+        prop_assert_eq!(cons.cycles(), old_cons.cycles.ceil() as u64);
+        prop_assert!(same_counters(&cons.l1, &old_cons.l1));
+        prop_assert!(same_counters(&test.l1, &old_test.l1));
+        prop_assert!(same_counters(&test.l2, &old_test.l2));
+        prop_assert!(same_counters(&test.l3, &old_test.l3));
+    }
+}

@@ -3,9 +3,8 @@
 //! Values are `u64`s paired with a width (so wrap-around matches the
 //! symbolic semantics bit for bit). Packet buffers are real byte vectors
 //! registered per [`MemRegion`]; loads and stores are big-endian, matching
-//! network byte order.
-
-use std::collections::HashMap;
+//! network byte order. A context outlives a packet: re-registering a
+//! region (an mbuf slot receiving its next frame) reuses the allocation.
 
 use bolt_expr::{BinOp, Width};
 use bolt_trace::{InstrClass, MemRegion, Tracer};
@@ -32,7 +31,10 @@ impl CVal {
 /// mutable reference so callers can aggregate events across many packets.
 pub struct ConcreteCtx<'t> {
     tracer: &'t mut dyn Tracer,
-    buffers: HashMap<u64, Vec<u8>>,
+    /// `(region base, bytes)`: one entry per region ever registered — the
+    /// mbuf slots in flight plus any static table, a handful — searched
+    /// linearly.
+    buffers: Vec<(u64, Vec<u8>)>,
     verdicts: Vec<NfVerdict>,
 }
 
@@ -41,21 +43,33 @@ impl<'t> ConcreteCtx<'t> {
     pub fn new(tracer: &'t mut dyn Tracer) -> Self {
         ConcreteCtx {
             tracer,
-            buffers: HashMap::new(),
+            buffers: Vec::new(),
             verdicts: Vec::new(),
         }
     }
 
-    /// Register the backing bytes for a region (e.g. a packet buffer).
-    /// The byte vector is padded/truncated to the region size.
-    pub fn register_buffer(&mut self, region: MemRegion, mut bytes: Vec<u8>) {
-        bytes.resize(region.size as usize, 0);
-        self.buffers.insert(region.base, bytes);
+    /// Register the backing bytes for a region (e.g. a packet buffer):
+    /// a copy of `bytes`, zero-padded/truncated to the region size, which
+    /// replaces whatever the region held.
+    pub fn register_buffer(&mut self, region: MemRegion, bytes: impl AsRef<[u8]>) {
+        let (bytes, size) = (bytes.as_ref(), region.size as usize);
+        let i = self.slot(region).unwrap_or_else(|| {
+            self.buffers.push((region.base, Vec::new()));
+            self.buffers.len() - 1
+        });
+        let buf = &mut self.buffers[i].1;
+        buf.clear();
+        buf.extend_from_slice(&bytes[..bytes.len().min(size)]);
+        buf.resize(size, 0);
+    }
+
+    fn slot(&self, region: MemRegion) -> Option<usize> {
+        self.buffers.iter().position(|(b, _)| *b == region.base)
     }
 
     /// Read back a buffer (e.g. the packet after NF processing).
     pub fn buffer(&self, region: MemRegion) -> Option<&[u8]> {
-        self.buffers.get(&region.base).map(|v| v.as_slice())
+        self.slot(region).map(|i| self.buffers[i].1.as_slice())
     }
 
     /// Verdicts recorded so far (one per processed packet, in order).
@@ -172,10 +186,7 @@ impl NfCtx for ConcreteCtx<'_> {
     fn load(&mut self, region: MemRegion, offset: u64, bytes: usize) -> CVal {
         let w = Width::from_bytes(bytes);
         self.tracer.mem_read(region.addr(offset), bytes as u8);
-        let buf = self
-            .buffers
-            .get(&region.base)
-            .expect("load from unregistered buffer");
+        let buf = self.buffer(region).expect("load from unregistered buffer");
         let mut v = 0u64;
         for i in 0..bytes {
             v = (v << 8) | buf[offset as usize + i] as u64;
@@ -186,10 +197,8 @@ impl NfCtx for ConcreteCtx<'_> {
     fn store(&mut self, region: MemRegion, offset: u64, val: CVal, bytes: usize) {
         assert_eq!(val.w, Width::from_bytes(bytes), "store width mismatch");
         self.tracer.mem_write(region.addr(offset), bytes as u8);
-        let buf = self
-            .buffers
-            .get_mut(&region.base)
-            .expect("store to unregistered buffer");
+        let i = self.slot(region).expect("store to unregistered buffer");
+        let buf = &mut self.buffers[i].1;
         for i in 0..bytes {
             buf[offset as usize + i] = (val.v >> (8 * (bytes - 1 - i))) as u8;
         }
@@ -265,6 +274,47 @@ mod tests {
         let v = ctx.lit(0x1234, Width::W16);
         ctx.store(region, 2, v, 2);
         assert_eq!(&ctx.buffer(region).unwrap()[2..4], &[0x12, 0x34]);
+    }
+
+    #[test]
+    fn reregistering_a_region_leaves_nothing_behind() {
+        let mut aspace = AddressSpace::new();
+        let slot = aspace.alloc_table(64);
+        let other = aspace.alloc_table(16);
+        let mut t = NullTracer;
+        let mut ctx = ConcreteCtx::new(&mut t);
+        ctx.register_buffer(slot, [0xEE; 48]);
+        ctx.register_buffer(other, vec![7; 16]);
+        // The NF writes past the frame's end, too.
+        let v = ctx.lit(0xABCD, Width::W16);
+        ctx.store(slot, 60, v, 2);
+        assert_eq!(&ctx.buffer(slot).unwrap()[60..62], &[0xAB, 0xCD]);
+
+        // The slot's next frame is shorter: zeros from its end to the
+        // region's, exactly as a freshly registered buffer reads.
+        ctx.register_buffer(slot, [0x11u8; 10].as_slice());
+        let mut expected = vec![0x11u8; 10];
+        expected.resize(64, 0);
+        assert_eq!(ctx.buffer(slot).unwrap(), expected);
+        assert_eq!(ctx.load(slot, 8, 4).v, 0x1111_0000);
+        assert_eq!(ctx.load(slot, 60, 2).v, 0);
+        assert_eq!(ctx.buffer(other).unwrap(), [7; 16], "neighbours untouched");
+
+        // Longer than the region: truncated to it.
+        ctx.register_buffer(other, vec![9; 40]);
+        assert_eq!(ctx.buffer(other).unwrap(), [9; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "load from unregistered buffer")]
+    fn load_from_an_unregistered_region_panics() {
+        let mut aspace = AddressSpace::new();
+        let known = aspace.alloc_table(64);
+        let unknown = aspace.alloc_table(64);
+        let mut t = NullTracer;
+        let mut ctx = ConcreteCtx::new(&mut t);
+        ctx.register_buffer(known, [0u8; 64]);
+        let _ = ctx.load(unknown, 0, 2);
     }
 
     #[test]

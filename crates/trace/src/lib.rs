@@ -14,10 +14,14 @@
 //!   **cycles** metric (conservative bound or testbed-simulated ground
 //!   truth).
 //!
-//! Sinks are composable: [`CountingTracer`] keeps totals, a
-//! [`RecordingTracer`] keeps the full event list, [`TeeTracer`] fans out to
-//! several consumers, and [`NullTracer`] discards everything (used when
-//! only the functional result matters).
+//! Sinks compose statically: [`CountingTracer`] keeps totals, a
+//! [`RecordingTracer`] keeps the full event list, [`NullTracer`] discards
+//! everything (used when only the functional result matters), and a pair
+//! `(A, B)` of sinks is itself a sink that hands every event to `A` then
+//! `B` — nest pairs for more, lend a sink with `&mut`. The pair's type
+//! names its members, so the one virtual call an NF makes per event (the
+//! `&mut dyn Tracer` inside the execution context) lands in code where
+//! every member's `event` is inlined; nothing is allocated to fan out.
 
 use std::fmt;
 
@@ -329,6 +333,7 @@ impl CountingTracer {
 }
 
 impl Tracer for CountingTracer {
+    #[inline]
     fn event(&mut self, ev: TraceEvent) {
         match ev {
             TraceEvent::Instr { class, n } => {
@@ -352,23 +357,21 @@ impl Tracer for CountingTracer {
     }
 }
 
-/// Fans events out to multiple sinks (e.g. counters + a cache model).
-pub struct TeeTracer<'a> {
-    sinks: Vec<&'a mut dyn Tracer>,
-}
-
-impl<'a> TeeTracer<'a> {
-    /// Build a tee over the given sinks.
-    pub fn new(sinks: Vec<&'a mut dyn Tracer>) -> Self {
-        TeeTracer { sinks }
+/// A borrowed sink is a sink, so the owner keeps reading it afterwards.
+impl<T: Tracer + ?Sized> Tracer for &mut T {
+    #[inline]
+    fn event(&mut self, ev: TraceEvent) {
+        (**self).event(ev);
     }
 }
 
-impl Tracer for TeeTracer<'_> {
+/// The tee: both sinks see every event, `A` first (e.g. counters + a
+/// cache model).
+impl<A: Tracer, B: Tracer> Tracer for (A, B) {
+    #[inline]
     fn event(&mut self, ev: TraceEvent) {
-        for s in &mut self.sinks {
-            s.event(ev);
-        }
+        self.0.event(ev);
+        self.1.event(ev);
     }
 }
 
@@ -449,7 +452,7 @@ mod tests {
         let mut a = CountingTracer::new();
         let mut b = RecordingTracer::new();
         {
-            let mut tee = TeeTracer::new(vec![&mut a, &mut b]);
+            let mut tee = (&mut a, &mut b);
             tee.alu(7);
             tee.mem_read(0x10, 4);
         }

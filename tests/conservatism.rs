@@ -215,11 +215,12 @@ fn per_packet_predictions_bound_every_packet() {
     let pkts: Vec<TimedPacket> = bridge_traffic(23, 1500, 128, false, 30_000);
     runner.play_nf(&nf, &mut b, &pkts);
     for (sample, obs) in runner.samples.iter().zip(runner.distiller.packets()) {
+        let env = obs.max_assignment();
         let pred = contract
-            .worst(Metric::Instructions, &obs.max)
+            .worst(Metric::Instructions, &env)
             .unwrap()
             .expr(Metric::Instructions)
-            .eval(&obs.max);
+            .eval(&env);
         assert!(
             pred >= sample.ic,
             "packet {}: predicted {pred} < measured {}",
