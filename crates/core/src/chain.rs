@@ -13,10 +13,7 @@
 //! into a joint pool, remapping every symbol to a fresh one prefixed by
 //! the NF's name.
 //!
-//! The public front door is [`crate::composer::Composer`]; the free
-//! functions [`compose`]/[`compose_with`] and the associated
-//! [`Pipeline::compose_all`]/[`Pipeline::compose_all_with`] remain as
-//! deprecated parity shims.
+//! The public front door is [`crate::composer::Composer`].
 //!
 //! # Parallel composition
 //!
@@ -411,41 +408,15 @@ fn remap_body(body: PaBody, map: &[TermRef]) -> PaBody {
     }
 }
 
-/// Compose two contracts into the contract of `first → second`.
+/// Compose two contracts into the contract of `first → second` (the
+/// body behind [`Composer::compose`]).
 ///
 /// Both NFs must have been registered against the *same*
 /// [`nf_lib::registry::DsRegistry`]
 /// (or be stateless) so that PCV ids agree in the summed expressions.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Composer::new(&solver).compose(first, second)`"
-)]
-pub fn compose(first: &NfContract, second: &NfContract, solver: &Solver) -> NfContract {
-    let mut cache = SolverCache::new();
-    compose_pair(first, second, solver, &mut cache, 1)
-}
-
-/// [`compose`] with an explicit feasibility cache and worker-thread
+/// Output — composed path order, constraint terms, verdicts, metrics,
+/// and the cache's stats counters — is bit-identical at any thread
 /// count.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Composer::new(&solver).cache(cache).threads(n).compose(first, second)`"
-)]
-pub fn compose_with(
-    first: &NfContract,
-    second: &NfContract,
-    solver: &Solver,
-    cache: &mut SolverCache,
-    threads: usize,
-) -> NfContract {
-    compose_pair(first, second, solver, cache, threads)
-}
-
-/// The one true pairwise composition: shared by the [`Composer`] front
-/// door and the deprecated [`compose`]/[`compose_with`] shims, so shim
-/// parity is by construction. Output — composed path order, constraint
-/// terms, verdicts, metrics, and the cache's stats counters — is
-/// bit-identical at any thread count.
 pub(crate) fn compose_pair(
     first: &NfContract,
     second: &NfContract,
@@ -1177,8 +1148,14 @@ impl<'s> Pipeline<'s> {
     }
 
     /// Append a network function to the downstream end.
-    pub fn push(mut self, nf: impl AbstractNf + 'static) -> Self {
-        self.stages.push(Box::new(nf));
+    pub fn push(self, nf: impl AbstractNf + 'static) -> Self {
+        self.push_boxed(Box::new(nf))
+    }
+
+    /// [`Pipeline::push`] for a stage already behind the trait object
+    /// (one chosen by name at run time).
+    pub fn push_boxed(mut self, nf: Box<dyn AbstractNf>) -> Self {
+        self.stages.push(nf);
         self
     }
 
@@ -1292,34 +1269,6 @@ impl<'s> Pipeline<'s> {
         Composer::new(&solver).parallelize(true).chain(self, level)
     }
 
-    /// Compose pre-built stage contracts left to right, sharing one
-    /// feasibility cache across the fold, on the ambient `BOLT_THREADS`
-    /// worker count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Composer::new(&solver).compose_all(contracts)`"
-    )]
-    pub fn compose_all(contracts: Vec<NfContract>) -> Option<NfContract> {
-        let solver = Solver::default();
-        let mut cache = SolverCache::new();
-        fold_contracts(contracts, &solver, &mut cache, crate::nf::ambient_threads())
-    }
-
-    /// [`Pipeline::compose_all`] with an explicit solver, shared cache,
-    /// and worker-thread count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Composer::new(&solver).cache(cache).threads(n).compose_all(contracts)`"
-    )]
-    pub fn compose_all_with(
-        contracts: Vec<NfContract>,
-        solver: &Solver,
-        cache: &mut SolverCache,
-        threads: usize,
-    ) -> Option<NfContract> {
-        fold_contracts(contracts, solver, cache, threads)
-    }
-
     /// The naive prediction: the sum over stages of each stage's
     /// individual worst case (Figure 3's "Naive-Add" bar, generalised to
     /// any length). Re-explores every stage; callers that already hold
@@ -1344,23 +1293,6 @@ impl<'s> Pipeline<'s> {
             })
             .sum()
     }
-}
-
-/// Fold pre-built contracts left to right through one shared cache: the
-/// single body behind [`crate::composer::Composer::compose_all`] and the
-/// deprecated [`Pipeline::compose_all`]/[`Pipeline::compose_all_with`].
-pub(crate) fn fold_contracts(
-    contracts: Vec<NfContract>,
-    solver: &Solver,
-    cache: &mut SolverCache,
-    threads: usize,
-) -> Option<NfContract> {
-    let mut it = contracts.into_iter();
-    let mut acc = it.next()?;
-    for next in it {
-        acc = compose_pair(&acc, &next, solver, cache, threads);
-    }
-    Some(acc)
 }
 
 /// The naive prediction for a chain: the sum of each NF's individual
@@ -1495,40 +1427,6 @@ mod tests {
                 "solver counters diverged at {threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn deprecated_shims_are_parity_exact() {
-        let (a, b) = toy_pair();
-        let solver = Solver::default();
-        let via_composer = {
-            let mut c = Composer::new(&solver);
-            encode_contract(&c.compose(&a, &b))
-        };
-        #[allow(deprecated)]
-        let via_compose = encode_contract(&compose(&a, &b, &solver));
-        #[allow(deprecated)]
-        let via_compose_with = {
-            let mut cache = SolverCache::new();
-            encode_contract(&compose_with(&a, &b, &solver, &mut cache, 2))
-        };
-        assert_eq!(via_compose, via_composer, "compose() shim drifted");
-        assert_eq!(
-            via_compose_with, via_composer,
-            "compose_with() shim drifted"
-        );
-        let (a2, b2) = toy_pair();
-        let via_composer_all = {
-            let mut c = Composer::new(&solver);
-            encode_contract(&c.compose_all(vec![a2, b2]).unwrap())
-        };
-        let (a3, b3) = toy_pair();
-        #[allow(deprecated)]
-        let via_compose_all = encode_contract(&Pipeline::compose_all(vec![a3, b3]).unwrap());
-        assert_eq!(
-            via_compose_all, via_composer_all,
-            "compose_all() shim drifted"
-        );
     }
 
     #[test]

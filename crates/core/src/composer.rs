@@ -1,9 +1,7 @@
 //! The unified front door for chain composition: [`Composer`].
 //!
-//! Composition used to be four free-standing entry points
-//! (`compose`, `compose_with`, `compose_all`, `compose_all_with`) whose
-//! argument lists grew with every capability (shared caches, worker
-//! threads, stores). `Composer` folds them into one builder:
+//! One builder carries every composition capability (shared caches,
+//! worker threads, stores, planning):
 //!
 //! ```ignore
 //! let solver = Solver::default();
@@ -140,8 +138,7 @@ impl<'a> Composer<'a> {
         self.threads.unwrap_or_else(crate::nf::ambient_threads)
     }
 
-    /// Compose two contracts into the contract of `first → second`
-    /// (replaces the deprecated `compose`/`compose_with`).
+    /// Compose two contracts into the contract of `first → second`.
     pub fn compose(&mut self, first: &NfContract, second: &NfContract) -> NfContract {
         let threads = self.resolved_threads();
         let registry = self.registry();
@@ -152,10 +149,8 @@ impl<'a> Composer<'a> {
     }
 
     /// Fold pre-built stage contracts left to right through this
-    /// composer's cache (replaces the deprecated
-    /// `Pipeline::compose_all`/`compose_all_with`). No store
-    /// involvement — the contracts are already in hand; use
-    /// [`Composer::chain`] for the memoized path.
+    /// composer's cache. No store involvement — the contracts are
+    /// already in hand; use [`Composer::chain`] for the memoized path.
     pub fn compose_all(&mut self, contracts: Vec<NfContract>) -> Option<NfContract> {
         let mut it = contracts.into_iter();
         let mut acc = it.next()?;

@@ -46,8 +46,6 @@ pub mod contract;
 pub mod nf;
 pub mod store;
 
-#[allow(deprecated)]
-pub use chain::{compose, compose_with};
 pub use chain::{naive_add, stages_commute, ChainPlan, ChainReport, CommuteWitness, Pipeline};
 pub use classes::{ClassSpec, InputClass};
 pub use codec::{decode_contract, decode_plan, encode_contract, encode_plan};

@@ -15,7 +15,7 @@
 //!
 //! * **Explicitly** — build one with [`FaultPlan::seeded`] and the
 //!   `with_*` builders and hand it to `ContractStore::with_faults` or
-//!   `ServerConfig::fault` (what the torture tests do).
+//!   `ServerBuilder::fault` (what the torture tests do).
 //! * **Ambiently** — set `BOLT_FAULT_SEED` (a u64) and/or
 //!   `BOLT_FAULT_PLAN` (comma-separated `site=PROB` / `site@NTH`
 //!   entries, e.g. `store.rename=0.25,serve.read.err@3`); [`ambient`]

@@ -9,7 +9,7 @@ use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::AddressSpace;
-use dpdk_sim::{headers as h, Mbuf, StackLevel};
+use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::FlowTableParams;
 use nf_lib::mac_table::{self, LearnOutcome, MacTable, MacTableIds, MacTableModel, MacTableOps};
@@ -165,26 +165,12 @@ impl NetworkFunction for Bridge {
     }
 }
 
-/// Run the analysis build: explore all paths of the bridge at the given
-/// stack level. Returns the registry (with contracts) and the exploration.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Bridge::with(cfg).explore(level)` via bolt_core::nf::NetworkFunction"
-)]
-pub fn explore(
-    cfg: &BridgeConfig,
-    level: StackLevel,
-) -> (DsRegistry, BridgeIds, bolt_see::ExplorationResult) {
-    let e = Bridge::with(*cfg).explore(level);
-    (e.reg, e.ids, e.result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bolt_see::ConcreteCtx;
     use bolt_trace::CountingTracer;
-    use dpdk_sim::DpdkEnv;
+    use dpdk_sim::{DpdkEnv, StackLevel};
     use nf_lib::clock::{Clock, Granularity};
 
     fn frame(dst: u64, src: u64) -> Vec<u8> {

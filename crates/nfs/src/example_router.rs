@@ -9,7 +9,7 @@ use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::AddressSpace;
-use dpdk_sim::{headers as h, Mbuf, StackLevel};
+use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
 use nf_lib::lpm_trie::{self, LpmTrie, LpmTrieIds, LpmTrieModel, LpmTrieOps};
 use nf_lib::registry::DsRegistry;
@@ -109,22 +109,12 @@ impl NetworkFunction for ExampleRouter {
     }
 }
 
-/// Run the analysis build.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ExampleRouter::default().explore(level)` via bolt_core::nf::NetworkFunction"
-)]
-pub fn explore(level: StackLevel) -> (DsRegistry, ExampleRouterIds, bolt_see::ExplorationResult) {
-    let e = ExampleRouter::default().explore(level);
-    (e.reg, e.ids, e.result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bolt_see::ConcreteCtx;
     use bolt_trace::CountingTracer;
-    use dpdk_sim::DpdkEnv;
+    use dpdk_sim::{DpdkEnv, StackLevel};
 
     #[test]
     fn routes_valid_and_drops_invalid() {

@@ -9,7 +9,7 @@ use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::AddressSpace;
-use dpdk_sim::{headers as h, Mbuf, StackLevel};
+use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
 use nf_lib::registry::DsRegistry;
 
@@ -127,25 +127,12 @@ impl NetworkFunction for Firewall {
     }
 }
 
-/// Run the analysis build.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Firewall::with(cfg).explore(level)` via bolt_core::nf::NetworkFunction"
-)]
-pub fn explore(
-    cfg: &FirewallConfig,
-    level: StackLevel,
-) -> (DsRegistry, bolt_see::ExplorationResult) {
-    let e = Firewall::with(cfg.clone()).explore(level);
-    (e.reg, e.result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bolt_see::ConcreteCtx;
     use bolt_trace::CountingTracer;
-    use dpdk_sim::DpdkEnv;
+    use dpdk_sim::{DpdkEnv, StackLevel};
 
     fn run(cfg: &FirewallConfig, frame: &[u8]) -> NfVerdict {
         let mut env = DpdkEnv::full_stack();

@@ -11,7 +11,7 @@ use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::AddressSpace;
-use dpdk_sim::{headers as h, Mbuf, StackLevel};
+use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::{
     self, FlowTable, FlowTableIds, FlowTableModel, FlowTableOps, FlowTableParams,
@@ -260,25 +260,12 @@ impl NetworkFunction for LoadBalancer {
     }
 }
 
-/// Run the analysis build.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LoadBalancer::with(cfg).explore(level)` via bolt_core::nf::NetworkFunction"
-)]
-pub fn explore(
-    cfg: &LbConfig,
-    level: StackLevel,
-) -> (DsRegistry, LbIds, bolt_see::ExplorationResult) {
-    let e = LoadBalancer::with(*cfg).explore(level);
-    (e.reg, e.ids, e.result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bolt_see::ConcreteCtx;
     use bolt_trace::CountingTracer;
-    use dpdk_sim::DpdkEnv;
+    use dpdk_sim::{DpdkEnv, StackLevel};
     use nf_lib::clock::{Clock, Granularity};
 
     fn client_frame(src: u32, sport: u16) -> Vec<u8> {

@@ -28,8 +28,7 @@
 //! Each module additionally exposes `register` (contract registration for
 //! its stateful parts), a generic `process` function (the stateless
 //! logic, shared by both trait methods), and a concrete state bundle for
-//! production runs. The pre-trait `explore` free functions remain as
-//! deprecated shims for one release.
+//! production runs.
 
 pub mod bridge;
 pub mod example_router;

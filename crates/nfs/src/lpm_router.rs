@@ -8,7 +8,7 @@ use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::AddressSpace;
-use dpdk_sim::{headers as h, Mbuf, StackLevel};
+use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
 use nf_lib::lpm_dir24_8::{self, Dir24_8, Dir24_8Ids, Dir24_8Model, Dir24_8Ops};
 use nf_lib::registry::DsRegistry;
@@ -136,22 +136,12 @@ impl NetworkFunction for LpmRouter {
     }
 }
 
-/// Run the analysis build.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LpmRouter::default().explore(level)` via bolt_core::nf::NetworkFunction"
-)]
-pub fn explore(level: StackLevel) -> (DsRegistry, LpmRouterIds, bolt_see::ExplorationResult) {
-    let e = LpmRouter::default().explore(level);
-    (e.reg, e.ids, e.result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bolt_see::ConcreteCtx;
     use bolt_trace::CountingTracer;
-    use dpdk_sim::DpdkEnv;
+    use dpdk_sim::{DpdkEnv, StackLevel};
 
     #[test]
     fn forwards_with_ttl_decrement() {

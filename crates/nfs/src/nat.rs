@@ -16,7 +16,7 @@ use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::{PerfExpr, Width};
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass, Metric, StatefulCall};
-use dpdk_sim::{headers as h, Mbuf, StackLevel};
+use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::{
     self, FlowTable, FlowTableIds, FlowTableModel, FlowTableOps, FlowTableParams, C_HIT, C_MISS,
@@ -686,20 +686,6 @@ impl NetworkFunction for Nat {
     }
 }
 
-/// Run the analysis build.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Nat::with(cfg, kind).explore(level)` via bolt_core::nf::NetworkFunction"
-)]
-pub fn explore(
-    cfg: &NatConfig,
-    kind: AllocKind,
-    level: StackLevel,
-) -> (DsRegistry, NatIds, bolt_see::ExplorationResult) {
-    let e = Nat::with(*cfg, kind).explore(level);
-    (e.reg, e.ids, e.result)
-}
-
 /// A placeholder needed by generic code: the flow-table model alone (used
 /// when a caller wants to explore with a plain flow table instead of the
 /// composite — kept for API completeness).
@@ -710,7 +696,7 @@ mod tests {
     use super::*;
     use bolt_see::ConcreteCtx;
     use bolt_trace::CountingTracer;
-    use dpdk_sim::DpdkEnv;
+    use dpdk_sim::{DpdkEnv, StackLevel};
     use nf_lib::clock::{Clock, Granularity};
 
     fn int_frame(src_ip: u32, sport: u16) -> Vec<u8> {

@@ -13,7 +13,7 @@ use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::{AddressSpace, MemRegion};
-use dpdk_sim::{headers as h, Mbuf, StackLevel};
+use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
 use nf_lib::registry::DsRegistry;
 
@@ -194,21 +194,11 @@ impl NetworkFunction for StaticRouter {
     }
 }
 
-/// Run the analysis build.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `StaticRouter::default().explore(level)` via bolt_core::nf::NetworkFunction"
-)]
-pub fn explore(level: StackLevel) -> (DsRegistry, bolt_see::ExplorationResult) {
-    let e = StaticRouter::default().explore(level);
-    (e.reg, e.result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bolt_trace::CountingTracer;
-    use dpdk_sim::DpdkEnv;
+    use dpdk_sim::{DpdkEnv, StackLevel};
 
     fn run(frame: &[u8]) -> (NfVerdict, u64) {
         let cfg = StaticRouterConfig::default();

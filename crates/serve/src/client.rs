@@ -21,14 +21,11 @@
 //!   files them by correlation id). A session never retries — it is
 //!   the raw connection; resilience lives in [`Client`].
 //!
-//! Pipeline depth is negotiated: a session opened with
-//! [`ClientConfig::pipeline_depth`] > 1 sends a `Hello` first. A new
-//! server acks with the granted protocol version and depth; an old
-//! server answers the unknown opcode with an error frame, which the
-//! session takes as "speak v1 at depth 1". A depth of 1 (the
-//! deprecated [`Client::connect`]/[`Client::connect_with`] shims pin
-//! this) skips `Hello` entirely and is byte-identical to the PR 6
-//! client on the wire.
+//! The pipeline window is negotiated: a session opened with
+//! [`ClientConfig::pipeline_depth`] > 1 sends a `Hello` first and
+//! latches the window the server grants. A fresh connection already
+//! has window 1, so a depth of 1 skips `Hello` and pays no extra round
+//! trip.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -43,7 +40,7 @@ use bolt_fault::XorShift64;
 
 use crate::protocol::{
     read_frame, DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response, StatsReply,
-    MAX_PIPELINE_DEPTH, PIPELINE_VERSION,
+    MAX_PIPELINE_DEPTH,
 };
 
 /// Where a server lives: `tcp:HOST:PORT`, or a Unix socket path.
@@ -179,9 +176,9 @@ pub struct ClientConfig {
     /// Backoff ceiling.
     pub backoff_cap: Duration,
     /// Requested pipeline window: how many requests may be in flight
-    /// on the connection at once. `<= 1` skips negotiation entirely
-    /// and speaks pure v1 (byte-identical to the PR 6 client); higher
-    /// values negotiate with the server, which may grant less.
+    /// on the connection at once. `<= 1` means window 1 and skips
+    /// negotiation; higher values negotiate with the server, which may
+    /// grant less.
     pub pipeline_depth: u32,
 }
 
@@ -249,10 +246,10 @@ impl ClientBuilder {
         self
     }
 
-    /// Requested pipeline window (clamped to the protocol maximum;
-    /// `<= 1` disables negotiation and speaks pure v1).
+    /// Requested pipeline window, clamped to `1..=MAX_PIPELINE_DEPTH`
+    /// (`0` means 1; a window of 1 skips negotiation).
     pub fn pipeline_depth(mut self, depth: u32) -> Self {
-        self.config.pipeline_depth = depth.min(MAX_PIPELINE_DEPTH);
+        self.config.pipeline_depth = depth.clamp(1, MAX_PIPELINE_DEPTH);
         self
     }
 
@@ -308,15 +305,14 @@ pub struct Ticket(u64);
 /// ```
 pub struct Session {
     stream: Box<dyn Transport>,
-    /// Whether v2 (correlated) framing was negotiated.
-    v2: bool,
-    /// Granted pipeline window (1 on a v1 session).
+    /// Granted pipeline window (1 until a `Hello` raises it; never 0,
+    /// or [`Session::submit`] could not make progress).
     depth: u32,
     /// Next correlation id; 0 is reserved for unattributable server
     /// errors, so tickets start at 1.
     next_corr: u64,
     /// Correlation ids submitted and not yet received, in submission
-    /// order (which is also the v1 reply order).
+    /// order.
     inflight: VecDeque<u64>,
     /// Replies that arrived while waiting for a different ticket.
     ready: HashMap<u64, Response>,
@@ -367,7 +363,6 @@ impl Session {
         };
         let mut session = Session {
             stream,
-            v2: false,
             depth: 1,
             next_corr: 1,
             inflight: VecDeque::new(),
@@ -380,44 +375,21 @@ impl Session {
         Ok(session)
     }
 
-    /// Send `Hello` (always a plain v1 exchange) and latch what the
-    /// server grants. An old server answers the unknown opcode with an
-    /// error frame — that downgrades to v1 at depth 1; any *other*
-    /// error frame (e.g. `server busy`) is a real refusal and
-    /// surfaces.
+    /// Send `Hello` and latch the window the server grants. An error
+    /// frame (e.g. `server busy`) is a refusal and surfaces.
     fn negotiate(&mut self, want: u32) -> Result<(), ServeError> {
-        let hello = Request::Hello {
-            max_version: PIPELINE_VERSION,
-            depth: want,
-        };
-        self.write_all(&frame(&hello.encode()))?;
-        let payload = self.read_payload()?;
-        match Response::decode(&payload)
-            .map_err(|e| ServeError::Protocol(format!("bad response frame: {e}")))?
-        {
-            Response::HelloAck { version, depth } => {
-                if version >= PIPELINE_VERSION {
-                    self.v2 = true;
-                    self.depth = depth.clamp(1, MAX_PIPELINE_DEPTH);
-                }
+        match self.call(&Request::Hello { depth: want })? {
+            Response::HelloAck { depth } => {
+                self.depth = depth.clamp(1, MAX_PIPELINE_DEPTH);
                 Ok(())
             }
-            // Pre-pipelining server: it cannot decode Hello and says
-            // so. Fall back to the v1 contract it does speak.
-            Response::Error { message } if message.contains("unknown opcode") => Ok(()),
-            Response::Error { message } => Err(ServeError::Remote(message)),
             other => Err(mismatch("hello ack", &other)),
         }
     }
 
-    /// The pipeline window the server granted (1 on a v1 session).
+    /// The pipeline window in force (1 unless a larger one was granted).
     pub fn depth(&self) -> u32 {
         self.depth
-    }
-
-    /// Whether the session negotiated v2 (correlated) framing.
-    pub fn pipelined(&self) -> bool {
-        self.v2
     }
 
     /// Queue one request and return the ticket that will redeem its
@@ -431,12 +403,10 @@ impl Session {
         }
         let corr = self.next_corr;
         self.next_corr += 1;
-        let payload = if self.v2 {
-            req.encode_v2(corr)
-        } else {
-            req.encode()
-        };
-        self.wbuf.extend_from_slice(&frame(&payload));
+        let payload = req.encode_v2(corr);
+        self.wbuf
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.wbuf.extend_from_slice(&payload);
         self.inflight.push_back(corr);
         Ok(Ticket(corr))
     }
@@ -481,17 +451,8 @@ impl Session {
     /// Read one reply frame and file it under its correlation id.
     fn read_one(&mut self) -> Result<(), ServeError> {
         let payload = self.read_payload()?;
-        let (corr, resp) = if self.v2 {
-            Response::decode_v2(&payload)
-                .map_err(|e| ServeError::Protocol(format!("bad response frame: {e}")))?
-        } else {
-            let resp = Response::decode(&payload)
-                .map_err(|e| ServeError::Protocol(format!("bad response frame: {e}")))?;
-            let corr = self.inflight.front().copied().ok_or_else(|| {
-                ServeError::Protocol("server answered with nothing in flight".to_string())
-            })?;
-            (corr, resp)
-        };
+        let (corr, resp) = Response::decode_v2(&payload)
+            .map_err(|e| ServeError::Protocol(format!("bad response frame: {e}")))?;
         match self.inflight.iter().position(|c| *c == corr) {
             Some(i) => {
                 self.inflight.remove(i);
@@ -529,14 +490,6 @@ impl Session {
     }
 }
 
-/// Length-prefix one payload.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// One connection to a serve endpoint, redialled on demand.
 pub struct Client {
     endpoint: Endpoint,
@@ -554,28 +507,6 @@ impl Client {
             endpoint: endpoint.clone(),
             config: ClientConfig::default(),
         }
-    }
-
-    /// Connect with defaults pinned to the PR 6 wire behaviour (pure
-    /// v1, no negotiation). The dial happens eagerly so a dead server
-    /// is reported here, not on the first call.
-    #[deprecated(note = "use `Client::builder(endpoint).build()` instead")]
-    pub fn connect(endpoint: &Endpoint) -> Result<Client, ServeError> {
-        #[allow(deprecated)]
-        Client::connect_with(endpoint, ClientConfig::default())
-    }
-
-    /// Connect with explicit tunables, pinned to the PR 6 wire
-    /// behaviour: whatever `config.pipeline_depth` says, this shim
-    /// forces depth 1 so legacy callers stay byte-identical on the
-    /// wire.
-    #[deprecated(note = "use `Client::builder(endpoint)` with builder setters instead")]
-    pub fn connect_with(
-        endpoint: &Endpoint,
-        mut config: ClientConfig,
-    ) -> Result<Client, ServeError> {
-        config.pipeline_depth = 1;
-        Client::builder(endpoint).config(config).build()
     }
 
     /// The endpoint this client dials.
@@ -604,12 +535,6 @@ impl Client {
                 other => return other,
             }
         }
-    }
-
-    /// Deprecated name for [`Client::request`].
-    #[deprecated(note = "renamed to `Client::request`")]
-    pub fn call(&mut self, req: &Request) -> Result<Response, ServeError> {
-        self.request(req)
     }
 
     /// Exponential backoff with jitter: `base * 2^(attempt-1)` capped,

@@ -12,13 +12,13 @@
 //! The layering, bottom-up:
 //!
 //! * [`protocol`] — frames, opcodes, request/response bodies (no I/O
-//!   beyond `Read`/`Write`); two wire versions, with per-request
-//!   correlation ids and `Hello` depth negotiation on v2.
+//!   beyond `Read`/`Write`); one frame layout with per-request
+//!   correlation ids, and `Hello` window negotiation.
 //! * [`cache`] — the hot-contract LRU with per-contract query memos and
 //!   batched last-used touches back to the store (so `sweep --budget`
 //!   and the server agree on MRU order).
 //! * [`service`] — [`service::ServeCore`], the engine mapping requests
-//!   to answers; also used in-process by `bolt_cli` so local and remote
+//!   to answers; also used in-process by `bolt_cli`, so local and remote
 //!   output is rendered by one code path. Classifies each request as
 //!   inline-fast or offload-cold ([`service::Dispatch`]).
 //! * [`server`] — the event-driven connection engine: a fixed pool of
@@ -45,7 +45,7 @@ pub use client::{
 };
 pub use protocol::{
     DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response, StatsReply, MAX_FRAME,
-    MAX_PIPELINE_DEPTH, PIPELINE_VERSION, PROTOCOL_VERSION,
+    MAX_PIPELINE_DEPTH, PROTOCOL_VERSION,
 };
-pub use server::{Server, ServerBuilder, ServerConfig};
-pub use service::{Dispatch, Phase, ServeCore, LEGACY_STATS_NAMES, NF_NAMES};
+pub use server::{Server, ServerBuilder};
+pub use service::{nf_by_name, Dispatch, Phase, ServeCore, LEGACY_STATS_NAMES, NF_NAMES};

@@ -1,38 +1,35 @@
 //! The wire protocol: length-prefixed frames over a byte stream.
 //!
-//! Every message — request or response — travels as one frame. Two
-//! frame versions coexist on the wire:
+//! Every message — request or response — travels as one frame, and there
+//! is one frame layout:
 //!
 //! ```text
-//! frame               := len:u32le payload       (len = payload bytes, ≤ MAX_FRAME)
+//! frame            := len:u32le payload          (len = payload bytes, ≤ MAX_FRAME)
 //!
-//! v1 request payload  := 0x01 opcode:u8 body
-//! v1 response payload := status:u8 opcode:u8 body   (status 0 = ok)
-//!                      | status:u8 message:str      (status 1 = error)
-//!
-//! v2 request payload  := 0x02 opcode:u8 corr:varint body
-//! v2 response payload := corr:varint v1-response-payload
+//! request payload  := version:u8 opcode:u8 corr:varint body
+//! response payload := corr:varint status:u8 opcode:u8 body   (status 0 = ok)
+//!                   | corr:varint status:u8 message:str      (status 1 = error)
 //! ```
 //!
-//! Version 1 is strict request/response: one frame out, one frame back,
-//! in order. Version 2 adds a per-request **correlation id** so a client
-//! can pipeline many requests on one connection and the server may
-//! answer them in *completion* order; the id on each response says which
-//! request it answers. A connection starts in v1 and is upgraded by the
-//! [`Opcode::Hello`] negotiation (itself a v1 exchange): the client
-//! names the highest version and pipeline depth it wants, the server
-//! acks with what it grants, and both sides latch. An old server answers
-//! the unknown opcode with a clean error frame, which a new client takes
-//! as "negotiate down to v1, depth 1" — and an old client never sends
-//! `Hello`, so it sees pure v1 byte-for-byte.
+//! Every request carries a **correlation id** and every response echoes
+//! the id of the request it answers, so a client may keep several
+//! requests in flight on one connection and the server may answer them
+//! in *completion* order. Id 0 is reserved for errors the server cannot
+//! attribute to a request (an undecodable frame, a busy reject). How
+//! many requests may be in flight is the connection's *window*: 1 on a
+//! fresh connection, raised by an [`Opcode::Hello`] exchange in which
+//! the client names the window it wants and the server acks what it
+//! grants. A client content with window 1 never sends `Hello` and pays
+//! no extra round trip.
 //!
 //! Bodies reuse the store's checked wire substrate
 //! ([`ByteWriter`]/[`ByteReader`]: little-endian integers, LEB128
 //! varints, length-prefixed strings), so a truncated or hostile frame
 //! decodes to a [`DecodeError`], never a panic. The version byte leads
-//! every request so a server can reject a future client with a clean
-//! error frame instead of a mis-parse; the opcode echo leads every ok
-//! response so a client can detect a desynchronised stream.
+//! every request so a server can reject a peer speaking another
+//! protocol generation with a typed `protocol version mismatch` error
+//! frame instead of a mis-parse; the opcode echo in every ok response
+//! lets a client detect a desynchronised stream.
 //!
 //! Frames larger than [`MAX_FRAME`] are a protocol violation: the
 //! receiver cannot resynchronise past an untrusted length prefix, so the
@@ -44,18 +41,12 @@ use std::io::{self, Read, Write};
 use bolt_obs::{HistogramSnapshot, Snapshot, HIST_BUCKETS};
 use bolt_store::{ByteReader, ByteWriter, DecodeError};
 
-/// The baseline (strict request/response) frame version. Every request
-/// encoded by [`Request::encode`] leads with this byte, and it is the
-/// floor both sides can always fall back to.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// The frame version: the byte that leads every request. (Version 1,
+/// the un-correlated frame, is retired; a peer that still sends it gets
+/// a `protocol version mismatch` error frame.)
+pub const PROTOCOL_VERSION: u8 = 2;
 
-/// The pipelined frame version: requests carry a correlation id (see
-/// [`Request::encode_v2`]) and responses echo it, so many requests can
-/// be in flight on one connection and complete out of order. Spoken
-/// only after a successful [`Opcode::Hello`] negotiation.
-pub const PIPELINE_VERSION: u8 = 2;
-
-/// Hard ceiling a server places on the negotiated pipeline depth,
+/// Hard ceiling a server places on the negotiated pipeline window,
 /// whatever the client asks for. Bounds per-connection buffering: at
 /// most this many requests are admitted in flight per connection.
 pub const MAX_PIPELINE_DEPTH: u32 = 64;
@@ -85,15 +76,10 @@ pub enum Opcode {
     /// Graceful shutdown: stop accepting, drain in-flight, exit.
     Shutdown = 7,
     /// Full observability snapshot: every counter, gauge, and latency
-    /// histogram in the server's registry. Added within protocol version
-    /// 1 — an old server answers it with a clean error frame (unknown
-    /// opcode), which clients surface as "server too old".
+    /// histogram in the server's registry.
     Metrics = 8,
-    /// Version/depth negotiation: the client names the highest frame
-    /// version and pipeline depth it wants; the server acks with what it
-    /// grants and both sides latch. Always exchanged as a v1 frame, so
-    /// an old server answers it with a clean unknown-opcode error frame
-    /// — which a new client takes as "v1 only, depth 1".
+    /// Window negotiation: the client names the pipeline window it
+    /// wants; the server acks with what it grants and both sides latch.
     Hello = 9,
 }
 
@@ -197,11 +183,9 @@ pub enum Request {
     Shutdown,
     /// Full observability snapshot.
     Metrics,
-    /// Version/depth negotiation (see [`Opcode::Hello`]).
+    /// Window negotiation (see [`Opcode::Hello`]).
     Hello {
-        /// The highest frame version the client can speak.
-        max_version: u8,
-        /// The pipeline depth the client wants (in-flight request cap).
+        /// The pipeline window the client wants (in-flight request cap).
         depth: u32,
     },
 }
@@ -242,30 +226,14 @@ impl Request {
         )
     }
 
-    /// Encode to one v1 frame payload (version byte, opcode, body) —
-    /// byte-identical to what a pre-pipelining client produced.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encode to one frame payload: version byte, opcode, the request's
+    /// correlation id, body. The server echoes `corr` on the matching
+    /// response so replies may arrive in completion order.
+    pub fn encode_v2(&self, corr: u64) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u8(PROTOCOL_VERSION);
         w.u8(self.opcode() as u8);
-        self.encode_body(&mut w);
-        w.into_bytes()
-    }
-
-    /// Encode to one v2 frame payload: version byte, opcode, the
-    /// request's correlation id, body. Spoken only on connections that
-    /// negotiated [`PIPELINE_VERSION`]; the server echoes `corr` on the
-    /// matching response so replies may arrive in completion order.
-    pub fn encode_v2(&self, corr: u64) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u8(PIPELINE_VERSION);
-        w.u8(self.opcode() as u8);
         w.varint(corr);
-        self.encode_body(&mut w);
-        w.into_bytes()
-    }
-
-    fn encode_body(&self, w: &mut ByteWriter) {
         match self {
             Request::Ping
             | Request::List
@@ -298,48 +266,23 @@ impl Request {
                 w.str(nf);
                 w.u8(*level);
             }
-            Request::Hello { max_version, depth } => {
-                w.u8(*max_version);
-                w.varint(*depth as u64);
-            }
+            Request::Hello { depth } => w.varint(*depth as u64),
         }
+        w.into_bytes()
     }
 
-    /// Decode a v1 request frame payload. Rejects version skew (v2
-    /// frames included — a v1-only peer must never half-parse a
-    /// pipelined frame), unknown opcodes, and malformed or over-long
-    /// bodies — always with an error, never a panic.
-    pub fn decode(payload: &[u8]) -> Result<Request, DecodeError> {
-        match Request::decode_framed(payload)? {
-            DecodedRequest { corr: None, req } => Ok(req),
-            DecodedRequest { corr: Some(_), .. } => {
-                Err(DecodeError::Malformed("protocol version mismatch"))
-            }
-        }
-    }
-
-    /// Decode a request frame payload of either version: v1 yields
-    /// `corr: None`, v2 yields the request's correlation id. Any other
-    /// leading version byte is a version mismatch.
+    /// Decode a request frame payload into the request and its
+    /// correlation id. Rejects version skew, unknown opcodes, and
+    /// malformed or over-long bodies — always with an error, never a
+    /// panic.
     pub fn decode_framed(payload: &[u8]) -> Result<DecodedRequest, DecodeError> {
         let mut r = ByteReader::new(payload);
-        let ver = r.u8()?;
-        if ver != PROTOCOL_VERSION && ver != PIPELINE_VERSION {
+        if r.u8()? != PROTOCOL_VERSION {
             return Err(DecodeError::Malformed("protocol version mismatch"));
         }
         let op = Opcode::from_u8(r.u8()?)?;
-        let corr = if ver == PIPELINE_VERSION {
-            Some(r.varint()?)
-        } else {
-            None
-        };
-        let req = Request::decode_body(op, &mut r)?;
-        r.expect_end()?;
-        Ok(DecodedRequest { corr, req })
-    }
-
-    fn decode_body(op: Opcode, r: &mut ByteReader<'_>) -> Result<Request, DecodeError> {
-        Ok(match op {
+        let corr = r.varint()?;
+        let req = match op {
             Opcode::Ping => Request::Ping,
             Opcode::List => Request::List,
             Opcode::Stats => Request::Stats,
@@ -379,20 +322,23 @@ impl Request {
                 level: r.u8()?,
             },
             Opcode::Hello => Request::Hello {
-                max_version: r.u8()?,
-                depth: u32::try_from(r.varint()?)
-                    .map_err(|_| DecodeError::Malformed("pipeline depth out of range"))?,
+                depth: decode_depth(&mut r)?,
             },
-        })
+        };
+        r.expect_end()?;
+        Ok(DecodedRequest { corr, req })
     }
 }
 
-/// A request frame decoded without assuming its version: the request
-/// plus its correlation id when the frame was v2 (`None` for v1).
+fn decode_depth(r: &mut ByteReader<'_>) -> Result<u32, DecodeError> {
+    u32::try_from(r.varint()?).map_err(|_| DecodeError::Malformed("pipeline depth out of range"))
+}
+
+/// A decoded request frame: the request plus its correlation id.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DecodedRequest {
-    /// The v2 correlation id; `None` when the frame was v1.
-    pub corr: Option<u64>,
+    /// The correlation id the response must echo.
+    pub corr: u64,
     /// The decoded request.
     pub req: Request,
 }
@@ -515,14 +461,11 @@ pub enum Response {
     Metrics(MetricsReply),
     /// Shutdown acknowledged; the server drains and exits.
     ShuttingDown,
-    /// Negotiation answer: the frame version and pipeline depth the
-    /// server grants (`version` ≤ the client's `max_version`, `depth` ≤
-    /// [`MAX_PIPELINE_DEPTH`]). Both sides latch these for the rest of
-    /// the connection.
+    /// Negotiation answer: the pipeline window the server grants
+    /// (1 ≤ `depth` ≤ [`MAX_PIPELINE_DEPTH`]). Both sides latch it for
+    /// the rest of the connection.
     HelloAck {
-        /// The granted frame version.
-        version: u8,
-        /// The granted pipeline depth (in-flight request cap).
+        /// The granted pipeline window (in-flight request cap).
         depth: u32,
     },
     /// The request failed; the connection remains usable (unless the
@@ -535,9 +478,13 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encode to one v1 frame payload.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encode to one frame payload: the answered request's correlation
+    /// id, then status, opcode echo and body. Error frames carry the id
+    /// too, so a pipelined client can attribute a failure to the exact
+    /// request that caused it.
+    pub fn encode_v2(&self, corr: u64) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        w.varint(corr);
         if let Response::Error { message } = self {
             w.u8(1);
             w.str(message);
@@ -609,9 +556,8 @@ impl Response {
             Response::ShuttingDown => {
                 w.u8(Opcode::Shutdown as u8);
             }
-            Response::HelloAck { version, depth } => {
+            Response::HelloAck { depth } => {
                 w.u8(Opcode::Hello as u8);
-                w.u8(*version);
                 w.varint(*depth as u64);
             }
             Response::Error { .. } => unreachable!("handled above"),
@@ -619,41 +565,16 @@ impl Response {
         w.into_bytes()
     }
 
-    /// Encode to one v2 frame payload: the answered request's
-    /// correlation id, then the v1 payload unchanged. Error frames carry
-    /// the id too, so a pipelined client can attribute a failure to the
-    /// exact request that caused it.
-    pub fn encode_v2(&self, corr: u64) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.varint(corr);
-        w.raw(&self.encode());
-        w.into_bytes()
-    }
-
-    /// Decode a v1 response frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Response, DecodeError> {
-        let mut r = ByteReader::new(payload);
-        let resp = Response::decode_inner(&mut r)?;
-        r.expect_end()?;
-        Ok(resp)
-    }
-
-    /// Decode a v2 response frame payload: the correlation id, then the
+    /// Decode a response frame payload: the correlation id, then the
     /// response it answers.
     pub fn decode_v2(payload: &[u8]) -> Result<(u64, Response), DecodeError> {
         let mut r = ByteReader::new(payload);
         let corr = r.varint()?;
-        let resp = Response::decode_inner(&mut r)?;
-        r.expect_end()?;
-        Ok((corr, resp))
-    }
-
-    fn decode_inner(r: &mut ByteReader<'_>) -> Result<Response, DecodeError> {
         match r.u8()? {
             1 => {
                 let message = r.str()?.to_owned();
                 r.expect_end()?;
-                return Ok(Response::Error { message });
+                return Ok((corr, Response::Error { message }));
             }
             0 => {}
             _ => return Err(DecodeError::Malformed("response status out of range")),
@@ -730,12 +651,11 @@ impl Response {
             }
             Opcode::Shutdown => Response::ShuttingDown,
             Opcode::Hello => Response::HelloAck {
-                version: r.u8()?,
-                depth: u32::try_from(r.varint()?)
-                    .map_err(|_| DecodeError::Malformed("pipeline depth out of range"))?,
+                depth: decode_depth(&mut r)?,
             },
         };
-        Ok(resp)
+        r.expect_end()?;
+        Ok((corr, resp))
     }
 }
 
@@ -848,86 +768,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn requests_round_trip() {
-        let reqs = [
-            Request::Ping,
-            Request::List,
-            Request::Stats,
-            Request::Shutdown,
-            Request::Query(QueryRequest {
-                nf: "bridge".into(),
-                level: 1,
-                metric: 2,
-                tag: Some("dst:broadcast".into()),
-                pcvs: vec![("e".into(), 16), ("t".into(), 4)],
-            }),
-            Request::Query(QueryRequest {
-                nf: "nat-a".into(),
-                level: 0,
-                metric: 0,
-                tag: None,
-                pcvs: vec![],
-            }),
-            Request::Diff(DiffRequest {
-                a: "firewall".into(),
-                b: "static_router:nf-only".into(),
-                metric: 1,
-            }),
-            Request::Provenance {
-                nf: "lb".into(),
-                level: 1,
-            },
-            Request::Metrics,
-        ];
-        for req in reqs {
-            let bytes = req.encode();
-            assert_eq!(Request::decode(&bytes).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let resps = [
-            Response::Pong {
-                version: "0.1.0".into(),
-            },
-            Response::Query(QueryReply {
-                found: true,
-                path_index: 7,
-                value: 12345,
-                text: "bridge @ full-stack (warm)...\n".into(),
-            }),
-            Response::Query(QueryReply {
-                found: false,
-                path_index: 0,
-                value: 0,
-                text: "no path\n".into(),
-            }),
-            Response::Diff {
-                text: "diff a vs b\n".into(),
-            },
-            Response::List {
-                entries: 3,
-                text: "...".into(),
-            },
-            Response::Provenance {
-                text: "provenance...\n".into(),
-            },
-            Response::Stats(StatsReply {
-                counters: vec![("requests".into(), 9), ("memo_hits".into(), 4)],
-            }),
-            Response::ShuttingDown,
-            Response::Error {
-                message: "unknown NF \"tor\"".into(),
-            },
-        ];
-        for resp in resps {
-            let bytes = resp.encode();
-            assert_eq!(Response::decode(&bytes).unwrap(), resp);
-        }
-    }
-
-    #[test]
     fn metrics_replies_round_trip() {
         let mut h = HistogramSnapshot::default();
         for v in [0u64, 1, 7, 1024, u64::MAX] {
@@ -945,8 +785,8 @@ mod tests {
             ],
         };
         let resp = Response::Metrics(reply.clone());
-        let bytes = resp.encode();
-        let decoded = Response::decode(&bytes).unwrap();
+        let bytes = resp.encode_v2(9);
+        let (_, decoded) = Response::decode_v2(&bytes).unwrap();
         assert_eq!(decoded, resp);
         let Response::Metrics(m) = decoded else {
             unreachable!()
@@ -955,7 +795,7 @@ mod tests {
         assert_eq!(m.histogram("serve.req.query").unwrap().count, 5);
         // Truncations decode to errors, never panics.
         for cut in 0..bytes.len() {
-            assert!(Response::decode(&bytes[..cut]).is_err());
+            assert!(Response::decode_v2(&bytes[..cut]).is_err());
         }
         // A bucket index past the array is malformed, not a panic.
         let empty = MetricsReply::default();
@@ -963,7 +803,7 @@ mod tests {
             histograms: vec![("h".into(), HistogramSnapshot::default())],
             ..empty
         })
-        .encode();
+        .encode_v2(9);
         // Patch the nonzero-bucket count from 0 to 1 and append a
         // too-large index with a count.
         let last = bad.len() - 1;
@@ -971,7 +811,7 @@ mod tests {
         bad[last] = 1;
         bad.push(64); // bucket index out of range
         bad.push(1); // its count
-        assert!(Response::decode(&bad).is_err());
+        assert!(Response::decode_v2(&bad).is_err());
     }
 
     fn bucket_index(v: u64) -> usize {
@@ -995,8 +835,8 @@ mod tests {
                 .chain([("store_hits".into(), 9), ("brand_new".into(), 1)])
                 .collect(),
         };
-        let decoded = Response::decode(&Response::Stats(extended).encode()).unwrap();
-        let Response::Stats(s) = decoded else {
+        let decoded = Response::decode_v2(&Response::Stats(extended).encode_v2(1)).unwrap();
+        let (1, Response::Stats(s)) = decoded else {
             unreachable!()
         };
         for (name, v) in &legacy.counters {
@@ -1007,14 +847,20 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_errors_not_panics() {
-        assert!(Request::decode(&[]).is_err());
-        assert!(Request::decode(&[PROTOCOL_VERSION]).is_err());
-        assert!(Request::decode(&[PROTOCOL_VERSION, 0xEE]).is_err());
-        assert!(Request::decode(&[PROTOCOL_VERSION + 1, Opcode::Ping as u8]).is_err());
+        let decode = Request::decode_framed;
+        assert!(decode(&[]).is_err());
+        assert!(decode(&[PROTOCOL_VERSION]).is_err());
+        assert!(decode(&[PROTOCOL_VERSION, 0xEE, 0]).is_err());
+        for stale in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            assert_eq!(
+                decode(&[stale, Opcode::Ping as u8, 0]),
+                Err(DecodeError::Malformed("protocol version mismatch"))
+            );
+        }
         // Trailing garbage after a valid body.
-        let mut bytes = Request::Ping.encode();
+        let mut bytes = Request::Ping.encode_v2(1);
         bytes.push(0);
-        assert!(Request::decode(&bytes).is_err());
+        assert!(decode(&bytes).is_err());
         // Truncated query body.
         let q = Request::Query(QueryRequest {
             nf: "bridge".into(),
@@ -1023,110 +869,33 @@ mod tests {
             tag: None,
             pcvs: vec![],
         })
-        .encode();
+        .encode_v2(1);
         for cut in 0..q.len() {
-            assert!(Request::decode(&q[..cut]).is_err());
+            assert!(decode(&q[..cut]).is_err());
         }
-        assert!(Response::decode(&[9]).is_err());
+        assert!(Response::decode_v2(&[0, 9]).is_err());
     }
 
     #[test]
-    fn v1_encodings_are_pinned() {
-        // The v1 wire bytes are the compatibility contract with
-        // pre-pipelining peers: pin the simplest frames exactly.
-        assert_eq!(Request::Ping.encode(), vec![1, 1]);
-        assert_eq!(Request::List.encode(), vec![1, 4]);
-        assert_eq!(Response::ShuttingDown.encode(), vec![0, 7]);
-        // Hello itself travels as a v1 frame (it negotiates v2).
+    fn frame_encodings_are_pinned() {
+        // The wire bytes are the contract between the two ends: pin the
+        // simplest frames exactly.
+        assert_eq!(Request::Ping.encode_v2(1), vec![2, 1, 1]);
+        assert_eq!(Request::List.encode_v2(300), vec![2, 4, 0xAC, 0x02]);
+        assert_eq!(Request::Hello { depth: 8 }.encode_v2(1), vec![2, 9, 1, 8]);
+        assert_eq!(Response::ShuttingDown.encode_v2(5), vec![5, 0, 7]);
         assert_eq!(
-            Request::Hello {
-                max_version: 2,
-                depth: 8,
+            Response::Error {
+                message: "no".into()
             }
-            .encode(),
-            vec![1, 9, 2, 8]
+            .encode_v2(0),
+            vec![0, 1, 2, b'n', b'o']
         );
     }
 
     #[test]
-    fn v2_requests_round_trip_with_correlation_ids() {
-        let reqs = [
-            Request::Ping,
-            Request::Query(QueryRequest {
-                nf: "bridge".into(),
-                level: 1,
-                metric: 2,
-                tag: Some("dst:broadcast".into()),
-                pcvs: vec![("e".into(), 16)],
-            }),
-            Request::Stats,
-        ];
-        for (i, req) in reqs.into_iter().enumerate() {
-            let corr = (i as u64) * 1_000_003 + 7;
-            let bytes = req.encode_v2(corr);
-            assert_eq!(bytes[0], PIPELINE_VERSION);
-            let got = Request::decode_framed(&bytes).unwrap();
-            assert_eq!(
-                got,
-                DecodedRequest {
-                    corr: Some(corr),
-                    req: req.clone(),
-                }
-            );
-            // The strict v1 decoder refuses pipelined frames outright.
-            assert!(Request::decode(&bytes).is_err());
-            // And decode_framed still accepts plain v1 frames.
-            let v1 = Request::decode_framed(&req.encode()).unwrap();
-            assert_eq!(v1, DecodedRequest { corr: None, req });
-        }
-    }
-
-    #[test]
-    fn v2_responses_round_trip_with_correlation_ids() {
-        let resps = [
-            Response::Pong {
-                version: "0.1.0".into(),
-            },
-            Response::HelloAck {
-                version: 2,
-                depth: 8,
-            },
-            Response::Error {
-                message: "unknown NF \"tor\"".into(),
-            },
-        ];
-        for (i, resp) in resps.into_iter().enumerate() {
-            let corr = u64::MAX - i as u64;
-            let bytes = resp.encode_v2(corr);
-            assert_eq!(Response::decode_v2(&bytes).unwrap(), (corr, resp.clone()));
-            // A v2 payload is the corr varint + the v1 payload, exactly.
-            let tail = resp.encode();
-            assert!(bytes.ends_with(&tail));
-            // Truncations error, never panic.
-            for cut in 0..bytes.len() {
-                assert!(Response::decode_v2(&bytes[..cut]).is_err());
-            }
-        }
-    }
-
-    #[test]
-    fn hello_round_trips() {
-        let req = Request::Hello {
-            max_version: PIPELINE_VERSION,
-            depth: MAX_PIPELINE_DEPTH,
-        };
-        assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-        assert!(req.is_idempotent());
-        let ack = Response::HelloAck {
-            version: PIPELINE_VERSION,
-            depth: 4,
-        };
-        assert_eq!(Response::decode(&ack.encode()).unwrap(), ack);
-    }
-
-    #[test]
     fn frame_buffer_reassembles_split_frames() {
-        let payload = Request::Ping.encode();
+        let payload = Request::Ping.encode_v2(1);
         let mut framed = Vec::new();
         write_frame(&mut framed, &payload).unwrap();
         let mut fb = FrameBuffer::new();

@@ -17,21 +17,18 @@
 //!   (see [`ServeCore::dispatch`]);
 //! * an optional 1 Hz Prometheus-text exporter.
 //!
-//! On top of the frame layer the engine speaks both protocol versions:
-//! a v1 connection behaves exactly as PR 6 did (one request in flight,
-//! replies in submission order), while a client that negotiates v2 via
-//! [`Request::Hello`] may pipeline up to the granted depth on one
-//! connection and receives replies in **completion order**, matched by
-//! correlation id.
+//! Every connection starts with a pipeline window of 1; a client that
+//! sends [`Request::Hello`] may pipeline up to the granted window on
+//! one connection. Replies go out in **completion order**, each
+//! carrying the correlation id of the request it answers.
 //!
-//! The PR 6 robustness contract carries over unchanged: malformed
-//! bodies get an error frame and the connection lives on; only a
-//! frame-sync violation (a length prefix beyond
-//! [`crate::protocol::MAX_FRAME`]) closes the connection; requests
-//! fully received before a shutdown are still answered.
+//! The robustness contract: malformed bodies get an error frame and
+//! the connection lives on; only a frame-sync violation (a length
+//! prefix beyond [`crate::protocol::MAX_FRAME`]) closes the
+//! connection; requests fully received before a shutdown are still
+//! answered.
 //!
-//! Construct servers with [`Server::builder`]; the former
-//! [`Server::start`] entry point remains as a deprecated shim.
+//! Construct servers with [`Server::builder`].
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -49,67 +46,63 @@ use bolt_obs::{trace, Gauge};
 
 use crate::protocol::{
     write_frame, DecodedRequest, FrameBuffer, Opcode, Request, Response, MAX_PIPELINE_DEPTH,
-    PIPELINE_VERSION,
+    PROTOCOL_VERSION,
 };
 use crate::service::{Dispatch, Phase, ServeCore};
-use bolt_store::ByteWriter;
 
 /// How long a poll wait blocks before re-checking the shutdown flag,
 /// and how long an idle accept loop sleeps between polls.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Event-loop workers when [`ServerConfig::event_workers`] is 0.
+/// Event-loop workers when [`ServerBuilder::event_workers`] is 0.
 const DEFAULT_EVENT_WORKERS: usize = 2;
 
-/// Cold-path handler threads when [`ServerConfig::handler_threads`]
+/// Cold-path handler threads when [`ServerBuilder::handler_threads`]
 /// is 0.
 const DEFAULT_HANDLER_THREADS: usize = 2;
 
 /// Scratch size for draining a readable socket.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Where to listen, and how hard the server defends itself. At least
-/// one endpoint must be set; every limit defaults to off.
-///
-/// Prefer [`Server::builder`]; the struct stays public (with
-/// `..Default::default()` ergonomics) for the deprecated
-/// [`Server::start`] path and for code that pins its shape.
+/// Where to listen, and how hard the server defends itself (the
+/// builder's state). At least one endpoint must be set; every limit
+/// defaults to off.
 #[derive(Default, Clone, Debug)]
-pub struct ServerConfig {
+struct ServerConfig {
     /// Unix-domain socket path (a stale leftover from a crashed server
     /// is unlinked after a probe connect proves nobody answers it; a
     /// *live* server's socket makes the bind fail with `AddrInUse`).
-    pub unix: Option<PathBuf>,
+    unix: Option<PathBuf>,
     /// TCP listen address (e.g. `127.0.0.1:0` for an ephemeral port).
-    pub tcp: Option<String>,
+    tcp: Option<String>,
     /// Cap on concurrently served connections; `0` means unlimited.
     /// Connections past the cap get a `server busy` error frame and are
     /// closed immediately (counted in `busy_rejects`).
-    pub max_connections: usize,
+    max_connections: usize,
     /// Close a connection that sends nothing for this long (counted in
     /// `idle_closed`). `None` means connections may idle forever.
-    pub idle_timeout: Option<Duration>,
+    idle_timeout: Option<Duration>,
     /// Bound on one request's handling time. Exploration cannot be
     /// aborted mid-flight, so a blown deadline still runs to completion
     /// — but the client gets a `deadline exceeded` error frame instead
     /// of an arbitrarily stale answer (counted in `deadlines_exceeded`).
-    pub request_deadline: Option<Duration>,
+    request_deadline: Option<Duration>,
     /// Deterministic fault injection for this server's transports.
     /// `None` falls back to the ambient [`bolt_fault::ambient`] plan
     /// (i.e. the `BOLT_FAULT_*` environment), which is itself `None`
     /// outside torture runs.
-    pub fault: Option<Arc<FaultPlan>>,
+    fault: Option<Arc<FaultPlan>>,
     /// Number of event-loop workers; `0` picks the default (2).
-    pub event_workers: usize,
+    event_workers: usize,
     /// Number of cold-path handler threads; `0` picks the default (2).
-    pub handler_threads: usize,
-    /// Cap on the pipeline depth granted to v2 clients; `0` means the
+    handler_threads: usize,
+    /// Cap on the pipeline window granted to clients; `0` means the
     /// protocol maximum ([`MAX_PIPELINE_DEPTH`]).
-    pub max_pipeline_depth: u32,
+    max_pipeline_depth: u32,
     /// When set, an exporter thread rewrites this file about once a
     /// second with the Prometheus text rendering of the server's
     /// metrics (and once more on shutdown).
-    pub metrics_text: Option<PathBuf>,
+    metrics_text: Option<PathBuf>,
 }
 
 /// Fluent construction for a [`Server`]: sockets, limits, fault plan
@@ -183,7 +176,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Cap the pipeline depth granted to v2 clients (`0` = protocol
+    /// Cap the pipeline window granted to clients (`0` = protocol
     /// maximum).
     pub fn max_pipeline_depth(mut self, depth: u32) -> Self {
         self.config.max_pipeline_depth = depth;
@@ -199,7 +192,7 @@ impl ServerBuilder {
 
     /// Bind the configured endpoints and start the engine.
     pub fn start(self, core: ServeCore) -> io::Result<Server> {
-        Server::start_impl(core, self.config)
+        Server::start(core, self.config)
     }
 }
 
@@ -247,13 +240,7 @@ impl Server {
         ServerBuilder::default()
     }
 
-    /// Bind the configured endpoints and start accepting.
-    #[deprecated(note = "use `Server::builder()` and `ServerBuilder::start` instead")]
-    pub fn start(core: ServeCore, config: ServerConfig) -> io::Result<Server> {
-        Server::start_impl(core, config)
-    }
-
-    fn start_impl(core: ServeCore, config: ServerConfig) -> io::Result<Server> {
+    fn start(core: ServeCore, config: ServerConfig) -> io::Result<Server> {
         if config.unix.is_none() && config.tcp.is_none() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -729,6 +716,7 @@ struct Job {
     slot: usize,
     gen: u64,
     seq: u64,
+    corr: u64,
     req: Request,
 }
 
@@ -737,8 +725,7 @@ struct Completion {
     slot: usize,
     gen: u64,
     seq: u64,
-    /// Encoded v1 response payload (the v2 correlation prefix is added
-    /// at release time, where the connection's mode is known).
+    /// Encoded response payload, correlation id included.
     payload: Vec<u8>,
     handle_ns: u64,
 }
@@ -804,11 +791,9 @@ impl Engine {
 }
 
 /// One in-flight request on a connection, keyed by arrival order
-/// (`seq`). v1 connections release strictly front-first; v2
-/// connections release any entry the moment it completes.
+/// (`seq`) and released the moment it completes.
 struct Pending {
     seq: u64,
-    corr: Option<u64>,
     op: Opcode,
     read_ns: u64,
     done: Option<(Vec<u8>, u64)>,
@@ -823,10 +808,8 @@ struct Connection {
     wbuf: Vec<u8>,
     wpos: usize,
     pending: VecDeque<Pending>,
-    /// Negotiated pipeline window (1 until a v2 `Hello` raises it).
+    /// Negotiated pipeline window (1 until a `Hello` raises it).
     depth: u32,
-    /// Whether the connection negotiated v2 (correlated) framing.
-    v2: bool,
     next_seq: u64,
     idle_since: Instant,
     read_started: Option<Instant>,
@@ -845,7 +828,6 @@ impl Connection {
             wpos: 0,
             pending: VecDeque::new(),
             depth: 1,
-            v2: false,
             next_seq: 0,
             idle_since: Instant::now(),
             read_started: None,
@@ -873,17 +855,9 @@ impl Connection {
         self.wbuf.extend_from_slice(payload);
     }
 
-    /// Queue an error reply in the connection's negotiated framing
-    /// (`corr` only matters on v2 connections; malformed v2 frames
-    /// attribute to correlation id 0).
+    /// Queue an error reply (`corr` 0 when no request can be blamed).
     fn queue_error(&mut self, corr: u64, message: String) {
-        let reply = Response::Error { message };
-        let bytes = if self.v2 {
-            reply.encode_v2(corr)
-        } else {
-            reply.encode()
-        };
-        self.queue_frame(&bytes);
+        self.queue_frame(&Response::Error { message }.encode_v2(corr));
     }
 
     /// Push as much of the write buffer as the socket takes right now.
@@ -922,11 +896,11 @@ impl Connection {
 }
 
 /// Best-effort correlation id for a frame whose body failed to decode:
-/// if the frame at least led with the v2 version byte and an opcode,
-/// read the correlation varint so the client can attribute the error;
+/// if the frame at least led with the version byte and an opcode, read
+/// the correlation varint so the client can attribute the error;
 /// otherwise 0 (the reserved "unattributable" id).
 fn corr_hint(payload: &[u8]) -> u64 {
-    if payload.len() > 2 && payload[0] == PIPELINE_VERSION {
+    if payload.len() > 2 && payload[0] == PROTOCOL_VERSION {
         let mut r = bolt_store::ByteReader::new(&payload[2..]);
         if let Ok(corr) = r.varint() {
             return corr;
@@ -936,10 +910,10 @@ fn corr_hint(payload: &[u8]) -> u64 {
 }
 
 /// Run one decoded request against the core — fault stall, handling,
-/// deadline enforcement — and return the encoded v1 reply payload plus
+/// deadline enforcement — and return the encoded reply payload plus
 /// the handle-phase nanoseconds. Shared verbatim by the inline path
 /// and the handler pool, so an answer is identical wherever it ran.
-fn run_request(core: &ServeCore, limits: &Limits, req: &Request) -> (Vec<u8>, u64) {
+fn run_request(core: &ServeCore, limits: &Limits, req: &Request, corr: u64) -> (Vec<u8>, u64) {
     let started = Instant::now();
     // Injected slowness counts against the deadline like real slowness.
     if let Some(plan) = &limits.fault {
@@ -966,7 +940,7 @@ fn run_request(core: &ServeCore, limits: &Limits, req: &Request) -> (Vec<u8>, u6
             };
         }
     }
-    (reply.encode(), handle_ns)
+    (reply.encode_v2(corr), handle_ns)
 }
 
 /// Pop every complete frame the pipeline window allows and process it.
@@ -1010,76 +984,45 @@ fn process_frame(
         Err(e) => {
             // Bad body, intact framing: answer the error, keep serving.
             core.note_protocol_error();
-            let corr = if conn.v2 { corr_hint(payload) } else { 0 };
-            conn.queue_error(corr, format!("bad request: {e}"));
+            conn.queue_error(corr_hint(payload), format!("bad request: {e}"));
             return;
         }
     };
-    if let Request::Hello { max_version, depth } = &req {
-        // Negotiation is answered by the engine itself (the core's
-        // Hello handling exists for in-process callers) and must be the
-        // first thing on a fresh connection.
-        if corr.is_some() || conn.v2 || !conn.pending.is_empty() {
-            core.note_protocol_error();
-            conn.queue_error(0, "hello must be the first request on a connection".into());
-            return;
-        }
-        let started = Instant::now();
-        let version = (*max_version).min(PIPELINE_VERSION);
-        let granted = if version >= PIPELINE_VERSION {
-            (*depth).clamp(1, engine.limits.max_depth)
-        } else {
-            1
-        };
-        let ack = Response::HelloAck {
-            version,
-            depth: granted,
-        };
-        let handle_ns = started.elapsed().as_nanos() as u64;
-        core.phase_histogram(Phase::Handle).record(handle_ns);
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.pending.push_back(Pending {
-            seq,
-            // The ack itself is a v1 frame; v2 framing starts after it.
-            corr: None,
-            op: Opcode::Hello,
-            read_ns,
-            done: Some((ack.encode(), handle_ns)),
-        });
-        if version >= PIPELINE_VERSION {
-            conn.v2 = true;
-            conn.depth = granted;
-        }
-        return;
-    }
-    match (conn.v2, corr) {
-        (true, None) => {
-            core.note_protocol_error();
-            conn.queue_error(
-                0,
-                "protocol version mismatch: this connection negotiated v2 (correlated) frames"
-                    .into(),
-            );
-            return;
-        }
-        (false, Some(_)) => {
-            core.note_protocol_error();
-            conn.queue_error(0, "pipelining was not negotiated on this connection".into());
-            return;
-        }
-        _ => {}
-    }
     let op = req.opcode();
     let seq = conn.next_seq;
     conn.next_seq += 1;
+    if let Request::Hello { depth } = &req {
+        // Negotiation is answered by the engine itself (the core's
+        // Hello handling exists for in-process callers) and must be the
+        // first thing on a fresh connection.
+        if seq != 0 {
+            core.note_protocol_error();
+            conn.queue_error(
+                corr,
+                "hello must be the first request on a connection".into(),
+            );
+            return;
+        }
+        let started = Instant::now();
+        // Never 0: a zero window would stop this connection reading.
+        conn.depth = (*depth).clamp(1, engine.limits.max_depth);
+        let ack = Response::HelloAck { depth: conn.depth };
+        let handle_ns = started.elapsed().as_nanos() as u64;
+        core.phase_histogram(Phase::Handle).record(handle_ns);
+        conn.pending.push_back(Pending {
+            seq,
+            op,
+            read_ns,
+            done: Some((ack.encode_v2(corr), handle_ns)),
+        });
+        return;
+    }
     match core.dispatch(&req) {
         Dispatch::Inline => {
             let is_shutdown = matches!(req, Request::Shutdown);
-            let (payload, handle_ns) = run_request(core, &engine.limits, &req);
+            let (payload, handle_ns) = run_request(core, &engine.limits, &req, corr);
             conn.pending.push_back(Pending {
                 seq,
-                corr,
                 op,
                 read_ns,
                 done: Some((payload, handle_ns)),
@@ -1095,7 +1038,6 @@ fn process_frame(
         Dispatch::Offload => {
             conn.pending.push_back(Pending {
                 seq,
-                corr,
                 op,
                 read_ns,
                 done: None,
@@ -1105,44 +1047,26 @@ fn process_frame(
                 slot,
                 gen: conn.gen,
                 seq,
+                corr,
                 req,
             });
         }
     }
 }
 
-/// Move finished replies into the write buffer — v1 strictly in
-/// submission order, v2 in completion order with the correlation
-/// prefix — then push bytes at the socket once for the whole burst.
+/// Move finished replies into the write buffer in completion order,
+/// then push bytes at the socket once for the whole burst.
 fn release_and_flush(core: &ServeCore, conn: &mut Connection) {
     let mut metas: Vec<(Opcode, u64)> = Vec::new();
-    if conn.v2 {
-        let mut i = 0;
-        while i < conn.pending.len() {
-            if conn.pending[i].done.is_some() {
-                let p = conn.pending.remove(i).expect("indexed entry");
-                let (payload, handle_ns) = p.done.expect("checked done");
-                let bytes = match p.corr {
-                    Some(c) => {
-                        let mut w = ByteWriter::new();
-                        w.varint(c);
-                        w.raw(&payload);
-                        w.into_bytes()
-                    }
-                    None => payload,
-                };
-                conn.queue_frame(&bytes);
-                metas.push((p.op, p.read_ns + handle_ns));
-            } else {
-                i += 1;
-            }
-        }
-    } else {
-        while conn.pending.front().is_some_and(|p| p.done.is_some()) {
-            let p = conn.pending.pop_front().expect("checked front");
+    let mut i = 0;
+    while i < conn.pending.len() {
+        if conn.pending[i].done.is_some() {
+            let p = conn.pending.remove(i).expect("indexed entry");
             let (payload, handle_ns) = p.done.expect("checked done");
             conn.queue_frame(&payload);
             metas.push((p.op, p.read_ns + handle_ns));
+        } else {
+            i += 1;
         }
     }
     if !conn.wants_write() {
@@ -1414,7 +1338,8 @@ fn handler_worker(engine: Arc<Engine>) {
     loop {
         match engine.jobs.pop(POLL) {
             Some(job) => {
-                let (payload, handle_ns) = run_request(&engine.core, &engine.limits, &job.req);
+                let (payload, handle_ns) =
+                    run_request(&engine.core, &engine.limits, &job.req, job.corr);
                 let worker = &engine.workers[job.wid];
                 worker
                     .completions
@@ -1472,7 +1397,7 @@ fn spawn_acceptor(
                     };
                     // The socket is still blocking here, so the reject
                     // frame goes out before the close.
-                    let _ = write_frame(&mut stream, &reply.encode());
+                    let _ = write_frame(&mut stream, &reply.encode_v2(0));
                     drop(guard); // releases the slot; stream drops too
                     continue;
                 }

@@ -1,6 +1,7 @@
 //! Request handling: the store-backed query engine behind the socket
-//! server (and behind the CLI's local commands, so local and remote
-//! answers are rendered by the same code and stay byte-identical).
+//! server and behind the CLI's local `query`/`diff`/`list`/`provenance`
+//! — this module is the only renderer of those answers, so local and
+//! remote output are the same bytes by construction.
 //!
 //! [`ServeCore`] owns the open [`ContractStore`] and the hot-contract
 //! [`ContractCache`]; every protocol request maps to one method here.
@@ -21,8 +22,8 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use bolt_core::store::{level_from_tag, level_tag, store_key, RecordKind, StoreExt};
-use bolt_core::{generate, ClassSpec, Exploration, InputClass, NetworkFunction};
+use bolt_core::store::{level_from_tag, level_name, store_key, RecordKind, StoreExt};
+use bolt_core::{generate, AbstractNf, ClassSpec, Exploration, InputClass, NetworkFunction};
 use bolt_expr::PcvAssignment;
 use bolt_nfs::nat::{AllocKind, NatConfig};
 use bolt_nfs::{Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter};
@@ -35,7 +36,7 @@ use dpdk_sim::StackLevel;
 use crate::cache::{CacheConfig, CacheEntry, ContractCache, MemoKey};
 use crate::protocol::{
     DiffRequest, MetricsReply, Opcode, QueryReply, QueryRequest, Request, Response, StatsReply,
-    MAX_PIPELINE_DEPTH, PIPELINE_VERSION,
+    MAX_PIPELINE_DEPTH,
 };
 
 /// The NF dispatch vocabulary the server understands (the same names
@@ -51,8 +52,8 @@ pub const NF_NAMES: [&str; 8] = [
     "static_router",
 ];
 
-/// Dispatch a generic body over an NF named at runtime; unknown names
-/// early-return `Err` with the CLI's exact wording.
+/// Dispatch a generic body over an NF named at runtime — the one
+/// name→descriptor catalog; unknown names early-return `Err`.
 macro_rules! with_nf {
     ($name:expr, $nf:ident => $body:block) => {
         match $name {
@@ -98,13 +99,11 @@ macro_rules! with_nf {
     };
 }
 
-/// Human name of a stack-level tag (matches the CLI's rendering).
-pub fn level_name(tag: u8) -> &'static str {
-    match tag {
-        0 => "nf-only",
-        1 => "full-stack",
-        _ => "?",
-    }
+/// The descriptor a catalog name denotes, behind the object-safe view:
+/// for callers that need its store key or raw contract (the CLI's
+/// `explore`/`evict`/`chain`) rather than a typed exploration.
+pub fn nf_by_name(name: &str) -> Result<Box<dyn AbstractNf>, String> {
+    with_nf!(name, nf => { Ok(Box::new(nf)) })
 }
 
 /// Parse a `NF[:LEVEL]` side spec (level defaults to full-stack).
@@ -443,8 +442,7 @@ impl ServeCore {
             // connection state, and it knows its own depth cap); this
             // arm answers in-process callers with the protocol-level
             // defaults.
-            Request::Hello { max_version, depth } => Ok(Response::HelloAck {
-                version: (*max_version).min(PIPELINE_VERSION),
+            Request::Hello { depth } => Ok(Response::HelloAck {
                 depth: (*depth).clamp(1, MAX_PIPELINE_DEPTH),
             }),
         };
@@ -562,8 +560,8 @@ impl ServeCore {
         })
     }
 
-    /// Answer a query. The rendered text is byte-identical to what
-    /// `bolt_cli query` prints locally against the same store state.
+    /// Answer a query; the rendered text is what `bolt_cli query`
+    /// prints, locally or remotely.
     pub fn query(&self, q: &QueryRequest) -> Result<QueryReply, String> {
         let level = parse_level(q.level)?;
         let metric = parse_metric(q.metric)?;
@@ -618,7 +616,7 @@ impl ServeCore {
                      \x20 worst path : #{} tags {:?}\n\
                      \x20 expression : {}\n\
                      \x20 prediction : {} {metric}\n",
-                    level_name(level_tag(level)),
+                    level_name(level),
                     class.name,
                     r.path_index,
                     path.tags,
@@ -637,17 +635,17 @@ impl ServeCore {
         Ok(reply)
     }
 
-    /// Compare two stored contracts; rendering matches `bolt_cli diff`.
+    /// Compare two stored contracts (the `bolt_cli diff` rendering).
     pub fn diff(&self, d: &DiffRequest) -> Result<String, String> {
         let metric = parse_metric(d.metric)?;
         let (name_a, level_a) = parse_side(&d.a)?;
         let (name_b, level_b) = parse_side(&d.b)?;
         let (ka, ea) = self.load(name_a, level_a)?;
         let (kb, eb) = self.load(name_b, level_b)?;
-        // Like the CLI's diff, make sure a contract *record* backs each
-        // side on disk (diff is about stored artifacts, not transient
-        // state); the cache already holds the generated contract, so
-        // this is encode+write only, and only when absent.
+        // Make sure a contract *record* backs each side on disk (diff
+        // is about stored artifacts, not transient state); the cache
+        // already holds the generated contract, so this is encode+write
+        // only, and only when absent.
         for (k, e, name, level) in [(ka, &ea, name_a, level_a), (kb, &eb, name_b, level_b)] {
             if self.store.peek(k, RecordKind::Contract).is_none() {
                 let g = e.lock().expect("entry poisoned");
@@ -709,8 +707,8 @@ impl ServeCore {
         Ok(out)
     }
 
-    /// Enumerate the store — a pure header pass (no payload decodes);
-    /// rendering matches `bolt_cli list`.
+    /// Enumerate the store — a pure header pass (no payload decodes) —
+    /// as the `bolt_cli list` table.
     pub fn list(&self) -> Result<(u64, String), String> {
         let entries = self
             .store
@@ -734,7 +732,8 @@ impl ServeCore {
             out.push_str(&format!(
                 "{:>14} {:>10} {kind:>11} {:>6} {:>9}  {}\n",
                 e.nf_name,
-                level_name(e.level),
+                // A header tag no stack level owns still lists.
+                level_from_tag(e.level).map_or("?", level_name),
                 e.n_paths,
                 e.payload_len,
                 e.fingerprint
@@ -748,7 +747,7 @@ impl ServeCore {
     pub fn provenance(&self, name: &str, level: u8) -> Result<String, String> {
         let level = parse_level(level)?;
         let key = self.key_of(name, level)?;
-        let mut out = format!("{name} @ {}:\n", level_name(level_tag(level)));
+        let mut out = format!("{name} @ {}:\n", level_name(level));
         out.push_str(&format!("  key         : {key}\n"));
         for (label, kind) in [
             ("exploration", RecordKind::Exploration),

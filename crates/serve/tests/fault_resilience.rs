@@ -85,8 +85,8 @@ fn fast_retry_config() -> ClientConfig {
         retries: 5,
         backoff: Duration::from_millis(20),
         backoff_cap: Duration::from_millis(200),
-        // This suite pins the v1 (strict request/response) path; the
-        // pipelining suite covers negotiated v2 sessions.
+        // This suite runs at window 1 (no `Hello`); the pipelining
+        // suite covers negotiated windows.
         pipeline_depth: 1,
         ..ClientConfig::default()
     }
@@ -433,9 +433,9 @@ fn shutdown_is_never_auto_retried_but_reads_are() {
     // write_frame is used by the raw-listener tests above; keep the
     // import honest even when only some tests run.
     let mut sink = Vec::new();
-    write_frame(&mut sink, &Request::Ping.encode()).unwrap();
+    write_frame(&mut sink, &Request::Ping.encode_v2(1)).unwrap();
     assert_eq!(
         read_frame(&mut sink.as_slice()).unwrap().unwrap(),
-        Request::Ping.encode()
+        Request::Ping.encode_v2(1)
     );
 }

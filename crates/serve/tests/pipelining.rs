@@ -1,9 +1,11 @@
-//! Pipelined (v2) session tests: depth negotiation, out-of-order
-//! completion routed by correlation id, byte-identical depth-1/v1
-//! fallback, deprecated-shim parity, fault storms on the event loop,
-//! and the 1024-idle-connection soak pinning the fixed thread pool.
+//! Pipelined session tests: window negotiation, out-of-order
+//! completion routed by correlation id, byte-identical answers at
+//! window 1 and 8, a stale (version-1) peer, fault storms on the event
+//! loop, and the 1024-idle-connection soak pinning the fixed thread
+//! pool.
 
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,7 +14,7 @@ use bolt_core::store::{level_tag, StoreExt};
 use bolt_nfs::{Bridge, Firewall};
 use bolt_serve::protocol::{read_frame, write_frame};
 use bolt_serve::{
-    Client, Endpoint, QueryRequest, Request, Response, ServeCore, Server, ServerConfig,
+    Client, ClientConfig, Endpoint, QueryRequest, Request, Response, ServeCore, Server,
     MAX_PIPELINE_DEPTH,
 };
 use bolt_store::ContractStore;
@@ -68,13 +70,38 @@ fn hello_negotiation_grants_the_clamped_depth() {
 
     // Client asks for 8; server caps at 4.
     let session = Client::builder(&ep).pipeline_depth(8).session().unwrap();
-    assert!(session.pipelined());
     assert_eq!(session.depth(), 4);
 
-    // Depth 1 skips negotiation entirely: a pure v1 connection.
+    // Depth 1 skips negotiation entirely: a fresh connection's window.
     let session = Client::builder(&ep).pipeline_depth(1).session().unwrap();
-    assert!(!session.pipelined());
     assert_eq!(session.depth(), 1);
+
+    // Depth 0 means window 1 — through the builder, and through a bare
+    // config that bypasses the builder's clamp. A zero window would
+    // make `submit` wait forever for a slot, so each session must
+    // still answer.
+    let zero_config = ClientConfig {
+        pipeline_depth: 0,
+        ..ClientConfig::default()
+    };
+    for builder in [
+        Client::builder(&ep).pipeline_depth(0),
+        Client::builder(&ep).config(zero_config),
+    ] {
+        let mut session = builder.session().unwrap();
+        assert_eq!(session.depth(), 1);
+        assert!(matches!(
+            session.call(&Request::Ping).unwrap(),
+            Response::Pong { .. }
+        ));
+    }
+
+    // Nor does the server ever grant 0: a raw `Hello { depth: 0 }` is
+    // acked with window 1.
+    let mut raw = UnixStream::connect(server.unix_path().unwrap()).unwrap();
+    write_frame(&mut raw, &Request::Hello { depth: 0 }.encode_v2(1)).unwrap();
+    let ack = Response::decode_v2(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
+    assert_eq!(ack, (1, Response::HelloAck { depth: 1 }));
 
     // The builder clamps absurd asks to the protocol maximum.
     let session = Client::builder(&ep)
@@ -99,7 +126,6 @@ fn completions_route_out_of_order_by_correlation_id() {
     let ep = Endpoint::Unix(sock);
 
     let mut session = Client::builder(&ep).pipeline_depth(8).session().unwrap();
-    assert!(session.pipelined());
 
     // A cold query (offloaded to the handler pool) followed by pings
     // (answered inline on the event loop). The pings overtake the
@@ -169,12 +195,12 @@ fn depth_8_and_depth_1_answers_are_byte_identical() {
         .unwrap();
     let ep = Endpoint::Unix(sock);
 
-    let mut v1 = Client::builder(&ep).pipeline_depth(1).build().unwrap();
-    let mut v2 = Client::builder(&ep).pipeline_depth(8).build().unwrap();
+    let mut d1 = Client::builder(&ep).pipeline_depth(1).build().unwrap();
+    let mut d8 = Client::builder(&ep).pipeline_depth(8).build().unwrap();
     for q in [bridge_query(), firewall_query()] {
-        let a = v1.query(q.clone()).unwrap();
-        let b = v2.query(q).unwrap();
-        assert_eq!(a.text, b.text, "pipelining must not change answers");
+        let a = d1.query(q.clone()).unwrap();
+        let b = d8.query(q).unwrap();
+        assert_eq!(a.text, b.text, "the window must not change answers");
     }
 
     server.request_shutdown();
@@ -182,62 +208,36 @@ fn depth_8_and_depth_1_answers_are_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A raw v1 exchange (what a pre-pipelining client sends) against the
-/// event-driven server: the reply frame must be byte-identical to the
-/// in-process `ServeCore::handle` encoding — the PR 6 wire contract.
+/// A peer still speaking the retired version-1 frame gets the typed
+/// mismatch error frame (not a mis-parse, not a hang-up), and the same
+/// connection then serves a current-version request.
 #[test]
-fn raw_v1_frames_round_trip_byte_identical_to_the_core_encoding() {
-    let (dir, store) = warm_store("rawv1");
+fn a_stale_version_1_peer_gets_a_typed_mismatch_and_the_connection_lives() {
+    let (dir, store) = warm_store("stale");
     let server = Server::builder()
         .tcp("127.0.0.1:0")
         .start(ServeCore::new(store))
         .unwrap();
-    let addr = server.tcp_addr().unwrap();
+    let mut stream = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
 
-    let mut stream = TcpStream::connect(addr).unwrap();
-    for req in [Request::Ping, Request::Query(bridge_query())] {
-        write_frame(&mut stream, &req.encode()).unwrap();
-        let payload = read_frame(&mut stream).unwrap().expect("reply frame");
-        let expected = server.core().handle(&req).encode();
-        assert_eq!(payload, expected, "v1 reply bytes diverged for {req:?}");
+    // Version 1's ping: version byte, opcode, no correlation id.
+    write_frame(&mut stream, &[1, 1]).unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("error frame");
+    match Response::decode_v2(&payload).unwrap() {
+        (0, Response::Error { message }) => assert!(
+            message.contains("protocol version mismatch"),
+            "unexpected error: {message}"
+        ),
+        other => panic!("expected an unattributed error frame, got {other:?}"),
     }
+
+    // The raw reply is exactly the core's answer under the request's id.
+    write_frame(&mut stream, &Request::Ping.encode_v2(7)).unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("pong frame");
+    assert_eq!(payload, server.core().handle(&Request::Ping).encode_v2(7));
     drop(stream);
 
-    server.request_shutdown();
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The deprecated entry points (`Server::start`, `Client::connect`)
-/// must keep working and produce the same bytes as the builder path.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_match_the_builder_path() {
-    let (dir, store) = warm_store("shims");
-    let sock = dir.join("bolt.sock");
-    let server = Server::start(
-        ServeCore::new(store),
-        ServerConfig {
-            unix: Some(sock.clone()),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let ep = Endpoint::Unix(sock);
-
-    let mut old_style = Client::connect(&ep).unwrap();
-    let via_old = old_style.query(bridge_query()).unwrap();
-    let via_old_call = match old_style.call(&Request::Query(bridge_query())).unwrap() {
-        Response::Query(r) => r.text,
-        other => panic!("expected a query reply, got {other:?}"),
-    };
-
-    let mut new_style = Client::builder(&ep).build().unwrap();
-    let via_new = new_style.query(bridge_query()).unwrap();
-
-    assert_eq!(via_old.text, via_new.text);
-    assert_eq!(via_old_call, via_new.text);
-
+    assert!(server.core().stats_reply().get("protocol_errors").unwrap() >= 1);
     server.request_shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -368,7 +368,7 @@ fn a_1024_idle_connection_soak_keeps_the_thread_count_fixed() {
 
     // One of the idle sockets is still live and serviceable too.
     let mut s = idle.pop().unwrap();
-    write_frame(&mut s, &Request::Ping.encode()).unwrap();
+    write_frame(&mut s, &Request::Ping.encode_v2(1)).unwrap();
     assert!(read_frame(&mut s).unwrap().is_some());
 
     drop(idle);
@@ -385,40 +385,4 @@ fn proc_thread_count() -> usize {
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
         .expect("Threads: line in /proc/self/status")
-}
-
-/// Pipelining on a connection that never negotiated it is a protocol
-/// error the server reports (and survives) rather than misframes.
-#[test]
-fn unnegotiated_v2_frames_are_rejected_cleanly() {
-    let (dir, store) = warm_store("unnegotiated");
-    let server = Server::builder()
-        .tcp("127.0.0.1:0")
-        .start(ServeCore::new(store))
-        .unwrap();
-    let addr = server.tcp_addr().unwrap();
-
-    let mut stream = TcpStream::connect(addr).unwrap();
-    // A v2-encoded request without a preceding Hello.
-    write_frame(&mut stream, &Request::Ping.encode_v2(1)).unwrap();
-    let payload = read_frame(&mut stream).unwrap().expect("error frame");
-    match Response::decode(&payload).unwrap() {
-        Response::Error { message } => {
-            assert!(
-                message.contains("not negotiated"),
-                "unexpected error: {message}"
-            );
-        }
-        other => panic!("expected an error reply, got {other:?}"),
-    }
-
-    // The server is still healthy for well-formed clients.
-    let mut client = Client::builder(&Endpoint::Tcp(addr.to_string()))
-        .build()
-        .unwrap();
-    assert!(client.ping().is_ok());
-
-    server.request_shutdown();
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }

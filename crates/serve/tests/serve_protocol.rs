@@ -42,10 +42,10 @@ fn reopen(dir: &std::path::Path) -> ContractStore {
     ContractStore::open(dir.join("store")).unwrap()
 }
 
-/// Render a query answer exactly the way `examples/bolt_cli.rs`
-/// `query_one` prints it (the one-shot CLI path: fresh process, fresh
-/// decode, its own rendering code). The server's answers must match
-/// this byte for byte.
+/// Render a query answer from a fresh store handle with rendering
+/// code of its own: the one independent pin of the reply text format
+/// (the CLI prints `ServeCore` replies, so it cannot pin them). The
+/// server's answers must match this byte for byte.
 fn cli_query_text<N: NetworkFunction + Sync>(
     store: &ContractStore,
     nf: N,
@@ -237,8 +237,8 @@ fn metrics_snapshot_spans_every_layer_over_the_socket() {
     let (dir, store) = warm_store("metrics");
     let server = start_server(store, &dir);
     let ep = Endpoint::Unix(server.unix_path().unwrap().to_path_buf());
-    // Depth 1 skips Hello entirely: the exact per-phase counts below
-    // are the PR 6 wire contract, frame for frame.
+    // Depth 1 skips Hello entirely, so the per-phase counts below are
+    // exactly one per request frame.
     let mut client = Client::builder(&ep).pipeline_depth(1).build().unwrap();
     client.ping().unwrap();
     let q = QueryRequest {
@@ -331,27 +331,34 @@ fn malformed_frames_do_not_kill_the_server() {
     // Undecodable bodies: the connection gets an error frame and stays
     // usable.
     let mut raw = TcpStream::connect(addr).unwrap();
-    for bad in [
-        vec![],                    // empty payload
-        vec![1, 0xEE],             // unknown opcode
-        vec![99, 1],               // wrong protocol version
-        vec![1, 2, 5, b'h', b'i'], // truncated query body
+    let mut exchange = |payload: &[u8]| {
+        write_frame(&mut raw, payload).unwrap();
+        Response::decode_v2(&read_frame(&mut raw).unwrap().unwrap()).unwrap()
+    };
+    for (bad, corr) in [
+        (vec![], 0),                       // empty payload
+        (vec![2, 0xEE, 3], 3),             // unknown opcode
+        (vec![99, 1, 3], 0),               // wrong protocol version
+        (vec![2, 2, 3, 5, b'h', b'i'], 3), // truncated query body
     ] {
-        write_frame(&mut raw, &bad).unwrap();
-        let reply = Response::decode(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
-        assert!(matches!(reply, Response::Error { .. }), "got {reply:?}");
+        // The error names the request it answers wherever the frame
+        // got far enough to carry a correlation id.
+        let reply = exchange(&bad);
+        assert!(
+            matches!(&reply, (c, Response::Error { .. }) if *c == corr),
+            "got {reply:?}"
+        );
     }
     // Same connection still answers a valid request.
-    write_frame(&mut raw, &Request::Ping.encode()).unwrap();
-    let pong = Response::decode(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
-    assert!(matches!(pong, Response::Pong { .. }));
+    let pong = exchange(&Request::Ping.encode_v2(4));
+    assert!(matches!(pong, (4, Response::Pong { .. })));
 
     // An oversized length prefix poisons stream sync: error frame, then
     // the connection closes — but only that connection.
     let mut hostile = TcpStream::connect(addr).unwrap();
     hostile.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
-    let reply = Response::decode(&read_frame(&mut hostile).unwrap().unwrap()).unwrap();
-    assert!(matches!(reply, Response::Error { .. }));
+    let reply = Response::decode_v2(&read_frame(&mut hostile).unwrap().unwrap()).unwrap();
+    assert!(matches!(reply, (0, Response::Error { .. })));
     let mut probe = [0u8; 1];
     assert_eq!(hostile.read(&mut probe).unwrap(), 0, "connection closed");
 
@@ -404,7 +411,7 @@ fn shutdown_drains_requests_received_before_the_flag() {
     let mut pending: Vec<UnixStream> = (0..4)
         .map(|_| {
             let mut s = UnixStream::connect(&sock).unwrap();
-            write_frame(&mut s, &q.encode()).unwrap();
+            write_frame(&mut s, &q.encode_v2(1)).unwrap();
             s
         })
         .collect();
@@ -418,8 +425,8 @@ fn shutdown_drains_requests_received_before_the_flag() {
     let mut texts = Vec::new();
     for s in &mut pending {
         let payload = read_frame(s).unwrap().expect("drained reply");
-        match Response::decode(&payload).unwrap() {
-            Response::Query(r) => texts.push(r.text),
+        match Response::decode_v2(&payload).unwrap() {
+            (1, Response::Query(r)) => texts.push(r.text),
             other => panic!("expected a query reply, got {other:?}"),
         }
     }

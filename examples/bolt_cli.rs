@@ -21,7 +21,8 @@
 //! memory behind a framed socket protocol; `--remote ENDPOINT` routes
 //! `query`/`diff`/`list`/`provenance`/`stats`/`shutdown` to such a
 //! server instead of opening the store in-process — with byte-identical
-//! output, since both paths render through `bolt_serve::ServeCore`:
+//! output, since either way the text printed is a `bolt_serve::ServeCore`
+//! reply:
 //!
 //! ```text
 //! cargo run --release --example bolt_cli -- serve --socket /tmp/bolt.sock &
@@ -29,76 +30,18 @@
 //! cargo run --release --example bolt_cli -- shutdown --remote /tmp/bolt.sock
 //! ```
 
-use std::collections::BTreeSet;
 use std::process::exit;
 
-use bolt::core::store::{level_tag, store_key, RecordKind, StoreExt};
-use bolt::core::{ClassSpec, InputClass, NfContract, Pipeline};
+use bolt::core::store::{level_name, level_tag, RecordKind, StoreExt};
+use bolt::core::{ambient_threads, ClassSpec, InputClass, Pipeline};
 use bolt::expr::PcvAssignment;
-use bolt::nfs::nat::{AllocKind, NatConfig};
-use bolt::nfs::{Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter};
 use bolt::see::StackLevel;
 use bolt::serve::{
-    CacheConfig, Client, DiffRequest, Endpoint, MetricsReply, QueryRequest, Request, Response,
-    ServeCore, Server,
+    nf_by_name, CacheConfig, Client, DiffRequest, Endpoint, MetricsReply, QueryReply, QueryRequest,
+    Request, Response, ServeCore, Server, NF_NAMES,
 };
 use bolt::trace::Metric;
-use bolt::{ContractStore, NetworkFunction};
-
-const NF_NAMES: [&str; 8] = [
-    "bridge",
-    "example_router",
-    "firewall",
-    "lb",
-    "lpm_router",
-    "nat-a",
-    "nat-b",
-    "static_router",
-];
-
-/// Dispatch a generic body over the NF named on the command line.
-macro_rules! with_nf {
-    ($name:expr, $nf:ident => $body:block) => {
-        match $name {
-            "bridge" => {
-                let $nf = Bridge::default();
-                $body
-            }
-            "example_router" => {
-                let $nf = ExampleRouter::default();
-                $body
-            }
-            "firewall" => {
-                let $nf = Firewall::default();
-                $body
-            }
-            "lb" => {
-                let $nf = LoadBalancer::default();
-                $body
-            }
-            "lpm_router" => {
-                let $nf = LpmRouter::default();
-                $body
-            }
-            "nat" | "nat-a" => {
-                let $nf = Nat::with(NatConfig::default(), AllocKind::A);
-                $body
-            }
-            "nat-b" => {
-                let $nf = Nat::with(NatConfig::default(), AllocKind::B);
-                $body
-            }
-            "static_router" => {
-                let $nf = StaticRouter::default();
-                $body
-            }
-            other => die(&format!(
-                "unknown NF {other:?}; known: {}",
-                NF_NAMES.join(", ")
-            )),
-        }
-    };
-}
+use bolt::ContractStore;
 
 fn die(msg: &str) -> ! {
     eprintln!("bolt: {msg}");
@@ -113,7 +56,7 @@ fn usage() -> ! {
          \x20 explore  --nf NAME | --all   [--level nf-only|full-stack|both] [--store DIR]\n\
          \x20 list     [--store DIR | --remote EP]\n\
          \x20 query    --nf NAME [--level L] [--metric M] [--pcv name=val]... [--tag TAG] [--store DIR | --remote EP]\n\
-         \x20          [--depth N] [--repeat N]   (remote only: pipeline depth, repeated pipelined queries)\n\
+         \x20          [--depth N] [--repeat N]   (remote only: pipeline window, default 8; N queries on one connection)\n\
          \x20 chain    --nfs A,B[,C...] [--level L] [--metric M] [--tag TAG] [--threads N]\n\
          \x20          [--parallelize] [--plan] [--json] [--store DIR]\n\
          \x20 diff     --a NF[:LEVEL] --b NF[:LEVEL] [--metric M] [--store DIR | --remote EP]\n\
@@ -152,14 +95,6 @@ fn parse_metric(s: &str) -> Metric {
         _ => die(&format!(
             "bad metric {s:?} (instructions | mem-accesses | cycles)"
         )),
-    }
-}
-
-fn level_name(tag: u8) -> &'static str {
-    match tag {
-        0 => "nf-only",
-        1 => "full-stack",
-        _ => "?",
     }
 }
 
@@ -254,7 +189,7 @@ fn parse_opts(args: &[String]) -> Opts {
             "--depth" => {
                 let v = val("--depth");
                 o.depth = Some(v.parse::<u32>().unwrap_or_else(|_| {
-                    die(&format!("bad --depth {v:?} (want a pipeline depth ≥ 1)"))
+                    die(&format!("bad --depth {v:?} (want a pipeline window ≥ 1)"))
                 }));
             }
             "--repeat" => {
@@ -325,23 +260,18 @@ fn levels_of(o: &Opts) -> Vec<StackLevel> {
 
 /// Get-or-explore one NF and persist both the exploration and contract
 /// records; prints a one-line summary.
-fn explore_one<N: NetworkFunction + Sync>(
-    store: &ContractStore,
-    name: &str,
-    nf: N,
-    level: StackLevel,
-) {
-    let key = store_key(&nf, level);
-    let ex = store.get_or_explore(&nf, level);
-    let n_paths = ex.result.paths.len();
-    let source = if ex.cached { "warm" } else { "explored" };
-    let contract = ex.contract();
+fn explore_one(store: &ContractStore, name: &str, level: StackLevel) {
+    let nf = nf_by_name(name).unwrap_or_else(|e| die(&e));
+    let key = nf.store_key(level);
+    let (contract, cached) = nf.explore_contract_via_store(level, store, ambient_threads());
+    let source = if cached { "warm" } else { "explored" };
     store
-        .put_contract(key, name, level, &contract.inner)
+        .put_contract(key, name, level, &contract)
         .unwrap_or_else(|e| die(&format!("cannot write contract record: {e}")));
     println!(
-        "{name:>14} {:>10} {source:>8}  {n_paths:>3} paths  key {key}",
-        level_name(level_tag(level)),
+        "{name:>14} {:>10} {source:>8}  {:>3} paths  key {key}",
+        level_name(level),
+        contract.paths.len(),
     );
 }
 
@@ -358,14 +288,14 @@ fn cmd_explore(o: &Opts) {
     };
     for name in names {
         for &level in &levels {
-            with_nf!(name, nf => { explore_one(&store, name, nf, level); });
+            explore_one(&store, name, level);
         }
     }
 }
 
 /// Builder for a serving endpoint named by `--remote`, honouring
 /// `--timeout SECS` as the per-call reply deadline and `--depth N` as
-/// the pipeline depth to negotiate.
+/// the pipeline window to negotiate.
 fn remote_builder(o: &Opts, ep: &str) -> bolt::serve::ClientBuilder {
     let endpoint = Endpoint::parse(ep).unwrap_or_else(|e| die(&e.to_string()));
     let mut b = Client::builder(&endpoint);
@@ -373,7 +303,7 @@ fn remote_builder(o: &Opts, ep: &str) -> bolt::serve::ClientBuilder {
         b = b.deadline(std::time::Duration::from_secs(secs.max(1)));
     }
     if let Some(depth) = o.depth {
-        b = b.pipeline_depth(depth.max(1));
+        b = b.pipeline_depth(depth);
     }
     b
 }
@@ -385,212 +315,84 @@ fn remote_client(o: &Opts, ep: &str) -> Client {
         .unwrap_or_else(|e| die(&format!("cannot connect to {ep}: {e}")))
 }
 
-fn cmd_list(o: &Opts) {
-    if let Some(ep) = &o.remote {
-        match remote_client(o, ep).list() {
-            Ok((_, text)) => print!("{text}"),
-            Err(e) => die(&e.to_string()),
-        }
-        return;
-    }
-    let store = open_store(o);
-    let entries = store
-        .list()
-        .unwrap_or_else(|e| die(&format!("cannot list store: {e}")));
-    if entries.is_empty() {
-        println!("store at {:?} is empty", store.dir());
-        return;
-    }
-    println!(
-        "{:>14} {:>10} {:>11} {:>6} {:>9}  key",
-        "nf", "level", "kind", "paths", "bytes"
-    );
-    for e in entries {
-        let kind = match e.kind {
-            RecordKind::Exploration => "exploration",
-            RecordKind::Contract => "contract",
-            RecordKind::Composed => "composed",
-            RecordKind::Plan => "plan",
-        };
-        println!(
-            "{:>14} {:>10} {kind:>11} {:>6} {:>9}  {}",
-            e.nf_name,
-            level_name(e.level),
-            e.n_paths,
-            e.payload_len,
-            e.fingerprint
-        );
+/// Answer one request: from the server named by `--remote`, else from
+/// a [`ServeCore`] over the opened store — so local and remote output
+/// is the same rendering. Failures exit with the service's message.
+fn answer(o: &Opts, req: &Request) -> Response {
+    match &o.remote {
+        Some(ep) => remote_client(o, ep)
+            .request(req)
+            .unwrap_or_else(|e| die(&e.to_string())),
+        None => match ServeCore::new(open_store(o)).handle(req) {
+            Response::Error { message } => die(&message),
+            reply => reply,
+        },
     }
 }
 
-fn query_one<N: NetworkFunction + Sync>(store: &ContractStore, nf: N, o: &Opts, level: StackLevel) {
-    let metric = parse_metric(o.metric.as_deref().unwrap_or("instructions"));
-    let ex = store.get_or_explore(&nf, level);
-    let source = if ex.cached { "warm" } else { "explored" };
-    let mut contract = ex.contract();
-    let mut env = PcvAssignment::new();
-    for (name, v) in &o.pcvs {
-        match contract.reg.pcvs.lookup(name) {
-            Some(id) => {
-                env.set(id, *v);
-            }
-            None => {
-                let known: Vec<&str> = contract.reg.pcvs.iter().map(|(_, n)| n).collect();
-                die(&format!(
-                    "unknown PCV {name:?}; this contract knows: {}",
-                    known.join(", ")
-                ));
-            }
-        }
+/// Print the rendered text of a list/query/diff/provenance reply.
+fn print_text(reply: Response) {
+    match reply {
+        Response::List { text, .. }
+        | Response::Diff { text }
+        | Response::Provenance { text }
+        | Response::Query(QueryReply { text, .. }) => print!("{text}"),
+        other => die(&format!("unexpected reply {other:?}")),
     }
-    let class = match &o.tag {
-        Some(t) => InputClass::new(
-            format!("tag:{t}"),
-            ClassSpec::Tag(bolt::store::intern_tag(t)),
-        ),
-        None => InputClass::unconstrained(),
-    };
-    match contract.query(&class, metric, &env) {
-        None => println!("no path of {} is compatible with {}", nf.name(), class.name),
-        Some(q) => {
-            let path = &contract.paths()[q.path_index];
-            println!(
-                "{} @ {} ({source}), class {}, metric {metric}:",
-                nf.name(),
-                level_name(level_tag(level)),
-                class.name
-            );
-            println!("  worst path : #{} tags {:?}", q.path_index, path.tags);
-            println!("  expression : {}", contract.display_expr(&q.expr));
-            println!("  prediction : {} {metric}", q.value);
-        }
-    }
+}
+
+fn cmd_list(o: &Opts) {
+    print_text(answer(o, &Request::List));
 }
 
 fn cmd_query(o: &Opts) {
     let name = o.nf.as_deref().unwrap_or_else(|| die("query needs --nf"));
-    let level = levels_of(o)[0];
-    if let Some(ep) = &o.remote {
-        let metric = parse_metric(o.metric.as_deref().unwrap_or("instructions"));
-        let req = QueryRequest {
-            nf: name.to_string(),
-            level: level_tag(level),
-            metric: metric.index() as u8,
-            tag: o.tag.clone(),
-            pcvs: o.pcvs.clone(),
-        };
-        let repeat = o.repeat.unwrap_or(1).max(1);
-        if repeat == 1 {
-            match remote_client(o, ep).query(req) {
-                Ok(reply) => print!("{}", reply.text),
-                Err(e) => die(&e.to_string()),
-            }
-            return;
+    let metric = parse_metric(o.metric.as_deref().unwrap_or("instructions"));
+    let wire = Request::Query(QueryRequest {
+        nf: name.to_string(),
+        level: level_tag(levels_of(o)[0]),
+        metric: metric.index() as u8,
+        tag: o.tag.clone(),
+        pcvs: o.pcvs.clone(),
+    });
+    let repeat = o.repeat.unwrap_or(1).max(1);
+    let ep = match o.remote.as_deref() {
+        Some(ep) if repeat > 1 => ep,
+        _ => return print_text(answer(o, &wire)),
+    };
+    // A pipelined burst on one connection: submit everything up
+    // front, then drain the replies in submission order.
+    let mut session = remote_builder(o, ep)
+        .session()
+        .unwrap_or_else(|e| die(&format!("cannot connect to {ep}: {e}")));
+    let mut tickets = Vec::with_capacity(repeat);
+    for _ in 0..repeat {
+        match session.submit(&wire) {
+            Ok(t) => tickets.push(t),
+            Err(e) => die(&e.to_string()),
         }
-        // A pipelined burst on one connection: submit everything up
-        // front, then drain the replies in submission order.
-        let mut session = remote_builder(o, ep)
-            .session()
-            .unwrap_or_else(|e| die(&format!("cannot connect to {ep}: {e}")));
-        let wire = Request::Query(req);
-        let mut tickets = Vec::with_capacity(repeat);
-        for _ in 0..repeat {
-            match session.submit(&wire) {
-                Ok(t) => tickets.push(t),
-                Err(e) => die(&e.to_string()),
-            }
-        }
-        for t in tickets {
-            match session.recv(t) {
-                Ok(Response::Query(reply)) => print!("{}", reply.text),
-                Ok(other) => die(&format!("unexpected reply {other:?}")),
-                Err(e) => die(&e.to_string()),
-            }
-        }
-        return;
     }
-    let store = open_store(o);
-    with_nf!(name, nf => { query_one(&store, nf, o, level); });
-}
-
-/// `NF[:LEVEL]` → (name, level).
-fn parse_side(s: &str) -> (&str, StackLevel) {
-    match s.split_once(':') {
-        Some((n, l)) => (n, parse_level(l)),
-        None => (s, StackLevel::FullStack),
-    }
-}
-
-/// Stored contract for one diff side (get-or-derive-and-store).
-fn side_contract(store: &ContractStore, side: &str) -> NfContract {
-    let (name, level) = parse_side(side);
-    with_nf!(name, nf => {
-        let key = store_key(&nf, level);
-        if let Some(c) = store.get_contract(key) {
-            return c;
+    for t in tickets {
+        match session.recv(t) {
+            Ok(reply) => print_text(reply),
+            Err(e) => die(&e.to_string()),
         }
-        let contract = store.get_or_explore(&nf, level).contract().into_inner();
-        store
-            .put_contract(key, name, level, &contract)
-            .unwrap_or_else(|e| die(&format!("cannot write contract record: {e}")));
-        contract
-    })
+    }
 }
 
 fn cmd_diff(o: &Opts) {
-    let (sa, sb) = match (&o.a, &o.b) {
-        (Some(a), Some(b)) => (a.as_str(), b.as_str()),
-        _ => die("diff needs --a NF[:LEVEL] and --b NF[:LEVEL]"),
+    let (Some(a), Some(b)) = (&o.a, &o.b) else {
+        die("diff needs --a NF[:LEVEL] and --b NF[:LEVEL]");
     };
     let metric = parse_metric(o.metric.as_deref().unwrap_or("instructions"));
-    if let Some(ep) = &o.remote {
-        let req = DiffRequest {
-            a: sa.to_string(),
-            b: sb.to_string(),
+    print_text(answer(
+        o,
+        &Request::Diff(DiffRequest {
+            a: a.clone(),
+            b: b.clone(),
             metric: metric.index() as u8,
-        };
-        match remote_client(o, ep).diff(req) {
-            Ok(text) => print!("{text}"),
-            Err(e) => die(&e.to_string()),
-        }
-        return;
-    }
-    let store = open_store(o);
-    let ca = side_contract(&store, sa);
-    let cb = side_contract(&store, sb);
-    let env = PcvAssignment::new();
-    let worst = |c: &NfContract| {
-        c.paths
-            .iter()
-            .map(|p| p.expr(metric).eval(&env))
-            .max()
-            .unwrap_or(0)
-    };
-    let tags = |c: &NfContract| -> BTreeSet<&'static str> {
-        c.paths
-            .iter()
-            .flat_map(|p| p.tags.iter().copied())
-            .collect()
-    };
-    let (wa, wb) = (worst(&ca), worst(&cb));
-    println!("diff {sa} vs {sb} ({metric}, PCVs all 0):");
-    println!("  paths      : {} vs {}", ca.paths.len(), cb.paths.len());
-    println!(
-        "  worst case : {wa} vs {wb} ({:+})",
-        wb as i128 - wa as i128
-    );
-    let (ta, tb) = (tags(&ca), tags(&cb));
-    let only_a: Vec<&str> = ta.difference(&tb).copied().collect();
-    let only_b: Vec<&str> = tb.difference(&ta).copied().collect();
-    if !only_a.is_empty() {
-        println!("  tags only in {sa}: {only_a:?}");
-    }
-    if !only_b.is_empty() {
-        println!("  tags only in {sb}: {only_b:?}");
-    }
-    if only_a.is_empty() && only_b.is_empty() {
-        println!("  tag vocabularies agree");
-    }
+        }),
+    ));
 }
 
 /// Compose a named chain through the store: every stage exploration and
@@ -616,7 +418,7 @@ fn cmd_chain(o: &Opts) {
     }
     let mut chain = Pipeline::new().with_store(&store);
     for name in spec.split(',') {
-        with_nf!(name.trim(), nf => { chain = chain.push(nf); });
+        chain = chain.push_boxed(nf_by_name(name.trim()).unwrap_or_else(|e| die(&e)));
     }
     if let Some(t) = o.threads {
         chain = chain.threads(t);
@@ -687,21 +489,20 @@ fn cmd_evict(o: &Opts) {
     let name =
         o.nf.as_deref()
             .unwrap_or_else(|| die("evict needs --nf or --budget"));
+    let nf = nf_by_name(name).unwrap_or_else(|e| die(&e));
     for &level in &levels_of(o) {
-        with_nf!(name, nf => {
-            let key = store_key(&nf, level);
-            let mut removed = false;
-            for kind in [RecordKind::Exploration, RecordKind::Contract] {
-                removed |= store
-                    .evict(key, kind)
-                    .unwrap_or_else(|e| die(&format!("evict failed: {e}")));
-            }
-            println!(
-                "{name} @ {}: {}",
-                level_name(level_tag(level)),
-                if removed { "evicted" } else { "no record" }
-            );
-        });
+        let key = nf.store_key(level);
+        let mut removed = false;
+        for kind in [RecordKind::Exploration, RecordKind::Contract] {
+            removed |= store
+                .evict(key, kind)
+                .unwrap_or_else(|e| die(&format!("evict failed: {e}")));
+        }
+        println!(
+            "{name} @ {}: {}",
+            level_name(level),
+            if removed { "evicted" } else { "no record" }
+        );
     }
 }
 
@@ -779,19 +580,13 @@ fn cmd_provenance(o: &Opts) {
     let name =
         o.nf.as_deref()
             .unwrap_or_else(|| die("provenance needs --nf"));
-    let level = level_tag(levels_of(o)[0]);
-    if let Some(ep) = &o.remote {
-        match remote_client(o, ep).provenance(name, level) {
-            Ok(text) => print!("{text}"),
-            Err(e) => die(&e.to_string()),
-        }
-        return;
-    }
-    let core = ServeCore::new(open_store(o));
-    match core.provenance(name, level) {
-        Ok(text) => print!("{text}"),
-        Err(e) => die(&e),
-    }
+    print_text(answer(
+        o,
+        &Request::Provenance {
+            nf: name.to_string(),
+            level: level_tag(levels_of(o)[0]),
+        },
+    ));
 }
 
 /// Liveness probe for health checks and CI readiness loops: exit 0 when

@@ -1,121 +1,15 @@
-//! The unified NF API: parity with the legacy free-function plumbing,
-//! and chain composition through `Pipeline` trait objects.
+//! The unified NF API: the object-safe view over every NF, the chunked
+//! burst hook, and chain composition through `Pipeline` trait objects.
 //!
-//! The `NetworkFunction` trait's blanket `explore`/`contract` must be a
-//! drop-in replacement for the per-NF `explore()` free functions it
-//! deprecates: same feasible paths, same per-path cost expressions for
-//! every metric. The Pipeline chain must reproduce the §5.2
-//! firewall→router composition result checked in `conservatism.rs` /
+//! The Pipeline chain must reproduce the §5.2 firewall→router
+//! composition result checked in `conservatism.rs` /
 //! `crates/core/tests/chain.rs`.
 
-#![allow(deprecated)] // the point of this test is legacy parity
-
-use bolt::core::nf::Contract;
-use bolt::core::NfContract;
 use bolt::expr::PcvAssignment;
-use bolt::nfs::{
-    bridge, example_router, firewall, lb, lpm_router, nat, static_router, Bridge, ExampleRouter,
-    Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter,
-};
+use bolt::nfs::{Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter};
 use bolt::see::StackLevel;
 use bolt::trace::Metric;
-use bolt::{Bolt, Pipeline};
-
-/// Both pipelines must agree path-for-path on every metric's expression,
-/// tags, and verdicts.
-fn assert_parity<I>(name: &str, fluent: Contract<I>, legacy: NfContract) {
-    assert_eq!(
-        fluent.paths().len(),
-        legacy.paths.len(),
-        "{name}: path count diverged"
-    );
-    for (f, l) in fluent.paths().iter().zip(&legacy.paths) {
-        assert_eq!(f.tags, l.tags, "{name}: tags diverged at path {}", f.index);
-        assert_eq!(
-            f.verdict, l.verdict,
-            "{name}: verdict diverged at path {}",
-            f.index
-        );
-        for m in Metric::ALL {
-            assert_eq!(
-                f.expr(m),
-                l.expr(m),
-                "{name}: {m} expression diverged at path {}",
-                f.index
-            );
-        }
-    }
-}
-
-fn legacy_contract(
-    reg: &nf_lib::registry::DsRegistry,
-    e: bolt::see::ExplorationResult,
-) -> NfContract {
-    bolt::core::generate(reg, e)
-}
-
-#[test]
-fn bridge_trait_matches_legacy_explore() {
-    let nf = Bridge::default();
-    let fluent = Bolt::nf(nf).explore(StackLevel::FullStack).contract();
-    let (reg, _, e) = bridge::explore(&nf.cfg, StackLevel::FullStack);
-    assert_parity("bridge", fluent, legacy_contract(&reg, e));
-}
-
-#[test]
-fn example_router_trait_matches_legacy_explore() {
-    let fluent = Bolt::nf(ExampleRouter::default())
-        .explore(StackLevel::FullStack)
-        .contract();
-    let (reg, _, e) = example_router::explore(StackLevel::FullStack);
-    assert_parity("example_router", fluent, legacy_contract(&reg, e));
-}
-
-#[test]
-fn firewall_trait_matches_legacy_explore() {
-    let nf = Firewall::default();
-    let fluent = Bolt::nf(nf.clone())
-        .explore(StackLevel::FullStack)
-        .contract();
-    let (reg, e) = firewall::explore(&nf.cfg, StackLevel::FullStack);
-    assert_parity("firewall", fluent, legacy_contract(&reg, e));
-}
-
-#[test]
-fn static_router_trait_matches_legacy_explore() {
-    let fluent = Bolt::nf(StaticRouter::default())
-        .explore(StackLevel::FullStack)
-        .contract();
-    let (reg, e) = static_router::explore(StackLevel::FullStack);
-    assert_parity("static_router", fluent, legacy_contract(&reg, e));
-}
-
-#[test]
-fn lpm_router_trait_matches_legacy_explore() {
-    let fluent = Bolt::nf(LpmRouter::default())
-        .explore(StackLevel::FullStack)
-        .contract();
-    let (reg, _, e) = lpm_router::explore(StackLevel::FullStack);
-    assert_parity("lpm_router", fluent, legacy_contract(&reg, e));
-}
-
-#[test]
-fn nat_trait_matches_legacy_explore() {
-    for kind in [nat::AllocKind::A, nat::AllocKind::B] {
-        let nf = Nat::with(nat::NatConfig::default(), kind);
-        let fluent = Bolt::nf(nf).explore(StackLevel::FullStack).contract();
-        let (reg, _, e) = nat::explore(&nf.cfg, kind, StackLevel::FullStack);
-        assert_parity("nat", fluent, legacy_contract(&reg, e));
-    }
-}
-
-#[test]
-fn lb_trait_matches_legacy_explore() {
-    let nf = LoadBalancer::default();
-    let fluent = Bolt::nf(nf).explore(StackLevel::FullStack).contract();
-    let (reg, _, e) = lb::explore(&nf.cfg, StackLevel::FullStack);
-    assert_parity("lb", fluent, legacy_contract(&reg, e));
-}
+use bolt::Pipeline;
 
 #[test]
 fn all_seven_nfs_expose_names_through_the_trait() {
