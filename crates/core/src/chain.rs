@@ -15,22 +15,12 @@
 //!
 //! The public front door is [`crate::composer::Composer`].
 //!
-//! # Parallel composition
-//!
-//! With `threads > 1`, composition fans the upstream×downstream
-//! cross-product out over a worker pool in the same
-//! speculate-then-commit shape as the parallel path explorer: each
-//! worker composes one upstream path against every downstream candidate
-//! using a *private* [`TermPool`] and private solver state, and a
-//! sequential committer absorbs each private pool into the shared one
-//! (deterministic re-intern via [`TermPool::absorb_with`], symbols
-//! resolved by name) and *replays* the worker's assert/probe schedule
-//! against the shared [`SolverCache`]. Composed path order, constraint
-//! terms, verdicts, metrics, and [`SolverStats`] counters are therefore
-//! byte-equal at any thread count (speculative feasibility verdicts are
-//! classification-identical to the replay — `Unsat` comes only from the
-//! deterministic propagation/enumeration half of the solver — and the
-//! committer hard-asserts the agreement).
+//! The cross-product runs on [`bolt_expr::speculate`], whose module docs
+//! carry the determinism argument: a key is an upstream path index, a
+//! step composes that path against every downstream candidate, and
+//! `threads` only sets how many workers speculate steps ahead of the
+//! committer. Composed path order, constraint terms, verdicts, metrics,
+//! and [`SolverStats`] counters are byte-equal at any thread count.
 //!
 //! # Memoized composition
 //!
@@ -66,11 +56,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::ops::ControlFlow;
 
-use bolt_expr::{BinOp, PcvAssignment, PerfExpr, Term, TermPool, TermRef, UnOp};
+use bolt_expr::{
+    speculate, BinOp, PcvAssignment, PerfExpr, SymTable, Term, TermPool, TermRef, UnOp,
+};
 use bolt_see::symbolic::PacketField;
 use bolt_see::NfVerdict;
 use bolt_solver::{Solver, SolverCache, SolverCtx, SolverStats};
@@ -95,58 +85,67 @@ fn field_of(pool: &TermPool, offset: u64, bytes: u8, term: TermRef) -> Option<Pa
     }
 }
 
-/// Migrates terms between pools, remapping symbols.
+/// Migrates both operands' terms into the joint pool, remapping each
+/// side's symbols under its prefix. Symbols mint through `syms` — the
+/// table absorbed steps resolve through — so whichever route first sees
+/// a symbol, it is minted once. The memos are a pure cache under
+/// hash-consing: a miss rebuilds the same ref and interns nothing new,
+/// so they may lag behind what absorbed steps brought in.
 struct Migrator<'a> {
-    src: &'a TermPool,
-    prefix: &'a str,
-    memo: HashMap<TermRef, TermRef>,
-    sym_map: HashMap<u32, TermRef>,
+    srcs: [&'a TermPool; 2],
+    memo: [HashMap<TermRef, TermRef>; 2],
+    syms: SymTable,
 }
 
+/// [`Migrator`] sides: the upstream and the downstream operand.
+const NF1: usize = 0;
+const NF2: usize = 1;
+
 impl<'a> Migrator<'a> {
-    fn new(src: &'a TermPool, prefix: &'a str) -> Self {
+    fn new(first: &'a NfContract, second: &'a NfContract) -> Self {
         Migrator {
-            src,
-            prefix,
-            memo: HashMap::new(),
-            sym_map: HashMap::new(),
+            srcs: [&first.pool, &second.pool],
+            memo: Default::default(),
+            syms: SymTable::default(),
         }
     }
 
-    fn migrate(&mut self, dst: &mut TermPool, t: TermRef) -> TermRef {
-        if let Some(&m) = self.memo.get(&t) {
+    fn migrate(&mut self, dst: &mut TermPool, side: usize, t: TermRef) -> TermRef {
+        if let Some(&m) = self.memo[side].get(&t) {
             return m;
         }
-        let out = match *self.src.get(t) {
+        let src = self.srcs[side];
+        let out = match *src.get(t) {
             Term::Const { value, width } => dst.constant(value, width),
-            Term::Sym { id, width } => *self.sym_map.entry(id).or_insert_with(|| {
-                dst.fresh_sym(format!("{}.{}", self.prefix, self.src.sym_name(id)), width)
-            }),
+            Term::Sym { id, width } => {
+                let name = format!("nf{}.{}", side + 1, src.sym_name(id));
+                self.syms.sym_for(dst, &name, width)
+            }
             Term::Unop { op, a } => {
-                let a = self.migrate(dst, a);
+                let a = self.migrate(dst, side, a);
                 dst.unop(op, a)
             }
             Term::Binop { op, a, b } => {
-                let a = self.migrate(dst, a);
-                let b = self.migrate(dst, b);
+                let a = self.migrate(dst, side, a);
+                let b = self.migrate(dst, side, b);
                 dst.binop(op, a, b)
             }
             Term::Ite { c, t: tt, e } => {
-                let c = self.migrate(dst, c);
-                let tt = self.migrate(dst, tt);
-                let e = self.migrate(dst, e);
+                let c = self.migrate(dst, side, c);
+                let tt = self.migrate(dst, side, tt);
+                let e = self.migrate(dst, side, e);
                 dst.ite(c, tt, e)
             }
             Term::Zext { a, width } => {
-                let a = self.migrate(dst, a);
+                let a = self.migrate(dst, side, a);
                 dst.zext(a, width)
             }
             Term::Trunc { a, width } => {
-                let a = self.migrate(dst, a);
+                let a = self.migrate(dst, side, a);
                 dst.trunc(a, width)
             }
         };
-        self.memo.insert(t, out);
+        self.memo[side].insert(t, out);
         out
     }
 }
@@ -157,7 +156,7 @@ fn add_perf(a: &[PerfExpr; 3], b: &[PerfExpr; 3]) -> [PerfExpr; 3] {
 
 /// Everything composing one upstream path produces, expressed in the
 /// refs of whichever pool [`compose_one`] ran against (the shared pool
-/// in the sequential fold, a worker-private pool under speculation).
+/// on the direct route, a private pool under speculation).
 enum PaBody {
     /// The upstream path ends the packet: the pair is the path alone.
     Terminal {
@@ -178,21 +177,18 @@ struct PairSpec {
     /// Constraints beyond `ca`: the migrated downstream constraints plus
     /// the input/output link equalities (`cs = ca ++ tail`).
     tail: Vec<TermRef>,
-    /// Feasibility verdict. Speculative when produced by a worker; the
-    /// committer's shared-cache replay re-derives it and hard-asserts
-    /// agreement.
+    /// Feasibility verdict. When speculated, the absorbed route's
+    /// shared-cache replay re-derives it and hard-asserts agreement.
     feasible: bool,
-    /// Composed-path fields, recorded only for feasible pairs (the
-    /// sequential fold migrates them only then, and term-intern order
-    /// must match exactly).
+    /// Composed-path fields, recorded (and migrated) only for feasible
+    /// pairs.
     packet_fields: Vec<(u64, u8, TermRef)>,
     final_packet: Vec<(u64, u8, TermRef)>,
 }
 
-/// Compose one upstream path against every downstream path. This single
-/// body serves both engines — the sequential fold calls it against the
-/// shared pool/migrators/cache, speculation workers against private ones
-/// — so the operation (and term-intern) order cannot drift between them.
+/// Compose one upstream path against every downstream path: the step
+/// both routes run, directly against the shared pool, migrator and
+/// cache or speculatively against private ones.
 ///
 /// The upstream constraints are asserted once into an incremental
 /// [`SolverCtx`]; every downstream candidate extends that saved state
@@ -200,8 +196,7 @@ struct PairSpec {
 /// given [`SolverCache`].
 fn compose_one(
     pool: &mut TermPool,
-    mig_a: &mut Migrator<'_>,
-    mig_b: &mut Migrator<'_>,
+    mig: &mut Migrator<'_>,
     pa: &PathContract,
     second: &NfContract,
     solver: &Solver,
@@ -210,7 +205,7 @@ fn compose_one(
     let ca: Vec<TermRef> = pa
         .constraints
         .iter()
-        .map(|&t| mig_a.migrate(pool, t))
+        .map(|&t| mig.migrate(pool, NF1, t))
         .collect();
     let forwards = matches!(
         pa.verdict,
@@ -221,7 +216,7 @@ fn compose_one(
         let packet_fields = pa
             .packet_fields
             .iter()
-            .map(|f| (f.offset, f.bytes, mig_a.migrate(pool, f.term)))
+            .map(|f| (f.offset, f.bytes, mig.migrate(pool, NF1, f.term)))
             .collect();
         return PaBody::Terminal {
             constraints: ca,
@@ -232,12 +227,12 @@ fn compose_one(
     let out_fields: Vec<(u64, u8, TermRef)> = pa
         .final_packet
         .iter()
-        .map(|&(o, b, t)| (o, b, mig_a.migrate(pool, t)))
+        .map(|&(o, b, t)| (o, b, mig.migrate(pool, NF1, t)))
         .collect();
     let in_fields: Vec<(u64, u8, TermRef)> = pa
         .packet_fields
         .iter()
-        .map(|f| (f.offset, f.bytes, mig_a.migrate(pool, f.term)))
+        .map(|f| (f.offset, f.bytes, mig.migrate(pool, NF1, f.term)))
         .collect();
     // The upstream constraints are asserted once; every downstream
     // candidate extends this saved state under a checkpoint.
@@ -250,13 +245,13 @@ fn compose_one(
         let mut tail: Vec<TermRef> = pb
             .constraints
             .iter()
-            .map(|&t| mig_b.migrate(pool, t))
+            .map(|&t| mig.migrate(pool, NF2, t))
             .collect();
         // Link: the downstream NF's input fields equal the upstream
         // NF's output (written value if any, else the pass-through
         // input symbol).
         for f in &pb.packet_fields {
-            let downstream = mig_b.migrate(pool, f.term);
+            let downstream = mig.migrate(pool, NF2, f.term);
             let up = out_fields
                 .iter()
                 .find(|&&(o, b, _)| o == f.offset && b == f.bytes)
@@ -283,7 +278,7 @@ fn compose_one(
             let mut pf: Vec<(u64, u8, TermRef)> = pa
                 .packet_fields
                 .iter()
-                .map(|f| (f.offset, f.bytes, mig_a.migrate(pool, f.term)))
+                .map(|f| (f.offset, f.bytes, mig.migrate(pool, NF1, f.term)))
                 .collect();
             for f in &pb.packet_fields {
                 let nf1_touched = out_fields
@@ -293,14 +288,14 @@ fn compose_one(
                         .iter()
                         .any(|&(o, b, _)| o == f.offset && b == f.bytes);
                 if !nf1_touched {
-                    pf.push((f.offset, f.bytes, mig_b.migrate(pool, f.term)));
+                    pf.push((f.offset, f.bytes, mig.migrate(pool, NF2, f.term)));
                 }
             }
             // The chain's final packet: the second NF's writes overlay
             // the first NF's final state.
             let mut fpk: Vec<(u64, u8, TermRef)> = out_fields.clone();
             for &(o, b, t) in &pb.final_packet {
-                let t = mig_b.migrate(pool, t);
+                let t = mig.migrate(pool, NF2, t);
                 if let Some(slot) = fpk.iter_mut().find(|(fo, fb, _)| *fo == o && *fb == b) {
                     slot.2 = t;
                 } else {
@@ -322,10 +317,8 @@ fn compose_one(
     PaBody::Forwarding { ca, pairs }
 }
 
-/// Turn one upstream path's composed body into [`PathContract`]s.
-/// Shared by the sequential fold and the parallel committer (which calls
-/// it after remapping the body into the shared pool), so composed path
-/// order and content are engine-independent.
+/// Turn one upstream path's composed body (in shared-pool refs) into
+/// [`PathContract`]s.
 fn push_paths(
     paths: &mut Vec<PathContract>,
     pool: &TermPool,
@@ -380,31 +373,25 @@ fn push_paths(
 }
 
 /// Remap every term ref in a body through an absorb table.
-fn remap_body(body: PaBody, map: &[TermRef]) -> PaBody {
-    let r = |t: TermRef| map[t.index()];
-    let rv = |v: Vec<TermRef>| v.into_iter().map(r).collect();
-    let rf = |v: Vec<(u64, u8, TermRef)>| v.into_iter().map(|(o, b, t)| (o, b, r(t))).collect();
+fn remap_body(body: &mut PaBody, map: &[TermRef]) {
+    let rv = |v: &mut Vec<TermRef>| v.iter_mut().for_each(|t| *t = map[t.index()]);
+    let rf = |v: &mut Vec<(u64, u8, TermRef)>| v.iter_mut().for_each(|f| f.2 = map[f.2.index()]);
     match body {
         PaBody::Terminal {
             constraints,
             packet_fields,
-        } => PaBody::Terminal {
-            constraints: rv(constraints),
-            packet_fields: rf(packet_fields),
-        },
-        PaBody::Forwarding { ca, pairs } => PaBody::Forwarding {
-            ca: rv(ca),
-            pairs: pairs
-                .into_iter()
-                .map(|p| PairSpec {
-                    bi: p.bi,
-                    tail: rv(p.tail),
-                    feasible: p.feasible,
-                    packet_fields: rf(p.packet_fields),
-                    final_packet: rf(p.final_packet),
-                })
-                .collect(),
-        },
+        } => {
+            rv(constraints);
+            rf(packet_fields);
+        }
+        PaBody::Forwarding { ca, pairs } => {
+            rv(ca);
+            for p in pairs {
+                rv(&mut p.tail);
+                rf(&mut p.packet_fields);
+                rf(&mut p.final_packet);
+            }
+        }
     }
 }
 
@@ -414,9 +401,10 @@ fn remap_body(body: PaBody, map: &[TermRef]) -> PaBody {
 /// Both NFs must have been registered against the *same*
 /// [`nf_lib::registry::DsRegistry`]
 /// (or be stateless) so that PCV ids agree in the summed expressions.
-/// Output — composed path order, constraint terms, verdicts, metrics,
-/// and the cache's stats counters — is bit-identical at any thread
-/// count.
+/// `threads` counts the committing caller plus the workers speculating
+/// upstream paths ahead of it; output — composed path order, constraint
+/// terms, verdicts, metrics, and the cache's stats counters — is
+/// bit-identical at any count.
 pub(crate) fn compose_pair(
     first: &NfContract,
     second: &NfContract,
@@ -424,185 +412,65 @@ pub(crate) fn compose_pair(
     cache: &mut SolverCache,
     threads: usize,
 ) -> NfContract {
-    if threads <= 1 {
-        return compose_seq(first, second, solver, cache);
-    }
-    compose_par(first, second, solver, cache, threads)
-}
-
-/// The sequential cross-product fold: one shared pool, shared migrators,
-/// pair-compatibility checks on an incremental [`SolverCtx`] against the
-/// shared cache.
-fn compose_seq(
-    first: &NfContract,
-    second: &NfContract,
-    solver: &Solver,
-    cache: &mut SolverCache,
-) -> NfContract {
     let mut pool = TermPool::new();
+    let mut mig = Migrator::new(first, second);
     let mut paths = Vec::new();
-    let mut mig_a = Migrator::new(&first.pool, "nf1");
-    let mut mig_b = Migrator::new(&second.pool, "nf2");
-    for pa in &first.paths {
-        let body = compose_one(&mut pool, &mut mig_a, &mut mig_b, pa, second, solver, cache);
-        push_paths(&mut paths, &pool, pa, second, body);
-    }
-    NfContract { pool, paths }
-}
-
-/// Hard ceiling on compose speculation workers, whatever the caller
-/// says (mirrors the explorer's clamp: a runaway `BOLT_THREADS` must
-/// degrade to oversubscription, never exhaust OS threads).
-const MAX_COMPOSE_WORKERS: usize = 256;
-
-/// One speculation slot of the parallel cross-product.
-enum Slot {
-    Pending,
-    Done(Box<(TermPool, PaBody)>),
-    /// The worker panicked; the committer re-runs the path inline so
-    /// the panic surfaces on its thread.
-    Panicked,
-}
-
-/// The parallel engine: workers speculate upstream paths in claim order
-/// against private pools/solver state; the committer absorbs and replays
-/// them in exact upstream-path order (see the module docs).
-fn compose_par(
-    first: &NfContract,
-    second: &NfContract,
-    solver: &Solver,
-    cache: &mut SolverCache,
-    threads: usize,
-) -> NfContract {
-    let n = first.paths.len();
-    let mut pool = TermPool::new();
-    let mut paths = Vec::new();
-    // (symbol name, width bits) → shared-pool term: the cross-worker
-    // symbol identity the committer resolves private pools through.
-    // Names are unique per identity (each side's exploration pool
-    // dedupes names; the nf1./nf2. prefixes keep the sides disjoint).
-    let mut symtab: HashMap<(String, u32), TermRef> = HashMap::new();
-    let slots: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(Slot::Pending)).collect();
-    let next = AtomicUsize::new(0);
-    let cv = Condvar::new();
-    // One mutex guards the "a slot changed" wakeup; per-slot mutexes
-    // hold the payloads so workers never serialise on the committer.
-    let wake = Mutex::new(());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(MAX_COMPOSE_WORKERS).min(n) {
-            scope.spawn(|| loop {
-                let ai = next.fetch_add(1, Ordering::Relaxed);
-                if ai >= n {
-                    return;
-                }
-                let spec =
-                    catch_unwind(AssertUnwindSafe(|| speculate_pa(first, second, ai, solver)));
-                *slots[ai].lock().unwrap() = match spec {
-                    Ok(s) => Slot::Done(Box::new(s)),
-                    Err(_) => Slot::Panicked,
-                };
-                let _g = wake.lock().unwrap();
-                cv.notify_all();
-            });
-        }
-        for (ai, slot) in slots.iter().enumerate() {
-            let spec = loop {
-                // Take the slot under its own lock and release it before
-                // any wait: holding it across the wait would block the
-                // worker's write forever.
-                let taken = {
-                    let mut g = slot.lock().unwrap();
-                    std::mem::replace(&mut *g, Slot::Pending)
-                };
-                match taken {
-                    Slot::Done(s) => break Some(*s),
-                    Slot::Panicked => break None,
-                    Slot::Pending => {
-                        let g = wake.lock().unwrap();
-                        // Re-check under the wake lock: the worker may
-                        // have filled the slot (and notified) between
-                        // the take above and acquiring the wake lock.
-                        let filled = !matches!(*slot.lock().unwrap(), Slot::Pending);
-                        if !filled {
-                            drop(cv.wait(g).unwrap());
-                        }
-                    }
-                }
-            };
-            let (lp, body) = spec.unwrap_or_else(|| speculate_pa(first, second, ai, solver));
-            // Absorb the worker's private pool: deterministic re-intern
-            // through the public constructors in arena order, symbols
-            // resolved by (name, width) through the shared table — the
-            // shared arena gains exactly the nodes the sequential fold
-            // would have interned at this upstream path, in the same
-            // order.
-            let tmap = pool.absorb_with(&lp, |p, name, w| {
-                let key = (name.to_string(), w.bits());
-                if let Some(&t) = symtab.get(&key) {
-                    t
-                } else {
-                    let t = p.fresh_sym(name, w);
-                    symtab.insert(key, t);
-                    t
-                }
-            });
-            let body = remap_body(body, &tmap);
-            // Replay the worker's solver schedule against the shared
-            // cache so memo/model state and every counter evolve
-            // exactly as sequentially — and hard-assert that the
-            // speculative verdicts agree (a divergence would mean a
-            // solver fast path stopped being classification-identical).
-            if let PaBody::Forwarding { ca, pairs } = &body {
-                let mut upstream = SolverCtx::new(solver);
-                for &c in ca {
-                    upstream.assert_term(&pool, c);
-                }
-                for pair in pairs {
-                    upstream.push();
-                    for &c in &pair.tail {
+    // One upstream path against private state, in private-pool refs.
+    // Valid at any time, in any order: the body depends only on the two
+    // (immutable) operand contracts.
+    let speculate = |&ai: &usize| {
+        let mut pool = TermPool::new();
+        let mut mig = Migrator::new(first, second);
+        let mut cache = SolverCache::new();
+        let pa = &first.paths[ai];
+        let body = compose_one(&mut pool, &mut mig, pa, second, solver, &mut cache);
+        (pool, body)
+    };
+    // Keys are upstream path indices, stacked so they pop in path order.
+    let roots: Vec<usize> = (0..first.paths.len()).rev().collect();
+    let workers = threads.saturating_sub(1);
+    speculate::run(workers, roots, &speculate, |ai, spec| {
+        let pa = &first.paths[ai];
+        #[cfg(test)]
+        let spec = match tests::forced_route(ai) {
+            Some(absorbed) => absorbed.then(|| speculate(&ai)),
+            None => spec,
+        };
+        let body = match spec {
+            None => compose_one(&mut pool, &mut mig, pa, second, solver, cache),
+            Some((private, mut body)) => {
+                let tmap = pool.absorb_with(&private, |p, name, w| mig.syms.sym_for(p, name, w));
+                remap_body(&mut body, &tmap);
+                // Replay the step's solver schedule against the shared
+                // cache — and hard-assert that the speculative verdicts
+                // agree (a divergence would mean a solver fast path
+                // stopped being classification-identical).
+                if let PaBody::Forwarding { ca, pairs } = &body {
+                    let mut upstream = SolverCtx::new(solver);
+                    for &c in ca {
                         upstream.assert_term(&pool, c);
                     }
-                    let feasible = upstream.current_feasible(&pool, cache);
-                    upstream.pop();
-                    assert_eq!(
-                        feasible, pair.feasible,
-                        "speculative pair verdict diverged from the shared-cache \
-                         replay (solver fast path not classification-identical?)"
-                    );
+                    for pair in pairs {
+                        upstream.push();
+                        for &c in &pair.tail {
+                            upstream.assert_term(&pool, c);
+                        }
+                        let feasible = upstream.current_feasible(&pool, cache);
+                        upstream.pop();
+                        assert_eq!(
+                            feasible, pair.feasible,
+                            "speculative pair verdict diverged from the shared-cache \
+                             replay (solver fast path not classification-identical?)"
+                        );
+                    }
                 }
+                body
             }
-            push_paths(&mut paths, &pool, &first.paths[ai], second, body);
-        }
+        };
+        push_paths(&mut paths, &pool, pa, second, body);
+        ControlFlow::Continue(Vec::new())
     });
     NfContract { pool, paths }
-}
-
-/// Execute one upstream path against fresh private state. Valid at any
-/// time, in any order: the body depends only on the two (immutable)
-/// operand contracts, never on sibling speculation. Feasibility verdicts
-/// computed here are classification-identical to the committer's
-/// shared-cache replay — `Unsat` comes only from the deterministic,
-/// ref-index-independent propagation/enumeration half of the solver.
-fn speculate_pa(
-    first: &NfContract,
-    second: &NfContract,
-    ai: usize,
-    solver: &Solver,
-) -> (TermPool, PaBody) {
-    let mut pool = TermPool::new();
-    let mut cache = SolverCache::new();
-    let mut mig_a = Migrator::new(&first.pool, "nf1");
-    let mut mig_b = Migrator::new(&second.pool, "nf2");
-    let body = compose_one(
-        &mut pool,
-        &mut mig_a,
-        &mut mig_b,
-        &first.paths[ai],
-        second,
-        solver,
-        &mut cache,
-    );
-    (pool, body)
 }
 
 // ---------------------------------------------------------------------------
@@ -1221,10 +1089,7 @@ impl<'s> Pipeline<'s> {
         };
         self.stages
             .iter()
-            .map(|s| match store {
-                Some(st) => s.explore_contract_cached_threads(level, st, threads),
-                None => s.explore_contract_threads(level, threads),
-            })
+            .map(|s| s.explore_contract(level, store, threads).0)
             .collect()
     }
 
@@ -1386,7 +1251,7 @@ mod tests {
         }
     }
 
-    fn filter_contract(body: impl Fn(&mut bolt_see::SymbolicCtx<'_>)) -> NfContract {
+    fn filter_contract(body: impl Fn(&mut bolt_see::SymbolicCtx<'_>) + Sync) -> NfContract {
         let reg = nf_lib::registry::DsRegistry::new();
         crate::contract::generate(&reg, Explorer::new().explore(|ctx| body(ctx)))
     }
@@ -1426,6 +1291,54 @@ mod tests {
                 cache.stats, seq_cache.stats,
                 "solver counters diverged at {threads} threads"
             );
+        }
+    }
+
+    thread_local! {
+        /// Test-only route forcing: with a mask installed, upstream
+        /// path `ai` takes the absorbed route iff bit `ai % 64` is set,
+        /// whatever the engine handed over.
+        static ROUTES: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+    }
+
+    pub(super) fn forced_route(ai: usize) -> Option<bool> {
+        ROUTES.get().map(|mask| mask >> (ai % 64) & 1 == 1)
+    }
+
+    #[test]
+    fn mixed_routes_are_bit_identical_to_all_direct() {
+        // The engine's invariant, pinned without a race: whichever
+        // upstream paths take the absorbed route, the composed contract
+        // and the shared cache's counters are the all-direct ones —
+        // for both operand orders and a 3-stage fold through one cache
+        // (whose second step's upstream is itself composed).
+        let (a, b) = toy_pair();
+        let f = filter_contract(mark_filter(20, "f-hit", "f-miss"));
+        let chains: [(&str, Vec<&NfContract>); 3] = [
+            ("up→down", vec![&a, &b]),
+            ("down→up", vec![&b, &a]),
+            ("filter→up→down", vec![&f, &a, &b]),
+        ];
+        let solver = Solver::default();
+        let fold = |stages: &[&NfContract]| {
+            let mut cache = SolverCache::new();
+            let mut acc = compose_pair(stages[0], stages[1], &solver, &mut cache, 1);
+            for next in &stages[2..] {
+                acc = compose_pair(&acc, next, &solver, &mut cache, 1);
+            }
+            (encode_contract(&acc), cache.stats)
+        };
+        // Every path absorbed, then 16 seeded masks.
+        let seeded = (1..=16u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29));
+        let masks: Vec<u64> = std::iter::once(u64::MAX).chain(seeded).collect();
+        for (name, stages) in &chains {
+            let direct = fold(stages);
+            for &mask in &masks {
+                ROUTES.set(Some(mask));
+                let mixed = fold(stages);
+                ROUTES.set(None);
+                assert_eq!(mixed, direct, "{name}: route mask {mask:#x} diverged");
+            }
         }
     }
 

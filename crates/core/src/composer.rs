@@ -357,21 +357,13 @@ fn stage_contract(
     explored: &mut usize,
     cached: &mut usize,
 ) -> NfContract {
-    match store {
-        Some(st) => {
-            let (c, was_cached) = stage.explore_contract_via_store(level, st, threads);
-            if was_cached {
-                *cached += 1;
-            } else {
-                *explored += 1;
-            }
-            c
-        }
-        None => {
-            *explored += 1;
-            stage.explore_contract_threads(level, threads)
-        }
+    let (c, was_cached) = stage.explore_contract(level, store, threads);
+    if was_cached {
+        *cached += 1;
+    } else {
+        *explored += 1;
     }
+    c
 }
 
 /// Greedy commutativity partition: stage `i` joins the current group iff

@@ -52,9 +52,9 @@ pub const BURST_CHUNK: usize = 32;
 pub const THREADS_ENV: &str = "BOLT_THREADS";
 
 /// The ambient exploration thread count: `BOLT_THREADS` when set to a
-/// positive integer, else 1 (sequential — all existing behaviour
-/// unchanged). Exploration output is bit-identical at any value; the
-/// knob only trades cores for wall-clock.
+/// positive integer, else 1 (nothing spawned). Exploration output is
+/// bit-identical at any value; the knob only trades cores for
+/// wall-clock.
 pub fn ambient_threads() -> usize {
     std::env::var(THREADS_ENV)
         .ok()
@@ -157,9 +157,9 @@ pub trait NetworkFunction {
         self.explore_threads(level, ambient_threads())
     }
 
-    /// [`NetworkFunction::explore`] with an explicit worker-thread
-    /// count (1 = the sequential worklist). Exploration output is
-    /// bit-identical at any count; see [`Explorer::explore_par`].
+    /// [`NetworkFunction::explore`] with an explicit thread count
+    /// ([`Explorer::threads`]: 1 spawns nothing). Exploration output is
+    /// bit-identical at any count.
     fn explore_threads(&self, level: StackLevel, threads: usize) -> Exploration<Self::Ids>
     where
         Self: Sized + Sync,
@@ -168,7 +168,7 @@ pub trait NetworkFunction {
         let ids = self.register(&mut reg);
         let mut explorer = Explorer::new();
         explorer.threads = threads;
-        let result = explorer.explore_par(|ctx| {
+        let result = explorer.explore(|ctx| {
             sym_process_packet(ctx, level, self.packet_len(), |ctx, mbuf| {
                 self.sym_process(ctx, ids, mbuf);
             });
@@ -366,29 +366,16 @@ pub trait AbstractNf {
     /// The NF's short name.
     fn name(&self) -> &'static str;
 
-    /// Run the analysis build and generate the raw contract, on
-    /// `threads` exploration workers (1 = sequential; output is
-    /// bit-identical at any count).
-    fn explore_contract_threads(&self, level: StackLevel, threads: usize) -> NfContract;
-
-    /// Like [`AbstractNf::explore_contract_threads`], but get-or-explore
-    /// against a persistent contract store (warm hits skip the explorer
-    /// and the solver entirely).
-    fn explore_contract_cached_threads(
-        &self,
-        level: StackLevel,
-        store: &ContractStore,
-        threads: usize,
-    ) -> NfContract;
-
-    /// [`AbstractNf::explore_contract_cached_threads`], additionally
-    /// reporting whether the stage was served from the store (`true`) or
-    /// explored fresh (`false`) — the provenance
+    /// Run the analysis build on `threads` exploration threads (output
+    /// is bit-identical at any count) and generate the raw contract —
+    /// get-or-explore against `store` when one is given, where warm hits
+    /// skip the explorer and the solver entirely. The flag reports
+    /// whether the stage was served from the store: the provenance
     /// [`crate::chain::ChainReport`] surfaces per chain run.
-    fn explore_contract_via_store(
+    fn explore_contract(
         &self,
         level: StackLevel,
-        store: &ContractStore,
+        store: Option<&ContractStore>,
         threads: usize,
     ) -> (NfContract, bool);
 
@@ -398,18 +385,6 @@ pub trait AbstractNf {
     /// changed stage config invalidates every composed record downstream
     /// of the stage.
     fn store_key(&self, level: StackLevel) -> crate::store::Fingerprint;
-
-    /// [`AbstractNf::explore_contract_threads`] at the ambient
-    /// `BOLT_THREADS` count.
-    fn explore_contract(&self, level: StackLevel) -> NfContract {
-        self.explore_contract_threads(level, ambient_threads())
-    }
-
-    /// [`AbstractNf::explore_contract_cached_threads`] at the ambient
-    /// `BOLT_THREADS` count.
-    fn explore_contract_cached(&self, level: StackLevel, store: &ContractStore) -> NfContract {
-        self.explore_contract_cached_threads(level, store, ambient_threads())
-    }
 }
 
 impl<N: NetworkFunction + Sync> AbstractNf for N {
@@ -417,29 +392,16 @@ impl<N: NetworkFunction + Sync> AbstractNf for N {
         NetworkFunction::name(self)
     }
 
-    fn explore_contract_threads(&self, level: StackLevel, threads: usize) -> NfContract {
-        self.explore_threads(level, threads).contract().into_inner()
-    }
-
-    fn explore_contract_cached_threads(
+    fn explore_contract(
         &self,
         level: StackLevel,
-        store: &ContractStore,
-        threads: usize,
-    ) -> NfContract {
-        store
-            .get_or_explore_threads(self, level, threads)
-            .contract()
-            .into_inner()
-    }
-
-    fn explore_contract_via_store(
-        &self,
-        level: StackLevel,
-        store: &ContractStore,
+        store: Option<&ContractStore>,
         threads: usize,
     ) -> (NfContract, bool) {
-        let ex = store.get_or_explore_threads(self, level, threads);
+        let ex = match store {
+            Some(st) => st.get_or_explore_threads(self, level, threads),
+            None => self.explore_threads(level, threads),
+        };
         let cached = ex.cached;
         (ex.contract().into_inner(), cached)
     }

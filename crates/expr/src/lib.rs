@@ -15,11 +15,16 @@
 //!
 //! The split mirrors the paper: terms describe *which inputs take which
 //! path*; performance expressions describe *what that path costs*.
+//!
+//! [`speculate`] is the ordered speculate/commit engine that both users
+//! of [`TermPool::absorb_with`] — path exploration and chain
+//! composition — run their loops on.
 
 pub mod perf;
 pub mod pool;
+pub mod speculate;
 pub mod term;
 
 pub use perf::{Monomial, PcvAssignment, PcvId, PcvTable, PerfExpr};
-pub use pool::TermPool;
+pub use pool::{SymTable, TermPool};
 pub use term::{BinOp, SymId, Term, TermRef, UnOp, Width};

@@ -11,6 +11,7 @@
 //! table hashes *into the arena* (an open-addressed index table) instead
 //! of keying a `HashMap` by cloned `Term`s, so each node is stored once.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher as _};
 use std::sync::Arc;
@@ -102,6 +103,31 @@ fn merge_syms(a: &Arc<[SymId]>, b: &Arc<[SymId]>) -> Arc<[SymId]> {
         return Arc::clone(a); // b ⊆ a
     }
     out.into()
+}
+
+/// `(name, width) → symbol term` for one destination [`TermPool`]: the
+/// identity of a symbol across the steps that build that pool, whether
+/// a step mints it directly or [`TermPool::absorb_with`] meets it in a
+/// private pool. Width is part of the identity, so a name reused at a
+/// different width (degenerate, but possible with order-dependent
+/// `fresh` ordinals) gets its own symbol.
+#[derive(Debug, Default)]
+pub struct SymTable {
+    by_name: HashMap<String, Vec<TermRef>>,
+}
+
+impl SymTable {
+    /// `pool`'s term for the symbol `name` at width `w`, minted on
+    /// first sight. Looks up by `&str`: only a first sight allocates.
+    pub fn sym_for(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
+        let mut known = self.by_name.get(name).into_iter().flatten();
+        if let Some(&t) = known.find(|&&t| pool.width(t) == w) {
+            return t;
+        }
+        let t = pool.fresh_sym(name, w);
+        self.by_name.entry(name.to_string()).or_default().push(t);
+        t
+    }
 }
 
 impl TermPool {
@@ -623,8 +649,8 @@ impl TermPool {
     ///
     /// `sym` resolves symbol identity across pools — given the symbol's
     /// name and width, it must return the destination pool's term for
-    /// it (registering a fresh symbol on first sight). Callers that
-    /// share symbols across runs pass their registry lookup here.
+    /// it (registering a fresh symbol on first sight): pass the
+    /// destination's [`SymTable::sym_for`].
     pub fn absorb_with(
         &mut self,
         src: &TermPool,

@@ -12,38 +12,24 @@
 //! Solving is incremental throughout: each run extends one
 //! [`SolverCtx`] constraint-by-constraint as it executes, every flip is
 //! probed with a single push/pop against the saved propagation state of
-//! the walked prefix (replacing the old per-flip constraint rescan and
-//! from-scratch solve), and all runs share a [`bolt_solver::SolverCache`]
+//! the walked prefix, and all runs share a [`bolt_solver::SolverCache`]
 //! of feasibility verdicts and models. [`ExplorationResult::stats`]
 //! reports what answered each request.
 //!
-//! # Parallel exploration
-//!
-//! With [`Explorer::threads`] > 1, worklist entries are executed by a
-//! fixed-size worker pool ([`std::thread::scope`]) while a sequential
-//! *committer* merges their results in exact sequential worklist order.
-//! Workers are pure speculation: each runs one decision prefix against a
-//! private [`TermPool`] and private solver state (a run's decisions are
-//! classification-deterministic, so speculative execution always agrees
-//! with what the sequential explorer would have done). The committer
-//! then absorbs each private pool into the shared one (deterministic
-//! re-interning through [`TermPool::absorb_with`] — the same machinery
-//! that makes decoded-store rehydration `TermRef`-identical) and
-//! *replays* the run's probe/assert sequence against the shared
-//! [`bolt_solver::SolverCache`], so the cache, its counters, and the
-//! flip-derived worklist evolve exactly as in a sequential run. The
-//! result — pool arena order, path order, decisions, tags, verdicts,
-//! metrics, stats, truncation — is bit-identical at any thread count.
+//! The worklist runs on [`bolt_expr::speculate`], whose module docs
+//! carry the determinism argument: a key is a decision prefix, a step is
+//! one run plus its flip walk, and [`Explorer::threads`] only sets how
+//! many workers speculate runs ahead of the committer. The result — pool
+//! arena order, path order, decisions, tags, verdicts, metrics, stats,
+//! truncation — is bit-identical at any thread count.
 
-use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::ops::ControlFlow;
 
-use bolt_expr::{Term, TermPool, TermRef};
+use bolt_expr::{speculate, Term, TermPool, TermRef};
 use bolt_solver::{Solver, SolverCtx, SolverStats};
 use bolt_trace::TraceEvent;
 
-use crate::symbolic::{ConstraintEntry, ExploreShared, PacketField, RunRecord, SymbolicCtx};
+use crate::symbolic::{ExploreShared, PacketField, RunRecord, SymbolicCtx};
 use crate::NfVerdict;
 
 /// One explored feasible execution path.
@@ -122,10 +108,9 @@ pub struct Explorer {
     pub solver: Solver,
     /// Hard cap on explored paths (defence against unbounded NF loops).
     pub max_paths: usize,
-    /// Worker threads for [`Explorer::explore_par`]. 1 (the default)
-    /// runs the plain sequential worklist; higher counts speculate
-    /// worklist entries on a worker pool and commit them sequentially,
-    /// with bit-identical output at any value.
+    /// Threads exploring: the committing caller plus `threads - 1`
+    /// workers speculating worklist entries ahead of it. 1 (the
+    /// default) spawns nothing; output is bit-identical at any value.
     pub threads: usize,
 }
 
@@ -152,42 +137,67 @@ impl Explorer {
     /// If the feasible-path tree exceeds `max_paths`, exploration stops
     /// and the result is marked [`ExplorationResult::truncated`] instead
     /// of panicking, so library callers can handle path explosion.
-    pub fn explore<F>(&self, mut body: F) -> ExplorationResult
+    pub fn explore<F>(&self, body: F) -> ExplorationResult
     where
-        F: FnMut(&mut SymbolicCtx<'_>),
+        F: Fn(&mut SymbolicCtx<'_>) + Sync,
     {
         let mut pool = TermPool::new();
         let mut shared = ExploreShared::default();
         let mut paths = Vec::new();
         let mut truncated = false;
         let mut runs = 0u64;
-        // Worklist of decision prefixes; the final decision of each prefix
+        // One run against private state, in private-pool refs. Valid at
+        // any time, in any order: a run's behaviour depends only on its
+        // decision prefix, never on sibling runs.
+        let speculate = |prefix: &Vec<bool>| {
+            let mut pool = TermPool::new();
+            let mut shared = ExploreShared::default();
+            let mut ctx =
+                SymbolicCtx::with_shared(&mut pool, &self.solver, prefix.clone(), &mut shared);
+            body(&mut ctx);
+            let rec = ctx.finish();
+            (pool, rec)
+        };
+        // Keys are decision prefixes; the final decision of each prefix
         // is the flip that spawned it.
-        let mut worklist: Vec<Vec<bool>> = vec![Vec::new()];
-        while let Some(prefix) = worklist.pop() {
+        let roots = vec![Vec::new()];
+        let workers = self.threads.saturating_sub(1);
+        speculate::run(workers, roots, &speculate, |prefix, spec| {
             if paths.len() >= self.max_paths {
                 // Path explosion: stop exploring and report truncation.
                 truncated = true;
-                break;
+                return ControlFlow::Break(());
             }
             runs += 1;
             let prefix_len = prefix.len();
-            let mut ctx = SymbolicCtx::with_shared(&mut pool, &self.solver, prefix, &mut shared);
-            body(&mut ctx);
-            let feasible = ctx.path_feasible();
-            let rec = ctx.finish();
+            #[cfg(test)]
+            let spec = match tests::forced_route(runs) {
+                Some(absorbed) => absorbed.then(|| speculate(&prefix)),
+                None => spec,
+            };
+            let (rec, feasible) = match spec {
+                None => {
+                    let mut ctx =
+                        SymbolicCtx::with_shared(&mut pool, &self.solver, prefix, &mut shared);
+                    body(&mut ctx);
+                    let feasible = ctx.path_feasible();
+                    (ctx.finish(), feasible)
+                }
+                Some((private, rec)) => {
+                    self.absorb(&mut pool, &mut shared, prefix_len, &private, rec)
+                }
+            };
 
             // Enqueue feasible flips of the decisions made beyond the
             // prefix (the prefix's own decisions were already covered when
             // their parent run enqueued them). One incrementally-extended
             // context walks the entries in assertion order; each flip is
-            // one push/pop probe against the walked prefix state — the old
-            // code rebuilt the constraint prefix and re-solved from
-            // scratch for every flip, O(n²) per run.
+            // one push/pop probe against the walked prefix state.
             let mut walk = SolverCtx::new(&self.solver);
             if let Some(m) = &rec.model {
                 walk.install_model(&pool, m.clone());
             }
+            let mut children = Vec::new();
             for e in &rec.entries {
                 if let Some(i) = e.branch {
                     if i >= prefix_len {
@@ -200,7 +210,7 @@ impl Explorer {
                         if walk.probe_feasible(&pool, &mut shared.cache, flipped) {
                             let mut alt: Vec<bool> = rec.decisions[..i].to_vec();
                             alt.push(!rec.decisions[i]);
-                            worklist.push(alt);
+                            children.push(alt);
                         }
                     }
                 }
@@ -219,79 +229,7 @@ impl Explorer {
                     decisions: rec.decisions,
                 });
             }
-        }
-        let stats = ExploreStats {
-            solver: shared.cache.stats,
-            runs,
-            terms_interned: pool.len() as u64,
-            syms_minted: pool.sym_count() as u64,
-        };
-        ExplorationResult {
-            pool,
-            paths,
-            stats,
-            truncated,
-        }
-    }
-
-    /// Like [`Explorer::explore`], but shareable across threads: with
-    /// [`Explorer::threads`] > 1, worklist entries run speculatively on
-    /// a worker pool and a deterministic committer orders, merges, and
-    /// replays them so the result is bit-identical to the sequential
-    /// exploration — same pool arena, same path order, same decisions,
-    /// tags, verdicts and metrics, same solver counters, same
-    /// truncation behaviour. With `threads <= 1` this *is*
-    /// [`Explorer::explore`].
-    pub fn explore_par<F>(&self, body: F) -> ExplorationResult
-    where
-        F: Fn(&mut SymbolicCtx<'_>) + Sync,
-    {
-        if self.threads <= 1 {
-            return self.explore(body);
-        }
-        // Clamp: an absurd env-driven count (`BOLT_THREADS=100000`)
-        // must degrade to oversubscription, not abort the process when
-        // the OS refuses a spawn. Output is thread-count-independent,
-        // so clamping never changes results.
-        let threads = self.threads.min(MAX_WORKERS);
-        let sched = Scheduler::default();
-        let mut pool = TermPool::new();
-        let mut shared = ExploreShared::default();
-        let mut paths = Vec::new();
-        let mut truncated = false;
-        let mut runs = 0u64;
-        std::thread::scope(|scope| {
-            // Stop the workers however this closure exits: a panic on
-            // the committer's thread (an NF-body panic is re-raised
-            // here) must not leave workers parked on the condvar, or
-            // `thread::scope`'s implicit join would deadlock the unwind.
-            let _stop_workers = ShutdownGuard(&sched);
-            for _ in 0..threads {
-                scope.spawn(|| sched.worker_loop(&self.solver, &body));
-            }
-            // The committer mirrors the sequential worklist exactly; the
-            // scheduler queue is a rear-window copy of it, so workers
-            // naturally speculate the entries the committer needs next.
-            let mut worklist: Vec<Vec<bool>> = vec![Vec::new()];
-            sched.submit(Vec::new());
-            while let Some(prefix) = worklist.pop() {
-                if paths.len() >= self.max_paths {
-                    truncated = true;
-                    break;
-                }
-                runs += 1;
-                let spec = sched
-                    .take(&prefix)
-                    .unwrap_or_else(|| speculate(&self.solver, &body, prefix.clone()));
-                let (path, children) = self.commit(&mut pool, &mut shared, prefix.len(), spec);
-                for child in children {
-                    worklist.push(child.clone());
-                    sched.submit(child);
-                }
-                if let Some(p) = path {
-                    paths.push(p);
-                }
-            }
+            ControlFlow::Continue(children)
         });
         let stats = ExploreStats {
             solver: shared.cache.stats,
@@ -307,48 +245,49 @@ impl Explorer {
         }
     }
 
-    /// Merge one speculative run into the shared state, in sequential
-    /// position. Three steps, each mirroring what the sequential loop
-    /// would have done at this worklist entry:
+    /// The absorbed route of one step: bring a speculated run into the
+    /// shared state, leaving what the direct run would have left.
     ///
-    /// 1. absorb the worker's private pool (deterministic re-intern;
-    ///    symbols resolve through the shared cross-run registry), so the
-    ///    shared arena gains exactly the nodes a sequential run would
-    ///    have interned here, in the same order;
-    /// 2. replay the run's solver interaction — the in-run decision
+    /// 1. Absorb the private pool (symbols resolve through the shared
+    ///    cross-run table) and remap the record into shared refs.
+    /// 2. Replay the run's solver interaction — the in-run decision
     ///    probes and asserts in assertion order, then the whole-path
-    ///    feasibility check — against the shared cache, so memo/model
-    ///    state and every counter evolve exactly as sequentially;
-    /// 3. walk the flips to enqueue feasible alternatives (the
-    ///    worklist-extension walk of the sequential loop, verbatim).
-    fn commit(
+    ///    feasibility check — against the shared cache.
+    fn absorb(
         &self,
         pool: &mut TermPool,
         shared: &mut ExploreShared,
         prefix_len: usize,
-        spec: SpecResult,
-    ) -> (Option<Path>, Vec<Vec<bool>>) {
-        let SpecResult { pool: lp, rec } = spec;
-        let tmap = pool.absorb_with(&lp, |p, name, w| shared.sym_for(p, name, w));
+        private: &TermPool,
+        mut rec: RunRecord,
+    ) -> (RunRecord, bool) {
+        let tmap = pool.absorb_with(private, |p, name, w| shared.sym_for(p, name, w));
         let remap = |t: TermRef| tmap[t.index()];
-        let entries: Vec<ConstraintEntry> = rec
-            .entries
-            .iter()
-            .map(|e| ConstraintEntry {
-                term: remap(e.term),
-                branch: e.branch,
-            })
-            .collect();
-        let branch_conds: Vec<TermRef> = rec.branch_conds.iter().copied().map(remap).collect();
+        for e in &mut rec.entries {
+            e.term = remap(e.term);
+        }
+        for c in &mut rec.branch_conds {
+            *c = remap(*c);
+        }
+        for f in &mut rec.packet_fields {
+            f.term = remap(f.term);
+            f.sym = match *pool.get(f.term) {
+                Term::Sym { id, .. } => id,
+                _ => unreachable!("packet-field terms are symbols"),
+            };
+        }
+        for (_, _, t) in &mut rec.final_packet {
+            *t = remap(*t);
+        }
 
-        // Step 2: replay. Beyond the scheduled prefix, every decision
-        // was probed before its constraint was asserted; scheduled
-        // decisions and `assume`s assert without probing.
+        // Beyond the scheduled prefix, every decision was probed before
+        // its constraint was asserted; scheduled decisions and `assume`s
+        // assert without probing.
         let mut rctx = SolverCtx::new(&self.solver);
-        for e in &entries {
+        for e in &rec.entries {
             if let Some(i) = e.branch {
                 if i >= prefix_len {
-                    let taken = rctx.probe_feasible(pool, &mut shared.cache, branch_conds[i]);
+                    let taken = rctx.probe_feasible(pool, &mut shared.cache, rec.branch_conds[i]);
                     // Hard assert (one comparison per decision, free
                     // next to the probe): a divergence means the NF
                     // body is nondeterministic or a solver fast path
@@ -366,196 +305,8 @@ impl Explorer {
             rctx.assert_term(pool, e.term);
         }
         let feasible = rctx.current_feasible(pool, &mut shared.cache);
-
-        // Step 3: the flip walk of the sequential loop.
-        let mut walk = SolverCtx::new(&self.solver);
-        if let Some(m) = rctx.model() {
-            walk.install_model(pool, m.clone());
-        }
-        let mut children = Vec::new();
-        for e in &entries {
-            if let Some(i) = e.branch {
-                if i >= prefix_len {
-                    let cond = branch_conds[i];
-                    let flipped = if rec.decisions[i] {
-                        pool.not(cond)
-                    } else {
-                        cond
-                    };
-                    if walk.probe_feasible(pool, &mut shared.cache, flipped) {
-                        let mut alt: Vec<bool> = rec.decisions[..i].to_vec();
-                        alt.push(!rec.decisions[i]);
-                        children.push(alt);
-                    }
-                }
-            }
-            walk.assert_term(pool, e.term);
-        }
-
-        let path = feasible.then(|| Path {
-            constraints: entries.iter().map(|e| e.term).collect(),
-            events: rec.events,
-            tags: rec.tags,
-            verdict: rec.verdicts.last().copied(),
-            packet_fields: rec
-                .packet_fields
-                .iter()
-                .map(|f| {
-                    let term = remap(f.term);
-                    let sym = match *pool.get(term) {
-                        Term::Sym { id, .. } => id,
-                        _ => unreachable!("packet-field terms are symbols"),
-                    };
-                    PacketField {
-                        offset: f.offset,
-                        bytes: f.bytes,
-                        sym,
-                        term,
-                    }
-                })
-                .collect(),
-            final_packet: rec
-                .final_packet
-                .iter()
-                .map(|&(o, b, t)| (o, b, remap(t)))
-                .collect(),
-            decisions: rec.decisions,
-        });
-        (path, children)
-    }
-}
-
-/// Hard ceiling on spawned speculation workers, whatever
-/// [`Explorer::threads`] says (worklist width rarely rewards more, and
-/// a runaway `BOLT_THREADS` must not exhaust OS threads).
-const MAX_WORKERS: usize = 256;
-
-/// One speculative run: the worker's private pool plus the raw record
-/// its execution produced. Everything in the record is expressed in
-/// private-pool refs/ids until the committer absorbs it.
-struct SpecResult {
-    pool: TermPool,
-    rec: RunRecord,
-}
-
-/// Execute one worklist entry against fresh private state. Valid at any
-/// time, in any order: a run's behaviour depends only on its decision
-/// prefix (decisions beyond it are classification-deterministic), never
-/// on sibling runs.
-fn speculate<F>(solver: &Solver, body: &F, prefix: Vec<bool>) -> SpecResult
-where
-    F: Fn(&mut SymbolicCtx<'_>),
-{
-    let mut pool = TermPool::new();
-    let mut shared = ExploreShared::default();
-    let mut ctx = SymbolicCtx::with_shared(&mut pool, solver, prefix, &mut shared);
-    body(&mut ctx);
-    let rec = ctx.finish();
-    SpecResult { pool, rec }
-}
-
-/// Work distribution between the committer and the speculation workers.
-/// `queue` mirrors the committer's worklist tail (LIFO — the entry the
-/// committer pops next is speculated first); `done` holds finished runs
-/// until the committer collects them (`None` marks a worker panic; the
-/// committer re-runs inline so the panic surfaces on its thread).
-#[derive(Default)]
-struct SchedState {
-    queue: Vec<Vec<bool>>,
-    running: HashSet<Vec<bool>>,
-    done: HashMap<Vec<bool>, Option<SpecResult>>,
-    shutdown: bool,
-}
-
-#[derive(Default)]
-struct Scheduler {
-    state: Mutex<SchedState>,
-    cv: Condvar,
-}
-
-/// Calls [`Scheduler::shutdown`] on drop, so the worker pool is released
-/// on every committer exit path — normal completion, truncation, and
-/// panic unwind alike.
-struct ShutdownGuard<'a>(&'a Scheduler);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-impl Scheduler {
-    /// Make a worklist entry available for speculation.
-    fn submit(&self, prefix: Vec<bool>) {
-        let mut st = self.state.lock().unwrap();
-        st.queue.push(prefix);
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Stop the workers (the committer's worklist is exhausted,
-    /// truncated, or unwinding; un-taken speculation is abandoned).
-    /// Poison-tolerant: this runs from [`ShutdownGuard`]'s drop during
-    /// a panic unwind, where a second panic would abort the process.
-    fn shutdown(&self) {
-        let mut st = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        st.shutdown = true;
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Collect the speculative result for `prefix`: wait if a worker is
-    /// on it, steal it from the queue otherwise. `None` means the
-    /// committer must execute the entry itself (it was still queued, or
-    /// its worker panicked).
-    fn take(&self, prefix: &[bool]) -> Option<SpecResult> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(outcome) = st.done.remove(prefix) {
-                return outcome;
-            }
-            if !st.running.contains(prefix) {
-                // Still queued (or never reached a worker): claim it and
-                // run inline rather than waiting for a free worker.
-                if let Some(pos) = st.queue.iter().rposition(|p| p == prefix) {
-                    st.queue.remove(pos);
-                }
-                return None;
-            }
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    /// Worker: repeatedly speculate the most recently queued entry.
-    fn worker_loop<F>(&self, solver: &Solver, body: &F)
-    where
-        F: Fn(&mut SymbolicCtx<'_>) + Sync,
-    {
-        loop {
-            let prefix = {
-                let mut st = self.state.lock().unwrap();
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    if let Some(p) = st.queue.pop() {
-                        st.running.insert(p.clone());
-                        break p;
-                    }
-                    st = self.cv.wait(st).unwrap();
-                }
-            };
-            let spec =
-                catch_unwind(AssertUnwindSafe(|| speculate(solver, body, prefix.clone()))).ok();
-            let mut st = self.state.lock().unwrap();
-            st.running.remove(&prefix);
-            st.done.insert(prefix, spec);
-            drop(st);
-            self.cv.notify_all();
-        }
+        rec.model = rctx.model().cloned();
+        (rec, feasible)
     }
 }
 
@@ -717,7 +468,7 @@ mod tests {
         for threads in [2, 3, 8] {
             let mut ex = Explorer::new();
             ex.threads = threads;
-            let par = ex.explore_par(toy_router);
+            let par = ex.explore(toy_router);
             // The encoded result pins everything: pool arena order,
             // symbol registry, path order, constraints, events, tags,
             // verdicts, stats, truncation.
@@ -741,7 +492,7 @@ mod tests {
             let mut ex = Explorer::new();
             ex.max_paths = 2;
             ex.threads = threads;
-            let par = ex.explore_par(toy_router);
+            let par = ex.explore(toy_router);
             assert!(
                 par.truncated,
                 "truncation marker must survive {threads} threads"
@@ -754,11 +505,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "nf body panicked")]
     fn parallel_exploration_propagates_body_panics() {
-        // A panicking NF body must unwind out of explore_par (workers
-        // are shut down by the guard), not deadlock the scope join.
+        // A panicking NF body must unwind out of explore (the engine
+        // releases its workers), not deadlock the scope join.
         let mut ex = Explorer::new();
         ex.threads = 2;
-        let _ = ex.explore_par(|ctx| {
+        let _ = ex.explore(|ctx| {
             let pkt = ctx.packet(64);
             let b = ctx.load(pkt, 0, 1);
             let z = ctx.lit(0, Width::W8);
@@ -768,16 +519,71 @@ mod tests {
         });
     }
 
+    /// Stateful-NF shape: model calls mint `fresh` symbols (a repeated
+    /// name gets a per-run ordinal) and `fork` on them, so which step
+    /// first meets a symbol depends on the routes taken before it.
+    fn toy_table_nf(ctx: &mut SymbolicCtx<'_>) {
+        let pkt = ctx.packet(64);
+        let hit = ctx.fresh("table.get.hit", Width::W1);
+        if ctx.fork(hit) {
+            ctx.tag("known");
+            let port = ctx.fresh("table.get.value", Width::W16);
+            let ports = ctx.lit(4, Width::W16);
+            let in_range = ctx.ult(port, ports);
+            ctx.assume(in_range);
+            let hit = ctx.fresh("table.get.hit", Width::W1);
+            if ctx.fork(hit) {
+                let out = ctx.fresh("table.get.value", Width::W16);
+                let same = ctx.eq(out, port);
+                ctx.branch(same);
+                ctx.store(pkt, 30, out, 2);
+            }
+            ctx.verdict(NfVerdict::Forward(1));
+        } else {
+            ctx.tag("learn");
+            let et = ctx.load(pkt, 12, 2);
+            ctx.branch_eq_imm(et, 0x0800, Width::W16);
+            ctx.verdict(NfVerdict::Flood);
+        }
+    }
+
+    thread_local! {
+        /// Test-only route forcing: with a mask installed, run number
+        /// `n` takes the absorbed route iff bit `n % 64` is set,
+        /// whatever the engine handed over.
+        static ROUTES: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+    }
+
+    pub(super) fn forced_route(step: u64) -> Option<bool> {
+        ROUTES.get().map(|mask| mask >> (step % 64) & 1 == 1)
+    }
+
     #[test]
-    fn explore_par_single_thread_is_the_sequential_explorer() {
-        let mut ex = Explorer::new();
-        ex.threads = 1;
-        let a = ex.explore_par(toy_router);
-        let b = Explorer::new().explore(toy_router);
-        assert_eq!(
-            crate::codec::encode_result(&a),
-            crate::codec::encode_result(&b)
-        );
+    fn mixed_routes_are_bit_identical_to_all_direct() {
+        // The engine's invariant, pinned without a race: whichever
+        // steps take the absorbed route, the result — arena, symbols,
+        // paths, stats, truncation — is the all-direct one. Masks:
+        // every step absorbed, then 16 seeded ones.
+        let seeded = (1..=16u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29));
+        let masks: Vec<u64> = std::iter::once(u64::MAX).chain(seeded).collect();
+        let check = |name: &str, body: fn(&mut SymbolicCtx<'_>)| {
+            for max_paths in [65536, 3] {
+                let mut ex = Explorer::new();
+                ex.max_paths = max_paths;
+                let direct = crate::codec::encode_result(&ex.explore(body));
+                for &mask in &masks {
+                    ROUTES.set(Some(mask));
+                    let mixed = crate::codec::encode_result(&ex.explore(body));
+                    ROUTES.set(None);
+                    assert_eq!(
+                        mixed, direct,
+                        "{name} (max_paths {max_paths}): route mask {mask:#x} diverged"
+                    );
+                }
+            }
+        };
+        check("router", toy_router);
+        check("table", toy_table_nf);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 
 use std::collections::HashMap;
 
-use bolt_expr::{BinOp, SymId, TermPool, TermRef, Width};
+use bolt_expr::{BinOp, SymId, SymTable, TermPool, TermRef, Width};
 use bolt_solver::{Solver, SolverCache, SolverCtx, Witness};
 use bolt_trace::{AddressSpace, InstrClass, MemRegion, RecordingTracer, TraceEvent, Tracer};
 
 use crate::{NfCtx, NfVerdict};
 
 /// State shared across the runs of one exploration: the solver's
-/// feasibility caches and the cross-run symbol registry (the same packet
+/// feasibility caches and the cross-run symbol table (the same packet
 /// field or model call mints the same symbol in every run, so terms —
 /// and therefore cached feasibility verdicts and models — are shared
 /// between sibling runs instead of re-interned per run).
@@ -30,30 +30,17 @@ use crate::{NfCtx, NfVerdict};
 pub struct ExploreShared {
     /// Feasibility memo, per-atom witness cache, model cache, counters.
     pub cache: SolverCache,
-    /// `(symbol name, width bits) → id` for symbols minted by earlier
-    /// runs. Width is part of the key so a name reused at a different
-    /// width (degenerate, but possible with order-dependent `fresh`
-    /// ordinals) gets its own symbol instead of flip-flopping the entry.
-    sym_registry: HashMap<(String, u32), SymId>,
+    syms: SymTable,
 }
 
 impl ExploreShared {
     /// Mint (or, when an earlier run already minted it, reuse) the
-    /// symbol for `name` in `pool`. Shared by in-run minting
-    /// ([`SymbolicCtx`]'s lazy packet fields and model `fresh` calls)
-    /// and by the parallel committer, which resolves worker-local
-    /// symbols through the same registry while absorbing a private pool
-    /// — both paths therefore assign identical ids in identical order.
+    /// symbol for `name` in `pool`. In-run minting ([`SymbolicCtx`]'s
+    /// lazy packet fields and model `fresh` calls) and the absorption
+    /// of a speculated run's private pool resolve through this one
+    /// table, so both assign identical ids in identical order.
     pub fn sym_for(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
-        let key = (name.to_string(), w.bits());
-        if let Some(&id) = self.sym_registry.get(&key) {
-            return pool.sym_ref(id);
-        }
-        let t = pool.fresh_sym(name, w);
-        if let bolt_expr::Term::Sym { id, .. } = *pool.get(t) {
-            self.sym_registry.insert(key, id);
-        }
-        t
+        self.syms.sym_for(pool, name, w)
     }
 }
 

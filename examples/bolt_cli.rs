@@ -263,7 +263,7 @@ fn levels_of(o: &Opts) -> Vec<StackLevel> {
 fn explore_one(store: &ContractStore, name: &str, level: StackLevel) {
     let nf = nf_by_name(name).unwrap_or_else(|e| die(&e));
     let key = nf.store_key(level);
-    let (contract, cached) = nf.explore_contract_via_store(level, store, ambient_threads());
+    let (contract, cached) = nf.explore_contract(level, Some(store), ambient_threads());
     let source = if cached { "warm" } else { "explored" };
     store
         .put_contract(key, name, level, &contract)

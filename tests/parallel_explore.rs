@@ -1,14 +1,15 @@
-//! Determinism gate for parallel worklist exploration.
+//! Determinism gate for exploration at any thread count.
 //!
-//! The parallel explorer speculates worklist entries on worker threads
-//! and commits them sequentially, absorbing each worker's private term
-//! pool and replaying its solver schedule against the shared cache. The
-//! contract is *bit-identity*: at any thread count the exploration
-//! result — pool arena order, symbol registry, path order, constraints,
-//! decisions, tags, verdicts, stateless event streams, solver counters,
-//! truncation — matches the sequential run exactly. These tests pin
-//! that via the store codec: `encode_result` serialises every one of
-//! those fields, so byte-equal encodings mean bit-equal results.
+//! With more than one thread, workers speculate worklist entries ahead
+//! of the committer (`bolt::expr::speculate`), which absorbs each
+//! private term pool and replays its solver schedule against the shared
+//! cache. The contract is *bit-identity*: at any thread count the
+//! exploration result — pool arena order, symbol table, path order,
+//! constraints, decisions, tags, verdicts, stateless event streams,
+//! solver counters, truncation — matches the one-thread run exactly.
+//! These tests pin that via the store codec: `encode_result` serialises
+//! every one of those fields, so byte-equal encodings mean bit-equal
+//! results.
 
 use bolt::core::nf::NetworkFunction;
 use bolt::nfs::{nat, Bridge, Firewall, LpmRouter, Nat, StaticRouter};
@@ -48,8 +49,8 @@ fn parallel_exploration_is_bit_identical_for_real_nfs() {
 
 #[test]
 fn parallel_solver_counters_match_sequential() {
-    // The committer replays the sequential cache schedule, so the whole
-    // counter block — requests, full solves, memo/witness hits,
+    // The absorbed route replays the direct run's cache schedule, so the
+    // whole counter block — requests, full solves, memo/witness hits,
     // evictions, terms, symbols, runs — is machine-independently equal.
     let seq = Firewall::default()
         .explore_threads(StackLevel::FullStack, 1)
@@ -103,7 +104,7 @@ fn max_paths_truncation_is_deterministic_across_thread_counts() {
         let mut ex = Explorer::new();
         ex.max_paths = 7;
         ex.threads = threads;
-        let par = ex.explore_par(wide_nf);
+        let par = ex.explore(wide_nf);
         assert!(par.truncated, "{threads} threads: marker must survive");
         assert_eq!(par.paths.len(), 7, "{threads} threads: exact path count");
         assert_eq!(
@@ -118,6 +119,6 @@ fn max_paths_truncation_is_deterministic_across_thread_counts() {
     assert_eq!(full_seq.paths.len(), 256);
     let mut ex = Explorer::new();
     ex.threads = 4;
-    let full_par = ex.explore_par(wide_nf);
+    let full_par = ex.explore(wide_nf);
     assert_eq!(encode_result(&full_par), encode_result(&full_seq));
 }
