@@ -66,6 +66,7 @@ use bolt_see::NfVerdict;
 use bolt_solver::{Solver, SolverCache, SolverCtx, SolverStats};
 use bolt_trace::Metric;
 use dpdk_sim::StackLevel;
+use nf_lib::registry::sum3;
 
 use crate::composer::Composer;
 use crate::contract::{NfContract, PathContract};
@@ -148,10 +149,6 @@ impl<'a> Migrator<'a> {
         self.memo[side].insert(t, out);
         out
     }
-}
-
-fn add_perf(a: &[PerfExpr; 3], b: &[PerfExpr; 3]) -> [PerfExpr; 3] {
-    [a[0].add(&b[0]), a[1].add(&b[1]), a[2].add(&b[2])]
 }
 
 /// Everything composing one upstream path produces, expressed in the
@@ -359,7 +356,7 @@ fn push_paths(
                     constraints,
                     tags,
                     verdict: pb.verdict,
-                    perf: add_perf(&pa.perf, &pb.perf),
+                    perf: sum3(&pa.perf, &pb.perf),
                     packet_fields: pair
                         .packet_fields
                         .iter()
@@ -988,12 +985,12 @@ impl fmt::Display for ChainReport {
 /// ```
 ///
 /// With a persistent contract store attached
-/// ([`Pipeline::with_store`], or ambiently via `BOLT_STORE_DIR`), both
-/// halves of the work are memoized: stage explorations are
-/// get-or-explore, and every pairwise fold step is a content-addressed
-/// composed record (keyed by [`crate::store::compose_key`] over the two
-/// operand fingerprints), so a warm chain run is fully solver-free —
-/// [`Pipeline::report`] returns the [`ChainReport`] that proves it.
+/// ([`Pipeline::with_store`]), both halves of the work are memoized:
+/// stage explorations are get-or-explore, and every pairwise fold step
+/// is a content-addressed composed record (keyed by
+/// [`crate::store::compose_key`] over the two operand fingerprints), so
+/// a warm chain run is fully solver-free — [`Pipeline::report`] returns
+/// the [`ChainReport`] that proves it.
 ///
 /// [`Pipeline::parallelize`] additionally partitions the chain into
 /// groups of provably order-independent stages and attaches the
@@ -1075,21 +1072,13 @@ impl<'s> Pipeline<'s> {
     }
 
     /// Each stage's individual contract, upstream first (every stage is
-    /// explored at `level`, through the attached or ambient store when
-    /// one is configured).
+    /// explored at `level`, through the attached store when there is
+    /// one).
     pub fn contracts(&self, level: StackLevel) -> Vec<NfContract> {
         let threads = self.resolved_threads();
-        let env;
-        let store = match self.store {
-            Some(s) => Some(s),
-            None => {
-                env = crate::store::env_store();
-                env.as_ref()
-            }
-        };
         self.stages
             .iter()
-            .map(|s| s.explore_contract(level, store, threads).0)
+            .map(|s| s.explore_contract(level, self.store, threads).0)
             .collect()
     }
 
@@ -1106,7 +1095,7 @@ impl<'s> Pipeline<'s> {
     /// Compose the chain at `level`, reporting what the run actually did.
     ///
     /// The fold walks stages left to right. For every step it first
-    /// consults the store (attached or ambient) under the step's
+    /// consults the attached store, if any, under the step's
     /// [`crate::store::compose_key`]; a hit decodes the composed record
     /// — no stage exploration, no solver work. On a miss the two
     /// operands are materialised (themselves store-backed), composed on

@@ -107,7 +107,7 @@ impl<'a> Composer<'a> {
 
     /// Attach a persistent contract store consulted for stage
     /// explorations, composed fold steps, and chain plans. Overrides a
-    /// pipeline's own store and the ambient `BOLT_STORE_DIR`.
+    /// pipeline's own store.
     pub fn store(mut self, store: &'a ContractStore) -> Self {
         self.store = Some(store);
         self
@@ -165,10 +165,10 @@ impl<'a> Composer<'a> {
     /// [`Composer::parallelize`] enabled, the plan). `None` for an
     /// empty chain.
     ///
-    /// Configuration precedence is composer-over-pipeline-over-ambient:
-    /// an explicit [`Composer::threads`]/[`Composer::store`] wins,
-    /// otherwise the pipeline's own settings, otherwise
-    /// `BOLT_THREADS`/`BOLT_STORE_DIR`.
+    /// Configuration precedence is composer-over-pipeline: an explicit
+    /// [`Composer::threads`]/[`Composer::store`] wins, otherwise the
+    /// pipeline's own settings. Unset threads fall back to
+    /// `BOLT_THREADS`; with no store on either, nothing is persisted.
     pub fn chain(&mut self, pipeline: &Pipeline<'_>, level: StackLevel) -> Option<ChainReport> {
         if pipeline.stages.is_empty() {
             return None;
@@ -177,14 +177,7 @@ impl<'a> Composer<'a> {
             .threads
             .or(pipeline.threads)
             .unwrap_or_else(crate::nf::ambient_threads);
-        let ambient;
-        let store = match self.store.or(pipeline.store) {
-            Some(s) => Some(s),
-            None => {
-                ambient = crate::store::env_store();
-                ambient.as_ref()
-            }
-        };
+        let store = self.store.or(pipeline.store);
         let registry: Arc<Registry> = match store {
             Some(s) => s.metrics().clone(),
             None => bolt_obs::global().clone(),

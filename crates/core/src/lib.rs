@@ -55,6 +55,6 @@ pub use nf::{
     ambient_threads, AbstractNf, Bolt, Contract, Exploration, NetworkFunction, THREADS_ENV,
 };
 pub use store::{
-    compose_key, env_store, level_name, plan_key, store_key, ContractStore, Fingerprint,
-    Fingerprinter, StoreExt,
+    compose_key, level_name, plan_key, store_key, ContractStore, Fingerprint, Fingerprinter,
+    StoreExt,
 };

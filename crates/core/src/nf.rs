@@ -25,8 +25,7 @@
 //! On the concrete path, [`NetworkFunction::process_batch`] processes a
 //! burst of mbufs per call (DPDK-style `rte_rx_burst` loops). The default
 //! implementation loops over [`NetworkFunction::process`]; NFs can
-//! override it to amortise per-burst work (prefetching, batched expiry) —
-//! the hook for future batching speedups.
+//! override it to amortise per-burst work (prefetching, batched expiry).
 
 use bolt_expr::{PcvAssignment, PerfExpr};
 use bolt_see::{ConcreteCtx, ExplorationResult, Explorer, SymbolicCtx};
@@ -41,12 +40,6 @@ pub use bolt_store::{ContractStore, Fingerprinter};
 use crate::classes::InputClass;
 use crate::contract::{generate, NfContract, PathContract, QueryResult};
 use crate::store::StoreExt;
-
-/// Chunk size of the default [`NetworkFunction::process_batch`] walk.
-/// Tuned to the shape real burst loops take (a cache-friendly fraction
-/// of the typical 32–256-mbuf burst); overriding NFs are free to pick
-/// their own.
-pub const BURST_CHUNK: usize = 32;
 
 /// Environment variable naming the ambient exploration thread count.
 pub const THREADS_ENV: &str = "BOLT_THREADS";
@@ -123,15 +116,10 @@ pub trait NetworkFunction {
 
     /// Process a burst of received packets (the DPDK `rx_burst` shape).
     ///
-    /// The default walks the burst in [`BURST_CHUNK`]-sized chunks,
-    /// processing each packet with [`NetworkFunction::process`] and
-    /// emitting one verdict per mbuf in order — the invariant overriding
-    /// implementations must preserve (pinned by the parity test in
-    /// `tests/nf_api.rs`). Behaviourally this walk equals the plain
-    /// per-packet loop; the chunk boundary exists as the seam where
-    /// overriding NFs hang per-chunk amortisation (prefetch of the next
-    /// chunk's headers, shared expiry scans, SIMD classification)
-    /// without re-deriving the ragged-tail bookkeeping.
+    /// The default is the plain per-packet loop over
+    /// [`NetworkFunction::process`], emitting one verdict per mbuf in
+    /// order — the invariant overriding implementations must preserve
+    /// (pinned by the parity test in `tests/nf_api.rs`).
     fn process_batch(
         &self,
         ctx: &mut ConcreteCtx<'_>,
@@ -139,10 +127,8 @@ pub trait NetworkFunction {
         clock: &Clock,
         mbufs: &mut [Mbuf],
     ) {
-        for chunk in mbufs.chunks(BURST_CHUNK) {
-            for mbuf in chunk.iter() {
-                self.process(ctx, state, clock, *mbuf);
-            }
+        for mbuf in mbufs.iter() {
+            self.process(ctx, state, clock, *mbuf);
         }
     }
 
@@ -194,12 +180,11 @@ pub trait NetworkFunction {
 /// Fluent entrypoint: `Bolt::nf(nf).explore(level).contract().query(…)`.
 ///
 /// `explore` consults the persistent contract store when one is attached
-/// with [`Bolt::with_store`] — or ambiently via the `BOLT_STORE_DIR`
-/// environment variable — and skips the explorer (and every solver
-/// query) on a warm hit. With no store, it explores fresh, exactly as
-/// before. [`Bolt::threads`] sets the exploration worker-thread count
-/// (default: ambient `BOLT_THREADS`, else 1); output is bit-identical
-/// at any count.
+/// with [`Bolt::with_store`], and skips the explorer (and every solver
+/// query) on a warm hit. With no store attached it explores fresh and
+/// touches no disk. [`Bolt::threads`] sets the exploration
+/// worker-thread count (default: ambient `BOLT_THREADS`, else 1);
+/// output is bit-identical at any count.
 pub struct Bolt<'s, N> {
     nf: N,
     store: Option<&'s ContractStore>,
@@ -231,17 +216,14 @@ impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
         self
     }
 
-    /// Run the analysis build at a stack level (through the attached or
-    /// ambient store, when one is configured).
+    /// Run the analysis build at a stack level (through the attached
+    /// store, when there is one).
     pub fn explore(self, level: StackLevel) -> Exploration<N::Ids> {
         let threads = self.threads.unwrap_or_else(ambient_threads);
-        if let Some(store) = self.store {
-            return store.get_or_explore_threads(&self.nf, level, threads);
+        match self.store {
+            Some(store) => store.get_or_explore_threads(&self.nf, level, threads),
+            None => self.nf.explore_threads(level, threads),
         }
-        if let Some(store) = crate::store::env_store() {
-            return store.get_or_explore_threads(&self.nf, level, threads);
-        }
-        self.nf.explore_threads(level, threads)
     }
 
     /// The wrapped descriptor.

@@ -9,9 +9,10 @@
 //! on a miss. Exploration is deterministic per (config, level), which is
 //! what makes the cached record a faithful stand-in for a fresh run.
 //!
-//! Opt-in is explicit ([`crate::nf::Bolt::with_store`],
-//! [`crate::chain::Pipeline::with_store`]) or ambient via the
-//! `BOLT_STORE_DIR` environment variable (the bench default).
+//! Opt-in is explicit only ([`crate::nf::Bolt::with_store`],
+//! [`crate::chain::Pipeline::with_store`],
+//! [`crate::composer::Composer::store`]): the library opens no store the
+//! caller did not hand it.
 
 use std::io;
 
@@ -25,9 +26,6 @@ pub use bolt_store::{
 use crate::codec::{decode_contract, encode_contract};
 use crate::contract::NfContract;
 use crate::nf::{Exploration, NetworkFunction};
-
-/// Environment variable naming the ambient store directory.
-pub const STORE_DIR_ENV: &str = "BOLT_STORE_DIR";
 
 /// Stable tag of a stack level (part of the record header and key).
 pub fn level_tag(level: StackLevel) -> u8 {
@@ -52,6 +50,13 @@ pub fn level_name(level: StackLevel) -> &'static str {
         StackLevel::NfOnly => "nf-only",
         StackLevel::FullStack => "full-stack",
     }
+}
+
+/// Parse a stack level's human name back (the inverse of [`level_name`]).
+pub fn level_from_name(name: &str) -> Option<StackLevel> {
+    [StackLevel::NfOnly, StackLevel::FullStack]
+        .into_iter()
+        .find(|&level| level_name(level) == name)
 }
 
 /// The store key of one (NF descriptor, stack level) exploration: name,
@@ -110,16 +115,6 @@ pub fn plan_key(stage_keys: &[Fingerprint], level: StackLevel) -> Fingerprint {
     }
     fp.u8(level_tag(level));
     fp.finish()
-}
-
-/// The ambient store named by `BOLT_STORE_DIR`, if the variable is set
-/// and the directory is usable.
-pub fn env_store() -> Option<ContractStore> {
-    let dir = std::env::var_os(STORE_DIR_ENV)?;
-    if dir.is_empty() {
-        return None;
-    }
-    ContractStore::open(std::path::PathBuf::from(dir)).ok()
 }
 
 /// Typed operations over a [`ContractStore`] (implemented for it here,
@@ -367,8 +362,10 @@ mod tests {
     fn level_tags_round_trip() {
         for level in [StackLevel::NfOnly, StackLevel::FullStack] {
             assert_eq!(level_from_tag(level_tag(level)), Some(level));
+            assert_eq!(level_from_name(level_name(level)), Some(level));
         }
         assert_eq!(level_from_tag(9), None);
+        assert_eq!(level_from_name("nf_only"), None);
     }
 
     #[test]

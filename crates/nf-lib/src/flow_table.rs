@@ -27,11 +27,9 @@
 
 use bolt_expr::{PcvId, PerfExpr, Width};
 use bolt_see::{ConcreteCtx, NfCtx};
-use bolt_trace::{
-    AddressSpace, DsId, InstrClass, MemRegion, RecordingTracer, StatefulCall, Tracer,
-};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall, Tracer};
 
-use crate::registry::{CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{measure, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// Slot stride: one cache line per entry.
 const SLOT: u64 = 64;
@@ -829,29 +827,6 @@ impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTableModel {
 // Automated pre-analysis (contract calibration)
 // ---------------------------------------------------------------------
 
-/// Measured `(instructions, mem accesses, conservative cycles)` of one
-/// operation.
-fn measure<const K: usize>(
-    table: &mut FlowTable<K>,
-    op: impl FnOnce(&mut FlowTable<K>, &mut ConcreteCtx<'_>),
-) -> [u64; 3] {
-    let mut rec = RecordingTracer::new();
-    {
-        let mut ctx = ConcreteCtx::new(&mut rec);
-        op(table, &mut ctx);
-    }
-    let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
-    let cyc = bolt_hw_conservative(&rec.events);
-    [ic, ma, cyc]
-}
-
-/// Conservative cycles of an event slice (local shim to avoid a circular
-/// dev-dependency; identical arithmetic to `bolt-hw`'s conservative model
-/// would be preferable, so we link it directly).
-fn bolt_hw_conservative(events: &[bolt_trace::TraceEvent]) -> u64 {
-    bolt_hw::conservative_cycles(events)
-}
-
 /// Key whose words are all `tag` except the last, which is `n` — the
 /// "differs in the last word" worst-case comparison shape.
 fn cal_key<const K: usize>(tag: u64, n: u64) -> [u64; K] {
@@ -931,10 +906,10 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
     let probe_key: [u64; K] = cal_key(7, 0xFFFF);
     // Miss, empty bucket (t=0, c=0).
     let mut t0 = mk();
-    let miss0 = measure(&mut t0, |tb, ctx| {
+    let miss0 = measure(|ctx| {
         let k = lit_key(ctx, probe_key);
         let now = ctx.lit(0, Width::W64);
-        assert!(FlowTableOps::<_, K>::get(tb, ctx, &k, now).is_none());
+        assert!(FlowTableOps::<_, K>::get(&mut t0, ctx, &k, now).is_none());
     });
     // Hit at distance 0, mid-age-list (worst refresh layout).
     let mut t1 = mk();
@@ -942,28 +917,28 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
     t1.raw_place(b, probe_key, 1, 0);
     add_tail_bg(&mut t1, 1);
     add_tail_bg(&mut t1, 2);
-    let hit0 = measure(&mut t1, |tb, ctx| {
+    let hit0 = measure(|ctx| {
         let k = lit_key(ctx, probe_key);
         let now = ctx.lit(0, Width::W64);
-        assert!(FlowTableOps::<_, K>::get(tb, ctx, &k, now).is_some());
+        assert!(FlowTableOps::<_, K>::get(&mut t1, ctx, &k, now).is_some());
     });
     let mut t1b = mk();
     t1b.raw_place(b, probe_key, 1, 0);
     add_tail_bg(&mut t1b, 1);
     add_tail_bg(&mut t1b, 2);
-    let peek0 = measure(&mut t1b, |tb, ctx| {
+    let peek0 = measure(|ctx| {
         let k = lit_key(ctx, probe_key);
-        assert!(FlowTableOps::<_, K>::peek(tb, ctx, &k).is_some());
+        assert!(FlowTableOps::<_, K>::peek(&mut t1b, ctx, &k).is_some());
     });
     let mut t1c = mk();
     t1c.raw_place(b, probe_key, 1, 0);
     add_tail_bg(&mut t1c, 1);
     add_tail_bg(&mut t1c, 2);
-    let upd0 = measure(&mut t1c, |tb, ctx| {
+    let upd0 = measure(|ctx| {
         let k = lit_key(ctx, probe_key);
         let v = ctx.lit(2, Width::W64);
         let now = ctx.lit(0, Width::W64);
-        assert!(FlowTableOps::<_, K>::update(tb, ctx, &k, v, now));
+        assert!(FlowTableOps::<_, K>::update(&mut t1c, ctx, &k, v, now));
     });
     // Hit behind d tombstones: t slope.
     let mut t2 = mk();
@@ -978,10 +953,10 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
     );
     add_tail_bg(&mut t2, 1);
     add_tail_bg(&mut t2, 2);
-    let hit_t = measure(&mut t2, |tb, ctx| {
+    let hit_t = measure(|ctx| {
         let k = lit_key(ctx, probe_key);
         let now = ctx.lit(0, Width::W64);
-        assert!(FlowTableOps::<_, K>::get(tb, ctx, &k, now).is_some());
+        assert!(FlowTableOps::<_, K>::get(&mut t2, ctx, &k, now).is_some());
     });
     let t_slope = per_metric(|m| (hit_t[m] - hit0[m]) / d);
     // Hit behind d occupied worst-mismatch keys: t+c slope.
@@ -1007,21 +982,21 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
     );
     add_tail_bg(&mut t3, 2);
     add_tail_bg(&mut t3, 3);
-    let hit_tc = measure(&mut t3, |tb, ctx| {
+    let hit_tc = measure(|ctx| {
         let k = lit_key(ctx, probe_key);
         let now = ctx.lit(0, Width::W64);
-        assert!(FlowTableOps::<_, K>::get(tb, ctx, &k, now).is_some());
+        assert!(FlowTableOps::<_, K>::get(&mut t3, ctx, &k, now).is_some());
     });
     let c_slope = per_metric(|m| (hit_tc[m] - hit0[m]) / d - t_slope[m]);
 
     // --- put ---
     let mut t4 = mk();
     let put_key: [u64; K] = cal_key(3, 0xAAAA);
-    let put0 = measure(&mut t4, |tb, ctx| {
+    let put0 = measure(|ctx| {
         let k = lit_key(ctx, put_key);
         let v = ctx.lit(5, Width::W64);
         let now = ctx.lit(0, Width::W64);
-        assert!(FlowTableOps::<_, K>::put(tb, ctx, &k, v, now));
+        assert!(FlowTableOps::<_, K>::put(&mut t4, ctx, &k, v, now));
     });
     let mut t5 = mk();
     let pb = t5.bucket_of(&put_key);
@@ -1034,11 +1009,11 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
         );
     }
     add_tail_bg(&mut t5, 3);
-    let put_t = measure(&mut t5, |tb, ctx| {
+    let put_t = measure(|ctx| {
         let k = lit_key(ctx, put_key);
         let v = ctx.lit(5, Width::W64);
         let now = ctx.lit(0, Width::W64);
-        assert!(FlowTableOps::<_, K>::put(tb, ctx, &k, v, now));
+        assert!(FlowTableOps::<_, K>::put(&mut t5, ctx, &k, v, now));
     });
     let put_t_slope = per_metric(|m| (put_t[m] - put0[m]) / d);
     // Full table (fresh instance: the full check never touches the age
@@ -1046,19 +1021,19 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
     let mut aspace6 = AddressSpace::new();
     let mut t6 = FlowTable::<K>::new(ids, cal_params, &mut aspace6);
     t6.synthesize_pathological(true);
-    let put_full = measure(&mut t6, |tb, ctx| {
+    let put_full = measure(|ctx| {
         let k = lit_key(ctx, cal_key(99, 0x1234));
         let v = ctx.lit(5, Width::W64);
         let now = ctx.lit(0, Width::W64);
-        assert!(!FlowTableOps::<_, K>::put(tb, ctx, &k, v, now));
+        assert!(!FlowTableOps::<_, K>::put(&mut t6, ctx, &k, v, now));
     });
 
     // --- expire ---
     // Nothing expired (background entries are fresh).
     let mut t7 = mk();
-    let exp0 = measure(&mut t7, |tb, ctx| {
+    let exp0 = measure(|ctx| {
         let now = ctx.lit(0, Width::W64);
-        let e = FlowTableOps::<_, K>::expire(tb, ctx, now);
+        let e = FlowTableOps::<_, K>::expire(&mut t7, ctx, now);
         assert_eq!(ctx.concrete_value(e), Some(0));
     });
     // d singleton aged entries (t=c=0 per erase), then fresh survivors so
@@ -1077,18 +1052,18 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
         }
     }
     add_tail_bg(&mut t8, 5);
-    let exp_d = measure(&mut t8, |tb, ctx| {
+    let exp_d = measure(|ctx| {
         // The aged (ts = 1) entries expire at now = ttl + 10; the fresh
         // background survivors (ts = u64::MAX / 2) stay.
         let now = ctx.lit(1_000 + 10, Width::W64);
-        let e = FlowTableOps::<_, K>::expire(tb, ctx, now);
+        let e = FlowTableOps::<_, K>::expire(&mut t8, ctx, now);
         assert_eq!(ctx.concrete_value(e), Some(d));
     });
     let e_slope = per_metric(|m| (exp_d[m] - exp0[m]).div_ceil(d));
 
     // --- rehash ---
     let mut t9 = mk();
-    let reh0 = measure(&mut t9, |tb, ctx| tb.rehash(ctx, 0x1111));
+    let reh0 = measure(|ctx| t9.rehash(ctx, 0x1111));
     let mut t10 = mk();
     let mut placed = 0u64;
     let mut nonce = 0u64;
@@ -1101,7 +1076,7 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
             placed += 1;
         }
     }
-    let reh_d = measure(&mut t10, |tb, ctx| tb.rehash(ctx, 0x2222));
+    let reh_d = measure(|ctx| t10.rehash(ctx, 0x2222));
     let reh_slope = per_metric(|m| (reh_d[m] - reh0[m]) / d);
     // The rehash fixed cost scales with capacity (array clear): measured
     // at the calibration capacity, scaled to the real capacity.
@@ -1240,8 +1215,7 @@ pub fn case_of(reg: &DsRegistry, ds: DsId, method: u16, case: u16) -> &CaseContr
 mod tests {
     use super::*;
     use bolt_expr::PcvAssignment;
-    use bolt_trace::Metric;
-    use bolt_trace::{CountingTracer, NullTracer};
+    use bolt_trace::{CountingTracer, Metric, NullTracer, RecordingTracer};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;

@@ -11,10 +11,10 @@
 //! run with a 2^16-entry first level while benches use the full 2^24.
 
 use bolt_expr::{PerfExpr, Width};
-use bolt_see::{ConcreteCtx, NfCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, RecordingTracer, StatefulCall};
+use bolt_see::NfCtx;
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
 
-use crate::registry::{CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// The single method.
 pub const M_LOOKUP: u16 = 0;
@@ -245,15 +245,11 @@ impl<C: NfCtx> Dir24_8Ops<C> for Dir24_8Model {
 /// Calibrate and register. Both cases are constants (no PCVs).
 pub fn register(reg: &mut DsRegistry, name: &str) -> Dir24_8Ids {
     let provisional = Dir24_8Ids { ds: DsId(u32::MAX) };
-    let measure = |table: &mut Dir24_8, ip: u32| -> [u64; 3] {
-        let mut rec = RecordingTracer::new();
-        {
-            let mut ctx = ConcreteCtx::new(&mut rec);
+    let measure = |table: &mut Dir24_8, ip: u32| {
+        registry::measure(|ctx| {
             let ipv = ctx.lit(ip as u64, Width::W32);
-            let _ = Dir24_8Ops::<_>::lookup(table, &mut ctx, ipv);
-        }
-        let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
-        [ic, ma, bolt_hw::conservative_cycles(&rec.events)]
+            let _ = Dir24_8Ops::<_>::lookup(table, ctx, ipv);
+        })
     };
     let mut aspace = AddressSpace::new();
     let mut table = Dir24_8::new(provisional, 16, 4, 0, &mut aspace);
@@ -292,7 +288,8 @@ pub fn register(reg: &mut DsRegistry, name: &str) -> Dir24_8Ids {
 mod tests {
     use super::*;
     use crate::lpm_trie;
-    use bolt_trace::{Metric, NullTracer};
+    use bolt_see::ConcreteCtx;
+    use bolt_trace::{Metric, NullTracer, RecordingTracer};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

@@ -9,10 +9,10 @@
 //! the two.
 
 use bolt_expr::{PcvId, PerfExpr, Width};
-use bolt_see::{ConcreteCtx, NfCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, RecordingTracer, StatefulCall};
+use bolt_see::NfCtx;
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
 
-use crate::registry::{CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// Node stride: children pointers + port, padded to 16 bytes.
 const NODE: u64 = 16;
@@ -195,15 +195,11 @@ pub fn register(reg: &mut DsRegistry, name: &str, pcv_prefix: &str) -> LpmTrieId
     // Calibration: routes at depth 0 vs depth d, worst bit pattern (all
     // ones, so every level pays the 2-ALU bit extraction).
     let d = 16u64;
-    let measure = |trie: &mut LpmTrie, ip: u32| -> [u64; 3] {
-        let mut rec = RecordingTracer::new();
-        {
-            let mut ctx = ConcreteCtx::new(&mut rec);
+    let measure = |trie: &mut LpmTrie, ip: u32| {
+        registry::measure(|ctx| {
             let ipv = ctx.lit(ip as u64, Width::W32);
-            let _ = LpmTrieOps::<_>::lookup(trie, &mut ctx, ipv);
-        }
-        let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
-        [ic, ma, bolt_hw::conservative_cycles(&rec.events)]
+            let _ = LpmTrieOps::<_>::lookup(trie, ctx, ipv);
+        })
     };
     let mut aspace = AddressSpace::new();
     let mut trie = LpmTrie::new(provisional, 1024, 0, &mut aspace);
@@ -236,7 +232,8 @@ pub fn register(reg: &mut DsRegistry, name: &str, pcv_prefix: &str) -> LpmTrieId
 mod tests {
     use super::*;
     use bolt_expr::PcvAssignment;
-    use bolt_trace::{Metric, NullTracer};
+    use bolt_see::ConcreteCtx;
+    use bolt_trace::{Metric, NullTracer, RecordingTracer};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

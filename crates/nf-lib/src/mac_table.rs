@@ -13,15 +13,17 @@
 //! the `unknown` case coalesces `put`'s stored/full outcomes into the
 //! worst (stored).
 
-use bolt_expr::{PerfExpr, Width};
+use bolt_expr::Width;
 use bolt_see::NfCtx;
-use bolt_trace::{AddressSpace, DsId, InstrClass, Metric, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass, StatefulCall};
 
 use crate::flow_table::{
     self, FlowTable, FlowTableIds, FlowTableOps, FlowTableParams, C_HIT, C_MISS, C_STORED,
     M_EXPIRE, M_GET, M_PEEK, M_PUT, M_REHASH,
 };
-use crate::registry::{CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{
+    case_perf, sum3, with_glue, CaseContract, DsContract, DsRegistry, MethodContract,
+};
 
 /// MacTable method indices.
 pub const M_MT_EXPIRE: u16 = 0;
@@ -266,30 +268,6 @@ impl<C: NfCtx> MacTableOps<C> for MacTableModel {
     }
 }
 
-/// Add glue-instruction cost to an expression triple.
-fn with_glue(base: [PerfExpr; 3], glue_instr: u32) -> [PerfExpr; 3] {
-    // Glue is branch/call/ret/alu work with no memory operands; charge the
-    // worst per-instruction latency for cycles (call/ret at 4).
-    let cycles_per = 4.0_f64;
-    let [mut ic, ma, mut cy] = base;
-    ic.add_const(glue_instr as u64);
-    cy.add_const((glue_instr as f64 * cycles_per).ceil() as u64);
-    [ic, ma, cy]
-}
-
-fn sum3(a: &[PerfExpr; 3], b: &[PerfExpr; 3]) -> [PerfExpr; 3] {
-    [a[0].add(&b[0]), a[1].add(&b[1]), a[2].add(&b[2])]
-}
-
-fn case_perf(reg: &DsRegistry, ds: DsId, method: u16, case: u16) -> [PerfExpr; 3] {
-    let c = reg.resolve(StatefulCall { ds, method, case });
-    [
-        c.expr(Metric::Instructions).clone(),
-        c.expr(Metric::MemAccesses).clone(),
-        c.expr(Metric::Cycles).clone(),
-    ]
-}
-
 /// Register a MAC table: registers the inner store (with *bare* PCV names,
 /// as in Table 4), composes the wrapper contract, and registers it.
 pub fn register(
@@ -361,7 +339,7 @@ mod tests {
     use bolt_expr::PcvAssignment;
     use bolt_see::concrete::CVal;
     use bolt_see::ConcreteCtx;
-    use bolt_trace::{NullTracer, RecordingTracer};
+    use bolt_trace::{Metric, NullTracer, RecordingTracer};
 
     fn setup(capacity: usize, threshold: u64) -> (DsRegistry, MacTableIds, MacTable) {
         let mut reg = DsRegistry::new();

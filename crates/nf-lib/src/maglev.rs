@@ -16,9 +16,9 @@
 
 use bolt_expr::{PerfExpr, Width};
 use bolt_see::{ConcreteCtx, NfCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, RecordingTracer, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
 
-use crate::registry::{CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// Ring method index.
 pub const M_RING_LOOKUP: u16 = 0;
@@ -284,14 +284,10 @@ pub fn register_ring(reg: &mut DsRegistry, name: &str, n_backends: u16, m: u64) 
     let provisional = MaglevRingIds { ds: DsId(u32::MAX) };
     let mut aspace = AddressSpace::new();
     let mut ring = MaglevRing::new(provisional, n_backends.max(2), m.max(13), &mut aspace);
-    let mut rec = RecordingTracer::new();
-    {
-        let mut ctx = ConcreteCtx::new(&mut rec);
+    let [ic, ma, cyc] = registry::measure(|ctx| {
         let h = ctx.lit(0x1234_5678, Width::W64);
-        let _ = MaglevRingOps::<_>::lookup(&mut ring, &mut ctx, h);
-    }
-    let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
-    let cyc = bolt_hw::conservative_cycles(&rec.events);
+        let _ = MaglevRingOps::<_>::lookup(&mut ring, ctx, h);
+    });
     let contract = DsContract {
         methods: vec![MethodContract {
             name: "lookup",
@@ -315,13 +311,7 @@ pub fn register_pool(reg: &mut DsRegistry, name: &str, n: u16, hb_ttl_ns: u64) -
     let measure = |f: &dyn Fn(&mut BackendPool, &mut ConcreteCtx<'_>)| -> [u64; 3] {
         let mut aspace = AddressSpace::new();
         let mut pool = BackendPool::new(provisional, n.max(2), hb_ttl_ns, &mut aspace);
-        let mut rec = RecordingTracer::new();
-        {
-            let mut ctx = ConcreteCtx::new(&mut rec);
-            f(&mut pool, &mut ctx);
-        }
-        let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
-        [ic, ma, bolt_hw::conservative_cycles(&rec.events)]
+        registry::measure(|ctx| f(&mut pool, ctx))
     };
     let hb = measure(&|pool, ctx| {
         let b = ctx.lit(0, Width::W16);

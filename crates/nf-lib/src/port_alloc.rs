@@ -17,10 +17,10 @@
 //! external port to flow metadata (one load to read, one store to write).
 
 use bolt_expr::{PcvId, PerfExpr, Width};
-use bolt_see::{ConcreteCtx, NfCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, RecordingTracer, StatefulCall};
+use bolt_see::NfCtx;
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
 
-use crate::registry::{CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{measure, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// Method indices shared by both allocators.
 pub const M_ALLOC: u16 = 0;
@@ -385,16 +385,6 @@ fn consts(v: [u64; 3]) -> [PerfExpr; 3] {
     ]
 }
 
-fn run_measure(f: impl FnOnce(&mut ConcreteCtx<'_>)) -> [u64; 3] {
-    let mut rec = RecordingTracer::new();
-    {
-        let mut ctx = ConcreteCtx::new(&mut rec);
-        f(&mut ctx);
-    }
-    let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
-    [ic, ma, bolt_hw::conservative_cycles(&rec.events)]
-}
-
 /// Calibrate and register allocator A (constant costs).
 pub fn register_a(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) -> PortAllocIds {
     let p = reg.pcv(name, "p");
@@ -403,19 +393,19 @@ pub fn register_a(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) ->
         p,
     };
     // Worst-case alloc: head node on a cold line, successor on another.
-    let alloc_cost = run_measure(|ctx| {
+    let alloc_cost = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut a = AllocatorA::new(provisional, n.max(4), base_port, &mut aspace);
         let got = PortAllocOps::<_>::alloc(&mut a, ctx).unwrap();
         let _ = got;
     });
-    let exhausted = run_measure(|ctx| {
+    let exhausted = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut a = AllocatorA::new(provisional, 4, base_port, &mut aspace);
         a.raw_fill(4);
         assert!(PortAllocOps::<_>::alloc(&mut a, ctx).is_none());
     });
-    let free_cost = run_measure(|ctx| {
+    let free_cost = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut a = AllocatorA::new(provisional, n.max(4), base_port, &mut aspace);
         a.raw_fill(2);
@@ -458,13 +448,13 @@ pub fn register_b(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) ->
         p,
     };
     let nn = n.max(64);
-    let alloc0 = run_measure(|ctx| {
+    let alloc0 = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut b = AllocatorB::new(provisional, nn, base_port, &mut aspace);
         assert!(PortAllocOps::<_>::alloc(&mut b, ctx).is_some());
     });
     let d = 16u64;
-    let alloc_d = run_measure(|ctx| {
+    let alloc_d = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut b = AllocatorB::new(provisional, nn, base_port, &mut aspace);
         b.raw_fill(d as usize);
@@ -478,13 +468,13 @@ pub fn register_b(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) ->
         (alloc_d[1] - alloc0[1]).div_ceil(d),
         (alloc_d[2] - alloc0[2]).div_ceil(d) + 25,
     ];
-    let exhausted = run_measure(|ctx| {
+    let exhausted = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut b = AllocatorB::new(provisional, 64, base_port, &mut aspace);
         b.raw_fill(64);
         assert!(PortAllocOps::<_>::alloc(&mut b, ctx).is_none());
     });
-    let free_cost = run_measure(|ctx| {
+    let free_cost = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut b = AllocatorB::new(provisional, nn, base_port, &mut aspace);
         b.raw_fill(2);
@@ -644,14 +634,14 @@ impl<C: NfCtx> PortMapOps<C> for PortMapModel {
 /// Calibrate and register a port map.
 pub fn register_map(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) -> PortMapIds {
     let provisional = PortMapIds { ds: DsId(u32::MAX) };
-    let set_cost = run_measure(|ctx| {
+    let set_cost = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut m = PortMap::new(provisional, n.max(4), base_port, &mut aspace);
         let port = ctx.lit(base_port as u64, Width::W16);
         let v = ctx.lit(7, Width::W64);
         PortMapOps::<_>::set(&mut m, ctx, port, v);
     });
-    let get_cost = run_measure(|ctx| {
+    let get_cost = measure(|ctx| {
         let mut aspace = AddressSpace::new();
         let mut m = PortMap::new(provisional, n.max(4), base_port, &mut aspace);
         let port = ctx.lit(base_port as u64, Width::W16);
@@ -683,7 +673,8 @@ pub fn register_map(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) 
 mod tests {
     use super::*;
     use bolt_expr::PcvAssignment;
-    use bolt_trace::{Metric, NullTracer};
+    use bolt_see::ConcreteCtx;
+    use bolt_trace::{Metric, NullTracer, RecordingTracer};
     use std::collections::HashSet;
 
     #[test]

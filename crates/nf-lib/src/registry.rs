@@ -8,7 +8,8 @@
 //! agree on ids.
 
 use bolt_expr::{PcvId, PcvTable, PerfExpr};
-use bolt_trace::{DsId, Metric, StatefulCall};
+use bolt_see::ConcreteCtx;
+use bolt_trace::{DsId, Metric, RecordingTracer, StatefulCall};
 
 /// Per-metric cost expressions for one contract case.
 #[derive(Clone, Debug)]
@@ -153,10 +154,42 @@ impl CasePerf {
     }
 }
 
+/// Calibration probe: run `op` against a recording tracer and return its
+/// measured `[instructions, mem accesses, conservative cycles]`.
+pub fn measure(op: impl FnOnce(&mut ConcreteCtx<'_>)) -> [u64; 3] {
+    let mut rec = RecordingTracer::new();
+    {
+        let mut ctx = ConcreteCtx::new(&mut rec);
+        op(&mut ctx);
+    }
+    let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
+    [ic, ma, bolt_hw::conservative_cycles(&rec.events)]
+}
+
+/// The three per-metric expressions of one registered contract case, for
+/// composite structures that build their contract out of an inner one's.
+pub fn case_perf(reg: &DsRegistry, ds: DsId, method: u16, case: u16) -> [PerfExpr; 3] {
+    reg.resolve(StatefulCall { ds, method, case }).perf.clone()
+}
+
+/// Per-metric sum of two expression triples.
+pub fn sum3(a: &[PerfExpr; 3], b: &[PerfExpr; 3]) -> [PerfExpr; 3] {
+    [a[0].add(&b[0]), a[1].add(&b[1]), a[2].add(&b[2])]
+}
+
+/// Add a composite wrapper's glue instructions to an expression triple.
+/// Glue is branch/call/ret/alu work with no memory operands; cycles are
+/// charged at the worst per-instruction latency (call/ret at 4).
+pub fn with_glue(base: [PerfExpr; 3], glue_instr: u32) -> [PerfExpr; 3] {
+    let [mut ic, ma, mut cy] = base;
+    ic.add_const(glue_instr as u64);
+    cy.add_const(glue_instr as u64 * 4);
+    [ic, ma, cy]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_expr::PerfExpr;
 
     fn dummy_contract() -> DsContract {
         DsContract {

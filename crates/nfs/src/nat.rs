@@ -15,18 +15,20 @@
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::{PerfExpr, Width};
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, Metric, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass, StatefulCall};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::{
-    self, FlowTable, FlowTableIds, FlowTableModel, FlowTableOps, FlowTableParams, C_HIT, C_MISS,
-    C_STORED, M_EXPIRE, M_GET, M_PUT,
+    self, FlowTable, FlowTableIds, FlowTableOps, FlowTableParams, C_HIT, C_MISS, C_STORED,
+    M_EXPIRE, M_GET, M_PUT,
 };
 use nf_lib::port_alloc::{
     self, AllocatorA, AllocatorB, PortAllocIds, PortAllocOps, PortMap, PortMapIds, PortMapOps,
     C_EXHAUSTED, C_OK, M_ALLOC, M_FREE, M_PM_GET, M_PM_SET,
 };
-use nf_lib::registry::{CaseContract, DsContract, DsRegistry, MethodContract};
+use nf_lib::registry::{
+    case_perf, sum3, with_glue, CaseContract, DsContract, DsRegistry, MethodContract,
+};
 
 use crate::{decrement_ttl, flow_key, forward_to, in_port};
 
@@ -144,16 +146,12 @@ const GLUE_LOOKUP_EXT: u32 = 2;
 
 /// The concrete composite, generic over the allocator (the §5.3 swap).
 pub struct NatTable<PA> {
-    #[allow(dead_code)] // kept: instances carry their registry identity
-    ids: NatIds,
     /// Internal-key flow table.
     pub ft: FlowTable<3>,
     /// Port allocator.
     pub pa: PA,
     /// Reverse map.
     pub pm: PortMap,
-    #[allow(dead_code)] // kept for symmetry with the config it mirrors
-    base_port: u16,
 }
 
 impl<PA> NatTable<PA> {
@@ -164,11 +162,9 @@ impl<PA> NatTable<PA> {
             ttl_ns: cfg.ttl_ns,
         };
         NatTable {
-            ids,
             ft: FlowTable::new(ids.ft, params, aspace),
             pa,
             pm: PortMap::new(ids.pm, cfg.n_ports, cfg.base_port, aspace),
-            base_port: cfg.base_port,
         }
     }
 }
@@ -326,26 +322,6 @@ impl<C: NfCtx> NatTableOps<C> for NatTableModel {
         self.call(ctx, N_LOOKUP_EXT, 0);
         ctx.fresh("nat.ext.packed", Width::W64)
     }
-}
-
-fn case_perf(reg: &DsRegistry, ds: DsId, method: u16, case: u16) -> [PerfExpr; 3] {
-    let c = reg.resolve(StatefulCall { ds, method, case });
-    [
-        c.expr(Metric::Instructions).clone(),
-        c.expr(Metric::MemAccesses).clone(),
-        c.expr(Metric::Cycles).clone(),
-    ]
-}
-
-fn sum3(a: &[PerfExpr; 3], b: &[PerfExpr; 3]) -> [PerfExpr; 3] {
-    [a[0].add(&b[0]), a[1].add(&b[1]), a[2].add(&b[2])]
-}
-
-fn with_glue(base: [PerfExpr; 3], glue_instr: u32) -> [PerfExpr; 3] {
-    let [mut ic, ma, mut cy] = base;
-    ic.add_const(glue_instr as u64);
-    cy.add_const(glue_instr as u64 * 4);
-    [ic, ma, cy]
 }
 
 /// Register the NAT's stateful parts and compose the NatTable contract.
@@ -686,16 +662,11 @@ impl NetworkFunction for Nat {
     }
 }
 
-/// A placeholder needed by generic code: the flow-table model alone (used
-/// when a caller wants to explore with a plain flow table instead of the
-/// composite — kept for API completeness).
-pub type PlainFlowModel = FlowTableModel;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bolt_see::ConcreteCtx;
-    use bolt_trace::CountingTracer;
+    use bolt_trace::{CountingTracer, Metric};
     use dpdk_sim::{DpdkEnv, StackLevel};
     use nf_lib::clock::{Clock, Granularity};
 

@@ -22,7 +22,9 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use bolt_core::store::{level_from_tag, level_name, store_key, RecordKind, StoreExt};
+use bolt_core::store::{
+    level_from_name, level_from_tag, level_name, store_key, RecordKind, StoreExt,
+};
 use bolt_core::{generate, AbstractNf, ClassSpec, Exploration, InputClass, NetworkFunction};
 use bolt_expr::PcvAssignment;
 use bolt_nfs::nat::{AllocKind, NatConfig};
@@ -109,11 +111,9 @@ pub fn nf_by_name(name: &str) -> Result<Box<dyn AbstractNf>, String> {
 /// Parse a `NF[:LEVEL]` side spec (level defaults to full-stack).
 fn parse_side(s: &str) -> Result<(&str, StackLevel), String> {
     match s.split_once(':') {
-        Some((n, l)) => match l {
-            "nf-only" => Ok((n, StackLevel::NfOnly)),
-            "full-stack" => Ok((n, StackLevel::FullStack)),
-            _ => Err(format!("bad level {l:?} (nf-only | full-stack)")),
-        },
+        Some((n, l)) => level_from_name(l)
+            .map(|level| (n, level))
+            .ok_or_else(|| format!("bad level {l:?} (nf-only | full-stack)")),
         None => Ok((s, StackLevel::FullStack)),
     }
 }

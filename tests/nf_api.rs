@@ -1,5 +1,6 @@
-//! The unified NF API: the object-safe view over every NF, the chunked
-//! burst hook, and chain composition through `Pipeline` trait objects.
+//! The unified NF API: the object-safe view over every NF, the
+//! `process_batch` burst hook, and chain composition through `Pipeline`
+//! trait objects.
 //!
 //! The Pipeline chain must reproduce the §5.2 firewall→router
 //! composition result checked in `conservatism.rs` /
@@ -38,12 +39,11 @@ fn all_seven_nfs_expose_names_through_the_trait() {
     );
 }
 
-/// The chunked default `process_batch` must emit exactly the verdicts of
-/// the plain per-packet loop, in order — the invariant every overriding
-/// burst implementation has to preserve. 100 frames = three full
-/// 32-packet chunks plus a ragged 4-packet tail.
+/// `process_batch` must emit exactly the verdicts of the plain
+/// per-packet loop, in order — the invariant every overriding burst
+/// implementation has to preserve (the default is that loop).
 #[test]
-fn chunked_process_batch_matches_plain_loop() {
+fn process_batch_matches_plain_loop() {
     use bolt::dpdk::{headers as h, DpdkEnv};
     use bolt::see::{ConcreteCtx, NfVerdict};
     use bolt::trace::{AddressSpace, CountingTracer};
@@ -95,13 +95,13 @@ fn chunked_process_batch_matches_plain_loop() {
         })
     };
 
-    let chunked = run(true);
+    let batched = run(true);
     let plain = run(false);
-    assert_eq!(chunked.len(), 100);
-    assert_eq!(chunked, plain, "chunked burst must preserve verdict order");
+    assert_eq!(batched.len(), 100);
+    assert_eq!(batched, plain, "a burst must preserve verdict order");
     // The workload actually exercises more than one verdict kind.
-    assert!(chunked.iter().any(|v| matches!(v, NfVerdict::Flood)));
-    assert!(chunked.iter().any(|v| matches!(v, NfVerdict::Forward(_))));
+    assert!(batched.iter().any(|v| matches!(v, NfVerdict::Flood)));
+    assert!(batched.iter().any(|v| matches!(v, NfVerdict::Forward(_))));
 }
 
 #[test]

@@ -13,7 +13,7 @@ use bolt::nfs::{nat, Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, N
 use bolt::see::codec::{decode_result, encode_result};
 use bolt::see::{ExplorationResult, StackLevel};
 use bolt::trace::Metric;
-use bolt::Bolt;
+use bolt::{Bolt, Pipeline};
 
 /// An NF variant boxed as an exploration thunk.
 type NfThunk = Box<dyn Fn(StackLevel) -> ExplorationResult>;
@@ -254,6 +254,50 @@ fn warm_store_runs_perform_zero_explorations() {
     assert_result_identical("bridge-warm", &fresh.result, &warm.result);
 
     let _ = std::fs::remove_dir_all(store.dir());
+}
+
+/// A store is used iff the caller attached one. `BOLT_STORE_DIR` is the
+/// CLI's variable: with it pointing at an empty directory, the library's
+/// front doors neither read nor write there, run after run; the same
+/// calls with `with_store` hit on the second run.
+#[test]
+fn no_store_is_opened_unless_the_caller_attached_one() {
+    let dir = std::env::temp_dir().join(format!("bolt-rt-ambient-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::env::set_var("BOLT_STORE_DIR", &dir);
+    let level = StackLevel::NfOnly;
+    let chain = || {
+        Pipeline::new()
+            .push(Firewall::default())
+            .push(StaticRouter::default())
+    };
+    for run in 0..2 {
+        let e = Bolt::nf(Firewall::default()).explore(level);
+        assert!(!e.cached, "run {run}: no store attached, nothing to hit");
+        let rep = chain().report(level).unwrap();
+        assert_eq!((rep.stages_cached, rep.steps_cached), (0, 0), "run {run}");
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "the library must not touch a directory only the environment names"
+    );
+    std::env::remove_var("BOLT_STORE_DIR");
+
+    let store = ContractStore::open(&dir).unwrap();
+    let explore = || {
+        Bolt::nf(Firewall::default())
+            .with_store(&store)
+            .explore(level)
+    };
+    assert!(!explore().cached);
+    assert!(explore().cached);
+    let report = || chain().with_store(&store).report(level).unwrap();
+    assert!(!report().fully_cached());
+    assert!(report().fully_cached());
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Distinct configs and levels get distinct keys; identical ones share.
