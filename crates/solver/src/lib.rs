@@ -40,28 +40,121 @@
 //! component enumeration are sound), the propagation shortcut mirrors the
 //! batch assert loop operation-for-operation, and memoised verdicts come
 //! from the deterministic batch tail itself.
+//!
+//! Two invariants an edit must keep:
+//!
+//! * **Which witness is found is behaviour.** Component enumeration
+//!   sweeps with the lowest-numbered representative varying fastest, each
+//!   symbol from its interval's low end, and completion draws one fixed
+//!   RNG stream in trial order, so a query always returns the same model.
+//!   [`SolverCache`] reuses those models to answer later probes, so a
+//!   procedure that is merely *equivalent* (same verdicts, other
+//!   witnesses) moves [`SolverStats`] — and the benchmark's golden files
+//!   (`bolt-ledger/golden/`) pin those counts per chain.
+//! * **Dense containers are indexed by pool-local [`SymId`]s.** Every
+//!   per-symbol map here (`SymMap`: witness values, union-find parents,
+//!   bindings, intervals, known symbols) is a vector indexed by the id,
+//!   sized by the largest id it has seen. That is sound because ids are
+//!   indices into one pool's symbol registry, below
+//!   `TermPool::sym_count()` — the pool decoder rejects records that
+//!   break this — and it is what keeps `find`, `push`/`pop` and the
+//!   sweep free of hashing. An id from anywhere else (a hash, a global
+//!   counter) would size these vectors by its magnitude.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::fmt;
 
 use bolt_expr::{BinOp, SymId, Term, TermPool, TermRef, UnOp, Width};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// A map keyed by [`SymId`], stored as a vector indexed by the id.
+/// Symbol ids are pool-local indices below `TermPool::sym_count()`
+/// (decoded pools are checked on entry), so the vector is as small as the
+/// pool's symbol registry: a lookup is an index, a copy is a `memcpy`.
+#[derive(Clone)]
+struct SymMap<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for SymMap<T> {
+    fn default() -> Self {
+        SymMap { slots: Vec::new() }
+    }
+}
+
+impl<T: Copy> SymMap<T> {
+    fn get(&self, id: SymId) -> Option<T> {
+        self.slots.get(id as usize).copied().flatten()
+    }
+
+    fn contains(&self, id: SymId) -> bool {
+        self.get(id).is_some()
+    }
+
+    fn insert(&mut self, id: SymId, v: T) {
+        let i = id as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i] = Some(v);
+    }
+
+    fn remove(&mut self, id: SymId) -> Option<T> {
+        self.slots.get_mut(id as usize).and_then(Option::take)
+    }
+
+    /// Present entries, in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = (SymId, T)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|v| (i as SymId, v)))
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
+    }
+}
+
+/// Equal when the same ids are present with equal values: a present 0
+/// differs from an absent entry, and absent slots past the last present
+/// one (left by `remove`) do not count.
+impl<T: PartialEq> PartialEq for SymMap<T> {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.slots.len() <= other.slots.len() {
+            (&self.slots, &other.slots)
+        } else {
+            (&other.slots, &self.slots)
+        };
+        short[..] == long[..short.len()] && long[short.len()..].iter().all(Option::is_none)
+    }
+}
+
+impl<T: Eq> Eq for SymMap<T> {}
+
+impl<T: Copy + fmt::Debug> fmt::Debug for SymMap<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// A satisfying assignment, total over the queried constraints' symbols
 /// (anything else evaluates to 0 via [`Witness::get`]'s default).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Witness {
-    values: HashMap<SymId, u64>,
+    values: SymMap<u64>,
 }
 
 impl Witness {
     /// Value of a symbol (0 if the solver never had to constrain it).
     pub fn get(&self, id: SymId) -> u64 {
-        self.values.get(&id).copied().unwrap_or(0)
+        self.values.get(id).unwrap_or(0)
     }
 
     /// Bind a symbol (used by tests and by chain composition to pin the
-    /// upstream packet).
+    /// upstream packet). `id` is a symbol of the pool the witness is
+    /// evaluated against: storage grows to the largest id set.
     pub fn set(&mut self, id: SymId, v: u64) {
         self.values.insert(id, v);
     }
@@ -195,11 +288,11 @@ impl Default for Solver {
 #[derive(Clone, Debug, Default)]
 struct Propagator {
     /// Union-find parent pointers over symbols that must be equal.
-    parent: HashMap<SymId, SymId>,
+    parent: SymMap<SymId>,
     /// Constant binding of each representative.
-    bound: HashMap<SymId, u64>,
+    bound: SymMap<u64>,
     /// Interval of each representative.
-    interval: HashMap<SymId, Interval>,
+    interval: SymMap<Interval>,
     /// Atoms propagation could not absorb, with their polarity.
     residual: Vec<(TermRef, bool)>,
     /// Disequalities `repr != value` collected for completion.
@@ -213,12 +306,16 @@ impl Propagator {
     }
 
     fn find(&mut self, s: SymId) -> SymId {
-        let p = *self.parent.get(&s).unwrap_or(&s);
-        if p == s {
-            return s;
+        let mut r = s;
+        while let Some(p) = self.parent.get(r) {
+            r = p;
         }
-        let r = self.find(p);
-        self.parent.insert(s, r);
+        // Path compression: everything on the way now points at `r`.
+        let mut c = s;
+        while let Some(p) = self.parent.get(c) {
+            self.parent.insert(c, r);
+            c = p;
+        }
         r
     }
 
@@ -228,23 +325,24 @@ impl Propagator {
             return;
         }
         self.parent.insert(rb, ra);
-        if let Some(v) = self.bound.remove(&rb) {
+        if let Some(v) = self.bound.remove(rb) {
             self.bind(pool, ra, v);
         }
-        if let Some(i) = self.interval.remove(&rb) {
+        if let Some(i) = self.interval.remove(rb) {
             self.narrow(pool, ra, i.lo, i.hi);
         }
     }
 
-    fn iv(&mut self, pool: &TermPool, s: SymId) -> Interval {
-        let w = pool.sym_width(s);
-        *self.interval.entry(s).or_insert_with(|| Interval::full(w))
+    fn iv(&self, pool: &TermPool, s: SymId) -> Interval {
+        self.interval
+            .get(s)
+            .unwrap_or_else(|| Interval::full(pool.sym_width(s)))
     }
 
     fn bind(&mut self, pool: &TermPool, s: SymId, v: u64) {
         let r = self.find(s);
-        match self.bound.get(&r) {
-            Some(&old) if old != v => self.contradiction = true,
+        match self.bound.get(r) {
+            Some(old) if old != v => self.contradiction = true,
             Some(_) => {}
             None => {
                 self.bound.insert(r, v);
@@ -264,8 +362,8 @@ impl Propagator {
         }
         self.interval.insert(r, iv);
         if let Some(v) = iv.singleton() {
-            match self.bound.get(&r) {
-                Some(&old) if old != v => self.contradiction = true,
+            match self.bound.get(r) {
+                Some(old) if old != v => self.contradiction = true,
                 Some(_) => {}
                 None => {
                     self.bound.insert(r, v);
@@ -276,7 +374,7 @@ impl Propagator {
 
     fn value_of(&mut self, s: SymId) -> Option<u64> {
         let r = self.find(s);
-        self.bound.get(&r).copied()
+        self.bound.get(r)
     }
 
     /// Evaluate a term if it is fully determined by current bindings.
@@ -535,7 +633,6 @@ impl Solver {
         // "router saw (ihl & 0xF) > 5" — which interval propagation over
         // bare symbols cannot see, even when other constraints in the set
         // range over 32-bit fields.
-        let bound_pairs: Vec<(SymId, u64)> = prop.bound.iter().map(|(&r, &v)| (r, v)).collect();
         {
             // Free-symbol support of each constraint (the per-term symbol
             // support is cached in the pool; only the representative
@@ -543,39 +640,43 @@ impl Solver {
             let supports: Vec<Vec<SymId>> = constraints
                 .iter()
                 .map(|&c| {
-                    let reps: Vec<SymId> = pool.syms_of(c).iter().map(|&s| prop.find(s)).collect();
-                    let mut v: Vec<SymId> = reps
-                        .into_iter()
-                        .filter(|r| !prop.bound.contains_key(r))
+                    let mut v: Vec<SymId> = pool
+                        .syms_of(c)
+                        .iter()
+                        .filter_map(|&s| {
+                            let r = prop.find(s);
+                            (!prop.bound.contains(r)).then_some(r)
+                        })
                         .collect();
                     v.sort_unstable();
                     v.dedup();
                     v
                 })
                 .collect();
+            // The witness under construction: every bound representative,
+            // then each solved component's values, then class members.
+            let mut partial = Witness::default();
+            for (r, v) in prop.bound.iter() {
+                partial.set(r, v);
+            }
             // Constraints whose symbols are all bound are decided by
             // direct evaluation: the bindings are forced, so a false
             // value here is a definitive contradiction.
-            let mut forced = Witness::default();
-            for &(r, v) in &bound_pairs {
-                forced.set(r, v);
-            }
             for (ci, sup) in supports.iter().enumerate() {
                 if sup.is_empty() {
                     let c = constraints[ci];
-                    let mut w = forced.clone();
                     for &s in pool.syms_of(c) {
                         let r = prop.find(s);
-                        let v = w.get(r);
-                        w.set(s, v);
+                        let v = partial.get(r);
+                        partial.set(s, v);
                     }
-                    if w.eval(pool, c) != 1 {
+                    if partial.eval(pool, c) != 1 {
                         return SolveResult::Unsat;
                     }
                 }
             }
             // Union-find over constraint indices via shared symbols.
-            let mut comp: HashMap<SymId, usize> = HashMap::new();
+            let mut comp: SymMap<usize> = SymMap::default();
             let mut groups: Vec<Vec<usize>> = Vec::new();
             let mut group_of_constraint: Vec<Option<usize>> = vec![None; constraints.len()];
             for (ci, sup) in supports.iter().enumerate() {
@@ -583,21 +684,14 @@ impl Solver {
                     continue;
                 }
                 // Find an existing group among this constraint's symbols.
-                let mut g = None;
-                for s in sup {
-                    if let Some(&gi) = comp.get(s) {
-                        g = Some(gi);
-                        break;
-                    }
-                }
-                let gi = g.unwrap_or_else(|| {
+                let gi = sup.iter().find_map(|&s| comp.get(s)).unwrap_or_else(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
                 });
                 groups[gi].push(ci);
                 group_of_constraint[ci] = Some(gi);
                 for &s in sup {
-                    if let Some(&old) = comp.get(&s) {
+                    if let Some(old) = comp.get(s) {
                         if old != gi {
                             // Merge: move old group's constraints in.
                             let moved = std::mem::take(&mut groups[old]);
@@ -615,10 +709,6 @@ impl Solver {
                     comp.insert(s, gi);
                 }
             }
-            let mut partial = Witness::default();
-            for &(r, v) in &bound_pairs {
-                partial.set(r, v);
-            }
             let mut all_components_solved = true;
             for group in groups.iter().filter(|g| !g.is_empty()) {
                 let mut syms: Vec<SymId> = group
@@ -627,38 +717,51 @@ impl Solver {
                     .collect();
                 syms.sort_unstable();
                 syms.dedup();
-                let domain: u128 = syms
-                    .iter()
-                    .map(|&r| {
-                        let iv = prop.iv(pool, r);
-                        (iv.hi - iv.lo) as u128 + 1
-                    })
-                    .product();
-                if syms.len() > 2 || domain > 4096 {
+                let intervals: Vec<Interval> = syms.iter().map(|&r| prop.iv(pool, r)).collect();
+                // The symbol count is tested first: two full 64-bit
+                // intervals already multiply to 2^128, which no integer
+                // holds (a product that overflows is too large).
+                let enumerable = syms.len() <= 2
+                    && intervals
+                        .iter()
+                        .try_fold(1u128, |d, iv| d.checked_mul((iv.hi - iv.lo) as u128 + 1))
+                        .is_some_and(|d| d <= 4096);
+                if !enumerable {
                     all_components_solved = false;
                     continue;
                 }
                 let group_terms: Vec<TermRef> = group.iter().map(|&ci| constraints[ci]).collect();
-                let intervals: Vec<Interval> = syms.iter().map(|&r| prop.iv(pool, r)).collect();
+                // Everything a candidate does not change is settled here:
+                // each member symbol of the group's terms either follows
+                // enumerated slot `i` or keeps its representative's bound
+                // value in `env`, the sweep's environment indexed by
+                // `SymId`. The loop below allocates and looks up nothing.
+                let mut env = vec![0u64; pool.sym_count()];
+                let mut swept: Vec<(SymId, usize)> = Vec::new();
+                for &c in &group_terms {
+                    for &s in pool.syms_of(c) {
+                        let r = prop.find(s);
+                        match prop.bound.get(r) {
+                            Some(v) => env[s as usize] = v,
+                            None => {
+                                let i = syms.binary_search(&r).expect("unbound, so enumerated");
+                                swept.push((s, i));
+                            }
+                        }
+                    }
+                }
+                swept.sort_unstable();
+                swept.dedup();
                 let mut assignment: Vec<u64> = intervals.iter().map(|iv| iv.lo).collect();
                 let mut found = false;
                 'enumerate: loop {
-                    let mut w = Witness::default();
-                    for (&r, &v) in syms.iter().zip(&assignment) {
-                        w.set(r, v);
+                    for &(s, i) in &swept {
+                        env[s as usize] = assignment[i];
                     }
-                    for &(r, v) in &bound_pairs {
-                        w.set(r, v);
-                    }
-                    // Member symbols of enumerated/bound representatives.
-                    for &c in &group_terms {
-                        for &s in pool.syms_of(c) {
-                            let r = prop.find(s);
-                            let v = w.get(r);
-                            w.set(s, v);
-                        }
-                    }
-                    if w.satisfies(pool, &group_terms) {
+                    if group_terms
+                        .iter()
+                        .all(|&c| pool.eval(c, &|id| env[id as usize]) == 1)
+                    {
                         found = true;
                         for (&r, &v) in syms.iter().zip(&assignment) {
                             partial.set(r, v);
@@ -684,8 +787,8 @@ impl Solver {
             }
             if all_components_solved {
                 // Every component got a witness over disjoint symbols:
-                // merge, extend to members, and verify.
-                let mut w = partial.clone();
+                // extend to members and verify.
+                let mut w = partial;
                 for &c in constraints {
                     for &s in pool.syms_of(c) {
                         let r = prop.find(s);
@@ -737,10 +840,10 @@ impl Solver {
             let mut w = Witness::default();
             for &s in &all_syms {
                 let r = prop.find(s);
-                if w.values.contains_key(&r) {
+                if w.values.contains(r) {
                     continue;
                 }
-                let v = if let Some(v) = prop.bound.get(&r).copied() {
+                let v = if let Some(v) = prop.bound.get(r) {
                     v
                 } else {
                     let iv = prop.iv(pool, r);
@@ -959,7 +1062,7 @@ fn term_content_hash(pool: &TermPool, memo: &mut HashMap<(u64, u32), u64>, t: Te
 struct Frame {
     prop: Propagator,
     n_constraints: usize,
-    known_syms: HashSet<SymId>,
+    known_syms: SymMap<()>,
     cur_witness: Option<Witness>,
 }
 
@@ -977,7 +1080,7 @@ pub struct SolverCtx {
     constraints: Vec<TermRef>,
     /// Symbols occurring in any asserted constraint (for the
     /// disjoint-support witness merge).
-    known_syms: HashSet<SymId>,
+    known_syms: SymMap<()>,
     /// A verified model of the current constraint list, when one is known.
     cur_witness: Option<Witness>,
     frames: Vec<Frame>,
@@ -990,7 +1093,7 @@ impl SolverCtx {
             solver: solver.clone(),
             prop: Propagator::new(),
             constraints: Vec::new(),
-            known_syms: HashSet::new(),
+            known_syms: SymMap::default(),
             cur_witness: Some(Witness::default()),
             frames: Vec::new(),
         }
@@ -1056,7 +1159,7 @@ impl SolverCtx {
                             _ => None,
                         };
                         if let Some(id) = target {
-                            if !self.known_syms.contains(&id) {
+                            if !self.known_syms.contains(id) {
                                 let v = w.eval(pool, e_side);
                                 w.set(id, v);
                                 if w.eval(pool, t) == 1 {
@@ -1074,7 +1177,9 @@ impl SolverCtx {
         }
         self.constraints.push(t);
         self.prop.assert_atom(pool, t, true);
-        self.known_syms.extend(pool.syms_of(t).iter().copied());
+        for &s in pool.syms_of(t) {
+            self.known_syms.insert(s, ());
+        }
     }
 
     /// Save a checkpoint of the full propagation state.
@@ -1138,7 +1243,7 @@ impl SolverCtx {
             let mut cand = Witness::default();
             for &s in pool.syms_of(atom) {
                 let r = prop.find(s);
-                let v = if let Some(&v) = prop.bound.get(&r) {
+                let v = if let Some(v) = prop.bound.get(r) {
                     v
                 } else {
                     let iv = prop.iv(pool, r);
@@ -1230,7 +1335,7 @@ impl SolverCtx {
         //    extends the current model without disturbing it.
         if self.cur_witness.is_some() {
             let syms = pool.syms_of(extra);
-            if !syms.is_empty() && syms.iter().all(|s| !self.known_syms.contains(s)) {
+            if !syms.is_empty() && syms.iter().all(|&s| !self.known_syms.contains(s)) {
                 if let Some(wa) = Self::atom_witness(&self.solver, pool, cache, extra) {
                     let mut w = self.cur_witness.clone().unwrap();
                     for &s in syms {
@@ -1570,6 +1675,46 @@ mod tests {
         let nlt = p.not(lt);
         let le4 = p.ule(x, four);
         assert_eq!(solver().check(&p, &[nlt, le4]), SolveResult::Unsat);
+    }
+
+    /// A satisfiable list far over the enumeration cap gets a sound
+    /// verdict from both entry points (and gets one at all: a sweep of
+    /// its component would not return).
+    fn assert_sound_verdict(p: &TermPool, cs: &[TermRef]) {
+        match solver().check(p, cs) {
+            SolveResult::Sat(w) => assert!(w.satisfies(p, cs), "witness must verify"),
+            SolveResult::Unknown => {}
+            SolveResult::Unsat => panic!("a satisfiable list came back Unsat"),
+        }
+        assert!(solver().is_feasible(p, cs));
+    }
+
+    #[test]
+    fn two_wide_symbols_are_over_the_enumeration_cap() {
+        // Two unbound 64-bit symbols span 2^128 candidates: the product
+        // overflows `u128` (a panic in debug builds, a wrap to 0 — "small
+        // enough" — in release builds, which then sweep for ever). The
+        // nearest model is 2^40 candidates away, so no sweep gets lucky.
+        let mut p = TermPool::new();
+        let x = p.fresh_sym("x", Width::W64);
+        let y = p.fresh_sym("y", Width::W64);
+        let xor = p.xor(x, y);
+        let far = p.constant(1 << 40, Width::W64);
+        let eq = p.eq(xor, far);
+        assert_sound_verdict(&p, &[eq]);
+    }
+
+    #[test]
+    fn three_wide_symbols_are_over_the_enumeration_cap() {
+        let mut p = TermPool::new();
+        let x = p.fresh_sym("x", Width::W64);
+        let y = p.fresh_sym("y", Width::W64);
+        let z = p.fresh_sym("z", Width::W64);
+        let xy = p.add(x, y);
+        let xyz = p.add(xy, z);
+        let five = p.constant(5, Width::W64);
+        let eq = p.eq(xyz, five);
+        assert_sound_verdict(&p, &[eq]);
     }
 
     // ------------------------------------------------------------------

@@ -8,19 +8,24 @@ use proptest::prelude::*;
 
 /// Build a random conjunction over three 8-bit symbols from a compact
 /// op encoding, mixing absorbable comparisons, negations, cross-symbol
-/// links, and residual-shaped arithmetic atoms.
+/// links, residual-shaped arithmetic atoms, width adapters (op codes
+/// 8/9) and the masked/offset derived-field atoms the chain workloads
+/// enumerate (op codes 10/11).
 fn random_conjunction(p: &mut TermPool, spec: &[(u8, u8, u8)]) -> Vec<TermRef> {
     let syms = [
         p.fresh_sym("x", Width::W8),
         p.fresh_sym("y", Width::W8),
         p.fresh_sym("z", Width::W8),
     ];
+    let c15 = p.constant(15, Width::W8);
+    let c5 = p.constant(5, Width::W8);
+    let c4 = p.constant(4, Width::W8);
     let mut cs = Vec::new();
     for &(op, s, v) in spec {
         let a = syms[(s % 3) as usize];
         let b = syms[((s / 3) % 3) as usize];
         let k = p.constant(v as u64, Width::W8);
-        let atom = match op % 10 {
+        let atom = match op % 12 {
             0 => p.eq(a, k),
             1 => p.ne(a, k),
             2 => p.ult(a, k),
@@ -48,17 +53,163 @@ fn random_conjunction(p: &mut TermPool, spec: &[(u8, u8, u8)]) -> Vec<TermRef> {
                 let wide = p.constant((v as u64) * 13 % 300, Width::W16);
                 p.eq(z, wide)
             }
-            _ => {
+            9 => {
                 // Width adapter: trunc(sym) == low bit.
                 let t = p.trunc(a, Width::W1);
                 let bit = p.constant(v as u64 & 1, Width::W1);
                 p.eq(bit, t)
+            }
+            10 => {
+                // The shape the chain workloads sweep, a derived field
+                // against a constant: the firewall's `(ihl & 15) <= v`,
+                // its negated `<`, or a shifted field. Never absorbed, so
+                // the symbol's component is decided by enumeration.
+                match s / 3 {
+                    0 => {
+                        let low = p.and(a, c15);
+                        p.ule(low, k)
+                    }
+                    1 => {
+                        let low = p.and(a, c15);
+                        let lt = p.ult(low, k);
+                        p.not(lt)
+                    }
+                    _ => {
+                        let high = p.shr(a, c4);
+                        p.eq(high, k)
+                    }
+                }
+            }
+            _ => {
+                // The router's IP-options loop term: v < ((a & 15) - 5).
+                let low = p.and(a, c15);
+                let off = p.sub(low, c5);
+                p.ult(k, off)
             }
         };
         // Constant-folded atoms (e.g. x == x) are legal constraints too.
         cs.push(atom);
     }
     cs
+}
+
+/// One atom of the shape the catalog and chain workloads enumerate, over
+/// an 8-bit symbol `s`: `(s & a) ⋈ k2`, `((s & a) - k1) ⋈ k2` or
+/// `(s >> a % 8) ⋈ k2`, with ⋈ one of `==`, `<`, `<=` (`cmp` 0..3) or
+/// its negation (`cmp` 3..6). `(shape, sym, a, k1, k2, cmp)`.
+type HotAtom = (u8, u8, u8, u8, u8, u8);
+
+/// The atom's truth for `s = v`, in plain integer arithmetic: the
+/// reference the solver's term evaluation is judged against.
+fn hot_atom_holds(&(shape, _, a, k1, k2, cmp): &HotAtom, v: u8) -> bool {
+    let lhs = match shape {
+        0 => v & a,
+        1 => (v & a).wrapping_sub(k1),
+        _ => v >> (a % 8),
+    };
+    let holds = match cmp % 3 {
+        0 => lhs == k2,
+        1 => lhs < k2,
+        _ => lhs <= k2,
+    };
+    holds != (cmp >= 3)
+}
+
+fn hot_atom_term(p: &mut TermPool, s: TermRef, &(shape, _, a, k1, k2, cmp): &HotAtom) -> TermRef {
+    let lhs = match shape {
+        0 => {
+            let m = p.constant(a as u64, Width::W8);
+            p.and(s, m)
+        }
+        1 => {
+            let m = p.constant(a as u64, Width::W8);
+            let low = p.and(s, m);
+            let off = p.constant(k1 as u64, Width::W8);
+            p.sub(low, off)
+        }
+        _ => {
+            let n = p.constant((a % 8) as u64, Width::W8);
+            p.shr(s, n)
+        }
+    };
+    let k = p.constant(k2 as u64, Width::W8);
+    let atom = match cmp % 3 {
+        0 => p.eq(lhs, k),
+        1 => p.ult(lhs, k),
+        _ => p.ule(lhs, k),
+    };
+    if cmp >= 3 {
+        p.not(atom)
+    } else {
+        atom
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Ground truth for the shape the solver spends its time on: masked,
+    /// offset and shifted derived fields of one or two bytes against
+    /// constants, every component small enough to enumerate. Against
+    /// exhaustive evaluation over the full domain the verdict is exact —
+    /// never `Unknown` — and a `Sat` witness is the *first* model in sweep
+    /// order (the lower-numbered symbol varies fastest, each from its low
+    /// end), so a single free symbol gets its smallest satisfying value.
+    /// `SolverCache` reuses these witnesses, so their identity is
+    /// behaviour, not an accident of the search.
+    #[test]
+    fn enumerated_components_match_exhaustive_evaluation(
+        atoms in proptest::collection::vec(
+            (0u8..3, 0u8..2, any::<u8>(), 0u8..24, 0u8..24, 0u8..6), 1..8),
+        (link, link_k) in (0u8..4, any::<u8>()),
+    ) {
+        let mut p = TermPool::new();
+        let x = p.fresh_sym("x", Width::W8);
+        let y = p.fresh_sym("y", Width::W8);
+        let mut cs: Vec<TermRef> = atoms
+            .iter()
+            .map(|atom| hot_atom_term(&mut p, if atom.1 == 0 { x } else { y }, atom))
+            .collect();
+        // Half the cases join the two bytes into one component, narrowed
+        // to 64 x 64 candidates: exactly the 4 096 the sweep still takes.
+        let linked = |xv: u8, yv: u8| match link {
+            2 => xv <= 63 && yv <= 63 && (xv & 15) < (yv >> 2),
+            3 => xv <= 63 && yv <= 63 && xv.wrapping_add(yv) == link_k,
+            _ => true,
+        };
+        if link >= 2 {
+            let c63 = p.constant(63, Width::W8);
+            cs.push(p.ule(x, c63));
+            cs.push(p.ule(y, c63));
+            cs.push(if link == 2 {
+                let c15 = p.constant(15, Width::W8);
+                let c2 = p.constant(2, Width::W8);
+                let low = p.and(x, c15);
+                let high = p.shr(y, c2);
+                p.ult(low, high)
+            } else {
+                let sum = p.add(x, y);
+                let k = p.constant(link_k as u64, Width::W8);
+                p.eq(sum, k)
+            });
+        }
+        let holds = |sym: u8, v: u8| {
+            atoms.iter().filter(|a| a.1 == sym).all(|a| hot_atom_holds(a, v))
+        };
+        let first_model = (0..=255u8)
+            .filter(|&yv| holds(1, yv))
+            .flat_map(|yv| (0..=255u8).map(move |xv| (xv, yv)))
+            .find(|&(xv, yv)| holds(0, xv) && linked(xv, yv));
+        match Solver::default().check(&p, &cs) {
+            SolveResult::Sat(w) => {
+                prop_assert!(w.satisfies(&p, &cs), "witness does not satisfy");
+                prop_assert_eq!(Some((w.get(0) as u8, w.get(1) as u8)), first_model);
+            }
+            SolveResult::Unsat => prop_assert_eq!(first_model, None, "Unsat, but a model exists"),
+            SolveResult::Unknown => prop_assert!(false, "every component is enumerable"),
+        }
+        prop_assert_eq!(Solver::default().is_feasible(&p, &cs), first_model.is_some());
+    }
 }
 
 proptest! {
@@ -148,7 +299,7 @@ proptest! {
     /// decision procedure — same class, same witness.
     #[test]
     fn incremental_check_equals_batch(
-        spec in proptest::collection::vec((0u8..8, 0u8..9, 0u8..20), 1..10),
+        spec in proptest::collection::vec((0u8..12, 0u8..9, 0u8..20), 1..10),
     ) {
         let mut p = TermPool::new();
         let cs = random_conjunction(&mut p, &spec);
@@ -169,8 +320,8 @@ proptest! {
     /// verify, and popping must fully restore the prefix state.
     #[test]
     fn probe_equals_batch_on_extension(
-        spec in proptest::collection::vec((0u8..8, 0u8..9, 0u8..20), 1..8),
-        probe_spec in (0u8..8, 0u8..9, 0u8..20),
+        spec in proptest::collection::vec((0u8..12, 0u8..9, 0u8..20), 1..8),
+        probe_spec in (0u8..12, 0u8..9, 0u8..20),
     ) {
         let mut p = TermPool::new();
         let mut cs = random_conjunction(&mut p, &spec);
@@ -203,14 +354,15 @@ proptest! {
         prop_assert_eq!(ctx.check(&p), s.check(&p, &cs));
     }
 
-    /// Conjunctions including width-adapter equations (`eq(zext(sym), k)`
-    /// / `eq(trunc(sym), k)` — op codes 8/9): the incremental context,
-    /// whose model-repair path now handles these shapes, must stay
-    /// bit-identical to batch `check()` across assert/probe.
+    /// Conjunctions probed with a width-adapter equation (`eq(zext(sym),
+    /// k)` / `eq(trunc(sym), k)` — op codes 8/9) or a derived-field atom
+    /// (10/11): the incremental context, whose model-repair path handles
+    /// the adapter shapes, must stay bit-identical to batch `check()`
+    /// across assert/probe.
     #[test]
     fn incremental_matches_batch_with_width_adapters(
-        spec in proptest::collection::vec((0u8..10, 0u8..9, 0u8..20), 1..10),
-        probe_spec in (8u8..10, 0u8..9, 0u8..20),
+        spec in proptest::collection::vec((0u8..12, 0u8..9, 0u8..20), 1..10),
+        probe_spec in (8u8..12, 0u8..9, 0u8..20),
     ) {
         let mut p = TermPool::new();
         let cs = random_conjunction(&mut p, &spec);

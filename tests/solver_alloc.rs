@@ -1,0 +1,88 @@
+//! The solver's component sweep allocates nothing per candidate: an
+//! exhausted sweep over 256 values makes as many allocations as one over
+//! 16. Counted with a pass-through allocator (the only test in this
+//! binary, so nothing else allocates meanwhile); the count repeats
+//! exactly, so the gate does not depend on the machine.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use bolt::expr::{TermPool, TermRef, Width};
+use bolt::solver::Solver;
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a side effect only.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout, via `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// The shape `gen_chain` spends its time on — the router's IP-options
+/// loop over the version/IHL byte meeting the firewall's header-length
+/// check: `!((x & 15) < 5)`, `k < ((x & 15) - 5)` for k = 0..=10, closed
+/// by `(x & 15) <= 5`. No value of `x` satisfies it, so the sweep visits
+/// every candidate; `narrowed` adds `x < 16`, which leaves 16 of the 256.
+fn exhausted_sweep(narrowed: bool) -> (TermPool, Vec<TermRef>) {
+    let mut p = TermPool::new();
+    let x = p.fresh_sym("pkt@14:1", Width::W8);
+    let c15 = p.constant(15, Width::W8);
+    let c5 = p.constant(5, Width::W8);
+    let ihl = p.and(x, c15);
+    let short = p.ult(ihl, c5);
+    let mut cs = vec![p.not(short)];
+    let options = p.sub(ihl, c5);
+    for k in 0..=10 {
+        let k = p.constant(k, Width::W8);
+        cs.push(p.ult(k, options));
+    }
+    cs.push(p.ule(ihl, c5));
+    if narrowed {
+        let c16 = p.constant(16, Width::W8);
+        cs.push(p.ult(x, c16));
+    }
+    (p, cs)
+}
+
+fn allocations_to_refute(narrowed: bool) -> usize {
+    let (p, cs) = exhausted_sweep(narrowed);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let feasible = Solver::default().is_feasible(&p, &cs);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(
+        !feasible,
+        "no candidate satisfies the list: the sweep is exhausted"
+    );
+    allocations
+}
+
+#[test]
+fn an_exhausted_sweep_allocates_nothing_per_candidate() {
+    let (few, all) = (allocations_to_refute(true), allocations_to_refute(false));
+    // One more constraint costs a fixed handful of allocations; sixteen
+    // times the candidates must cost none.
+    assert!(
+        few.abs_diff(all) <= 8,
+        "{few} allocations to sweep 16 candidates, {all} to sweep 256"
+    );
+}
