@@ -27,9 +27,14 @@
 //! implementation loops over [`NetworkFunction::process`]; NFs can
 //! override it to amortise per-burst work (prefetching, batched expiry).
 
+use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
 use bolt_expr::{PcvAssignment, PerfExpr};
 use bolt_see::{ConcreteCtx, ExplorationResult, Explorer, SymbolicCtx};
 use bolt_solver::Solver;
+use bolt_store::Fingerprint;
 use bolt_trace::{AddressSpace, Metric};
 use dpdk_sim::{sym_process_packet, Mbuf, StackLevel};
 use nf_lib::clock::Clock;
@@ -66,8 +71,10 @@ pub fn ambient_threads() -> usize {
 pub trait NetworkFunction {
     /// Handle to the NF's registered stateful parts (data-structure ids
     /// and PCVs). `()` for stateless NFs. `Sync` because exploration
-    /// worker threads share the handle while re-executing the NF body.
-    type Ids: Copy + Sync + 'static;
+    /// worker threads share the handle while re-executing the NF body;
+    /// `Send` because the library keeps one calibrated copy per
+    /// configuration for the whole process, whichever thread made it.
+    type Ids: Copy + Send + Sync + 'static;
 
     /// Concrete instrumented state (the production build's data
     /// structures).
@@ -77,6 +84,14 @@ pub trait NetworkFunction {
     fn name(&self) -> &'static str;
 
     /// Register the NF's stateful parts and their method contracts.
+    ///
+    /// Registration calibrates the library data structures (the
+    /// automated stand-in for §3.3's expert-written contracts), so the
+    /// library calls it once per configuration and process and hands
+    /// every later exploration or store hit a clone of that registry. It
+    /// must therefore be a pure function of the descriptor — of the
+    /// fields [`NetworkFunction::fingerprint_config`] hashes — and of
+    /// nothing else. Calling it directly always calibrates afresh.
     fn register(&self, reg: &mut DsRegistry) -> Self::Ids;
 
     /// Build the concrete state bundle for production runs.
@@ -109,7 +124,9 @@ pub trait NetworkFunction {
     /// ([`crate::store::store_key`]); descriptors add their own config on
     /// top. The default adds nothing — correct only for configuration-free
     /// descriptors, so any NF with a config struct must override this or
-    /// distinct configs would share a store record.
+    /// distinct configs would share a store record — and, within one
+    /// process, the registry [`NetworkFunction::register`] calibrated for
+    /// whichever of them was seen first.
     fn fingerprint_config(&self, fp: &mut Fingerprinter) {
         let _ = fp;
     }
@@ -150,8 +167,7 @@ pub trait NetworkFunction {
     where
         Self: Sized + Sync,
     {
-        let mut reg = DsRegistry::new();
-        let ids = self.register(&mut reg);
+        let (reg, ids) = registered(self);
         let mut explorer = Explorer::new();
         explorer.threads = threads;
         let result = explorer.explore(|ctx| {
@@ -175,6 +191,51 @@ pub trait NetworkFunction {
     {
         self.explore(level).contract()
     }
+}
+
+/// Configurations the process keeps a calibrated registry for. On
+/// overflow everything is dropped and the memo starts again: a hit is
+/// only ever a saving, and an entry retains up to ≈ 28 KB (the NAT's;
+/// every `PerfExpr` is a B-tree).
+const REGISTERED_CAP: usize = 64;
+
+type Registered = BTreeMap<(TypeId, Fingerprint), (DsRegistry, Box<dyn Any + Send>)>;
+
+static REGISTERED: Mutex<Registered> = Mutex::new(BTreeMap::new());
+
+/// The NF's registry and registered-state handle — the only way the
+/// library obtains them. [`NetworkFunction::register`] runs once per
+/// configuration and process; afterwards the calibrated registry is
+/// cloned out of a process-wide memo.
+///
+/// The key is the configuration identity the contract store already
+/// trusts (name + [`NetworkFunction::fingerprint_config`]; a field that
+/// misses there already serves a stale exploration from the store), plus
+/// the handle's type so the downcast below cannot fail. A miss
+/// calibrates outside the lock — racing threads each calibrate and
+/// insert equal values — and entries are inserted whole, so a poisoned
+/// memo is still a valid memo.
+pub(crate) fn registered<N: NetworkFunction>(nf: &N) -> (DsRegistry, N::Ids) {
+    let mut fp = Fingerprinter::new();
+    fp.str(nf.name());
+    nf.fingerprint_config(&mut fp);
+    let key = (TypeId::of::<N::Ids>(), fp.finish());
+    let lock = || REGISTERED.lock().unwrap_or_else(PoisonError::into_inner);
+
+    let hit = lock()
+        .get(&key)
+        .and_then(|(reg, ids)| Some((reg.clone(), *ids.downcast_ref::<N::Ids>()?)));
+    if let Some(hit) = hit {
+        return hit;
+    }
+    let mut reg = DsRegistry::new();
+    let ids = nf.register(&mut reg);
+    let mut memo = lock();
+    if memo.len() >= REGISTERED_CAP {
+        memo.clear();
+    }
+    memo.insert(key, (reg.clone(), Box::new(ids)));
+    (reg, ids)
 }
 
 /// Fluent entrypoint: `Bolt::nf(nf).explore(level).contract().query(…)`.

@@ -17,7 +17,6 @@
 use std::io;
 
 use dpdk_sim::StackLevel;
-use nf_lib::registry::DsRegistry;
 
 pub use bolt_store::{
     ContractStore, Fingerprint, Fingerprinter, RecordHeader, RecordKind, StoreEntry, SweepReport,
@@ -25,7 +24,7 @@ pub use bolt_store::{
 
 use crate::codec::{decode_contract, encode_contract};
 use crate::contract::NfContract;
-use crate::nf::{Exploration, NetworkFunction};
+use crate::nf::{registered, Exploration, NetworkFunction};
 
 /// Stable tag of a stack level (part of the record header and key).
 pub fn level_tag(level: StackLevel) -> u8 {
@@ -120,12 +119,15 @@ pub fn plan_key(stage_keys: &[Fingerprint], level: StackLevel) -> Fingerprint {
 /// Typed operations over a [`ContractStore`] (implemented for it here,
 /// since the store crate sits below the NF abstraction).
 pub trait StoreExt {
-    /// Warm path: decode the stored exploration for this (NF, level) —
-    /// re-registering the NF's stateful parts is the only work, no
-    /// explorer run, no solver query. Cold path: explore, save the
-    /// record, and return the fresh result. The returned
-    /// [`Exploration::cached`] flag says which happened. Explores at
-    /// the ambient `BOLT_THREADS` count.
+    /// Warm path: read the record (header check, payload read), decode
+    /// the stored exploration for this (NF, level) and clone the
+    /// registry the process calibrated for this configuration — no
+    /// explorer run, no solver query, and no
+    /// [`NetworkFunction::register`] unless this is the configuration's
+    /// first use in the process. Cold path: explore, save the record,
+    /// and return the fresh result. The returned [`Exploration::cached`]
+    /// flag says which happened. Explores at the ambient `BOLT_THREADS`
+    /// count.
     fn get_or_explore<N: NetworkFunction + Sync>(
         &self,
         nf: &N,
@@ -244,8 +246,7 @@ impl StoreExt for ContractStore {
             };
             match decoded {
                 Ok(result) => {
-                    let mut reg = DsRegistry::new();
-                    let ids = nf.register(&mut reg);
+                    let (reg, ids) = registered(nf);
                     return Exploration {
                         reg,
                         ids,

@@ -7,6 +7,8 @@
 //! (concrete structures) can both register the same logical instance and
 //! agree on ids.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use bolt_expr::{PcvId, PcvTable, PerfExpr};
 use bolt_see::ConcreteCtx;
 use bolt_trace::{DsId, Metric, RecordingTracer, StatefulCall};
@@ -55,7 +57,7 @@ pub struct DsInstance {
 }
 
 /// The registry: instances + the PCV name table they share.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DsRegistry {
     /// PCV names used by all contracts in this registry.
     pub pcvs: PcvTable,
@@ -154,9 +156,22 @@ impl CasePerf {
     }
 }
 
+/// Calibration probes run by this process (a statistic: it publishes
+/// nothing else, hence relaxed).
+static CALIBRATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many calibration probes ([`measure`]) this process has run. The
+/// library calibrates once per NF configuration, so the count stands
+/// still across repeated explorations and store hits — which is what
+/// `tests/calibrate_once.rs` pins.
+pub fn calibrations() -> u64 {
+    CALIBRATIONS.load(Ordering::Relaxed)
+}
+
 /// Calibration probe: run `op` against a recording tracer and return its
 /// measured `[instructions, mem accesses, conservative cycles]`.
 pub fn measure(op: impl FnOnce(&mut ConcreteCtx<'_>)) -> [u64; 3] {
+    CALIBRATIONS.fetch_add(1, Ordering::Relaxed);
     let mut rec = RecordingTracer::new();
     {
         let mut ctx = ConcreteCtx::new(&mut rec);
