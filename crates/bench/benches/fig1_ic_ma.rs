@@ -5,7 +5,7 @@
 //!
 //! `NAT1adv` is this reproduction's extra row: the same mass-expiry state
 //! arranged as one adversarial probe run, where the product-form `e·te`
-//! coalescing makes the bound ≈2× conservative (see EXPERIMENTS.md).
+//! coalescing makes the bound ≈2× conservative.
 
 use bolt_bench::scenarios::{all_scenarios, nat_pathological};
 use bolt_bench::table_fmt::{human, overestimate_pct, print_table};

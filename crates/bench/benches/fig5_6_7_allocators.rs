@@ -223,6 +223,6 @@ fn main() {
         "\nLow-churn trade-off fully reproduced (prediction and measurement); the high-churn\n\
          prediction favours B as in the paper, but the measured advantage does not materialise\n\
          on the simulated testbed: its warm caches serve allocator A's scattered FIFO nodes at\n\
-         L1/L2 latency, where the paper's DRAM-bound testbed made A pay. See EXPERIMENTS.md."
+         L1/L2 latency, where the paper's DRAM-bound testbed made A pay."
     );
 }

@@ -1,8 +1,8 @@
 //! Table 4: the bridge's learn contract — instructions as a function of
 //! expired entries `e`, collisions `c`, traversals `t` (probe PCVs), and
 //! occupancy `o`, with the rehashing row's performance cliff. This
-//! reproduction scopes the expiry probe PCVs as `te`/`ce` (see
-//! EXPERIMENTS.md) and prints the full method family.
+//! reproduction scopes the expiry probe PCVs as `te`/`ce` and prints the
+//! full method family.
 
 use bolt_bench::table_fmt::print_table;
 use bolt_nfs::bridge;

@@ -1,5 +1,6 @@
 //! The fourteen §5.1 input-class scenarios, plus the adversarial
-//! single-chain variant of the pathological state (see EXPERIMENTS.md).
+//! single-chain variant of the pathological state (`fig1_ic_ma`'s
+//! `NAT1adv` row).
 //!
 //! Each scenario prepares NF state (synthesizing the pathological states
 //! the paper could not build from traffic, §5.1), plays an in-class
@@ -256,8 +257,7 @@ pub fn nat_typical() -> Vec<ScenarioOutcome> {
 /// NAT1: the synthesized pathological state — full table, all entries
 /// aged, mass expiry on the next packet. `uniform` selects singleton
 /// clusters (tight product-form bound) vs one adversarial probe run
-/// (quadratic blow-up; the bound is ≈2× conservative — see
-/// EXPERIMENTS.md).
+/// (quadratic blow-up; the bound is ≈2× conservative).
 pub fn nat_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
     let cfg = NatConfig {
         capacity,

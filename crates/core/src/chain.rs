@@ -1135,16 +1135,14 @@ impl<'s> Pipeline<'s> {
     /// pair with [`Pipeline::contracts`] +
     /// [`crate::composer::Composer::compose_all`] when both the composed
     /// contract and the baseline are needed).
-    pub fn naive_add_of(contracts: &[NfContract], metric: Metric, env: &PcvAssignment) -> u64 {
+    pub fn naive_add_of<'a>(
+        contracts: impl IntoIterator<Item = &'a NfContract>,
+        metric: Metric,
+        env: &PcvAssignment,
+    ) -> u64 {
         contracts
-            .iter()
-            .map(|c| {
-                c.paths
-                    .iter()
-                    .map(|p| p.expr(metric).eval(env))
-                    .max()
-                    .unwrap_or(0)
-            })
+            .into_iter()
+            .map(|c| c.worst(metric, env).map_or(0, |p| p.expr(metric).eval(env)))
             .sum()
     }
 }
@@ -1157,19 +1155,7 @@ pub fn naive_add(
     metric: Metric,
     env: &PcvAssignment,
 ) -> u64 {
-    let a = first
-        .paths
-        .iter()
-        .map(|p| p.expr(metric).eval(env))
-        .max()
-        .unwrap_or(0);
-    let b = second
-        .paths
-        .iter()
-        .map(|p| p.expr(metric).eval(env))
-        .max()
-        .unwrap_or(0);
-    a + b
+    Pipeline::naive_add_of([first, second], metric, env)
 }
 
 #[cfg(test)]

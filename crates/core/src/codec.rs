@@ -1,7 +1,8 @@
-//! Binary codec for [`NfContract`]s (the contract store's contract
-//! records) and [`ChainPlan`]s (its plan records).
+//! Binary codec for [`NfContract`]s (the contract store's composed-chain
+//! records — a single NF's contract is never stored, it is regenerated
+//! from the exploration record) and [`ChainPlan`]s (its plan records).
 //!
-//! A contract record is self-contained: the term pool the constraints
+//! A composed record is self-contained: the term pool the constraints
 //! live in, then one entry per path — constraints, tags, verdict, the
 //! three per-metric cost polynomials, packet fields, and the final
 //! packet overlay. Decoding rehydrates the pool by re-interning (see

@@ -428,11 +428,8 @@ fn build_plan(
     let stage_cycles: Vec<PerfExpr> = contracts
         .iter()
         .map(|c| {
-            c.paths
-                .iter()
-                .map(|p| p.expr(Metric::Cycles))
-                .max_by_key(|e| e.eval(&env))
-                .cloned()
+            c.worst(Metric::Cycles, &env)
+                .map(|p| p.expr(Metric::Cycles).clone())
                 .unwrap_or_default()
         })
         .collect();

@@ -122,14 +122,10 @@ pub trait NetworkFunction {
     /// into the contract-store fingerprint. The NF name, packet length,
     /// and stack level are hashed by the caller
     /// ([`crate::store::store_key`]); descriptors add their own config on
-    /// top. The default adds nothing — correct only for configuration-free
-    /// descriptors, so any NF with a config struct must override this or
-    /// distinct configs would share a store record — and, within one
-    /// process, the registry [`NetworkFunction::register`] calibrated for
-    /// whichever of them was seen first.
-    fn fingerprint_config(&self, fp: &mut Fingerprinter) {
-        let _ = fp;
-    }
+    /// top. Required: the same key selects the stored record and the
+    /// process's calibrated registry, so a configuration-free descriptor
+    /// says so with an empty body.
+    fn fingerprint_config(&self, fp: &mut Fingerprinter);
 
     /// Process a burst of received packets (the DPDK `rx_burst` shape).
     ///

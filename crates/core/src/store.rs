@@ -9,6 +9,13 @@
 //! on a miss. Exploration is deterministic per (config, level), which is
 //! what makes the cached record a faithful stand-in for a fresh run.
 //!
+//! Each of the three record kinds is a typed get/put pair here:
+//! explorations ([`StoreExt::get_or_explore`], the only record an NF
+//! has — its contract is regenerated from it), composed-chain contracts
+//! ([`StoreExt::get_composed`]) and chain plans ([`StoreExt::get_plan`]).
+//! Header-only questions (size, stamp, existence) go to
+//! [`ContractStore::header`] directly.
+//!
 //! Opt-in is explicit only ([`crate::nf::Bolt::with_store`],
 //! [`crate::chain::Pipeline::with_store`],
 //! [`crate::composer::Composer::store`]): the library opens no store the
@@ -146,18 +153,6 @@ pub trait StoreExt {
         threads: usize,
     ) -> Exploration<N::Ids>;
 
-    /// Fetch and decode a stored contract record.
-    fn get_contract(&self, key: Fingerprint) -> Option<NfContract>;
-
-    /// Encode and persist a contract record.
-    fn put_contract(
-        &self,
-        key: Fingerprint,
-        nf_name: &str,
-        level: StackLevel,
-        contract: &NfContract,
-    ) -> io::Result<()>;
-
     /// Fetch and decode a composed-chain contract record (keyed by
     /// [`compose_key`]). A hit is fully solver-free: the record decodes
     /// straight into a queryable [`NfContract`].
@@ -189,13 +184,6 @@ pub trait StoreExt {
         level: StackLevel,
         plan: &crate::chain::ChainPlan,
     ) -> io::Result<()>;
-
-    /// Header-only metadata of a record: the cheap pass (no payload
-    /// read, no pool rehydration) for existence checks, `list`-style
-    /// enumeration, and serving-cache admission accounting. Use
-    /// [`StoreExt::get_or_explore`]/[`StoreExt::get_contract`] only when
-    /// the payload's contents are actually needed.
-    fn peek(&self, key: Fingerprint, kind: RecordKind) -> Option<RecordHeader>;
 }
 
 /// Feed one fresh exploration's counters into a metrics registry, under
@@ -281,29 +269,6 @@ impl StoreExt for ContractStore {
         ex
     }
 
-    fn get_contract(&self, key: Fingerprint) -> Option<NfContract> {
-        let payload = self.get(key, RecordKind::Contract)?;
-        decode_contract(&payload).ok()
-    }
-
-    fn put_contract(
-        &self,
-        key: Fingerprint,
-        nf_name: &str,
-        level: StackLevel,
-        contract: &NfContract,
-    ) -> io::Result<()> {
-        let payload = encode_contract(contract);
-        self.put(
-            key,
-            RecordKind::Contract,
-            nf_name,
-            level_tag(level),
-            contract.paths.len() as u64,
-            &payload,
-        )
-    }
-
     fn get_composed(&self, key: Fingerprint) -> Option<NfContract> {
         let payload = self.get(key, RecordKind::Composed)?;
         decode_contract(&payload).ok()
@@ -330,10 +295,6 @@ impl StoreExt for ContractStore {
             plan.groups.len() as u64,
             &payload,
         )
-    }
-
-    fn peek(&self, key: Fingerprint, kind: RecordKind) -> Option<RecordHeader> {
-        self.header(key, kind)
     }
 
     fn put_composed(

@@ -264,11 +264,6 @@ impl NfRunner {
     pub fn cycle_samples(&self) -> Vec<f64> {
         self.samples.iter().map(|s| s.cycles).collect()
     }
-
-    /// The worst per-packet sample by a selector.
-    pub fn worst_by<K: Ord>(&self, f: impl Fn(&PacketSample) -> K) -> Option<&PacketSample> {
-        self.samples.iter().max_by_key(|s| f(s))
-    }
 }
 
 #[cfg(test)]

@@ -146,12 +146,6 @@ impl PcvAssignment {
         self
     }
 
-    /// Bind a PCV by name, interning it in `pcvs` if needed.
-    pub fn set_named(&mut self, pcvs: &mut PcvTable, name: &str, value: u64) -> &mut Self {
-        let id = pcvs.intern(name);
-        self.set(id, value)
-    }
-
     /// Read a PCV (unbound PCVs read as 0).
     pub fn get(&self, id: PcvId) -> u64 {
         self.values.get(&id).copied().unwrap_or(0)

@@ -391,16 +391,6 @@ pub fn conservative_cycles(events: &[TraceEvent]) -> u64 {
     m.cycles()
 }
 
-/// Run a recorded event slice through a fresh testbed model and return the
-/// simulated measured cycles.
-pub fn testbed_cycles(events: &[TraceEvent]) -> u64 {
-    let mut m = TestbedModel::new();
-    for ev in events {
-        m.event(*ev);
-    }
-    m.cycles()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

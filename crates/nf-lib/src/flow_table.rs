@@ -77,16 +77,6 @@ pub struct FlowTableParams {
     pub ttl_ns: u64,
 }
 
-impl FlowTableParams {
-    /// Typical NAT-ish defaults: 8192 flows, 10 ms scaled lifetime.
-    pub fn default_nat() -> Self {
-        FlowTableParams {
-            capacity: 8192,
-            ttl_ns: 10_000_000,
-        }
-    }
-}
-
 /// Copyable handle tying together the registry id and the PCV ids of one
 /// registered instance. Shared by the concrete table and its model.
 #[derive(Clone, Copy, Debug)]
@@ -420,28 +410,17 @@ impl<const K: usize> FlowTable<K> {
     ///
     /// `uniform_clusters = true` instead spreads entries as singleton
     /// chains (every erase is O(1)), which keeps the product-form contract
-    /// tight; see EXPERIMENTS.md for the two variants.
+    /// tight (the `NAT1` and `NAT1adv` rows of the `fig1_ic_ma` bench
+    /// are the two variants).
     pub fn synthesize_pathological(&mut self, uniform_clusters: bool) {
         let cap = self.params.capacity;
         self.synthesize_aged(cap, uniform_clusters, |nth| nth as u64)
     }
 
-    /// [`FlowTable::synthesize_pathological`] with control over the value
-    /// stored in the n-th placed entry — composite structures (the NAT)
-    /// need the values to be resources they actually own (port numbers).
-    pub fn synthesize_pathological_with(
-        &mut self,
-        uniform_clusters: bool,
-        val_of: impl Fn(usize) -> u64,
-    ) {
-        let cap = self.params.capacity;
-        self.synthesize_aged(cap, uniform_clusters, val_of)
-    }
-
     /// Fill `count ≤ capacity` slots with aged entries. Leaving a few
     /// slots empty keeps post-expiry lookups from scanning the whole
     /// tombstone field, which would conflate the lookup's `t` into the
-    /// expiry cross terms (see EXPERIMENTS.md's NAT1 discussion).
+    /// expiry cross terms.
     pub fn synthesize_aged(
         &mut self,
         count: usize,

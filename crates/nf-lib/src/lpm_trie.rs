@@ -73,11 +73,6 @@ impl LpmTrie {
         }
     }
 
-    /// Number of trie nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Insert a route (control plane; uninstrumented).
     pub fn insert(&mut self, prefix: u32, len: u8, port: u16) {
         assert!(len <= 32);

@@ -91,7 +91,7 @@ proptest! {
 
     /// Contract conservatism holds for every get under random state.
     #[test]
-    fn get_contract_is_conservative(keys in prop::collection::vec(any::<u8>(), 1..80)) {
+    fn every_get_stays_inside_its_contract(keys in prop::collection::vec(any::<u8>(), 1..80)) {
         let mut reg = DsRegistry::new();
         let params = FlowTableParams { capacity: 128, ttl_ns: u64::MAX / 2 };
         let ids = flow_table::register::<1>(&mut reg, "t", "", params);

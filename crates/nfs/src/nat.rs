@@ -539,14 +539,6 @@ impl NatState {
         }
     }
 
-    /// Free external ports remaining.
-    pub fn ports_available(&self) -> usize {
-        match self {
-            NatState::A(t) => t.pa.available(),
-            NatState::B(t) => t.pa.available(),
-        }
-    }
-
     /// Mark an external port as taken (pathological-state synthesis).
     pub fn raw_take_port(&mut self, port: u16) {
         match self {

@@ -150,14 +150,6 @@ pub struct Span {
     start: Instant,
 }
 
-impl Span {
-    /// Elapsed nanoseconds so far (the value that will be recorded on drop,
-    /// modulo the remaining run time).
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         self.hist.record(self.start.elapsed().as_nanos() as u64);

@@ -5,12 +5,11 @@
 //!
 //! * [`Client`] — the high-level, resilient handle. Build one with
 //!   [`Client::builder`]; each call is one request/response exchange,
-//!   and transport failures on *idempotent* requests (ping, query,
-//!   list, provenance, stats) tear down the connection, back off with
-//!   jitter, reconnect, and retry up to [`ClientConfig::retries`]
-//!   times. Non-idempotent requests (diff today renders from immutable
-//!   records but is grouped conservatively; shutdown must never fire
-//!   twice) surface the first failure. Error *frames* — the server
+//!   and transport failures on *idempotent* requests (everything but
+//!   shutdown, see [`Request::is_idempotent`]) tear down the
+//!   connection, back off with jitter, reconnect, and retry up to
+//!   [`ClientConfig::retries`] times. Shutdown must never fire twice,
+//!   so it surfaces the first failure. Error *frames* — the server
 //!   answered, but with a diagnostic — are never retried: the server
 //!   is healthy and would say the same thing again.
 //! * [`Session`] — one negotiated connection, exposed directly for

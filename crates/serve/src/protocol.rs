@@ -207,23 +207,14 @@ impl Request {
     }
 
     /// Whether re-sending this request after a transport failure is
-    /// safe. Reads are; [`Request::Shutdown`] is not (a retry after a
-    /// restart would kill the new instance), and [`Request::Diff`] is
-    /// grouped with it conservatively even though today's diff renders
-    /// from immutable records. [`Request::Hello`] is connection-scoped
-    /// state, not store state, so re-negotiating after a re-dial is
+    /// safe: everything but [`Request::Shutdown`] (a retry after a
+    /// restart would kill the new instance). No other request writes an
+    /// artifact — `query` and `diff` may fill the store on a miss, which
+    /// a retry finds already filled — and [`Request::Hello`] is
+    /// connection-scoped state, so re-negotiating after a re-dial is
     /// safe by construction.
     pub fn is_idempotent(&self) -> bool {
-        matches!(
-            self,
-            Request::Ping
-                | Request::Query(_)
-                | Request::List
-                | Request::Provenance { .. }
-                | Request::Stats
-                | Request::Metrics
-                | Request::Hello { .. }
-        )
+        !matches!(self, Request::Shutdown)
     }
 
     /// Encode to one frame payload: version byte, opcode, the request's
@@ -398,16 +389,6 @@ impl MetricsReply {
             counters: snap.counters.clone(),
             gauges: snap.gauges.clone(),
             histograms: snap.histograms.clone(),
-        }
-    }
-
-    /// Convert back into a registry snapshot (for merging or Prometheus
-    /// rendering client-side).
-    pub fn to_snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
         }
     }
 

@@ -429,11 +429,6 @@ impl Server {
         self.engine.wake_all();
     }
 
-    /// Whether shutdown has been requested.
-    pub fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Block until the server has fully stopped: waits for the
     /// shutdown flag, joins every engine thread (connections finish
     /// answering what they already received), flushes pending

@@ -167,102 +167,43 @@ pub enum Dispatch {
     Offload,
 }
 
-/// Legacy `stats`-reply counter names, in their frozen wire order. The
-/// first 17 entries of every [`StatsReply`] are exactly these, in this
-/// order — consumers that index by position keep working; new counters
-/// are only ever *appended* (see [`ServeCore::stats_reply`]).
-pub const LEGACY_STATS_NAMES: [&str; 17] = [
-    "requests",
-    "errors",
-    "connections",
-    "protocol_errors",
-    "queries",
-    "memo_hits",
-    "memo_misses",
-    "cache_hits",
-    "cache_misses",
-    "contract_decodes",
-    "explorations",
-    "solver_queries",
-    "evictions",
-    "touches_flushed",
-    "busy_rejects",
-    "idle_closed",
-    "deadlines_exceeded",
-];
+/// The stats counters, said once: each line pairs the private handle
+/// index with its wire name, in the frozen wire order.
+macro_rules! stats {
+    ($($stat:ident => $name:literal,)*) => {
+        /// Legacy `stats`-reply counter names, in their frozen wire order. The
+        /// first 17 entries of every [`StatsReply`] are exactly these, in this
+        /// order — consumers that index by position keep working; new counters
+        /// are only ever *appended* (see [`ServeCore::stats_reply`]).
+        pub const LEGACY_STATS_NAMES: [&str; 17] = [$($name),*];
 
-/// Monotonic request/work counters — `Arc` handles into the core's
-/// [`Registry`] under `serve.*` names, minted once so the hot path never
-/// touches the registry lock. The legacy short names remain the `stats`
-/// reply's wire vocabulary (see [`LEGACY_STATS_NAMES`]).
-struct Counters {
-    requests: Arc<Counter>,
-    errors: Arc<Counter>,
-    connections: Arc<Counter>,
-    protocol_errors: Arc<Counter>,
-    queries: Arc<Counter>,
-    memo_hits: Arc<Counter>,
-    memo_misses: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    contract_decodes: Arc<Counter>,
-    explorations: Arc<Counter>,
-    solver_queries: Arc<Counter>,
-    evictions: Arc<Counter>,
-    touches_flushed: Arc<Counter>,
-    busy_rejects: Arc<Counter>,
-    idle_closed: Arc<Counter>,
-    deadlines_exceeded: Arc<Counter>,
+        /// Index of one counter in [`LEGACY_STATS_NAMES`] and in the
+        /// core's pre-minted handle array.
+        #[derive(Clone, Copy)]
+        enum Stat {
+            $($stat),*
+        }
+    };
 }
 
-impl Counters {
-    fn new(reg: &Registry) -> Self {
-        Counters {
-            requests: reg.counter("serve.requests"),
-            errors: reg.counter("serve.errors"),
-            connections: reg.counter("serve.connections"),
-            protocol_errors: reg.counter("serve.protocol_errors"),
-            queries: reg.counter("serve.queries"),
-            memo_hits: reg.counter("serve.memo_hits"),
-            memo_misses: reg.counter("serve.memo_misses"),
-            cache_hits: reg.counter("serve.cache_hits"),
-            cache_misses: reg.counter("serve.cache_misses"),
-            contract_decodes: reg.counter("serve.contract_decodes"),
-            explorations: reg.counter("serve.explorations"),
-            solver_queries: reg.counter("serve.solver_queries"),
-            evictions: reg.counter("serve.evictions"),
-            touches_flushed: reg.counter("serve.touches_flushed"),
-            busy_rejects: reg.counter("serve.busy_rejects"),
-            idle_closed: reg.counter("serve.idle_closed"),
-            deadlines_exceeded: reg.counter("serve.deadlines_exceeded"),
-        }
-    }
-
-    fn snapshot(&self) -> Vec<(String, u64)> {
-        LEGACY_STATS_NAMES
-            .iter()
-            .zip([
-                &self.requests,
-                &self.errors,
-                &self.connections,
-                &self.protocol_errors,
-                &self.queries,
-                &self.memo_hits,
-                &self.memo_misses,
-                &self.cache_hits,
-                &self.cache_misses,
-                &self.contract_decodes,
-                &self.explorations,
-                &self.solver_queries,
-                &self.evictions,
-                &self.touches_flushed,
-                &self.busy_rejects,
-                &self.idle_closed,
-                &self.deadlines_exceeded,
-            ])
-            .map(|(n, c)| (n.to_string(), c.get()))
-            .collect()
-    }
+stats! {
+    Requests => "requests",
+    Errors => "errors",
+    Connections => "connections",
+    ProtocolErrors => "protocol_errors",
+    Queries => "queries",
+    MemoHits => "memo_hits",
+    MemoMisses => "memo_misses",
+    CacheHits => "cache_hits",
+    CacheMisses => "cache_misses",
+    ContractDecodes => "contract_decodes",
+    Explorations => "explorations",
+    SolverQueries => "solver_queries",
+    Evictions => "evictions",
+    TouchesFlushed => "touches_flushed",
+    BusyRejects => "busy_rejects",
+    IdleClosed => "idle_closed",
+    DeadlinesExceeded => "deadlines_exceeded",
 }
 
 /// The query engine: one open store, one hot-contract cache, counters.
@@ -271,7 +212,10 @@ impl Counters {
 pub struct ServeCore {
     store: ContractStore,
     cache: ContractCache,
-    counters: Counters,
+    /// Monotonic request/work counters, indexed by [`Stat`] — handles
+    /// into the registry under `serve.<name>`, minted once so the hot
+    /// path never touches the registry lock.
+    counters: [Arc<Counter>; LEGACY_STATS_NAMES.len()],
     metrics: Arc<Registry>,
     /// Per-phase request-latency histograms, indexed by [`Phase`]
     /// (pre-minted: the request path must not take the registry lock).
@@ -296,7 +240,7 @@ impl ServeCore {
     pub fn with_config(store: ContractStore, config: CacheConfig) -> Self {
         let metrics = Arc::new(Registry::new());
         let store = store.with_metrics(Arc::clone(&metrics));
-        let counters = Counters::new(&metrics);
+        let counters = LEGACY_STATS_NAMES.map(|name| metrics.counter(&format!("serve.{name}")));
         let phase_hists =
             std::array::from_fn(|i| metrics.histogram(&format!("serve.phase.{}", PHASE_NAMES[i])));
         let req_hists = std::array::from_fn(|i| {
@@ -350,7 +294,11 @@ impl ServeCore {
     /// counters — the encoding is schema-free (name, value) pairs, so
     /// appending is wire-compatible with old clients.
     pub fn stats_reply(&self) -> StatsReply {
-        let mut counters = self.counters.snapshot();
+        let mut counters: Vec<(String, u64)> = LEGACY_STATS_NAMES
+            .iter()
+            .zip(&self.counters)
+            .map(|(n, c)| (n.to_string(), c.get()))
+            .collect();
         counters.push(("store_hits".to_string(), self.store.hits()));
         counters.push(("store_misses".to_string(), self.store.misses()));
         counters.push((
@@ -361,34 +309,38 @@ impl ServeCore {
         StatsReply { counters }
     }
 
+    fn stat(&self, s: Stat) -> &Counter {
+        &self.counters[s as usize]
+    }
+
     /// Record an accepted connection (called by the socket server);
     /// returns the connection's ordinal (1-based) for lifecycle tracing.
     pub fn note_connection(&self) -> u64 {
-        self.counters.connections.inc()
+        self.stat(Stat::Connections).inc()
     }
 
     /// Record a frame/decode-level protocol violation (called by the
     /// socket server).
     pub fn note_protocol_error(&self) {
-        self.counters.protocol_errors.inc();
+        self.stat(Stat::ProtocolErrors).inc();
     }
 
     /// Record a connection turned away at the connection cap (called by
     /// the socket server).
     pub fn note_busy_reject(&self) {
-        self.counters.busy_rejects.inc();
+        self.stat(Stat::BusyRejects).inc();
     }
 
     /// Record a connection reaped by the idle timeout (called by the
     /// socket server).
     pub fn note_idle_close(&self) {
-        self.counters.idle_closed.inc();
+        self.stat(Stat::IdleClosed).inc();
     }
 
     /// Record a request whose handling blew the configured deadline
     /// (called by the socket server).
     pub fn note_deadline_exceeded(&self) {
-        self.counters.deadlines_exceeded.inc();
+        self.stat(Stat::DeadlinesExceeded).inc();
     }
 
     /// Write every pending cache-hit touch to the store's last-used
@@ -413,7 +365,7 @@ impl ServeCore {
         for key in self.cache.take_pending_touches(force) {
             if let Ok(true) = self.store.touch(key, RecordKind::Exploration) {
                 stamped += 1;
-                self.counters.touches_flushed.inc();
+                self.stat(Stat::TouchesFlushed).inc();
             }
         }
         stamped
@@ -422,7 +374,7 @@ impl ServeCore {
     /// Answer one decoded request. Service failures become
     /// [`Response::Error`]; this never panics on untrusted input.
     pub fn handle(&self, req: &Request) -> Response {
-        self.counters.requests.inc();
+        self.stat(Stat::Requests).inc();
         let result = match req {
             Request::Ping => Ok(Response::Pong {
                 version: env!("CARGO_PKG_VERSION").to_string(),
@@ -447,7 +399,7 @@ impl ServeCore {
             }),
         };
         result.unwrap_or_else(|message| {
-            self.counters.errors.inc();
+            self.stat(Stat::Errors).inc();
             Response::Error { message }
         })
     }
@@ -510,15 +462,15 @@ impl ServeCore {
         with_nf!(name, nf => {
             let key = store_key(&nf, level);
             if let Some(entry) = self.cache.lookup(key) {
-                self.counters.cache_hits.inc();
+                self.stat(Stat::CacheHits).inc();
                 return Ok((key, entry));
             }
-            self.counters.cache_misses.inc();
+            self.stat(Stat::CacheMisses).inc();
             let ex = self.store.get_or_explore(&nf, level);
             if ex.cached {
-                self.counters.contract_decodes.inc();
+                self.stat(Stat::ContractDecodes).inc();
             } else {
-                self.counters.explorations.inc();
+                self.stat(Stat::Explorations).inc();
             }
             let nf_name = NetworkFunction::name(&nf);
             let Exploration {
@@ -534,7 +486,7 @@ impl ServeCore {
             // the store failed to persist is estimated from shape.
             let weight = self
                 .store
-                .peek(key, RecordKind::Exploration)
+                .header(key, RecordKind::Exploration)
                 .map(|h| h.header_len + h.payload_len)
                 .unwrap_or_else(|| 1024 + 512 * contract.paths.len() as u64);
             let entry = CacheEntry {
@@ -548,7 +500,7 @@ impl ServeCore {
             };
             let (entry, evicted) = self.cache.insert(key, entry, weight);
             for victim in &evicted {
-                self.counters.evictions.inc();
+                self.stat(Stat::Evictions).inc();
                 if trace::enabled() {
                     trace::emit(
                         "serve.cache.evict",
@@ -565,17 +517,17 @@ impl ServeCore {
     pub fn query(&self, q: &QueryRequest) -> Result<QueryReply, String> {
         let level = parse_level(q.level)?;
         let metric = parse_metric(q.metric)?;
-        self.counters.queries.inc();
+        self.stat(Stat::Queries).inc();
         let (_, entry) = self.load(&q.nf, level)?;
         let mut pcvs = q.pcvs.clone();
         pcvs.sort_by(|a, b| a.0.cmp(&b.0));
         let memo_key: MemoKey = (q.metric, q.tag.clone(), pcvs);
         let mut e = entry.lock().expect("entry poisoned");
         if let Some(reply) = e.memo.get(&memo_key) {
-            self.counters.memo_hits.inc();
+            self.stat(Stat::MemoHits).inc();
             return Ok(reply.clone());
         }
-        self.counters.memo_misses.inc();
+        self.stat(Stat::MemoMisses).inc();
         let mut env = PcvAssignment::new();
         for (name, v) in &q.pcvs {
             match e.reg.pcvs.lookup(name) {
@@ -592,7 +544,7 @@ impl ServeCore {
             }
         }
         let class = class_of(&q.tag);
-        self.counters.solver_queries.inc();
+        self.stat(Stat::SolverQueries).inc();
         let source = if e.from_store { "warm" } else { "explored" };
         let CacheEntry {
             nf_name,
@@ -635,34 +587,21 @@ impl ServeCore {
         Ok(reply)
     }
 
-    /// Compare two stored contracts (the `bolt_cli diff` rendering).
+    /// Compare two contracts (the `bolt_cli diff` rendering). A read: it
+    /// may fill the store and the cache on a miss, like `query`, and
+    /// writes nothing else.
     pub fn diff(&self, d: &DiffRequest) -> Result<String, String> {
         let metric = parse_metric(d.metric)?;
         let (name_a, level_a) = parse_side(&d.a)?;
         let (name_b, level_b) = parse_side(&d.b)?;
         let (ka, ea) = self.load(name_a, level_a)?;
         let (kb, eb) = self.load(name_b, level_b)?;
-        // Make sure a contract *record* backs each side on disk (diff
-        // is about stored artifacts, not transient state); the cache
-        // already holds the generated contract, so this is encode+write
-        // only, and only when absent.
-        for (k, e, name, level) in [(ka, &ea, name_a, level_a), (kb, &eb, name_b, level_b)] {
-            if self.store.peek(k, RecordKind::Contract).is_none() {
-                let g = e.lock().expect("entry poisoned");
-                self.store
-                    .put_contract(k, name, level, &g.contract)
-                    .map_err(|err| format!("cannot write contract record: {err}"))?;
-            }
-        }
         let env = PcvAssignment::new();
         let measure = |e: &CacheEntry| {
             let worst = e
                 .contract
-                .paths
-                .iter()
-                .map(|p| p.expr(metric).eval(&env))
-                .max()
-                .unwrap_or(0);
+                .worst(metric, &env)
+                .map_or(0, |p| p.expr(metric).eval(&env));
             let tags: BTreeSet<&'static str> = e
                 .contract
                 .paths
@@ -725,7 +664,6 @@ impl ServeCore {
         for e in entries {
             let kind = match e.kind {
                 RecordKind::Exploration => "exploration",
-                RecordKind::Contract => "contract",
                 RecordKind::Composed => "composed",
                 RecordKind::Plan => "plan",
             };
@@ -742,26 +680,21 @@ impl ServeCore {
         Ok((n, out))
     }
 
-    /// Where an (NF, level)'s records stand: the store key, each on-disk
-    /// record's header metadata, and the server cache's view.
+    /// Where an (NF, level)'s record stands: the store key, the on-disk
+    /// exploration record's header metadata, and the server cache's view.
     pub fn provenance(&self, name: &str, level: u8) -> Result<String, String> {
         let level = parse_level(level)?;
         let key = self.key_of(name, level)?;
         let mut out = format!("{name} @ {}:\n", level_name(level));
         out.push_str(&format!("  key         : {key}\n"));
-        for (label, kind) in [
-            ("exploration", RecordKind::Exploration),
-            ("contract", RecordKind::Contract),
-        ] {
-            match self.store.peek(key, kind) {
-                Some(h) => out.push_str(&format!(
-                    "  {label:<11} : {} paths, {} bytes on disk, last-used stamp {}\n",
-                    h.n_paths,
-                    h.header_len + h.payload_len,
-                    h.last_used
-                )),
-                None => out.push_str(&format!("  {label:<11} : absent\n")),
-            }
+        match self.store.header(key, RecordKind::Exploration) {
+            Some(h) => out.push_str(&format!(
+                "  exploration : {} paths, {} bytes on disk, last-used stamp {}\n",
+                h.n_paths,
+                h.header_len + h.payload_len,
+                h.last_used
+            )),
+            None => out.push_str("  exploration : absent\n"),
         }
         match self.cache.slot_info(key) {
             Some((weight, memo)) => out.push_str(&format!(

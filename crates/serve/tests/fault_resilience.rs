@@ -51,6 +51,14 @@ fn bridge_query() -> QueryRequest {
     }
 }
 
+fn bridge_diff() -> bolt_serve::DiffRequest {
+    bolt_serve::DiffRequest {
+        a: "bridge:nf-only".into(),
+        b: "bridge:nf-only".into(),
+        metric: 0,
+    }
+}
+
 fn expected_bridge_text(dir: &std::path::Path) -> String {
     let store = ContractStore::open(dir.join("store")).unwrap();
     let nf = Bridge::default();
@@ -412,6 +420,35 @@ fn seeded_transport_storm_converges_to_byte_identical_answers() {
 }
 
 #[test]
+fn a_diff_whose_reply_is_lost_is_retried_like_any_read() {
+    let (dir, store) = warm_store("diffretry");
+    let sock = dir.join("bolt.sock");
+    let expected = ServeCore::new(ContractStore::open(dir.join("store")).unwrap())
+        .diff(&bridge_diff())
+        .unwrap();
+    // The server's first write — the diff's reply — fails; the next
+    // connection runs clean.
+    let plan =
+        Arc::new(bolt_fault::FaultPlan::seeded(3).with_at(bolt_fault::site::SERVE_WRITE_ERR, 1));
+    let server = Server::builder()
+        .unix(sock.clone())
+        .fault(plan)
+        .start(ServeCore::new(store))
+        .unwrap();
+    let mut client = Client::builder(&Endpoint::Unix(sock))
+        .config(fast_retry_config())
+        .retries(1)
+        .build()
+        .unwrap();
+    assert_eq!(client.diff(bridge_diff()).unwrap(), expected);
+    assert_eq!(server.core().stats_reply().get("requests"), Some(2));
+
+    server.request_shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn shutdown_is_never_auto_retried_but_reads_are() {
     // A pure protocol-level check of the retry policy predicate.
     assert!(Request::Ping.is_idempotent());
@@ -423,13 +460,10 @@ fn shutdown_is_never_auto_retried_but_reads_are() {
         level: 0
     }
     .is_idempotent());
+    assert!(Request::Diff(bridge_diff()).is_idempotent());
+    assert!(Request::Hello { depth: 8 }.is_idempotent());
+    assert!(Request::Metrics.is_idempotent());
     assert!(!Request::Shutdown.is_idempotent());
-    assert!(!Request::Diff(bolt_serve::DiffRequest {
-        a: "bridge".into(),
-        b: "bridge".into(),
-        metric: 0
-    })
-    .is_idempotent());
     // write_frame is used by the raw-listener tests above; keep the
     // import honest even when only some tests run.
     let mut sink = Vec::new();

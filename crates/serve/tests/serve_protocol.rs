@@ -1,7 +1,8 @@
 //! End-to-end protocol tests: concurrent clients get byte-identical
 //! answers, warm repeats do zero work, malformed frames never take the
-//! server down, shutdown drains in-flight requests, and server cache
-//! hits keep the on-disk LRU honest.
+//! server down, shutdown drains in-flight requests, server cache hits
+//! keep the on-disk LRU honest, and `diff` renders what an independent
+//! reading of the store says and leaves the store's file set alone.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -14,7 +15,8 @@ use bolt_expr::PcvAssignment;
 use bolt_nfs::{Bridge, Firewall};
 use bolt_serve::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME};
 use bolt_serve::{
-    CacheConfig, Client, Endpoint, QueryRequest, ServeCore, Server, StatsReply, LEGACY_STATS_NAMES,
+    CacheConfig, Client, DiffRequest, Endpoint, QueryRequest, ServeCore, Server, StatsReply,
+    LEGACY_STATS_NAMES,
 };
 use bolt_store::ContractStore;
 use bolt_trace::Metric;
@@ -463,7 +465,7 @@ fn server_cache_hits_keep_the_store_lru_honest() {
     ask("bridge");
     let stamp = |key| {
         core.store()
-            .peek(key, RecordKind::Exploration)
+            .header(key, RecordKind::Exploration)
             .unwrap()
             .last_used
     };
@@ -480,22 +482,168 @@ fn server_cache_hits_keep_the_store_lru_honest() {
     // An LRU sweep with room for one exploration record now agrees with
     // the server about which contract is hot.
     let hot_bytes = {
-        let h = core.store().peek(hot_key, RecordKind::Exploration).unwrap();
+        let h = core
+            .store()
+            .header(hot_key, RecordKind::Exploration)
+            .unwrap();
         h.header_len + h.payload_len
     };
     let report = core.store().sweep(hot_bytes).unwrap();
     assert!(report.evicted >= 1);
     assert!(
         core.store()
-            .peek(hot_key, RecordKind::Exploration)
+            .header(hot_key, RecordKind::Exploration)
             .is_some(),
         "the server-hot record must survive the sweep"
     );
     assert!(
         core.store()
-            .peek(cold_key, RecordKind::Exploration)
+            .header(cold_key, RecordKind::Exploration)
             .is_none(),
         "the server-cold record is the LRU victim"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn diff_of(a: &str, b: &str, metric: Metric) -> DiffRequest {
+    DiffRequest {
+        a: a.to_string(),
+        b: b.to_string(),
+        metric: metric.index() as u8,
+    }
+}
+
+/// One side of a diff, read from a fresh store handle with code of its
+/// own: path count, worst case at all-zero PCVs, tag vocabulary.
+fn diff_side<N: NetworkFunction + Sync>(
+    store: &ContractStore,
+    nf: N,
+    level: StackLevel,
+    metric: Metric,
+) -> (usize, u64, std::collections::BTreeSet<&'static str>) {
+    let contract = store.get_or_explore(&nf, level).contract();
+    let env = PcvAssignment::new();
+    let worst = contract
+        .paths()
+        .iter()
+        .map(|p| p.expr(metric).eval(&env))
+        .max()
+        .unwrap();
+    let tags = contract
+        .paths()
+        .iter()
+        .flat_map(|p| p.tags.iter().copied())
+        .collect();
+    (contract.paths().len(), worst, tags)
+}
+
+#[test]
+fn diff_renders_two_contracts_and_one_against_itself() {
+    let (dir, store) = warm_store("difftext");
+    let metric = Metric::Instructions;
+    let s = reopen(&dir);
+    let (na, wa, ta) = diff_side(&s, Bridge::default(), StackLevel::NfOnly, metric);
+    let (nb, wb, tb) = diff_side(&s, Firewall::default(), StackLevel::NfOnly, metric);
+    let only_a: Vec<&str> = ta.difference(&tb).copied().collect();
+    let only_b: Vec<&str> = tb.difference(&ta).copied().collect();
+    assert!(!only_a.is_empty() && !only_b.is_empty());
+    assert_ne!(wa, wb);
+
+    let core = ServeCore::new(store);
+    let (a, b) = ("bridge:nf-only", "firewall:nf-only");
+    assert_eq!(
+        core.diff(&diff_of(a, b, metric)).unwrap(),
+        format!(
+            "diff {a} vs {b} ({metric}, PCVs all 0):\n  \
+             paths      : {na} vs {nb}\n  \
+             worst case : {wa} vs {wb} ({:+})\n  \
+             tags only in {a}: {only_a:?}\n  \
+             tags only in {b}: {only_b:?}\n",
+            wb as i128 - wa as i128
+        )
+    );
+    // Both sides name one cache entry: one lock, taken once.
+    assert_eq!(
+        core.diff(&diff_of(a, a, metric)).unwrap(),
+        format!(
+            "diff {a} vs {a} ({metric}, PCVs all 0):\n  \
+             paths      : {na} vs {na}\n  \
+             worst case : {wa} vs {wa} (+0)\n  \
+             tag vocabularies agree\n"
+        )
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn diff_sides_parse_nf_and_level_and_reject_bad_ones() {
+    let (dir, store) = warm_store("diffparse");
+    let core = ServeCore::new(store);
+    let metric = Metric::Instructions;
+    // A bare name means full-stack; the level changes the answer.
+    let bare = core.diff(&diff_of("firewall", "firewall:nf-only", metric));
+    let full = core.diff(&diff_of("firewall:full-stack", "firewall:nf-only", metric));
+    let body = |text: String| text.split_once('\n').unwrap().1.to_string();
+    assert_eq!(body(bare.unwrap()), body(full.clone().unwrap()));
+    let (full_worst, nf_worst) = {
+        let s = reopen(&dir);
+        let fw = Firewall::default;
+        (
+            diff_side(&s, fw(), StackLevel::FullStack, metric).1,
+            diff_side(&s, fw(), StackLevel::NfOnly, metric).1,
+        )
+    };
+    assert!(full_worst > nf_worst);
+    assert!(full
+        .unwrap()
+        .contains(&format!("worst case : {full_worst} vs {nf_worst} (")));
+
+    let err = core
+        .diff(&diff_of("firewall:kernel", "firewall", metric))
+        .unwrap_err();
+    assert_eq!(err, "bad level \"kernel\" (nf-only | full-stack)");
+    let err = core
+        .diff(&diff_of("firewall:nf-only", "tor:nf-only", metric))
+        .unwrap_err();
+    assert!(
+        err.starts_with("unknown NF \"tor\"; known: bridge, "),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The store directory as `ls` would show it: sorted (name, length).
+fn store_files(dir: &std::path::Path) -> Vec<(String, u64)> {
+    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir.join("store"))
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().into_string().unwrap(),
+                e.metadata().unwrap().len(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn diff_is_a_read_locally_and_over_the_socket() {
+    let (dir, store) = warm_store("diffpure");
+    let d = diff_of("bridge:nf-only", "firewall:nf-only", Metric::Cycles);
+    let before = store_files(&dir);
+    assert_eq!(before.len(), 2, "one exploration record per warmed NF");
+
+    let local = ServeCore::new(store).diff(&d).unwrap();
+    assert_eq!(store_files(&dir), before, "a local diff leaves no trace");
+
+    let server = start_server(reopen(&dir), &dir);
+    let ep = Endpoint::Unix(server.unix_path().unwrap().to_path_buf());
+    let remote = Client::builder(&ep).build().unwrap().diff(d).unwrap();
+    assert_eq!(remote, local);
+    assert_eq!(store_files(&dir), before, "a served diff leaves no trace");
+    server.request_shutdown();
+    server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }

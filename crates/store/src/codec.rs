@@ -21,6 +21,14 @@ use crate::wire::{ByteReader, ByteWriter, DecodeError};
 /// this many elements in any one collection.
 pub const MAX_COUNT: usize = 1 << 28;
 
+/// Deepest term nesting [`read_pool`] accepts. Every walk over a term
+/// (`eval`, `partial_eval`, content hashing, canonical rendering)
+/// recurses per level, so an unbounded chain would overflow the stack —
+/// an abort, not a catchable panic. The deepest term any catalog
+/// contract or fw/router chain produces is 6 (`tests/robustness.rs`
+/// watches the margin).
+const MAX_TERM_DEPTH: u32 = 1024;
+
 // ----------------------------------------------------------------------
 // Enums ↔ tags
 // ----------------------------------------------------------------------
@@ -168,7 +176,8 @@ pub fn write_pool(w: &mut ByteWriter, pool: &TermPool) {
 
 /// Decode a pool by replaying registration and interning. The decoded
 /// pool is bit-identical: every node lands at its original index (this
-/// is verified, not assumed).
+/// is verified, not assumed). Nesting deeper than the private
+/// `MAX_TERM_DEPTH` is malformed.
 pub fn read_pool(r: &mut ByteReader<'_>) -> Result<TermPool, DecodeError> {
     let mut pool = TermPool::new();
     let n_syms = r.count(MAX_COUNT)?;
@@ -178,14 +187,18 @@ pub fn read_pool(r: &mut ByteReader<'_>) -> Result<TermPool, DecodeError> {
         pool.register_sym(name, width);
     }
     let n_terms = r.count(MAX_COUNT)?;
+    // Nesting depth of every node read so far (a leaf is 1).
+    let mut depths: Vec<u32> = Vec::new();
     for expect in 0..n_terms {
+        let mut deepest_child = 0;
         // Children must precede parents, so every reference inside the
         // node being read must point below `expect`.
-        let child = |r: &mut ByteReader<'_>, pool: &TermPool| -> Result<TermRef, DecodeError> {
+        let mut child = |r: &mut ByteReader<'_>, pool: &TermPool| -> Result<TermRef, DecodeError> {
             let t = read_term_ref(r, pool)?;
             if t.index() >= expect {
                 return Err(DecodeError::Malformed("term child after parent"));
             }
+            deepest_child = deepest_child.max(depths[t.index()]);
             Ok(t)
         };
         let node = match r.u8()? {
@@ -236,6 +249,10 @@ pub fn read_pool(r: &mut ByteReader<'_>) -> Result<TermPool, DecodeError> {
             }
             _ => return Err(DecodeError::Malformed("term tag out of range")),
         };
+        if deepest_child >= MAX_TERM_DEPTH {
+            return Err(DecodeError::Malformed("term nesting too deep"));
+        }
+        depths.push(deepest_child + 1);
         let got = pool.intern_node(node);
         if got.index() != expect {
             // A duplicate node in the stream would dedup to an earlier
@@ -420,6 +437,33 @@ mod tests {
         let pick = p.ite(c, t8, e8);
         let e8b = p.eq(pick, e8);
         (p, vec![is_v4, lt, not, e8b])
+    }
+
+    /// A pool holding one `not(not(..(sym)))` chain of the given depth.
+    fn encoded_chain(depth: u32) -> Vec<u8> {
+        let mut p = TermPool::new();
+        let mut t = p.fresh_sym("x", Width::W1);
+        for _ in 1..depth {
+            t = p.intern_node(Term::Unop {
+                op: UnOp::Not,
+                a: t,
+            });
+        }
+        let mut w = ByteWriter::new();
+        write_pool(&mut w, &p);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn term_nesting_is_bounded_at_decode() {
+        let decode = |depth| read_pool(&mut ByteReader::new(&encoded_chain(depth)));
+        assert_eq!(decode(MAX_TERM_DEPTH).unwrap().len() as u32, MAX_TERM_DEPTH);
+        for too_deep in [MAX_TERM_DEPTH + 1, 400_000] {
+            assert_eq!(
+                decode(too_deep).unwrap_err(),
+                DecodeError::Malformed("term nesting too deep")
+            );
+        }
     }
 
     #[test]

@@ -69,19 +69,24 @@ fn next_stamp() -> u64 {
     }
 }
 
-/// What a record's payload encodes.
+/// What a record's payload encodes. Every kind has a reader: a kind is
+/// only worth a file if something decodes it.
 ///
 /// `Composed` and `Plan` were added within store-format version 2: each
 /// introduces a new tag without changing the payload layout of the
 /// existing kinds, so pre-existing stores stay readable and old binaries
 /// simply reject the unknown tag (a miss, swept first under disk
 /// pressure).
+///
+/// Tag 1 / file tag `ctr` (a per-NF `NfContract` that was written and
+/// never decoded — serving regenerates the contract from the
+/// `Exploration` record) is retired, never to be reused: a leftover
+/// `*.ctr.bolt` no longer parses, so [`ContractStore::list`] skips it and
+/// [`ContractStore::sweep`] evicts it first, like any format-skewed file.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RecordKind {
     /// An encoded `ExplorationResult` (pool + feasible paths + stats).
     Exploration,
-    /// An encoded `NfContract` (pool + per-path cost polynomials).
-    Contract,
     /// An encoded composed-chain `NfContract`, keyed by the fingerprints
     /// of the two contracts it was composed from.
     Composed,
@@ -95,7 +100,7 @@ impl RecordKind {
     fn tag(self) -> u8 {
         match self {
             RecordKind::Exploration => 0,
-            RecordKind::Contract => 1,
+            // 1 is retired (see the type's doc).
             RecordKind::Composed => 2,
             RecordKind::Plan => 3,
         }
@@ -104,7 +109,7 @@ impl RecordKind {
     fn from_tag(t: u8) -> Result<Self, DecodeError> {
         match t {
             0 => Ok(RecordKind::Exploration),
-            1 => Ok(RecordKind::Contract),
+            1 => Err(DecodeError::Malformed("record kind 1 is retired")),
             2 => Ok(RecordKind::Composed),
             3 => Ok(RecordKind::Plan),
             _ => Err(DecodeError::Malformed("record kind out of range")),
@@ -114,7 +119,7 @@ impl RecordKind {
     fn file_tag(self) -> &'static str {
         match self {
             RecordKind::Exploration => "exp",
-            RecordKind::Contract => "ctr",
+            // "ctr" is retired with tag 1.
             RecordKind::Composed => "cmp",
             RecordKind::Plan => "pln",
         }
@@ -722,7 +727,7 @@ mod tests {
         );
         assert_eq!(store.hits(), 1);
         // Same key, different kind: distinct record slots.
-        assert!(store.get(fp(7), RecordKind::Contract).is_none());
+        assert!(store.get(fp(7), RecordKind::Plan).is_none());
         assert!(store.get(fp(7), RecordKind::Composed).is_none());
         assert_eq!(store.misses(), 2);
         // A composed record under the same fingerprint lives beside it.
@@ -780,17 +785,17 @@ mod tests {
         let store = temp_store("header");
         let payload = vec![0xA5u8; 4096];
         store
-            .put(fp(9), RecordKind::Contract, "bridge", 1, 12, &payload)
+            .put(fp(9), RecordKind::Composed, "bridge", 1, 12, &payload)
             .unwrap();
-        let hdr = store.header(fp(9), RecordKind::Contract).expect("header");
+        let hdr = store.header(fp(9), RecordKind::Composed).expect("header");
         assert_eq!(hdr.fingerprint, fp(9));
-        assert_eq!(hdr.kind, RecordKind::Contract);
+        assert_eq!(hdr.kind, RecordKind::Composed);
         assert_eq!(hdr.nf_name, "bridge");
         assert_eq!(hdr.level, 1);
         assert_eq!(hdr.n_paths, 12);
         assert_eq!(hdr.payload_len, payload.len() as u64);
         assert_eq!(hdr.checksum, fnv64(&payload));
-        let file_len = fs::metadata(store.path_of(fp(9), RecordKind::Contract))
+        let file_len = fs::metadata(store.path_of(fp(9), RecordKind::Composed))
             .unwrap()
             .len();
         assert_eq!(hdr.header_len + hdr.payload_len, file_len);
@@ -798,12 +803,12 @@ mod tests {
         // and must not bump the stamp.
         assert_eq!((store.hits(), store.misses()), (0, 0));
         assert_eq!(
-            store.header(fp(9), RecordKind::Contract).unwrap().last_used,
+            store.header(fp(9), RecordKind::Composed).unwrap().last_used,
             hdr.last_used
         );
         // Wrong kind/fingerprint: None.
         assert!(store.header(fp(9), RecordKind::Exploration).is_none());
-        assert!(store.header(fp(8), RecordKind::Contract).is_none());
+        assert!(store.header(fp(8), RecordKind::Composed).is_none());
         let _ = fs::remove_dir_all(store.dir());
     }
 
@@ -831,14 +836,14 @@ mod tests {
     fn version_skew_is_rejected() {
         let store = temp_store("version");
         store
-            .put(fp(2), RecordKind::Contract, "lb", 1, 8, b"vvv")
+            .put(fp(2), RecordKind::Plan, "lb", 1, 8, b"vvv")
             .unwrap();
-        let path = store.path_of(fp(2), RecordKind::Contract);
+        let path = store.path_of(fp(2), RecordKind::Plan);
         let mut bytes = fs::read(&path).unwrap();
         // Bump the version field (offset 4, after the magic).
         bytes[4] = bytes[4].wrapping_add(1);
         fs::write(&path, &bytes).unwrap();
-        assert!(store.get(fp(2), RecordKind::Contract).is_none());
+        assert!(store.get(fp(2), RecordKind::Plan).is_none());
         let _ = fs::remove_dir_all(store.dir());
     }
 
@@ -854,7 +859,7 @@ mod tests {
         let after = store.list().unwrap()[0].last_used;
         assert!(after > before, "a verified get must bump the stamp");
         // A miss (wrong kind) must bump nothing.
-        assert!(store.get(fp(1), RecordKind::Contract).is_none());
+        assert!(store.get(fp(1), RecordKind::Plan).is_none());
         assert_eq!(store.list().unwrap()[0].last_used, after);
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -911,6 +916,32 @@ mod tests {
         assert_eq!(report.evicted, 2, "skewed + garbage files are swept");
         assert!(!skewed.exists());
         assert!(!garbage.exists());
+        assert!(store.get(fp(1), RecordKind::Exploration).is_some());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn retired_contract_records_are_skipped_and_swept_first() {
+        let store = temp_store("retired-ctr");
+        store
+            .put(fp(1), RecordKind::Exploration, "nf", 0, 1, &[0u8; 64])
+            .unwrap();
+        let live = store.path_of(fp(1), RecordKind::Exploration);
+        // What an older binary left behind: a well-formed record of the
+        // retired kind (tag 1 at offset 6, file tag `ctr`), stamped newer
+        // than the live record.
+        let mut bytes = fs::read(&live).unwrap();
+        bytes[6] = 1;
+        bytes[STAMP_OFFSET as usize..STAMP_OFFSET as usize + 8]
+            .copy_from_slice(&next_stamp().to_le_bytes());
+        let planted = store.dir().join(format!("{}.ctr.bolt", fp(1)));
+        fs::write(&planted, &bytes).unwrap();
+        let listed = store.list().unwrap();
+        assert_eq!(listed.len(), 1, "the retired kind does not list");
+        assert_eq!(listed[0].kind, RecordKind::Exploration);
+        let report = store.sweep(fs::metadata(&live).unwrap().len()).unwrap();
+        assert_eq!((report.kept, report.evicted), (1, 1));
+        assert!(!planted.exists(), "swept first despite the newer stamp");
         assert!(store.get(fp(1), RecordKind::Exploration).is_some());
         let _ = fs::remove_dir_all(store.dir());
     }

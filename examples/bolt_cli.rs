@@ -3,7 +3,7 @@
 //! Contracts are compile-once/query-forever artifacts: `explore` derives
 //! and persists them, `list` inspects the store, `query` answers
 //! performance questions from stored records (warm runs never touch the
-//! solver), and `diff` compares two stored contracts.
+//! solver), and `diff` compares two contracts (a read, like `query`).
 //!
 //! ```text
 //! cargo run --release --example bolt_cli -- explore --all
@@ -32,7 +32,7 @@
 
 use std::process::exit;
 
-use bolt::core::store::{level_from_name, level_name, level_tag, RecordKind, StoreExt};
+use bolt::core::store::{level_from_name, level_name, level_tag, RecordKind};
 use bolt::core::{ambient_threads, ClassSpec, InputClass, Pipeline};
 use bolt::expr::PcvAssignment;
 use bolt::see::StackLevel;
@@ -254,16 +254,14 @@ fn levels_of(o: &Opts) -> Vec<StackLevel> {
     }
 }
 
-/// Get-or-explore one NF and persist both the exploration and contract
-/// records; prints a one-line summary.
+/// Get-or-explore one NF — the exploration record is what persists;
+/// the contract is regenerated from it on every load — and print a
+/// one-line summary.
 fn explore_one(store: &ContractStore, name: &str, level: StackLevel) {
     let nf = nf_by_name(name).unwrap_or_else(|e| die(&e));
     let key = nf.store_key(level);
     let (contract, cached) = nf.explore_contract(level, Some(store), ambient_threads());
     let source = if cached { "warm" } else { "explored" };
-    store
-        .put_contract(key, name, level, &contract)
-        .unwrap_or_else(|e| die(&format!("cannot write contract record: {e}")));
     println!(
         "{name:>14} {:>10} {source:>8}  {:>3} paths  key {key}",
         level_name(level),
@@ -488,12 +486,9 @@ fn cmd_evict(o: &Opts) {
     let nf = nf_by_name(name).unwrap_or_else(|e| die(&e));
     for &level in &levels_of(o) {
         let key = nf.store_key(level);
-        let mut removed = false;
-        for kind in [RecordKind::Exploration, RecordKind::Contract] {
-            removed |= store
-                .evict(key, kind)
-                .unwrap_or_else(|e| die(&format!("evict failed: {e}")));
-        }
+        let removed = store
+            .evict(key, RecordKind::Exploration)
+            .unwrap_or_else(|e| die(&format!("evict failed: {e}")));
         println!(
             "{name} @ {}: {}",
             level_name(level),

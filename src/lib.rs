@@ -2,8 +2,9 @@
 //!
 //! A Rust reproduction of *"Performance Contracts for Software Network
 //! Functions"* (Iyer et al., NSDI 2019). This umbrella crate re-exports
-//! the whole toolchain; see the README for the architecture and
-//! EXPERIMENTS.md for the paper-vs-reproduction numbers.
+//! the whole toolchain; see the README for the architecture, and
+//! `crates/bench/benches/` for the targets that regenerate the paper's
+//! tables and figures.
 //!
 //! The pipeline, end to end, through the fluent [`Bolt`] entrypoint:
 //!

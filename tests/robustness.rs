@@ -95,3 +95,49 @@ fn torn_records_read_as_misses_and_heal_on_reput() {
     assert!(reopened.get(fp, RecordKind::Exploration).is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Deepest term nesting in a pool (children precede parents in the arena).
+fn max_term_depth(pool: &bolt::expr::TermPool) -> u32 {
+    use bolt::expr::Term;
+    let mut depths: Vec<u32> = Vec::with_capacity(pool.len());
+    for t in pool.nodes() {
+        let below = match *t {
+            Term::Const { .. } | Term::Sym { .. } => 0,
+            Term::Unop { a, .. } | Term::Zext { a, .. } | Term::Trunc { a, .. } => {
+                depths[a.index()]
+            }
+            Term::Binop { a, b, .. } => depths[a.index()].max(depths[b.index()]),
+            Term::Ite { c, t, e } => depths[c.index()]
+                .max(depths[t.index()])
+                .max(depths[e.index()]),
+        };
+        depths.push(below + 1);
+    }
+    depths.into_iter().max().unwrap_or(0)
+}
+
+#[test]
+fn real_contracts_nest_far_below_the_decode_depth_bound() {
+    use bolt::nfs::{Firewall, StaticRouter};
+    use bolt::see::StackLevel;
+    // The store refuses terms nested deeper than 1024 at decode; every
+    // contract the repo produces must stay far inside that, so the bound
+    // never refuses a valid record. Measured when the bound went in: 6.
+    let mut deepest = 0;
+    for level in [StackLevel::NfOnly, StackLevel::FullStack] {
+        for name in bolt::serve::NF_NAMES {
+            let nf = bolt::serve::nf_by_name(name).unwrap();
+            deepest = deepest.max(max_term_depth(&nf.explore_contract(level, None, 1).0.pool));
+        }
+        let (fw, rt) = (Firewall::default, StaticRouter::default);
+        for chain in [
+            bolt::Pipeline::new().push(fw()).push(rt()),
+            bolt::Pipeline::new().push(rt()).push(fw()),
+            bolt::Pipeline::new().push(fw()).push(fw()).push(rt()),
+        ] {
+            let report = chain.report(level).unwrap();
+            deepest = deepest.max(max_term_depth(&report.contract.pool));
+        }
+    }
+    assert!((1..=64).contains(&deepest), "deepest term: {deepest}");
+}
