@@ -4,7 +4,7 @@
 //! a function of the traversal count lets the operator position the
 //! rehash threshold where legitimate traffic never trips it.
 
-use bolt_bench::table_fmt::print_table;
+use crate::table_fmt::{outln, table};
 use bolt_core::nf::{Bolt, NetworkFunction};
 use bolt_core::{ClassSpec, InputClass};
 use bolt_distiller::NfRunner;
@@ -15,7 +15,7 @@ use bolt_workloads::generators::bridge_traffic;
 use dpdk_sim::StackLevel;
 use nf_lib::clock::Granularity;
 
-fn main() {
+pub(crate) fn fig2(out: &mut String) {
     let nf = Bridge::with(BridgeConfig {
         capacity: 1024,
         ttl_ns: u64::MAX / 2,
@@ -61,13 +61,15 @@ fn main() {
             pred.to_string(),
         ]);
     }
-    print_table(
+    table(
+        out,
         "Figure 2 — CCDF of bucket traversals vs predicted IC (uniform random workload)",
         &["traversals t", "P[T > t]", "predicted IC at t"],
         &rows,
     );
     let p6: f64 = rows[6][1].parse().unwrap();
-    println!(
+    outln!(
+        out,
         "\nP[traversals > 6] = {:.4} — the operator sets the threshold at 6 (paper: < 0.2% \
          of legitimate packets trip the rehash there).",
         p6
@@ -82,7 +84,8 @@ fn main() {
         )
         .unwrap()
         .value;
-    println!(
+    outln!(
+        out,
         "predicted rehash-path IC at threshold crossing: {rehash_cost} — the cliff the threshold guards."
     );
 }

@@ -6,7 +6,8 @@
 //! occupancy, paper ≈33%), B wins under high churn (low occupancy, paper
 //! ≈10%).
 
-use bolt_bench::table_fmt::print_table;
+use crate::scenarios::int_flow_frame;
+use crate::table_fmt::{outln, table};
 use bolt_core::nf::{Bolt, NetworkFunction};
 use bolt_core::{ClassSpec, InputClass};
 use bolt_distiller::{percentile, NfRunner};
@@ -15,19 +16,10 @@ use bolt_nfs::nat::Nat;
 use bolt_see::NfVerdict;
 use bolt_trace::{AddressSpace, Metric};
 use bolt_workloads::TimedPacket;
-use dpdk_sim::headers as h;
 use dpdk_sim::StackLevel;
 use nf_lib::clock::Granularity;
 
 const CAP: usize = 4096;
-
-fn flow_frame(i: u32) -> Vec<u8> {
-    h::PacketBuilder::new()
-        .eth(2, 1, h::ETHERTYPE_IPV4)
-        .ipv4(0x0A00_0000 + i, 0x0808_0808, h::IPPROTO_UDP, 64)
-        .udp(1024 + (i % 10_000) as u16, 80)
-        .build()
-}
 
 /// Low churn: long-lived flows hold the table at ~90% occupancy with the
 /// free ports *scattered* (a random tenth of the original flows expired),
@@ -51,7 +43,7 @@ fn low_churn() -> Scenario {
     for i in 0..fill as u32 {
         prep.push(TimedPacket {
             t_ns: i as u64 * 1000,
-            frame: flow_frame(i),
+            frame: int_flow_frame(i).0,
             port: 0,
         });
     }
@@ -61,7 +53,7 @@ fn low_churn() -> Scenario {
         if i % 4 != 3 {
             prep.push(TimedPacket {
                 t_ns: 5 * MS + j * 100,
-                frame: flow_frame(i),
+                frame: int_flow_frame(i).0,
                 port: 0,
             });
             j += 1;
@@ -71,7 +63,7 @@ fn low_churn() -> Scenario {
     // packet absorbs the mass expiry before measurement.
     prep.push(TimedPacket {
         t_ns: 14_200_000,
-        frame: flow_frame(CAP as u32 + 999_000),
+        frame: int_flow_frame(CAP as u32 + 999_000).0,
         port: 0,
     });
     // Measured: new arrivals at high scattered occupancy. Few enough
@@ -80,7 +72,7 @@ fn low_churn() -> Scenario {
     let measured = (0..64u32)
         .map(|i| TimedPacket {
             t_ns: 14_250_000 + i as u64 * 1000,
-            frame: flow_frame(1_000_000 + i),
+            frame: int_flow_frame(1_000_000 + i).0,
             port: 0,
         })
         .collect();
@@ -146,80 +138,84 @@ fn run(scenario: &Scenario, kind: nat::AllocKind) -> (u64, Vec<f64>) {
     (predicted, samples)
 }
 
-fn main() {
-    let mut fig5_rows = Vec::new();
-    let mut cdfs: Vec<(&str, &str, Vec<f64>)> = Vec::new();
-    for scenario in [&low_churn(), &high_churn()] {
-        for (kind, label) in [
-            (nat::AllocKind::A, "Allocator A"),
-            (nat::AllocKind::B, "Allocator B"),
-        ] {
-            let (pred, samples) = run(scenario, kind);
-            fig5_rows.push(vec![
-                scenario.name.to_string(),
-                label.to_string(),
-                pred.to_string(),
-                format!("{:.0}", percentile(&samples, 0.5)),
-            ]);
-            cdfs.push((scenario.name, label, samples));
-        }
-    }
-    print_table(
+pub(crate) fn figs5_6_7(out: &mut String) {
+    // Per scenario: allocator A's and B's (predicted, measured samples).
+    let scenarios = [low_churn(), high_churn()];
+    let cells: Vec<[(u64, Vec<f64>); 2]> = scenarios
+        .iter()
+        .map(|s| [run(s, nat::AllocKind::A), run(s, nat::AllocKind::B)])
+        .collect();
+    let median = |samples: &[f64]| format!("{:.0}", percentile(samples, 0.5));
+    let fig5_rows: Vec<Vec<String>> = scenarios
+        .iter()
+        .zip(&cells)
+        .flat_map(|(scenario, ab)| {
+            ["Allocator A", "Allocator B"]
+                .iter()
+                .zip(ab)
+                .map(|(label, (pred, samples))| {
+                    vec![
+                        scenario.name.to_string(),
+                        label.to_string(),
+                        pred.to_string(),
+                        median(samples),
+                    ]
+                })
+        })
+        .collect();
+    table(
+        out,
         "Figure 5 — predicted new-flow cycles per allocator and scenario (paper: A wins low churn by ~30%, B wins high churn by ~8%)",
         &["scenario", "allocator", "predicted cycles", "measured median"],
         &fig5_rows,
     );
 
-    for (title, which) in [
-        (
-            "Figure 6 — measured latency CDF, LOW churn (paper: A ~33% faster)",
-            "Low Churn",
-        ),
-        (
-            "Figure 7 — measured latency CDF, HIGH churn (paper: B ~10% faster)",
-            "High Churn",
-        ),
-    ] {
+    let titles = [
+        "Figure 6 — measured latency CDF, LOW churn (paper: A ~33% faster)",
+        "Figure 7 — measured latency CDF, HIGH churn (paper: B ~10% faster)",
+    ];
+    for (title, [(_, a), (_, b)]) in titles.into_iter().zip(&cells) {
         let rows: Vec<Vec<String>> = [0.25, 0.5, 0.75, 0.9, 0.99]
             .iter()
             .map(|&q| {
-                let mut row = vec![format!("p{:.0}", q * 100.0)];
-                for (s, _, samples) in &cdfs {
-                    if *s == which {
-                        row.push(format!("{:.0}", percentile(samples, q)));
-                    }
-                }
-                row
+                vec![
+                    format!("p{:.0}", q * 100.0),
+                    format!("{:.0}", percentile(a, q)),
+                    format!("{:.0}", percentile(b, q)),
+                ]
             })
             .collect();
-        print_table(title, &["quantile", "Allocator A", "Allocator B"], &rows);
+        table(
+            out,
+            title,
+            &["quantile", "Allocator A", "Allocator B"],
+            &rows,
+        );
     }
 
-    // The paper's trade-off, in predicted and measured form.
-    let pred = |s: &str, a: &str| -> f64 {
-        fig5_rows.iter().find(|r| r[0] == s && r[1] == a).unwrap()[2]
-            .parse()
-            .unwrap()
+    // The paper's trade-off, in predicted and measured form: what the
+    // dearer allocator costs over the cheaper one, in percent of Figure
+    // 5's columns (medians in whole cycles, as printed there).
+    let extra = |dear: &(u64, Vec<f64>), cheap: &(u64, Vec<f64>)| {
+        let pct = |dear: f64, cheap: f64| (dear / cheap - 1.0) * 100.0;
+        let shown =
+            |samples: &[f64]| -> f64 { median(samples).parse().expect("a printed integer") };
+        (
+            pct(dear.0 as f64, cheap.0 as f64),
+            pct(shown(&dear.1), shown(&cheap.1)),
+        )
     };
-    let med = |s: &str, a: &str| -> f64 {
-        fig5_rows.iter().find(|r| r[0] == s && r[1] == a).unwrap()[3]
-            .parse()
-            .unwrap()
-    };
-    let low_pred_gap =
-        (pred("Low Churn", "Allocator B") / pred("Low Churn", "Allocator A") - 1.0) * 100.0;
-    let high_pred_gap =
-        (pred("High Churn", "Allocator A") / pred("High Churn", "Allocator B") - 1.0) * 100.0;
-    let low_meas_gap =
-        (med("Low Churn", "Allocator B") / med("Low Churn", "Allocator A") - 1.0) * 100.0;
-    let high_meas_gap =
-        (med("High Churn", "Allocator A") / med("High Churn", "Allocator B") - 1.0) * 100.0;
-    println!("\nlow churn:  B costs {low_pred_gap:+.0}% predicted, {low_meas_gap:+.0}% measured (paper: +30% predicted, +33% measured)");
-    println!("high churn: A costs {high_pred_gap:+.0}% predicted, {high_meas_gap:+.0}% measured (paper: +8% predicted, +10% measured)");
+    let [low_a, low_b] = &cells[0];
+    let [high_a, high_b] = &cells[1];
+    let (low_pred_gap, low_meas_gap) = extra(low_b, low_a);
+    let (high_pred_gap, high_meas_gap) = extra(high_a, high_b);
+    outln!(out, "\nlow churn:  B costs {low_pred_gap:+.0}% predicted, {low_meas_gap:+.0}% measured (paper: +30% predicted, +33% measured)");
+    outln!(out, "high churn: A costs {high_pred_gap:+.0}% predicted, {high_meas_gap:+.0}% measured (paper: +8% predicted, +10% measured)");
     assert!(low_pred_gap > 3.0, "A must win low churn in prediction");
     assert!(low_meas_gap > 5.0, "A must win low churn measured");
     assert!(high_pred_gap > 0.0, "B must win high churn in prediction");
-    println!(
+    outln!(
+        out,
         "\nLow-churn trade-off fully reproduced (prediction and measurement); the high-churn\n\
          prediction favours B as in the paper, but the measured advantage does not materialise\n\
          on the simulated testbed: its warm caches serve allocator A's scattered FIFO nodes at\n\

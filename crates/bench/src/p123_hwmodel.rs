@@ -5,7 +5,7 @@
 //! helps the real machine) and P3 by ~9× (prefetching + MLP). The more
 //! the hardware behaves like the model, the more accurate BOLT is.
 
-use bolt_bench::table_fmt::{human, print_table, ratio};
+use crate::table_fmt::{human, outln, ratio, table};
 use bolt_hw::{ConservativeModel, TestbedModel};
 use bolt_trace::{InstrClass, Tracer};
 
@@ -50,7 +50,7 @@ fn run(f: fn(&mut dyn Tracer)) -> (u64, u64) {
     (cons.cycles(), test.cycles())
 }
 
-fn main() {
+pub(crate) fn p123(out: &mut String) {
     type Prog = fn(&mut dyn Tracer);
     let progs: [(&str, Prog, &str); 3] = [
         ("P1", p1, "non-contiguous linked list (paper: within 5%)"),
@@ -70,7 +70,8 @@ fn main() {
             note.to_string(),
         ]);
     }
-    print_table(
+    table(
+        out,
         "P1/P2/P3 — conservative prediction vs simulated-testbed measurement",
         &[
             "program",
@@ -97,5 +98,8 @@ fn main() {
         ratios[2],
         ratios[1]
     );
-    println!("\nThe more the hardware behaves like the model, the more accurate the bound (§5.1).");
+    outln!(
+        out,
+        "\nThe more the hardware behaves like the model, the more accurate the bound (§5.1)."
+    );
 }

@@ -1,6 +1,6 @@
 //! The fourteen §5.1 input-class scenarios, plus the adversarial
-//! single-chain variant of the pathological state (`fig1_ic_ma`'s
-//! `NAT1adv` row).
+//! single-chain variant of the pathological state (Figure 1's `NAT1adv`
+//! row).
 //!
 //! Each scenario prepares NF state (synthesizing the pathological states
 //! the paper could not build from traffic, §5.1), plays an in-class
@@ -11,8 +11,7 @@
 //! Everything runs through the fluent pipeline: explore with
 //! [`Bolt::nf`], generate with [`bolt_core::nf::Exploration::contract`],
 //! build concrete state from the same descriptor, and drive it with
-//! [`NfRunner::play_nf`] (or, for the burst scenario, the
-//! `process_batch` device loop via [`NfRunner::play_nf_bursts`]).
+//! [`NfRunner::play_nf`].
 
 use bolt_core::nf::{Bolt, Contract, NetworkFunction};
 use bolt_core::{ClassSpec, InputClass};
@@ -43,9 +42,10 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// Over-estimation fraction for a metric index.
+    /// Over-estimation for a metric index, as a fraction of the measured
+    /// value (the paper's 7.5% / 7.6% are relative to measured).
     pub fn gap(&self, m: usize) -> f64 {
-        (self.predicted[m] as f64 - self.measured[m] as f64) / self.predicted[m] as f64
+        (self.predicted[m] as f64 - self.measured[m] as f64) / self.measured[m] as f64
     }
 }
 
@@ -83,7 +83,7 @@ fn collect<I>(
     }
 }
 
-fn int_flow_frame(i: u32) -> (Vec<u8>, [u64; 3]) {
+pub(crate) fn int_flow_frame(i: u32) -> (Vec<u8>, [u64; 3]) {
     let src = 0x0A00_0000u32 + i;
     let dst = 0x0808_0808u32;
     let sport = 1024 + (i % 10_000) as u16;
@@ -102,17 +102,13 @@ fn int_flow_frame(i: u32) -> (Vec<u8>, [u64; 3]) {
     (frame, key)
 }
 
-fn distinct_int_flows(n: usize, gap_ns: u64) -> Vec<TimedPacket> {
-    (0..n)
-        .map(|i| {
-            let (frame, _) = int_flow_frame(i as u32);
-            TimedPacket {
-                t_ns: i as u64 * gap_ns,
-                frame,
-                port: 0,
-            }
-        })
-        .collect()
+/// One internal packet, far in the future: a whole aged table expires.
+fn mass_expiry_trigger() -> [TimedPacket; 1] {
+    [TimedPacket {
+        t_ns: 1_000_000_000,
+        frame: int_flow_frame(0).0,
+        port: 0,
+    }]
 }
 
 /// Distinct flows whose table slots do not collide — the paper's typical
@@ -193,7 +189,7 @@ fn bridge_host_sweep(mac_space: u64, gap_ns: u64) -> Vec<TimedPacket> {
 // ---------------------------------------------------------------------
 
 /// NAT2/NAT3/NAT4: typical classes on a quiet table.
-pub fn nat_typical() -> Vec<ScenarioOutcome> {
+pub(crate) fn nat_typical() -> Vec<ScenarioOutcome> {
     let nf = Nat::with(
         NatConfig {
             capacity: 4096,
@@ -258,7 +254,7 @@ pub fn nat_typical() -> Vec<ScenarioOutcome> {
 /// aged, mass expiry on the next packet. `uniform` selects singleton
 /// clusters (tight product-form bound) vs one adversarial probe run
 /// (quadratic blow-up; the bound is ≈2× conservative).
-pub fn nat_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
+pub(crate) fn nat_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
     let cfg = NatConfig {
         capacity,
         ttl_ns: 1_000,
@@ -280,9 +276,7 @@ pub fn nat_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
     for i in 0..fill {
         state.raw_take_port(cfg.base_port + i as u16);
     }
-    // One packet, far in the future: the entire table expires.
-    let mut pkts = distinct_int_flows(1, 0);
-    pkts[0].t_ns = 1_000_000_000;
+    let pkts = mass_expiry_trigger();
     let mut runner = NfRunner::new(StackLevel::FullStack, Granularity::Milliseconds);
     runner.play_nf(&nf, &mut state, &pkts);
     collect(
@@ -304,7 +298,7 @@ pub fn nat_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
 // ---------------------------------------------------------------------
 
 /// Br2 (broadcast) and Br3 (known unicast) on a quiet table.
-pub fn bridge_typical() -> Vec<ScenarioOutcome> {
+pub(crate) fn bridge_typical() -> Vec<ScenarioOutcome> {
     let nf = Bridge::with(BridgeConfig {
         capacity: 4096,
         ttl_ns: u64::MAX / 2,
@@ -367,7 +361,7 @@ pub fn bridge_typical() -> Vec<ScenarioOutcome> {
 }
 
 /// Br1: synthesized pathological bridge state (full aged MAC table).
-pub fn bridge_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
+pub(crate) fn bridge_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
     let nf = Bridge::with(BridgeConfig {
         capacity,
         ttl_ns: 1_000,
@@ -407,7 +401,7 @@ pub fn bridge_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
 // ---------------------------------------------------------------------
 
 /// LB2–LB5: typical classes.
-pub fn lb_typical() -> Vec<ScenarioOutcome> {
+pub(crate) fn lb_typical() -> Vec<ScenarioOutcome> {
     let nf = LoadBalancer::with(LbConfig {
         capacity: 4096,
         ttl_ns: u64::MAX / 2,
@@ -483,7 +477,7 @@ pub fn lb_typical() -> Vec<ScenarioOutcome> {
 }
 
 /// LB1: synthesized pathological state.
-pub fn lb_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
+pub(crate) fn lb_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
     let nf = LoadBalancer::with(LbConfig {
         capacity,
         ttl_ns: 1_000,
@@ -496,8 +490,7 @@ pub fn lb_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
     let n = cfg.n_backends as u64;
     let fill = capacity - 8;
     state.ft.synthesize_aged(fill, uniform, |i| i as u64 % n);
-    let mut pkts = distinct_int_flows(1, 0);
-    pkts[0].t_ns = 1_000_000_000;
+    let pkts = mass_expiry_trigger();
     let mut runner = NfRunner::new(StackLevel::FullStack, Granularity::Milliseconds);
     runner.play_nf(&nf, &mut state, &pkts);
     collect(
@@ -517,7 +510,7 @@ pub fn lb_pathological(capacity: usize, uniform: bool) -> ScenarioOutcome {
 /// LPM1 (worst: long matches) and LPM2 (short matches). The reproduction
 /// runs the table at a 16-bit first level; the class boundary (one load
 /// vs two) is identical in shape to the paper's 24-bit table.
-pub fn lpm_scenarios() -> Vec<ScenarioOutcome> {
+pub(crate) fn lpm_scenarios() -> Vec<ScenarioOutcome> {
     let nf = LpmRouter::default();
     let mut contract = Bolt::nf(nf).explore(StackLevel::FullStack).contract();
     let mut aspace = AddressSpace::new();
@@ -558,56 +551,9 @@ pub fn lpm_scenarios() -> Vec<ScenarioOutcome> {
     out
 }
 
-/// Burst-mode LPM scenario: the same adversarial workload driven through
-/// [`NetworkFunction::process_batch`] in device-loop bursts. The
-/// per-burst measurement must stay under `burst × per-packet prediction`
-/// (the contract is a per-packet bound, so it bounds bursts linearly).
-pub fn lpm_burst_scenario(burst: usize) -> ScenarioOutcome {
-    let nf = LpmRouter::default();
-    let mut contract = Bolt::nf(nf).explore(StackLevel::FullStack).contract();
-    let mut aspace = AddressSpace::new();
-    let mut state = nf.state(contract.ids, &mut aspace);
-    state.lpm.insert(0x0A000000, 8, 1);
-    state.lpm.insert(0x0B0C0000, 24, 2);
-    let mut runner = NfRunner::new(StackLevel::FullStack, Granularity::Nanoseconds);
-    let pkts = lpm_traffic(43, 512, 0x0A000100, 0x0B0C0001, 1.0, 1000);
-    runner.play_nf_bursts(&nf, &mut state, &pkts, burst);
-
-    let env = runner.distiller.worst_assignment();
-    let mut q = |m: Metric| {
-        contract
-            .query(&InputClass::unconstrained(), m, &env)
-            .expect("unconstrained class always has a path")
-            .value
-            * burst as u64
-    };
-    let predicted = [
-        q(Metric::Instructions),
-        q(Metric::MemAccesses),
-        q(Metric::Cycles),
-    ];
-    let measured = [
-        runner.burst_samples.iter().map(|b| b.ic).max().unwrap_or(0),
-        runner.burst_samples.iter().map(|b| b.ma).max().unwrap_or(0),
-        runner
-            .burst_samples
-            .iter()
-            .map(|b| b.cycles as u64)
-            .max()
-            .unwrap_or(0),
-    ];
-    ScenarioOutcome {
-        name: "LPM1b",
-        description: "adversarial LPM workload, burst device loop",
-        predicted,
-        measured,
-    }
-}
-
 /// All Figure 1 / Table 3 scenarios, in the paper's order.
-/// `path_capacity` scales the pathological table (the paper uses 65536;
-/// the default harness uses 8192 to keep runs minutes-fast — the shape is
-/// capacity-independent).
+/// `path_capacity` scales the pathological tables (the paper uses 65536;
+/// `reproduce` uses 8192 — the shape is capacity-independent).
 pub fn all_scenarios(path_capacity: usize) -> Vec<ScenarioOutcome> {
     let mut rows = Vec::new();
     rows.push(nat_pathological(path_capacity, true));
@@ -667,19 +613,5 @@ mod tests {
         }
         // Uniform clusters keep the bound tight (paper: ≤2.4% IC).
         assert!(p.gap(0) <= 0.10, "NAT1 gap {:.2}%", p.gap(0) * 100.0);
-    }
-
-    #[test]
-    fn burst_scenario_stays_bounded() {
-        let s = lpm_burst_scenario(32);
-        for m in 0..3 {
-            assert!(
-                s.predicted[m] >= s.measured[m],
-                "LPM1b: metric {m} bound violated: {} < {}",
-                s.predicted[m],
-                s.measured[m]
-            );
-        }
-        assert!(s.measured[0] > 0);
     }
 }

@@ -6,31 +6,31 @@
 //! below the NF costs nothing, so the analysis runs without the DPDK
 //! substrate.
 
-use bolt_bench::table_fmt::print_table;
+use crate::table_fmt::table;
+use bolt_core::nf::NetworkFunction;
 use bolt_core::{generate, ClassSpec, InputClass};
 use bolt_expr::PcvAssignment;
-use bolt_nfs::example_router;
+use bolt_nfs::ExampleRouter;
 use bolt_see::Explorer;
 use bolt_solver::Solver;
 use bolt_trace::Metric;
 use dpdk_sim::headers as h;
-use nf_lib::lpm_trie::LpmTrieModel;
 use nf_lib::registry::DsRegistry;
 
-fn main() {
+pub(crate) fn tables1_2(out: &mut String) {
+    let nf = ExampleRouter::default();
     let mut reg = DsRegistry::new();
-    let ids = example_router::register(&mut reg);
+    let ids = nf.register(&mut reg);
     // Bare exploration: no driver, no mempool — §2 assumes layers below
     // the NF are free.
     let exploration = Explorer::new().explore(|ctx| {
-        let mut trie = LpmTrieModel::new(ids.trie);
         let region = ctx.packet(64);
         let mbuf = dpdk_sim::Mbuf {
             region,
             len: 64,
             port: 0,
         };
-        example_router::process(ctx, &mut trie, mbuf);
+        nf.sym_process(ctx, ids, mbuf);
     });
     let mut contract = generate(&reg, exploration);
     let solver = Solver::default();
@@ -59,7 +59,8 @@ fn main() {
             format!("{}", ma.expr.display(&reg.pcvs)),
         ]);
     }
-    print_table(
+    table(
+        out,
         "Table 1 — contracts for the example LPM router (paper, stylised: 2 / 1 and 4*l+5 / l+3)",
         &["Input class", "Instructions", "Memory accesses"],
         &rows,
@@ -72,7 +73,8 @@ fn main() {
             vec![format!("{m}"), r[0].1.clone()]
         })
         .collect();
-    print_table(
+    table(
+        out,
         "Table 2 — contract for lpmGet (paper, stylised: 4*l+2 instructions, l+1 accesses)",
         &["metric", "unconstrained"],
         &rows,

@@ -4,16 +4,16 @@
 //! reproduction scopes the expiry probe PCVs as `te`/`ce` and prints the
 //! full method family.
 
-use bolt_bench::table_fmt::print_table;
-use bolt_nfs::bridge;
+use crate::table_fmt::{outln, table};
+use bolt_core::nf::NetworkFunction;
+use bolt_nfs::Bridge;
 use bolt_trace::Metric;
 use nf_lib::mac_table::{M_MT_EXPIRE, M_MT_LEARN, M_MT_LOOKUP};
 use nf_lib::registry::DsRegistry;
 
-fn main() {
+pub(crate) fn table4(out: &mut String) {
     let mut reg = DsRegistry::new();
-    let cfg = bridge::BridgeConfig::default();
-    let ids = bridge::register(&mut reg, &cfg);
+    let ids = Bridge::default().register(&mut reg);
     for (title, method) in [
         (
             "Table 4 — bridge `learn` contract (paper rows: known / unknown / unknown+rehash)",
@@ -28,7 +28,8 @@ fn main() {
             .zip(reg.render_method(ids.table.ds, method, Metric::MemAccesses))
             .map(|((name, ic), (_, ma))| vec![name, ic, ma])
             .collect();
-        print_table(
+        table(
+            out,
             title,
             &["Traffic type", "Instructions", "Memory accesses"],
             &rows,
@@ -36,7 +37,8 @@ fn main() {
     }
     // The paper's cliff: the rehash row's constant dwarfs the others.
     let rows = reg.render_method(ids.table.ds, M_MT_LEARN, Metric::Instructions);
-    println!(
+    outln!(
+        out,
         "\nrehash cliff: the '{}' row's constant term is the defence's performance cliff (§5.2).",
         rows[2].0
     );

@@ -4,11 +4,12 @@
 //! its bound beats the naive sum of the two NFs' individual worst cases.
 //! The measured bars replay mixed traffic through the concrete chain.
 
-use bolt_bench::table_fmt::{human, print_table};
+use crate::table_fmt::{human, outln, table};
+use bolt_core::nf::NetworkFunction;
 use bolt_core::{naive_add, ClassSpec, Composer, InputClass, Pipeline};
 use bolt_distiller::NfRunner;
 use bolt_expr::PcvAssignment;
-use bolt_nfs::{firewall, static_router, Firewall, StaticRouter};
+use bolt_nfs::{Firewall, StaticRouter};
 use bolt_see::NfVerdict;
 use bolt_solver::Solver;
 use bolt_trace::{AddressSpace, Metric};
@@ -16,7 +17,7 @@ use bolt_workloads::generators::{merge, options_traffic, uniform_udp_flows};
 use dpdk_sim::StackLevel;
 use nf_lib::clock::Granularity;
 
-fn main() {
+pub(crate) fn table5_fig3(out: &mut String) {
     // --- contracts, via the Pipeline abstraction (stages explored once,
     // reused for the per-NF tables, the composition, and naive-add) ---
     let chain_nf = Pipeline::new()
@@ -33,7 +34,7 @@ fn main() {
         InputClass::new("No IP options", ClassSpec::Tag("no-options")),
         InputClass::new("IP options", ClassSpec::Tag("ip-options")),
     ];
-    let render = |c: &mut bolt_core::NfContract, title: &str| {
+    let mut render = |c: &mut bolt_core::NfContract, title: &str| {
         let solver = Solver::default();
         let rows: Vec<Vec<String>> = classes
             .iter()
@@ -42,7 +43,7 @@ fn main() {
                 Some(vec![cl.name.clone(), q.value.to_string()])
             })
             .collect();
-        print_table(title, &["Traffic type", "Instructions"], &rows);
+        table(out, title, &["Traffic type", "Instructions"], &rows);
     };
     render(&mut fw, "Table 5a — firewall (paper: 477 / 298)");
     render(&mut rt, "Table 5b — static router (paper: 603 / 79·n+646)");
@@ -54,49 +55,32 @@ fn main() {
     // --- Figure 3: naive-add vs composed, predicted vs measured ---
     let naive_ic = naive_add(&fw, &rt, Metric::Instructions, &env);
     let naive_ma = naive_add(&fw, &rt, Metric::MemAccesses, &env);
-    let comp_ic = chain
-        .query(
-            &solver,
-            &InputClass::unconstrained(),
-            Metric::Instructions,
-            &env,
-        )
-        .unwrap()
-        .value;
-    let comp_ma = chain
-        .query(
-            &solver,
-            &InputClass::unconstrained(),
-            Metric::MemAccesses,
-            &env,
-        )
-        .unwrap()
-        .value;
+    let mut composed = |metric| {
+        chain
+            .query(&solver, &InputClass::unconstrained(), metric, &env)
+            .unwrap()
+            .value
+    };
+    let comp_ic = composed(Metric::Instructions);
+    let comp_ma = composed(Metric::MemAccesses);
 
     // Measured: play mixed traffic through the concrete chain.
-    let mut aspace = AddressSpace::new();
-    let router = static_router::StaticRouterState::new(&mut aspace);
-    let rt_cfg = static_router::StaticRouterConfig::default();
-    let fw_cfg = firewall::FirewallConfig::default();
+    let (fw_nf, rt_nf) = (Firewall::default(), StaticRouter::default());
+    let mut rt_state = rt_nf.state((), &mut AddressSpace::new());
     let mut fw_runner = NfRunner::new(StackLevel::FullStack, Granularity::Nanoseconds);
     let mut rt_runner = NfRunner::new(StackLevel::FullStack, Granularity::Nanoseconds);
     let pkts = merge(vec![
         uniform_udp_flows(61, 1000, 64, 2000, 0),
         options_traffic(500, 5, 4000),
     ]);
-    let mut forwarded = Vec::new();
-    fw_runner.play(&pkts, |ctx, mbuf, _clock| {
-        firewall::process(ctx, &fw_cfg, mbuf);
-    });
-    for (pkt, sample) in pkts.iter().zip(&fw_runner.samples) {
-        if matches!(sample.verdict, NfVerdict::Forward(_)) {
-            forwarded.push(pkt.clone());
-        }
-    }
-    rt_runner.play(&forwarded, |ctx, mbuf, _clock| {
-        router.install(ctx, &rt_cfg);
-        static_router::process(ctx, &router, mbuf);
-    });
+    fw_runner.play_nf(&fw_nf, &mut (), &pkts);
+    let forwarded: Vec<_> = pkts
+        .iter()
+        .zip(&fw_runner.samples)
+        .filter(|(_, sample)| matches!(sample.verdict, NfVerdict::Forward(_)))
+        .map(|(pkt, _)| pkt.clone())
+        .collect();
+    rt_runner.play_nf(&rt_nf, &mut rt_state, &forwarded);
     // Per-packet combined IC: firewall cost + (router cost if forwarded).
     let mut rt_iter = rt_runner.samples.iter();
     let mut measured_ic = 0u64;
@@ -112,7 +96,8 @@ fn main() {
         measured_ma = measured_ma.max(ma);
     }
 
-    print_table(
+    table(
+        out,
         "Figure 3 — composite firewall+router: naive addition vs BOLT composition",
         &["quantity", "Naive-Add", "Composite-Bolt", "Measured"],
         &[
@@ -133,7 +118,8 @@ fn main() {
     assert!(comp_ic < naive_ic, "composition must beat naive addition");
     assert!(comp_ic >= measured_ic, "composed bound must hold");
     assert!(comp_ma >= measured_ma);
-    println!(
+    outln!(
+        out,
         "\ncomposition gap: naive over-predicts by {:.1}% vs the composed contract's {:.1}% (IC).",
         (naive_ic as f64 / measured_ic as f64 - 1.0) * 100.0,
         (comp_ic as f64 / measured_ic as f64 - 1.0) * 100.0

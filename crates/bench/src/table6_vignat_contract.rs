@@ -4,7 +4,7 @@
 //! magnitude, which is the §5.3 debugging story: long tail latencies were
 //! batched flow expiry.
 
-use bolt_bench::table_fmt::print_table;
+use crate::table_fmt::{outln, table};
 use bolt_core::nf::Bolt;
 use bolt_core::{ClassSpec, InputClass};
 use bolt_expr::{Monomial, PcvAssignment};
@@ -12,7 +12,7 @@ use bolt_nfs::nat::Nat;
 use bolt_trace::Metric;
 use dpdk_sim::StackLevel;
 
-fn main() {
+pub(crate) fn table6(out: &mut String) {
     let mut contract = Bolt::nf(Nat::default())
         .explore(StackLevel::FullStack)
         .contract();
@@ -43,7 +43,8 @@ fn main() {
             vec![c.name.clone(), rendered]
         })
         .collect();
-    print_table(
+    table(
+        out,
         "Table 6 — VigNAT contract (paper shape: a·e + b·c + d·t + f·e·c + g·e·t + const)",
         &["Traffic type", "Instructions"],
         &rows,
@@ -55,7 +56,8 @@ fn main() {
         .expr;
     let e_coeff = known.coeff(&Monomial::var(ids.ft.e));
     let c_coeff = known.coeff(&Monomial::var(ids.ft.c));
-    println!(
+    outln!(
+        out,
         "\nPCV 'e' coefficient ({e_coeff}) dominates 'c' ({c_coeff}) — the §5.3 tail-latency smoking gun."
     );
     assert!(e_coeff > 3 * c_coeff);

@@ -217,18 +217,6 @@ pub fn ccdf_samples(samples: &[f64]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// CDF over float samples (Figures 6/7).
-pub fn cdf_samples(samples: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = sorted.len().max(1) as f64;
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, (i + 1) as f64 / n))
-        .collect()
-}
-
 /// Percentile of float samples (0.0 ≤ q ≤ 1.0).
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
     if samples.is_empty() {
@@ -316,9 +304,6 @@ mod tests {
     #[test]
     fn float_cdf_helpers() {
         let samples = [4.0, 1.0, 3.0, 2.0];
-        let cdf = cdf_samples(&samples);
-        assert_eq!(cdf[0], (1.0, 0.25));
-        assert_eq!(cdf[3], (4.0, 1.0));
         let ccdf = ccdf_samples(&samples);
         assert_eq!(ccdf[3].1, 0.0);
         assert_eq!(percentile(&samples, 0.5), 3.0); // round-half-up convention

@@ -145,7 +145,7 @@ impl NfRunner {
     /// NF's `process`. NFs that keep no time-stamped state simply ignore
     /// the clock — reading it is the NF's own (costed) decision, exactly
     /// as in the analysis build.
-    pub fn play<F>(&mut self, packets: &[TimedPacket], mut body: F)
+    fn play<F>(&mut self, packets: &[TimedPacket], mut body: F)
     where
         F: FnMut(&mut ConcreteCtx<'_>, Mbuf, &Clock),
     {
@@ -196,9 +196,8 @@ impl NfRunner {
         sink.closed
     }
 
-    /// Play a workload through a [`NetworkFunction`]'s production build:
-    /// the trait-driven equivalent of [`NfRunner::play`], packet at a
-    /// time (full per-packet samples and distillation).
+    /// Play a workload through a [`NetworkFunction`]'s production build,
+    /// packet at a time (full per-packet samples and distillation).
     pub fn play_nf<N: NetworkFunction>(
         &mut self,
         nf: &N,

@@ -134,11 +134,6 @@ impl PacketBuilder {
     }
 }
 
-/// The L4 offset of a frame whose IHL field says `ihl_words`.
-pub fn l4_offset(ihl_words: u8) -> u64 {
-    14 + 4 * ihl_words as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +164,7 @@ mod tests {
             .udp(10, 20)
             .build();
         assert_eq!(f[IPV4_VER_IHL as usize], 0x48);
-        let l4 = l4_offset(8) as usize;
+        let l4 = 14 + 4 * 8; // Ethernet + an 8-word IPv4 header
         assert_eq!(u16::from_be_bytes([f[l4], f[l4 + 1]]), 10);
         assert_eq!(f[IPV4_OPTS as usize], 68);
     }

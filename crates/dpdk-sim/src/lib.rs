@@ -83,11 +83,6 @@ impl DpdkEnv {
         Self::new(StackLevel::NfOnly, 512, 2048)
     }
 
-    /// Packets processed so far.
-    pub fn packets_seen(&self) -> u64 {
-        self.seq
-    }
-
     /// Process one packet concretely: receive `bytes` on `port`, run the
     /// NF body, then transmit/drop according to the body's verdict.
     /// Returns the verdict.
@@ -375,7 +370,7 @@ mod tests {
                 ctx.verdict(NfVerdict::Drop)
             });
         }
-        assert_eq!(env.packets_seen(), 10);
+        assert_eq!(env.seq, 10);
     }
 
     #[test]

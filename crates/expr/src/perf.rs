@@ -155,15 +155,6 @@ impl PcvAssignment {
     pub fn iter(&self) -> impl Iterator<Item = (PcvId, u64)> + '_ {
         self.values.iter().map(|(&k, &v)| (k, v))
     }
-
-    /// Pointwise maximum of two assignments (used when aggregating
-    /// per-packet Distiller observations into a worst-case binding).
-    pub fn max_with(&mut self, other: &PcvAssignment) {
-        for (id, v) in other.iter() {
-            let e = self.values.entry(id).or_insert(0);
-            *e = (*e).max(v);
-        }
-    }
 }
 
 /// A polynomial over PCVs with `u64` coefficients.
@@ -446,18 +437,6 @@ mod tests {
                 assert!(small.eval(&env) <= big.eval(&env));
             }
         }
-    }
-
-    #[test]
-    fn assignment_max_with() {
-        let (_, e, c, _) = table();
-        let mut a = PcvAssignment::new();
-        a.set(e, 3).set(c, 10);
-        let mut b = PcvAssignment::new();
-        b.set(e, 7);
-        a.max_with(&b);
-        assert_eq!(a.get(e), 7);
-        assert_eq!(a.get(c), 10);
     }
 
     #[test]

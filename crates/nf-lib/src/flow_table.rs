@@ -410,7 +410,7 @@ impl<const K: usize> FlowTable<K> {
     ///
     /// `uniform_clusters = true` instead spreads entries as singleton
     /// chains (every erase is O(1)), which keeps the product-form contract
-    /// tight (the `NAT1` and `NAT1adv` rows of the `fig1_ic_ma` bench
+    /// tight (the `NAT1` and `NAT1adv` rows of the reproduction's Figure 1
     /// are the two variants).
     pub fn synthesize_pathological(&mut self, uniform_clusters: bool) {
         let cap = self.params.capacity;

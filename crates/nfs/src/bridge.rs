@@ -49,7 +49,7 @@ pub struct BridgeIds {
 }
 
 /// Register the bridge's stateful parts.
-pub fn register(reg: &mut DsRegistry, cfg: &BridgeConfig) -> BridgeIds {
+fn register(reg: &mut DsRegistry, cfg: &BridgeConfig) -> BridgeIds {
     let params = FlowTableParams {
         capacity: cfg.capacity,
         ttl_ns: cfg.ttl_ns,
@@ -60,7 +60,7 @@ pub fn register(reg: &mut DsRegistry, cfg: &BridgeConfig) -> BridgeIds {
 }
 
 /// The stateless bridge logic (Vigor-style: all state behind `table`).
-pub fn process<C: NfCtx, T: MacTableOps<C>>(ctx: &mut C, table: &mut T, now: C::Val, mbuf: Mbuf) {
+fn process<C: NfCtx, T: MacTableOps<C>>(ctx: &mut C, table: &mut T, now: C::Val, mbuf: Mbuf) {
     let _e = table.expire(ctx, now);
     let src = ctx.load(mbuf.region, h::ETHER_SRC, 6);
     let dst = ctx.load(mbuf.region, h::ETHER_DST, 6);
@@ -96,7 +96,7 @@ pub struct BridgeState {
 
 impl BridgeState {
     /// Build concrete state.
-    pub fn new(ids: BridgeIds, cfg: &BridgeConfig, aspace: &mut AddressSpace) -> Self {
+    fn new(ids: BridgeIds, cfg: &BridgeConfig, aspace: &mut AddressSpace) -> Self {
         let params = FlowTableParams {
             capacity: cfg.capacity,
             ttl_ns: cfg.ttl_ns,

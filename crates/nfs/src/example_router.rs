@@ -25,14 +25,14 @@ pub struct ExampleRouterIds {
 
 /// Register the router's stateful parts. The trie's PCV uses the bare
 /// name `l` as in the paper's tables.
-pub fn register(reg: &mut DsRegistry) -> ExampleRouterIds {
+fn register(reg: &mut DsRegistry) -> ExampleRouterIds {
     ExampleRouterIds {
         trie: lpm_trie::register(reg, "lpm", ""),
     }
 }
 
 /// Algorithm 1, line for line.
-pub fn process<C: NfCtx, T: LpmTrieOps<C>>(ctx: &mut C, trie: &mut T, mbuf: Mbuf) {
+fn process<C: NfCtx, T: LpmTrieOps<C>>(ctx: &mut C, trie: &mut T, mbuf: Mbuf) {
     let ether_type = ctx.load(mbuf.region, h::ETHER_TYPE, 2);
     if ctx.branch_eq_imm(ether_type, h::ETHERTYPE_IPV4 as u64, Width::W16) {
         ctx.tag("valid");
@@ -53,7 +53,7 @@ pub struct ExampleRouterState {
 
 impl ExampleRouterState {
     /// Build concrete state with room for `max_nodes` trie nodes.
-    pub fn new(ids: ExampleRouterIds, max_nodes: usize, aspace: &mut AddressSpace) -> Self {
+    fn new(ids: ExampleRouterIds, max_nodes: usize, aspace: &mut AddressSpace) -> Self {
         ExampleRouterState {
             trie: LpmTrie::new(ids.trie, max_nodes, 0, aspace),
         }

@@ -37,7 +37,7 @@ impl Default for FirewallConfig {
 
 /// The stateless firewall logic. No stateful library calls at all — the
 /// whole NF is symbolically executed (contract cases are pure paths).
-pub fn process<C: NfCtx>(ctx: &mut C, cfg: &FirewallConfig, mbuf: Mbuf) {
+fn process<C: NfCtx>(ctx: &mut C, cfg: &FirewallConfig, mbuf: Mbuf) {
     let ether_type = ctx.load(mbuf.region, h::ETHER_TYPE, 2);
     if !ctx.branch_eq_imm(ether_type, h::ETHERTYPE_IPV4 as u64, Width::W16) {
         ctx.tag("invalid");

@@ -69,7 +69,7 @@ pub struct LbIds {
 }
 
 /// Register the LB's stateful parts.
-pub fn register(reg: &mut DsRegistry, cfg: &LbConfig) -> LbIds {
+fn register(reg: &mut DsRegistry, cfg: &LbConfig) -> LbIds {
     let params = FlowTableParams {
         capacity: cfg.capacity,
         ttl_ns: cfg.ttl_ns,
@@ -83,7 +83,7 @@ pub fn register(reg: &mut DsRegistry, cfg: &LbConfig) -> LbIds {
 
 /// The stateless LB logic.
 #[allow(clippy::too_many_arguments)]
-pub fn process<C, FT, R, P>(
+fn process<C, FT, R, P>(
     ctx: &mut C,
     ft: &mut FT,
     ring: &mut R,
@@ -181,7 +181,7 @@ pub struct Lb {
 
 impl Lb {
     /// Build concrete state.
-    pub fn new(ids: LbIds, cfg: &LbConfig, aspace: &mut AddressSpace) -> Self {
+    fn new(ids: LbIds, cfg: &LbConfig, aspace: &mut AddressSpace) -> Self {
         let params = FlowTableParams {
             capacity: cfg.capacity,
             ttl_ns: cfg.ttl_ns,

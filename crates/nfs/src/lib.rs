@@ -25,10 +25,9 @@
 //!     .contract();
 //! ```
 //!
-//! Each module additionally exposes `register` (contract registration for
-//! its stateful parts), a generic `process` function (the stateless
-//! logic, shared by both trait methods), and a concrete state bundle for
-//! production runs.
+//! The descriptor is the NF's only public face: registration, concrete
+//! state and both builds of the stateless logic are reached through its
+//! trait methods.
 
 pub mod bridge;
 pub mod example_router;
@@ -54,7 +53,7 @@ use dpdk_sim::Mbuf;
 /// mbuf metadata; the analysis build makes it a fresh symbol so input
 /// classes can constrain traffic direction ("packets arriving from the
 /// internal network"). Costs one ALU op (metadata is register-resident).
-pub fn in_port<C: NfCtx>(ctx: &mut C, mbuf: &Mbuf) -> C::Val {
+pub(crate) fn in_port<C: NfCtx>(ctx: &mut C, mbuf: &Mbuf) -> C::Val {
     ctx.tracer().alu(1);
     if ctx.is_symbolic() {
         ctx.fresh("pkt.in_port", Width::W16)
@@ -66,7 +65,7 @@ pub fn in_port<C: NfCtx>(ctx: &mut C, mbuf: &Mbuf) -> C::Val {
 /// Build the canonical 3-word flow key from the 5-tuple:
 /// `[src_ip, dst_ip, proto<<32 | sport<<16 | dport]`, zero-extended to 64
 /// bits (the flow table hashes whole words).
-pub fn flow_key<C: NfCtx>(
+pub(crate) fn flow_key<C: NfCtx>(
     ctx: &mut C,
     src_ip: C::Val,
     dst_ip: C::Val,
@@ -91,7 +90,7 @@ pub fn flow_key<C: NfCtx>(
 /// Decrement the IPv4 TTL and apply the incremental checksum update
 /// (RFC 1624-style constant adjustment): one load, arithmetic, two
 /// stores.
-pub fn decrement_ttl<C: NfCtx>(ctx: &mut C, mbuf: &Mbuf) {
+pub(crate) fn decrement_ttl<C: NfCtx>(ctx: &mut C, mbuf: &Mbuf) {
     use dpdk_sim::headers as h;
     let ttl = ctx.load(mbuf.region, h::IPV4_TTL, 1);
     let one = ctx.lit(1, Width::W8);
@@ -106,7 +105,7 @@ pub fn decrement_ttl<C: NfCtx>(ctx: &mut C, mbuf: &Mbuf) {
 /// Forward with the port taken from a context value (concrete runs carry
 /// the real number; the analysis build reports port 0 — the verdict's
 /// port is measurement metadata, not analysed state).
-pub fn forward_to<C: NfCtx>(ctx: &mut C, port: C::Val) {
+pub(crate) fn forward_to<C: NfCtx>(ctx: &mut C, port: C::Val) {
     let p = ctx.concrete_value(port).map(|v| v as u16).unwrap_or(0);
     ctx.verdict(bolt_see::NfVerdict::Forward(p));
 }

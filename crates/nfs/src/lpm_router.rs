@@ -42,14 +42,14 @@ pub struct LpmRouterIds {
 }
 
 /// Register the router's stateful parts.
-pub fn register(reg: &mut DsRegistry) -> LpmRouterIds {
+fn register(reg: &mut DsRegistry) -> LpmRouterIds {
     LpmRouterIds {
         lpm: lpm_dir24_8::register(reg, "dir24_8"),
     }
 }
 
 /// The stateless router logic.
-pub fn process<C: NfCtx, T: Dir24_8Ops<C>>(ctx: &mut C, lpm: &mut T, mbuf: Mbuf) {
+fn process<C: NfCtx, T: Dir24_8Ops<C>>(ctx: &mut C, lpm: &mut T, mbuf: Mbuf) {
     let ether_type = ctx.load(mbuf.region, h::ETHER_TYPE, 2);
     if !ctx.branch_eq_imm(ether_type, h::ETHERTYPE_IPV4 as u64, Width::W16) {
         ctx.tag("invalid");
@@ -79,7 +79,7 @@ pub struct LpmRouterState {
 
 impl LpmRouterState {
     /// Build concrete state.
-    pub fn new(ids: LpmRouterIds, cfg: &LpmRouterConfig, aspace: &mut AddressSpace) -> Self {
+    fn new(ids: LpmRouterIds, cfg: &LpmRouterConfig, aspace: &mut AddressSpace) -> Self {
         LpmRouterState {
             lpm: Dir24_8::new(ids.lpm, cfg.first_bits, cfg.max_groups, 0, aspace),
         }

@@ -156,7 +156,7 @@ pub struct NatTable<PA> {
 
 impl<PA> NatTable<PA> {
     /// Build concrete state around an allocator instance.
-    pub fn with_allocator(ids: NatIds, cfg: &NatConfig, pa: PA, aspace: &mut AddressSpace) -> Self {
+    fn with_allocator(ids: NatIds, cfg: &NatConfig, pa: PA, aspace: &mut AddressSpace) -> Self {
         let params = FlowTableParams {
             capacity: cfg.capacity,
             ttl_ns: cfg.ttl_ns,
@@ -171,7 +171,7 @@ impl<PA> NatTable<PA> {
 
 impl NatTable<AllocatorA> {
     /// Concrete NAT with allocator A.
-    pub fn new_a(ids: NatIds, cfg: &NatConfig, aspace: &mut AddressSpace) -> Self {
+    fn new_a(ids: NatIds, cfg: &NatConfig, aspace: &mut AddressSpace) -> Self {
         let pa = AllocatorA::new(ids.pa, cfg.n_ports, cfg.base_port, aspace);
         Self::with_allocator(ids, cfg, pa, aspace)
     }
@@ -179,7 +179,7 @@ impl NatTable<AllocatorA> {
 
 impl NatTable<AllocatorB> {
     /// Concrete NAT with allocator B.
-    pub fn new_b(ids: NatIds, cfg: &NatConfig, aspace: &mut AddressSpace) -> Self {
+    fn new_b(ids: NatIds, cfg: &NatConfig, aspace: &mut AddressSpace) -> Self {
         let pa = AllocatorB::new(ids.pa, cfg.n_ports, cfg.base_port, aspace);
         Self::with_allocator(ids, cfg, pa, aspace)
     }
@@ -252,14 +252,14 @@ impl<C: NfCtx, PA: PortAllocOps<C>> NatTableOps<C> for NatTable<PA> {
 
 /// Symbolic model of the composite.
 #[derive(Clone, Copy, Debug)]
-pub struct NatTableModel {
+struct NatTableModel {
     ids: NatIds,
     capacity: u64,
 }
 
 impl NatTableModel {
     /// Model for a registered instance.
-    pub fn new(ids: NatIds, cfg: &NatConfig) -> Self {
+    fn new(ids: NatIds, cfg: &NatConfig) -> Self {
         NatTableModel {
             ids,
             capacity: cfg.capacity as u64,
@@ -325,7 +325,7 @@ impl<C: NfCtx> NatTableOps<C> for NatTableModel {
 }
 
 /// Register the NAT's stateful parts and compose the NatTable contract.
-pub fn register(reg: &mut DsRegistry, cfg: &NatConfig, kind: AllocKind) -> NatIds {
+fn register(reg: &mut DsRegistry, cfg: &NatConfig, kind: AllocKind) -> NatIds {
     let params = FlowTableParams {
         capacity: cfg.capacity,
         ttl_ns: cfg.ttl_ns,
@@ -421,7 +421,7 @@ pub fn register(reg: &mut DsRegistry, cfg: &NatConfig, kind: AllocKind) -> NatId
 }
 
 /// The stateless NAT logic (Table 6's five rows are its paths).
-pub fn process<C: NfCtx, N: NatTableOps<C>>(
+fn process<C: NfCtx, N: NatTableOps<C>>(
     ctx: &mut C,
     nat: &mut N,
     cfg: &NatConfig,

@@ -48,14 +48,14 @@ pub struct StaticRouterState {
 
 impl StaticRouterState {
     /// Allocate the table region.
-    pub fn new(aspace: &mut AddressSpace) -> Self {
+    fn new(aspace: &mut AddressSpace) -> Self {
         StaticRouterState {
             table: aspace.alloc_table(32),
         }
     }
 
     /// Install the next-hop bytes into a concrete context.
-    pub fn install(&self, ctx: &mut ConcreteCtx<'_>, cfg: &StaticRouterConfig) {
+    fn install(&self, ctx: &mut ConcreteCtx<'_>, cfg: &StaticRouterConfig) {
         let mut bytes = Vec::with_capacity(32);
         for nh in cfg.next_hop {
             bytes.extend_from_slice(&nh.to_be_bytes());
@@ -65,7 +65,7 @@ impl StaticRouterState {
 }
 
 /// The stateless router logic.
-pub fn process<C: NfCtx>(ctx: &mut C, router: &StaticRouterState, mbuf: Mbuf) {
+fn process<C: NfCtx>(ctx: &mut C, router: &StaticRouterState, mbuf: Mbuf) {
     let ether_type = ctx.load(mbuf.region, h::ETHER_TYPE, 2);
     if !ctx.branch_eq_imm(ether_type, h::ETHERTYPE_IPV4 as u64, Width::W16) {
         ctx.tag("invalid");

@@ -718,11 +718,6 @@ impl FrameBuffer {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Whether buffered bytes are waiting (a partial or complete frame).
-    pub fn has_pending(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
     /// Pop the next complete frame payload, if one is buffered.
     /// `Err(TooLarge)` poisons the stream — the caller must close the
     /// connection.
@@ -890,7 +885,7 @@ mod tests {
                 assert_eq!(got.unwrap(), payload);
             }
         }
-        assert!(!fb.has_pending());
+        assert!(fb.buf.is_empty());
         // Two frames in one burst.
         let mut burst = Vec::new();
         write_frame(&mut burst, &payload).unwrap();

@@ -964,11 +964,6 @@ impl SolverCache {
         Self::default()
     }
 
-    /// Number of models currently cached.
-    pub fn cached_models(&self) -> usize {
-        self.models.len()
-    }
-
     fn push_model(&mut self, w: Witness) {
         self.model_seq += 1;
         let entry = CachedModel {
@@ -1883,7 +1878,7 @@ mod tests {
             ctx.assert_term(&p, ne);
             assert!(ctx.current_feasible(&p, &mut cache));
         }
-        assert_eq!(cache.cached_models(), 16, "cache stays bounded");
+        assert_eq!(cache.models.len(), 16, "cache stays bounded");
         assert_eq!(
             cache.stats.model_evictions, 24,
             "40 inserts into 16 slots evict 24"

@@ -386,25 +386,6 @@ pub fn count_ic_ma(events: &[TraceEvent]) -> (u64, u64) {
     (ic, ma)
 }
 
-/// Slice a recorded stream into per-packet segments using
-/// [`Marker::PacketStart`]/[`Marker::PacketEnd`] boundaries.
-pub fn split_packets(events: &[TraceEvent]) -> Vec<&[TraceEvent]> {
-    let mut out = Vec::new();
-    let mut start = None;
-    for (i, ev) in events.iter().enumerate() {
-        match ev {
-            TraceEvent::Mark(Marker::PacketStart(_)) => start = Some(i + 1),
-            TraceEvent::Mark(Marker::PacketEnd(_)) => {
-                if let Some(s) = start.take() {
-                    out.push(&events[s..i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,22 +439,6 @@ mod tests {
         }
         assert_eq!(a.instructions, 8);
         assert_eq!(b.events.len(), 2);
-    }
-
-    #[test]
-    fn split_packets_segments() {
-        let mut r = RecordingTracer::new();
-        r.mark(Marker::PacketStart(0));
-        r.alu(2);
-        r.mark(Marker::PacketEnd(0));
-        r.mark(Marker::PacketStart(1));
-        r.alu(3);
-        r.mem_read(0x0, 1);
-        r.mark(Marker::PacketEnd(1));
-        let segs = split_packets(&r.events);
-        assert_eq!(segs.len(), 2);
-        assert_eq!(count_ic_ma(segs[0]), (2, 0));
-        assert_eq!(count_ic_ma(segs[1]), (4, 1));
     }
 
     #[test]

@@ -50,6 +50,6 @@ fn main() {
     }
     println!(
         "\nThe decision falls out of the contracts — no A/B testing rig required (§5.3). \
-         Run the fig5_6_7_allocators bench for the full NF-level comparison."
+         `cargo run --release -p bolt-bench` prints the full NF-level comparison (Figures 5–7)."
     );
 }

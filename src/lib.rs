@@ -3,8 +3,7 @@
 //! A Rust reproduction of *"Performance Contracts for Software Network
 //! Functions"* (Iyer et al., NSDI 2019). This umbrella crate re-exports
 //! the whole toolchain; see the README for the architecture, and
-//! `crates/bench/benches/` for the targets that regenerate the paper's
-//! tables and figures.
+//! `cargo run --release -p bolt-bench` for the paper's tables and figures.
 //!
 //! The pipeline, end to end, through the fluent [`Bolt`] entrypoint:
 //!
