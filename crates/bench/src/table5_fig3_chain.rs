@@ -53,8 +53,8 @@ pub(crate) fn table5_fig3(out: &mut String) {
     );
 
     // --- Figure 3: naive-add vs composed, predicted vs measured ---
-    let naive_ic = naive_add(&fw, &rt, Metric::Instructions, &env);
-    let naive_ma = naive_add(&fw, &rt, Metric::MemAccesses, &env);
+    let naive_ic = naive_add([&fw, &rt], Metric::Instructions, &env);
+    let naive_ma = naive_add([&fw, &rt], Metric::MemAccesses, &env);
     let mut composed = |metric| {
         chain
             .query(&solver, &InputClass::unconstrained(), metric, &env)

@@ -657,8 +657,8 @@ pub struct CommuteWitness {
 /// thread count) remains the truth for paths/verdicts/metrics; the plan
 /// re-interprets *latency* only.
 ///
-/// Plans are store-cacheable ([`crate::store::plan_key`] over every
-/// stage fingerprint, so any stage-config change invalidates) and
+/// Plans are store-cacheable (keyed over every stage fingerprint and the
+/// level, so any stage-config change invalidates) and
 /// byte-stable: [`crate::codec::encode_plan`] of the same chain is
 /// identical at any worker-thread count.
 #[derive(Clone, Debug, PartialEq)]
@@ -1122,40 +1122,22 @@ impl<'s> Pipeline<'s> {
         let solver = Solver::default();
         Composer::new(&solver).parallelize(true).chain(self, level)
     }
-
-    /// The naive prediction: the sum over stages of each stage's
-    /// individual worst case (Figure 3's "Naive-Add" bar, generalised to
-    /// any length). Re-explores every stage; callers that already hold
-    /// the stage contracts should use [`Pipeline::naive_add_of`].
-    pub fn naive_add(&self, level: StackLevel, metric: Metric, env: &PcvAssignment) -> u64 {
-        Self::naive_add_of(&self.contracts(level), metric, env)
-    }
-
-    /// Naive addition over pre-built stage contracts (no re-exploration —
-    /// pair with [`Pipeline::contracts`] +
-    /// [`crate::composer::Composer::compose_all`] when both the composed
-    /// contract and the baseline are needed).
-    pub fn naive_add_of<'a>(
-        contracts: impl IntoIterator<Item = &'a NfContract>,
-        metric: Metric,
-        env: &PcvAssignment,
-    ) -> u64 {
-        contracts
-            .into_iter()
-            .map(|c| c.worst(metric, env).map_or(0, |p| p.expr(metric).eval(env)))
-            .sum()
-    }
 }
 
-/// The naive prediction for a chain: the sum of each NF's individual
-/// worst case (Figure 3's "Naive-Add" bar).
-pub fn naive_add(
-    first: &NfContract,
-    second: &NfContract,
+/// The naive prediction for a chain: the sum over its stages of each
+/// stage's individual worst case (Figure 3's "Naive-Add" bar, generalised
+/// to any length). Pair with [`Pipeline::contracts`] +
+/// [`crate::composer::Composer::compose_all`] when both the composed
+/// contract and the baseline are needed.
+pub fn naive_add<'a>(
+    contracts: impl IntoIterator<Item = &'a NfContract>,
     metric: Metric,
     env: &PcvAssignment,
 ) -> u64 {
-    Pipeline::naive_add_of([first, second], metric, env)
+    contracts
+        .into_iter()
+        .map(|c| c.worst(metric, env).map_or(0, |p| p.expr(metric).eval(env)))
+        .sum()
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ impl ClassSpec {
     }
 
     /// Tag-level filter (fast path before the solver).
-    pub fn tags_match(&self, path: &PathContract) -> bool {
+    pub(crate) fn tags_match(&self, path: &PathContract) -> bool {
         match self {
             ClassSpec::Tag(t) => path.has_tag(t),
             ClassSpec::NotTag(t) => !path.has_tag(t),
@@ -90,7 +90,7 @@ impl ClassSpec {
     /// Fields the path never read stay unconstrained (any value of that
     /// field is consistent with the path, so the class constraint cannot
     /// exclude it).
-    pub fn instantiate(&self, pool: &mut TermPool, fields: &[PacketField]) -> Vec<TermRef> {
+    pub(crate) fn instantiate(&self, pool: &mut TermPool, fields: &[PacketField]) -> Vec<TermRef> {
         let mut out = Vec::new();
         self.collect(pool, fields, &mut out);
         out

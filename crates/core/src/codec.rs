@@ -121,7 +121,7 @@ pub fn encode_plan(p: &ChainPlan) -> Vec<u8> {
 
 /// Decode a chain-parallelization plan. Fails (never panics) on corrupt
 /// input.
-pub fn decode_plan(bytes: &[u8]) -> Result<ChainPlan, DecodeError> {
+pub(crate) fn decode_plan(bytes: &[u8]) -> Result<ChainPlan, DecodeError> {
     let mut r = ByteReader::new(bytes);
     let level = level_from_tag(r.u8()?).ok_or(DecodeError::Malformed("unknown stack-level tag"))?;
     let n_stages = r.count(MAX_COUNT)?;
@@ -278,12 +278,38 @@ mod tests {
         }
     }
 
+    /// Hostile bytes at every position: every truncation is an error,
+    /// and a single-bit flip never panics — it is rejected, or it decodes
+    /// to a genuine value of the format: one whose encoding decodes and
+    /// re-encodes to itself. (Not "to the flipped bytes": the wire
+    /// varints accept an overlong `0x80 0x00` for zero.)
+    fn assert_hostile_bytes_are_rejected<T>(
+        bytes: &[u8],
+        decode: impl Fn(&[u8]) -> Result<T, DecodeError>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) {
+        for cut in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        let mut flipped = bytes.to_vec();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(value) = decode(&flipped) {
+                let again = encode(&value);
+                let stable = decode(&again).map(|v| encode(&v));
+                assert_eq!(stable.ok(), Some(again), "bit {bit}: not a fixed point");
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
     #[test]
     fn corrupt_contract_bytes_are_rejected() {
         let bytes = encode_contract(&toy_contract());
-        for cut in [0, 3, bytes.len() / 3, bytes.len() - 1] {
-            assert!(decode_contract(&bytes[..cut]).is_err());
-        }
+        assert_hostile_bytes_are_rejected(&bytes, decode_contract, encode_contract);
         let mut padded = bytes;
         padded.push(7);
         assert!(decode_contract(&padded).is_err());
@@ -329,9 +355,7 @@ mod tests {
     #[test]
     fn corrupt_plan_bytes_are_rejected() {
         let bytes = encode_plan(&toy_plan());
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_plan(&bytes[..cut]).is_err());
-        }
+        assert_hostile_bytes_are_rejected(&bytes, decode_plan, encode_plan);
         let mut padded = bytes.clone();
         padded.push(9);
         assert!(decode_plan(&padded).is_err());

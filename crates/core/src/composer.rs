@@ -1,25 +1,23 @@
 //! The unified front door for chain composition: [`Composer`].
 //!
-//! One builder carries every composition capability (shared caches,
-//! worker threads, stores, planning):
+//! One builder carries every composition capability (a shared cache,
+//! worker threads, planning); a chain's store is its [`Pipeline`]'s:
 //!
 //! ```ignore
 //! let solver = Solver::default();
 //! let mut composer = Composer::new(&solver)
 //!     .threads(8)
-//!     .store(&store)
 //!     .parallelize(true);
 //! let report = composer.chain(&pipeline, StackLevel::FullStack).unwrap();
 //! println!("{report}");
 //! ```
 //!
-//! One `Composer` can serve many compositions: its solver cache (owned
-//! by default, or borrowed via [`Composer::cache`]) carries feasibility
-//! memos across calls, and [`ChainReport::solver`] always reports the
-//! *delta* this run added, so reuse never inflates a report.
+//! One `Composer` can serve many compositions: its solver cache carries
+//! feasibility memos across calls, and [`ChainReport::solver`] always
+//! reports the *delta* this run added, so reuse never inflates a report.
 //!
 //! Every composition is fed through the `bolt_obs` registry of the
-//! attached store (or the process-global registry when composing
+//! pipeline's store (or the process-global registry when composing
 //! storeless): `compose.pairs` / `compose.steps` / `compose.steps_cached`
 //! / `compose.stages_explored` / `compose.stages_cached` counters, the
 //! `compose.wall` latency histogram, and — when planning —
@@ -43,58 +41,25 @@ use crate::chain::{
 use crate::contract::NfContract;
 use crate::store::{compose_key, level_name, plan_key, Fingerprint, StoreExt};
 
-/// A solver cache the composer either owns or borrows: owning keeps the
-/// builder chainable with zero ceremony; borrowing lets a caller share
-/// one memo table between a composer and other solver clients.
-enum CacheSlot<'a> {
-    Owned(Box<SolverCache>),
-    Borrowed(&'a mut SolverCache),
-}
-
-impl CacheSlot<'_> {
-    fn get_mut(&mut self) -> &mut SolverCache {
-        match self {
-            CacheSlot::Owned(c) => c,
-            CacheSlot::Borrowed(c) => c,
-        }
-    }
-
-    fn stats(&self) -> SolverStats {
-        match self {
-            CacheSlot::Owned(c) => c.stats,
-            CacheSlot::Borrowed(c) => c.stats,
-        }
-    }
-}
-
 /// Builder-style composition engine — see the module docs. All
 /// configuration is optional: `Composer::new(&solver)` composes
-/// sequentially with a fresh owned cache and no store.
+/// sequentially with a fresh cache.
 pub struct Composer<'a> {
     solver: &'a Solver,
-    cache: CacheSlot<'a>,
+    cache: SolverCache,
     threads: Option<usize>,
-    store: Option<&'a ContractStore>,
     parallelize: bool,
 }
 
 impl<'a> Composer<'a> {
-    /// A composer over `solver` with an owned, empty feasibility cache.
+    /// A composer over `solver` with an empty feasibility cache.
     pub fn new(solver: &'a Solver) -> Self {
         Composer {
             solver,
-            cache: CacheSlot::Owned(Box::new(SolverCache::new())),
+            cache: SolverCache::new(),
             threads: None,
-            store: None,
             parallelize: false,
         }
-    }
-
-    /// Share an external solver cache (feasibility memos, witness
-    /// models, and the stats counters) instead of the owned one.
-    pub fn cache(mut self, cache: &'a mut SolverCache) -> Self {
-        self.cache = CacheSlot::Borrowed(cache);
-        self
     }
 
     /// Compose path pairs (and explore stages) on `n` worker threads.
@@ -102,14 +67,6 @@ impl<'a> Composer<'a> {
     /// `BOLT_THREADS`; output is bit-identical at any count.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Attach a persistent contract store consulted for stage
-    /// explorations, composed fold steps, and chain plans. Overrides a
-    /// pipeline's own store.
-    pub fn store(mut self, store: &'a ContractStore) -> Self {
-        self.store = Some(store);
         self
     }
 
@@ -121,17 +78,9 @@ impl<'a> Composer<'a> {
     }
 
     /// The cache's accumulated solver counters (across everything this
-    /// composer — and, for a borrowed cache, anyone sharing it — has
-    /// done).
+    /// composer has done).
     pub fn stats(&self) -> SolverStats {
-        self.cache.stats()
-    }
-
-    fn registry(&self) -> Arc<Registry> {
-        match self.store {
-            Some(s) => s.metrics().clone(),
-            None => bolt_obs::global().clone(),
-        }
+        self.cache.stats
     }
 
     fn resolved_threads(&self) -> usize {
@@ -141,11 +90,10 @@ impl<'a> Composer<'a> {
     /// Compose two contracts into the contract of `first → second`.
     pub fn compose(&mut self, first: &NfContract, second: &NfContract) -> NfContract {
         let threads = self.resolved_threads();
-        let registry = self.registry();
-        let solver = self.solver;
+        let registry = bolt_obs::global();
         registry.counter("compose.pairs").inc();
         let _span = registry.histogram("compose.wall").span();
-        compose_pair(first, second, solver, self.cache.get_mut(), threads)
+        compose_pair(first, second, self.solver, &mut self.cache, threads)
     }
 
     /// Fold pre-built stage contracts left to right through this
@@ -165,10 +113,9 @@ impl<'a> Composer<'a> {
     /// [`Composer::parallelize`] enabled, the plan). `None` for an
     /// empty chain.
     ///
-    /// Configuration precedence is composer-over-pipeline: an explicit
-    /// [`Composer::threads`]/[`Composer::store`] wins, otherwise the
-    /// pipeline's own settings. Unset threads fall back to
-    /// `BOLT_THREADS`; with no store on either, nothing is persisted.
+    /// The store is the pipeline's; without one nothing is persisted. An
+    /// explicit [`Composer::threads`] wins over the pipeline's setting;
+    /// unset on both, threads fall back to `BOLT_THREADS`.
     pub fn chain(&mut self, pipeline: &Pipeline<'_>, level: StackLevel) -> Option<ChainReport> {
         if pipeline.stages.is_empty() {
             return None;
@@ -177,13 +124,13 @@ impl<'a> Composer<'a> {
             .threads
             .or(pipeline.threads)
             .unwrap_or_else(crate::nf::ambient_threads);
-        let store = self.store.or(pipeline.store);
+        let store = pipeline.store;
         let registry: Arc<Registry> = match store {
             Some(s) => s.metrics().clone(),
             None => bolt_obs::global().clone(),
         };
         let solver = self.solver;
-        let cache = self.cache.get_mut();
+        let cache = &mut self.cache;
         let stats_before = cache.stats;
         let (mut stages_explored, mut stages_cached) = (0usize, 0usize);
         let (mut steps_composed, mut steps_cached) = (0usize, 0usize);

@@ -209,25 +209,6 @@ impl NfContract {
         }
         Some((bytes, port))
     }
-
-    /// Render contract rows (`class name`, `expression`) for the paper's
-    /// contract tables: one row per compatible worst path of each class.
-    pub fn render_rows(
-        &mut self,
-        solver: &Solver,
-        reg: &DsRegistry,
-        classes: &[InputClass],
-        metric: Metric,
-        env: &PcvAssignment,
-    ) -> Vec<(String, String)> {
-        classes
-            .iter()
-            .filter_map(|c| {
-                let q = self.query(solver, c, metric, env)?;
-                Some((c.name.clone(), format!("{}", q.expr.display(&reg.pcvs))))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

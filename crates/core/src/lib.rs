@@ -20,8 +20,8 @@
 //! conjoining their constraints with equality links between the upstream
 //! NF's output packet expressions and the downstream NF's input symbols,
 //! and keeping only solver-feasible pairs. [`composer`] is the unified
-//! front door ([`Composer`]): one builder for caches, worker threads,
-//! stores, and the chain parallelization planner, which proves adjacent
+//! front door ([`Composer`]): one builder for the solver cache, worker
+//! threads, and the chain parallelization planner, which proves adjacent
 //! stages order-independent and turns the chain's cycle contract from a
 //! sum into per-group `max + merge` ([`ChainPlan`]).
 //!
@@ -48,13 +48,10 @@ pub mod store;
 
 pub use chain::{naive_add, stages_commute, ChainPlan, ChainReport, CommuteWitness, Pipeline};
 pub use classes::{ClassSpec, InputClass};
-pub use codec::{decode_contract, decode_plan, encode_contract, encode_plan};
+pub use codec::{decode_contract, encode_contract, encode_plan};
 pub use composer::Composer;
 pub use contract::{generate, NfContract, PathContract, QueryResult};
-pub use nf::{
-    ambient_threads, AbstractNf, Bolt, Contract, Exploration, NetworkFunction, THREADS_ENV,
-};
+pub use nf::{ambient_threads, AbstractNf, Bolt, Contract, Exploration, NetworkFunction};
 pub use store::{
-    compose_key, level_name, plan_key, store_key, ContractStore, Fingerprint, Fingerprinter,
-    StoreExt,
+    compose_key, level_name, store_key, ContractStore, Fingerprint, Fingerprinter, StoreExt,
 };

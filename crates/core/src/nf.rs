@@ -47,7 +47,7 @@ use crate::contract::{generate, NfContract, PathContract, QueryResult};
 use crate::store::StoreExt;
 
 /// Environment variable naming the ambient exploration thread count.
-pub const THREADS_ENV: &str = "BOLT_THREADS";
+const THREADS_ENV: &str = "BOLT_THREADS";
 
 /// The ambient exploration thread count: `BOLT_THREADS` when set to a
 /// positive integer, else 1 (nothing spawned). Exploration output is
@@ -347,11 +347,6 @@ impl<I> Contract<I> {
         self.inner.query(&self.solver, class, metric, env)
     }
 
-    /// Indices of the paths compatible with a class.
-    pub fn compatible_paths(&mut self, class: &InputClass) -> Vec<usize> {
-        self.inner.compatible_paths(&self.solver, class)
-    }
-
     /// The worst path overall for a metric under a binding.
     pub fn worst(&self, metric: Metric, env: &PcvAssignment) -> Option<&PathContract> {
         self.inner.worst(metric, env)
@@ -360,19 +355,6 @@ impl<I> Contract<I> {
     /// All per-path contracts.
     pub fn paths(&self) -> &[PathContract] {
         &self.inner.paths
-    }
-
-    /// Render `class → expression` rows for the paper's contract tables.
-    pub fn rows(
-        &mut self,
-        classes: &[InputClass],
-        metric: Metric,
-        env: &PcvAssignment,
-    ) -> Vec<(String, String)> {
-        let Contract {
-            reg, inner, solver, ..
-        } = self;
-        inner.render_rows(solver, reg, classes, metric, env)
     }
 
     /// Render one expression with this contract's PCV names.
@@ -384,11 +366,6 @@ impl<I> Contract<I> {
     pub fn synthesize_packet(&self, path_index: usize, frame_len: usize) -> Option<(Vec<u8>, u16)> {
         self.inner
             .synthesize_packet(&self.solver, path_index, frame_len)
-    }
-
-    /// The solver used for compatibility checks.
-    pub fn solver(&self) -> &Solver {
-        &self.solver
     }
 
     /// Unwrap the raw [`NfContract`] (drops registry and ids).

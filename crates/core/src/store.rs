@@ -17,9 +17,8 @@
 //! [`ContractStore::header`] directly.
 //!
 //! Opt-in is explicit only ([`crate::nf::Bolt::with_store`],
-//! [`crate::chain::Pipeline::with_store`],
-//! [`crate::composer::Composer::store`]): the library opens no store the
-//! caller did not hand it.
+//! [`crate::chain::Pipeline::with_store`]): the library opens no store
+//! the caller did not hand it.
 
 use std::io;
 
@@ -111,7 +110,7 @@ pub fn compose_key(first: Fingerprint, second: Fingerprint, level: StackLevel) -
 /// configuration change anywhere in the chain must invalidate it (the
 /// changed stage key changes this key, and the stale plan simply
 /// misses).
-pub fn plan_key(stage_keys: &[Fingerprint], level: StackLevel) -> Fingerprint {
+pub(crate) fn plan_key(stage_keys: &[Fingerprint], level: StackLevel) -> Fingerprint {
     let mut fp = Fingerprinter::new();
     fp.str("bolt.plan");
     fp.str(env!("CARGO_PKG_VERSION"));
@@ -170,7 +169,7 @@ pub trait StoreExt {
     ) -> io::Result<()>;
 
     /// Fetch and decode a stored chain-parallelization plan (keyed by
-    /// [`plan_key`]). A hit skips every commutativity probe the planner
+    /// `plan_key`). A hit skips every commutativity probe the planner
     /// would otherwise run.
     fn get_plan(&self, key: Fingerprint) -> Option<crate::chain::ChainPlan>;
 

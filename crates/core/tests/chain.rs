@@ -34,18 +34,14 @@ fn pipeline_reports_its_shape() {
     assert!(!p.is_empty());
     assert_eq!(p.names(), vec!["firewall", "static_router"]);
     assert!(Pipeline::new().contract(StackLevel::NfOnly).is_none());
-    // The generalised naive-add agrees with the 2-NF free function,
-    // both through the explore-per-call form and over pre-built
-    // contracts.
+    // Naive-add is the sum of the stages' own worst cases, whatever
+    // shape the contracts arrive in.
     let env = PcvAssignment::new();
     let contracts = p.contracts(StackLevel::NfOnly);
-    let two_nf = naive_add(&contracts[0], &contracts[1], Metric::Instructions, &env);
+    let two_nf = naive_add(&contracts, Metric::Instructions, &env);
     assert_eq!(
-        Pipeline::naive_add_of(&contracts, Metric::Instructions, &env),
-        two_nf
-    );
-    assert_eq!(
-        p.naive_add(StackLevel::NfOnly, Metric::Instructions, &env),
+        naive_add([&contracts[0]], Metric::Instructions, &env)
+            + naive_add([&contracts[1]], Metric::Instructions, &env),
         two_nf
     );
 }
@@ -75,7 +71,7 @@ fn firewall_masks_router_option_paths() {
         .map(|p| p.expr(Metric::Instructions).eval(&env))
         .max()
         .unwrap();
-    let naive = naive_add(&chain().0, &rt, Metric::Instructions, &env);
+    let naive = naive_add([&chain().0, &rt], Metric::Instructions, &env);
     assert!(
         composed_worst < naive,
         "composition must beat naive addition: {composed_worst} vs {naive}"
@@ -127,13 +123,12 @@ fn longer_chains_compose_pairwise() {
         .map(|p| p.expr(Metric::Instructions).eval(&env))
         .max()
         .unwrap();
-    let naive3 = naive_add(&fw_rt, &rt, Metric::Instructions, &env).max(naive_add(
-        &fw,
-        &rt,
+    let naive3 = naive_add([&fw_rt, &rt], Metric::Instructions, &env).max(naive_add(
+        [&fw, &rt],
         Metric::Instructions,
         &env,
     ));
-    assert!(worst3 < naive3 + naive_add(&fw, &rt, Metric::Instructions, &env));
+    assert!(worst3 < naive3 + naive_add([&fw, &rt], Metric::Instructions, &env));
     // The three-NF worst case is the two-NF worst case plus one more
     // clean router pass.
     let worst2 = fw_rt

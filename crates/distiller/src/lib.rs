@@ -79,7 +79,7 @@ impl Distiller {
     }
 
     /// Make room for `packets` more packets' observations.
-    pub fn reserve(&mut self, packets: usize) {
+    pub(crate) fn reserve(&mut self, packets: usize) {
         self.packets.reserve(packets);
     }
 

@@ -11,13 +11,13 @@
 use bolt_trace::{AddressSpace, InstrClass, MemRegion, Tracer};
 
 /// Size of the simulated descriptor ring region (64 descriptors × 16 B).
-pub const RING_BYTES: u64 = 64 * 16;
+pub(crate) const RING_BYTES: u64 = 64 * 16;
 /// Size of the simulated device register window.
-pub const REG_BYTES: u64 = 128;
+pub(crate) const REG_BYTES: u64 = 128;
 
 /// Driver receive path: poll the RX descriptor, read status/length, hand
 /// the buffer to the NF, replenish the descriptor, bump the tail register.
-pub fn rx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
+pub(crate) fn rx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.mem_read(ring.addr(0), 8); // descriptor status word
     t.instr(InstrClass::Alu, 4); // status decode
@@ -34,7 +34,7 @@ pub fn rx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
 
 /// Driver transmit path: write the TX descriptor, update the tail
 /// register, reap a completed descriptor.
-pub fn tx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
+pub(crate) fn tx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 6); // descriptor fill
     t.mem_write(ring.addr(16), 8); // TX descriptor write
@@ -49,7 +49,7 @@ pub fn tx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
 
 /// Dropping a packet in the driver: no device interaction, just bookkeeping
 /// before the mbuf goes back to the pool.
-pub fn drop_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+pub(crate) fn drop_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 2);
     t.mem_read(pool_meta.addr(0), 8);
@@ -57,7 +57,7 @@ pub fn drop_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
 }
 
 /// Mempool allocation: pop a buffer from the free ring.
-pub fn pool_alloc_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+pub(crate) fn pool_alloc_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.mem_read(pool_meta.addr(0), 8); // free-list head
     t.instr(InstrClass::Alu, 3);
@@ -66,7 +66,7 @@ pub fn pool_alloc_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
 }
 
 /// Mempool free: push the buffer back.
-pub fn pool_free_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+pub(crate) fn pool_free_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 2);
     t.mem_write(pool_meta.addr(8), 8);
@@ -76,7 +76,7 @@ pub fn pool_free_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
 /// A pool of fixed-size packet buffers; the buffer freed last is handed
 /// out next, like an `rte_mempool`'s per-core cache.
 #[derive(Debug)]
-pub struct Mempool {
+pub(crate) struct Mempool {
     /// In ascending address order.
     buffers: Vec<MemRegion>,
     free: Vec<usize>,
@@ -85,7 +85,7 @@ pub struct Mempool {
 
 impl Mempool {
     /// Carve `n` buffers of `buf_size` bytes out of `aspace`.
-    pub fn new(aspace: &mut AddressSpace, n: usize, buf_size: u64) -> Self {
+    pub(crate) fn new(aspace: &mut AddressSpace, n: usize, buf_size: u64) -> Self {
         assert!(n > 0);
         let meta = aspace.alloc_table(64);
         let buffers: Vec<MemRegion> = (0..n).map(|_| aspace.alloc_table(buf_size)).collect();
@@ -96,21 +96,16 @@ impl Mempool {
         }
     }
 
-    /// Number of currently free buffers.
-    pub fn available(&self) -> usize {
-        self.free.len()
-    }
-
     /// Allocate a buffer (panics if the pool is exhausted — a real NF
     /// sizes its pool to its ring depth).
-    pub fn alloc(&mut self, t: &mut dyn Tracer) -> MemRegion {
+    pub(crate) fn alloc(&mut self, t: &mut dyn Tracer) -> MemRegion {
         pool_alloc_costs(t, self.meta);
         let i = self.free.pop().expect("mempool exhausted");
         self.buffers[i]
     }
 
     /// Return a buffer to the pool.
-    pub fn free(&mut self, t: &mut dyn Tracer, region: MemRegion) {
+    pub(crate) fn free(&mut self, t: &mut dyn Tracer, region: MemRegion) {
         pool_free_costs(t, self.meta);
         let i = self
             .buffers
@@ -123,20 +118,20 @@ impl Mempool {
 
 /// One simulated NIC port with RX/TX descriptor rings and registers.
 #[derive(Debug)]
-pub struct NicDevice {
+pub(crate) struct NicDevice {
     ring: MemRegion,
     regs: MemRegion,
     /// Packets received.
-    pub rx_count: u64,
+    rx_count: u64,
     /// Packets transmitted.
-    pub tx_count: u64,
+    tx_count: u64,
     /// Packets dropped.
-    pub drop_count: u64,
+    drop_count: u64,
 }
 
 impl NicDevice {
     /// Allocate the device's simulated ring and register regions.
-    pub fn new(aspace: &mut AddressSpace) -> Self {
+    pub(crate) fn new(aspace: &mut AddressSpace) -> Self {
         NicDevice {
             ring: aspace.alloc_table(RING_BYTES),
             regs: aspace.alloc_pages(REG_BYTES.max(4096)),
@@ -147,19 +142,19 @@ impl NicDevice {
     }
 
     /// Execute the receive path.
-    pub fn rx(&mut self, t: &mut dyn Tracer) {
+    pub(crate) fn rx(&mut self, t: &mut dyn Tracer) {
         self.rx_count += 1;
         rx_costs(t, self.ring, self.regs);
     }
 
     /// Execute the transmit path.
-    pub fn tx(&mut self, t: &mut dyn Tracer) {
+    pub(crate) fn tx(&mut self, t: &mut dyn Tracer) {
         self.tx_count += 1;
         tx_costs(t, self.ring, self.regs);
     }
 
     /// Execute the drop path.
-    pub fn drop(&mut self, t: &mut dyn Tracer) {
+    pub(crate) fn drop(&mut self, t: &mut dyn Tracer) {
         self.drop_count += 1;
         drop_costs(t, self.ring);
     }
@@ -175,14 +170,14 @@ mod tests {
         let mut aspace = AddressSpace::new();
         let mut pool = Mempool::new(&mut aspace, 4, 2048);
         let mut t = CountingTracer::new();
-        assert_eq!(pool.available(), 4);
+        assert_eq!(pool.free.len(), 4);
         let a = pool.alloc(&mut t);
         let b = pool.alloc(&mut t);
         assert_ne!(a.base, b.base);
-        assert_eq!(pool.available(), 2);
+        assert_eq!(pool.free.len(), 2);
         pool.free(&mut t, a);
         pool.free(&mut t, b);
-        assert_eq!(pool.available(), 4);
+        assert_eq!(pool.free.len(), 4);
     }
 
     #[test]

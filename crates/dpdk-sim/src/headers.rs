@@ -20,7 +20,7 @@ pub const ETHERTYPE_IPV6: u16 = 0x86DD;
 /// Offset of the IPv4 version/IHL byte.
 pub const IPV4_VER_IHL: u64 = 14;
 /// Offset of the IPv4 total length (2 bytes).
-pub const IPV4_TOTLEN: u64 = 16;
+const IPV4_TOTLEN: u64 = 16;
 /// Offset of the IPv4 TTL byte.
 pub const IPV4_TTL: u64 = 22;
 /// Offset of the IPv4 protocol byte.
@@ -45,7 +45,7 @@ pub const IPPROTO_TCP: u8 = 6;
 pub const IPPROTO_UDP: u8 = 17;
 
 /// Minimum frame this substrate produces (headers only, no payload).
-pub const MIN_FRAME: usize = 64;
+const MIN_FRAME: usize = 64;
 
 /// Builder for well-formed test frames.
 ///
@@ -56,7 +56,7 @@ pub const MIN_FRAME: usize = 64;
 ///     .ipv4(0x0a00_0001, 0x0a00_0002, IPPROTO_UDP, 64)
 ///     .udp(1234, 80)
 ///     .build();
-/// assert_eq!(frame.len(), MIN_FRAME);
+/// assert_eq!(frame.len(), 64); // headers only: the minimum frame
 /// assert_eq!(&frame[12..14], &[0x08, 0x00]);
 /// ```
 #[derive(Clone, Debug, Default)]

@@ -7,9 +7,9 @@
 //! simulation:
 //!
 //! * [`headers`] — Ethernet/IPv4/L4 field offsets and a packet builder;
-//! * [`device`] — a [`device::Mempool`] of reusable mbuf buffers and a
-//!   [`device::NicDevice`] whose receive/transmit paths execute an
-//!   instrumented descriptor-ring and register-access sequence;
+//! * `device` (private) — a mempool of reusable mbuf buffers and a NIC
+//!   whose receive/transmit paths execute an instrumented
+//!   descriptor-ring and register-access sequence;
 //! * [`Mbuf`] and [`DpdkEnv`] — the per-packet glue that brackets NF logic
 //!   with RX/TX driver work and trace markers, at either analysis level
 //!   ([`StackLevel::NfOnly`] or [`StackLevel::FullStack`]).
@@ -18,10 +18,10 @@
 //! the symbolic engine, so full-stack contracts include driver work
 //! exactly the way the paper's do.
 
-pub mod device;
+mod device;
 pub mod headers;
 
-pub use device::{Mempool, NicDevice};
+use device::{Mempool, NicDevice};
 
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::{Marker, MemRegion};
@@ -53,9 +53,9 @@ pub struct DpdkEnv {
     /// Analysis level.
     pub level: StackLevel,
     /// The mbuf pool.
-    pub pool: Mempool,
+    pool: Mempool,
     /// The (single) simulated NIC.
-    pub nic: NicDevice,
+    nic: NicDevice,
     seq: u64,
 }
 
@@ -78,9 +78,42 @@ impl DpdkEnv {
         Self::new(StackLevel::FullStack, 512, 2048)
     }
 
-    /// Default NF-only environment.
-    pub fn nf_only() -> Self {
-        Self::new(StackLevel::NfOnly, 512, 2048)
+    /// RX half of the device loop for one frame: open the packet, take an
+    /// mbuf and DMA the frame into it (DMA is free for the CPU; driver
+    /// descriptor work is charged in `rx`).
+    #[inline]
+    fn receive(&mut self, ctx: &mut ConcreteCtx<'_>, seq: u64, bytes: &[u8], port: u16) -> Mbuf {
+        ctx.tracer().mark(Marker::PacketStart(seq));
+        let region = self.pool.alloc(ctx.tracer());
+        ctx.register_buffer(region, bytes);
+        if self.level == StackLevel::FullStack {
+            self.nic.rx(ctx.tracer());
+        }
+        Mbuf {
+            region,
+            len: bytes.len() as u64,
+            port,
+        }
+    }
+
+    /// TX half: transmit or drop by verdict, return the mbuf, close the
+    /// packet.
+    #[inline]
+    fn transmit(
+        &mut self,
+        ctx: &mut ConcreteCtx<'_>,
+        seq: u64,
+        region: MemRegion,
+        verdict: NfVerdict,
+    ) {
+        if self.level == StackLevel::FullStack {
+            match verdict {
+                NfVerdict::Forward(_) | NfVerdict::Flood => self.nic.tx(ctx.tracer()),
+                NfVerdict::Drop => self.nic.drop(ctx.tracer()),
+            }
+        }
+        self.pool.free(ctx.tracer(), region);
+        ctx.tracer().mark(Marker::PacketEnd(seq));
     }
 
     /// Process one packet concretely: receive `bytes` on `port`, run the
@@ -98,19 +131,7 @@ impl DpdkEnv {
     {
         let seq = self.seq;
         self.seq += 1;
-        ctx.tracer().mark(Marker::PacketStart(seq));
-        // RX: allocate an mbuf and DMA the frame into it (DMA is free for
-        // the CPU; driver descriptor work is charged in rx()).
-        let region = self.pool.alloc(ctx.tracer());
-        ctx.register_buffer(region, bytes);
-        let mbuf = Mbuf {
-            region,
-            len: bytes.len() as u64,
-            port,
-        };
-        if self.level == StackLevel::FullStack {
-            self.nic.rx(ctx.tracer());
-        }
+        let mbuf = self.receive(ctx, seq, bytes, port);
         ctx.tracer().mark(Marker::NfStart);
         let before = ctx.verdicts().len();
         body(ctx, mbuf);
@@ -120,20 +141,11 @@ impl DpdkEnv {
             NfVerdict::Drop
         };
         ctx.tracer().mark(Marker::NfEnd);
-        if self.level == StackLevel::FullStack {
-            match verdict {
-                NfVerdict::Forward(_) | NfVerdict::Flood => self.nic.tx(ctx.tracer()),
-                NfVerdict::Drop => self.nic.drop(ctx.tracer()),
-            }
-        }
-        self.pool.free(ctx.tracer(), region);
-        ctx.tracer().mark(Marker::PacketEnd(seq));
+        self.transmit(ctx, seq, mbuf.region, verdict);
         ctx.tracer().mark(Marker::TxDone);
         verdict
     }
-}
 
-impl DpdkEnv {
     /// Process a burst of packets through one NF-body invocation — the
     /// DPDK `rte_rx_burst` → process → `rte_tx_burst` device loop.
     ///
@@ -160,17 +172,7 @@ impl DpdkEnv {
         let first_seq = self.seq;
         let mut mbufs = Vec::with_capacity(frames.len());
         for (i, (bytes, port)) in frames.iter().enumerate() {
-            ctx.tracer().mark(Marker::PacketStart(first_seq + i as u64));
-            let region = self.pool.alloc(ctx.tracer());
-            ctx.register_buffer(region, bytes);
-            mbufs.push(Mbuf {
-                region,
-                len: bytes.len() as u64,
-                port: *port,
-            });
-            if self.level == StackLevel::FullStack {
-                self.nic.rx(ctx.tracer());
-            }
+            mbufs.push(self.receive(ctx, first_seq + i as u64, bytes, *port));
         }
         self.seq += frames.len() as u64;
 
@@ -184,14 +186,7 @@ impl DpdkEnv {
         ctx.tracer().mark(Marker::NfEnd);
 
         for (i, (mbuf, verdict)) in mbufs.iter().zip(&verdicts).enumerate() {
-            if self.level == StackLevel::FullStack {
-                match verdict {
-                    NfVerdict::Forward(_) | NfVerdict::Flood => self.nic.tx(ctx.tracer()),
-                    NfVerdict::Drop => self.nic.drop(ctx.tracer()),
-                }
-            }
-            self.pool.free(ctx.tracer(), mbuf.region);
-            ctx.tracer().mark(Marker::PacketEnd(first_seq + i as u64));
+            self.transmit(ctx, first_seq + i as u64, mbuf.region, *verdict);
         }
         ctx.tracer().mark(Marker::TxDone);
         verdicts
@@ -402,7 +397,7 @@ mod tests {
     #[test]
     fn packet_fields_parse_through_ctx() {
         let mut tracer = CountingTracer::new();
-        let mut env = DpdkEnv::nf_only();
+        let mut env = DpdkEnv::new(StackLevel::NfOnly, 512, 2048);
         let mut ctx = ConcreteCtx::new(&mut tracer);
         env.process_packet(&mut ctx, &sample_packet(), 0, |ctx, mbuf| {
             let et = ctx.load(mbuf.region, h::ETHER_TYPE, 2);

@@ -284,7 +284,7 @@ impl TermPool {
     }
 
     /// The boolean constant `false`.
-    pub fn fls(&mut self) -> TermRef {
+    pub(crate) fn fls(&mut self) -> TermRef {
         self.constant(0, Width::W1)
     }
 

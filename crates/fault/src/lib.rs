@@ -102,7 +102,7 @@ impl XorShift64 {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -202,18 +202,13 @@ impl FaultPlan {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Plan-spec entries rejected while parsing (see [`FaultPlan::with_spec`]).
-    pub fn rejected_entries(&self) -> u64 {
-        self.rejected
-    }
-
     /// Parse a comma-separated spec (`site=PROB` / `site@NTH` entries, the
     /// `BOLT_FAULT_PLAN` grammar) into the plan. Malformed entries never
     /// panic — fault injection must not be able to take the process down by
-    /// itself. Each reject is counted (see [`FaultPlan::rejected_entries`])
-    /// and reported as a `fault.plan.reject` event through the ambient
-    /// `bolt_obs` trace sink, carrying the offending entry and a reason.
-    pub fn with_spec(mut self, spec: &str) -> Self {
+    /// itself. Each reject is counted and reported as a `fault.plan.reject`
+    /// event through the ambient `bolt_obs` trace sink, carrying the
+    /// offending entry and a reason.
+    fn with_spec(mut self, spec: &str) -> Self {
         for entry in spec.split(',') {
             let entry = entry.trim();
             if entry.is_empty() {
@@ -287,7 +282,7 @@ impl FaultPlan {
     /// site schedules from [`FaultPlan::seed`]. Malformed entries are
     /// rejected (counted, traced), never a panic: fault injection must
     /// not be able to take the process down by itself.
-    pub fn from_env() -> Option<Arc<FaultPlan>> {
+    fn from_env() -> Option<Arc<FaultPlan>> {
         let seed_var = std::env::var("BOLT_FAULT_SEED").ok();
         let plan_var = std::env::var("BOLT_FAULT_PLAN").ok();
         if seed_var.is_none() && plan_var.is_none() {
@@ -310,8 +305,9 @@ impl FaultPlan {
     }
 }
 
-/// The process-wide ambient plan, parsed from the environment once (see
-/// [`FaultPlan::from_env`]). `None` — the common case — costs one
+/// The process-wide ambient plan, parsed from the environment once
+/// (`BOLT_FAULT_SEED`, `BOLT_FAULT_PLAN`, `BOLT_FAULT_STALL_MS` — see the
+/// module docs). `None` — the common case — costs one
 /// initialized-`OnceLock` load per query.
 pub fn ambient() -> Option<&'static Arc<FaultPlan>> {
     static AMBIENT: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
@@ -374,7 +370,7 @@ mod tests {
     fn spec_parsing_counts_rejects() {
         let plan = FaultPlan::seeded(1)
             .with_spec("store.rename=0.5, serve.read.err@3,bogus,x=notafloat,y@NaN, ,z=1.0");
-        assert_eq!(plan.rejected_entries(), 3, "bogus, x=, y@ are rejected");
+        assert_eq!(plan.rejected, 3, "bogus, x=, y@ are rejected");
         // The well-formed entries still landed.
         assert!((0..10).any(|_| plan.fires("z")), "z=1.0 accepted");
         let fired: Vec<bool> = (0..4).map(|_| plan.fires("serve.read.err")).collect();
@@ -384,7 +380,7 @@ mod tests {
     #[test]
     fn clean_spec_rejects_nothing() {
         let plan = FaultPlan::seeded(2).with_spec("a=0.25,b@7");
-        assert_eq!(plan.rejected_entries(), 0);
+        assert_eq!(plan.rejected, 0);
     }
 
     #[test]

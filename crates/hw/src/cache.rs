@@ -83,13 +83,8 @@ impl CacheSim {
         }
     }
 
-    /// Geometry.
-    pub fn params(&self) -> CacheParams {
-        self.params
-    }
-
     /// `log2` of the line size: `addr >> line_shift()` numbers the line.
-    pub fn line_shift(&self) -> u32 {
+    pub(crate) fn line_shift(&self) -> u32 {
         self.line_shift
     }
 
@@ -250,6 +245,6 @@ mod tests {
         assert_eq!(CacheParams::l1d().sets(), 64);
         assert_eq!(CacheParams::l2().sets(), 512);
         let c = CacheSim::new(CacheParams::l3());
-        assert!(c.params().sets() > 0);
+        assert!(c.params.sets() > 0);
     }
 }

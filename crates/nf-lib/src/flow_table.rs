@@ -29,7 +29,7 @@ use bolt_expr::{PcvId, PerfExpr, Width};
 use bolt_see::{ConcreteCtx, NfCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall, Tracer};
 
-use crate::registry::{measure, CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{measure, DsContract, DsRegistry, MethodContract};
 
 /// Slot stride: one cache line per entry.
 const SLOT: u64 = 64;
@@ -49,15 +49,15 @@ const OCC: u8 = 2;
 /// Method indices (the `method` field of [`StatefulCall`]).
 pub const M_GET: u16 = 0;
 /// `peek` — lookup without refreshing the entry's age.
-pub const M_PEEK: u16 = 1;
+pub(crate) const M_PEEK: u16 = 1;
 /// `put` — insert a new entry.
 pub const M_PUT: u16 = 2;
 /// `expire` — pop and erase all expired entries.
 pub const M_EXPIRE: u16 = 3;
 /// `rehash` — re-seed and rebuild (collision-attack defence).
-pub const M_REHASH: u16 = 4;
+pub(crate) const M_REHASH: u16 = 4;
 /// `update` — overwrite the value of an existing entry (refreshes age).
-pub const M_UPDATE: u16 = 5;
+const M_UPDATE: u16 = 5;
 
 /// Case indices for `get`/`peek`.
 pub const C_HIT: u16 = 0;
@@ -191,11 +191,6 @@ impl<const K: usize> FlowTable<K> {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Capacity in slots.
-    pub fn capacity(&self) -> usize {
-        self.params.capacity
     }
 
     /// The hash seed (changes on rehash).
@@ -366,7 +361,7 @@ impl<const K: usize> FlowTable<K> {
 
     /// Place an entry directly into a slot, bypassing hashing and cost
     /// accounting, and append it to the age list. Panics if occupied.
-    pub fn raw_place(&mut self, slot: usize, key: [u64; K], val: u64, ts: u64) {
+    fn raw_place(&mut self, slot: usize, key: [u64; K], val: u64, ts: u64) {
         assert_eq!(self.state[slot], EMPTY, "raw_place into non-empty slot");
         self.state[slot] = OCC;
         self.keys[slot] = key;
@@ -384,7 +379,7 @@ impl<const K: usize> FlowTable<K> {
     }
 
     /// Mark a slot as a tombstone (calibration helper).
-    pub fn raw_tombstone(&mut self, slot: usize) {
+    fn raw_tombstone(&mut self, slot: usize) {
         assert_eq!(self.state[slot], EMPTY);
         self.state[slot] = TOMB;
     }
@@ -412,7 +407,7 @@ impl<const K: usize> FlowTable<K> {
     /// chains (every erase is O(1)), which keeps the product-form contract
     /// tight (the `NAT1` and `NAT1adv` rows of the reproduction's Figure 1
     /// are the two variants).
-    pub fn synthesize_pathological(&mut self, uniform_clusters: bool) {
+    fn synthesize_pathological(&mut self, uniform_clusters: bool) {
         let cap = self.params.capacity;
         self.synthesize_aged(cap, uniform_clusters, |nth| nth as u64)
     }
@@ -1185,11 +1180,6 @@ pub fn register<const K: usize>(
     }
 }
 
-/// Convenience: look up a case's expression.
-pub fn case_of(reg: &DsRegistry, ds: DsId, method: u16, case: u16) -> &CaseContract {
-    reg.resolve(StatefulCall { ds, method, case })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1465,7 +1455,11 @@ mod tests {
         env.set(ids.e, e_count)
             .set(ids.te, max_t)
             .set(ids.ce, max_c);
-        let case = case_of(&reg, ids.ds, M_EXPIRE, 0);
+        let case = reg.resolve(StatefulCall {
+            ds: ids.ds,
+            method: M_EXPIRE,
+            case: 0,
+        });
         let pred = case.expr(Metric::Instructions).eval(&env);
         let pred_ma = case.expr(Metric::MemAccesses).eval(&env);
         assert!(pred >= ic, "mass expiry IC bound violated: {pred} < {ic}");
@@ -1576,8 +1570,16 @@ mod tests {
         };
         let a = register::<2>(&mut reg1, "x", "", params);
         let b = register::<2>(&mut reg2, "x", "", params);
-        let ca = case_of(&reg1, a.ds, M_GET, C_HIT);
-        let cb = case_of(&reg2, b.ds, M_GET, C_HIT);
+        let ca = reg1.resolve(StatefulCall {
+            ds: a.ds,
+            method: M_GET,
+            case: C_HIT,
+        });
+        let cb = reg2.resolve(StatefulCall {
+            ds: b.ds,
+            method: M_GET,
+            case: C_HIT,
+        });
         assert_eq!(
             format!("{}", ca.expr(Metric::Instructions).display(&reg1.pcvs)),
             format!("{}", cb.expr(Metric::Instructions).display(&reg2.pcvs))
@@ -1588,14 +1590,22 @@ mod tests {
     fn contract_has_paper_shape() {
         let (reg, ids, _, _) = setup();
         // get-hit: linear in t and c with a constant.
-        let hit = case_of(&reg, ids.ds, M_GET, C_HIT);
+        let hit = reg.resolve(StatefulCall {
+            ds: ids.ds,
+            method: M_GET,
+            case: C_HIT,
+        });
         let expr = hit.expr(Metric::Instructions);
         assert_eq!(expr.degree(), 1);
         assert!(expr.coeff(&bolt_expr::Monomial::var(ids.t)) > 0);
         assert!(expr.coeff(&bolt_expr::Monomial::var(ids.c)) > 0);
         assert!(expr.constant_term() > 0);
         // expire: cross terms e·t and e·c (Table 6 shape).
-        let exp = case_of(&reg, ids.ds, M_EXPIRE, 0);
+        let exp = reg.resolve(StatefulCall {
+            ds: ids.ds,
+            method: M_EXPIRE,
+            case: 0,
+        });
         let expr = exp.expr(Metric::Instructions);
         assert_eq!(expr.degree(), 2);
         let et = bolt_expr::Monomial::var(ids.e).mul(&bolt_expr::Monomial::var(ids.te));

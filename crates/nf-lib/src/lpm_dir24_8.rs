@@ -19,9 +19,9 @@ use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract
 /// The single method.
 pub const M_LOOKUP: u16 = 0;
 /// Matched prefix ≤ first_bits: single load.
-pub const C_SHORT: u16 = 0;
+const C_SHORT: u16 = 0;
 /// Matched prefix > first_bits: two loads.
-pub const C_LONG: u16 = 1;
+const C_LONG: u16 = 1;
 
 /// Entry flags in the first-level table.
 const VALID: u32 = 1 << 31;

@@ -33,11 +33,11 @@ pub const M_MT_LEARN: u16 = 1;
 pub const M_MT_LOOKUP: u16 = 2;
 
 /// `learn` cases.
-pub const C_KNOWN: u16 = 0;
+const C_KNOWN: u16 = 0;
 /// Unknown source, learned without rehash.
-pub const C_UNKNOWN: u16 = 1;
+const C_UNKNOWN: u16 = 1;
 /// Unknown source, probe exceeded the threshold: rehash triggered.
-pub const C_UNKNOWN_REHASH: u16 = 2;
+const C_UNKNOWN_REHASH: u16 = 2;
 
 /// What `learn` did (mirrors the contract cases).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,9 +50,10 @@ pub enum LearnOutcome {
     UnknownRehash,
 }
 
+#[cfg(test)]
 impl LearnOutcome {
     /// The contract case index.
-    pub fn case(self) -> u16 {
+    fn case(self) -> u16 {
         match self {
             LearnOutcome::Known => C_KNOWN,
             LearnOutcome::Unknown => C_UNKNOWN,
@@ -145,13 +146,6 @@ impl MacTable {
     /// Direct access to the inner store (pathological-state synthesis).
     pub fn store_mut(&mut self) -> &mut FlowTable<1> {
         &mut self.inner
-    }
-
-    /// Worst probe statistics across the most recent wrapper operation
-    /// (a `learn` does an inner get and possibly an inner put; its
-    /// contract's `t`/`c` bind to the worst of the two probes).
-    pub fn last_probe(&self) -> (u64, u64) {
-        self.last_op_probe
     }
 }
 
@@ -445,7 +439,7 @@ mod tests {
                 let port = ctx.lit(1, Width::W64);
                 let nowv = ctx.lit(now, Width::W64);
                 let o = MacTableOps::<_>::learn(&mut table, &mut ctx, mac, port, nowv);
-                (o, table.last_probe())
+                (o, table.last_op_probe)
             };
             let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
             let cyc = bolt_hw::conservative_cycles(&rec.events);

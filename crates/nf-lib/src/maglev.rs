@@ -21,15 +21,15 @@ use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
 use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// Ring method index.
-pub const M_RING_LOOKUP: u16 = 0;
+const M_RING_LOOKUP: u16 = 0;
 /// Pool method indices.
-pub const M_HEARTBEAT: u16 = 0;
+const M_HEARTBEAT: u16 = 0;
 /// Liveness check.
-pub const M_IS_ALIVE: u16 = 1;
+const M_IS_ALIVE: u16 = 1;
 /// `is_alive` cases.
-pub const C_ALIVE: u16 = 0;
+const C_ALIVE: u16 = 0;
 /// Dead backend.
-pub const C_DEAD: u16 = 1;
+const C_DEAD: u16 = 1;
 
 /// Ids handle for a registered ring.
 #[derive(Clone, Copy, Debug)]
@@ -121,23 +121,9 @@ impl MaglevRing {
         table
     }
 
-    /// Ring size.
-    pub fn m(&self) -> u64 {
-        self.m
-    }
-
-    /// Uninstrumented lookup (oracle / distribution tests).
+    /// Uninstrumented lookup (oracle for tests).
     pub fn raw_lookup(&self, hash: u64) -> u16 {
         self.table[(hash % self.m) as usize]
-    }
-
-    /// Per-backend slot counts (for balance tests).
-    pub fn distribution(&self, n_backends: u16) -> Vec<u64> {
-        let mut counts = vec![0u64; n_backends as usize];
-        for &b in &self.table {
-            counts[b as usize] += 1;
-        }
-        counts
     }
 }
 
@@ -207,11 +193,6 @@ impl BackendPool {
             hb_ttl_ns,
             r_hb: aspace.alloc_table(n as u64 * 8),
         }
-    }
-
-    /// Number of backends.
-    pub fn n(&self) -> usize {
-        self.last_hb.len()
     }
 
     /// Uninstrumented liveness check.
@@ -367,7 +348,10 @@ mod tests {
         let mut aspace = AddressSpace::new();
         let n = 7u16;
         let ring = MaglevRing::new(ids, n, 1009, &mut aspace);
-        let counts = ring.distribution(n);
+        let mut counts = vec![0u64; n as usize];
+        for &b in &ring.table {
+            counts[b as usize] += 1;
+        }
         let min = *counts.iter().min().unwrap();
         let max = *counts.iter().max().unwrap();
         assert!(

@@ -18,7 +18,7 @@
 
 use bolt_expr::{PcvId, PerfExpr, Width};
 use bolt_see::NfCtx;
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
 
 use crate::registry::{measure, CaseContract, DsContract, DsRegistry, MethodContract};
 
@@ -142,7 +142,7 @@ impl AllocatorA {
     }
 
     /// Mark `count` ports allocated without accounting (state synthesis).
-    pub fn raw_fill(&mut self, count: usize) {
+    fn raw_fill(&mut self, count: usize) {
         for _ in 0..count {
             let h = self.free_head;
             assert!(h >= 0, "raw_fill beyond capacity");
@@ -266,7 +266,7 @@ impl AllocatorB {
     }
 
     /// Mark the first `count` ports allocated without accounting.
-    pub fn raw_fill(&mut self, count: usize) {
+    fn raw_fill(&mut self, count: usize) {
         for i in 0..count {
             assert!(!self.used[i]);
             self.used[i] = true;
@@ -331,49 +331,6 @@ impl<C: NfCtx> PortAllocOps<C> for AllocatorB {
         self.used[i] = false;
         self.n_free += 1;
         t.instr(InstrClass::Ret, 1);
-    }
-}
-
-/// Symbolic model shared by both allocators (which one it stands for is
-/// determined by the ids/contract it was registered with).
-#[derive(Clone, Copy, Debug)]
-pub struct PortAllocModel {
-    ids: PortAllocIds,
-}
-
-impl PortAllocModel {
-    /// Model for a registered instance.
-    pub fn new(ids: PortAllocIds) -> Self {
-        PortAllocModel { ids }
-    }
-}
-
-impl<C: NfCtx> PortAllocOps<C> for PortAllocModel {
-    fn alloc(&mut self, ctx: &mut C) -> Option<C::Val> {
-        let ok = ctx.fresh("port_alloc.ok", Width::W1);
-        if ctx.fork(ok) {
-            ctx.tracer().stateful(StatefulCall {
-                ds: self.ids.ds,
-                method: M_ALLOC,
-                case: C_OK,
-            });
-            Some(ctx.fresh("port_alloc.port", Width::W16))
-        } else {
-            ctx.tracer().stateful(StatefulCall {
-                ds: self.ids.ds,
-                method: M_ALLOC,
-                case: C_EXHAUSTED,
-            });
-            None
-        }
-    }
-
-    fn free(&mut self, ctx: &mut C, _port: C::Val) {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method: M_FREE,
-            case: 0,
-        });
     }
 }
 
@@ -599,38 +556,6 @@ impl<C: NfCtx> PortMapOps<C> for PortMap {
     }
 }
 
-/// Symbolic model of the port map.
-#[derive(Clone, Copy, Debug)]
-pub struct PortMapModel {
-    ids: PortMapIds,
-}
-
-impl PortMapModel {
-    /// Model for a registered instance.
-    pub fn new(ids: PortMapIds) -> Self {
-        PortMapModel { ids }
-    }
-}
-
-impl<C: NfCtx> PortMapOps<C> for PortMapModel {
-    fn set(&mut self, ctx: &mut C, _port: C::Val, _value: C::Val) {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method: M_PM_SET,
-            case: 0,
-        });
-    }
-
-    fn get(&mut self, ctx: &mut C, _port: C::Val) -> C::Val {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method: M_PM_GET,
-            case: 0,
-        });
-        ctx.fresh("port_map.value", Width::W64)
-    }
-}
-
 /// Calibrate and register a port map.
 pub fn register_map(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) -> PortMapIds {
     let provisional = PortMapIds { ds: DsId(u32::MAX) };
@@ -674,7 +599,7 @@ mod tests {
     use super::*;
     use bolt_expr::PcvAssignment;
     use bolt_see::ConcreteCtx;
-    use bolt_trace::{Metric, NullTracer, RecordingTracer};
+    use bolt_trace::{Metric, NullTracer, RecordingTracer, StatefulCall};
     use std::collections::HashSet;
 
     #[test]
@@ -803,22 +728,5 @@ mod tests {
         PortMapOps::<_>::set(&mut m, &mut ctx, port, v);
         let got = PortMapOps::<_>::get(&mut m, &mut ctx, port);
         assert_eq!(ctx.concrete_value(got), Some(0xABCD));
-    }
-
-    #[test]
-    fn models_fork_ok_and_exhausted() {
-        let mut reg = DsRegistry::new();
-        let ids = register_a(&mut reg, "alloc_a", 64, 1);
-        let result = bolt_see::Explorer::new().explore(|ctx| {
-            let mut model = PortAllocModel::new(ids);
-            let _pkt = ctx.packet(64);
-            match PortAllocOps::<_>::alloc(&mut model, ctx) {
-                Some(_) => ctx.tag("ok"),
-                None => ctx.tag("exhausted"),
-            }
-        });
-        assert_eq!(result.paths.len(), 2);
-        assert_eq!(result.tagged("ok").count(), 1);
-        assert_eq!(result.tagged("exhausted").count(), 1);
     }
 }

@@ -137,7 +137,7 @@ impl DsRegistry {
 /// conservative worst-case expression (every potentially-uncached access
 /// at main-memory latency, worst-case instruction latencies).
 #[derive(Clone, Debug, Default)]
-pub struct CasePerf {
+pub(crate) struct CasePerf {
     /// Instruction-count expression.
     pub instructions: PerfExpr,
     /// Memory-access expression.
@@ -148,7 +148,7 @@ pub struct CasePerf {
 
 impl CasePerf {
     /// Finish into the contract array.
-    pub fn build(self, name: &'static str) -> CaseContract {
+    pub(crate) fn build(self, name: &'static str) -> CaseContract {
         CaseContract {
             name,
             perf: [self.instructions, self.mem_accesses, self.cycles],

@@ -33,20 +33,20 @@ use nf_lib::registry::{
 use crate::{decrement_ttl, flow_key, forward_to, in_port};
 
 /// NatTable method indices.
-pub const N_EXPIRE: u16 = 0;
+const N_EXPIRE: u16 = 0;
 /// Internal-key lookup.
-pub const N_LOOKUP_INT: u16 = 1;
+const N_LOOKUP_INT: u16 = 1;
 /// New-flow establishment.
-pub const N_NEW_FLOW: u16 = 2;
+const N_NEW_FLOW: u16 = 2;
 /// External-port reverse lookup.
-pub const N_LOOKUP_EXT: u16 = 3;
+const N_LOOKUP_EXT: u16 = 3;
 
 /// `new_flow` cases.
-pub const C_NF_OK: u16 = 0;
+const C_NF_OK: u16 = 0;
 /// No free external ports.
-pub const C_NF_PORTS: u16 = 1;
+const C_NF_PORTS: u16 = 1;
 /// Flow table full.
-pub const C_NF_FULL: u16 = 2;
+const C_NF_FULL: u16 = 2;
 
 /// Which allocator backs the NAT (§5.3's A/B choice).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -106,7 +106,7 @@ pub struct NatIds {
 }
 
 /// Operations of the composite NAT table.
-pub trait NatTableOps<C: NfCtx> {
+trait NatTableOps<C: NfCtx> {
     /// Expire stale flows, releasing their ports. Returns the count.
     fn expire(&mut self, ctx: &mut C, now: C::Val) -> C::Val;
     /// Internal 5-tuple lookup; hit returns the flow's external port
@@ -128,7 +128,7 @@ pub trait NatTableOps<C: NfCtx> {
 
 /// Result of [`NatTableOps::new_flow`].
 #[derive(Clone, Copy, Debug)]
-pub enum NewFlowOutcome<V> {
+enum NewFlowOutcome<V> {
     /// Flow established on this external port.
     Ok(V),
     /// Port pool exhausted.

@@ -24,7 +24,7 @@ mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    bucket_of, bucket_upper, global, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
-    Snapshot, Span, HIST_BUCKETS,
+    bucket_of, global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, Span,
+    HIST_BUCKETS,
 };
-pub use trace::{TraceSink, Value, TRACE_ENV};
+pub use trace::{TraceSink, Value};

@@ -75,7 +75,7 @@ pub fn bucket_of(v: u64) -> usize {
 /// Inclusive upper edge of bucket `i` — the representative value reported
 /// for percentiles that land in the bucket.
 #[inline]
-pub fn bucket_upper(i: usize) -> u64 {
+pub(crate) fn bucket_upper(i: usize) -> u64 {
     if i >= HIST_BUCKETS - 1 {
         u64::MAX
     } else {

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Environment variable holding the trace output path.
-pub const TRACE_ENV: &str = "BOLT_TRACE";
+const TRACE_ENV: &str = "BOLT_TRACE";
 
 /// A field value in a trace event.
 #[derive(Clone, Copy, Debug)]
@@ -96,7 +96,7 @@ impl std::fmt::Debug for TraceSink {
 
 impl TraceSink {
     /// Open (appending) a sink writing to `path`.
-    pub fn to_path(path: &Path) -> io::Result<TraceSink> {
+    fn to_path(path: &Path) -> io::Result<TraceSink> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(TraceSink {
             out: Mutex::new(BufWriter::new(file)),

@@ -286,11 +286,25 @@ mod tests {
     fn truncated_payloads_are_rejected() {
         let fresh = Explorer::new().explore(toy_nf);
         let bytes = encode_result(&fresh);
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             assert!(
                 decode_result(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
+        }
+        // A single-bit flip anywhere never panics: it is rejected, or it
+        // decodes to a genuine value of the format — one whose encoding
+        // decodes and re-encodes to itself. (Not "to the flipped bytes":
+        // the wire varints accept an overlong `0x80 0x00` for zero.)
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(value) = decode_result(&flipped) {
+                let again = encode_result(&value);
+                let stable = decode_result(&again).map(|v| encode_result(&v));
+                assert_eq!(stable.ok(), Some(again), "bit {bit}: not a fixed point");
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
         }
         // Trailing garbage is rejected too.
         let mut padded = bytes.clone();

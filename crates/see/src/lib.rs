@@ -32,7 +32,7 @@ pub mod symbolic;
 
 pub use concrete::ConcreteCtx;
 pub use explore::{ExplorationResult, ExploreStats, Explorer, Path};
-pub use symbolic::{ExploreShared, SymbolicCtx};
+pub use symbolic::SymbolicCtx;
 
 use bolt_expr::Width;
 use bolt_trace::{MemRegion, Tracer};

@@ -27,7 +27,7 @@ use crate::{NfCtx, NfVerdict};
 /// and therefore cached feasibility verdicts and models — are shared
 /// between sibling runs instead of re-interned per run).
 #[derive(Debug, Default)]
-pub struct ExploreShared {
+pub(crate) struct ExploreShared {
     /// Feasibility memo, per-atom witness cache, model cache, counters.
     pub cache: SolverCache,
     syms: SymTable,
@@ -39,7 +39,7 @@ impl ExploreShared {
     /// lazy packet fields and model `fresh` calls) and the absorption
     /// of a speculated run's private pool resolve through this one
     /// table, so both assign identical ids in identical order.
-    pub fn sym_for(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
+    pub(crate) fn sym_for(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
         self.syms.sym_for(pool, name, w)
     }
 }
@@ -76,7 +76,7 @@ pub struct PacketField {
 /// One recorded path constraint, remembering whether it came from a branch
 /// (and which one) so the explorer can rebuild constraint prefixes.
 #[derive(Clone, Copy, Debug)]
-pub struct ConstraintEntry {
+pub(crate) struct ConstraintEntry {
     /// The (width-1) constraint term.
     pub term: TermRef,
     /// Index of the symbolic branch that produced it, if any.
@@ -85,7 +85,7 @@ pub struct ConstraintEntry {
 
 /// Raw per-run record handed to the explorer.
 #[derive(Debug, Default)]
-pub struct RunRecord {
+pub(crate) struct RunRecord {
     /// Every decision taken at a symbolic branch, in order.
     pub decisions: Vec<bool>,
     /// The condition term of each symbolic branch.
@@ -140,7 +140,7 @@ impl<'p> SymbolicCtx<'p> {
 
     /// New context sharing caches and the symbol registry with sibling
     /// runs of one exploration.
-    pub fn with_shared(
+    pub(crate) fn with_shared(
         pool: &'p mut TermPool,
         solver: &'p Solver,
         schedule: Vec<bool>,
@@ -188,12 +188,6 @@ impl<'p> SymbolicCtx<'p> {
         self.aspace.alloc_table(size)
     }
 
-    /// Direct pool access for advanced callers (class builders, chain
-    /// composition live in `bolt-core`).
-    pub fn pool(&mut self) -> &mut TermPool {
-        self.pool
-    }
-
     /// Current path constraints (terms only).
     pub fn constraints(&self) -> Vec<TermRef> {
         self.entries.iter().map(|e| e.term).collect()
@@ -207,13 +201,13 @@ impl<'p> SymbolicCtx<'p> {
     /// Whole-path feasibility of the constraints asserted so far, decided
     /// on the run's own incremental context (no replay). Classification
     /// is exactly the batch solver's.
-    pub fn path_feasible(&mut self) -> bool {
+    pub(crate) fn path_feasible(&mut self) -> bool {
         let shared = self.shared.get_mut();
         self.sctx.current_feasible(self.pool, &mut shared.cache)
     }
 
     /// Tear down the run and emit its record.
-    pub fn finish(self) -> RunRecord {
+    pub(crate) fn finish(self) -> RunRecord {
         let pkt = self.packet_region;
         let mut final_packet: Vec<(u64, u8, TermRef)> = self
             .mem

@@ -38,7 +38,7 @@ use crate::protocol::QueryReply;
 /// Memo key of one query against one cached contract: metric index,
 /// optional tag class, and the PCV binding (sorted by name, so flag
 /// order does not defeat the memo).
-pub type MemoKey = (u8, Option<String>, Vec<(String, u64)>);
+pub(crate) type MemoKey = (u8, Option<String>, Vec<(String, u64)>);
 
 /// One decoded, queryable contract pinned hot in the server.
 pub struct CacheEntry {
@@ -118,8 +118,8 @@ impl ContractCache {
     }
 
     /// Look up a hot contract. A hit bumps the entry's recency and
-    /// records a pending on-disk touch (flushed in batches — see
-    /// [`ContractCache::take_pending_touches`]).
+    /// records a pending on-disk touch (flushed in batches of
+    /// [`CacheConfig::flush_every`]).
     pub fn lookup(&self, key: Fingerprint) -> Option<Arc<Mutex<CacheEntry>>> {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.clock += 1;
@@ -188,7 +188,7 @@ impl ContractCache {
     /// [`CacheConfig::flush_every`] (or unconditionally with
     /// `force`). The caller writes the stamps through
     /// [`bolt_store::ContractStore::touch`].
-    pub fn take_pending_touches(&self, force: bool) -> Vec<Fingerprint> {
+    pub(crate) fn take_pending_touches(&self, force: bool) -> Vec<Fingerprint> {
         let mut inner = self.inner.lock().expect("cache poisoned");
         if !force && inner.pending_touches.len() < self.config.flush_every {
             return Vec::new();
@@ -209,13 +209,14 @@ impl ContractCache {
     }
 
     /// Total weight (on-disk bytes) of the hot entries.
-    pub fn weight(&self) -> u64 {
+    #[cfg(test)]
+    fn weight(&self) -> u64 {
         self.inner.lock().expect("cache poisoned").total_weight
     }
 
     /// A hot entry's (weight, memoised-answer count), without bumping
     /// recency — provenance reporting, not a lookup.
-    pub fn slot_info(&self, key: Fingerprint) -> Option<(u64, usize)> {
+    pub(crate) fn slot_info(&self, key: Fingerprint) -> Option<(u64, usize)> {
         let entry = {
             let inner = self.inner.lock().expect("cache poisoned");
             let slot = inner.slots.get(&key)?;

@@ -508,11 +508,6 @@ impl Client {
         }
     }
 
-    /// The endpoint this client dials.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
-    }
-
     fn ensure_session(&mut self) -> Result<&mut Session, ServeError> {
         if self.session.is_none() {
             self.session = Some(Session::establish(&self.endpoint, &self.config)?);

@@ -45,7 +45,7 @@ pub use client::{
 };
 pub use protocol::{
     DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response, StatsReply, MAX_FRAME,
-    MAX_PIPELINE_DEPTH, PROTOCOL_VERSION,
+    MAX_PIPELINE_DEPTH,
 };
 pub use server::{Server, ServerBuilder};
 pub use service::{nf_by_name, Dispatch, Phase, ServeCore, LEGACY_STATS_NAMES, NF_NAMES};

@@ -17,7 +17,7 @@
 //! in *completion* order. Id 0 is reserved for errors the server cannot
 //! attribute to a request (an undecodable frame, a busy reject). How
 //! many requests may be in flight is the connection's *window*: 1 on a
-//! fresh connection, raised by an [`Opcode::Hello`] exchange in which
+//! fresh connection, raised by a [`Request::Hello`] exchange in which
 //! the client names the window it wants and the server acks what it
 //! grants. A client content with window 1 never sends `Hello` and pays
 //! no extra round trip.
@@ -44,7 +44,7 @@ use bolt_store::{ByteReader, ByteWriter, DecodeError};
 /// The frame version: the byte that leads every request. (Version 1,
 /// the un-correlated frame, is retired; a peer that still sends it gets
 /// a `protocol version mismatch` error frame.)
-pub const PROTOCOL_VERSION: u8 = 2;
+pub(crate) const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard ceiling a server places on the negotiated pipeline window,
 /// whatever the client asks for. Bounds per-connection buffering: at
@@ -60,7 +60,7 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// Request/response opcodes (the second byte of every payload).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
-pub enum Opcode {
+pub(crate) enum Opcode {
     /// Liveness + version handshake.
     Ping = 1,
     /// A contract performance query (class, metric, PCV binding).
@@ -78,8 +78,7 @@ pub enum Opcode {
     /// Full observability snapshot: every counter, gauge, and latency
     /// histogram in the server's registry.
     Metrics = 8,
-    /// Window negotiation: the client names the pipeline window it
-    /// wants; the server acks with what it grants and both sides latch.
+    /// Window negotiation (see [`Request::Hello`]).
     Hello = 9,
 }
 
@@ -100,7 +99,7 @@ impl Opcode {
     }
 
     /// Every opcode, in wire order (indexable as `op as u8 - 1`).
-    pub const ALL: [Opcode; 9] = [
+    pub(crate) const ALL: [Opcode; 9] = [
         Opcode::Ping,
         Opcode::Query,
         Opcode::Diff,
@@ -113,7 +112,7 @@ impl Opcode {
     ];
 
     /// Lower-case wire name — the `serve.req.<name>` histogram suffix.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Opcode::Ping => "ping",
             Opcode::Query => "query",
@@ -183,7 +182,8 @@ pub enum Request {
     Shutdown,
     /// Full observability snapshot.
     Metrics,
-    /// Window negotiation (see [`Opcode::Hello`]).
+    /// Window negotiation: the client names the pipeline window it
+    /// wants; the server acks with what it grants and both sides latch.
     Hello {
         /// The pipeline window the client wants (in-flight request cap).
         depth: u32,
@@ -192,7 +192,7 @@ pub enum Request {
 
 impl Request {
     /// The request's opcode.
-    pub fn opcode(&self) -> Opcode {
+    pub(crate) fn opcode(&self) -> Opcode {
         match self {
             Request::Ping => Opcode::Ping,
             Request::Query(_) => Opcode::Query,
@@ -384,7 +384,7 @@ pub struct MetricsReply {
 
 impl MetricsReply {
     /// Build a reply from a registry snapshot.
-    pub fn from_snapshot(snap: &Snapshot) -> Self {
+    pub(crate) fn from_snapshot(snap: &Snapshot) -> Self {
         MetricsReply {
             counters: snap.counters.clone(),
             gauges: snap.gauges.clone(),

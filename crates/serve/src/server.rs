@@ -618,17 +618,17 @@ mod readiness {
     use std::os::raw::{c_int, c_short, c_ulong};
 
     #[repr(C)]
-    pub struct PollFd {
-        pub fd: RawFd,
-        pub events: c_short,
-        pub revents: c_short,
+    pub(super) struct PollFd {
+        pub(super) fd: RawFd,
+        pub(super) events: c_short,
+        pub(super) revents: c_short,
     }
 
-    pub const POLLIN: c_short = 0x001;
-    pub const POLLOUT: c_short = 0x004;
-    pub const POLLERR: c_short = 0x008;
-    pub const POLLHUP: c_short = 0x010;
-    pub const POLLNVAL: c_short = 0x020;
+    pub(super) const POLLIN: c_short = 0x001;
+    pub(super) const POLLOUT: c_short = 0x004;
+    pub(super) const POLLERR: c_short = 0x008;
+    pub(super) const POLLHUP: c_short = 0x010;
+    pub(super) const POLLNVAL: c_short = 0x020;
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
@@ -637,7 +637,7 @@ mod readiness {
     /// Block until any fd is ready or the timeout elapses; fills
     /// `revents` in place. A return of -1 (EINTR etc.) is treated as
     /// "nothing ready", which the caller's next pass absorbs.
-    pub fn wait(fds: &mut [PollFd], timeout_ms: i32) {
+    pub(super) fn wait(fds: &mut [PollFd], timeout_ms: i32) {
         unsafe {
             poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms);
         }

@@ -141,7 +141,7 @@ fn class_of(tag: &Option<String>) -> InputClass {
 
 /// Wire names of the request phases, indexed by [`Phase`] — each is a
 /// `serve.phase.<name>` histogram in the core's registry.
-pub const PHASE_NAMES: [&str; 3] = ["read", "handle", "write"];
+const PHASE_NAMES: [&str; 3] = ["read", "handle", "write"];
 
 /// Where one request's wall time went: reading the frame off the
 /// socket, computing the answer, or writing the reply. Indexes
@@ -269,12 +269,12 @@ impl ServeCore {
     }
 
     /// The full observability snapshot (the `metrics` reply body).
-    pub fn metrics_reply(&self) -> MetricsReply {
+    pub(crate) fn metrics_reply(&self) -> MetricsReply {
         MetricsReply::from_snapshot(&self.metrics.snapshot())
     }
 
     /// The request-latency histogram for one opcode.
-    pub fn request_histogram(&self, op: Opcode) -> &Arc<Histogram> {
+    pub(crate) fn request_histogram(&self, op: Opcode) -> &Arc<Histogram> {
         &self.req_hists[op as u8 as usize - 1]
     }
 
@@ -285,7 +285,7 @@ impl ServeCore {
 
     /// The live-connection gauge (owned here so it appears in the
     /// snapshot; the socket server moves it).
-    pub fn connection_gauge(&self) -> &Arc<Gauge> {
+    pub(crate) fn connection_gauge(&self) -> &Arc<Gauge> {
         &self.active_connections
     }
 
@@ -315,31 +315,31 @@ impl ServeCore {
 
     /// Record an accepted connection (called by the socket server);
     /// returns the connection's ordinal (1-based) for lifecycle tracing.
-    pub fn note_connection(&self) -> u64 {
+    pub(crate) fn note_connection(&self) -> u64 {
         self.stat(Stat::Connections).inc()
     }
 
     /// Record a frame/decode-level protocol violation (called by the
     /// socket server).
-    pub fn note_protocol_error(&self) {
+    pub(crate) fn note_protocol_error(&self) {
         self.stat(Stat::ProtocolErrors).inc();
     }
 
     /// Record a connection turned away at the connection cap (called by
     /// the socket server).
-    pub fn note_busy_reject(&self) {
+    pub(crate) fn note_busy_reject(&self) {
         self.stat(Stat::BusyRejects).inc();
     }
 
     /// Record a connection reaped by the idle timeout (called by the
     /// socket server).
-    pub fn note_idle_close(&self) {
+    pub(crate) fn note_idle_close(&self) {
         self.stat(Stat::IdleClosed).inc();
     }
 
     /// Record a request whose handling blew the configured deadline
     /// (called by the socket server).
-    pub fn note_deadline_exceeded(&self) {
+    pub(crate) fn note_deadline_exceeded(&self) {
         self.stat(Stat::DeadlinesExceeded).inc();
     }
 
@@ -356,7 +356,7 @@ impl ServeCore {
     /// socket server calls this from its event loop between poll
     /// wakeups, so the request path itself never pays a stamp write.
     /// Returns how many records were stamped (0 below the threshold).
-    pub fn drain_touches(&self) -> u64 {
+    pub(crate) fn drain_touches(&self) -> u64 {
         self.flush(false)
     }
 
@@ -706,7 +706,7 @@ impl ServeCore {
     }
 
     /// The store key of an (NF name, level) pair.
-    pub fn key_of(&self, name: &str, level: StackLevel) -> Result<Fingerprint, String> {
+    fn key_of(&self, name: &str, level: StackLevel) -> Result<Fingerprint, String> {
         with_nf!(name, nf => { Ok(store_key(&nf, level)) })
     }
 }

@@ -184,7 +184,7 @@ pub enum SolveResult {
 impl SolveResult {
     /// `true` unless definitively unsatisfiable — the conservative
     /// interpretation used for path pruning and chain compatibility.
-    pub fn possibly_sat(&self) -> bool {
+    pub(crate) fn possibly_sat(&self) -> bool {
         !matches!(self, SolveResult::Unsat)
     }
 

@@ -56,7 +56,7 @@ pub struct AddressSpace {
 
 impl AddressSpace {
     /// Base of the simulated heap; arbitrary but stable across runs.
-    pub const HEAP_BASE: u64 = 0x1000_0000;
+    const HEAP_BASE: u64 = 0x1000_0000;
 
     /// Create a fresh address space.
     pub fn new() -> Self {
@@ -83,11 +83,6 @@ impl AddressSpace {
     /// Reserve a page-aligned region.
     pub fn alloc_pages(&mut self, size: u64) -> MemRegion {
         self.alloc(size, 4096)
-    }
-
-    /// Total simulated bytes handed out so far (diagnostics).
-    pub fn used(&self) -> u64 {
-        self.next - Self::HEAP_BASE
     }
 }
 

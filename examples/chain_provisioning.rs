@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example chain_provisioning`
 
-use bolt::core::{ClassSpec, InputClass};
+use bolt::core::{naive_add, ClassSpec, InputClass};
 use bolt::expr::PcvAssignment;
 use bolt::nfs::{Firewall, StaticRouter};
 use bolt::see::StackLevel;
@@ -47,7 +47,7 @@ fn main() {
         .push(Firewall::default())
         .push(StaticRouter::default());
     let stage_contracts = pipeline.contracts(StackLevel::FullStack);
-    let naive = Pipeline::naive_add_of(&stage_contracts, Metric::Instructions, &env);
+    let naive = naive_add(&stage_contracts, Metric::Instructions, &env);
     let mut chain = Composer::new(&solver).compose_all(stage_contracts).unwrap();
     println!("\ncomposed {:?} contract:", pipeline.names());
     for class in &classes {

@@ -15,7 +15,7 @@ use bolt::expr::PcvAssignment;
 use bolt::nfs::firewall::FirewallConfig;
 use bolt::nfs::{Firewall, StaticRouter};
 use bolt::see::StackLevel;
-use bolt::solver::{Solver, SolverCache, SolverStats};
+use bolt::solver::{Solver, SolverStats};
 use bolt::trace::Metric;
 use bolt::NetworkFunction;
 
@@ -125,25 +125,18 @@ fn parallel_composition_matches_sequential_on_real_nfs() {
         .contract()
         .into_inner();
     let solver = Solver::default();
-    let mut seq_cache = SolverCache::new();
-    let seq = Composer::new(&solver)
-        .cache(&mut seq_cache)
-        .threads(1)
-        .compose(&fw, &rt);
-    let seq_bytes = encode_contract(&seq);
+    let mut seq = Composer::new(&solver).threads(1);
+    let seq_bytes = encode_contract(&seq.compose(&fw, &rt));
     for threads in [2, 3, 8] {
-        let mut cache = SolverCache::new();
-        let par = Composer::new(&solver)
-            .cache(&mut cache)
-            .threads(threads)
-            .compose(&fw, &rt);
+        let mut par = Composer::new(&solver).threads(threads);
         assert_eq!(
-            encode_contract(&par),
+            encode_contract(&par.compose(&fw, &rt)),
             seq_bytes,
             "composition at {threads} threads diverged from sequential"
         );
         assert_eq!(
-            cache.stats, seq_cache.stats,
+            par.stats(),
+            seq.stats(),
             "compose counters diverged at {threads} threads"
         );
     }

@@ -6,6 +6,7 @@
 //! composition result checked in `conservatism.rs` /
 //! `crates/core/tests/chain.rs`.
 
+use bolt::core::naive_add;
 use bolt::expr::PcvAssignment;
 use bolt::nfs::{Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter};
 use bolt::see::StackLevel;
@@ -125,7 +126,11 @@ fn pipeline_reproduces_the_firewall_router_chain() {
         .map(|p| p.expr(Metric::Instructions).eval(&env))
         .max()
         .unwrap();
-    let naive = pipeline.naive_add(StackLevel::NfOnly, Metric::Instructions, &env);
+    let naive = naive_add(
+        &pipeline.contracts(StackLevel::NfOnly),
+        Metric::Instructions,
+        &env,
+    );
     assert!(
         composed_worst < naive,
         "composition must beat naive addition: {composed_worst} vs {naive}"
