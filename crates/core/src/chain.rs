@@ -624,7 +624,11 @@ pub fn stages_commute(
 ) -> bool {
     let ab = compose_pair(a, b, solver, cache, threads);
     let ba = compose_pair(b, a, solver, cache, threads);
-    contract_signature(&ab, label_a, label_b) == contract_signature(&ba, label_b, label_a)
+    // Two sorted multisets of different size are never equal, and a
+    // drop-capable stage yields exactly that shape (see above), so the
+    // common refusal costs no rendering at all.
+    ab.paths.len() == ba.paths.len()
+        && contract_signature(&ab, label_a, label_b) == contract_signature(&ba, label_b, label_a)
 }
 
 // ---------------------------------------------------------------------------
@@ -1372,6 +1376,50 @@ mod tests {
             !stages_commute(&a, &b, "up", "down", &solver, &mut cache, 1),
             "a writer and a reader of the same field must stay sequential"
         );
+        // Refused on the path counts alone: up→down masks down-slow and
+        // lets up-drop stand alone, down→up crosses everything.
+        let ab = compose_pair(&a, &b, &solver, &mut cache, 1);
+        let ba = compose_pair(&b, &a, &solver, &mut cache, 1);
+        assert_eq!((ab.paths.len(), ba.paths.len()), (2, 4));
+    }
+
+    /// An always-forward filter over `offset` that also stamps byte 50
+    /// with `stamp` on both of its paths.
+    fn stamping_filter(offset: u64, stamp: u64) -> impl Fn(&mut bolt_see::SymbolicCtx<'_>) {
+        move |ctx| {
+            let pkt = ctx.packet(64);
+            let v = ctx.load(pkt, offset, 1);
+            let tag = if ctx.branch_eq_imm(v, 0x42, Width::W8) {
+                "hit"
+            } else {
+                "miss"
+            };
+            ctx.tag(tag);
+            let s = ctx.lit(stamp, Width::W8);
+            ctx.store(pkt, 50, s, 1);
+            ctx.verdict(NfVerdict::Forward(0));
+        }
+    }
+
+    #[test]
+    fn equal_path_counts_do_not_prove_commutativity() {
+        // Two filters over disjoint fields that both stamp byte 50: either
+        // order composes to 2 x 2 paths, and only the final packet tells
+        // which stage ran last. The count comparison must not decide it.
+        let f = filter_contract(stamping_filter(20, 1));
+        let g = filter_contract(stamping_filter(30, 2));
+        let solver = Solver::default();
+        let mut cache = SolverCache::new();
+        let fg = compose_pair(&f, &g, &solver, &mut cache, 1);
+        let gf = compose_pair(&g, &f, &solver, &mut cache, 1);
+        assert_eq!((fg.paths.len(), gf.paths.len()), (4, 4));
+        assert!(
+            !stages_commute(&f, &g, "f", "g", &solver, &mut cache, 1),
+            "the last writer of a field is visible in the final packet"
+        );
+        // Stamping the same value, the same two stages do commute.
+        let g = filter_contract(stamping_filter(30, 1));
+        assert!(stages_commute(&f, &g, "f", "g", &solver, &mut cache, 1));
     }
 
     #[test]

@@ -281,8 +281,10 @@ mod tests {
     /// Hostile bytes at every position: every truncation is an error,
     /// and a single-bit flip never panics — it is rejected, or it decodes
     /// to a genuine value of the format: one whose encoding decodes and
-    /// re-encodes to itself. (Not "to the flipped bytes": the wire
-    /// varints accept an overlong `0x80 0x00` for zero.)
+    /// re-encodes to itself. (Not "to the flipped bytes": varints have
+    /// one encoding, but `read_perf` sums monomials as it meets them, so
+    /// a cost polynomial's terms in another order, a repeated monomial or
+    /// a zero coefficient all decode to a polynomial that encodes sorted.)
     fn assert_hostile_bytes_are_rejected<T>(
         bytes: &[u8],
         decode: impl Fn(&[u8]) -> Result<T, DecodeError>,

@@ -197,7 +197,9 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// LEB128 varint (at most 10 bytes for a u64).
+    /// LEB128 varint (at most 10 bytes for a u64), in its one canonical
+    /// encoding: a continuation that ends in a zero byte adds nothing to
+    /// the value and is what [`ByteWriter::varint`] never writes.
     pub fn varint(&mut self) -> Result<u64, DecodeError> {
         let mut v = 0u64;
         let mut shift = 0u32;
@@ -205,6 +207,9 @@ impl<'a> ByteReader<'a> {
             let byte = self.u8()?;
             if shift >= 64 || (shift == 63 && byte > 1) {
                 return Err(DecodeError::Malformed("varint overflows u64"));
+            }
+            if byte == 0 && shift > 0 {
+                return Err(DecodeError::Malformed("overlong varint"));
             }
             v |= ((byte & 0x7F) as u64) << shift;
             if byte & 0x80 == 0 {
@@ -307,5 +312,25 @@ mod tests {
         let buf = w.into_bytes();
         let mut r = ByteReader::new(&buf);
         assert!(matches!(r.count(1 << 10), Err(DecodeError::Malformed(_))));
+    }
+
+    #[test]
+    fn overlong_varints_are_rejected() {
+        // A continuation ending in a zero byte encodes what a shorter
+        // sequence already does: 0 and 127 here.
+        for overlong in [&[0x80, 0x00][..], &[0xff, 0x00], &[0x80, 0x80, 0x00]] {
+            assert_eq!(
+                ByteReader::new(overlong).varint(),
+                Err(DecodeError::Malformed("overlong varint")),
+                "{overlong:02x?}"
+            );
+        }
+        // The canonical ten bytes of `u64::MAX` end in 0x01, and a lone
+        // zero byte is zero.
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        let mut r = ByteReader::new(&max);
+        assert_eq!(r.varint(), Ok(u64::MAX));
+        r.expect_end().unwrap();
+        assert_eq!(ByteReader::new(&[0x00]).varint(), Ok(0));
     }
 }

@@ -1,7 +1,8 @@
 //! The solver's component sweep allocates nothing per candidate: an
 //! exhausted sweep over 256 values makes as many allocations as one over
-//! 16. Counted with a pass-through allocator (the only test in this
-//! binary, so nothing else allocates meanwhile); the count repeats
+//! 16, with one swept symbol or with two (where the candidate loop
+//! carries). Counted with a pass-through allocator (the only test in
+//! this binary, so nothing else allocates meanwhile); the count repeats
 //! exactly, so the gate does not depend on the machine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -64,8 +65,26 @@ fn exhausted_sweep(narrowed: bool) -> (TermPool, Vec<TermRef>) {
     (p, cs)
 }
 
-fn allocations_to_refute(narrowed: bool) -> usize {
-    let (p, cs) = exhausted_sweep(narrowed);
+/// Two swept symbols: `x, y < side` with `k < x + y` for k = 0..=10,
+/// closed by `x + y == 31` — out of reach for any side up to 16, so all
+/// `side * side` candidates are visited, x varying fastest.
+fn exhausted_square(side: u64) -> (TermPool, Vec<TermRef>) {
+    let mut p = TermPool::new();
+    let x = p.fresh_sym("pkt@14:1", Width::W8);
+    let y = p.fresh_sym("pkt@15:1", Width::W8);
+    let side = p.constant(side, Width::W8);
+    let sum = p.add(x, y);
+    let mut cs = vec![p.ult(x, side), p.ult(y, side)];
+    for k in 0..=10 {
+        let k = p.constant(k, Width::W8);
+        cs.push(p.ult(k, sum));
+    }
+    let c31 = p.constant(31, Width::W8);
+    cs.push(p.eq(sum, c31));
+    (p, cs)
+}
+
+fn allocations_to_refute((p, cs): (TermPool, Vec<TermRef>)) -> usize {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let feasible = Solver::default().is_feasible(&p, &cs);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -78,11 +97,18 @@ fn allocations_to_refute(narrowed: bool) -> usize {
 
 #[test]
 fn an_exhausted_sweep_allocates_nothing_per_candidate() {
-    let (few, all) = (allocations_to_refute(true), allocations_to_refute(false));
     // One more constraint costs a fixed handful of allocations; sixteen
     // times the candidates must cost none.
+    let few = allocations_to_refute(exhausted_sweep(true));
+    let all = allocations_to_refute(exhausted_sweep(false));
     assert!(
         few.abs_diff(all) <= 8,
         "{few} allocations to sweep 16 candidates, {all} to sweep 256"
+    );
+    let few = allocations_to_refute(exhausted_square(4));
+    let all = allocations_to_refute(exhausted_square(16));
+    assert!(
+        few.abs_diff(all) <= 8,
+        "{few} allocations to sweep 4 x 4 candidates, {all} to sweep 16 x 16"
     );
 }
