@@ -43,6 +43,12 @@ impl PathContract {
 
 /// A complete performance contract: every feasible path of the NF, plus
 /// the term pool their constraints live in.
+///
+/// Invariant: each path's constraints are feasible on their own
+/// (`Solver::is_feasible(pool, &path.constraints)`). The explorer keeps a
+/// path only when `path_feasible()` holds, `compose` keeps a pair only
+/// when `current_feasible` holds, and the decoders only re-read what
+/// those two wrote. [`NfContract::compatible_paths`] relies on it.
 #[derive(Debug)]
 pub struct NfContract {
     /// Pool owning all constraint terms.
@@ -125,26 +131,35 @@ impl NfContract {
     /// Indices of the paths compatible with an input class: tags must
     /// match and the conjunction of path constraints and instantiated
     /// class constraints must not be provably unsatisfiable.
+    ///
+    /// The solver runs only for a path on which the class instantiates a
+    /// constraint — a field predicate on a field the path read. A class
+    /// that adds nothing there (`Unconstrained`, `Tag`, `NotTag`, a field
+    /// the path never read, or an `All` of these) leaves the path's own
+    /// constraints, which are feasible by the type's invariant.
     pub fn compatible_paths(&mut self, solver: &Solver, class: &InputClass) -> Vec<usize> {
-        let mut out = Vec::new();
-        for i in 0..self.paths.len() {
-            if !class.spec.tags_match(&self.paths[i]) {
-                continue;
-            }
-            let mut cs = self.paths[i].constraints.clone();
-            let extra = class
-                .spec
-                .instantiate(&mut self.pool, &self.paths[i].packet_fields);
-            cs.extend(extra);
-            if solver.is_feasible(&self.pool, &cs) {
-                out.push(i);
-            }
+        (0..self.paths.len())
+            .filter(|&i| self.is_compatible(solver, class, i))
+            .collect()
+    }
+
+    fn is_compatible(&mut self, solver: &Solver, class: &InputClass, i: usize) -> bool {
+        let path = &self.paths[i];
+        if !class.spec.tags_match(path) {
+            return false;
         }
-        out
+        let extra = class.spec.instantiate(&mut self.pool, &path.packet_fields);
+        if extra.is_empty() {
+            return true;
+        }
+        let mut cs = path.constraints.clone();
+        cs.extend(extra);
+        solver.is_feasible(&self.pool, &cs)
     }
 
     /// The class's predicted performance: the worst compatible path's
-    /// expression evaluated at `env` (§5.1's conservative reporting).
+    /// expression evaluated at `env` (§5.1's conservative reporting). On
+    /// a tie the last such path wins.
     pub fn query(
         &mut self,
         solver: &Solver,
@@ -152,15 +167,22 @@ impl NfContract {
         metric: Metric,
         env: &PcvAssignment,
     ) -> Option<QueryResult> {
-        let compatible = self.compatible_paths(solver, class);
-        compatible
-            .into_iter()
-            .map(|i| QueryResult {
-                path_index: i,
-                value: self.paths[i].expr(metric).eval(env),
-                expr: self.paths[i].expr(metric).clone(),
-            })
-            .max_by_key(|r| r.value)
+        let mut worst: Option<(u64, usize)> = None;
+        for i in 0..self.paths.len() {
+            if !self.is_compatible(solver, class, i) {
+                continue;
+            }
+            let value = self.paths[i].expr(metric).eval(env);
+            match worst {
+                Some((v, _)) if value < v => {}
+                _ => worst = Some((value, i)),
+            }
+        }
+        worst.map(|(value, path_index)| QueryResult {
+            path_index,
+            value,
+            expr: self.paths[path_index].expr(metric).clone(),
+        })
     }
 
     /// Paths carrying a tag.
@@ -324,6 +346,84 @@ mod tests {
         let solver = Solver::default();
         let hits = InputClass::new("hits", ClassSpec::Tag("hit"));
         assert_eq!(contract.compatible_paths(&solver, &hits).len(), 1);
+    }
+
+    /// A contract built by hand over one 2-byte field `x` at offset 12:
+    /// one path per (values `x` must equal, constant cost).
+    fn hand_built(paths: &[(&[u64], u64)]) -> NfContract {
+        let mut pool = TermPool::new();
+        let x = pool.fresh_sym("pkt@12:2", Width::W16);
+        let sym = match *pool.get(x) {
+            bolt_expr::Term::Sym { id, .. } => id,
+            _ => unreachable!(),
+        };
+        let paths = paths
+            .iter()
+            .enumerate()
+            .map(|(index, &(values, cost))| PathContract {
+                index,
+                constraints: values
+                    .iter()
+                    .map(|&v| {
+                        let c = pool.constant(v, Width::W16);
+                        pool.eq(x, c)
+                    })
+                    .collect(),
+                tags: Vec::new(),
+                verdict: None,
+                perf: std::array::from_fn(|_| PerfExpr::constant(cost)),
+                packet_fields: vec![PacketField {
+                    offset: 12,
+                    bytes: 2,
+                    sym,
+                    term: x,
+                }],
+                final_packet: Vec::new(),
+            })
+            .collect();
+        NfContract { pool, paths }
+    }
+
+    #[test]
+    fn only_a_class_that_adds_a_constraint_asks_the_solver() {
+        // Path 1 (`x == 1 ∧ x == 2`) breaks `NfContract`'s invariant, as
+        // no producer would: a class that adds nothing takes it on trust,
+        // one that constrains `x` still has the solver refute it.
+        let mut contract = hand_built(&[(&[1], 10), (&[1, 2], 20)]);
+        let solver = Solver::default();
+        let env = PcvAssignment::new();
+        let any = InputClass::unconstrained();
+        assert_eq!(contract.compatible_paths(&solver, &any), [0, 1]);
+        let q = contract.query(&solver, &any, Metric::Cycles, &env).unwrap();
+        assert_eq!((q.path_index, q.value), (1, 20));
+        let small = InputClass::new(
+            "x <= 5",
+            ClassSpec::FieldUle {
+                offset: 12,
+                bytes: 2,
+                value: 5,
+            },
+        );
+        assert_eq!(contract.compatible_paths(&solver, &small), [0]);
+        let q = contract
+            .query(&solver, &small, Metric::Cycles, &env)
+            .unwrap();
+        assert_eq!((q.path_index, q.value), (0, 10));
+    }
+
+    #[test]
+    fn the_last_of_equally_costly_paths_is_the_worst() {
+        let mut contract = hand_built(&[(&[], 30), (&[1], 30), (&[2], 7)]);
+        let q = contract
+            .query(
+                &Solver::default(),
+                &InputClass::unconstrained(),
+                Metric::Instructions,
+                &PcvAssignment::new(),
+            )
+            .unwrap();
+        assert_eq!((q.path_index, q.value), (1, 30));
+        assert_eq!(q.expr, PerfExpr::constant(30));
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub struct CacheEntry {
     pub reg: DsRegistry,
     /// The contract itself.
     pub contract: NfContract,
-    /// Solver for class-compatibility checks.
+    /// Solver for class-compatibility checks. A wire class (a tag or
+    /// unconstrained) adds no constraint, so serving never runs it.
     pub solver: Solver,
     /// Answers already computed against this contract: a hit here is
     /// the zero-work path — no decode, no solver, no exploration.

@@ -170,7 +170,7 @@ pub enum Dispatch {
 /// The stats counters, said once: each line pairs the private handle
 /// index with its wire name, in the frozen wire order.
 macro_rules! stats {
-    ($($stat:ident => $name:literal,)*) => {
+    ($($(#[$doc:meta])* $stat:ident => $name:literal,)*) => {
         /// Legacy `stats`-reply counter names, in their frozen wire order. The
         /// first 17 entries of every [`StatsReply`] are exactly these, in this
         /// order — consumers that index by position keep working; new counters
@@ -181,7 +181,7 @@ macro_rules! stats {
         /// core's pre-minted handle array.
         #[derive(Clone, Copy)]
         enum Stat {
-            $($stat),*
+            $($(#[$doc])* $stat),*
         }
     };
 }
@@ -198,6 +198,9 @@ stats! {
     CacheMisses => "cache_misses",
     ContractDecodes => "contract_decodes",
     Explorations => "explorations",
+    /// Memo misses answered by `NfContract::query` (the wire name is
+    /// frozen). A wire class is a tag or unconstrained, which adds no
+    /// constraint, so none of these runs the solver.
     SolverQueries => "solver_queries",
     Evictions => "evictions",
     TouchesFlushed => "touches_flushed",

@@ -281,10 +281,14 @@ pub fn write_perf(w: &mut ByteWriter, e: &PerfExpr) {
     }
 }
 
-/// Decode a performance polynomial.
+/// Decode a performance polynomial. Only [`write_perf`]'s canonical form
+/// decodes — variables sorted within a monomial, monomials strictly
+/// ascending, no zero coefficient — so every accepted encoding is the
+/// one its value re-encodes to.
 pub fn read_perf(r: &mut ByteReader<'_>) -> Result<PerfExpr, DecodeError> {
     let n = r.count(MAX_COUNT)?;
     let mut e = PerfExpr::zero();
+    let mut prev: Option<Monomial> = None;
     for _ in 0..n {
         let deg = r.count(64)?;
         let mut vars = Vec::with_capacity(deg);
@@ -293,10 +297,21 @@ pub fn read_perf(r: &mut ByteReader<'_>) -> Result<PerfExpr, DecodeError> {
             if v > u32::MAX as u64 {
                 return Err(DecodeError::Malformed("pcv id out of range"));
             }
+            if vars.last().is_some_and(|&last| PcvId(v as u32) < last) {
+                return Err(DecodeError::Malformed("monomial variables out of order"));
+            }
             vars.push(PcvId(v as u32));
         }
+        let m = Monomial::from_vars(vars);
+        if prev.as_ref().is_some_and(|p| m <= *p) {
+            return Err(DecodeError::Malformed("monomials out of order"));
+        }
         let coeff = r.varint()?;
-        e.add_assign(&PerfExpr::term(Monomial::from_vars(vars), coeff));
+        if coeff == 0 {
+            return Err(DecodeError::Malformed("zero coefficient"));
+        }
+        e.add_assign(&PerfExpr::term(m.clone(), coeff));
+        prev = Some(m);
     }
     Ok(e)
 }
@@ -541,6 +556,47 @@ mod tests {
             read_perf(&mut ByteReader::new(&buf)).unwrap(),
             PerfExpr::zero()
         );
+    }
+
+    /// Encode a polynomial term by term, in the order given.
+    fn raw_perf(terms: &[(&[u32], u64)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.varint(terms.len() as u64);
+        for &(vars, coeff) in terms {
+            w.varint(vars.len() as u64);
+            for &v in vars {
+                w.varint(v as u64);
+            }
+            w.varint(coeff);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn only_canonical_polynomials_decode() {
+        let decode = |terms: &[(&[u32], u64)]| read_perf(&mut ByteReader::new(&raw_perf(terms)));
+        // `e·e·c` (a repeated variable) then `c`: canonical.
+        let e = decode(&[(&[], 7), (&[0, 0, 1], 3), (&[1], 2)]).unwrap();
+        let mut w = ByteWriter::new();
+        write_perf(&mut w, &e);
+        assert_eq!(
+            w.into_bytes(),
+            raw_perf(&[(&[], 7), (&[0, 0, 1], 3), (&[1], 2)])
+        );
+        let malformed = |m| Err(DecodeError::Malformed(m));
+        assert_eq!(
+            decode(&[(&[1, 0], 3)]),
+            malformed("monomial variables out of order")
+        );
+        assert_eq!(
+            decode(&[(&[1], 2), (&[], 7)]),
+            malformed("monomials out of order")
+        );
+        assert_eq!(
+            decode(&[(&[1], 2), (&[1], 5)]),
+            malformed("monomials out of order")
+        );
+        assert_eq!(decode(&[(&[0], 0)]), malformed("zero coefficient"));
     }
 
     #[test]
