@@ -54,12 +54,11 @@
 //! `max(members) + merge_cost` (merge cost from
 //! [`bolt_hw::CostTable::parallel_merge_cycles`]).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
 
 use bolt_expr::{
-    speculate, BinOp, PcvAssignment, PerfExpr, SymTable, Term, TermPool, TermRef, UnOp,
+    speculate, BinOp, FxHashMap, PcvAssignment, PerfExpr, SymTable, Term, TermPool, TermRef, UnOp,
 };
 use bolt_see::symbolic::PacketField;
 use bolt_see::NfVerdict;
@@ -94,7 +93,7 @@ fn field_of(pool: &TermPool, offset: u64, bytes: u8, term: TermRef) -> Option<Pa
 /// so they may lag behind what absorbed steps brought in.
 struct Migrator<'a> {
     srcs: [&'a TermPool; 2],
-    memo: [HashMap<TermRef, TermRef>; 2],
+    memo: [FxHashMap<TermRef, TermRef>; 2],
     syms: SymTable,
 }
 

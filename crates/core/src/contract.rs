@@ -72,9 +72,9 @@ pub struct QueryResult {
 ///
 /// For every path: stateless `Instr`/`Mem` events contribute their exact
 /// counts to the instructions/accesses metrics and are replayed through a
-/// cold [`ConservativeModel`] for the cycles metric; every recorded
-/// [`TraceEvent::Stateful`] call contributes the case expression the path
-/// selected, resolved against `reg`.
+/// [`ConservativeModel`], reset cold per path, for the cycles metric;
+/// every recorded [`TraceEvent::Stateful`] call contributes the case
+/// expression the path selected, resolved against `reg`.
 ///
 /// Panics if the exploration was truncated by the explorer's `max_paths`
 /// bound: a contract over an incomplete path set is not conservative
@@ -91,11 +91,12 @@ pub fn generate(reg: &DsRegistry, exploration: ExplorationResult) -> NfContract 
     );
     let ExplorationResult { pool, paths, .. } = exploration;
     let mut out = Vec::with_capacity(paths.len());
+    let mut hw = ConservativeModel::new();
     for (index, p) in paths.into_iter().enumerate() {
         let mut perf = [PerfExpr::zero(), PerfExpr::zero(), PerfExpr::zero()];
         let mut stateless_ic = 0u64;
         let mut stateless_ma = 0u64;
-        let mut hw = ConservativeModel::new();
+        hw.reset();
         for ev in &p.events {
             match ev {
                 TraceEvent::Stateful(call) => {

@@ -29,7 +29,7 @@
 
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bolt_expr::{PcvAssignment, PerfExpr};
 use bolt_see::{ConcreteCtx, ExplorationResult, Explorer, SymbolicCtx};
@@ -87,11 +87,13 @@ pub trait NetworkFunction {
     ///
     /// Registration calibrates the library data structures (the
     /// automated stand-in for §3.3's expert-written contracts), so the
-    /// library calls it once per configuration and process and hands
-    /// every later exploration or store hit a clone of that registry. It
-    /// must therefore be a pure function of the descriptor — of the
-    /// fields [`NetworkFunction::fingerprint_config`] hashes — and of
-    /// nothing else. Calling it directly always calibrates afresh.
+    /// library calls it once per configuration and process and shares
+    /// that one registry (an [`Arc`], never a copy) with every later
+    /// exploration, contract and store hit. It must therefore be a pure
+    /// function of the descriptor — of the fields
+    /// [`NetworkFunction::fingerprint_config`] hashes — and of nothing
+    /// else. Calling it directly always calibrates afresh, into the
+    /// caller's own registry.
     fn register(&self, reg: &mut DsRegistry) -> Self::Ids;
 
     /// Build the concrete state bundle for production runs.
@@ -177,6 +179,7 @@ pub trait NetworkFunction {
             level,
             result,
             cached: false,
+            record_bytes: None,
         }
     }
 
@@ -192,17 +195,19 @@ pub trait NetworkFunction {
 /// Configurations the process keeps a calibrated registry for. On
 /// overflow everything is dropped and the memo starts again: a hit is
 /// only ever a saving, and an entry retains up to ≈ 28 KB (the NAT's;
-/// every `PerfExpr` is a B-tree).
+/// every `PerfExpr` is a B-tree) for as long as the memo or any
+/// exploration or contract shares it.
 const REGISTERED_CAP: usize = 64;
 
-type Registered = BTreeMap<(TypeId, Fingerprint), (DsRegistry, Box<dyn Any + Send>)>;
+type Registered = BTreeMap<(TypeId, Fingerprint), (Arc<DsRegistry>, Box<dyn Any + Send>)>;
 
 static REGISTERED: Mutex<Registered> = Mutex::new(BTreeMap::new());
 
 /// The NF's registry and registered-state handle — the only way the
 /// library obtains them. [`NetworkFunction::register`] runs once per
-/// configuration and process; afterwards the calibrated registry is
-/// cloned out of a process-wide memo.
+/// configuration and process; afterwards every caller shares the
+/// calibrated registry out of a process-wide memo: a hit costs a
+/// reference count, not a copy of every case expression and name.
 ///
 /// The key is the configuration identity the contract store already
 /// trusts (name + [`NetworkFunction::fingerprint_config`]; a field that
@@ -211,7 +216,7 @@ static REGISTERED: Mutex<Registered> = Mutex::new(BTreeMap::new());
 /// calibrates outside the lock — racing threads each calibrate and
 /// insert equal values — and entries are inserted whole, so a poisoned
 /// memo is still a valid memo.
-pub(crate) fn registered<N: NetworkFunction>(nf: &N) -> (DsRegistry, N::Ids) {
+pub(crate) fn registered<N: NetworkFunction>(nf: &N) -> (Arc<DsRegistry>, N::Ids) {
     let mut fp = Fingerprinter::new();
     fp.str(nf.name());
     nf.fingerprint_config(&mut fp);
@@ -220,17 +225,18 @@ pub(crate) fn registered<N: NetworkFunction>(nf: &N) -> (DsRegistry, N::Ids) {
 
     let hit = lock()
         .get(&key)
-        .and_then(|(reg, ids)| Some((reg.clone(), *ids.downcast_ref::<N::Ids>()?)));
+        .and_then(|(reg, ids)| Some((Arc::clone(reg), *ids.downcast_ref::<N::Ids>()?)));
     if let Some(hit) = hit {
         return hit;
     }
     let mut reg = DsRegistry::new();
     let ids = nf.register(&mut reg);
+    let reg = Arc::new(reg);
     let mut memo = lock();
     if memo.len() >= REGISTERED_CAP {
         memo.clear();
     }
-    memo.insert(key, (reg.clone(), Box::new(ids)));
+    memo.insert(key, (Arc::clone(&reg), Box::new(ids)));
     (reg, ids)
 }
 
@@ -293,8 +299,9 @@ impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
 /// contracts and PCV table), the NF's registered-state handle, and the
 /// explored feasible paths.
 pub struct Exploration<I> {
-    /// Registry the NF registered its stateful parts against.
-    pub reg: DsRegistry,
+    /// Registry the NF registered its stateful parts against, shared with
+    /// the process's memo for this configuration.
+    pub reg: Arc<DsRegistry>,
     /// The NF's registered-state handle.
     pub ids: I,
     /// The stack level the analysis ran at.
@@ -304,6 +311,10 @@ pub struct Exploration<I> {
     /// Whether the result was served from a persistent contract store
     /// (no explorer run, no solver query) rather than explored fresh.
     pub cached: bool,
+    /// Size on disk (header and payload) of the store record the result
+    /// was read from or written to; `None` without a store, or when the
+    /// store failed to write the record.
+    pub record_bytes: Option<u64>,
 }
 
 impl<I> Exploration<I> {
@@ -324,8 +335,9 @@ impl<I> Exploration<I> {
 /// generated against (so expressions render with the right PCV names)
 /// and carrying its own solver for class-compatibility checks.
 pub struct Contract<I> {
-    /// Registry holding the library contracts and PCV table.
-    pub reg: DsRegistry,
+    /// Registry holding the library contracts and PCV table (shared, like
+    /// [`Exploration::reg`]).
+    pub reg: Arc<DsRegistry>,
     /// The NF's registered-state handle (PCV ids for bindings).
     pub ids: I,
     /// The stack level the contract covers.

@@ -126,14 +126,15 @@ pub(crate) fn plan_key(stage_keys: &[Fingerprint], level: StackLevel) -> Fingerp
 /// since the store crate sits below the NF abstraction).
 pub trait StoreExt {
     /// Warm path: read the record (header check, payload read), decode
-    /// the stored exploration for this (NF, level) and clone the
+    /// the stored exploration for this (NF, level) and share the
     /// registry the process calibrated for this configuration — no
     /// explorer run, no solver query, and no
     /// [`NetworkFunction::register`] unless this is the configuration's
     /// first use in the process. Cold path: explore, save the record,
     /// and return the fresh result. The returned [`Exploration::cached`]
-    /// flag says which happened. Explores at the ambient `BOLT_THREADS`
-    /// count.
+    /// flag says which happened, and [`Exploration::record_bytes`] the
+    /// size of the record read or written. Explores at the ambient
+    /// `BOLT_THREADS` count.
     fn get_or_explore<N: NetworkFunction + Sync>(
         &self,
         nf: &N,
@@ -226,7 +227,7 @@ impl StoreExt for ContractStore {
         threads: usize,
     ) -> Exploration<N::Ids> {
         let key = store_key(nf, level);
-        if let Some(payload) = self.get(key, RecordKind::Exploration) {
+        if let Some((payload, record_bytes)) = self.get_sized(key, RecordKind::Exploration) {
             let decoded = {
                 let _span = self.metrics().histogram("store.decode").span();
                 bolt_see::codec::decode_result(&payload)
@@ -240,6 +241,7 @@ impl StoreExt for ContractStore {
                         level,
                         result,
                         cached: true,
+                        record_bytes: Some(record_bytes),
                     };
                 }
                 Err(_) => {
@@ -250,21 +252,23 @@ impl StoreExt for ContractStore {
                 }
             }
         }
-        let ex = {
+        let mut ex = {
             let _span = self.metrics().histogram("explore.wall").span();
             nf.explore_threads(level, threads)
         };
         feed_explore_stats(self.metrics(), &ex.result.stats);
         let payload = bolt_see::codec::encode_result(&ex.result);
         // A failed write costs only the warm start, never the result.
-        let _ = self.put(
-            key,
-            RecordKind::Exploration,
-            nf.name(),
-            level_tag(level),
-            ex.result.paths.len() as u64,
-            &payload,
-        );
+        ex.record_bytes = self
+            .put(
+                key,
+                RecordKind::Exploration,
+                nf.name(),
+                level_tag(level),
+                ex.result.paths.len() as u64,
+                &payload,
+            )
+            .ok();
         ex
     }
 
@@ -294,6 +298,7 @@ impl StoreExt for ContractStore {
             plan.groups.len() as u64,
             &payload,
         )
+        .map(drop)
     }
 
     fn put_composed(
@@ -312,6 +317,7 @@ impl StoreExt for ContractStore {
             contract.paths.len() as u64,
             &payload,
         )
+        .map(drop)
     }
 }
 

@@ -19,12 +19,19 @@
 //! [`speculate`] is the ordered speculate/commit engine that both users
 //! of [`TermPool::absorb_with`] — path exploration and chain
 //! composition — run their loops on.
+//!
+//! [`FxHasher`] and [`FxHashMap`] are the unseeded fast hash the
+//! analysis tables use (the intern table here, the solver's memos, the
+//! explorer's and composer's maps); keys that come from outside the
+//! process keep std's seeded hasher.
 
+mod fxhash;
 pub mod perf;
 pub mod pool;
 pub mod speculate;
 pub mod term;
 
+pub use fxhash::{FxHashMap, FxHasher};
 pub use perf::{Monomial, PcvAssignment, PcvId, PcvTable, PerfExpr};
 pub use pool::{SymTable, TermPool};
 pub use term::{BinOp, SymId, Term, TermRef, UnOp, Width};

@@ -81,50 +81,133 @@ impl PcvTable {
 
 /// A product of PCVs (with multiplicity), e.g. `e·c`. The empty monomial is
 /// the constant term.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
-pub struct Monomial(Vec<PcvId>);
+///
+/// Up to four variables are stored inline (every monomial the library's
+/// contracts build), so copying one into an expression allocates
+/// nothing. Equality, order and hash are those of the sorted
+/// variable list, whichever way it is stored.
+#[derive(Clone)]
+pub struct Monomial(Vars);
+
+/// Degrees a [`Monomial`] stores without a heap allocation.
+const INLINE_DEGREE: usize = 4;
+
+#[derive(Clone)]
+enum Vars {
+    Inline {
+        len: u8,
+        ids: [PcvId; INLINE_DEGREE],
+    },
+    Heap(Box<[PcvId]>),
+}
 
 impl Monomial {
     /// The constant monomial (degree 0).
     pub fn one() -> Self {
-        Monomial(Vec::new())
+        Self::from_sorted(&[])
     }
 
     /// A single variable.
     pub fn var(id: PcvId) -> Self {
-        Monomial(vec![id])
+        Self::from_sorted(&[id])
     }
 
     /// Serialization hook: rebuild a monomial from its variable list
     /// (sorted on entry, so decoded monomials are canonical).
     pub fn from_vars(mut vars: Vec<PcvId>) -> Monomial {
         vars.sort_unstable();
-        Monomial(vars)
+        if vars.len() <= INLINE_DEGREE {
+            Self::from_sorted(&vars)
+        } else {
+            Monomial(Vars::Heap(vars.into_boxed_slice()))
+        }
+    }
+
+    /// A monomial over `vars`, which must be sorted.
+    fn from_sorted(vars: &[PcvId]) -> Monomial {
+        if vars.len() > INLINE_DEGREE {
+            return Monomial(Vars::Heap(vars.into()));
+        }
+        let mut ids = [PcvId(0); INLINE_DEGREE];
+        ids[..vars.len()].copy_from_slice(vars);
+        Monomial(Vars::Inline {
+            len: vars.len() as u8,
+            ids,
+        })
     }
 
     /// Product of two monomials.
     pub fn mul(&self, other: &Monomial) -> Monomial {
-        let mut v = self.0.clone();
-        v.extend_from_slice(&other.0);
+        let (a, b) = (self.vars(), other.vars());
+        if a.len() + b.len() > INLINE_DEGREE {
+            let mut v = [a, b].concat();
+            v.sort_unstable();
+            return Monomial(Vars::Heap(v.into_boxed_slice()));
+        }
+        let mut ids = [PcvId(0); INLINE_DEGREE];
+        ids[..a.len()].copy_from_slice(a);
+        ids[a.len()..a.len() + b.len()].copy_from_slice(b);
+        let v = &mut ids[..a.len() + b.len()];
         v.sort_unstable();
-        Monomial(v)
+        Self::from_sorted(v)
     }
 
     /// Total degree.
     pub fn degree(&self) -> usize {
-        self.0.len()
+        self.vars().len()
     }
 
     /// The variables (sorted, with multiplicity).
     pub fn vars(&self) -> &[PcvId] {
-        &self.0
+        match &self.0 {
+            Vars::Inline { len, ids } => &ids[..*len as usize],
+            Vars::Heap(ids) => ids,
+        }
     }
 
     /// Evaluate under an assignment.
     pub fn eval(&self, env: &PcvAssignment) -> u64 {
-        self.0
+        self.vars()
             .iter()
             .fold(1u64, |acc, id| acc.saturating_mul(env.get(*id)))
+    }
+}
+
+impl Default for Monomial {
+    fn default() -> Self {
+        Self::one()
+    }
+}
+
+impl PartialEq for Monomial {
+    fn eq(&self, other: &Self) -> bool {
+        self.vars() == other.vars()
+    }
+}
+
+impl Eq for Monomial {}
+
+impl PartialOrd for Monomial {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Monomial {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.vars().cmp(other.vars())
+    }
+}
+
+impl std::hash::Hash for Monomial {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.vars().hash(state);
+    }
+}
+
+impl fmt::Debug for Monomial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Monomial").field(&self.vars()).finish()
     }
 }
 
@@ -242,11 +325,15 @@ impl PerfExpr {
         v
     }
 
-    /// `self += other`.
+    /// `self += other`. A monomial is cloned only when it is new here.
     pub fn add_assign(&mut self, other: &PerfExpr) {
         for (m, c) in other.iter() {
-            let e = self.terms.entry(m.clone()).or_insert(0);
-            *e = e.saturating_add(c);
+            match self.terms.get_mut(m) {
+                Some(e) => *e = e.saturating_add(c),
+                None => {
+                    self.terms.insert(m.clone(), c);
+                }
+            }
         }
     }
 
@@ -448,6 +535,23 @@ mod tests {
         let (tbl, ..) = table();
         assert_eq!(PerfExpr::zero().display(&tbl).to_string(), "0");
         assert_eq!(PerfExpr::constant(7).display(&tbl).to_string(), "7");
+    }
+
+    #[test]
+    fn monomials_compare_by_their_variables_at_any_degree() {
+        let m = |ids: &[u32]| Monomial::from_vars(ids.iter().map(|&i| PcvId(i)).collect());
+        let five = m(&[4, 3, 2, 1, 0]);
+        assert_eq!(five.degree(), 5);
+        assert_eq!(
+            m(&[1, 0]).mul(&m(&[4, 2, 3])),
+            five,
+            "past the inline degree"
+        );
+        assert_eq!(m(&[3, 1]).mul(&m(&[2])), m(&[1, 2, 3]));
+        // Ordered like the sorted variable lists (what the codec writes).
+        assert!(m(&[0, 1, 2, 3]) < five && five < m(&[0, 1, 2, 4]));
+        assert!(Monomial::one() < m(&[0]));
+        assert_eq!(format!("{:?}", m(&[1])), "Monomial([PcvId(1)])");
     }
 
     #[test]

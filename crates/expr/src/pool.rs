@@ -11,11 +11,11 @@
 //! table hashes *into the arena* (an open-addressed index table) instead
 //! of keying a `HashMap` by cloned `Term`s, so each node is stored once.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher as _};
 use std::sync::Arc;
 
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::term::{BinOp, SymId, Term, TermRef, UnOp, Width};
 
 /// Per-term metadata, computed once when the term is interned.
@@ -40,6 +40,9 @@ pub struct TermPool {
     slots: Vec<u32>,
     sym_names: Vec<String>,
     sym_widths: Vec<Width>,
+    /// The empty support every constant shares (one allocation per pool,
+    /// not one per constant).
+    no_syms: Arc<[SymId]>,
     /// Process-unique pool identity (never serialized). Caches that
     /// memoize per-[`TermRef`] facts key on `(uid, index)` so entries
     /// from one pool can never be mistaken for another pool's.
@@ -57,15 +60,17 @@ impl Default for TermPool {
             slots: Vec::new(),
             sym_names: Vec::new(),
             sym_widths: Vec::new(),
+            no_syms: Arc::new([]),
             uid: POOL_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
 }
 
-/// Deterministic node hash (stable across processes — memoised results
-/// must not depend on hasher seeding).
+/// Deterministic node hash (stable across processes, like every
+/// [`FxHasher`] hash). Only the intern table's probe sequence depends on
+/// it: arena order is intern order, whatever the hash.
 fn hash_term(t: &Term) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = FxHasher::default();
     t.hash(&mut h);
     h.finish()
 }
@@ -113,7 +118,7 @@ fn merge_syms(a: &Arc<[SymId]>, b: &Arc<[SymId]>) -> Arc<[SymId]> {
 /// `fresh` ordinals) gets its own symbol.
 #[derive(Debug, Default)]
 pub struct SymTable {
-    by_name: HashMap<String, Vec<TermRef>>,
+    by_name: FxHashMap<String, Vec<TermRef>>,
 }
 
 impl SymTable {
@@ -162,10 +167,9 @@ impl TermPool {
     /// Metadata for a new node (children are already interned, so their
     /// metadata is an O(1) lookup).
     fn meta_for(&self, t: &Term, hash: u64) -> TermMeta {
-        let empty: Arc<[SymId]> = Arc::new([]);
         let (width, syms) = match *t {
-            Term::Const { width, .. } => (width, empty),
-            Term::Sym { id, width } => (width, Arc::from(vec![id])),
+            Term::Const { width, .. } => (width, Arc::clone(&self.no_syms)),
+            Term::Sym { id, width } => (width, Arc::from([id])),
             Term::Unop { a, .. } => {
                 let m = &self.meta[a.index()];
                 (m.width, Arc::clone(&m.syms))
@@ -886,6 +890,35 @@ mod tests {
             let _ = mk(&mut p, x, i);
         }
         assert_eq!(mk(&mut p, x, 0), first, "early terms still found");
+    }
+
+    #[test]
+    fn sequential_keys_spread_over_the_intern_table() {
+        // The slot is the hash's low bits. Sequential constants and
+        // symbol ids differ in their low bits, and sequential constants
+        // shifted into the high half (addresses, MACs) only in their high
+        // bits; a hash that does not fold those down into the low ones
+        // piles the second family into probe runs thousands of slots
+        // long.
+        let mut p = TermPool::new();
+        for i in 0..1u64 << 16 {
+            p.constant(i, Width::W64);
+            p.constant(i << 32, Width::W64);
+            p.fresh_sym(format!("s{i}"), Width::W32);
+        }
+        let mask = p.slots.len() - 1;
+        let longest = p
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != 0)
+            .map(|(i, &s)| {
+                let home = p.meta[(s - 1) as usize].hash as usize & mask;
+                (i.wrapping_sub(home) & mask) + 1
+            })
+            .max()
+            .expect("the table holds the terms");
+        assert!(longest <= 64, "a lookup probes up to {longest} slots");
     }
 
     /// Symbol resolver for absorb tests: share symbols by name, minting

@@ -4,7 +4,9 @@
 //! interleaving of operations must give the same answers, counters and
 //! residency; and the two hardware models, rebuilt here on the model
 //! cache exactly as they stood before the rewrite, must accumulate
-//! bit-identical cycles on arbitrary event streams.
+//! bit-identical cycles on arbitrary event streams. The testbed's `f64`
+//! cycle count is exact: whole quarter cycles, whatever order the
+//! instructions between memory events arrive in.
 
 use bolt_hw::{CacheParams, CacheSim, ConservativeModel, CostTable, TestbedModel};
 use bolt_trace::{InstrClass, TraceEvent, Tracer};
@@ -351,6 +353,28 @@ fn same_counters(new: &CacheSim, old: &RefCache) -> bool {
     (new.hits(), new.misses()) == (old.hits, old.misses)
 }
 
+/// The testbed's total over `evs`, as an `f64`.
+fn testbed_cycles(evs: &[Ev]) -> f64 {
+    let mut m = TestbedModel::new();
+    for ev in evs {
+        feed(&mut m, ev);
+    }
+    m.cycles_f64()
+}
+
+/// Shuffle every run of `Instr` events that sits between two memory
+/// events (a seeded Fisher-Yates), leaving the memory events in place.
+fn shuffle_instr_runs(evs: &mut [Ev], mut seed: u64) {
+    for run in evs.split_mut(|ev| !matches!(ev, Ev::Instr(..))) {
+        for i in (1..run.len()).rev() {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            run.swap(i, (seed >> 33) as usize % (i + 1));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -408,5 +432,22 @@ proptest! {
         prop_assert!(same_counters(&test.l1, &old_test.l1));
         prop_assert!(same_counters(&test.l2, &old_test.l2));
         prop_assert!(same_counters(&test.l3, &old_test.l3));
+    }
+
+    /// Every testbed cost is a whole number of quarter cycles, so every
+    /// partial sum is exact in an `f64` (below 2^51 quarters) and no order
+    /// of additions rounds anything: instructions between two memory
+    /// events, where they change no cache or MLP state, may come in any
+    /// order and the total is the same to the bit.
+    #[test]
+    fn testbed_cycles_are_exact_quarters_in_any_instruction_order(
+        evs in prop::collection::vec(arb_ev(), 1..1500),
+        seed in any::<u64>(),
+    ) {
+        let cycles = testbed_cycles(&evs);
+        prop_assert_eq!((cycles * 4.0).fract(), 0.0, "{} cycles", cycles);
+        let mut permuted = evs.clone();
+        shuffle_instr_runs(&mut permuted, seed);
+        prop_assert_eq!(testbed_cycles(&permuted).to_bits(), cycles.to_bits());
     }
 }

@@ -175,7 +175,7 @@ impl Explorer {
                 Some(absorbed) => absorbed.then(|| speculate(&prefix)),
                 None => spec,
             };
-            let (rec, feasible) = match spec {
+            let (mut rec, feasible) = match spec {
                 None => {
                     let mut ctx =
                         SymbolicCtx::with_shared(&mut pool, &self.solver, prefix, &mut shared);
@@ -194,8 +194,8 @@ impl Explorer {
             // context walks the entries in assertion order; each flip is
             // one push/pop probe against the walked prefix state.
             let mut walk = SolverCtx::new(&self.solver);
-            if let Some(m) = &rec.model {
-                walk.install_model(&pool, m.clone());
+            if let Some(m) = rec.model.take() {
+                walk.install_model(&pool, m);
             }
             let mut children = Vec::new();
             for e in &rec.entries {
@@ -208,7 +208,8 @@ impl Explorer {
                             cond
                         };
                         if walk.probe_feasible(&pool, &mut shared.cache, flipped) {
-                            let mut alt: Vec<bool> = rec.decisions[..i].to_vec();
+                            let mut alt = Vec::with_capacity(i + 1);
+                            alt.extend_from_slice(&rec.decisions[..i]);
                             alt.push(!rec.decisions[i]);
                             children.push(alt);
                         }
@@ -223,7 +224,7 @@ impl Explorer {
                     constraints,
                     events: rec.events,
                     tags: rec.tags,
-                    verdict: rec.verdicts.last().copied(),
+                    verdict: rec.verdict,
                     packet_fields: rec.packet_fields,
                     final_packet: rec.final_packet,
                     decisions: rec.decisions,

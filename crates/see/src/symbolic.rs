@@ -13,9 +13,9 @@
 //! prototype): load/store offsets must be concrete along any given path,
 //! and a field must always be accessed at the same granularity.
 
-use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
-use bolt_expr::{BinOp, SymId, SymTable, TermPool, TermRef, Width};
+use bolt_expr::{BinOp, FxHashMap, SymId, SymTable, TermPool, TermRef, Width};
 use bolt_solver::{Solver, SolverCache, SolverCtx, Witness};
 use bolt_trace::{AddressSpace, InstrClass, MemRegion, RecordingTracer, TraceEvent, Tracer};
 
@@ -26,11 +26,34 @@ use crate::{NfCtx, NfVerdict};
 /// field or model call mints the same symbol in every run, so terms —
 /// and therefore cached feasibility verdicts and models — are shared
 /// between sibling runs instead of re-interned per run).
+///
+/// It also carries what one run can hand the next without changing what
+/// either computes: the emptied memory map, a name buffer, `fresh`'s
+/// name keys, and the largest record sizes seen so far, which size the
+/// next run's vectors up front.
 #[derive(Debug, Default)]
 pub(crate) struct ExploreShared {
     /// Feasibility memo, per-atom witness cache, model cache, counters.
     pub cache: SolverCache,
     syms: SymTable,
+    /// The current run's `fresh` count per model name. Names stay from
+    /// run to run (so each allocates once); a run starts by zeroing the
+    /// counts.
+    fresh: FxHashMap<String, usize>,
+    /// The previous run's memory map, emptied.
+    mem: FxHashMap<(u64, u8), TermRef>,
+    /// Buffer the names of lazily minted symbols are written into.
+    name: String,
+    /// Largest record sizes of the runs so far.
+    sizes: RunSizes,
+}
+
+/// Largest lengths a finished run's record vectors reached.
+#[derive(Clone, Copy, Debug, Default)]
+struct RunSizes {
+    events: usize,
+    decisions: usize,
+    entries: usize,
 }
 
 impl ExploreShared {
@@ -41,6 +64,14 @@ impl ExploreShared {
     /// table, so both assign identical ids in identical order.
     pub(crate) fn sym_for(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
         self.syms.sym_for(pool, name, w)
+    }
+
+    /// [`ExploreShared::sym_for`] on the name `name` formats, written
+    /// into the reused buffer instead of a fresh string.
+    fn sym_named(&mut self, pool: &mut TermPool, name: fmt::Arguments<'_>, w: Width) -> TermRef {
+        self.name.clear();
+        let _ = self.name.write_fmt(name);
+        self.syms.sym_for(pool, &self.name, w)
     }
 }
 
@@ -96,8 +127,8 @@ pub(crate) struct RunRecord {
     pub events: Vec<TraceEvent>,
     /// Path tags.
     pub tags: Vec<&'static str>,
-    /// Verdicts (last one wins).
-    pub verdicts: Vec<NfVerdict>,
+    /// The last verdict recorded (a later one replaces an earlier).
+    pub verdict: Option<NfVerdict>,
     /// Lazily-minted input packet fields.
     pub packet_fields: Vec<PacketField>,
     /// Final `(offset, bytes) → term` state of the packet region.
@@ -122,11 +153,10 @@ pub struct SymbolicCtx<'p> {
     decisions: Vec<bool>,
     branch_conds: Vec<TermRef>,
     entries: Vec<ConstraintEntry>,
-    mem: HashMap<(u64, u8), TermRef>,
+    mem: FxHashMap<(u64, u8), TermRef>,
     packet_fields: Vec<PacketField>,
     tags: Vec<&'static str>,
-    verdicts: Vec<NfVerdict>,
-    fresh_names: HashMap<String, usize>,
+    verdict: Option<NfVerdict>,
     aspace: AddressSpace,
     packet_region: Option<MemRegion>,
 }
@@ -153,22 +183,27 @@ impl<'p> SymbolicCtx<'p> {
         pool: &'p mut TermPool,
         solver: &'p Solver,
         schedule: Vec<bool>,
-        shared: SharedRef<'p>,
+        mut shared: SharedRef<'p>,
     ) -> Self {
+        let sh = shared.get_mut();
+        sh.fresh.values_mut().for_each(|n| *n = 0);
+        let mem = std::mem::take(&mut sh.mem);
+        let sizes = sh.sizes;
         SymbolicCtx {
             sctx: SolverCtx::new(solver),
             pool,
             shared,
-            tracer: RecordingTracer::new(),
+            tracer: RecordingTracer {
+                events: Vec::with_capacity(sizes.events),
+            },
             schedule,
-            decisions: Vec::new(),
-            branch_conds: Vec::new(),
-            entries: Vec::new(),
-            mem: HashMap::new(),
+            decisions: Vec::with_capacity(sizes.decisions),
+            branch_conds: Vec::with_capacity(sizes.decisions),
+            entries: Vec::with_capacity(sizes.entries),
+            mem,
             packet_fields: Vec::new(),
             tags: Vec::new(),
-            verdicts: Vec::new(),
-            fresh_names: HashMap::new(),
+            verdict: None,
             aspace: AddressSpace::new(),
             packet_region: None,
         }
@@ -195,7 +230,7 @@ impl<'p> SymbolicCtx<'p> {
 
     /// The most recent verdict recorded on this path, if any.
     pub fn last_verdict(&self) -> Option<NfVerdict> {
-        self.verdicts.last().copied()
+        self.verdict
     }
 
     /// Whole-path feasibility of the constraints asserted so far, decided
@@ -207,24 +242,28 @@ impl<'p> SymbolicCtx<'p> {
     }
 
     /// Tear down the run and emit its record.
-    pub(crate) fn finish(self) -> RunRecord {
+    pub(crate) fn finish(mut self) -> RunRecord {
         let pkt = self.packet_region;
-        let mut final_packet: Vec<(u64, u8, TermRef)> = self
-            .mem
-            .iter()
-            .filter_map(|(&(addr, bytes), &term)| {
-                let r = pkt?;
-                r.contains(addr).then(|| (addr - r.base, bytes, term))
-            })
-            .collect();
+        let mut final_packet = Vec::with_capacity(self.mem.len());
+        final_packet.extend(self.mem.drain().filter_map(|((addr, bytes), term)| {
+            let r = pkt?;
+            r.contains(addr).then(|| (addr - r.base, bytes, term))
+        }));
+        // Keys are unique, so the sort fixes an order the map's does not.
         final_packet.sort_by_key(|&(o, b, _)| (o, b));
+        let shared = self.shared.get_mut();
+        shared.mem = self.mem;
+        let sizes = &mut shared.sizes;
+        sizes.events = sizes.events.max(self.tracer.events.len());
+        sizes.decisions = sizes.decisions.max(self.decisions.len());
+        sizes.entries = sizes.entries.max(self.entries.len());
         RunRecord {
             decisions: self.decisions,
             branch_conds: self.branch_conds,
             entries: self.entries,
             events: self.tracer.events,
             tags: self.tags,
-            verdicts: self.verdicts,
+            verdict: self.verdict,
             packet_fields: self.packet_fields,
             final_packet,
             model: self.sctx.model().cloned(),
@@ -236,24 +275,13 @@ impl<'p> SymbolicCtx<'p> {
         self.pool.binop(op, a, b)
     }
 
-    fn unique_name(&mut self, name: &str) -> String {
-        let n = self.fresh_names.entry(name.to_string()).or_insert(0);
-        let uniq = if *n == 0 {
-            name.to_string()
-        } else {
-            format!("{name}#{n}")
-        };
-        *n += 1;
-        uniq
-    }
-
     /// Mint (or, when a sibling run already minted it, reuse) the symbol
-    /// for `name`. Sharing symbols across runs makes the terms of common
-    /// decision prefixes identical between siblings, which is what lets
-    /// the feasibility memo and model cache hit across runs.
-    fn mint_sym(&mut self, name: &str, w: Width) -> TermRef {
+    /// named `name`. Sharing symbols across runs makes the terms of
+    /// common decision prefixes identical between siblings, which is what
+    /// lets the feasibility memo and model cache hit across runs.
+    fn mint_sym(&mut self, name: fmt::Arguments<'_>, w: Width) -> TermRef {
         let SymbolicCtx { shared, pool, .. } = self;
-        shared.get_mut().sym_for(pool, name, w)
+        shared.get_mut().sym_named(pool, name, w)
     }
 
     /// Record a taken decision: remember the branch, append its
@@ -366,12 +394,11 @@ impl NfCtx for SymbolicCtx<'_> {
             .packet_region
             .map(|r| r.contains(addr))
             .unwrap_or(false);
-        let name = if is_packet {
-            format!("pkt@{offset}:{bytes}")
+        let t = if is_packet {
+            self.mint_sym(format_args!("pkt@{offset}:{bytes}"), w)
         } else {
-            format!("mem@{:#x}:{bytes}", addr)
+            self.mint_sym(format_args!("mem@{addr:#x}:{bytes}"), w)
         };
-        let t = self.mint_sym(&name, w);
         self.mem.insert(key, t);
         if is_packet {
             if let bolt_expr::Term::Sym { id, .. } = *self.pool.get(t) {
@@ -392,9 +419,25 @@ impl NfCtx for SymbolicCtx<'_> {
         self.mem.insert((addr, bytes as u8), v);
     }
 
+    /// The `n`-th `fresh(name)` of a run mints `name` for `n` = 0 and
+    /// `name#n` after that.
     fn fresh(&mut self, name: &str, w: Width) -> TermRef {
-        let uniq = self.unique_name(name);
-        self.mint_sym(&uniq, w)
+        let shared = self.shared.get_mut();
+        let n = match shared.fresh.get_mut(name) {
+            Some(n) => {
+                *n += 1;
+                *n - 1
+            }
+            None => {
+                shared.fresh.insert(name.to_string(), 1);
+                0
+            }
+        };
+        if n == 0 {
+            self.mint_sym(format_args!("{name}"), w)
+        } else {
+            self.mint_sym(format_args!("{name}#{n}"), w)
+        }
     }
 
     fn fork(&mut self, c: TermRef) -> bool {
@@ -428,7 +471,7 @@ impl NfCtx for SymbolicCtx<'_> {
     }
 
     fn verdict(&mut self, v: NfVerdict) {
-        self.verdicts.push(v);
+        self.verdict = Some(v);
     }
 
     fn is_symbolic(&self) -> bool {

@@ -50,8 +50,9 @@ pub struct CacheEntry {
     /// Whether the exploration came from the store (`warm` in rendered
     /// output) or was run fresh by this server (`explored`).
     pub from_store: bool,
-    /// The registry the contract was generated against (PCV names).
-    pub reg: DsRegistry,
+    /// The registry the contract was generated against (PCV names),
+    /// shared with the process's memo for the NF's configuration.
+    pub reg: Arc<DsRegistry>,
     /// The contract itself.
     pub contract: NfContract,
     /// Solver for class-compatibility checks. A wire class (a tag or
@@ -238,7 +239,7 @@ mod tests {
             nf_name: name,
             level: StackLevel::FullStack,
             from_store: true,
-            reg: DsRegistry::new(),
+            reg: Arc::new(DsRegistry::new()),
             contract: NfContract {
                 pool: TermPool::new(),
                 paths: Vec::new(),

@@ -480,17 +480,16 @@ impl ServeCore {
                 reg,
                 result,
                 cached,
+                record_bytes,
                 ..
             } = ex;
             let contract = generate(&reg, result);
-            // Weight = the record's on-disk bytes (header + payload):
-            // the same unit `sweep --budget` ranks, so the cache budget
-            // and the store budget talk about the same thing. A record
-            // the store failed to persist is estimated from shape.
-            let weight = self
-                .store
-                .header(key, RecordKind::Exploration)
-                .map(|h| h.header_len + h.payload_len)
+            // Weight = the record's on-disk bytes (header + payload), as
+            // the read or write that just happened measured them: the
+            // same unit `sweep --budget` ranks, so the cache budget and
+            // the store budget talk about the same thing. A record the
+            // store failed to persist is estimated from shape.
+            let weight = record_bytes
                 .unwrap_or_else(|| 1024 + 512 * contract.paths.len() as u64);
             let entry = CacheEntry {
                 nf_name,

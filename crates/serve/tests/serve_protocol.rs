@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use bolt_core::store::{level_tag, store_key, RecordKind, StoreExt};
 use bolt_core::{ClassSpec, InputClass, NetworkFunction};
 use bolt_expr::PcvAssignment;
-use bolt_nfs::{Bridge, Firewall};
+use bolt_nfs::{Bridge, Firewall, StaticRouter};
 use bolt_serve::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME};
 use bolt_serve::{
     CacheConfig, Client, DiffRequest, Endpoint, QueryRequest, ServeCore, Server, StatsReply,
@@ -463,6 +463,10 @@ fn server_cache_hits_keep_the_store_lru_honest() {
     // firewall's...
     ask("firewall");
     ask("bridge");
+    // Each reloaded entry weighs what its record occupies on disk, as
+    // the store read that decoded it measured (no second header read).
+    assert_weighs_its_record(&core, "firewall", hot_key);
+    assert_weighs_its_record(&core, "bridge", cold_key);
     let stamp = |key| {
         core.store()
             .header(key, RecordKind::Exploration)
@@ -502,7 +506,26 @@ fn server_cache_hits_keep_the_store_lru_honest() {
             .is_none(),
         "the server-cold record is the LRU victim"
     );
+    // A contract explored on a miss weighs the record its write made.
+    ask("static_router");
+    assert_weighs_its_record(
+        &core,
+        "static_router",
+        store_key(&StaticRouter::default(), StackLevel::NfOnly),
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cache entry for `nf` at nf-only level is hot and weighs exactly
+/// its exploration record's `header_len + payload_len`.
+fn assert_weighs_its_record(core: &ServeCore, nf: &str, key: bolt_store::Fingerprint) {
+    let h = core
+        .store()
+        .header(key, RecordKind::Exploration)
+        .expect("the record is on disk");
+    let text = core.provenance(nf, level_tag(StackLevel::NfOnly)).unwrap();
+    let hot = format!("hot ({} bytes,", h.header_len + h.payload_len);
+    assert!(text.contains(&hot), "{nf}: want `{hot}` in\n{text}");
 }
 
 fn diff_of(a: &str, b: &str, metric: Metric) -> DiffRequest {

@@ -68,10 +68,9 @@
 //!   sweep free of hashing. An id from anywhere else (a hash, a global
 //!   counter) would size these vectors by its magnitude.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use bolt_expr::{BinOp, SymId, Term, TermPool, TermRef, UnOp, Width};
+use bolt_expr::{BinOp, FxHashMap, SymId, Term, TermPool, TermRef, UnOp, Width};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,6 +78,8 @@ use rand::{Rng, SeedableRng};
 /// Symbol ids are pool-local indices below `TermPool::sym_count()`
 /// (decoded pools are checked on entry), so the vector is as small as the
 /// pool's symbol registry: a lookup is an index, a copy is a `memcpy`.
+/// The first insert reserves [`SymMap::MIN_SLOTS`] at once, so a map over
+/// a small registry grows once rather than once per doubling.
 #[derive(Clone)]
 struct SymMap<T> {
     slots: Vec<Option<T>>,
@@ -91,6 +92,10 @@ impl<T> Default for SymMap<T> {
 }
 
 impl<T: Copy> SymMap<T> {
+    /// Slots the first growth reserves: more symbols than most NFs'
+    /// explorations mint.
+    const MIN_SLOTS: usize = 32;
+
     fn get(&self, id: SymId) -> Option<T> {
         self.slots.get(id as usize).copied().flatten()
     }
@@ -102,6 +107,8 @@ impl<T: Copy> SymMap<T> {
     fn insert(&mut self, id: SymId, v: T) {
         let i = id as usize;
         if i >= self.slots.len() {
+            self.slots
+                .reserve((i + 1).max(Self::MIN_SLOTS) - self.slots.len());
             self.slots.resize(i + 1, None);
         }
         self.slots[i] = Some(v);
@@ -1150,14 +1157,14 @@ impl Solver {
 #[derive(Debug, Default)]
 pub struct SolverCache {
     /// Ordered constraint list (content hashes) → feasibility verdict.
-    list_memo: HashMap<Box<[u64]>, bool>,
+    list_memo: FxHashMap<Box<[u64]>, bool>,
     /// Atom content hash → witness satisfying the atom alone (`None`:
     /// no usable witness — the atom alone was Unsat or Unknown).
-    atom_memo: HashMap<u64, Option<Witness>>,
+    atom_memo: FxHashMap<u64, Option<Witness>>,
     /// Content-hash memo: `(pool uid, term index)` → hash. Sound because
     /// pools are append-only (an interned term's content never changes)
     /// and uids are process-unique.
-    term_hashes: HashMap<(u64, u32), u64>,
+    term_hashes: FxHashMap<(u64, u32), u64>,
     /// Recently discovered models, reused to answer satisfiable probes.
     models: Vec<CachedModel>,
     /// Monotone insertion stamp (eviction tie-breaker: oldest loses).
@@ -1218,7 +1225,7 @@ impl SolverCache {
 /// identical and bind identically-numbered, identically-named symbols —
 /// exactly the condition under which feasibility verdicts and cached
 /// atom witnesses (which map raw [`SymId`]s) transfer between pools.
-fn term_content_hash(pool: &TermPool, memo: &mut HashMap<(u64, u32), u64>, t: TermRef) -> u64 {
+fn term_content_hash(pool: &TermPool, memo: &mut FxHashMap<(u64, u32), u64>, t: TermRef) -> u64 {
     let key = (pool.uid(), t.index() as u32);
     if let Some(&h) = memo.get(&key) {
         return h;
@@ -1421,30 +1428,28 @@ impl SolverCtx {
         cache: &mut SolverCache,
         extra: Option<TermRef>,
     ) -> Box<[u64]> {
-        let mut key: Vec<u64> = self
-            .constraints
-            .iter()
-            .map(|&c| term_content_hash(pool, &mut cache.term_hashes, c))
-            .collect();
-        if let Some(e) = extra {
-            key.push(term_content_hash(pool, &mut cache.term_hashes, e));
+        // Sized once: the boxed slice takes the vector's buffer as is.
+        let mut key = Vec::with_capacity(self.constraints.len() + extra.is_some() as usize);
+        for &c in self.constraints.iter().chain(&extra) {
+            key.push(term_content_hash(pool, &mut cache.term_hashes, c));
         }
         key.into_boxed_slice()
     }
 
-    /// Witness satisfying `atom` alone, solved once per atom and cached.
+    /// Witness satisfying `atom` alone, solved once per atom and cached
+    /// in the atom memo, which the caller reads it from.
     /// Atoms fully absorbed by propagation (single comparisons — the
     /// overwhelmingly common branch-condition shape) are answered by
     /// reading the propagated domain back, with no search at all.
-    fn atom_witness(
+    fn atom_witness<'c>(
         solver: &Solver,
         pool: &TermPool,
-        cache: &mut SolverCache,
+        cache: &'c mut SolverCache,
         atom: TermRef,
-    ) -> Option<Witness> {
+    ) -> Option<&'c Witness> {
         let k = term_content_hash(pool, &mut cache.term_hashes, atom);
-        if let Some(w) = cache.atom_memo.get(&k) {
-            return w.clone();
+        if cache.atom_memo.contains_key(&k) {
+            return cache.atom_memo[&k].as_ref();
         }
         let mut prop = Propagator::new();
         prop.assert_atom(pool, atom, true);
@@ -1487,8 +1492,7 @@ impl SolverCtx {
                 w = Some(got);
             }
         }
-        cache.atom_memo.insert(k, w.clone());
-        w
+        cache.atom_memo.entry(k).or_insert(w).as_ref()
     }
 
     /// Feasibility of `constraints + [extra]`, decided against the saved
@@ -1547,17 +1551,16 @@ impl SolverCtx {
         // 4. Disjoint-support merge: the atom touches only symbols no
         //    current constraint mentions, so a witness of the atom alone
         //    extends the current model without disturbing it.
-        if self.cur_witness.is_some() {
+        if let Some(w) = &mut self.cur_witness {
             let syms = pool.syms_of(extra);
             if !syms.is_empty() && syms.iter().all(|&s| !self.known_syms.contains(s)) {
                 if let Some(wa) = Self::atom_witness(&self.solver, pool, cache, extra) {
-                    let mut w = self.cur_witness.clone().unwrap();
                     for &s in syms {
                         w.set(s, wa.get(s));
                     }
+                    let w = w.clone();
                     cache.stats.witness_reuse_hits += 1;
                     cache.list_memo.insert(key, true);
-                    self.cur_witness = Some(w.clone());
                     cache.push_model(w);
                     return true;
                 }
@@ -1641,11 +1644,12 @@ impl SolverCtx {
                 Finish::Full,
                 Some(&mut cache.stats),
             );
-            if let SolveResult::Sat(w) = &res {
+            let feasible = res.possibly_sat();
+            if let SolveResult::Sat(w) = res {
                 cache.push_model(w.clone());
-                self.cur_witness = Some(w.clone());
+                self.cur_witness = Some(w);
             }
-            res.possibly_sat()
+            feasible
         };
         cache.list_memo.insert(key, feasible);
         feasible

@@ -364,6 +364,13 @@ impl ContractStore {
     /// [`ContractStore::sweep`]); a failed bump is ignored — it only
     /// ages the record's sweep priority, never the payload.
     pub fn get(&self, fp: Fingerprint, kind: RecordKind) -> Option<Vec<u8>> {
+        self.get_sized(fp, kind).map(|(payload, _)| payload)
+    }
+
+    /// [`ContractStore::get`], plus the record's size on disk (header and
+    /// payload: the unit [`ContractStore::sweep`] budgets in), taken from
+    /// the bytes the read just verified rather than from a second read.
+    pub fn get_sized(&self, fp: Fingerprint, kind: RecordKind) -> Option<(Vec<u8>, u64)> {
         let _span = self.h_get.span();
         let path = self.path_of(fp, kind);
         // Injected read failure: the same shape as a vanished or
@@ -381,13 +388,13 @@ impl ContractStore {
         let res = bytes.and_then(|bytes| {
             verify_record(&bytes, Some(fp), Some(kind))
                 .ok()
-                .map(|(_, payload)| payload.to_vec())
+                .map(|(_, payload)| (payload.to_vec(), bytes.len() as u64))
         });
         match res {
-            Some(payload) => {
+            Some(sized) => {
                 self.hits.inc();
                 let _ = bump_stamp(&path);
-                Some(payload)
+                Some(sized)
             }
             None => {
                 self.misses.inc();
@@ -408,7 +415,8 @@ impl ContractStore {
     }
 
     /// Write a record (atomically: unique temp file + fsync + rename).
-    /// Overwrites any existing record under the same key.
+    /// Overwrites any existing record under the same key, and returns the
+    /// record's size on disk (header and payload).
     ///
     /// Crash-consistency contract: the final path only ever holds a
     /// complete, fsynced record (rename is atomic and the temp file is
@@ -429,7 +437,7 @@ impl ContractStore {
         level: u8,
         n_paths: u64,
         payload: &[u8],
-    ) -> io::Result<()> {
+    ) -> io::Result<u64> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let _span = self.h_put.span();
         let mut w = ByteWriter::new();
@@ -496,7 +504,7 @@ impl ContractStore {
             );
         }
         match fs::rename(&tmp, &final_path) {
-            Ok(()) => Ok(()),
+            Ok(()) => Ok(bytes.len() as u64),
             Err(e) => {
                 let _ = fs::remove_file(&tmp);
                 Err(e)
@@ -784,7 +792,7 @@ mod tests {
     fn header_reads_skip_the_payload() {
         let store = temp_store("header");
         let payload = vec![0xA5u8; 4096];
-        store
+        let written = store
             .put(fp(9), RecordKind::Composed, "bridge", 1, 12, &payload)
             .unwrap();
         let hdr = store.header(fp(9), RecordKind::Composed).expect("header");
@@ -809,6 +817,10 @@ mod tests {
         // Wrong kind/fingerprint: None.
         assert!(store.header(fp(9), RecordKind::Exploration).is_none());
         assert!(store.header(fp(8), RecordKind::Composed).is_none());
+        // The write and the verified read both report that size.
+        assert_eq!(written, file_len);
+        let (got, size) = store.get_sized(fp(9), RecordKind::Composed).unwrap();
+        assert_eq!((got, size), (payload, file_len));
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -1,0 +1,96 @@
+//! A warm in-memory catalog round — for each of the 16 catalog contracts
+//! (8 NFs × 2 stack levels): explore on one thread, `encode_result`,
+//! `generate`, and one unconstrained query per metric — makes a pinned
+//! number of allocations. Counted with the pass-through allocator of
+//! `tests/solver_alloc.rs` (the only test in this binary, so nothing else
+//! allocates meanwhile). The first round warms the process-wide
+//! calibrated-registry memo; the second is counted against the ceiling,
+//! and a third must repeat its count exactly, so the gate does not depend
+//! on the machine.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use bolt::core::InputClass;
+use bolt::expr::PcvAssignment;
+use bolt::nfs::nat::{AllocKind, NatConfig};
+use bolt::nfs::{Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter};
+use bolt::see::codec::encode_result;
+use bolt::see::StackLevel;
+use bolt::trace::Metric;
+use bolt::NetworkFunction;
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a side effect only.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout, via `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Allocations and reallocations of one warm round: what sharing the
+/// calibrated registry, inline monomials and the explorer's reused
+/// per-run buffers brought it to (from 13 389 before them).
+const CEILING: usize = 6_749;
+
+/// One contract of the round, as the benchmark's in-memory round makes it.
+fn generate_one<N: NetworkFunction + Sync>(nf: &N, level: StackLevel) {
+    let ex = nf.explore_threads(level, 1);
+    let payload = encode_result(&ex.result);
+    let mut contract = ex.contract();
+    let class = InputClass::unconstrained();
+    let env = PcvAssignment::new();
+    for m in Metric::ALL {
+        black_box(contract.query(&class, m, &env));
+    }
+    black_box(payload);
+}
+
+/// Allocations one round over the catalog makes.
+fn round() -> usize {
+    let nat = |kind| Nat::with(NatConfig::default(), kind);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for level in [StackLevel::NfOnly, StackLevel::FullStack] {
+        generate_one(&Bridge::default(), level);
+        generate_one(&ExampleRouter::default(), level);
+        generate_one(&Firewall::default(), level);
+        generate_one(&LoadBalancer::default(), level);
+        generate_one(&LpmRouter::default(), level);
+        generate_one(&nat(AllocKind::A), level);
+        generate_one(&nat(AllocKind::B), level);
+        generate_one(&StaticRouter::default(), level);
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn a_warm_catalog_round_allocates_under_its_ceiling() {
+    round();
+    let warm = round();
+    assert!(
+        warm <= CEILING,
+        "a warm catalog round made {warm} allocations; the ceiling is {CEILING}"
+    );
+    assert_eq!(round(), warm, "a warm round's allocations repeat exactly");
+}
