@@ -20,7 +20,9 @@
 //! step composes that path against every downstream candidate, and
 //! `threads` only sets how many workers speculate steps ahead of the
 //! committer. Composed path order, constraint terms, verdicts, metrics,
-//! and [`SolverStats`] counters are byte-equal at any thread count.
+//! and [`SolverStats`] counters are byte-equal at any thread count. With
+//! workers, a debug build runs both routes of every step and asserts
+//! they agree.
 //!
 //! # Memoized composition
 //!
@@ -91,6 +93,7 @@ fn field_of(pool: &TermPool, offset: u64, bytes: u8, term: TermRef) -> Option<Pa
 /// a symbol, it is minted once. The memos are a pure cache under
 /// hash-consing: a miss rebuilds the same ref and interns nothing new,
 /// so they may lag behind what absorbed steps brought in.
+#[derive(Clone)]
 struct Migrator<'a> {
     srcs: [&'a TermPool; 2],
     memo: [FxHashMap<TermRef, TermRef>; 2],
@@ -153,6 +156,7 @@ impl<'a> Migrator<'a> {
 /// Everything composing one upstream path produces, expressed in the
 /// refs of whichever pool [`compose_one`] ran against (the shared pool
 /// on the direct route, a private pool under speculation).
+#[derive(PartialEq)]
 enum PaBody {
     /// The upstream path ends the packet: the pair is the path alone.
     Terminal {
@@ -167,6 +171,7 @@ enum PaBody {
 }
 
 /// One upstream×downstream candidate pair.
+#[derive(PartialEq)]
 struct PairSpec {
     /// Downstream path index.
     bi: usize,
@@ -422,48 +427,71 @@ pub(crate) fn compose_pair(
         let body = compose_one(&mut pool, &mut mig, pa, second, solver, &mut cache);
         (pool, body)
     };
+    // One step on the given state, by either route: the composition
+    // itself when no speculation is handed over, else its absorption.
+    let step = |pool: &mut TermPool,
+                mig: &mut Migrator<'_>,
+                cache: &mut SolverCache,
+                ai: usize,
+                spec: Option<(TermPool, PaBody)>| match spec {
+        None => compose_one(pool, mig, &first.paths[ai], second, solver, cache),
+        Some((private, mut body)) => {
+            let tmap = pool.absorb_with(&private, |p, name, w| mig.syms.sym_for(p, name, w));
+            remap_body(&mut body, &tmap);
+            // Replay the step's solver schedule against the shared
+            // cache — and hard-assert that the speculative verdicts
+            // agree (a divergence would mean a solver fast path
+            // stopped being classification-identical).
+            if let PaBody::Forwarding { ca, pairs } = &body {
+                let mut upstream = SolverCtx::new(solver);
+                for &c in ca {
+                    upstream.assert_term(pool, c);
+                }
+                for pair in pairs {
+                    upstream.push();
+                    for &c in &pair.tail {
+                        upstream.assert_term(pool, c);
+                    }
+                    let feasible = upstream.current_feasible(pool, cache);
+                    upstream.pop();
+                    assert_eq!(
+                        feasible, pair.feasible,
+                        "speculative pair verdict diverged from the shared-cache \
+                         replay (solver fast path not classification-identical?)"
+                    );
+                }
+            }
+            body
+        }
+    };
     // Keys are upstream path indices, stacked so they pop in path order.
     let roots: Vec<usize> = (0..first.paths.len()).rev().collect();
     let workers = threads.saturating_sub(1);
     speculate::run(workers, roots, &speculate, |ai, spec| {
-        let pa = &first.paths[ai];
-        #[cfg(test)]
-        let spec = match tests::forced_route(ai) {
-            Some(absorbed) => absorbed.then(|| speculate(&ai)),
-            None => spec,
-        };
-        let body = match spec {
-            None => compose_one(&mut pool, &mut mig, pa, second, solver, cache),
-            Some((private, mut body)) => {
-                let tmap = pool.absorb_with(&private, |p, name, w| mig.syms.sym_for(p, name, w));
-                remap_body(&mut body, &tmap);
-                // Replay the step's solver schedule against the shared
-                // cache — and hard-assert that the speculative verdicts
-                // agree (a divergence would mean a solver fast path
-                // stopped being classification-identical).
-                if let PaBody::Forwarding { ca, pairs } = &body {
-                    let mut upstream = SolverCtx::new(solver);
-                    for &c in ca {
-                        upstream.assert_term(&pool, c);
-                    }
-                    for pair in pairs {
-                        upstream.push();
-                        for &c in &pair.tail {
-                            upstream.assert_term(&pool, c);
-                        }
-                        let feasible = upstream.current_feasible(&pool, cache);
-                        upstream.pop();
-                        assert_eq!(
-                            feasible, pair.feasible,
-                            "speculative pair verdict diverged from the shared-cache \
-                             replay (solver fast path not classification-identical?)"
-                        );
-                    }
-                }
-                body
-            }
-        };
-        push_paths(&mut paths, &pool, pa, second, body);
+        // Debug builds check the client's obligation at every step (see
+        // `bolt_expr::speculate`): the route not taken runs from a copy
+        // of the same state and must leave the same body, arena, symbols
+        // and solver cache. The migration memo is a pure cache, so which
+        // route filled it is not compared.
+        #[cfg(debug_assertions)]
+        let other = (workers > 0).then(|| {
+            let (mut pool, mut mig, mut cache) = (pool.clone(), mig.clone(), cache.clone());
+            let spec = spec.is_none().then(|| speculate(&ai));
+            let body = step(&mut pool, &mut mig, &mut cache, ai, spec);
+            (body, pool, mig.syms, cache)
+        });
+        let body = step(&mut pool, &mut mig, cache, ai, spec);
+        #[cfg(debug_assertions)]
+        if let Some((other_body, other_pool, other_syms, other_cache)) = other {
+            assert!(
+                body == other_body
+                    && pool.same_terms(&other_pool)
+                    && mig.syms == other_syms
+                    && cache.same_as(&other_cache),
+                "upstream path {ai}: the two routes of a step diverged"
+            );
+        }
+        push_paths(&mut paths, &pool, &first.paths[ai], second, body);
         ControlFlow::Continue(Vec::new())
     });
     NfContract { pool, paths }
@@ -1034,9 +1062,9 @@ impl<'s> Pipeline<'s> {
         self
     }
 
-    /// Explore stages and compose path pairs on `n` worker threads
-    /// (1 = sequential). Overrides the ambient `BOLT_THREADS`; stage and
-    /// composed contracts — and plans — are bit-identical at any count.
+    /// Explore stages and compose path pairs on `n` threads: the
+    /// committing caller and `n − 1` workers (1 = sequential). Overrides
+    /// the ambient `BOLT_THREADS`; contracts and plans are bit-identical.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
         self
@@ -1251,54 +1279,6 @@ mod tests {
                 cache.stats, seq_cache.stats,
                 "solver counters diverged at {threads} threads"
             );
-        }
-    }
-
-    thread_local! {
-        /// Test-only route forcing: with a mask installed, upstream
-        /// path `ai` takes the absorbed route iff bit `ai % 64` is set,
-        /// whatever the engine handed over.
-        static ROUTES: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-    }
-
-    pub(super) fn forced_route(ai: usize) -> Option<bool> {
-        ROUTES.get().map(|mask| mask >> (ai % 64) & 1 == 1)
-    }
-
-    #[test]
-    fn mixed_routes_are_bit_identical_to_all_direct() {
-        // The engine's invariant, pinned without a race: whichever
-        // upstream paths take the absorbed route, the composed contract
-        // and the shared cache's counters are the all-direct ones —
-        // for both operand orders and a 3-stage fold through one cache
-        // (whose second step's upstream is itself composed).
-        let (a, b) = toy_pair();
-        let f = filter_contract(mark_filter(20, "f-hit", "f-miss"));
-        let chains: [(&str, Vec<&NfContract>); 3] = [
-            ("up→down", vec![&a, &b]),
-            ("down→up", vec![&b, &a]),
-            ("filter→up→down", vec![&f, &a, &b]),
-        ];
-        let solver = Solver::default();
-        let fold = |stages: &[&NfContract]| {
-            let mut cache = SolverCache::new();
-            let mut acc = compose_pair(stages[0], stages[1], &solver, &mut cache, 1);
-            for next in &stages[2..] {
-                acc = compose_pair(&acc, next, &solver, &mut cache, 1);
-            }
-            (encode_contract(&acc), cache.stats)
-        };
-        // Every path absorbed, then 16 seeded masks.
-        let seeded = (1..=16u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29));
-        let masks: Vec<u64> = std::iter::once(u64::MAX).chain(seeded).collect();
-        for (name, stages) in &chains {
-            let direct = fold(stages);
-            for &mask in &masks {
-                ROUTES.set(Some(mask));
-                let mixed = fold(stages);
-                ROUTES.set(None);
-                assert_eq!(mixed, direct, "{name}: route mask {mask:#x} diverged");
-            }
         }
     }
 

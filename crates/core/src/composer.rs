@@ -62,9 +62,9 @@ impl<'a> Composer<'a> {
         }
     }
 
-    /// Compose path pairs (and explore stages) on `n` worker threads.
-    /// Overrides a pipeline's own setting and the ambient
-    /// `BOLT_THREADS`; output is bit-identical at any count.
+    /// Compose path pairs (and explore stages) on `n` threads: the
+    /// committing caller and `n − 1` workers. Overrides a pipeline's own
+    /// setting and the ambient `BOLT_THREADS`; output is bit-identical.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
         self

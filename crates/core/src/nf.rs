@@ -271,9 +271,9 @@ impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
         self
     }
 
-    /// Explore on `n` worker threads (1 = sequential). Overrides the
-    /// ambient `BOLT_THREADS`. The knob trades cores for wall-clock
-    /// only — exploration output is bit-identical at any value.
+    /// Explore on `n` threads: the committing caller and `n − 1` workers
+    /// (1 = sequential). Overrides the ambient `BOLT_THREADS`. The knob
+    /// trades cores for wall-clock only — output is bit-identical.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
         self

@@ -66,6 +66,21 @@ impl Default for TermPool {
     }
 }
 
+/// A clone is a new pool: same arena and symbols, fresh [`TermPool::uid`].
+impl Clone for TermPool {
+    fn clone(&self) -> Self {
+        TermPool {
+            terms: self.terms.clone(),
+            meta: self.meta.clone(),
+            slots: self.slots.clone(),
+            sym_names: self.sym_names.clone(),
+            sym_widths: self.sym_widths.clone(),
+            no_syms: Arc::clone(&self.no_syms),
+            uid: POOL_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+        }
+    }
+}
+
 /// Deterministic node hash (stable across processes, like every
 /// [`FxHasher`] hash). Only the intern table's probe sequence depends on
 /// it: arena order is intern order, whatever the hash.
@@ -116,7 +131,7 @@ fn merge_syms(a: &Arc<[SymId]>, b: &Arc<[SymId]>) -> Arc<[SymId]> {
 /// private pool. Width is part of the identity, so a name reused at a
 /// different width (degenerate, but possible with order-dependent
 /// `fresh` ordinals) gets its own symbol.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SymTable {
     by_name: FxHashMap<String, Vec<TermRef>>,
 }
@@ -158,10 +173,20 @@ impl TermPool {
 
     /// Process-unique identity of this pool instance. Stable for the
     /// pool's lifetime, fresh for every construction (including decoded
-    /// pools), never serialized — interpretations of a [`TermRef`] are
-    /// only comparable between calls that observed the same `uid`.
+    /// and cloned pools), never serialized — interpretations of a
+    /// [`TermRef`] are only comparable between calls that observed the
+    /// same `uid`.
     pub fn uid(&self) -> u64 {
         self.uid
+    }
+
+    /// Whether two pools hold the same arena and the same symbols (the
+    /// metadata and intern table follow from those).
+    #[cfg(debug_assertions)]
+    pub fn same_terms(&self, other: &TermPool) -> bool {
+        self.terms == other.terms
+            && self.sym_names == other.sym_names
+            && self.sym_widths == other.sym_widths
     }
 
     /// Metadata for a new node (children are already interned, so their

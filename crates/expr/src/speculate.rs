@@ -14,11 +14,12 @@
 //! `None` — there are no workers, the key was still queued when its turn
 //! came, or its worker panicked — means "do this step here, directly on
 //! the shared state", which is the sequential step. So a worker's panic
-//! resurfaces on the caller's thread when the step re-runs there, and
-//! nothing is ever speculated privately on the committer only to be
-//! absorbed. With `workers == 0` nothing is spawned and no lock is
-//! taken: the engine *is* the sequential algorithm, and the thread
-//! count is a worker count, never a choice between implementations.
+//! resurfaces on the caller's thread when the step re-runs there, and a
+//! release build never speculates on the committer only to absorb the
+//! result (a debug build does, to check the client's obligation below).
+//! With `workers == 0` nothing is spawned and no lock is taken: the
+//! engine *is* the sequential algorithm, and the thread count is a
+//! worker count, never a choice between implementations.
 //!
 //! # Determinism
 //!
@@ -43,6 +44,13 @@
 //! verdict equals the speculated one. State the direct route keeps
 //! besides — term-migration memos — is a pure cache under hash-consing:
 //! a miss rebuilds the same ref and interns nothing.
+//!
+//! Debug builds check the obligation at every step committed with
+//! workers: the client also runs the route not taken (the direct step,
+//! or `speculate(&key)` and its absorption) on a copy of the same state
+//! and asserts both leave the same record, pool, symbol table and solver
+//! cache. Route-dependent scratch (per-run buffers, migration memos,
+//! memos keyed by pool identity) is not compared.
 //!
 //! *The engine's property:* keys are committed in pop order, and the
 //! children a commit returns are pushed before the next pop, so the

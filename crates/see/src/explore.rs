@@ -21,7 +21,8 @@
 //! one run plus its flip walk, and [`Explorer::threads`] only sets how
 //! many workers speculate runs ahead of the committer. The result — pool
 //! arena order, path order, decisions, tags, verdicts, metrics, stats,
-//! truncation — is bit-identical at any thread count.
+//! truncation — is bit-identical at any thread count. With workers, a
+//! debug build runs both routes of every step and asserts they agree.
 
 use std::ops::ControlFlow;
 
@@ -158,6 +159,20 @@ impl Explorer {
             let rec = ctx.finish();
             (pool, rec)
         };
+        // One step on the given state, by either route: the run itself
+        // when no speculation is handed over, else its absorption.
+        let step = |pool: &mut TermPool,
+                    shared: &mut ExploreShared,
+                    prefix: Vec<bool>,
+                    spec: Option<(TermPool, RunRecord)>| match spec {
+            None => {
+                let mut ctx = SymbolicCtx::with_shared(pool, &self.solver, prefix, shared);
+                body(&mut ctx);
+                let feasible = ctx.path_feasible();
+                (ctx.finish(), feasible)
+            }
+            Some((private, rec)) => self.absorb(pool, shared, prefix.len(), &private, rec),
+        };
         // Keys are decision prefixes; the final decision of each prefix
         // is the flip that spawned it.
         let roots = vec![Vec::new()];
@@ -170,23 +185,28 @@ impl Explorer {
             }
             runs += 1;
             let prefix_len = prefix.len();
-            #[cfg(test)]
-            let spec = match tests::forced_route(runs) {
-                Some(absorbed) => absorbed.then(|| speculate(&prefix)),
-                None => spec,
-            };
-            let (mut rec, feasible) = match spec {
-                None => {
-                    let mut ctx =
-                        SymbolicCtx::with_shared(&mut pool, &self.solver, prefix, &mut shared);
-                    body(&mut ctx);
-                    let feasible = ctx.path_feasible();
-                    (ctx.finish(), feasible)
-                }
-                Some((private, rec)) => {
-                    self.absorb(&mut pool, &mut shared, prefix_len, &private, rec)
-                }
-            };
+            // Debug builds check the client's obligation at every step
+            // (see `bolt_expr::speculate`): the route not taken runs from
+            // a copy of the same state and must leave the same run,
+            // arena, symbols and solver cache.
+            #[cfg(debug_assertions)]
+            let other = (workers > 0).then(|| {
+                let (mut pool, mut shared) = (pool.clone(), shared.clone());
+                let spec = spec.is_none().then(|| speculate(&prefix));
+                let out = step(&mut pool, &mut shared, prefix.clone(), spec);
+                (out, pool, shared)
+            });
+            let out = step(&mut pool, &mut shared, prefix, spec);
+            #[cfg(debug_assertions)]
+            if let Some((other_out, other_pool, other_shared)) = other {
+                assert!(
+                    out == other_out
+                        && pool.same_terms(&other_pool)
+                        && shared.same_as(&other_shared),
+                    "run {runs}: the two routes of a step diverged (nondeterministic NF body?)"
+                );
+            }
+            let (mut rec, feasible) = out;
 
             // Enqueue feasible flips of the decisions made beyond the
             // prefix (the prefix's own decisions were already covered when
@@ -520,71 +540,22 @@ mod tests {
         });
     }
 
-    /// Stateful-NF shape: model calls mint `fresh` symbols (a repeated
-    /// name gets a per-run ordinal) and `fork` on them, so which step
-    /// first meets a symbol depends on the routes taken before it.
-    fn toy_table_nf(ctx: &mut SymbolicCtx<'_>) {
-        let pkt = ctx.packet(64);
-        let hit = ctx.fresh("table.get.hit", Width::W1);
-        if ctx.fork(hit) {
-            ctx.tag("known");
-            let port = ctx.fresh("table.get.value", Width::W16);
-            let ports = ctx.lit(4, Width::W16);
-            let in_range = ctx.ult(port, ports);
-            ctx.assume(in_range);
-            let hit = ctx.fresh("table.get.hit", Width::W1);
-            if ctx.fork(hit) {
-                let out = ctx.fresh("table.get.value", Width::W16);
-                let same = ctx.eq(out, port);
-                ctx.branch(same);
-                ctx.store(pkt, 30, out, 2);
-            }
-            ctx.verdict(NfVerdict::Forward(1));
-        } else {
-            ctx.tag("learn");
-            let et = ctx.load(pkt, 12, 2);
-            ctx.branch_eq_imm(et, 0x0800, Width::W16);
-            ctx.verdict(NfVerdict::Flood);
-        }
-    }
-
-    thread_local! {
-        /// Test-only route forcing: with a mask installed, run number
-        /// `n` takes the absorbed route iff bit `n % 64` is set,
-        /// whatever the engine handed over.
-        static ROUTES: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-    }
-
-    pub(super) fn forced_route(step: u64) -> Option<bool> {
-        ROUTES.get().map(|mask| mask >> (step % 64) & 1 == 1)
-    }
-
+    #[cfg(debug_assertions)]
     #[test]
-    fn mixed_routes_are_bit_identical_to_all_direct() {
-        // The engine's invariant, pinned without a race: whichever
-        // steps take the absorbed route, the result — arena, symbols,
-        // paths, stats, truncation — is the all-direct one. Masks:
-        // every step absorbed, then 16 seeded ones.
-        let seeded = (1..=16u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29));
-        let masks: Vec<u64> = std::iter::once(u64::MAX).chain(seeded).collect();
-        let check = |name: &str, body: fn(&mut SymbolicCtx<'_>)| {
-            for max_paths in [65536, 3] {
-                let mut ex = Explorer::new();
-                ex.max_paths = max_paths;
-                let direct = crate::codec::encode_result(&ex.explore(body));
-                for &mask in &masks {
-                    ROUTES.set(Some(mask));
-                    let mixed = crate::codec::encode_result(&ex.explore(body));
-                    ROUTES.set(None);
-                    assert_eq!(
-                        mixed, direct,
-                        "{name} (max_paths {max_paths}): route mask {mask:#x} diverged"
-                    );
-                }
-            }
-        };
-        check("router", toy_router);
-        check("table", toy_table_nf);
+    #[should_panic(expected = "the two routes of a step diverged")]
+    fn a_step_whose_routes_diverge_fails_the_debug_check() {
+        // The tag alternates from one execution of the body to the next,
+        // so a step's two routes record different tags. Its decisions
+        // agree, which is all the absorbed route's replay compares.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static EXECUTIONS: AtomicUsize = AtomicUsize::new(0);
+        let mut ex = Explorer::new();
+        ex.threads = 2;
+        let _ = ex.explore(|ctx| {
+            let odd = !EXECUTIONS.fetch_add(1, Ordering::Relaxed).is_multiple_of(2);
+            ctx.tag(if odd { "odd" } else { "even" });
+            toy_router(ctx);
+        });
     }
 
     #[test]

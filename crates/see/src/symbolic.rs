@@ -31,7 +31,7 @@ use crate::{NfCtx, NfVerdict};
 /// either computes: the emptied memory map, a name buffer, `fresh`'s
 /// name keys, and the largest record sizes seen so far, which size the
 /// next run's vectors up front.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct ExploreShared {
     /// Feasibility memo, per-atom witness cache, model cache, counters.
     pub cache: SolverCache,
@@ -73,6 +73,14 @@ impl ExploreShared {
         let _ = self.name.write_fmt(name);
         self.syms.sym_for(pool, &self.name, w)
     }
+
+    /// Whether two states hold the same solver cache and symbol table.
+    /// The per-run scratch is left out: which run last filled it depends
+    /// on the route a step took.
+    #[cfg(debug_assertions)]
+    pub(crate) fn same_as(&self, other: &ExploreShared) -> bool {
+        self.cache.same_as(&other.cache) && self.syms == other.syms
+    }
 }
 
 /// Shared state: borrowed from the explorer, or owned by a standalone
@@ -106,7 +114,7 @@ pub struct PacketField {
 
 /// One recorded path constraint, remembering whether it came from a branch
 /// (and which one) so the explorer can rebuild constraint prefixes.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct ConstraintEntry {
     /// The (width-1) constraint term.
     pub term: TermRef,
@@ -115,7 +123,7 @@ pub(crate) struct ConstraintEntry {
 }
 
 /// Raw per-run record handed to the explorer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct RunRecord {
     /// Every decision taken at a symbolic branch, in order.
     pub decisions: Vec<bool>,

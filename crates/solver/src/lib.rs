@@ -51,11 +51,10 @@
 //!   procedure that is merely *equivalent* (same verdicts, other
 //!   witnesses) moves [`SolverStats`] — and the benchmark's golden files
 //!   (`bolt-ledger/golden/`) pin those counts per chain. What a
-//!   candidate costs is *not* behaviour: the sweep decides its first
-//!   candidate on the terms and every later one with a straight-line
-//!   kernel compiled once per component, which checks a candidate's
-//!   constraints in list order but computes both arms of every `Ite`
-//!   on the way. That is valid only while every operator is total — a
+//!   candidate costs is *not* behaviour: the sweep decides every
+//!   candidate with a straight-line kernel compiled once per component,
+//!   which checks a candidate's constraints in list order but computes
+//!   both arms of every `Ite` on the way. That is valid only while every operator is total — a
 //!   partial operator added to `BinOp` (a division, say) must make the
 //!   kernel evaluate `Ite` arms lazily, as [`TermPool::eval`] does.
 //! * **Dense containers are indexed by pool-local [`SymId`]s.** Every
@@ -644,36 +643,15 @@ impl SweepKernel {
     /// visited with the lowest slot varying fastest, each from its
     /// interval's low end. `swept` maps every unbound member symbol of
     /// `terms` to its slot; `env` holds the value of every bound one.
-    ///
-    /// The first candidate is evaluated on the terms themselves and the
-    /// kernel is built only when a second is needed: most sweeps of a
-    /// contract generation end at their first candidate, where compiling
-    /// would cost more than it saves.
     fn sweep(
         &mut self,
         pool: &TermPool,
         terms: &[TermRef],
         swept: &[(SymId, usize)],
         intervals: &[Interval],
-        env: &mut [u64],
+        env: &[u64],
     ) -> Option<Vec<u64>> {
-        #[cfg(test)]
-        if tests::sweeping_by_tree() {
-            return tests::sweep_by_tree(pool, terms, swept, intervals, env);
-        }
         let mut assignment: Vec<u64> = intervals.iter().map(|iv| iv.lo).collect();
-        for &(s, i) in swept {
-            env[s as usize] = assignment[i];
-        }
-        if terms
-            .iter()
-            .all(|&c| pool.eval(c, &|id| env[id as usize]) == 1)
-        {
-            return Some(assignment);
-        }
-        if !next_candidate(&mut assignment, intervals) {
-            return None;
-        }
         self.compile(pool, terms, swept, env);
         loop {
             if self.holds(&assignment) {
@@ -1002,8 +980,7 @@ impl Solver {
                 }
                 swept.sort_unstable();
                 swept.dedup();
-                let Some(assignment) =
-                    kernel.sweep(pool, &group_terms, &swept, &intervals, &mut env)
+                let Some(assignment) = kernel.sweep(pool, &group_terms, &swept, &intervals, &env)
                 else {
                     return SolveResult::Unsat;
                 };
@@ -1154,7 +1131,7 @@ impl Solver {
 /// outside the pool that interned them, and reusing them across pools
 /// once served stale verdicts when a planner probed pair orders through
 /// the same cache a chain fold was using.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SolverCache {
     /// Ordered constraint list (content hashes) → feasibility verdict.
     list_memo: FxHashMap<Box<[u64]>, bool>,
@@ -1174,7 +1151,7 @@ pub struct SolverCache {
 }
 
 /// One cached model with its usage count (eviction weight).
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct CachedModel {
     w: Witness,
     hits: u64,
@@ -1188,6 +1165,18 @@ impl SolverCache {
     /// Fresh, empty caches.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Whether two caches hold the same memos, models (with their hit
+    /// counts and stamps) and stats. The content-hash memo is left out:
+    /// it is keyed by pool uid, so two equal pools never share its keys.
+    #[cfg(debug_assertions)]
+    pub fn same_as(&self, other: &SolverCache) -> bool {
+        self.list_memo == other.list_memo
+            && self.atom_memo == other.atom_memo
+            && self.models == other.models
+            && self.model_seq == other.model_seq
+            && self.stats == other.stats
     }
 
     fn push_model(&mut self, w: Witness) {
@@ -1939,20 +1928,11 @@ mod tests {
     // The component sweep's kernel against the tree walk it replaced
     // ------------------------------------------------------------------
 
-    thread_local! {
-        /// Test-only: while set, [`SweepKernel::sweep`] answers with
-        /// [`sweep_by_tree`] on this thread.
-        static BY_TREE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    }
-
-    pub(super) fn sweeping_by_tree() -> bool {
-        BY_TREE.get()
-    }
-
-    /// The sweep as it was before the kernel: every candidate evaluates
-    /// every constraint as a tree through `TermPool::eval`, and carries
-    /// with the loop the kernel's `next_candidate` replaced.
-    pub(super) fn sweep_by_tree(
+    /// The sweep as it was before the kernel, the reference it is
+    /// compared with: every candidate evaluates every constraint as a
+    /// tree through `TermPool::eval`, and carries with the loop the
+    /// kernel's `next_candidate` replaced.
+    fn sweep_by_tree(
         pool: &TermPool,
         terms: &[TermRef],
         swept: &[(SymId, usize)],
@@ -1985,17 +1965,6 @@ mod tests {
         }
     }
 
-    /// `Solver::check` through the kernel, after asserting that the tree
-    /// sweep gives the same verdict and the same witness.
-    fn check_both_ways(p: &TermPool, cs: &[TermRef]) -> SolveResult {
-        let by_kernel = solver().check(p, cs);
-        BY_TREE.set(true);
-        let by_tree = solver().check(p, cs);
-        BY_TREE.set(false);
-        assert_eq!(by_kernel, by_tree, "the kernel moved a verdict or witness");
-        by_kernel
-    }
-
     /// `f(x) == k` over one unbound byte `x` (id 0), in a shape
     /// propagation leaves to the sweep.
     fn one_byte_sweep(
@@ -2017,20 +1986,19 @@ mod tests {
 
     #[test]
     fn sweep_ends_where_the_first_model_is() {
-        // Candidate 1 (decided on the terms, no kernel), candidate 2 (the
-        // kernel's first), the last of the 256, and none.
+        // The first candidate, the second, the last of the 256, and none.
         let successor = |p: &mut TermPool, x| {
             let one = p.constant(1, Width::W8);
             p.add(x, one)
         };
         let (p, cs) = one_byte_sweep(low_nibble, 0);
-        assert_eq!(check_both_ways(&p, &cs).witness().unwrap().get(0), 0);
+        assert_eq!(solver().check(&p, &cs).witness().unwrap().get(0), 0);
         let (p, cs) = one_byte_sweep(low_nibble, 1);
-        assert_eq!(check_both_ways(&p, &cs).witness().unwrap().get(0), 1);
+        assert_eq!(solver().check(&p, &cs).witness().unwrap().get(0), 1);
         let (p, cs) = one_byte_sweep(successor, 0);
-        assert_eq!(check_both_ways(&p, &cs).witness().unwrap().get(0), 255);
+        assert_eq!(solver().check(&p, &cs).witness().unwrap().get(0), 255);
         let (p, cs) = one_byte_sweep(low_nibble, 16);
-        assert_eq!(check_both_ways(&p, &cs), SolveResult::Unsat);
+        assert_eq!(solver().check(&p, &cs), SolveResult::Unsat);
     }
 
     #[test]
@@ -2049,15 +2017,15 @@ mod tests {
             (p, cs)
         };
         let (p, cs) = sum_is(17);
-        let w = check_both_ways(&p, &cs);
+        let w = solver().check(&p, &cs);
         let w = w.witness().unwrap();
         assert_eq!((w.get(0), w.get(1)), (15, 2));
         let (p, cs) = sum_is(30);
-        let w = check_both_ways(&p, &cs);
+        let w = solver().check(&p, &cs);
         let w = w.witness().unwrap();
         assert_eq!((w.get(0), w.get(1)), (15, 15));
         let (p, cs) = sum_is(31);
-        assert_eq!(check_both_ways(&p, &cs), SolveResult::Unsat);
+        assert_eq!(solver().check(&p, &cs), SolveResult::Unsat);
     }
 
     #[test]
@@ -2085,7 +2053,7 @@ mod tests {
             p.eq(low, c25),
             p.eq(sum, c300),
         ];
-        let w = check_both_ways(&p, &cs);
+        let w = solver().check(&p, &cs);
         let w = w.witness().unwrap();
         assert_eq!((w.get(0), w.get(1)), (7, 0x125));
     }
@@ -2095,8 +2063,10 @@ mod tests {
     /// fit), a second member of the first one's class, and two symbols
     /// bound by equations, built from every operator with operands drawn
     /// from the nodes so far — so subterms are shared, some depend on no
-    /// swept symbol, and `Ite` conditions usually depend on one.
-    fn random_component(seed: u64) -> (TermPool, Vec<TermRef>) {
+    /// swept symbol, and `Ite` conditions usually depend on one. Beside
+    /// the list comes the sweep over it: x and x2 share slot 0, y is
+    /// slot 1 or bound to 0, b8 and b16 are bound.
+    fn random_component(seed: u64) -> (TermPool, Vec<TermRef>, SweepInput) {
         const OPS: [BinOp; 12] = [
             BinOp::Add,
             BinOp::Sub,
@@ -2122,8 +2092,9 @@ mod tests {
         let b16 = p.fresh_sym("b16", Width::W16);
         let mut cs = Vec::new();
         // Bind the bound ones, join the class, keep the domain ≤ 4096.
-        let v8 = p.constant(rng.gen_range(0..=255u64), Width::W8);
-        let v16 = p.constant(rng.gen_range(0..=0xffffu64), Width::W16);
+        let (v8, v16) = (rng.gen_range(0..=255u64), rng.gen_range(0..=0xffffu64));
+        let env = vec![0, 0, 0, v8, v16];
+        let (v8, v16) = (p.constant(v8, Width::W8), p.constant(v16, Width::W16));
         cs.push(p.eq(b8, v8));
         cs.push(p.eq(b16, v16));
         cs.push(p.eq(x, x2));
@@ -2131,6 +2102,19 @@ mod tests {
             (false, _) => (256, 1),
             (true, false) => (64, 64),
             (true, true) => (8, 500),
+        };
+        let upto = |span: u64| Interval {
+            lo: 0,
+            hi: span - 1,
+        };
+        let sweep = if two_swept {
+            (
+                vec![(0, 0), (1, 0), (2, 1)],
+                vec![upto(x_span), upto(y_span)],
+                env,
+            )
+        } else {
+            (vec![(0, 0), (1, 0)], vec![upto(x_span)], env)
         };
         let y_width = p.width(y);
         let x_lim = p.constant(x_span - 1, Width::W8);
@@ -2197,26 +2181,34 @@ mod tests {
             };
             cs.push(c);
         }
-        (p, cs)
+        (p, cs, sweep)
     }
+
+    /// What the solver hands [`SweepKernel::sweep`] for one component:
+    /// each swept symbol's slot, each slot's interval, the environment.
+    type SweepInput = (Vec<(SymId, usize)>, Vec<Interval>, Vec<u64>);
 
     #[test]
     fn kernel_matches_the_tree_sweep_on_random_dags() {
+        // One kernel for every seed, as one `finish` reuses it across
+        // components.
+        let mut kernel = SweepKernel::default();
         let (mut sat, mut unsat, mut past_first) = (0, 0, 0);
         for seed in 0..400 {
-            let (p, cs) = random_component(seed);
-            match check_both_ways(&p, &cs) {
-                SolveResult::Sat(w) => {
-                    assert!(w.satisfies(&p, &cs), "seed {seed}: bogus witness");
+            let (p, cs, (swept, intervals, mut env)) = random_component(seed);
+            let by_kernel = kernel.sweep(&p, &cs, &swept, &intervals, &env);
+            let by_tree = sweep_by_tree(&p, &cs, &swept, &intervals, &mut env);
+            assert_eq!(by_kernel, by_tree, "seed {seed}: the kernel moved a model");
+            match by_kernel {
+                Some(model) => {
                     sat += 1;
-                    past_first += (w.get(0) != 0 || w.get(2) != 0) as u32;
+                    past_first += model.iter().any(|&v| v != 0) as u32;
                 }
-                SolveResult::Unsat => unsat += 1,
-                SolveResult::Unknown => {}
+                None => unsat += 1,
             }
         }
         // The generator reaches every way a sweep ends: at its first
-        // candidate, at a later one, and exhausted (or refuted earlier).
+        // candidate, at a later one, and exhausted.
         assert!(
             sat > past_first && past_first >= 40 && unsat >= 40,
             "{sat} sat, {past_first} of them past the first candidate, {unsat} unsat"

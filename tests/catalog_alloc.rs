@@ -51,8 +51,9 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Allocations and reallocations of one warm round: what sharing the
 /// calibrated registry, inline monomials and the explorer's reused
-/// per-run buffers brought it to (from 13 389 before them).
-const CEILING: usize = 6_749;
+/// per-run buffers brought it to (6 749, from 13 389), plus 14: the two
+/// sweeps a round that end at their first candidate compile too.
+const CEILING: usize = 6_763;
 
 /// One contract of the round, as the benchmark's in-memory round makes it.
 fn generate_one<N: NetworkFunction + Sync>(nf: &N, level: StackLevel) {

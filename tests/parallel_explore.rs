@@ -9,15 +9,16 @@
 //! solver counters, truncation — matches the one-thread run exactly.
 //! These tests pin that via the store codec: `encode_result` serialises
 //! every one of those fields, so byte-equal encodings mean bit-equal
-//! results.
+//! results. In debug builds every step also runs the route a race did
+//! not pick and asserts both agree, on every catalog NF.
 
 use bolt::core::nf::NetworkFunction;
-use bolt::nfs::{nat, Bridge, Firewall, LpmRouter, Nat, StaticRouter};
+use bolt::nfs::{nat, Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter};
 use bolt::see::codec::encode_result;
 use bolt::see::{Explorer, NfCtx, NfVerdict, StackLevel};
 use bolt::Bolt;
 
-/// Encoded exploration of `nf` at `level` on `threads` workers.
+/// Encoded exploration of `nf` at `level` on `threads` threads.
 fn encoded<N: NetworkFunction + Sync>(nf: &N, level: StackLevel, threads: usize) -> Vec<u8> {
     encode_result(&nf.explore_threads(level, threads).result)
 }
@@ -40,29 +41,17 @@ fn assert_bit_identical<N: NetworkFunction + Sync>(name: &str, mk: impl Fn() -> 
 #[test]
 fn parallel_exploration_is_bit_identical_for_real_nfs() {
     assert_bit_identical("bridge", Bridge::default);
+    assert_bit_identical("example_router", ExampleRouter::default);
+    assert_bit_identical("firewall", Firewall::default);
+    assert_bit_identical("lb", LoadBalancer::default);
+    assert_bit_identical("lpm_router", LpmRouter::default);
     assert_bit_identical("nat_a", || {
         Nat::with(nat::NatConfig::default(), nat::AllocKind::A)
     });
-    assert_bit_identical("lpm_router", LpmRouter::default);
+    assert_bit_identical("nat_b", || {
+        Nat::with(nat::NatConfig::default(), nat::AllocKind::B)
+    });
     assert_bit_identical("static_router", StaticRouter::default);
-}
-
-#[test]
-fn parallel_solver_counters_match_sequential() {
-    // The absorbed route replays the direct run's cache schedule, so the
-    // whole counter block — requests, full solves, memo/witness hits,
-    // evictions, terms, symbols, runs — is machine-independently equal.
-    let seq = Firewall::default()
-        .explore_threads(StackLevel::FullStack, 1)
-        .result
-        .stats;
-    for threads in [2, 4, 8] {
-        let par = Firewall::default()
-            .explore_threads(StackLevel::FullStack, threads)
-            .result
-            .stats;
-        assert_eq!(seq, par, "stats diverged at {threads} threads");
-    }
 }
 
 #[test]
