@@ -19,10 +19,11 @@
 //! carry the determinism argument: a key is an upstream path index, a
 //! step composes that path against every downstream candidate, and
 //! `threads` only sets how many workers speculate steps ahead of the
-//! committer. Composed path order, constraint terms, verdicts, metrics,
-//! and [`SolverStats`] counters are byte-equal at any thread count. With
-//! workers, a debug build runs both routes of every step and asserts
-//! they agree.
+//! committer. A chain runs at its [`Pipeline::threads`] count and a bare
+//! pair at its `Composer`'s, both 1 unless the caller sets them. Composed
+//! path order, constraint terms, verdicts, metrics, and [`SolverStats`]
+//! counters are byte-equal at any thread count. With workers, a debug
+//! build runs both routes of every step and asserts they agree.
 //!
 //! # Memoized composition
 //!
@@ -1026,11 +1027,16 @@ impl fmt::Display for ChainReport {
 /// [`Pipeline::parallelize`] additionally partitions the chain into
 /// groups of provably order-independent stages and attaches the
 /// [`ChainPlan`] (itself a store record) to the report.
-#[derive(Default)]
 pub struct Pipeline<'s> {
     pub(crate) stages: Vec<Box<dyn AbstractNf>>,
     pub(crate) store: Option<&'s bolt_store::ContractStore>,
-    pub(crate) threads: Option<usize>,
+    pub(crate) threads: usize,
+}
+
+impl Default for Pipeline<'_> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<'s> Pipeline<'s> {
@@ -1039,7 +1045,7 @@ impl<'s> Pipeline<'s> {
         Pipeline {
             stages: Vec::new(),
             store: None,
-            threads: None,
+            threads: 1,
         }
     }
 
@@ -1063,10 +1069,12 @@ impl<'s> Pipeline<'s> {
     }
 
     /// Explore stages and compose path pairs on `n` threads: the
-    /// committing caller and `n − 1` workers (1 = sequential). Overrides
-    /// the ambient `BOLT_THREADS`; contracts and plans are bit-identical.
+    /// committing caller and `n − 1` workers (1, the default, is
+    /// sequential). Every way of running the chain uses this count,
+    /// [`Composer::chain`] included; contracts and plans are
+    /// bit-identical at any count.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
+        self.threads = n.max(1);
         self
     }
 
@@ -1098,18 +1106,13 @@ impl<'s> Pipeline<'s> {
         Some(key)
     }
 
-    pub(crate) fn resolved_threads(&self) -> usize {
-        self.threads.unwrap_or_else(crate::nf::ambient_threads)
-    }
-
     /// Each stage's individual contract, upstream first (every stage is
     /// explored at `level`, through the attached store when there is
     /// one).
     pub fn contracts(&self, level: StackLevel) -> Vec<NfContract> {
-        let threads = self.resolved_threads();
         self.stages
             .iter()
-            .map(|s| s.explore_contract(level, self.store, threads).0)
+            .map(|s| s.explore_contract(level, self.store, self.threads).0)
             .collect()
     }
 
@@ -1134,9 +1137,9 @@ impl<'s> Pipeline<'s> {
     /// for the next run. Stage contracts are built lazily, so a fully
     /// warm chain run touches nothing but the final composed record.
     ///
-    /// Equivalent to [`crate::composer::Composer::chain`] with this
-    /// pipeline's store/threads settings; build a [`Composer`] directly
-    /// to share a solver cache across chains or to enable planning.
+    /// Equivalent to [`crate::composer::Composer::chain`] on a fresh
+    /// solver; build a [`Composer`] directly to share a solver cache
+    /// across chains or to enable planning.
     pub fn report(&self, level: StackLevel) -> Option<ChainReport> {
         let solver = Solver::default();
         Composer::new(&solver).chain(self, level)

@@ -1,16 +1,21 @@
 //! The unified front door for chain composition: [`Composer`].
 //!
 //! One builder carries every composition capability (a shared cache,
-//! worker threads, planning); a chain's store is its [`Pipeline`]'s:
+//! worker threads, planning):
 //!
 //! ```ignore
 //! let solver = Solver::default();
-//! let mut composer = Composer::new(&solver)
-//!     .threads(8)
-//!     .parallelize(true);
+//! let mut composer = Composer::new(&solver).parallelize(true);
 //! let report = composer.chain(&pipeline, StackLevel::FullStack).unwrap();
 //! println!("{report}");
 //! ```
+//!
+//! A thread count belongs to the object that owns the work. A chain is
+//! its [`Pipeline`]'s — its stages, its store and its thread count — so
+//! [`Composer::chain`] runs at [`Pipeline::threads`]. A bare
+//! [`Composer::compose`] or [`Composer::compose_all`] runs at
+//! [`Composer::threads`]. Both default to 1, and output is bit-identical
+//! at any count.
 //!
 //! One `Composer` can serve many compositions: its solver cache carries
 //! feasibility memos across calls, and [`ChainReport::solver`] always
@@ -47,7 +52,7 @@ use crate::store::{compose_key, level_name, plan_key, Fingerprint, StoreExt};
 pub struct Composer<'a> {
     solver: &'a Solver,
     cache: SolverCache,
-    threads: Option<usize>,
+    threads: usize,
     parallelize: bool,
 }
 
@@ -57,16 +62,17 @@ impl<'a> Composer<'a> {
         Composer {
             solver,
             cache: SolverCache::new(),
-            threads: None,
+            threads: 1,
             parallelize: false,
         }
     }
 
-    /// Compose path pairs (and explore stages) on `n` threads: the
-    /// committing caller and `n − 1` workers. Overrides a pipeline's own
-    /// setting and the ambient `BOLT_THREADS`; output is bit-identical.
+    /// Compose path pairs in [`Composer::compose`] and
+    /// [`Composer::compose_all`] on `n` threads: the committing caller and
+    /// `n − 1` workers. A chain runs at its pipeline's count instead
+    /// ([`Pipeline::threads`]). Output is bit-identical.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
+        self.threads = n.max(1);
         self
     }
 
@@ -83,17 +89,12 @@ impl<'a> Composer<'a> {
         self.cache.stats
     }
 
-    fn resolved_threads(&self) -> usize {
-        self.threads.unwrap_or_else(crate::nf::ambient_threads)
-    }
-
     /// Compose two contracts into the contract of `first → second`.
     pub fn compose(&mut self, first: &NfContract, second: &NfContract) -> NfContract {
-        let threads = self.resolved_threads();
         let registry = bolt_obs::global();
         registry.counter("compose.pairs").inc();
         let _span = registry.histogram("compose.wall").span();
-        compose_pair(first, second, self.solver, &mut self.cache, threads)
+        compose_pair(first, second, self.solver, &mut self.cache, self.threads)
     }
 
     /// Fold pre-built stage contracts left to right through this
@@ -113,17 +114,13 @@ impl<'a> Composer<'a> {
     /// [`Composer::parallelize`] enabled, the plan). `None` for an
     /// empty chain.
     ///
-    /// The store is the pipeline's; without one nothing is persisted. An
-    /// explicit [`Composer::threads`] wins over the pipeline's setting;
-    /// unset on both, threads fall back to `BOLT_THREADS`.
+    /// The store and the thread count are the pipeline's; without a
+    /// store nothing is persisted.
     pub fn chain(&mut self, pipeline: &Pipeline<'_>, level: StackLevel) -> Option<ChainReport> {
         if pipeline.stages.is_empty() {
             return None;
         }
-        let threads = self
-            .threads
-            .or(pipeline.threads)
-            .unwrap_or_else(crate::nf::ambient_threads);
+        let threads = pipeline.threads;
         let store = pipeline.store;
         let registry: Arc<Registry> = match store {
             Some(s) => s.metrics().clone(),

@@ -51,7 +51,7 @@ pub use classes::{ClassSpec, InputClass};
 pub use codec::{decode_contract, encode_contract, encode_plan};
 pub use composer::Composer;
 pub use contract::{generate, NfContract, PathContract, QueryResult};
-pub use nf::{ambient_threads, AbstractNf, Bolt, Contract, Exploration, NetworkFunction};
+pub use nf::{AbstractNf, Bolt, Contract, Exploration, NetworkFunction};
 pub use store::{
     compose_key, level_name, store_key, ContractStore, Fingerprint, Fingerprinter, StoreExt,
 };

@@ -18,6 +18,11 @@
 //! let q = contract.query(&broadcast_frames, Metric::Instructions, &env);
 //! ```
 //!
+//! Exploration runs on one thread unless the caller passes a count
+//! ([`Bolt::threads`], [`NetworkFunction::explore_threads`],
+//! [`crate::store::StoreExt::get_or_explore_threads`]); output is
+//! bit-identical at any count.
+//!
 //! Chains (§3.4) compose over the same abstraction: [`crate::chain::Pipeline`]
 //! takes heterogeneous NFs as trait objects and pairwise-composes their
 //! contracts.
@@ -45,20 +50,6 @@ pub use bolt_store::{ContractStore, Fingerprinter};
 use crate::classes::InputClass;
 use crate::contract::{generate, NfContract, PathContract, QueryResult};
 use crate::store::StoreExt;
-
-/// Environment variable naming the ambient exploration thread count.
-const THREADS_ENV: &str = "BOLT_THREADS";
-
-/// The ambient exploration thread count: `BOLT_THREADS` when set to a
-/// positive integer, else 1 (nothing spawned). Exploration output is
-/// bit-identical at any value; the knob only trades cores for
-/// wall-clock.
-pub fn ambient_threads() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
 
 /// A network function: configuration plus the Vigor-style split into
 /// stateful library parts (registered, modelled, contracted) and
@@ -149,13 +140,13 @@ pub trait NetworkFunction {
 
     /// Run the analysis build: enumerate every feasible path of this NF
     /// at the given stack level (Algorithm 2, lines 2–3). Provided for
-    /// every NF. Honours the ambient `BOLT_THREADS` thread count
-    /// ([`ambient_threads`]); output is bit-identical at any value.
+    /// every NF. Sequential; [`NetworkFunction::explore_threads`] takes a
+    /// thread count, and output is bit-identical at any count.
     fn explore(&self, level: StackLevel) -> Exploration<Self::Ids>
     where
         Self: Sized + Sync,
     {
-        self.explore_threads(level, ambient_threads())
+        self.explore_threads(level, 1)
     }
 
     /// [`NetworkFunction::explore`] with an explicit thread count
@@ -246,12 +237,11 @@ pub(crate) fn registered<N: NetworkFunction>(nf: &N) -> (Arc<DsRegistry>, N::Ids
 /// with [`Bolt::with_store`], and skips the explorer (and every solver
 /// query) on a warm hit. With no store attached it explores fresh and
 /// touches no disk. [`Bolt::threads`] sets the exploration
-/// worker-thread count (default: ambient `BOLT_THREADS`, else 1);
-/// output is bit-identical at any count.
+/// worker-thread count (default 1); output is bit-identical at any count.
 pub struct Bolt<'s, N> {
     nf: N,
     store: Option<&'s ContractStore>,
-    threads: Option<usize>,
+    threads: usize,
 }
 
 impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
@@ -260,7 +250,7 @@ impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
         Bolt {
             nf,
             store: None,
-            threads: None,
+            threads: 1,
         }
     }
 
@@ -272,20 +262,19 @@ impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
     }
 
     /// Explore on `n` threads: the committing caller and `n − 1` workers
-    /// (1 = sequential). Overrides the ambient `BOLT_THREADS`. The knob
-    /// trades cores for wall-clock only — output is bit-identical.
+    /// (1 = sequential). The knob trades cores for wall-clock only —
+    /// output is bit-identical.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
+        self.threads = n.max(1);
         self
     }
 
     /// Run the analysis build at a stack level (through the attached
     /// store, when there is one).
     pub fn explore(self, level: StackLevel) -> Exploration<N::Ids> {
-        let threads = self.threads.unwrap_or_else(ambient_threads);
         match self.store {
-            Some(store) => store.get_or_explore_threads(&self.nf, level, threads),
-            None => self.nf.explore_threads(level, threads),
+            Some(store) => store.get_or_explore_threads(&self.nf, level, self.threads),
+            None => self.nf.explore_threads(level, self.threads),
         }
     }
 

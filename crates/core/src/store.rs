@@ -133,14 +133,13 @@ pub trait StoreExt {
     /// first use in the process. Cold path: explore, save the record,
     /// and return the fresh result. The returned [`Exploration::cached`]
     /// flag says which happened, and [`Exploration::record_bytes`] the
-    /// size of the record read or written. Explores at the ambient
-    /// `BOLT_THREADS` count.
+    /// size of the record read or written. Explores sequentially.
     fn get_or_explore<N: NetworkFunction + Sync>(
         &self,
         nf: &N,
         level: StackLevel,
     ) -> Exploration<N::Ids> {
-        self.get_or_explore_threads(nf, level, crate::nf::ambient_threads())
+        self.get_or_explore_threads(nf, level, 1)
     }
 
     /// [`StoreExt::get_or_explore`] with an explicit exploration

@@ -62,7 +62,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Hard ceiling on spawned workers, whatever the caller asks for: an
-/// absurd ambient count (`BOLT_THREADS=100000`) must degrade to
+/// absurd count (`--threads 100000`) must degrade to
 /// oversubscription, not abort when the OS refuses a spawn. Output does
 /// not depend on the worker count, so clamping never changes results.
 const MAX_WORKERS: usize = 256;

@@ -11,17 +11,10 @@
 //! (torn write vs. error vs. stall) is the injection point's business,
 //! so the plan stays a pure decision oracle.
 //!
-//! Two ways to activate a plan:
-//!
-//! * **Explicitly** — build one with [`FaultPlan::seeded`] and the
-//!   `with_*` builders and hand it to `ContractStore::with_faults` or
-//!   `ServerBuilder::fault` (what the torture tests do).
-//! * **Ambiently** — set `BOLT_FAULT_SEED` (a u64) and/or
-//!   `BOLT_FAULT_PLAN` (comma-separated `site=PROB` / `site@NTH`
-//!   entries, e.g. `store.rename=0.25,serve.read.err@3`); [`ambient`]
-//!   parses them once and every store/server opened afterwards picks the
-//!   plan up. With neither variable set, [`ambient`] is `None` and the
-//!   instrumented code paths cost one branch.
+//! A plan is always explicit: build one with [`FaultPlan::seeded`] and
+//! the `with_*` builders and hand it to `ContractStore::with_faults` or
+//! `ServerBuilder::fault`. Without one nothing fires, and the
+//! instrumented code paths cost one branch.
 //!
 //! Determinism: each site owns its own RNG stream, seeded from the plan
 //! seed and the site name, plus a call counter. A single-threaded
@@ -32,7 +25,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Well-known site names. The constants exist so injection points and
@@ -69,6 +62,21 @@ pub mod site {
     /// Server request handling: stall before servicing (drives the
     /// per-request deadline deterministically in tests).
     pub const SERVE_HANDLE_STALL: &str = "serve.handle.stall";
+
+    /// Every site above, store sites first.
+    pub const ALL: [&str; 11] = [
+        STORE_WRITE,
+        STORE_WRITE_PARTIAL,
+        STORE_FSYNC,
+        STORE_RENAME,
+        STORE_READ,
+        SERVE_READ_ERR,
+        SERVE_READ_STALL,
+        SERVE_READ_DISCONNECT,
+        SERVE_WRITE_ERR,
+        SERVE_WRITE_PARTIAL,
+        SERVE_HANDLE_STALL,
+    ];
 }
 
 /// A small, fast, seedable PRNG (xorshift64*). Not cryptographic; used
@@ -142,7 +150,6 @@ pub struct FaultPlan {
     stall: Duration,
     sites: Mutex<HashMap<String, SiteState>>,
     injected: AtomicU64,
-    rejected: u64,
 }
 
 impl FaultPlan {
@@ -153,13 +160,7 @@ impl FaultPlan {
             stall: Duration::from_millis(100),
             sites: Mutex::new(HashMap::new()),
             injected: AtomicU64::new(0),
-            rejected: 0,
         }
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Schedule `site` to fire each call with probability `p` (clamped
@@ -202,46 +203,6 @@ impl FaultPlan {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Parse a comma-separated spec (`site=PROB` / `site@NTH` entries, the
-    /// `BOLT_FAULT_PLAN` grammar) into the plan. Malformed entries never
-    /// panic — fault injection must not be able to take the process down by
-    /// itself. Each reject is counted and reported as a `fault.plan.reject`
-    /// event through the ambient `bolt_obs` trace sink, carrying the
-    /// offending entry and a reason.
-    fn with_spec(mut self, spec: &str) -> Self {
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let reason = if let Some((name, p)) = entry.split_once('=') {
-                match p.trim().parse::<f64>() {
-                    Ok(p) => {
-                        self = self.with_prob(name.trim(), p);
-                        continue;
-                    }
-                    Err(_) => "bad probability",
-                }
-            } else if let Some((name, n)) = entry.split_once('@') {
-                match n.trim().parse::<u64>() {
-                    Ok(n) => {
-                        self = self.with_at(name.trim(), n);
-                        continue;
-                    }
-                    Err(_) => "bad call index",
-                }
-            } else {
-                "want site=PROB or site@NTH"
-            };
-            self.rejected += 1;
-            bolt_obs::trace::emit(
-                "fault.plan.reject",
-                &[("entry", entry.into()), ("reason", reason.into())],
-            );
-        }
-        self
-    }
-
     /// Ask whether `site` fires on this call. Sites the plan never named
     /// always answer `false` (and keep no state).
     pub fn fires(&self, site: &str) -> bool {
@@ -274,44 +235,6 @@ impl FaultPlan {
         self.fires(site)
             .then(|| io::Error::other(format!("injected fault at {site}: {what}")))
     }
-
-    /// Parse a plan from `BOLT_FAULT_SEED` / `BOLT_FAULT_PLAN` (plus
-    /// `BOLT_FAULT_STALL_MS` for stall sites). `None` when neither
-    /// variable is set. A seed without a plan yields an inert plan (no
-    /// sites) — useful for CI matrices whose tests build their own
-    /// site schedules from [`FaultPlan::seed`]. Malformed entries are
-    /// rejected (counted, traced), never a panic: fault injection must
-    /// not be able to take the process down by itself.
-    fn from_env() -> Option<Arc<FaultPlan>> {
-        let seed_var = std::env::var("BOLT_FAULT_SEED").ok();
-        let plan_var = std::env::var("BOLT_FAULT_PLAN").ok();
-        if seed_var.is_none() && plan_var.is_none() {
-            return None;
-        }
-        let seed = seed_var
-            .as_deref()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0xB017_FA57);
-        let mut plan = FaultPlan::seeded(seed);
-        if let Ok(ms) = std::env::var("BOLT_FAULT_STALL_MS") {
-            if let Ok(ms) = ms.trim().parse::<u64>() {
-                plan = plan.with_stall(Duration::from_millis(ms));
-            }
-        }
-        if let Some(spec) = plan_var {
-            plan = plan.with_spec(&spec);
-        }
-        Some(Arc::new(plan))
-    }
-}
-
-/// The process-wide ambient plan, parsed from the environment once
-/// (`BOLT_FAULT_SEED`, `BOLT_FAULT_PLAN`, `BOLT_FAULT_STALL_MS` — see the
-/// module docs). `None` — the common case — costs one
-/// initialized-`OnceLock` load per query.
-pub fn ambient() -> Option<&'static Arc<FaultPlan>> {
-    static AMBIENT: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-    AMBIENT.get_or_init(FaultPlan::from_env).as_ref()
 }
 
 #[cfg(test)]
@@ -364,23 +287,6 @@ mod tests {
             .expect("scheduled");
         assert!(e.to_string().contains("store.rename"), "{e}");
         assert!(plan.io_fault(site::STORE_RENAME, "again").is_none());
-    }
-
-    #[test]
-    fn spec_parsing_counts_rejects() {
-        let plan = FaultPlan::seeded(1)
-            .with_spec("store.rename=0.5, serve.read.err@3,bogus,x=notafloat,y@NaN, ,z=1.0");
-        assert_eq!(plan.rejected, 3, "bogus, x=, y@ are rejected");
-        // The well-formed entries still landed.
-        assert!((0..10).any(|_| plan.fires("z")), "z=1.0 accepted");
-        let fired: Vec<bool> = (0..4).map(|_| plan.fires("serve.read.err")).collect();
-        assert_eq!(fired, vec![false, false, true, false]);
-    }
-
-    #[test]
-    fn clean_spec_rejects_nothing() {
-        let plan = FaultPlan::seeded(2).with_spec("a=0.25,b@7");
-        assert_eq!(plan.rejected, 0);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   `get` bumps — but a server cache hit never calls `get`, so a record
 //!   hot in the server would look cold to the sweeper. Cache hits
 //!   therefore record a *pending touch*; the server flushes the batch
-//!   through [`bolt_store::ContractStore::touch`] every
-//!   [`CacheConfig::flush_every`] hits (and on shutdown), keeping the
+//!   through [`bolt_store::ContractStore::touch`] once
+//!   `FLUSH_EVERY` (32) records are pending (and on shutdown), keeping the
 //!   sweeper's MRU order aligned with the server's without one stamp
 //!   write per request.
 //! * **Entry mutability.** [`bolt_core::NfContract::query`] needs `&mut`
@@ -63,6 +63,10 @@ pub struct CacheEntry {
     pub memo: HashMap<MemoKey, QueryReply>,
 }
 
+/// Flush pending last-used touches to disk once this many distinct
+/// records are pending (shutdown always flushes the remainder).
+const FLUSH_EVERY: usize = 32;
+
 /// Cache tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
@@ -71,16 +75,12 @@ pub struct CacheConfig {
     /// most-recently-inserted entry is never evicted, so one oversized
     /// contract still serves.
     pub budget: u64,
-    /// Flush pending last-used touches to disk after this many cache
-    /// hits (1 = write-through; shutdown always flushes the remainder).
-    pub flush_every: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             budget: 64 * 1024 * 1024,
-            flush_every: 32,
         }
     }
 }
@@ -121,7 +121,7 @@ impl ContractCache {
 
     /// Look up a hot contract. A hit bumps the entry's recency and
     /// records a pending on-disk touch (flushed in batches of
-    /// [`CacheConfig::flush_every`]).
+    /// `FLUSH_EVERY`).
     pub fn lookup(&self, key: Fingerprint) -> Option<Arc<Mutex<CacheEntry>>> {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.clock += 1;
@@ -186,13 +186,13 @@ impl ContractCache {
         (entry, evicted)
     }
 
-    /// Drain the pending touch batch if it has reached
-    /// [`CacheConfig::flush_every`] (or unconditionally with
+    /// Drain the pending touch batch if it has reached `FLUSH_EVERY`
+    /// (or unconditionally with
     /// `force`). The caller writes the stamps through
     /// [`bolt_store::ContractStore::touch`].
     pub(crate) fn take_pending_touches(&self, force: bool) -> Vec<Fingerprint> {
         let mut inner = self.inner.lock().expect("cache poisoned");
-        if !force && inner.pending_touches.len() < self.config.flush_every {
+        if !force && inner.pending_touches.len() < FLUSH_EVERY {
             return Vec::new();
         }
         let mut keys: Vec<Fingerprint> = inner.pending_touches.drain().collect();
@@ -251,10 +251,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_the_budget_and_recency() {
-        let cache = ContractCache::new(CacheConfig {
-            budget: 100,
-            flush_every: usize::MAX,
-        });
+        let cache = ContractCache::new(CacheConfig { budget: 100 });
         let (a, b, c) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
         assert!(cache.insert(a, entry("a"), 40).1.is_empty());
         assert!(cache.insert(b, entry("b"), 40).1.is_empty());
@@ -271,10 +268,7 @@ mod tests {
 
     #[test]
     fn peek_bumps_neither_recency_nor_touches() {
-        let cache = ContractCache::new(CacheConfig {
-            budget: 100,
-            flush_every: 1,
-        });
+        let cache = ContractCache::new(CacheConfig { budget: 100 });
         let (a, b, c) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
         cache.insert(a, entry("a"), 40);
         cache.insert(b, entry("b"), 40);
@@ -282,8 +276,7 @@ mod tests {
         assert!(cache.peek(a).is_some());
         let (_, evicted) = cache.insert(c, entry("c"), 40);
         assert_eq!(evicted, vec![a], "peek must not bump LRU recency");
-        // ...and must not queue an on-disk touch (flush_every=1 means a
-        // single lookup would).
+        // ...and must not queue an on-disk touch.
         assert!(cache.take_pending_touches(true).is_empty());
         assert!(cache.peek(b).is_some());
         assert!(cache.take_pending_touches(true).is_empty());
@@ -293,10 +286,7 @@ mod tests {
 
     #[test]
     fn an_oversized_entry_still_serves() {
-        let cache = ContractCache::new(CacheConfig {
-            budget: 10,
-            flush_every: usize::MAX,
-        });
+        let cache = ContractCache::new(CacheConfig { budget: 10 });
         let k = Fingerprint(9);
         let (_, evicted) = cache.insert(k, entry("big"), 1000);
         assert!(evicted.is_empty());
@@ -305,10 +295,7 @@ mod tests {
 
     #[test]
     fn reinserting_a_key_replaces_its_weight() {
-        let cache = ContractCache::new(CacheConfig {
-            budget: 1000,
-            flush_every: usize::MAX,
-        });
+        let cache = ContractCache::new(CacheConfig { budget: 1000 });
         let k = Fingerprint(5);
         cache.insert(k, entry("x"), 600);
         cache.insert(k, entry("x"), 200);
@@ -318,23 +305,23 @@ mod tests {
 
     #[test]
     fn touches_batch_until_the_flush_threshold() {
-        let cache = ContractCache::new(CacheConfig {
-            budget: 1000,
-            flush_every: 2,
-        });
-        let (a, b) = (Fingerprint(1), Fingerprint(2));
-        cache.insert(a, entry("a"), 1);
-        cache.insert(b, entry("b"), 1);
-        cache.lookup(a);
+        let cache = ContractCache::new(CacheConfig { budget: 1000 });
+        let keys: Vec<Fingerprint> = (0..FLUSH_EVERY as u128).map(Fingerprint).collect();
+        for &k in &keys {
+            cache.insert(k, entry("k"), 1);
+        }
+        for &k in &keys[..FLUSH_EVERY - 1] {
+            cache.lookup(k);
+            // A repeat hit on a pending record does not grow the batch.
+            cache.lookup(k);
+        }
         assert!(cache.take_pending_touches(false).is_empty(), "below batch");
-        cache.lookup(b);
-        let mut due = cache.take_pending_touches(false);
-        due.sort();
-        assert_eq!(due, vec![a, b]);
+        cache.lookup(keys[FLUSH_EVERY - 1]);
+        assert_eq!(cache.take_pending_touches(false), keys);
         // Drained: nothing pending, even forced.
         assert!(cache.take_pending_touches(true).is_empty());
         // Force flushes a partial batch (the shutdown path).
-        cache.lookup(a);
-        assert_eq!(cache.take_pending_touches(true), vec![a]);
+        cache.lookup(keys[0]);
+        assert_eq!(cache.take_pending_touches(true), vec![keys[0]]);
     }
 }

@@ -88,9 +88,7 @@ struct ServerConfig {
     /// of an arbitrarily stale answer (counted in `deadlines_exceeded`).
     request_deadline: Option<Duration>,
     /// Deterministic fault injection for this server's transports.
-    /// `None` falls back to the ambient [`bolt_fault::ambient`] plan
-    /// (i.e. the `BOLT_FAULT_*` environment), which is itself `None`
-    /// outside torture runs.
+    /// `None` injects nothing.
     fault: Option<Arc<FaultPlan>>,
     /// Number of event-loop workers; `0` picks the default (2).
     event_workers: usize,
@@ -265,10 +263,7 @@ impl Server {
             } else {
                 config.max_pipeline_depth.min(MAX_PIPELINE_DEPTH)
             },
-            fault: config
-                .fault
-                .clone()
-                .or_else(|| bolt_fault::ambient().cloned()),
+            fault: config.fault.clone(),
             active: Arc::new(AtomicUsize::new(0)),
         };
 

@@ -355,7 +355,7 @@ impl ServeCore {
     }
 
     /// Flush the pending cache-hit touch batch to the store's last-used
-    /// stamps if it has reached [`CacheConfig::flush_every`] — the
+    /// stamps if it has reached the cache's batch size — the
     /// socket server calls this from its event loop between poll
     /// wakeups, so the request path itself never pays a stamp write.
     /// Returns how many records were stamped (0 below the threshold).

@@ -419,6 +419,47 @@ fn seeded_transport_storm_converges_to_byte_identical_answers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every fault site is reachable: arm each one alone to fire on its first
+/// call, drive the operation that should reach it — a cold
+/// `get_or_explore` for store sites, a served query for serve sites —
+/// and require exactly one injection.
+#[test]
+fn every_fault_site_is_reached() {
+    let (dir, _warm) = warm_store("sites");
+    for site in bolt_fault::site::ALL {
+        let plan = Arc::new(
+            bolt_fault::FaultPlan::seeded(1)
+                .with_at(site, 1)
+                .with_stall(Duration::from_millis(1)),
+        );
+        if site.starts_with("store.") {
+            let store =
+                ContractStore::with_faults(dir.join(site), Some(Arc::clone(&plan))).unwrap();
+            let _ = store.get_or_explore(&Bridge::default(), StackLevel::NfOnly);
+        } else {
+            let sock = dir.join(format!("{site}.sock"));
+            let store = ContractStore::open(dir.join("store")).unwrap();
+            let server = Server::builder()
+                .unix(sock.clone())
+                .fault(Arc::clone(&plan))
+                .start(ServeCore::new(store))
+                .unwrap();
+            let mut client = Client::builder(&Endpoint::Unix(sock))
+                .config(fast_retry_config())
+                .build()
+                .unwrap();
+            assert!(
+                (0..10).any(|_| client.query(bridge_query()).is_ok()),
+                "{site}: the query never converged"
+            );
+            server.request_shutdown();
+            server.join();
+        }
+        assert_eq!(plan.injected(), 1, "no operation reached {site}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_diff_whose_reply_is_lost_is_retried_like_any_read() {
     let (dir, store) = warm_store("diffretry");

@@ -15,8 +15,7 @@ use bolt_expr::PcvAssignment;
 use bolt_nfs::{Bridge, Firewall, StaticRouter};
 use bolt_serve::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME};
 use bolt_serve::{
-    CacheConfig, Client, DiffRequest, Endpoint, QueryRequest, ServeCore, Server, StatsReply,
-    LEGACY_STATS_NAMES,
+    Client, DiffRequest, Endpoint, QueryRequest, ServeCore, Server, StatsReply, LEGACY_STATS_NAMES,
 };
 use bolt_store::ContractStore;
 use bolt_trace::Metric;
@@ -441,14 +440,7 @@ fn server_cache_hits_keep_the_store_lru_honest() {
     let (dir, store) = warm_store("coherence");
     let hot_key = store_key(&Firewall::default(), StackLevel::NfOnly);
     let cold_key = store_key(&Bridge::default(), StackLevel::NfOnly);
-    // flush_every=1 exercises the batched path on every hit.
-    let core = ServeCore::with_config(
-        store,
-        CacheConfig {
-            budget: 64 * 1024 * 1024,
-            flush_every: 1,
-        },
-    );
+    let core = ServeCore::new(store);
     let ask = |nf: &str| {
         core.query(&QueryRequest {
             nf: nf.to_string(),

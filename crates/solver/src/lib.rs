@@ -276,24 +276,16 @@ impl Interval {
     }
 }
 
-/// The solver. Stateless between queries; deterministic for a given seed.
-#[derive(Clone, Debug)]
-pub struct Solver {
-    /// Maximum number of randomized completion trials.
-    pub max_trials: usize,
-    /// RNG seed, mixed with a hash of the constraint set so each query is
-    /// deterministic but distinct queries explore differently.
-    pub seed: u64,
-}
+/// Maximum number of randomized completion trials.
+const MAX_TRIALS: usize = 256;
 
-impl Default for Solver {
-    fn default() -> Self {
-        Solver {
-            max_trials: 256,
-            seed: 0x0b17_c0de,
-        }
-    }
-}
+/// RNG seed, mixed with a hash of the constraint set so each query is
+/// deterministic but distinct queries explore differently.
+const SEED: u64 = 0x0b17_c0de;
+
+/// The solver. Stateless between queries and deterministic.
+#[derive(Clone, Debug, Default)]
+pub struct Solver {}
 
 /// Internal propagation state. Holds no pool reference so that an
 /// incremental [`SolverCtx`] can keep it alive while the caller keeps
@@ -792,7 +784,7 @@ fn next_candidate(assignment: &mut [u64], intervals: &[Interval]) -> bool {
 }
 
 impl Solver {
-    /// Create a solver with default limits.
+    /// Create a solver.
     pub fn new() -> Self {
         Self::default()
     }
@@ -1031,7 +1023,7 @@ impl Solver {
             v.dedup();
             v
         };
-        let mut seed = self.seed;
+        let mut seed = SEED;
         for &c in constraints {
             seed = seed
                 .wrapping_mul(0x100000001b3)
@@ -1039,7 +1031,7 @@ impl Solver {
         }
         let mut rng = SmallRng::seed_from_u64(seed);
 
-        for trial in 0..self.max_trials {
+        for trial in 0..MAX_TRIALS {
             let mut w = Witness::default();
             for &s in &all_syms {
                 let r = prop.find(s);

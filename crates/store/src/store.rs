@@ -256,9 +256,8 @@ pub struct ContractStore {
 }
 
 impl ContractStore {
-    /// Open (creating if needed) a store rooted at `dir`. Picks up the
-    /// ambient fault plan, if any (see [`bolt_fault::ambient`]); tests
-    /// that want an explicit plan use [`ContractStore::with_faults`].
+    /// Open (creating if needed) a store rooted at `dir`, with no fault
+    /// injection; tests that want faults use [`ContractStore::with_faults`].
     ///
     /// Opening also heals crash debris: any `.tmp.` scratch file a dead
     /// writer left behind (a process killed between write and rename)
@@ -269,11 +268,11 @@ impl ContractStore {
     /// and checksums and treats damage as a miss, which the next `put`
     /// overwrites.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::with_faults(dir, bolt_fault::ambient().cloned())
+        Self::with_faults(dir, None)
     }
 
     /// [`ContractStore::open`] under an explicit fault plan (`None`
-    /// disables injection regardless of the environment).
+    /// injects nothing).
     pub fn with_faults(dir: impl Into<PathBuf>, fault: Option<Arc<FaultPlan>>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;

@@ -13,8 +13,9 @@
 //!   every *successful* `get` must still return exactly the bytes that
 //!   were put, and a fault-free reopen must heal the store completely.
 //!
-//! The storm tests honour `BOLT_FAULT_SEED` so CI can sweep seeds; the
-//! assertions are seed-independent invariants, not golden outcomes.
+//! The storm tests read `BOLT_FAULT_SEED` themselves (the library reads
+//! no fault variable) so CI can sweep seeds; the assertions are
+//! seed-independent invariants, not golden outcomes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -37,7 +38,8 @@ fn fp(n: u128) -> Fingerprint {
     Fingerprint(n)
 }
 
-fn seed_from_env() -> u64 {
+/// The storm seed: `BOLT_FAULT_SEED` when set, else a fixed default.
+fn storm_seed() -> u64 {
     std::env::var("BOLT_FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -217,7 +219,7 @@ fn assert_healed(dir: &Path, keys: &[u128]) {
 
 #[test]
 fn seeded_fault_storm_keeps_reads_exact() {
-    let seed = seed_from_env();
+    let seed = storm_seed();
     let dir = temp_dir("storm");
     let keys: Vec<u128> = (0x10..0x18).collect();
     let store = ContractStore::with_faults(&dir, Some(storm_plan(seed))).unwrap();
@@ -232,7 +234,7 @@ fn seeded_fault_storm_keeps_reads_exact() {
 
 #[test]
 fn concurrent_seeded_fault_storm_keeps_reads_exact() {
-    let seed = seed_from_env();
+    let seed = storm_seed();
     let dir = temp_dir("storm-mt");
     let store = Arc::new(ContractStore::with_faults(&dir, Some(storm_plan(seed ^ 0xA5))).unwrap());
     // Disjoint key ranges per thread keep the byte-exactness assertion

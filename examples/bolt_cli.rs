@@ -33,7 +33,7 @@
 use std::process::exit;
 
 use bolt::core::store::{level_from_name, level_name, level_tag, RecordKind};
-use bolt::core::{ambient_threads, ClassSpec, InputClass, Pipeline};
+use bolt::core::{ClassSpec, InputClass, Pipeline};
 use bolt::expr::PcvAssignment;
 use bolt::see::StackLevel;
 use bolt::serve::{
@@ -53,7 +53,7 @@ fn usage() -> ! {
         "usage: bolt_cli <command> [options]\n\
          \n\
          commands:\n\
-         \x20 explore  --nf NAME | --all   [--level nf-only|full-stack|both] [--store DIR]\n\
+         \x20 explore  --nf NAME | --all   [--level nf-only|full-stack|both] [--threads N] [--store DIR]\n\
          \x20 list     [--store DIR | --remote EP]\n\
          \x20 query    --nf NAME [--level L] [--metric M] [--pcv name=val]... [--tag TAG] [--store DIR | --remote EP]\n\
          \x20          [--depth N] [--repeat N]   (remote only: pipeline window, default 8; N queries on one connection)\n\
@@ -72,6 +72,7 @@ fn usage() -> ! {
          LEVEL  ∈ {{nf-only, full-stack}} (default: full-stack)\n\
          M      ∈ {{instructions, mem-accesses, cycles}} (default: instructions)\n\
          EP     a unix socket path, or tcp:HOST:PORT\n\
+         N      for --threads: explore/compose on N threads (default 1; output is identical at any N)\n\
          store  --store DIR, else $BOLT_STORE_DIR, else .bolt-store\n\
          remote calls honour --timeout SECS as the per-call reply deadline",
         NF_NAMES.join(", ")
@@ -257,10 +258,10 @@ fn levels_of(o: &Opts) -> Vec<StackLevel> {
 /// Get-or-explore one NF — the exploration record is what persists;
 /// the contract is regenerated from it on every load — and print a
 /// one-line summary.
-fn explore_one(store: &ContractStore, name: &str, level: StackLevel) {
+fn explore_one(store: &ContractStore, name: &str, level: StackLevel, threads: usize) {
     let nf = nf_by_name(name).unwrap_or_else(|e| die(&e));
     let key = nf.store_key(level);
-    let (contract, cached) = nf.explore_contract(level, Some(store), ambient_threads());
+    let (contract, cached) = nf.explore_contract(level, Some(store), threads);
     let source = if cached { "warm" } else { "explored" };
     println!(
         "{name:>14} {:>10} {source:>8}  {:>3} paths  key {key}",
@@ -282,7 +283,7 @@ fn cmd_explore(o: &Opts) {
     };
     for name in names {
         for &level in &levels {
-            explore_one(&store, name, level);
+            explore_one(&store, name, level, o.threads.unwrap_or(1));
         }
     }
 }
@@ -414,9 +415,7 @@ fn cmd_chain(o: &Opts) {
     for name in spec.split(',') {
         chain = chain.push_boxed(nf_by_name(name.trim()).unwrap_or_else(|e| die(&e)));
     }
-    if let Some(t) = o.threads {
-        chain = chain.threads(t);
-    }
+    let chain = chain.threads(o.threads.unwrap_or(1));
     let metric = parse_metric(o.metric.as_deref().unwrap_or("instructions"));
     for &level in &levels_of(o) {
         let rep = if o.parallelize || o.plan {
@@ -503,13 +502,7 @@ fn cmd_evict(o: &Opts) {
 fn cmd_serve(o: &Opts) {
     let store = open_store(o);
     let core = match o.cache_budget {
-        Some(budget) => ServeCore::with_config(
-            store,
-            CacheConfig {
-                budget,
-                ..CacheConfig::default()
-            },
-        ),
+        Some(budget) => ServeCore::with_config(store, CacheConfig { budget }),
         None => ServeCore::new(store),
     };
     let default_sock = core.store().dir().join("bolt.sock");

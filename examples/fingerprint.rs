@@ -2,11 +2,12 @@
 //! path count, per-path decisions, tags, verdicts, and (IC, MA) metrics.
 //! Used to verify that explorer/solver changes keep output bit-identical.
 //!
-//! With `chain` as the first argument, it instead fingerprints composed
-//! chain contracts (paths, tags, verdicts, metrics, and the compose-side
-//! solver counters) at both stack levels — the CI `chain-determinism`
-//! job diffs this output at `BOLT_THREADS=1/2/8`, so any scheduling or
-//! merge-order leak in the parallel composer fails the gate.
+//! Usage: `fingerprint [chain] [N]`. `N` is the thread count (default 1).
+//! With `chain`, it instead fingerprints composed chain contracts (paths,
+//! tags, verdicts, metrics, and the compose-side solver counters) at both
+//! stack levels. The CI `determinism` job diffs both outputs across
+//! thread counts, so any scheduling or merge-order leak in the parallel
+//! explorer or composer fails the gate.
 
 use bolt::core::nf::NetworkFunction;
 use bolt::core::Pipeline;
@@ -15,9 +16,9 @@ use bolt::nfs::{nat, Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, N
 use bolt::see::StackLevel;
 use bolt::trace::Metric;
 
-fn dump<N: NetworkFunction + Sync>(name: &str, nf: N) {
+fn dump<N: NetworkFunction + Sync>(name: &str, nf: N, threads: usize) {
     for level in [StackLevel::NfOnly, StackLevel::FullStack] {
-        let contract = nf.explore(level).contract();
+        let contract = nf.explore_threads(level, threads).contract();
         println!("== {name} {level:?}: {} paths", contract.paths().len());
         let env = PcvAssignment::new();
         for p in contract.paths() {
@@ -80,39 +81,49 @@ fn dump_chain(label: &str, chain: &Pipeline<'_>) {
     }
 }
 
-fn dump_chains() {
+fn dump_chains(threads: usize) {
     let fw_rt = Pipeline::new()
         .push(Firewall::default())
-        .push(StaticRouter::default());
+        .push(StaticRouter::default())
+        .threads(threads);
     dump_chain("firewall->static_router", &fw_rt);
     let rt_fw = Pipeline::new()
         .push(StaticRouter::default())
-        .push(Firewall::default());
+        .push(Firewall::default())
+        .threads(threads);
     dump_chain("static_router->firewall", &rt_fw);
     let triple = Pipeline::new()
         .push(Firewall::default())
         .push(Firewall::default())
-        .push(StaticRouter::default());
+        .push(StaticRouter::default())
+        .threads(threads);
     dump_chain("firewall->firewall->static_router", &triple);
 }
 
 fn main() {
-    if std::env::args().nth(1).as_deref() == Some("chain") {
-        dump_chains();
+    let mut args = std::env::args().skip(1).peekable();
+    let chain = args.next_if(|a| a == "chain").is_some();
+    let threads = args
+        .next()
+        .map_or(1, |n| n.parse().expect("usage: fingerprint [chain] [N]"));
+    if chain {
+        dump_chains(threads);
         return;
     }
-    dump("bridge", Bridge::default());
-    dump("example_router", ExampleRouter::default());
-    dump("firewall", Firewall::default());
-    dump("lb", LoadBalancer::default());
-    dump("lpm_router", LpmRouter::default());
+    dump("bridge", Bridge::default(), threads);
+    dump("example_router", ExampleRouter::default(), threads);
+    dump("firewall", Firewall::default(), threads);
+    dump("lb", LoadBalancer::default(), threads);
+    dump("lpm_router", LpmRouter::default(), threads);
     dump(
         "nat_a",
         Nat::with(nat::NatConfig::default(), nat::AllocKind::A),
+        threads,
     );
     dump(
         "nat_b",
         Nat::with(nat::NatConfig::default(), nat::AllocKind::B),
+        threads,
     );
-    dump("static_router", StaticRouter::default());
+    dump("static_router", StaticRouter::default(), threads);
 }

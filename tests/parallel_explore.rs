@@ -56,8 +56,8 @@ fn parallel_exploration_is_bit_identical_for_real_nfs() {
 
 #[test]
 fn bolt_threads_knob_reaches_the_explorer() {
-    // The fluent knob and the ambient default must both produce the
-    // sequential result (everything does, but this pins the plumbing).
+    // The fluent knob must produce the sequential result (everything
+    // does, but this pins the plumbing).
     let via_trait = encoded(&Bridge::default(), StackLevel::NfOnly, 1);
     let via_bolt = encode_result(
         &Bolt::nf(Bridge::default())
