@@ -59,3 +59,82 @@ fn the_golden_carries_every_table_and_figure_exactly_once() {
         ]
     );
 }
+
+/// The README's "Reproduction status" table is read off the golden: every
+/// number in its *ours* column is one the golden prints, at the precision
+/// the table quotes it (39.9 % for 39.8850) and a percentage possibly as a
+/// fraction (0.52 % for 0.0052), so a moved golden cannot leave the table
+/// stale.
+#[test]
+fn the_readme_table_quotes_the_golden() {
+    let readme = include_str!("../../../README.md");
+    let section = readme
+        .split("## Reproduction status")
+        .nth(1)
+        .expect("the README has the section");
+    // The header and its `|---|` rule come first.
+    let rows = section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2);
+    let printed = numbers(GOLDEN, false);
+    let mut checked = 0;
+    for row in rows {
+        let ours = row.split('|').nth(3).expect("a row has an ours column");
+        for (value, decimals, percent) in numbers(ours, true) {
+            let half_ulp = 0.5 * 10f64.powi(-(decimals as i32)) + 1e-9;
+            let quotes = |g: f64| (g - value).abs() <= half_ulp;
+            assert!(
+                printed
+                    .iter()
+                    .any(|&(g, ..)| quotes(g) || (percent && quotes(100.0 * g))),
+                "{value} in the ours column {ours:?} is nowhere in the golden"
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} rows of the table were read");
+}
+
+/// Each decimal number in `text`, its count of decimals, and whether a
+/// `%` follows it. Digits glued to a word (`Br2`, `P1`) are names, not
+/// numbers; `grouped` also reads thousands split by single spaces
+/// (`3 983`), as the README writes them.
+fn numbers(text: &str, grouped: bool) -> Vec<(f64, usize, bool)> {
+    let b = text.as_bytes();
+    let digit = |i: usize| b.get(i).is_some_and(u8::is_ascii_digit);
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        if !digit(i) || (i > 0 && b[i - 1].is_ascii_alphanumeric()) {
+            i += 1;
+            continue;
+        }
+        let mut number = String::new();
+        loop {
+            while digit(i) {
+                number.push(b[i] as char);
+                i += 1;
+            }
+            let group = b.get(i) == Some(&b' ') && (1..=3).all(|k| digit(i + k)) && !digit(i + 4);
+            if !(grouped && group) {
+                break;
+            }
+            i += 1;
+        }
+        let mut decimals = 0;
+        if b.get(i) == Some(&b'.') && digit(i + 1) {
+            number.push('.');
+            i += 1;
+            while digit(i) {
+                number.push(b[i] as char);
+                decimals += 1;
+                i += 1;
+            }
+        }
+        let percent = text[i..].trim_start().starts_with('%');
+        out.push((number.parse().expect("digits parse"), decimals, percent));
+    }
+    out
+}

@@ -195,6 +195,7 @@ mod tests {
     use bolt_solver::Solver;
     use bolt_trace::Metric;
     use nf_lib::flow_table::{FlowTableModel, FlowTableOps, FlowTableParams};
+    use proptest::prelude::*;
 
     fn toy_contract() -> NfContract {
         let mut reg = nf_lib::registry::DsRegistry::new();
@@ -361,5 +362,49 @@ mod tests {
         mutilated.groups = vec![vec![0, 1]];
         mutilated.merge_cycles = vec![208];
         assert!(decode_plan(&encode_plan(&mutilated)).is_err());
+    }
+
+    /// `bytes` on its own and written over `valid` from `at` on: neither
+    /// panics `decode`, and one it accepts is the encoding of its value.
+    fn assert_arbitrary_bytes_decode_canonically<T>(
+        valid: Vec<u8>,
+        bytes: &[u8],
+        at: usize,
+        decode: impl Fn(&[u8]) -> Result<T, DecodeError>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) {
+        let mut spliced = valid;
+        let at = at % spliced.len();
+        let end = spliced.len().min(at + bytes.len());
+        spliced[at..end].copy_from_slice(&bytes[..end - at]);
+        for input in [bytes, &spliced] {
+            if let Ok(value) = decode(input) {
+                assert_eq!(encode(&value), input, "accepted bytes are not canonical");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_contract_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            at: usize,
+        ) {
+            let valid = encode_contract(&toy_contract());
+            assert_arbitrary_bytes_decode_canonically(
+                valid, &bytes, at, decode_contract, encode_contract,
+            );
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_plan_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            at: usize,
+        ) {
+            let valid = encode_plan(&toy_plan());
+            assert_arbitrary_bytes_decode_canonically(valid, &bytes, at, decode_plan, encode_plan);
+        }
     }
 }

@@ -242,6 +242,7 @@ mod tests {
     use super::*;
     use crate::{Explorer, NfCtx};
     use bolt_expr::Width;
+    use proptest::prelude::*;
 
     fn toy_nf(ctx: &mut crate::SymbolicCtx<'_>) {
         let pkt = ctx.packet(64);
@@ -307,5 +308,28 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_result(&padded).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// No byte string panics the decoder — random, or written over a
+        /// valid record from `at` on — and one it accepts is the encoding
+        /// of what it decodes to.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_result_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            at: usize,
+        ) {
+            let mut spliced = encode_result(&Explorer::new().explore(toy_nf));
+            let at = at % spliced.len();
+            let end = spliced.len().min(at + bytes.len());
+            spliced[at..end].copy_from_slice(&bytes[..end - at]);
+            for input in [&bytes, &spliced] {
+                if let Ok(value) = decode_result(input) {
+                    prop_assert_eq!(&encode_result(&value), input);
+                }
+            }
+        }
     }
 }

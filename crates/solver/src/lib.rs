@@ -571,8 +571,9 @@ enum Finish {
 /// slots an earlier step of the same pass wrote (or compilation filled).
 #[derive(Clone, Copy)]
 enum SweepOp {
-    /// A swept member symbol: the candidate's value for enumerated slot
-    /// `i`, masked to the symbol's own width as [`TermPool::eval`] does.
+    /// A swept symbol: the candidate's value for enumerated slot `i`,
+    /// masked to a width as [`TermPool::eval`] does — one step per
+    /// `(i, mask)`, shared by every class member of that width.
     Sym {
         dst: u32,
         i: u32,
@@ -597,7 +598,8 @@ enum SweepOp {
         t: u32,
         e: u32,
     },
-    Trunc {
+    /// `a & mask`: a truncation, or an `And` with a compile-time constant.
+    Mask {
         dst: u32,
         a: u32,
         mask: u64,
@@ -612,8 +614,9 @@ enum SweepOp {
 /// The component sweep of [`Solver::finish`]: one component's constraints
 /// compiled to straight-line code over value slots, so a candidate costs
 /// one pass over the *distinct* subterms — hash-consed constraints share
-/// most of theirs, and [`TermPool::eval`] walks them as trees. Each
-/// distinct subterm a swept symbol reaches is one step, emitted in
+/// most of theirs, and [`TermPool::eval`] walks them as trees. The swept
+/// symbols' steps come first, writing slots `0..m` in step order; then
+/// each distinct subterm a swept symbol reaches is one step, emitted in
 /// first-use order with a [`SweepOp::Check`] after each constraint's
 /// root; a subterm no swept symbol reaches is evaluated once, when the
 /// kernel is built. The buffers outlive a component, so one `finish`
@@ -627,6 +630,8 @@ struct SweepKernel {
     placed: Vec<u32>,
     ops: Vec<SweepOp>,
     vals: Vec<u64>,
+    /// The part of each enumerated slot's interval the sweep visits.
+    window: Vec<Interval>,
 }
 
 impl SweepKernel {
@@ -635,21 +640,28 @@ impl SweepKernel {
     /// visited with the lowest slot varying fastest, each from its
     /// interval's low end. `swept` maps every unbound member symbol of
     /// `terms` to its slot; `env` holds the value of every bound one.
+    ///
+    /// A slot whose uses read only its low `k` bits is swept over its
+    /// first `2^k` values alone: every step sees the slot only through
+    /// its value mod `2^k`, which those values all take, each no later
+    /// than the order would reach it elsewhere. The first model and every
+    /// refutation are those of the whole intervals.
     fn sweep(
         &mut self,
         pool: &TermPool,
-        terms: &[TermRef],
+        terms: impl IntoIterator<Item = TermRef>,
         swept: &[(SymId, usize)],
         intervals: &[Interval],
         env: &[u64],
     ) -> Option<Vec<u64>> {
         let mut assignment: Vec<u64> = intervals.iter().map(|iv| iv.lo).collect();
         self.compile(pool, terms, swept, env);
+        self.narrow(intervals);
         loop {
             if self.holds(&assignment) {
                 return Some(assignment);
             }
-            if !next_candidate(&mut assignment, intervals) {
+            if !next_candidate(&mut assignment, &self.window) {
                 return None;
             }
         }
@@ -658,7 +670,7 @@ impl SweepKernel {
     fn compile(
         &mut self,
         pool: &TermPool,
-        terms: &[TermRef],
+        terms: impl IntoIterator<Item = TermRef>,
         swept: &[(SymId, usize)],
         env: &[u64],
     ) {
@@ -669,10 +681,25 @@ impl SweepKernel {
         self.ops.clear();
         self.vals.clear();
         self.slot_of.resize(pool.len(), 0);
-        for &c in terms {
+        for &(s, i) in swept {
+            let (i, mask) = (i as u32, pool.sym_width(s).mask());
+            if self.sym_slot(i, mask).is_none() {
+                let dst = self.slot(0);
+                self.ops.push(SweepOp::Sym { dst, i, mask });
+            }
+        }
+        for c in terms {
             let a = self.place(pool, c, swept, env);
             self.ops.push(SweepOp::Check { a });
         }
+    }
+
+    /// The slot of enumerated slot `i` masked to `mask`, once emitted.
+    fn sym_slot(&self, i: u32, mask: u64) -> Option<u32> {
+        self.ops.iter().find_map(|step| match *step {
+            SweepOp::Sym { dst, i: j, mask: m } if (j, m) == (i, mask) => Some(dst),
+            _ => None,
+        })
     }
 
     /// The slot holding `t`'s value, emitting the steps that compute it
@@ -682,7 +709,8 @@ impl SweepKernel {
             return slot;
         }
         let slot_of_sym = |id: SymId| swept.iter().find(|&&(s, _)| s == id).map(|&(_, i)| i);
-        let slot = if !pool.syms_of(t).iter().any(|&s| slot_of_sym(s).is_some()) {
+        let fixed = |t: TermRef| !pool.syms_of(t).iter().any(|&s| slot_of_sym(s).is_some());
+        let slot = if fixed(t) {
             // No candidate changes it: evaluated once per sweep.
             self.slot(pool.eval(t, &|id| env[id as usize]))
         } else {
@@ -690,9 +718,7 @@ impl SweepKernel {
                 Term::Const { value, .. } => self.slot(value),
                 Term::Sym { id, width } => {
                     let i = slot_of_sym(id).expect("a swept symbol") as u32;
-                    let (dst, mask) = (self.slot(0), width.mask());
-                    self.ops.push(SweepOp::Sym { dst, i, mask });
-                    dst
+                    self.sym_slot(i, width.mask()).expect("emitted first")
                 }
                 Term::Unop { op, a } => {
                     let w = pool.width(a);
@@ -701,13 +727,26 @@ impl SweepKernel {
                     self.ops.push(SweepOp::Unop { dst, op, a, w });
                     dst
                 }
-                Term::Binop { op, a, b } => {
-                    let w = pool.width(a);
-                    let a = self.place(pool, a, swept, env);
-                    let b = self.place(pool, b, swept, env);
-                    let dst = self.slot(0);
-                    self.ops.push(SweepOp::Binop { dst, op, a, b, w });
-                    dst
+                Term::Binop { op, a: ta, b: tb } => {
+                    let w = pool.width(ta);
+                    let a = self.place(pool, ta, swept, env);
+                    let b = self.place(pool, tb, swept, env);
+                    match op {
+                        // Both sides are one value: class members of one
+                        // width share their slot.
+                        BinOp::Eq | BinOp::Ne if a == b => self.slot((op == BinOp::Eq) as u64),
+                        BinOp::And if fixed(ta) || fixed(tb) => {
+                            let (a, c) = if fixed(tb) { (a, b) } else { (b, a) };
+                            let (dst, mask) = (self.slot(0), self.vals[c as usize] & w.mask());
+                            self.ops.push(SweepOp::Mask { dst, a, mask });
+                            dst
+                        }
+                        _ => {
+                            let dst = self.slot(0);
+                            self.ops.push(SweepOp::Binop { dst, op, a, b, w });
+                            dst
+                        }
+                    }
                 }
                 // Both arms are computed for every candidate, which only
                 // costs time while every operator is total.
@@ -725,7 +764,7 @@ impl SweepKernel {
                 Term::Trunc { a, width } => {
                     let a = self.place(pool, a, swept, env);
                     let (dst, mask) = (self.slot(0), width.mask());
-                    self.ops.push(SweepOp::Trunc { dst, a, mask });
+                    self.ops.push(SweepOp::Mask { dst, a, mask });
                     dst
                 }
             }
@@ -739,6 +778,47 @@ impl SweepKernel {
     fn slot(&mut self, v: u64) -> u32 {
         self.vals.push(v);
         self.vals.len() as u32 - 1
+    }
+
+    /// Sets `window` to the values of each interval the sweep visits: a
+    /// slot read only through `Mask` steps keeps the first `2^k` values,
+    /// `k` the width of the widest mask; any other read keeps its
+    /// symbol's whole width, and a slot nothing reads its low end alone.
+    fn narrow(&mut self, intervals: &[Interval]) {
+        let (ops, window) = (&self.ops, &mut self.window);
+        window.clear();
+        window.extend(intervals.iter().map(|iv| Interval {
+            lo: iv.lo,
+            hi: iv.lo,
+        }));
+        // Slot `s` is a swept symbol's exactly when step `s` is its `Sym`.
+        let mut read = |s: u32, bits: u32| {
+            if let Some(&SweepOp::Sym { i, mask, .. }) = ops.get(s as usize) {
+                let (iv, bits) = (intervals[i as usize], bits.min(64 - mask.leading_zeros()));
+                let hi = match 1u64.checked_shl(bits) {
+                    Some(n) => iv.hi.min(iv.lo.saturating_add(n - 1)),
+                    None => iv.hi,
+                };
+                let w = &mut window[i as usize];
+                w.hi = w.hi.max(hi);
+            }
+        };
+        for step in ops {
+            match *step {
+                SweepOp::Sym { .. } => {}
+                SweepOp::Mask { a, mask, .. } => read(a, 64 - mask.leading_zeros()),
+                SweepOp::Unop { a, .. } | SweepOp::Check { a } => read(a, 64),
+                SweepOp::Binop { a, b, .. } => {
+                    read(a, 64);
+                    read(b, 64);
+                }
+                SweepOp::Ite { c, t, e, .. } => {
+                    read(c, 64);
+                    read(t, 64);
+                    read(e, 64);
+                }
+            }
+        }
     }
 
     /// Whether every compiled constraint holds for the candidate; stops
@@ -758,7 +838,7 @@ impl SweepKernel {
                     let pick = if vals[c as usize] != 0 { t } else { e };
                     vals[dst as usize] = vals[pick as usize]
                 }
-                SweepOp::Trunc { dst, a, mask } => vals[dst as usize] = vals[a as usize] & mask,
+                SweepOp::Mask { dst, a, mask } => vals[dst as usize] = vals[a as usize] & mask,
                 SweepOp::Check { a } => {
                     if vals[a as usize] != 1 {
                         return false;
@@ -928,6 +1008,7 @@ impl Solver {
             let mut all_components_solved = true;
             // The sweep's buffers, shared by every component of this query.
             let mut env: Vec<u64> = Vec::new();
+            let mut swept: Vec<(SymId, usize)> = Vec::new();
             let mut kernel = SweepKernel::default();
             for group in groups.iter().filter(|g| !g.is_empty()) {
                 let mut syms: Vec<SymId> = group
@@ -949,7 +1030,7 @@ impl Solver {
                     all_components_solved = false;
                     continue;
                 }
-                let group_terms: Vec<TermRef> = group.iter().map(|&ci| constraints[ci]).collect();
+                let group_terms = group.iter().map(|&ci| constraints[ci]);
                 // Everything a candidate does not change is settled here:
                 // each member symbol of the group's terms either follows
                 // enumerated slot `i` or keeps its representative's bound
@@ -957,8 +1038,8 @@ impl Solver {
                 // `SymId` (entries an earlier component left behind belong
                 // to symbols this one's terms do not mention).
                 env.resize(pool.sym_count(), 0);
-                let mut swept: Vec<(SymId, usize)> = Vec::new();
-                for &c in &group_terms {
+                swept.clear();
+                for c in group_terms.clone() {
                     for &s in pool.syms_of(c) {
                         let r = prop.find(s);
                         match prop.bound.get(r) {
@@ -972,7 +1053,7 @@ impl Solver {
                 }
                 swept.sort_unstable();
                 swept.dedup();
-                let Some(assignment) = kernel.sweep(pool, &group_terms, &swept, &intervals, &env)
+                let Some(assignment) = kernel.sweep(pool, group_terms, &swept, &intervals, &env)
                 else {
                     return SolveResult::Unsat;
                 };
@@ -2057,7 +2138,10 @@ mod tests {
     /// from the nodes so far — so subterms are shared, some depend on no
     /// swept symbol, and `Ite` conditions usually depend on one. Beside
     /// the list comes the sweep over it: x and x2 share slot 0, y is
-    /// slot 1 or bound to 0, b8 and b16 are bound.
+    /// slot 1 or bound to 0, b8 and b16 are bound. Half the lists are
+    /// *masked*: the swept symbols enter only through their low bits —
+    /// `x & c`, `trunc8(y)`, `zext16(x & c)`, `x == x2` — and only the
+    /// intervals, which start anywhere, bound them, so the sweep narrows.
     fn random_component(seed: u64) -> (TermPool, Vec<TermRef>, SweepInput) {
         const OPS: [BinOp; 12] = [
             BinOp::Add,
@@ -2077,6 +2161,7 @@ mod tests {
         let mut p = TermPool::new();
         let two_swept = rng.gen_bool(0.5);
         let wide = rng.gen_bool(0.5);
+        let masked = rng.gen_bool(0.5);
         let x = p.fresh_sym("x", Width::W8);
         let x2 = p.fresh_sym("x2", Width::W8);
         let y = p.fresh_sym("y", if wide { Width::W16 } else { Width::W8 });
@@ -2095,27 +2180,66 @@ mod tests {
             (true, false) => (64, 64),
             (true, true) => (8, 500),
         };
-        let upto = |span: u64| Interval {
-            lo: 0,
-            hi: span - 1,
-        };
-        let sweep = if two_swept {
-            (
-                vec![(0, 0), (1, 0), (2, 1)],
-                vec![upto(x_span), upto(y_span)],
-                env,
-            )
-        } else {
-            (vec![(0, 0), (1, 0)], vec![upto(x_span)], env)
-        };
         let y_width = p.width(y);
-        let x_lim = p.constant(x_span - 1, Width::W8);
-        let y_lim = p.constant(y_span - 1, y_width);
-        cs.push(p.ule(x, x_lim));
-        cs.push(p.ule(y, y_lim));
+        let mut interval = |span: u64, w: Width| {
+            let lo = if masked {
+                rng.gen_range(0..=w.mask() + 1 - span)
+            } else {
+                0
+            };
+            Interval {
+                lo,
+                hi: lo + span - 1,
+            }
+        };
+        let (x_iv, y_iv) = (interval(x_span, Width::W8), interval(y_span, y_width));
+        let sweep = if two_swept {
+            (vec![(0, 0), (1, 0), (2, 1)], vec![x_iv, y_iv], env)
+        } else {
+            (vec![(0, 0), (1, 0)], vec![x_iv], env)
+        };
         // [W1, W8, W16] nodes to draw operands from.
-        let mut nodes: [Vec<TermRef>; 3] = [Vec::new(), vec![x, x2, b8], vec![b16]];
-        nodes[if wide { 2 } else { 1 }].push(y);
+        let mut nodes: [Vec<TermRef>; 3] = [vec![p.eq(x, x2)], vec![b8], vec![b16]];
+        if masked {
+            // Low bits through random masks; one mask shared by x and x2
+            // makes the pair's equality a node.
+            let mut low = |p: &mut TermPool, s: TermRef| {
+                let w = p.width(s);
+                let c = rng.gen_range(0..=w.mask()) >> rng.gen_range(0..w.bits());
+                let c = p.constant(c, w);
+                p.and(s, c)
+            };
+            for _ in 0..2 {
+                let (lx, lx2) = (low(&mut p, x), low(&mut p, x2));
+                nodes[1].extend([lx, lx2]);
+            }
+            let ly = low(&mut p, y);
+            if wide {
+                nodes[2].push(ly);
+                nodes[1].push(p.trunc(y, Width::W8));
+            } else {
+                nodes[1].push(ly);
+            }
+            let same = p.constant(15, Width::W8);
+            let (lx, lx2) = (p.and(x, same), p.and(x2, same));
+            let pair = p.eq(lx, lx2);
+            nodes[0].push(pair);
+            nodes[2].push(p.zext(lx, Width::W16));
+            // Now and then x escapes the masks through an `Ite` arm or a
+            // `Not`, which read it whole.
+            match rng.gen_range(0..4u32) {
+                0 => nodes[1].push(p.ite(pair, x, lx)),
+                1 => nodes[1].push(p.not(x)),
+                _ => {}
+            }
+        } else {
+            let x_lim = p.constant(x_span - 1, Width::W8);
+            let y_lim = p.constant(y_span - 1, y_width);
+            cs.push(p.ule(x, x_lim));
+            cs.push(p.ule(y, y_lim));
+            nodes[1].extend([x, x2]);
+            nodes[if wide { 2 } else { 1 }].push(y);
+        }
         let fixed = p.add(b8, v8);
         nodes[1].push(fixed);
         for _ in 0..4 {
@@ -2154,13 +2278,33 @@ mod tests {
                 }
             }
         }
+        let over_swept = |p: &TermPool, of: &[TermRef]| -> Vec<TermRef> {
+            of.iter()
+                .copied()
+                .filter(|&t| p.syms_of(t).iter().any(|&s| s <= 2))
+                .collect()
+        };
+        // Half the lists pin a byte node to its value at a random
+        // candidate, so a model exists, often past the first candidate.
+        let bytes = over_swept(&p, &nodes[1]);
+        if rng.gen_bool(0.5) && !bytes.is_empty() {
+            let (swept, intervals, env) = &sweep;
+            let point: Vec<u64> = intervals
+                .iter()
+                .map(|iv| rng.gen_range(iv.lo..=iv.hi))
+                .collect();
+            let mut at = env.clone();
+            for &(s, i) in swept {
+                at[s as usize] = point[i];
+            }
+            let n = pick(&mut rng, &bytes);
+            let v = p.eval(n, &|id| at[id as usize]);
+            let v = p.constant(v, Width::W8);
+            cs.push(p.eq(n, v));
+        }
         // Boolean nodes over a swept symbol become constraints, some
         // through a connective propagation does not flatten.
-        let over_swept: Vec<TermRef> = nodes[0]
-            .iter()
-            .copied()
-            .filter(|&t| p.syms_of(t).iter().any(|&s| s <= 2))
-            .collect();
+        let over_swept = over_swept(&p, &nodes[0]);
         for _ in 0..rng.gen_range(1..=4usize).min(over_swept.len()) {
             let c = pick(&mut rng, &over_swept);
             let c = match rng.gen_range(0..=3u32) {
@@ -2185,26 +2329,63 @@ mod tests {
         // One kernel for every seed, as one `finish` reuses it across
         // components.
         let mut kernel = SweepKernel::default();
-        let (mut sat, mut unsat, mut past_first) = (0, 0, 0);
+        let (mut sat, mut unsat, mut past_first, mut narrowed) = (0, 0, 0, 0);
         for seed in 0..400 {
             let (p, cs, (swept, intervals, mut env)) = random_component(seed);
-            let by_kernel = kernel.sweep(&p, &cs, &swept, &intervals, &env);
+            let by_kernel = kernel.sweep(&p, cs.iter().copied(), &swept, &intervals, &env);
             let by_tree = sweep_by_tree(&p, &cs, &swept, &intervals, &mut env);
             assert_eq!(by_kernel, by_tree, "seed {seed}: the kernel moved a model");
+            let window = kernel.window.iter().zip(&intervals);
+            narrowed += window.clone().any(|(w, iv)| w.hi < iv.hi) as u32;
             match by_kernel {
                 Some(model) => {
                     sat += 1;
-                    past_first += model.iter().any(|&v| v != 0) as u32;
+                    past_first += window.zip(&model).any(|((w, _), &v)| v != w.lo) as u32;
                 }
                 None => unsat += 1,
             }
         }
         // The generator reaches every way a sweep ends: at its first
-        // candidate, at a later one, and exhausted.
+        // candidate, at a later one, and exhausted; and many sweeps visit
+        // part of their intervals only.
         assert!(
-            sat > past_first && past_first >= 40 && unsat >= 40,
-            "{sat} sat, {past_first} of them past the first candidate, {unsat} unsat"
+            sat > past_first && past_first >= 40 && unsat >= 40 && narrowed >= 80,
+            "{sat} sat, {past_first} of them past the first candidate, {unsat} unsat, \
+             {narrowed} narrowed"
         );
+    }
+
+    #[test]
+    fn the_window_spans_the_bits_a_sweep_reads() {
+        // The IHL refutation of `tests/solver_alloc.rs` reads `x & 15`
+        // only: 16 of the byte's 256 values. A bare `x < 200` reads all
+        // eight bits.
+        let ihl = |bare: bool| {
+            let mut p = TermPool::new();
+            let x = p.fresh_sym("pkt@14:1", Width::W8);
+            let (c15, c5) = (p.constant(15, Width::W8), p.constant(5, Width::W8));
+            let ihl = p.and(x, c15);
+            let short = p.ult(ihl, c5);
+            let mut cs = vec![p.not(short)];
+            let options = p.sub(ihl, c5);
+            for k in 0..=10 {
+                let k = p.constant(k, Width::W8);
+                cs.push(p.ult(k, options));
+            }
+            cs.push(p.ule(ihl, c5));
+            if bare {
+                let c200 = p.constant(200, Width::W8);
+                cs.push(p.ult(x, c200));
+            }
+            (p, cs)
+        };
+        let mut kernel = SweepKernel::default();
+        for (bare, hi) in [(false, 15), (true, 255)] {
+            let (p, cs) = ihl(bare);
+            let full = [Interval { lo: 0, hi: 255 }];
+            assert_eq!(kernel.sweep(&p, cs, &[(0, 0)], &full, &[0]), None);
+            assert_eq!((kernel.window[0].lo, kernel.window[0].hi), (0, hi));
+        }
     }
 
     // ------------------------------------------------------------------

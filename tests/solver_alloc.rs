@@ -1,9 +1,10 @@
 //! The solver's component sweep allocates nothing per candidate: an
-//! exhausted sweep over 256 values makes as many allocations as one over
-//! 16, with one swept symbol or with two (where the candidate loop
-//! carries). Counted with a pass-through allocator (the only test in
-//! this binary, so nothing else allocates meanwhile); the count repeats
-//! exactly, so the gate does not depend on the machine.
+//! exhausted sweep over 256 candidates makes as many allocations as one
+//! over 16, with two swept symbols (where the candidate loop carries), and
+//! a masked byte costs what a narrowed one does. Counted with a
+//! pass-through allocator (the only test in this binary, so nothing else
+//! allocates meanwhile); the count repeats exactly, so the gate does not
+//! depend on the machine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,8 +43,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// The shape `gen_chain` spends its time on — the router's IP-options
 /// loop over the version/IHL byte meeting the firewall's header-length
 /// check: `!((x & 15) < 5)`, `k < ((x & 15) - 5)` for k = 0..=10, closed
-/// by `(x & 15) <= 5`. No value of `x` satisfies it, so the sweep visits
-/// every candidate; `narrowed` adds `x < 16`, which leaves 16 of the 256.
+/// by `(x & 15) <= 5`. No value of `x` satisfies it. Every read of `x` is
+/// `x & 15`, so the sweep visits 16 of the 256 values; `narrowed` adds
+/// `x < 16`, which reads all of `x` but leaves the same 16: both forms
+/// refute in 16 candidates.
 fn exhausted_sweep(narrowed: bool) -> (TermPool, Vec<TermRef>) {
     let mut p = TermPool::new();
     let x = p.fresh_sym("pkt@14:1", Width::W8);
@@ -66,8 +69,9 @@ fn exhausted_sweep(narrowed: bool) -> (TermPool, Vec<TermRef>) {
 }
 
 /// Two swept symbols: `x, y < side` with `k < x + y` for k = 0..=10,
-/// closed by `x + y == 31` — out of reach for any side up to 16, so all
-/// `side * side` candidates are visited, x varying fastest.
+/// closed by `x + y == 31` — out of reach for any side up to 16, and no
+/// mask narrows the sweep, so all `side * side` candidates are visited, x
+/// varying fastest.
 fn exhausted_square(side: u64) -> (TermPool, Vec<TermRef>) {
     let mut p = TermPool::new();
     let x = p.fresh_sym("pkt@14:1", Width::W8);
@@ -98,12 +102,12 @@ fn allocations_to_refute((p, cs): (TermPool, Vec<TermRef>)) -> usize {
 #[test]
 fn an_exhausted_sweep_allocates_nothing_per_candidate() {
     // One more constraint costs a fixed handful of allocations; sixteen
-    // times the candidates must cost none.
+    // times the candidates (the unmasked square) must cost none.
     let few = allocations_to_refute(exhausted_sweep(true));
     let all = allocations_to_refute(exhausted_sweep(false));
     assert!(
         few.abs_diff(all) <= 8,
-        "{few} allocations to sweep 16 candidates, {all} to sweep 256"
+        "{few} allocations to sweep x < 16, {all} to sweep x & 15"
     );
     let few = allocations_to_refute(exhausted_square(4));
     let all = allocations_to_refute(exhausted_square(16));
