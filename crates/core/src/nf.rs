@@ -26,11 +26,6 @@
 //! Chains (§3.4) compose over the same abstraction: [`crate::chain::Pipeline`]
 //! takes heterogeneous NFs as trait objects and pairwise-composes their
 //! contracts.
-//!
-//! On the concrete path, [`NetworkFunction::process_batch`] processes a
-//! burst of mbufs per call (DPDK-style `rte_rx_burst` loops). The default
-//! implementation loops over [`NetworkFunction::process`]; NFs can
-//! override it to amortise per-burst work (prefetching, batched expiry).
 
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
@@ -119,24 +114,6 @@ pub trait NetworkFunction {
     /// process's calibrated registry, so a configuration-free descriptor
     /// says so with an empty body.
     fn fingerprint_config(&self, fp: &mut Fingerprinter);
-
-    /// Process a burst of received packets (the DPDK `rx_burst` shape).
-    ///
-    /// The default is the plain per-packet loop over
-    /// [`NetworkFunction::process`], emitting one verdict per mbuf in
-    /// order — the invariant overriding implementations must preserve
-    /// (pinned by the parity test in `tests/nf_api.rs`).
-    fn process_batch(
-        &self,
-        ctx: &mut ConcreteCtx<'_>,
-        state: &mut Self::State,
-        clock: &Clock,
-        mbufs: &mut [Mbuf],
-    ) {
-        for mbuf in mbufs.iter() {
-            self.process(ctx, state, clock, *mbuf);
-        }
-    }
 
     /// Run the analysis build: enumerate every feasible path of this NF
     /// at the given stack level (Algorithm 2, lines 2–3). Provided for

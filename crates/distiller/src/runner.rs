@@ -209,12 +209,12 @@ impl NfRunner {
         });
     }
 
-    /// Play a workload in bursts of `burst` packets through
-    /// [`NetworkFunction::process_batch`] — the device-loop shape. Each
-    /// burst is delivered when its last packet has arrived (one poll per
-    /// burst); measurements are recorded per burst in
-    /// [`NfRunner::burst_samples`], since the NF body is bracketed once
-    /// per burst.
+    /// Play a workload in bursts of `burst` packets — the device-loop
+    /// shape: one receive of the whole burst, [`NetworkFunction::process`]
+    /// on each mbuf in order, then the transmits. Each burst is delivered
+    /// when its last packet has arrived (one poll per burst); measurements
+    /// are recorded per burst in [`NfRunner::burst_samples`], since the NF
+    /// body is bracketed once per burst.
     pub fn play_nf_bursts<N: NetworkFunction>(
         &mut self,
         nf: &N,
@@ -236,7 +236,9 @@ impl NfRunner {
                 let frames: Vec<(&[u8], u16)> =
                     chunk.iter().map(|p| (p.frame.as_slice(), p.port)).collect();
                 verdicts.push(env.process_burst(ctx, &frames, |ctx, mbufs| {
-                    nf.process_batch(ctx, state, clock, mbufs);
+                    for &mbuf in mbufs {
+                        nf.process(ctx, state, clock, mbuf);
+                    }
                 }));
             }
         });

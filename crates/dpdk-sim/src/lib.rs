@@ -150,11 +150,10 @@ impl DpdkEnv {
     /// DPDK `rte_rx_burst` → process → `rte_tx_burst` device loop.
     ///
     /// All frames are received first (mbuf allocation + RX descriptor
-    /// work per frame), then `body` runs once over the whole mbuf burst
-    /// (`NetworkFunction::process_batch` slots in here), then each packet
-    /// is transmitted or dropped according to the verdicts the body
-    /// emitted — one per mbuf, in order; missing verdicts default to
-    /// drop, as in the single-packet path.
+    /// work per frame), then `body` runs once over the whole mbuf burst,
+    /// then each packet is transmitted or dropped according to the
+    /// verdicts the body emitted — one per mbuf, in order; missing
+    /// verdicts default to drop, as in the single-packet path.
     ///
     /// Per-packet markers bracket the RX and TX halves, but the NF body
     /// itself is marked once for the burst: per-packet cycle attribution
@@ -167,7 +166,7 @@ impl DpdkEnv {
         body: F,
     ) -> Vec<NfVerdict>
     where
-        F: FnOnce(&mut ConcreteCtx<'_>, &mut [Mbuf]),
+        F: FnOnce(&mut ConcreteCtx<'_>, &[Mbuf]),
     {
         let first_seq = self.seq;
         let mut mbufs = Vec::with_capacity(frames.len());
@@ -178,7 +177,7 @@ impl DpdkEnv {
 
         ctx.tracer().mark(Marker::NfStart);
         let before = ctx.verdicts().len();
-        body(ctx, &mut mbufs);
+        body(ctx, &mbufs);
         let emitted = &ctx.verdicts()[before..];
         let verdicts: Vec<NfVerdict> = (0..mbufs.len())
             .map(|i| emitted.get(i).copied().unwrap_or(NfVerdict::Drop))
@@ -309,8 +308,8 @@ mod tests {
             let mut env = DpdkEnv::full_stack();
             let mut ctx = ConcreteCtx::new(&mut t_burst);
             env.process_burst(&mut ctx, &frames, |ctx, mbufs| {
-                for m in mbufs.iter() {
-                    nf_body(ctx, *m);
+                for &m in mbufs {
+                    nf_body(ctx, m);
                 }
             })
         };

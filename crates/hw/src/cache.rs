@@ -57,13 +57,13 @@ pub struct CacheSim {
     params: CacheParams,
     /// `log2(line_size)`: a tag is `addr >> line_shift`.
     line_shift: u32,
-    n_sets: u64,
+    /// `sets - 1`: the set count is a power of two, so a line's set is
+    /// its tag's low bits.
+    set_mask: u64,
     /// `sets × ways` tags; set `s` owns `tags[s * ways..][..lens[s]]`,
     /// most recent last.
     tags: Vec<u64>,
     lens: Vec<u32>,
-    hits: u64,
-    misses: u64,
 }
 
 impl CacheSim {
@@ -71,15 +71,13 @@ impl CacheSim {
     pub fn new(params: CacheParams) -> Self {
         assert!(params.line_size.is_power_of_two());
         let n = params.sets() as usize;
-        assert!(n > 0, "cache must have at least one set");
+        assert!(n.is_power_of_two(), "set count must be a power of two");
         CacheSim {
             params,
             line_shift: params.line_size.trailing_zeros(),
-            n_sets: n as u64,
+            set_mask: n as u64 - 1,
             tags: vec![0; n * params.ways as usize],
             lens: vec![0; n],
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -88,33 +86,15 @@ impl CacheSim {
         self.line_shift
     }
 
-    /// Hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses recorded so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Empty the cache and zero the counters.
+    /// Empty the cache.
     pub fn reset(&mut self) {
         self.lens.fill(0);
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// The tag of `addr`'s line and the index of the set it maps to.
     fn locate(&self, addr: u64) -> (u64, usize) {
         let tag = addr >> self.line_shift;
-        // Every real geometry has a power-of-two set count.
-        let set = if self.n_sets.is_power_of_two() {
-            tag & (self.n_sets - 1)
-        } else {
-            tag % self.n_sets
-        };
-        (tag, set as usize)
+        (tag, (tag & self.set_mask) as usize)
     }
 
     /// Make `tag` the most recent line of set `si`, evicting the least
@@ -147,16 +127,11 @@ impl CacheSim {
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let (tag, si) = self.locate(addr);
-        let hit = self.touch(tag, si);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
+        self.touch(tag, si)
     }
 
-    /// Install a line without counting an access (prefetch fills).
+    /// Install a line (prefetch fills): [`CacheSim::access`] without the
+    /// answer.
     #[inline]
     pub fn install(&mut self, addr: u64) {
         let (tag, si) = self.locate(addr);
@@ -164,7 +139,7 @@ impl CacheSim {
     }
 
     /// Whether the line containing `addr` is currently resident (no LRU
-    /// update, no counter change).
+    /// update).
     pub fn contains(&self, addr: u64) -> bool {
         let (tag, si) = self.locate(addr);
         self.tags[si * self.params.ways as usize..][..self.lens[si] as usize].contains(&tag)
@@ -190,8 +165,6 @@ mod tests {
         assert!(!c.access(0x1000));
         assert!(c.access(0x1000));
         assert!(c.access(0x103f), "same line");
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -201,20 +174,19 @@ mod tests {
         let a = 0x0u64;
         let b = 0x100u64;
         let d = 0x200u64;
-        c.access(a);
-        c.access(b);
-        c.access(a); // a is now MRU, b is LRU
-        c.access(d); // evicts b
+        assert!(!c.access(a));
+        assert!(!c.access(b));
+        assert!(c.access(a)); // a is now MRU, b is LRU
+        assert!(!c.access(d)); // evicts b
         assert!(c.contains(a));
         assert!(!c.contains(b));
         assert!(c.contains(d));
     }
 
     #[test]
-    fn install_does_not_count() {
+    fn install_makes_the_next_access_hit() {
         let mut c = tiny();
         c.install(0x40);
-        assert_eq!(c.hits() + c.misses(), 0);
         assert!(c.contains(0x40));
         assert!(c.access(0x40));
     }
@@ -222,10 +194,10 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut c = tiny();
-        c.access(0x80);
+        assert!(!c.access(0x80));
         c.reset();
         assert!(!c.contains(0x80));
-        assert_eq!(c.misses(), 0);
+        assert!(!c.access(0x80), "cold again");
     }
 
     #[test]
@@ -233,10 +205,10 @@ mod tests {
         let mut c = tiny();
         // 4 lines in 4 different sets: all fit regardless of 2-way limit.
         for i in 0..4u64 {
-            c.access(i * 64);
+            assert!(!c.access(i * 64));
         }
         for i in 0..4u64 {
-            assert!(c.contains(i * 64));
+            assert!(c.access(i * 64));
         }
     }
 
@@ -244,7 +216,6 @@ mod tests {
     fn realistic_geometries() {
         assert_eq!(CacheParams::l1d().sets(), 64);
         assert_eq!(CacheParams::l2().sets(), 512);
-        let c = CacheSim::new(CacheParams::l3());
-        assert!(c.params.sets() > 0);
+        assert_eq!(CacheParams::l3().sets(), 2048);
     }
 }

@@ -21,9 +21,12 @@
 //!   expiry).
 //!
 //! Both models implement [`Tracer`], so they consume event streams online
-//! (constant memory), and both can be reset to a cold state — the
-//! conservative model is reset per execution path, because a contract may
-//! not assume anything about cache contents when a packet arrives.
+//! (constant memory). The conservative model is reset cold per execution
+//! path, because a contract may not assume anything about cache contents
+//! when a packet arrives; the testbed stays warm across packets, as the
+//! real machine does. Neither model segments a stream per packet: the
+//! replay runner's sink reads the testbed's running total where each
+//! device-loop iteration starts and ends.
 
 pub mod cache;
 pub mod cost;
@@ -31,7 +34,7 @@ pub mod cost;
 pub use cache::{CacheParams, CacheSim};
 pub use cost::CostTable;
 
-use bolt_trace::{Marker, TraceEvent, Tracer};
+use bolt_trace::{TraceEvent, Tracer};
 
 /// BOLT's conservative hardware model (§3.5).
 ///
@@ -45,9 +48,9 @@ use bolt_trace::{Marker, TraceEvent, Tracer};
 #[derive(Debug, Clone)]
 pub struct ConservativeModel {
     /// L1D simulator used as the residency prover.
-    pub l1: CacheSim,
+    l1: CacheSim,
     /// Per-class worst-case costs.
-    pub cost: CostTable,
+    cost: CostTable,
     cycles: f64,
 }
 
@@ -128,26 +131,13 @@ impl Tracer for ConservativeModel {
 #[derive(Debug, Clone)]
 pub struct TestbedModel {
     /// L1 data cache.
-    pub l1: CacheSim,
+    l1: CacheSim,
     /// Unified L2.
-    pub l2: CacheSim,
+    l2: CacheSim,
     /// Shared L3 slice.
-    pub l3: CacheSim,
+    l3: CacheSim,
     /// Per-class throughput costs.
-    pub cost: CostTable,
-    /// Prefetch degree: how many next lines are pulled on a detected stream.
-    pub prefetch_degree: u64,
-    /// Maximum overlapped misses (MLP window).
-    pub mlp_degree: u32,
-    /// DRAM bandwidth increment per overlapped miss, cycles.
-    pub overlap_increment: f64,
-    /// Two misses closer together than this (in cycles of intervening
-    /// work) are considered overlappable by the out-of-order window.
-    pub mlp_window: f64,
-    /// Effective cost of an *independent* L1 hit: the out-of-order core
-    /// pipelines them at ~1/cycle, while dependent (pointer-chasing) hits
-    /// pay the full load-to-use latency.
-    pub l1_hit_independent: f64,
+    cost: CostTable,
     cycles: f64,
     /// Cycle at which the most recent miss group finished.
     last_miss_end: f64,
@@ -159,6 +149,20 @@ pub struct TestbedModel {
 }
 
 impl TestbedModel {
+    /// Prefetch degree: how many next lines are pulled on a detected stream.
+    const PREFETCH_DEGREE: u64 = 2;
+    /// Maximum overlapped misses (MLP window).
+    const MLP_DEGREE: u32 = 10;
+    /// DRAM bandwidth increment per overlapped miss, cycles.
+    const OVERLAP_INCREMENT: f64 = 24.0;
+    /// Two misses closer together than this (in cycles of intervening
+    /// work) are considered overlappable by the out-of-order window.
+    const MLP_WINDOW: f64 = 48.0;
+    /// Effective cost of an *independent* L1 hit: the out-of-order core
+    /// pipelines them at ~1/cycle, while dependent (pointer-chasing) hits
+    /// pay the full load-to-use latency.
+    const L1_HIT_INDEPENDENT: f64 = 1.0;
+
     /// New cold testbed with Xeon-like parameters.
     pub fn new() -> Self {
         TestbedModel {
@@ -166,11 +170,6 @@ impl TestbedModel {
             l2: CacheSim::new(CacheParams::l2()),
             l3: CacheSim::new(CacheParams::l3()),
             cost: CostTable::testbed(),
-            prefetch_degree: 2,
-            mlp_degree: 10,
-            overlap_increment: 24.0,
-            mlp_window: 48.0,
-            l1_hit_independent: 1.0,
             cycles: 0.0,
             last_miss_end: f64::NEG_INFINITY,
             outstanding: 0,
@@ -189,36 +188,19 @@ impl TestbedModel {
         self.cycles
     }
 
-    /// Reset to a cold machine.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.l3.reset();
-        self.cycles = 0.0;
-        self.last_miss_end = f64::NEG_INFINITY;
-        self.outstanding = 0;
-        self.streams = [u64::MAX; 8];
-        self.stream_next = 0;
-    }
-
-    /// Look up the hierarchy; returns the latency of the level that hit and
-    /// installs the line everywhere above it.
+    /// Look up the hierarchy; returns the latency of the level that hit.
+    /// Every level that missed has already installed the line as its most
+    /// recent: [`CacheSim::access`] allocates on a miss.
     fn hierarchy_latency(&mut self, line_addr: u64) -> f64 {
         if self.l1.access(line_addr) {
             return self.cost.l1_hit;
         }
         if self.l2.access(line_addr) {
-            self.l1.install(line_addr);
             return self.cost.l2_hit;
         }
         if self.l3.access(line_addr) {
-            self.l1.install(line_addr);
-            self.l2.install(line_addr);
             return self.cost.l3_hit;
         }
-        self.l1.install(line_addr);
-        self.l2.install(line_addr);
-        self.l3.install(line_addr);
         self.cost.mem_latency
     }
 
@@ -244,7 +226,7 @@ impl TestbedModel {
             // point.
             let streaming = self.detect_stream(l);
             if streaming {
-                for k in 1..=self.prefetch_degree {
+                for k in 1..=Self::PREFETCH_DEGREE {
                     let pf = (l + k) << shift;
                     self.l1.install(pf);
                     self.l2.install(pf);
@@ -261,12 +243,12 @@ impl TestbedModel {
                     continue;
                 }
                 let now = self.cycles;
-                let close = now - self.last_miss_end <= self.mlp_window;
-                if !dep && close && self.outstanding < self.mlp_degree {
+                let close = now - self.last_miss_end <= Self::MLP_WINDOW;
+                if !dep && close && self.outstanding < Self::MLP_DEGREE {
                     // The out-of-order window overlaps this independent
                     // miss with the previous one: pay bandwidth only.
                     self.outstanding += 1;
-                    self.cycles += self.overlap_increment;
+                    self.cycles += Self::OVERLAP_INCREMENT;
                 } else {
                     // Serialised miss: dependent, too far from the previous
                     // miss, or MLP slots exhausted.
@@ -281,7 +263,7 @@ impl TestbedModel {
                     // Independent hits inside a detected stream pipeline
                     // at full issue rate; random-indexed warm hits and
                     // pointer chases pay the load-to-use latency.
-                    self.l1_hit_independent
+                    Self::L1_HIT_INDEPENDENT
                 } else {
                     lat
                 };
@@ -312,71 +294,6 @@ impl Tracer for TestbedModel {
                 self.mem_access(addr, bytes, false, true);
             }
             _ => {}
-        }
-    }
-}
-
-/// Wraps a model and records per-packet cycle deltas using the
-/// [`Marker::PacketStart`]/[`Marker::PacketEnd`] markers — the equivalent
-/// of the paper's per-packet TSC measurements.
-pub struct PerPacketCycles<M: Tracer> {
-    /// The wrapped hardware model.
-    pub model: M,
-    /// `(packet sequence number, cycles spent)` per completed packet.
-    pub samples: Vec<(u64, f64)>,
-    /// `PacketEnd` markers that arrived with no packet open, and so left
-    /// no sample. Zero on a well-bracketed stream; a burst (all its
-    /// starts, then all its ends) orphans every end but one.
-    pub orphan_ends: u64,
-    read_cycles: fn(&M) -> f64,
-    start: Option<(u64, f64)>,
-}
-
-impl PerPacketCycles<TestbedModel> {
-    /// Wrap a testbed model.
-    pub fn testbed(model: TestbedModel) -> Self {
-        PerPacketCycles {
-            model,
-            samples: Vec::new(),
-            read_cycles: TestbedModel::cycles_f64,
-            start: None,
-            orphan_ends: 0,
-        }
-    }
-}
-
-impl PerPacketCycles<ConservativeModel> {
-    /// Wrap a conservative model (used for per-packet bound sanity checks).
-    pub fn conservative(model: ConservativeModel) -> Self {
-        PerPacketCycles {
-            model,
-            samples: Vec::new(),
-            read_cycles: |m| m.cycles() as f64,
-            start: None,
-            orphan_ends: 0,
-        }
-    }
-}
-
-impl<M: Tracer> Tracer for PerPacketCycles<M> {
-    #[inline]
-    fn event(&mut self, ev: TraceEvent) {
-        match ev {
-            TraceEvent::Mark(Marker::PacketStart(seq)) => {
-                self.start = Some((seq, (self.read_cycles)(&self.model)));
-                self.model.event(ev);
-            }
-            TraceEvent::Mark(Marker::PacketEnd(_)) => {
-                self.model.event(ev);
-                match self.start.take() {
-                    Some((seq, c0)) => {
-                        let c1 = (self.read_cycles)(&self.model);
-                        self.samples.push((seq, c1 - c0));
-                    }
-                    None => self.orphan_ends += 1,
-                }
-            }
-            other => self.model.event(other),
         }
     }
 }
@@ -501,39 +418,6 @@ mod tests {
             cons.cycles(),
             test.cycles()
         );
-    }
-
-    #[test]
-    fn per_packet_cycles_segments() {
-        let mut pp = PerPacketCycles::testbed(TestbedModel::new());
-        use bolt_trace::Marker;
-        pp.mark(Marker::PacketStart(0));
-        pp.alu(100);
-        pp.mark(Marker::PacketEnd(0));
-        pp.mark(Marker::PacketStart(1));
-        pp.alu(200);
-        pp.mark(Marker::PacketEnd(1));
-        assert_eq!(pp.samples.len(), 2);
-        assert!(pp.samples[1].1 > pp.samples[0].1);
-    }
-
-    #[test]
-    fn per_packet_cycles_counts_ends_it_cannot_pair() {
-        use bolt_trace::Marker;
-        let mut pp = PerPacketCycles::testbed(TestbedModel::new());
-        pp.mark(Marker::PacketEnd(7));
-        assert_eq!((pp.samples.len(), pp.orphan_ends), (0, 1));
-        // A burst: three starts, the body, three ends. Only the last
-        // start is still open when the ends arrive.
-        for seq in 0..3 {
-            pp.mark(Marker::PacketStart(seq));
-        }
-        pp.alu(10);
-        for seq in 0..3 {
-            pp.mark(Marker::PacketEnd(seq));
-        }
-        assert_eq!(pp.samples.len(), 1);
-        assert_eq!(pp.orphan_ends, 3);
     }
 
     #[test]

@@ -238,7 +238,9 @@ impl NfCtx for ConcreteCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_trace::{count_ic_ma, AddressSpace, CountingTracer, NullTracer, RecordingTracer};
+    use bolt_trace::{
+        count_ic_ma, AddressSpace, CountingTracer, NullTracer, RecordingTracer, TraceEvent,
+    };
 
     #[test]
     fn arithmetic_wraps_to_width() {
@@ -373,16 +375,21 @@ mod tests {
 
     #[test]
     fn select_is_branchless() {
-        let mut t = CountingTracer::new();
+        let mut r = RecordingTracer::new();
         {
-            let mut ctx = ConcreteCtx::new(&mut t);
+            let mut ctx = ConcreteCtx::new(&mut r);
             let c = ctx.lit(1, Width::W1);
             let a = ctx.lit(10, Width::W32);
             let b = ctx.lit(20, Width::W32);
-            let r = ctx.select(c, a, b);
-            assert_eq!(r.v, 10);
+            let s = ctx.select(c, a, b);
+            assert_eq!(s.v, 10);
         }
-        assert_eq!(t.per_class[InstrClass::Branch.index()], 0);
-        assert_eq!(t.per_class[InstrClass::Alu.index()], 1);
+        assert_eq!(
+            r.events,
+            [TraceEvent::Instr {
+                class: InstrClass::Alu,
+                n: 1
+            }]
+        );
     }
 }

@@ -30,7 +30,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-#[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -280,7 +279,6 @@ impl ClientBuilder {
 
 trait Transport: Read + Write + Send {}
 impl Transport for TcpStream {}
-#[cfg(unix)]
 impl Transport for UnixStream {}
 
 /// A claim on one in-flight request in a [`Session`]; redeem it with
@@ -345,19 +343,11 @@ impl Session {
                 let _ = s.set_nodelay(true);
                 Box::new(s)
             }
-            #[cfg(unix)]
             Endpoint::Unix(path) => {
                 let s = UnixStream::connect(path)?;
                 s.set_read_timeout(deadline)?;
                 s.set_write_timeout(deadline)?;
                 Box::new(s)
-            }
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => {
-                return Err(ServeError::Io(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix sockets are unavailable on this platform; use tcp:HOST:PORT",
-                )))
             }
         };
         let mut session = Session {

@@ -33,6 +33,16 @@
 //! explorations, zero solver requests, zero record decodes — the
 //! property the protocol tests assert via the `stats` counters.
 
+// The event loop is Linux poll(2), and `server::readiness` passes the
+// poll set's length as Linux's `nfds_t`: elsewhere the crate would
+// compile and call poll wrongly, so it refuses to build instead. A
+// second platform comes with a CI job that builds it, not with a branch
+// nothing compiles.
+const _: () = assert!(
+    cfg!(target_os = "linux"),
+    "bolt-serve builds on Linux only: its event loop is poll(2)"
+);
+
 pub mod cache;
 pub mod client;
 pub mod protocol;

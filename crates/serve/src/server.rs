@@ -33,7 +33,6 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -245,13 +244,6 @@ impl Server {
                 "server config names no endpoint (need a unix path or a tcp address)",
             ));
         }
-        #[cfg(not(unix))]
-        if config.unix.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix sockets are unavailable on this platform; use --tcp",
-            ));
-        }
         let core = Arc::new(core);
         let shutdown = Arc::new(AtomicBool::new(false));
         let limits = Limits {
@@ -277,9 +269,7 @@ impl Server {
             tcp_listener = Some(listener);
         }
         let mut unix_path = None;
-        #[cfg(unix)]
         let mut unix_listener = None;
-        #[cfg(unix)]
         if let Some(path) = &config.unix {
             reclaim_unix_socket(path)?;
             let listener = UnixListener::bind(path)?;
@@ -346,7 +336,6 @@ impl Server {
                 },
             ));
         }
-        #[cfg(unix)]
         if let Some(listener) = unix_listener {
             accept_handles.push(spawn_acceptor(
                 Arc::clone(&engine),
@@ -453,7 +442,6 @@ impl Server {
             let _ = handle.join();
         }
         self.core.flush_touches();
-        #[cfg(unix)]
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
@@ -479,7 +467,6 @@ fn write_metrics_text(path: &Path, core: &ServeCore) {
 /// * a non-socket at the path → refuse (it is not ours to delete);
 /// * a socket someone answers → `AddrInUse`;
 /// * a socket nobody answers (a crashed server's leftover) → unlink.
-#[cfg(unix)]
 fn reclaim_unix_socket(path: &Path) -> io::Result<()> {
     use std::os::unix::fs::FileTypeExt;
     let meta = match std::fs::symlink_metadata(path) {
@@ -507,12 +494,11 @@ fn reclaim_unix_socket(path: &Path) -> io::Result<()> {
 }
 
 /// Anything a connection runs over: both socket families read, write,
-/// toggle nonblocking mode, and (on Linux) expose an fd for poll(2).
+/// toggle nonblocking mode, and expose an fd for poll(2).
 trait Conn: Read + Write + Send {
     /// Toggle nonblocking mode on the underlying socket.
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
     /// The raw fd, for readiness registration.
-    #[cfg(target_os = "linux")]
     fn raw_fd(&self) -> std::os::fd::RawFd;
 }
 
@@ -520,18 +506,15 @@ impl Conn for TcpStream {
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         TcpStream::set_nonblocking(self, nonblocking)
     }
-    #[cfg(target_os = "linux")]
     fn raw_fd(&self) -> std::os::fd::RawFd {
         std::os::fd::AsRawFd::as_raw_fd(self)
     }
 }
 
-#[cfg(unix)]
 impl Conn for UnixStream {
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         UnixStream::set_nonblocking(self, nonblocking)
     }
-    #[cfg(target_os = "linux")]
     fn raw_fd(&self) -> std::os::fd::RawFd {
         std::os::fd::AsRawFd::as_raw_fd(self)
     }
@@ -541,7 +524,6 @@ impl Conn for Box<dyn Conn> {
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         (**self).set_nonblocking(nonblocking)
     }
-    #[cfg(target_os = "linux")]
     fn raw_fd(&self) -> std::os::fd::RawFd {
         (**self).raw_fd()
     }
@@ -599,7 +581,6 @@ impl<S: Conn> Conn for FaultStream<S> {
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         self.inner.set_nonblocking(nonblocking)
     }
-    #[cfg(target_os = "linux")]
     fn raw_fd(&self) -> std::os::fd::RawFd {
         self.inner.raw_fd()
     }
@@ -607,7 +588,6 @@ impl<S: Conn> Conn for FaultStream<S> {
 
 /// poll(2) bindings, declared directly (std already links libc) so the
 /// engine needs no external crate.
-#[cfg(target_os = "linux")]
 mod readiness {
     use std::os::fd::RawFd;
     use std::os::raw::{c_int, c_short, c_ulong};
@@ -642,52 +622,36 @@ mod readiness {
 /// One half of a worker wake-up channel: any thread may `wake()` it to
 /// make the owning event loop's poll return immediately.
 struct Waker {
-    #[cfg(unix)]
     tx: UnixStream,
 }
 
 /// The receiving half, owned by the event loop and registered in its
 /// poll set.
 struct WakeRx {
-    #[cfg(unix)]
     rx: UnixStream,
 }
 
 impl Waker {
     fn pair() -> io::Result<(Waker, WakeRx)> {
-        #[cfg(unix)]
-        {
-            let (tx, rx) = UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            Ok((Waker { tx }, WakeRx { rx }))
-        }
-        #[cfg(not(unix))]
-        {
-            Ok((Waker {}, WakeRx {}))
-        }
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((Waker { tx }, WakeRx { rx }))
     }
 
     fn wake(&self) {
         // A full pipe already guarantees a pending wakeup; ignore it.
-        #[cfg(unix)]
-        {
-            let _ = (&self.tx).write(&[1u8]);
-        }
+        let _ = (&self.tx).write(&[1u8]);
     }
 }
 
 impl WakeRx {
     /// Swallow every pending wake token.
     fn drain(&mut self) {
-        #[cfg(unix)]
-        {
-            let mut buf = [0u8; 64];
-            while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
-        }
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 
-    #[cfg(target_os = "linux")]
     fn raw_fd(&self) -> std::os::fd::RawFd {
         std::os::fd::AsRawFd::as_raw_fd(&self.rx)
     }
@@ -1178,7 +1142,6 @@ impl EventWorker {
 
     /// Wait for readiness; returns `(slot, readable, writable)` per
     /// ready connection.
-    #[cfg(target_os = "linux")]
     fn wait(&mut self) -> Vec<(usize, bool, bool)> {
         use readiness::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
         let mut fds = Vec::with_capacity(self.slots.len() + 1);
@@ -1220,22 +1183,6 @@ impl EventWorker {
             }
         }
         out
-    }
-
-    /// Portable fallback: a short sleep, then sweep every connection
-    /// as maybe-ready (nonblocking reads make the sweep cheap).
-    #[cfg(not(target_os = "linux"))]
-    fn wait(&mut self) -> Vec<(usize, bool, bool)> {
-        std::thread::sleep(Duration::from_millis(5));
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.as_ref()
-                    .map(|conn| (i, conn.wants_read(), conn.wants_write()))
-            })
-            .filter(|(_, r, w)| *r || *w)
-            .collect()
     }
 
     /// Fold finished handler answers into their connections and flush.

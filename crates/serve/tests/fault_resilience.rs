@@ -4,8 +4,6 @@
 //! cap, the idle reaper, the request deadline, and a seeded transport
 //! fault storm that must still converge to byte-identical answers.
 
-#![cfg(unix)]
-
 use std::io::Read;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;

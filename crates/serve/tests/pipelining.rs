@@ -333,7 +333,6 @@ fn a_1024_idle_connection_soak_keeps_the_thread_count_fixed() {
     let ep = Endpoint::Tcp(addr.to_string());
 
     let threads_before = server.worker_threads();
-    #[cfg(target_os = "linux")]
     let os_threads_before = proc_thread_count();
 
     let mut idle = Vec::with_capacity(1024);
@@ -348,17 +347,14 @@ fn a_1024_idle_connection_soak_keeps_the_thread_count_fixed() {
 
     // The pool is fixed: same engine thread count as at start.
     assert_eq!(server.worker_threads(), threads_before);
-    #[cfg(target_os = "linux")]
-    {
-        // OS-level check: the process did not spawn a thread per
-        // connection. Allow a little slack for test-harness threads.
-        let os_threads_now = proc_thread_count();
-        assert!(
-            os_threads_now <= os_threads_before + 8,
-            "thread count grew from {os_threads_before} to {os_threads_now} \
-             under 1024 idle connections"
-        );
-    }
+    // OS-level check: the process did not spawn a thread per
+    // connection. Allow a little slack for test-harness threads.
+    let os_threads_now = proc_thread_count();
+    assert!(
+        os_threads_now <= os_threads_before + 8,
+        "thread count grew from {os_threads_before} to {os_threads_now} \
+         under 1024 idle connections"
+    );
 
     // The server still answers new work while holding the idle herd.
     let mut client = Client::builder(&ep).build().unwrap();
@@ -377,7 +373,6 @@ fn a_1024_idle_connection_soak_keeps_the_thread_count_fixed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(target_os = "linux")]
 fn proc_thread_count() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").unwrap();
     status

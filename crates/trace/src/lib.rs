@@ -303,21 +303,15 @@ impl Tracer for RecordingTracer {
     }
 }
 
-/// Streaming counters: IC, MA, and per-class instruction counts. O(1)
-/// memory regardless of run length — this is what makes the pathological
-/// mass-expiry scenarios (billions of instructions) measurable.
+/// Streaming IC and MA totals. O(1) memory regardless of run length —
+/// this is what makes the pathological mass-expiry scenarios (billions of
+/// instructions) measurable.
 #[derive(Default, Debug, Clone)]
 pub struct CountingTracer {
     /// Total executed instructions (IC metric).
     pub instructions: u64,
     /// Total memory accesses (MA metric).
     pub mem_accesses: u64,
-    /// Memory reads only.
-    pub reads: u64,
-    /// Memory writes only.
-    pub writes: u64,
-    /// Per-[`InstrClass`] instruction counts.
-    pub per_class: [u64; 10],
 }
 
 impl CountingTracer {
@@ -325,32 +319,16 @@ impl CountingTracer {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Reset all counters to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 impl Tracer for CountingTracer {
     #[inline]
     fn event(&mut self, ev: TraceEvent) {
         match ev {
-            TraceEvent::Instr { class, n } => {
-                self.instructions += n as u64;
-                self.per_class[class.index()] += n as u64;
-            }
-            TraceEvent::MemRead { .. } => {
+            TraceEvent::Instr { n, .. } => self.instructions += n as u64,
+            TraceEvent::MemRead { .. } | TraceEvent::MemWrite { .. } => {
                 self.instructions += 1;
                 self.mem_accesses += 1;
-                self.reads += 1;
-                self.per_class[InstrClass::Load.index()] += 1;
-            }
-            TraceEvent::MemWrite { .. } => {
-                self.instructions += 1;
-                self.mem_accesses += 1;
-                self.writes += 1;
-                self.per_class[InstrClass::Store.index()] += 1;
             }
             _ => {}
         }
@@ -399,10 +377,6 @@ mod tests {
         t.branch_instr();
         assert_eq!(t.instructions, 3 + 1 + 1 + 1);
         assert_eq!(t.mem_accesses, 2);
-        assert_eq!(t.reads, 1);
-        assert_eq!(t.writes, 1);
-        assert_eq!(t.per_class[InstrClass::Alu.index()], 3);
-        assert_eq!(t.per_class[InstrClass::Branch.index()], 1);
     }
 
     #[test]
