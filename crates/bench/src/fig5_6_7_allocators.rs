@@ -106,8 +106,8 @@ fn high_churn() -> Scenario {
 /// Run one (scenario, allocator) cell; returns (predicted new-flow
 /// cycles, measured new-flow cycle samples).
 fn run(scenario: &Scenario, kind: nat::AllocKind) -> (u64, Vec<f64>) {
-    // The §5.3 swap is one field in the descriptor; both variants stay
-    // alive behind the same `NatState`.
+    // The §5.3 swap is one field in the descriptor: the NAT's one
+    // `NatTable` holds whichever allocator it names.
     let nf = Nat::with(
         nat::NatConfig {
             capacity: CAP,

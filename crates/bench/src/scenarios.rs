@@ -206,7 +206,7 @@ pub(crate) fn nat_typical() -> Vec<ScenarioOutcome> {
     {
         let mut aspace = AddressSpace::new();
         let mut state = nf.state(contract.ids, &mut aspace);
-        let flows = collision_free_int_flows(|k| state.ft().bucket_of(k), 512, 10_000);
+        let flows = collision_free_int_flows(|k| state.ft.bucket_of(k), 512, 10_000);
         let mut runner = NfRunner::new(StackLevel::FullStack, Granularity::Milliseconds);
         runner.play_nf(&nf, &mut state, &flows);
         out.push(collect(
@@ -270,11 +270,9 @@ pub(crate) fn nat_pathological(capacity: usize, uniform: bool) -> ScenarioOutcom
     // packet's post-expiry probe quickly, so the lookup's `t` does not
     // conflate into the expiry cross terms.
     let fill = capacity - 8;
-    state
-        .ft_mut()
-        .synthesize_aged(fill, uniform, |i| base + i as u64);
+    state.ft.synthesize_aged(fill, uniform, |i| base + i as u64);
     for i in 0..fill {
-        state.raw_take_port(cfg.base_port + i as u16);
+        state.pa.raw_take(cfg.base_port + i as u16);
     }
     let pkts = mass_expiry_trigger();
     let mut runner = NfRunner::new(StackLevel::FullStack, Granularity::Milliseconds);

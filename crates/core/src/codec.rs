@@ -194,7 +194,8 @@ mod tests {
     use bolt_see::{Explorer, NfCtx, NfVerdict};
     use bolt_solver::Solver;
     use bolt_trace::Metric;
-    use nf_lib::flow_table::{FlowTableModel, FlowTableOps, FlowTableParams};
+    use nf_lib::flow_table::{FlowTableOps, FlowTableParams};
+    use nf_lib::model::DsModel;
     use proptest::prelude::*;
 
     fn toy_contract() -> NfContract {
@@ -205,7 +206,10 @@ mod tests {
         };
         let ids = nf_lib::flow_table::register::<1>(&mut reg, "t", "", params);
         let result = Explorer::new().explore(|ctx| {
-            let mut model = FlowTableModel::new(ids, params);
+            let mut model = DsModel {
+                ds: ids.ds,
+                bound: params.capacity as u64,
+            };
             let pkt = ctx.packet(64);
             let et = ctx.load(pkt, 12, 2);
             if ctx.branch_eq_imm(et, 0x0800, bolt_expr::Width::W16) {

@@ -242,7 +242,8 @@ mod tests {
     use bolt_see::{Explorer, NfCtx};
     use bolt_trace::Metric;
     use dpdk_sim::headers as h;
-    use nf_lib::flow_table::{FlowTableModel, FlowTableOps, FlowTableParams};
+    use nf_lib::flow_table::{FlowTableOps, FlowTableParams};
+    use nf_lib::model::DsModel;
 
     fn toy_contract() -> (DsRegistry, nf_lib::flow_table::FlowTableIds, NfContract) {
         let mut reg = DsRegistry::new();
@@ -252,7 +253,10 @@ mod tests {
         };
         let ids = nf_lib::flow_table::register::<1>(&mut reg, "t", "", params);
         let result = Explorer::new().explore(|ctx| {
-            let mut model = FlowTableModel::new(ids, params);
+            let mut model = DsModel {
+                ds: ids.ds,
+                bound: params.capacity as u64,
+            };
             let pkt = ctx.packet(64);
             let et = ctx.load(pkt, h::ETHER_TYPE, 2);
             if ctx.branch_eq_imm(et, h::ETHERTYPE_IPV4 as u64, Width::W16) {

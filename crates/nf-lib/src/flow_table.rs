@@ -27,8 +27,9 @@
 
 use bolt_expr::{PcvId, PerfExpr, Width};
 use bolt_see::{ConcreteCtx, NfCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall, Tracer};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, Tracer};
 
+use crate::model::DsModel;
 use crate::registry::{measure, DsContract, DsRegistry, MethodContract};
 
 /// Slot stride: one cache line per entry.
@@ -46,7 +47,7 @@ const EMPTY: u8 = 0;
 const TOMB: u8 = 1;
 const OCC: u8 = 2;
 
-/// Method indices (the `method` field of [`StatefulCall`]).
+/// Method indices (the `method` field of [`bolt_trace::StatefulCall`]).
 pub const M_GET: u16 = 0;
 /// `peek` — lookup without refreshing the entry's age.
 pub(crate) const M_PEEK: u16 = 1;
@@ -716,84 +717,28 @@ impl<const K: usize> FlowTable<K> {
 // Symbolic model
 // ---------------------------------------------------------------------
 
-/// The analysis-build model: returns fresh symbols, forks per contract
-/// case, and records [`StatefulCall`] events (§3.3, Algorithm 3).
-#[derive(Clone, Copy, Debug)]
-pub struct FlowTableModel {
-    ids: FlowTableIds,
-    capacity: u64,
-}
-
-impl FlowTableModel {
-    /// Model for a registered instance.
-    pub fn new(ids: FlowTableIds, params: FlowTableParams) -> Self {
-        FlowTableModel {
-            ids,
-            capacity: params.capacity as u64,
-        }
-    }
-
-    fn call(&self, ctx: &mut impl NfCtx, method: u16, case: u16) {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method,
-            case,
-        });
-    }
-}
-
-impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTableModel {
+impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for DsModel {
     fn expire(&mut self, ctx: &mut C, _now: C::Val) -> C::Val {
-        self.call(ctx, M_EXPIRE, 0);
-        let e = ctx.fresh("flow.expired", Width::W64);
-        let cap = ctx.lit(self.capacity, Width::W64);
-        let bounded = ctx.ule_free(e, cap);
-        ctx.assume(bounded);
-        e
+        self.record(ctx, M_EXPIRE, 0);
+        self.fresh_bounded(ctx, "flow.expired", Width::W64)
     }
 
     fn get(&mut self, ctx: &mut C, _key: &[C::Val; K], _now: C::Val) -> Option<C::Val> {
-        let hit = ctx.fresh("flow.get.hit", Width::W1);
-        if ctx.fork(hit) {
-            self.call(ctx, M_GET, C_HIT);
-            Some(ctx.fresh("flow.get.val", Width::W64))
-        } else {
-            self.call(ctx, M_GET, C_MISS);
-            None
-        }
+        let case = self.split(ctx, M_GET, &[("flow.get.hit", C_HIT)], C_MISS);
+        (case == C_HIT).then(|| ctx.fresh("flow.get.val", Width::W64))
     }
 
     fn peek(&mut self, ctx: &mut C, _key: &[C::Val; K]) -> Option<C::Val> {
-        let hit = ctx.fresh("flow.peek.hit", Width::W1);
-        if ctx.fork(hit) {
-            self.call(ctx, M_PEEK, C_HIT);
-            Some(ctx.fresh("flow.peek.val", Width::W64))
-        } else {
-            self.call(ctx, M_PEEK, C_MISS);
-            None
-        }
+        let case = self.split(ctx, M_PEEK, &[("flow.peek.hit", C_HIT)], C_MISS);
+        (case == C_HIT).then(|| ctx.fresh("flow.peek.val", Width::W64))
     }
 
     fn put(&mut self, ctx: &mut C, _key: &[C::Val; K], _val: C::Val, _now: C::Val) -> bool {
-        let stored = ctx.fresh("flow.put.stored", Width::W1);
-        if ctx.fork(stored) {
-            self.call(ctx, M_PUT, C_STORED);
-            true
-        } else {
-            self.call(ctx, M_PUT, C_FULL);
-            false
-        }
+        self.split(ctx, M_PUT, &[("flow.put.stored", C_STORED)], C_FULL) == C_STORED
     }
 
     fn update(&mut self, ctx: &mut C, _key: &[C::Val; K], _val: C::Val, _now: C::Val) -> bool {
-        let hit = ctx.fresh("flow.update.hit", Width::W1);
-        if ctx.fork(hit) {
-            self.call(ctx, M_UPDATE, C_HIT);
-            true
-        } else {
-            self.call(ctx, M_UPDATE, C_MISS);
-            false
-        }
+        self.split(ctx, M_UPDATE, &[("flow.update.hit", C_HIT)], C_MISS) == C_HIT
     }
 }
 
@@ -1184,7 +1129,7 @@ pub fn register<const K: usize>(
 mod tests {
     use super::*;
     use bolt_expr::PcvAssignment;
-    use bolt_trace::{CountingTracer, Metric, NullTracer, RecordingTracer};
+    use bolt_trace::{CountingTracer, Metric, NullTracer, RecordingTracer, StatefulCall};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -1531,7 +1476,10 @@ mod tests {
         };
         let ids = register::<1>(&mut reg, "t", "", params);
         let result = bolt_see::Explorer::new().explore(|ctx| {
-            let mut model = FlowTableModel::new(ids, params);
+            let mut model = DsModel {
+                ds: ids.ds,
+                bound: params.capacity as u64,
+            };
             let pkt = ctx.packet(64);
             let f = ctx.load(pkt, 0, 8);
             let now = ctx.lit(0, Width::W64);

@@ -12,9 +12,10 @@
 //! 1. a **concrete implementation**, instrumented at x86-instruction
 //!    granularity (every logical step reports its cost and simulated
 //!    memory addresses through the ambient tracer);
-//! 2. a **symbolic model** implementing the same operations trait: it
-//!    returns fresh symbols, forks the path per contract case, and records
-//!    a [`bolt_trace::StatefulCall`] event instead of executing;
+//! 2. a **symbolic model**: the operations trait implemented for the one
+//!    [`model::DsModel`], which returns fresh symbols, forks the path per
+//!    contract case, and records a [`bolt_trace::StatefulCall`] event
+//!    instead of executing;
 //! 3. a **manual performance contract** ([`registry::MethodContract`])
 //!    expressing each case's cost as a polynomial over the structure's
 //!    PCVs. Contract and implementation are built from the *same* cost
@@ -40,6 +41,7 @@ pub mod lpm_dir24_8;
 pub mod lpm_trie;
 pub mod mac_table;
 pub mod maglev;
+pub mod model;
 pub mod port_alloc;
 pub mod registry;
 

@@ -12,8 +12,9 @@
 
 use bolt_expr::{PerfExpr, Width};
 use bolt_see::NfCtx;
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
 
+use crate::model::DsModel;
 use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// The single method.
@@ -211,33 +212,10 @@ impl<C: NfCtx> Dir24_8Ops<C> for Dir24_8 {
     }
 }
 
-/// Symbolic model: forks the short/long case and returns a fresh port.
-#[derive(Clone, Copy, Debug)]
-pub struct Dir24_8Model {
-    ids: Dir24_8Ids,
-}
-
-impl Dir24_8Model {
-    /// Model for a registered instance.
-    pub fn new(ids: Dir24_8Ids) -> Self {
-        Dir24_8Model { ids }
-    }
-}
-
-impl<C: NfCtx> Dir24_8Ops<C> for Dir24_8Model {
+impl<C: NfCtx> Dir24_8Ops<C> for DsModel {
     fn lookup(&mut self, ctx: &mut C, _ip: C::Val) -> C::Val {
-        let long = ctx.fresh("dir24_8.long_match", Width::W1);
-        let case = if ctx.fork(long) { C_LONG } else { C_SHORT };
-        if case == C_LONG {
-            ctx.tag("lpm:long");
-        } else {
-            ctx.tag("lpm:short");
-        }
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method: M_LOOKUP,
-            case,
-        });
+        let long = self.split(ctx, M_LOOKUP, &[("dir24_8.long_match", C_LONG)], C_SHORT) == C_LONG;
+        ctx.tag(if long { "lpm:long" } else { "lpm:short" });
         ctx.fresh("dir24_8.port", Width::W16)
     }
 }
@@ -289,7 +267,7 @@ mod tests {
     use super::*;
     use crate::lpm_trie;
     use bolt_see::ConcreteCtx;
-    use bolt_trace::{Metric, NullTracer, RecordingTracer};
+    use bolt_trace::{Metric, NullTracer, RecordingTracer, StatefulCall};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -412,7 +390,10 @@ mod tests {
         let mut reg = DsRegistry::new();
         let ids = register(&mut reg, "d");
         let result = bolt_see::Explorer::new().explore(|ctx| {
-            let mut model = Dir24_8Model::new(ids);
+            let mut model = DsModel {
+                ds: ids.ds,
+                bound: 0,
+            };
             let pkt = ctx.packet(64);
             let ip = ctx.load(pkt, 30, 4);
             let _ = Dir24_8Ops::<_>::lookup(&mut model, ctx, ip);

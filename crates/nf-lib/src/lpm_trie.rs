@@ -10,8 +10,9 @@
 
 use bolt_expr::{PcvId, PerfExpr, Width};
 use bolt_see::NfCtx;
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
 
+use crate::model::DsModel;
 use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// Node stride: children pointers + port, padded to 16 bytes.
@@ -155,26 +156,10 @@ impl<C: NfCtx> LpmTrieOps<C> for LpmTrie {
     }
 }
 
-/// Symbolic model: returns a fresh port; the matched length is opaque.
-#[derive(Clone, Copy, Debug)]
-pub struct LpmTrieModel {
-    ids: LpmTrieIds,
-}
-
-impl LpmTrieModel {
-    /// Model for a registered instance.
-    pub fn new(ids: LpmTrieIds) -> Self {
-        LpmTrieModel { ids }
-    }
-}
-
-impl<C: NfCtx> LpmTrieOps<C> for LpmTrieModel {
+/// The model's matched length is opaque: one case, a fresh port.
+impl<C: NfCtx> LpmTrieOps<C> for DsModel {
     fn lookup(&mut self, ctx: &mut C, _ip: C::Val) -> C::Val {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method: M_LOOKUP,
-            case: 0,
-        });
+        self.record(ctx, M_LOOKUP, 0);
         ctx.fresh("lpm.port", Width::W16)
     }
 }
@@ -228,7 +213,7 @@ mod tests {
     use super::*;
     use bolt_expr::PcvAssignment;
     use bolt_see::ConcreteCtx;
-    use bolt_trace::{Metric, NullTracer, RecordingTracer};
+    use bolt_trace::{Metric, NullTracer, RecordingTracer, StatefulCall};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -340,7 +325,10 @@ mod tests {
         let mut reg = DsRegistry::new();
         let ids = register(&mut reg, "lpm", "");
         let result = bolt_see::Explorer::new().explore(|ctx| {
-            let mut model = LpmTrieModel::new(ids);
+            let mut model = DsModel {
+                ds: ids.ds,
+                bound: 0,
+            };
             let pkt = ctx.packet(64);
             let ip = ctx.load(pkt, 30, 4);
             let _port = LpmTrieOps::<_>::lookup(&mut model, ctx, ip);

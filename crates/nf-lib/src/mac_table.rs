@@ -15,12 +15,13 @@
 
 use bolt_expr::Width;
 use bolt_see::NfCtx;
-use bolt_trace::{AddressSpace, DsId, InstrClass, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass};
 
 use crate::flow_table::{
     self, FlowTable, FlowTableIds, FlowTableOps, FlowTableParams, C_HIT, C_MISS, C_STORED,
     M_EXPIRE, M_GET, M_PEEK, M_PUT, M_REHASH,
 };
+use crate::model::DsModel;
 use crate::registry::{
     case_perf, sum3, with_glue, CaseContract, DsContract, DsRegistry, MethodContract,
 };
@@ -199,77 +200,33 @@ impl<C: NfCtx> MacTableOps<C> for MacTable {
     }
 }
 
-/// Symbolic model of the MAC table.
-#[derive(Clone, Copy, Debug)]
-pub struct MacTableModel {
-    ids: MacTableIds,
-    capacity: u64,
-}
-
-impl MacTableModel {
-    /// Model for a registered instance.
-    pub fn new(ids: MacTableIds, params: FlowTableParams) -> Self {
-        MacTableModel {
-            ids,
-            capacity: params.capacity as u64,
-        }
-    }
-
-    fn call(&self, ctx: &mut impl NfCtx, method: u16, case: u16) {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method,
-            case,
-        });
-    }
-}
-
-impl<C: NfCtx> MacTableOps<C> for MacTableModel {
+impl<C: NfCtx> MacTableOps<C> for DsModel {
     fn expire(&mut self, ctx: &mut C, _now: C::Val) -> C::Val {
-        self.call(ctx, M_MT_EXPIRE, 0);
-        let e = ctx.fresh("mac_table.expired", Width::W64);
-        let cap = ctx.lit(self.capacity, Width::W64);
-        let bounded = ctx.ule_free(e, cap);
-        ctx.assume(bounded);
-        e
+        self.record(ctx, M_MT_EXPIRE, 0);
+        self.fresh_bounded(ctx, "mac_table.expired", Width::W64)
     }
 
     fn learn(&mut self, ctx: &mut C, _mac: C::Val, _port: C::Val, _now: C::Val) -> LearnOutcome {
-        let known = ctx.fresh("mac_table.learn.known", Width::W1);
-        if ctx.fork(known) {
-            self.call(ctx, M_MT_LEARN, C_KNOWN);
-            return LearnOutcome::Known;
-        }
-        let rehash = ctx.fresh("mac_table.learn.rehash", Width::W1);
-        if ctx.fork(rehash) {
-            self.call(ctx, M_MT_LEARN, C_UNKNOWN_REHASH);
-            LearnOutcome::UnknownRehash
-        } else {
-            self.call(ctx, M_MT_LEARN, C_UNKNOWN);
-            LearnOutcome::Unknown
+        let cases = [
+            ("mac_table.learn.known", C_KNOWN),
+            ("mac_table.learn.rehash", C_UNKNOWN_REHASH),
+        ];
+        match self.split(ctx, M_MT_LEARN, &cases, C_UNKNOWN) {
+            C_KNOWN => LearnOutcome::Known,
+            C_UNKNOWN_REHASH => LearnOutcome::UnknownRehash,
+            _ => LearnOutcome::Unknown,
         }
     }
 
     fn lookup(&mut self, ctx: &mut C, _mac: C::Val) -> Option<C::Val> {
-        let hit = ctx.fresh("mac_table.lookup.hit", Width::W1);
-        if ctx.fork(hit) {
-            self.call(ctx, M_MT_LOOKUP, C_HIT);
-            Some(ctx.fresh("mac_table.lookup.port", Width::W64))
-        } else {
-            self.call(ctx, M_MT_LOOKUP, C_MISS);
-            None
-        }
+        let case = self.split(ctx, M_MT_LOOKUP, &[("mac_table.lookup.hit", C_HIT)], C_MISS);
+        (case == C_HIT).then(|| ctx.fresh("mac_table.lookup.port", Width::W64))
     }
 }
 
 /// Register a MAC table: registers the inner store (with *bare* PCV names,
 /// as in Table 4), composes the wrapper contract, and registers it.
-pub fn register(
-    reg: &mut DsRegistry,
-    name: &str,
-    params: FlowTableParams,
-    _rehash_threshold: u64,
-) -> MacTableIds {
+pub fn register(reg: &mut DsRegistry, name: &str, params: FlowTableParams) -> MacTableIds {
     let store = flow_table::register::<1>(reg, &format!("{name}.store"), "", params);
     let get_hit = case_perf(reg, store.ds, M_GET, C_HIT);
     let get_miss = case_perf(reg, store.ds, M_GET, C_MISS);
@@ -333,7 +290,7 @@ mod tests {
     use bolt_expr::PcvAssignment;
     use bolt_see::concrete::CVal;
     use bolt_see::ConcreteCtx;
-    use bolt_trace::{Metric, NullTracer, RecordingTracer};
+    use bolt_trace::{Metric, NullTracer, RecordingTracer, StatefulCall};
 
     fn setup(capacity: usize, threshold: u64) -> (DsRegistry, MacTableIds, MacTable) {
         let mut reg = DsRegistry::new();
@@ -341,7 +298,7 @@ mod tests {
             capacity,
             ttl_ns: 1000,
         };
-        let ids = register(&mut reg, "mac_table", params, threshold);
+        let ids = register(&mut reg, "mac_table", params);
         let mut aspace = AddressSpace::new();
         let table = MacTable::new(ids, params, threshold, &mut aspace);
         (reg, ids, table)
@@ -496,9 +453,12 @@ mod tests {
             capacity: 64,
             ttl_ns: 100,
         };
-        let ids = register(&mut reg, "mt", params, 6);
+        let ids = register(&mut reg, "mt", params);
         let result = bolt_see::Explorer::new().explore(|ctx| {
-            let mut model = MacTableModel::new(ids, params);
+            let mut model = DsModel {
+                ds: ids.ds,
+                bound: params.capacity as u64,
+            };
             let pkt = ctx.packet(64);
             let mac = ctx.load(pkt, 6, 6);
             let port = ctx.lit(0, Width::W64);

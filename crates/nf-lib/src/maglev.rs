@@ -16,8 +16,9 @@
 
 use bolt_expr::{PerfExpr, Width};
 use bolt_see::{ConcreteCtx, NfCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
 
+use crate::model::DsModel;
 use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
 
 /// Ring method index.
@@ -141,35 +142,12 @@ impl<C: NfCtx> MaglevRingOps<C> for MaglevRing {
     }
 }
 
-/// Symbolic model of the ring.
-#[derive(Clone, Copy, Debug)]
-pub struct MaglevRingModel {
-    ids: MaglevRingIds,
-    n_backends: u64,
-}
-
-impl MaglevRingModel {
-    /// Model for a registered instance.
-    pub fn new(ids: MaglevRingIds, n_backends: u16) -> Self {
-        MaglevRingModel {
-            ids,
-            n_backends: n_backends as u64,
-        }
-    }
-}
-
-impl<C: NfCtx> MaglevRingOps<C> for MaglevRingModel {
+impl<C: NfCtx> MaglevRingOps<C> for DsModel {
     fn lookup(&mut self, ctx: &mut C, _hash: C::Val) -> C::Val {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method: M_RING_LOOKUP,
-            case: 0,
-        });
-        let b = ctx.fresh("ring.backend", Width::W16);
-        let n = ctx.lit(self.n_backends, Width::W16);
-        let lt = ctx.ule_free(b, n); // b < n would need strict; b ≤ n is a sound relaxation
-        ctx.assume(lt);
-        b
+        self.record(ctx, M_RING_LOOKUP, 0);
+        // `bound` is the backend count: b < n would need a strict bound;
+        // b ≤ n is a sound relaxation.
+        self.fresh_bounded(ctx, "ring.backend", Width::W16)
     }
 }
 
@@ -226,37 +204,13 @@ impl<C: NfCtx> BackendPoolOps<C> for BackendPool {
     }
 }
 
-/// Symbolic model of the backend pool.
-#[derive(Clone, Copy, Debug)]
-pub struct BackendPoolModel {
-    ids: BackendPoolIds,
-}
-
-impl BackendPoolModel {
-    /// Model for a registered instance.
-    pub fn new(ids: BackendPoolIds) -> Self {
-        BackendPoolModel { ids }
-    }
-}
-
-impl<C: NfCtx> BackendPoolOps<C> for BackendPoolModel {
+impl<C: NfCtx> BackendPoolOps<C> for DsModel {
     fn heartbeat(&mut self, ctx: &mut C, _backend: C::Val, _now: C::Val) {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method: M_HEARTBEAT,
-            case: 0,
-        });
+        self.record(ctx, M_HEARTBEAT, 0);
     }
 
     fn is_alive(&mut self, ctx: &mut C, _backend: C::Val, _now: C::Val) -> bool {
-        let alive = ctx.fresh("backend.alive", Width::W1);
-        let taken = ctx.fork(alive);
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.ds,
-            method: M_IS_ALIVE,
-            case: if taken { C_ALIVE } else { C_DEAD },
-        });
-        taken
+        self.split(ctx, M_IS_ALIVE, &[("backend.alive", C_ALIVE)], C_DEAD) == C_ALIVE
     }
 }
 
@@ -340,7 +294,7 @@ pub fn register_pool(reg: &mut DsRegistry, name: &str, n: u16, hb_ttl_ns: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_trace::NullTracer;
+    use bolt_trace::{NullTracer, StatefulCall};
 
     #[test]
     fn ring_is_balanced() {
@@ -457,8 +411,14 @@ mod tests {
         let ring = register_ring(&mut reg, "ring", 8, 1009);
         let pool = register_pool(&mut reg, "backends", 8, 1000);
         let result = bolt_see::Explorer::new().explore(|ctx| {
-            let mut rm = MaglevRingModel::new(ring, 8);
-            let mut pm = BackendPoolModel::new(pool);
+            let mut rm = DsModel {
+                ds: ring.ds,
+                bound: 8,
+            };
+            let mut pm = DsModel {
+                ds: pool.ds,
+                bound: 0,
+            };
             let pkt = ctx.packet(64);
             let h = ctx.load(pkt, 26, 8);
             let b = MaglevRingOps::<_>::lookup(&mut rm, ctx, h);

@@ -1,0 +1,66 @@
+//! The analysis build of every library structure (§3.3, Algorithm 3).
+//!
+//! A modelled method call does not execute: it returns fresh symbols,
+//! forks the path once per contract case, and records which case the
+//! path took as a [`StatefulCall`] event. That one operation is the same
+//! for every structure, so the library writes it once, here. Each
+//! structure's operations trait is implemented for [`DsModel`] next to
+//! the structure; those impls only name the symbols and cases.
+
+use bolt_expr::Width;
+use bolt_see::NfCtx;
+use bolt_trace::{DsId, StatefulCall};
+
+/// Symbolic model of one registered data-structure instance.
+#[derive(Clone, Copy, Debug)]
+pub struct DsModel {
+    /// The registry instance whose contract cases the calls record.
+    pub ds: DsId,
+    /// Upper bound assumed for [`DsModel::fresh_bounded`] values (a
+    /// table's capacity, a ring's backend count); unused by structures
+    /// with no bounded output.
+    pub bound: u64,
+}
+
+impl DsModel {
+    /// Record that this path's call of `method` took contract case `case`.
+    pub fn record<C: NfCtx>(&self, ctx: &mut C, method: u16, case: u16) {
+        ctx.tracer().stateful(StatefulCall {
+            ds: self.ds,
+            method,
+            case,
+        });
+    }
+
+    /// Fork over `method`'s cases: for each `(symbol, case)` in order,
+    /// fork on a fresh 1-bit symbol of that name. The first fork taken
+    /// selects its case; if none is, the path takes `fallback`. Either
+    /// way the case is recorded and returned.
+    pub fn split<C: NfCtx>(
+        &self,
+        ctx: &mut C,
+        method: u16,
+        cases: &[(&str, u16)],
+        fallback: u16,
+    ) -> u16 {
+        let mut taken = fallback;
+        for &(name, case) in cases {
+            let this_case = ctx.fresh(name, Width::W1);
+            if ctx.fork(this_case) {
+                taken = case;
+                break;
+            }
+        }
+        self.record(ctx, method, taken);
+        taken
+    }
+
+    /// A fresh value assumed `≤ bound`.
+    pub fn fresh_bounded<C: NfCtx>(&self, ctx: &mut C, name: &str, w: Width) -> C::Val {
+        let v = ctx.fresh(name, w);
+        let bound = ctx.lit(self.bound, w);
+        let within = ctx.ule_free(v, bound);
+        ctx.assume(within);
+        v
+    }
+}

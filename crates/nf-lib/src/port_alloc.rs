@@ -13,6 +13,9 @@
 //!   chase; at high occupancy the expected probe count `p ≈ 1/(1-load)`
 //!   makes it much slower. `p` is the allocator's PCV.
 //!
+//! [`PortAllocator`] holds either one, for callers that choose at run
+//! time.
+//!
 //! [`PortMap`] is the NAT's reverse path: a direct-indexed array from
 //! external port to flow metadata (one load to read, one store to write).
 
@@ -331,6 +334,55 @@ impl<C: NfCtx> PortAllocOps<C> for AllocatorB {
         self.used[i] = false;
         self.n_free += 1;
         t.instr(InstrClass::Ret, 1);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Either allocator, chosen at run time
+// ---------------------------------------------------------------------
+
+/// Allocator A or B behind one type: the NAT picks one per configuration
+/// (§5.3's A/B comparison) without becoming generic over it.
+#[derive(Debug, Clone)]
+pub enum PortAllocator {
+    /// Doubly-linked free list.
+    A(AllocatorA),
+    /// First-fit scan.
+    B(AllocatorB),
+}
+
+impl PortAllocator {
+    /// Free ports remaining.
+    pub fn available(&self) -> usize {
+        match self {
+            PortAllocator::A(a) => a.available(),
+            PortAllocator::B(b) => b.available(),
+        }
+    }
+
+    /// Mark a specific port allocated without accounting (state
+    /// synthesis).
+    pub fn raw_take(&mut self, port: u16) {
+        match self {
+            PortAllocator::A(a) => a.raw_take(port),
+            PortAllocator::B(b) => b.raw_take(port),
+        }
+    }
+}
+
+impl<C: NfCtx> PortAllocOps<C> for PortAllocator {
+    fn alloc(&mut self, ctx: &mut C) -> Option<C::Val> {
+        match self {
+            PortAllocator::A(a) => a.alloc(ctx),
+            PortAllocator::B(b) => b.alloc(ctx),
+        }
+    }
+
+    fn free(&mut self, ctx: &mut C, port: C::Val) {
+        match self {
+            PortAllocator::A(a) => a.free(ctx, port),
+            PortAllocator::B(b) => b.free(ctx, port),
+        }
     }
 }
 

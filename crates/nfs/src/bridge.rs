@@ -12,7 +12,8 @@ use bolt_trace::AddressSpace;
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::FlowTableParams;
-use nf_lib::mac_table::{self, LearnOutcome, MacTable, MacTableIds, MacTableModel, MacTableOps};
+use nf_lib::mac_table::{self, LearnOutcome, MacTable, MacTableIds, MacTableOps};
+use nf_lib::model::DsModel;
 use nf_lib::registry::DsRegistry;
 
 use crate::forward_to;
@@ -55,7 +56,7 @@ fn register(reg: &mut DsRegistry, cfg: &BridgeConfig) -> BridgeIds {
         ttl_ns: cfg.ttl_ns,
     };
     BridgeIds {
-        table: mac_table::register(reg, "mac_table", params, cfg.rehash_threshold),
+        table: mac_table::register(reg, "mac_table", params),
     }
 }
 
@@ -155,11 +156,10 @@ impl NetworkFunction for Bridge {
     }
 
     fn sym_process(&self, ctx: &mut SymbolicCtx<'_>, ids: BridgeIds, mbuf: Mbuf) {
-        let params = FlowTableParams {
-            capacity: self.cfg.capacity,
-            ttl_ns: self.cfg.ttl_ns,
+        let mut model = DsModel {
+            ds: ids.table.ds,
+            bound: self.cfg.capacity as u64,
         };
-        let mut model = MacTableModel::new(ids.table, params);
         let now = ClockModel.now(ctx);
         process(ctx, &mut model, now, mbuf);
     }

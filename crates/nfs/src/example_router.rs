@@ -11,7 +11,8 @@ use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::AddressSpace;
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
-use nf_lib::lpm_trie::{self, LpmTrie, LpmTrieIds, LpmTrieModel, LpmTrieOps};
+use nf_lib::lpm_trie::{self, LpmTrie, LpmTrieIds, LpmTrieOps};
+use nf_lib::model::DsModel;
 use nf_lib::registry::DsRegistry;
 
 use crate::forward_to;
@@ -104,7 +105,10 @@ impl NetworkFunction for ExampleRouter {
     }
 
     fn sym_process(&self, ctx: &mut SymbolicCtx<'_>, ids: ExampleRouterIds, mbuf: Mbuf) {
-        let mut model = LpmTrieModel::new(ids.trie);
+        let mut model = DsModel {
+            ds: ids.trie.ds,
+            bound: 0,
+        };
         process(ctx, &mut model, mbuf);
     }
 }

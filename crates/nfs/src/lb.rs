@@ -13,13 +13,11 @@ use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::AddressSpace;
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
-use nf_lib::flow_table::{
-    self, FlowTable, FlowTableIds, FlowTableModel, FlowTableOps, FlowTableParams,
-};
+use nf_lib::flow_table::{self, FlowTable, FlowTableIds, FlowTableOps, FlowTableParams};
 use nf_lib::maglev::{
-    self, BackendPool, BackendPoolIds, BackendPoolModel, BackendPoolOps, MaglevRing, MaglevRingIds,
-    MaglevRingModel, MaglevRingOps,
+    self, BackendPool, BackendPoolIds, BackendPoolOps, MaglevRing, MaglevRingIds, MaglevRingOps,
 };
+use nf_lib::model::DsModel;
 use nf_lib::registry::DsRegistry;
 
 use crate::{decrement_ttl, flow_key, forward_to, in_port};
@@ -248,13 +246,18 @@ impl NetworkFunction for LoadBalancer {
     }
 
     fn sym_process(&self, ctx: &mut SymbolicCtx<'_>, ids: LbIds, mbuf: Mbuf) {
-        let params = FlowTableParams {
-            capacity: self.cfg.capacity,
-            ttl_ns: self.cfg.ttl_ns,
+        let mut ft = DsModel {
+            ds: ids.ft.ds,
+            bound: self.cfg.capacity as u64,
         };
-        let mut ft = FlowTableModel::new(ids.ft, params);
-        let mut ring = MaglevRingModel::new(ids.ring, self.cfg.n_backends);
-        let mut pool = BackendPoolModel::new(ids.pool);
+        let mut ring = DsModel {
+            ds: ids.ring.ds,
+            bound: self.cfg.n_backends as u64,
+        };
+        let mut pool = DsModel {
+            ds: ids.pool.ds,
+            bound: 0,
+        };
         let now = ClockModel.now(ctx);
         process(ctx, &mut ft, &mut ring, &mut pool, &self.cfg, now, mbuf);
     }

@@ -10,7 +10,8 @@ use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::AddressSpace;
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
-use nf_lib::lpm_dir24_8::{self, Dir24_8, Dir24_8Ids, Dir24_8Model, Dir24_8Ops};
+use nf_lib::lpm_dir24_8::{self, Dir24_8, Dir24_8Ids, Dir24_8Ops};
+use nf_lib::model::DsModel;
 use nf_lib::registry::DsRegistry;
 
 use crate::{decrement_ttl, forward_to};
@@ -131,7 +132,10 @@ impl NetworkFunction for LpmRouter {
     }
 
     fn sym_process(&self, ctx: &mut SymbolicCtx<'_>, ids: LpmRouterIds, mbuf: Mbuf) {
-        let mut model = Dir24_8Model::new(ids.lpm);
+        let mut model = DsModel {
+            ds: ids.lpm.ds,
+            bound: 0,
+        };
         process(ctx, &mut model, mbuf);
     }
 }

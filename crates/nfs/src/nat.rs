@@ -15,16 +15,17 @@
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::{PerfExpr, Width};
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, StatefulCall};
+use bolt_trace::{AddressSpace, DsId, InstrClass};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::{
     self, FlowTable, FlowTableIds, FlowTableOps, FlowTableParams, C_HIT, C_MISS, C_STORED,
     M_EXPIRE, M_GET, M_PUT,
 };
+use nf_lib::model::DsModel;
 use nf_lib::port_alloc::{
-    self, AllocatorA, AllocatorB, PortAllocIds, PortAllocOps, PortMap, PortMapIds, PortMapOps,
-    C_EXHAUSTED, C_OK, M_ALLOC, M_FREE, M_PM_GET, M_PM_SET,
+    self, AllocatorA, AllocatorB, PortAllocIds, PortAllocOps, PortAllocator, PortMap, PortMapIds,
+    PortMapOps, C_EXHAUSTED, C_OK, M_ALLOC, M_FREE, M_PM_GET, M_PM_SET,
 };
 use nf_lib::registry::{
     case_perf, sum3, with_glue, CaseContract, DsContract, DsRegistry, MethodContract,
@@ -144,22 +145,33 @@ const GLUE_LOOKUP_INT: u32 = 4; // call + branch + trunc + ret
 const GLUE_NEW_FLOW: u32 = 4;
 const GLUE_LOOKUP_EXT: u32 = 2;
 
-/// The concrete composite, generic over the allocator (the §5.3 swap).
-pub struct NatTable<PA> {
+/// The concrete composite, around whichever allocator the descriptor
+/// selected (§5.3's runtime A/B choice).
+pub struct NatTable {
     /// Internal-key flow table.
     pub ft: FlowTable<3>,
     /// Port allocator.
-    pub pa: PA,
+    pub pa: PortAllocator,
     /// Reverse map.
     pub pm: PortMap,
 }
 
-impl<PA> NatTable<PA> {
-    /// Build concrete state around an allocator instance.
-    fn with_allocator(ids: NatIds, cfg: &NatConfig, pa: PA, aspace: &mut AddressSpace) -> Self {
+impl NatTable {
+    /// Concrete state for a registered NAT.
+    fn new(ids: NatIds, cfg: &NatConfig, aspace: &mut AddressSpace) -> Self {
         let params = FlowTableParams {
             capacity: cfg.capacity,
             ttl_ns: cfg.ttl_ns,
+        };
+        // Allocation order fixes the simulated address layout, and with
+        // it the measured cycles: allocator, flow table, reverse map.
+        let pa = match ids.kind {
+            AllocKind::A => {
+                PortAllocator::A(AllocatorA::new(ids.pa, cfg.n_ports, cfg.base_port, aspace))
+            }
+            AllocKind::B => {
+                PortAllocator::B(AllocatorB::new(ids.pa, cfg.n_ports, cfg.base_port, aspace))
+            }
         };
         NatTable {
             ft: FlowTable::new(ids.ft, params, aspace),
@@ -169,23 +181,7 @@ impl<PA> NatTable<PA> {
     }
 }
 
-impl NatTable<AllocatorA> {
-    /// Concrete NAT with allocator A.
-    fn new_a(ids: NatIds, cfg: &NatConfig, aspace: &mut AddressSpace) -> Self {
-        let pa = AllocatorA::new(ids.pa, cfg.n_ports, cfg.base_port, aspace);
-        Self::with_allocator(ids, cfg, pa, aspace)
-    }
-}
-
-impl NatTable<AllocatorB> {
-    /// Concrete NAT with allocator B.
-    fn new_b(ids: NatIds, cfg: &NatConfig, aspace: &mut AddressSpace) -> Self {
-        let pa = AllocatorB::new(ids.pa, cfg.n_ports, cfg.base_port, aspace);
-        Self::with_allocator(ids, cfg, pa, aspace)
-    }
-}
-
-impl<C: NfCtx, PA: PortAllocOps<C>> NatTableOps<C> for NatTable<PA> {
+impl<C: NfCtx> NatTableOps<C> for NatTable {
     fn expire(&mut self, ctx: &mut C, now: C::Val) -> C::Val {
         ctx.tracer().instr(InstrClass::Call, 1);
         let e = self.ft.expire(ctx, now);
@@ -250,50 +246,15 @@ impl<C: NfCtx, PA: PortAllocOps<C>> NatTableOps<C> for NatTable<PA> {
     }
 }
 
-/// Symbolic model of the composite.
-#[derive(Clone, Copy, Debug)]
-struct NatTableModel {
-    ids: NatIds,
-    capacity: u64,
-}
-
-impl NatTableModel {
-    /// Model for a registered instance.
-    fn new(ids: NatIds, cfg: &NatConfig) -> Self {
-        NatTableModel {
-            ids,
-            capacity: cfg.capacity as u64,
-        }
-    }
-
-    fn call(&self, ctx: &mut impl NfCtx, method: u16, case: u16) {
-        ctx.tracer().stateful(StatefulCall {
-            ds: self.ids.nat,
-            method,
-            case,
-        });
-    }
-}
-
-impl<C: NfCtx> NatTableOps<C> for NatTableModel {
+impl<C: NfCtx> NatTableOps<C> for DsModel {
     fn expire(&mut self, ctx: &mut C, _now: C::Val) -> C::Val {
-        self.call(ctx, N_EXPIRE, 0);
-        let e = ctx.fresh("nat.expired", Width::W64);
-        let cap = ctx.lit(self.capacity, Width::W64);
-        let bounded = ctx.ule_free(e, cap);
-        ctx.assume(bounded);
-        e
+        self.record(ctx, N_EXPIRE, 0);
+        self.fresh_bounded(ctx, "nat.expired", Width::W64)
     }
 
     fn lookup_int(&mut self, ctx: &mut C, _key: &[C::Val; 3], _now: C::Val) -> Option<C::Val> {
-        let hit = ctx.fresh("nat.int.hit", Width::W1);
-        if ctx.fork(hit) {
-            self.call(ctx, N_LOOKUP_INT, C_HIT);
-            Some(ctx.fresh("nat.int.port", Width::W16))
-        } else {
-            self.call(ctx, N_LOOKUP_INT, C_MISS);
-            None
-        }
+        let case = self.split(ctx, N_LOOKUP_INT, &[("nat.int.hit", C_HIT)], C_MISS);
+        (case == C_HIT).then(|| ctx.fresh("nat.int.port", Width::W16))
     }
 
     fn new_flow(
@@ -303,23 +264,16 @@ impl<C: NfCtx> NatTableOps<C> for NatTableModel {
         _packed: C::Val,
         _now: C::Val,
     ) -> NewFlowOutcome<C::Val> {
-        let ok = ctx.fresh("nat.new.ok", Width::W1);
-        if ctx.fork(ok) {
-            self.call(ctx, N_NEW_FLOW, C_NF_OK);
-            return NewFlowOutcome::Ok(ctx.fresh("nat.new.port", Width::W16));
-        }
-        let full = ctx.fresh("nat.new.table_full", Width::W1);
-        if ctx.fork(full) {
-            self.call(ctx, N_NEW_FLOW, C_NF_FULL);
-            NewFlowOutcome::TableFull
-        } else {
-            self.call(ctx, N_NEW_FLOW, C_NF_PORTS);
-            NewFlowOutcome::PortsExhausted
+        let cases = [("nat.new.ok", C_NF_OK), ("nat.new.table_full", C_NF_FULL)];
+        match self.split(ctx, N_NEW_FLOW, &cases, C_NF_PORTS) {
+            C_NF_OK => NewFlowOutcome::Ok(ctx.fresh("nat.new.port", Width::W16)),
+            C_NF_FULL => NewFlowOutcome::TableFull,
+            _ => NewFlowOutcome::PortsExhausted,
         }
     }
 
     fn lookup_ext(&mut self, ctx: &mut C, _port: C::Val) -> C::Val {
-        self.call(ctx, N_LOOKUP_EXT, 0);
+        self.record(ctx, N_LOOKUP_EXT, 0);
         ctx.fresh("nat.ext.packed", Width::W64)
     }
 }
@@ -513,77 +467,6 @@ fn process<C: NfCtx, N: NatTableOps<C>>(
     }
 }
 
-/// Concrete NAT state: the composite table around whichever allocator the
-/// descriptor selected (§5.3's runtime A/B choice behind one type).
-pub enum NatState {
-    /// Backed by allocator A (doubly-linked free list).
-    A(NatTable<AllocatorA>),
-    /// Backed by allocator B (rotating array scan).
-    B(NatTable<AllocatorB>),
-}
-
-impl NatState {
-    /// The inner flow table.
-    pub fn ft(&self) -> &FlowTable<3> {
-        match self {
-            NatState::A(t) => &t.ft,
-            NatState::B(t) => &t.ft,
-        }
-    }
-
-    /// The inner flow table, mutably.
-    pub fn ft_mut(&mut self) -> &mut FlowTable<3> {
-        match self {
-            NatState::A(t) => &mut t.ft,
-            NatState::B(t) => &mut t.ft,
-        }
-    }
-
-    /// Mark an external port as taken (pathological-state synthesis).
-    pub fn raw_take_port(&mut self, port: u16) {
-        match self {
-            NatState::A(t) => t.pa.raw_take(port),
-            NatState::B(t) => t.pa.raw_take(port),
-        }
-    }
-}
-
-impl<C: NfCtx> NatTableOps<C> for NatState {
-    fn expire(&mut self, ctx: &mut C, now: C::Val) -> C::Val {
-        match self {
-            NatState::A(t) => t.expire(ctx, now),
-            NatState::B(t) => t.expire(ctx, now),
-        }
-    }
-
-    fn lookup_int(&mut self, ctx: &mut C, key: &[C::Val; 3], now: C::Val) -> Option<C::Val> {
-        match self {
-            NatState::A(t) => t.lookup_int(ctx, key, now),
-            NatState::B(t) => t.lookup_int(ctx, key, now),
-        }
-    }
-
-    fn new_flow(
-        &mut self,
-        ctx: &mut C,
-        key: &[C::Val; 3],
-        packed: C::Val,
-        now: C::Val,
-    ) -> NewFlowOutcome<C::Val> {
-        match self {
-            NatState::A(t) => t.new_flow(ctx, key, packed, now),
-            NatState::B(t) => t.new_flow(ctx, key, packed, now),
-        }
-    }
-
-    fn lookup_ext(&mut self, ctx: &mut C, port: C::Val) -> C::Val {
-        match self {
-            NatState::A(t) => t.lookup_ext(ctx, port),
-            NatState::B(t) => t.lookup_ext(ctx, port),
-        }
-    }
-}
-
 /// The NAT as a [`NetworkFunction`] descriptor.
 #[derive(Clone, Copy, Debug)]
 pub struct Nat {
@@ -611,7 +494,7 @@ impl Nat {
 
 impl NetworkFunction for Nat {
     type Ids = NatIds;
-    type State = NatState;
+    type State = NatTable;
 
     fn name(&self) -> &'static str {
         "nat"
@@ -635,20 +518,20 @@ impl NetworkFunction for Nat {
             });
     }
 
-    fn state(&self, ids: NatIds, aspace: &mut AddressSpace) -> NatState {
-        match self.kind {
-            AllocKind::A => NatState::A(NatTable::new_a(ids, &self.cfg, aspace)),
-            AllocKind::B => NatState::B(NatTable::new_b(ids, &self.cfg, aspace)),
-        }
+    fn state(&self, ids: NatIds, aspace: &mut AddressSpace) -> NatTable {
+        NatTable::new(ids, &self.cfg, aspace)
     }
 
-    fn process(&self, ctx: &mut ConcreteCtx<'_>, state: &mut NatState, clock: &Clock, mbuf: Mbuf) {
+    fn process(&self, ctx: &mut ConcreteCtx<'_>, state: &mut NatTable, clock: &Clock, mbuf: Mbuf) {
         let now = clock.now(ctx);
         process(ctx, state, &self.cfg, now, mbuf);
     }
 
     fn sym_process(&self, ctx: &mut SymbolicCtx<'_>, ids: NatIds, mbuf: Mbuf) {
-        let mut model = NatTableModel::new(ids, &self.cfg);
+        let mut model = DsModel {
+            ds: ids.nat,
+            bound: self.cfg.capacity as u64,
+        };
         let now = ClockModel.now(ctx);
         process(ctx, &mut model, &self.cfg, now, mbuf);
     }
@@ -658,7 +541,7 @@ impl NetworkFunction for Nat {
 mod tests {
     use super::*;
     use bolt_see::ConcreteCtx;
-    use bolt_trace::{CountingTracer, Metric};
+    use bolt_trace::{CountingTracer, Metric, StatefulCall};
     use dpdk_sim::{DpdkEnv, StackLevel};
     use nf_lib::clock::{Clock, Granularity};
 
@@ -680,7 +563,7 @@ mod tests {
 
     struct Rig {
         env: DpdkEnv,
-        nat: NatTable<AllocatorA>,
+        nat: NatTable,
         cfg: NatConfig,
         clock: Clock,
     }
@@ -697,7 +580,7 @@ mod tests {
         let mut aspace = AddressSpace::new();
         Rig {
             env: DpdkEnv::full_stack(),
-            nat: NatTable::new_a(ids, &cfg, &mut aspace),
+            nat: NatTable::new(ids, &cfg, &mut aspace),
             cfg,
             clock: Clock::new(Granularity::Nanoseconds),
         }

@@ -173,11 +173,6 @@ impl NfCtx for ConcreteCtx<'_> {
         c.v != 0
     }
 
-    fn eq_free(&mut self, a: CVal, b: CVal) -> CVal {
-        assert_eq!(a.w, b.w);
-        CVal::new((a.v == b.v) as u64, Width::W1)
-    }
-
     fn ule_free(&mut self, a: CVal, b: CVal) -> CVal {
         assert_eq!(a.w, b.w);
         CVal::new((a.v <= b.v) as u64, Width::W1)

@@ -123,9 +123,6 @@ pub trait NfCtx {
     /// trace — the branch's cost is part of the method's manual contract.
     fn fork(&mut self, c: Self::Val) -> bool;
 
-    /// Cost-free `a == b` for model-side constraint building.
-    fn eq_free(&mut self, a: Self::Val, b: Self::Val) -> Self::Val;
-
     /// Cost-free `a <= b` for model-side constraint building.
     fn ule_free(&mut self, a: Self::Val, b: Self::Val) -> Self::Val;
 
@@ -161,21 +158,9 @@ pub trait NfCtx {
         self.eq(a, c)
     }
 
-    /// `a + lit(v)`.
-    fn add_imm(&mut self, a: Self::Val, v: u64, w: Width) -> Self::Val {
-        let c = self.lit(v, w);
-        self.add(a, c)
-    }
-
     /// Branch on `a == v`.
     fn branch_eq_imm(&mut self, a: Self::Val, v: u64, w: Width) -> bool {
         let c = self.eq_imm(a, v, w);
         self.branch(c)
-    }
-
-    /// Logical not of a boolean value.
-    fn bool_not(&mut self, a: Self::Val) -> Self::Val {
-        let one = self.lit(1, Width::W1);
-        self.xor(a, one)
     }
 }

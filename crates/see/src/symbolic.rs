@@ -455,10 +455,6 @@ impl NfCtx for SymbolicCtx<'_> {
         self.decide(c)
     }
 
-    fn eq_free(&mut self, a: TermRef, b: TermRef) -> TermRef {
-        self.pool.eq(a, b)
-    }
-
     fn ule_free(&mut self, a: TermRef, b: TermRef) -> TermRef {
         self.pool.ule(a, b)
     }

@@ -11,7 +11,7 @@ use bolt::expr::PcvAssignment;
 use bolt::nfs::firewall::FirewallConfig;
 use bolt::nfs::{Firewall, Nat, StaticRouter};
 use bolt::see::StackLevel;
-use bolt::solver::{Solver, SolverCache};
+use bolt::solver::{Solver, SolverCache, SolverStats};
 use bolt::NetworkFunction;
 
 fn temp_store(tag: &str) -> ContractStore {
@@ -75,24 +75,53 @@ fn parallelize_groups_commuting_stages_and_beats_the_sum() {
     assert!(json.contains("\"groups\": [[0, 1], [2]]"));
 }
 
+/// Everything a parallelized chain report must keep at any thread
+/// count: the encoded plan and composed contract, the compose-side
+/// solver counters, and the composed/cached step counts.
+fn plan_outcome(
+    chain: Pipeline<'_>,
+    level: StackLevel,
+) -> (Vec<u8>, Vec<u8>, SolverStats, usize, usize) {
+    let rep = chain.parallelize(level).unwrap();
+    (
+        encode_plan(rep.plan.as_ref().unwrap()),
+        encode_contract(&rep.contract),
+        rep.solver,
+        rep.steps_composed,
+        rep.steps_cached,
+    )
+}
+
 #[test]
 fn plans_are_byte_identical_at_any_thread_count() {
-    let level = StackLevel::NfOnly;
-    let base = fw_fw_rt().threads(1).parallelize(level).unwrap();
-    let plan_bytes = encode_plan(base.plan.as_ref().unwrap());
-    let contract_bytes = encode_contract(&base.contract);
-    for threads in [2, 8] {
-        let rep = fw_fw_rt().threads(threads).parallelize(level).unwrap();
-        assert_eq!(
-            encode_plan(rep.plan.as_ref().unwrap()),
-            plan_bytes,
-            "plan at {threads} threads diverged from sequential"
-        );
-        assert_eq!(
-            encode_contract(&rep.contract),
-            contract_bytes,
-            "contract at {threads} threads diverged from sequential"
-        );
+    let fw_rt = || {
+        Pipeline::new()
+            .push(Firewall::default())
+            .push(StaticRouter::default())
+    };
+    let rt_fw = || {
+        Pipeline::new()
+            .push(StaticRouter::default())
+            .push(Firewall::default())
+    };
+    let chains: [(&str, &dyn Fn() -> Pipeline<'static>); 3] = [
+        ("fw->rt", &fw_rt),
+        ("rt->fw", &rt_fw),
+        ("fw->fw->rt", &fw_fw_rt),
+    ];
+    for (name, chain) in chains {
+        for level in [StackLevel::NfOnly, StackLevel::FullStack] {
+            let base = plan_outcome(chain().threads(1), level);
+            // The odd count keeps the workers from dividing a worklist
+            // evenly.
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    plan_outcome(chain().threads(threads), level),
+                    base,
+                    "{name} {level:?}: {threads} threads diverged from sequential"
+                );
+            }
+        }
     }
 }
 

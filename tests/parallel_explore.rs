@@ -23,12 +23,13 @@ fn encoded<N: NetworkFunction + Sync>(nf: &N, level: StackLevel, threads: usize)
     encode_result(&nf.explore_threads(level, threads).result)
 }
 
-/// Assert bit-identity of `nf`'s exploration at 1 vs 2 vs 8 threads,
-/// at both stack levels.
+/// Assert bit-identity of `nf`'s exploration at 1 vs 2, 3 and 8
+/// threads, at both stack levels. The odd count keeps the workers from
+/// dividing a worklist evenly.
 fn assert_bit_identical<N: NetworkFunction + Sync>(name: &str, mk: impl Fn() -> N) {
     for level in [StackLevel::NfOnly, StackLevel::FullStack] {
         let seq = encoded(&mk(), level, 1);
-        for threads in [2, 8] {
+        for threads in [2, 3, 8] {
             assert_eq!(
                 seq,
                 encoded(&mk(), level, threads),
