@@ -25,7 +25,7 @@ use std::io;
 use dpdk_sim::StackLevel;
 
 pub use bolt_store::{
-    ContractStore, Fingerprint, Fingerprinter, RecordHeader, RecordKind, StoreEntry, SweepReport,
+    ContractStore, Fingerprint, Fingerprinter, RecordHeader, RecordKind, SweepReport,
 };
 
 use crate::codec::{decode_contract, encode_contract};

@@ -10,8 +10,9 @@
 //! truncation costs one AND instead of a divide, matching how a DPDK NF
 //! would bucket TSC readings.
 
-use bolt_expr::Width;
-use bolt_see::NfCtx;
+use bolt_expr::{TermRef, Width};
+use bolt_see::concrete::CVal;
+use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
 use bolt_trace::InstrClass;
 
 /// Timestamp granularity.
@@ -68,7 +69,7 @@ impl Clock {
 
     /// Read the truncated time the way an NF would: one TSC read (modelled
     /// as `Other`) plus the truncation AND. Returns a context value.
-    pub fn now<C: NfCtx>(&self, ctx: &mut C) -> C::Val {
+    pub fn now(&self, ctx: &mut ConcreteCtx<'_>) -> CVal {
         ctx.tracer().instr(InstrClass::Other, 1);
         ctx.tracer().instr(InstrClass::Alu, 1);
         ctx.lit(self.granularity.truncate(self.t_ns), Width::W64)
@@ -87,7 +88,7 @@ pub struct ClockModel;
 
 impl ClockModel {
     /// Read symbolic time (same cost events as the concrete clock).
-    pub fn now<C: NfCtx>(&self, ctx: &mut C) -> C::Val {
+    pub fn now(&self, ctx: &mut SymbolicCtx<'_>) -> TermRef {
         ctx.tracer().instr(InstrClass::Other, 1);
         ctx.tracer().instr(InstrClass::Alu, 1);
         ctx.fresh("clock.now", Width::W64)
@@ -97,7 +98,6 @@ impl ClockModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_see::ConcreteCtx;
     use bolt_trace::{CountingTracer, NullTracer};
 
     #[test]

@@ -25,12 +25,15 @@
 //! work (§6); calibration gives the same worst-case coefficients without
 //! the transcription risk.
 
-use bolt_expr::{PcvId, PerfExpr, Width};
-use bolt_see::{ConcreteCtx, NfCtx};
+use bolt_expr::{PcvId, PerfExpr, TermRef, Width};
+use bolt_see::concrete::CVal;
+use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, Tracer};
 
 use crate::model::DsModel;
-use crate::registry::{measure, DsContract, DsRegistry, MethodContract};
+use crate::registry::{
+    constant_case, measure, CaseContract, DsContract, DsRegistry, MethodContract,
+};
 
 /// Slot stride: one cache line per entry.
 const SLOT: u64 = 64;
@@ -217,16 +220,6 @@ impl<const K: usize> FlowTable<K> {
 
     fn slot_addr(&self, i: usize, off: u64) -> u64 {
         self.r_slots.addr(i as u64 * SLOT + off)
-    }
-
-    fn concrete_key<C: NfCtx>(ctx: &C, key: &[C::Val; K]) -> [u64; K] {
-        let mut out = [0u64; K];
-        for (o, v) in out.iter_mut().zip(key.iter()) {
-            *o = ctx
-                .concrete_value(*v)
-                .expect("concrete flow table used with symbolic key");
-        }
-        out
     }
 
     /// Charge the hash computation: one CRC per key word + mix/mask.
@@ -472,12 +465,9 @@ impl<const K: usize> FlowTable<K> {
     }
 }
 
-impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTable<K> {
-    fn expire(&mut self, ctx: &mut C, now: C::Val) -> C::Val {
-        let now = ctx
-            .concrete_value(now)
-            .expect("concrete table needs concrete time");
-        let cutoff = now.saturating_sub(self.params.ttl_ns);
+impl<const K: usize> FlowTableOps<ConcreteCtx<'_>, K> for FlowTable<K> {
+    fn expire(&mut self, ctx: &mut ConcreteCtx<'_>, now: CVal) -> CVal {
+        let cutoff = now.v.saturating_sub(self.params.ttl_ns);
         {
             let t = ctx.tracer();
             t.instr(InstrClass::Call, 1);
@@ -532,9 +522,8 @@ impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTable<K> {
         ctx.lit(e, Width::W64)
     }
 
-    fn get(&mut self, ctx: &mut C, key: &[C::Val; K], now: C::Val) -> Option<C::Val> {
-        let k = Self::concrete_key(ctx, key);
-        let now = ctx.concrete_value(now).expect("concrete time");
+    fn get(&mut self, ctx: &mut ConcreteCtx<'_>, key: &[CVal; K], now: CVal) -> Option<CVal> {
+        let k = key.map(|w| w.v);
         ctx.tracer().instr(InstrClass::Call, 1);
         let r = self.probe(ctx.tracer(), &k, false);
         let (pt, pc) = self.last_probe;
@@ -546,7 +535,7 @@ impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTable<K> {
                 t.mem_read(self.slot_addr(idx, OFF_VAL), 8);
                 t.mem_write(self.slot_addr(idx, OFF_TS), 8);
                 t.alu(1);
-                self.ts[idx] = now;
+                self.ts[idx] = now.v;
                 // Refresh: move to the age-list tail.
                 self.age_unlink(ctx.tracer(), idx);
                 self.age_append(ctx.tracer(), idx);
@@ -558,8 +547,8 @@ impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTable<K> {
         out
     }
 
-    fn peek(&mut self, ctx: &mut C, key: &[C::Val; K]) -> Option<C::Val> {
-        let k = Self::concrete_key(ctx, key);
+    fn peek(&mut self, ctx: &mut ConcreteCtx<'_>, key: &[CVal; K]) -> Option<CVal> {
+        let k = key.map(|w| w.v);
         ctx.tracer().instr(InstrClass::Call, 1);
         let r = self.probe(ctx.tracer(), &k, false);
         let (pt, pc) = self.last_probe;
@@ -576,10 +565,8 @@ impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTable<K> {
         out
     }
 
-    fn put(&mut self, ctx: &mut C, key: &[C::Val; K], val: C::Val, now: C::Val) -> bool {
-        let k = Self::concrete_key(ctx, key);
-        let v = ctx.concrete_value(val).expect("concrete value");
-        let now = ctx.concrete_value(now).expect("concrete time");
+    fn put(&mut self, ctx: &mut ConcreteCtx<'_>, key: &[CVal; K], val: CVal, now: CVal) -> bool {
+        let k = key.map(|w| w.v);
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         // Occupancy check first: the full case is O(1) (Table 6 row 4).
@@ -608,8 +595,8 @@ impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTable<K> {
         t.alu(3);
         self.state[idx] = OCC;
         self.keys[idx] = k;
-        self.vals[idx] = v;
-        self.ts[idx] = now;
+        self.vals[idx] = val.v;
+        self.ts[idx] = now.v;
         self.age_append(ctx.tracer(), idx);
         let t = ctx.tracer();
         t.mem_write(self.r_meta.addr(8), 4);
@@ -620,9 +607,14 @@ impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTable<K> {
         true
     }
 
-    fn update(&mut self, ctx: &mut C, key: &[C::Val; K], val: C::Val, _now: C::Val) -> bool {
-        let k = Self::concrete_key(ctx, key);
-        let v = ctx.concrete_value(val).expect("concrete value");
+    fn update(
+        &mut self,
+        ctx: &mut ConcreteCtx<'_>,
+        key: &[CVal; K],
+        val: CVal,
+        _now: CVal,
+    ) -> bool {
+        let k = key.map(|w| w.v);
         ctx.tracer().instr(InstrClass::Call, 1);
         let r = self.probe(ctx.tracer(), &k, false);
         let (pt, pc) = self.last_probe;
@@ -633,7 +625,7 @@ impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for FlowTable<K> {
                 let t = ctx.tracer();
                 t.mem_write(self.slot_addr(idx, OFF_VAL), 8);
                 t.alu(1);
-                self.vals[idx] = v;
+                self.vals[idx] = val.v;
                 true
             }
             _ => false,
@@ -647,7 +639,7 @@ impl<const K: usize> FlowTable<K> {
     /// Re-seed and rebuild the table (the bridge's collision-attack
     /// defence, §5.2). Clears tombstones. Cost: a large constant (array
     /// allocation + clear) plus per-entry rehash work.
-    pub fn rehash<C: NfCtx>(&mut self, ctx: &mut C, new_seed: u64) {
+    pub fn rehash(&mut self, ctx: &mut ConcreteCtx<'_>, new_seed: u64) {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         // Allocate + clear the new slot array: one store per line.
@@ -717,27 +709,44 @@ impl<const K: usize> FlowTable<K> {
 // Symbolic model
 // ---------------------------------------------------------------------
 
-impl<C: NfCtx, const K: usize> FlowTableOps<C, K> for DsModel {
-    fn expire(&mut self, ctx: &mut C, _now: C::Val) -> C::Val {
+impl<const K: usize> FlowTableOps<SymbolicCtx<'_>, K> for DsModel {
+    fn expire(&mut self, ctx: &mut SymbolicCtx<'_>, _now: TermRef) -> TermRef {
         self.record(ctx, M_EXPIRE, 0);
         self.fresh_bounded(ctx, "flow.expired", Width::W64)
     }
 
-    fn get(&mut self, ctx: &mut C, _key: &[C::Val; K], _now: C::Val) -> Option<C::Val> {
+    fn get(
+        &mut self,
+        ctx: &mut SymbolicCtx<'_>,
+        _key: &[TermRef; K],
+        _now: TermRef,
+    ) -> Option<TermRef> {
         let case = self.split(ctx, M_GET, &[("flow.get.hit", C_HIT)], C_MISS);
         (case == C_HIT).then(|| ctx.fresh("flow.get.val", Width::W64))
     }
 
-    fn peek(&mut self, ctx: &mut C, _key: &[C::Val; K]) -> Option<C::Val> {
+    fn peek(&mut self, ctx: &mut SymbolicCtx<'_>, _key: &[TermRef; K]) -> Option<TermRef> {
         let case = self.split(ctx, M_PEEK, &[("flow.peek.hit", C_HIT)], C_MISS);
         (case == C_HIT).then(|| ctx.fresh("flow.peek.val", Width::W64))
     }
 
-    fn put(&mut self, ctx: &mut C, _key: &[C::Val; K], _val: C::Val, _now: C::Val) -> bool {
+    fn put(
+        &mut self,
+        ctx: &mut SymbolicCtx<'_>,
+        _key: &[TermRef; K],
+        _val: TermRef,
+        _now: TermRef,
+    ) -> bool {
         self.split(ctx, M_PUT, &[("flow.put.stored", C_STORED)], C_FULL) == C_STORED
     }
 
-    fn update(&mut self, ctx: &mut C, _key: &[C::Val; K], _val: C::Val, _now: C::Val) -> bool {
+    fn update(
+        &mut self,
+        ctx: &mut SymbolicCtx<'_>,
+        _key: &[TermRef; K],
+        _val: TermRef,
+        _now: TermRef,
+    ) -> bool {
         self.split(ctx, M_UPDATE, &[("flow.update.hit", C_HIT)], C_MISS) == C_HIT
     }
 }
@@ -754,10 +763,7 @@ fn cal_key<const K: usize>(tag: u64, n: u64) -> [u64; K] {
     k
 }
 
-fn lit_key<const K: usize>(
-    ctx: &mut ConcreteCtx<'_>,
-    k: [u64; K],
-) -> [bolt_see::concrete::CVal; K] {
+fn lit_key<const K: usize>(ctx: &mut ConcreteCtx<'_>, k: [u64; K]) -> [CVal; K] {
     k.map(|w| ctx.lit(w, Width::W64))
 }
 
@@ -953,7 +959,7 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
     let exp0 = measure(|ctx| {
         let now = ctx.lit(0, Width::W64);
         let e = FlowTableOps::<_, K>::expire(&mut t7, ctx, now);
-        assert_eq!(ctx.concrete_value(e), Some(0));
+        assert_eq!(e.v, 0);
     });
     // d singleton aged entries (t=c=0 per erase), then fresh survivors so
     // the final head fix-up write hits a cold line.
@@ -976,7 +982,7 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
         // background survivors (ts = u64::MAX / 2) stay.
         let now = ctx.lit(1_000 + 10, Width::W64);
         let e = FlowTableOps::<_, K>::expire(&mut t8, ctx, now);
-        assert_eq!(ctx.concrete_value(e), Some(d));
+        assert_eq!(e.v, d);
     });
     let e_slope = per_metric(|m| (exp_d[m] - exp0[m]).div_ceil(d));
 
@@ -1018,40 +1024,51 @@ fn calibrate<const K: usize>(ids: FlowTableIds, params: FlowTableParams) -> DsCo
     let o = ids.o;
     let te = ids.te;
     let ce = ids.ce;
-    let hit_case = |fixed: [u64; 3]| case_expr(fixed, &[(t, t_slope), (c, c_slope)], &[]);
+    let probed = |name, fixed| CaseContract {
+        name,
+        perf: case_expr(fixed, &[(t, t_slope), (c, c_slope)], &[]),
+    };
     DsContract {
         methods: vec![
             MethodContract {
                 name: "get",
-                cases: vec![hit_case(hit0).build("hit"), hit_case(miss0).build("miss")],
+                cases: vec![probed("hit", hit0), probed("miss", miss0)],
             },
             MethodContract {
                 name: "peek",
-                cases: vec![hit_case(peek0).build("hit"), hit_case(miss0).build("miss")],
+                cases: vec![probed("hit", peek0), probed("miss", miss0)],
             },
             MethodContract {
                 name: "put",
                 cases: vec![
-                    case_expr(put0, &[(t, put_t_slope)], &[]).build("stored"),
-                    case_expr(put_full, &[], &[]).build("full"),
+                    CaseContract {
+                        name: "stored",
+                        perf: case_expr(put0, &[(t, put_t_slope)], &[]),
+                    },
+                    constant_case("full", put_full),
                 ],
             },
             MethodContract {
                 name: "expire",
-                cases: vec![case_expr(
-                    exp0,
-                    &[(e, e_slope)],
-                    &[((e, te), t_slope), ((e, ce), c_slope)],
-                )
-                .build("expired")],
+                cases: vec![CaseContract {
+                    name: "expired",
+                    perf: case_expr(
+                        exp0,
+                        &[(e, e_slope)],
+                        &[((e, te), t_slope), ((e, ce), c_slope)],
+                    ),
+                }],
             },
             MethodContract {
                 name: "rehash",
-                cases: vec![case_expr(reh_fixed, &[(o, reh_per_entry)], &[]).build("rehash")],
+                cases: vec![CaseContract {
+                    name: "rehash",
+                    perf: case_expr(reh_fixed, &[(o, reh_per_entry)], &[]),
+                }],
             },
             MethodContract {
                 name: "update",
-                cases: vec![hit_case(upd0).build("hit"), hit_case(miss0).build("miss")],
+                cases: vec![probed("hit", upd0), probed("miss", miss0)],
             },
         ],
     }
@@ -1067,7 +1084,7 @@ fn case_expr(
     fixed: [u64; 3],
     linear: &[(PcvId, [u64; 3])],
     cross: &[((PcvId, PcvId), [u64; 3])],
-) -> crate::registry::CasePerf {
+) -> [PerfExpr; 3] {
     let build = |m: usize| {
         let mut e = PerfExpr::constant(fixed[m]);
         for (pcv, slope) in linear {
@@ -1081,11 +1098,7 @@ fn case_expr(
         }
         e
     };
-    crate::registry::CasePerf {
-        instructions: build(0),
-        mem_accesses: build(1),
-        cycles: build(2),
-    }
+    [build(0), build(1), build(2)]
 }
 
 /// Register a flow-table instance: interns its PCVs, runs the automated

@@ -9,13 +9,14 @@
 //!
 //! Every structure in this crate therefore ships in three parts:
 //!
-//! 1. a **concrete implementation**, instrumented at x86-instruction
+//! 1. a **concrete implementation** of its operations trait for
+//!    [`bolt_see::ConcreteCtx`], instrumented at x86-instruction
 //!    granularity (every logical step reports its cost and simulated
 //!    memory addresses through the ambient tracer);
-//! 2. a **symbolic model**: the operations trait implemented for the one
-//!    [`model::DsModel`], which returns fresh symbols, forks the path per
-//!    contract case, and records a [`bolt_trace::StatefulCall`] event
-//!    instead of executing;
+//! 2. a **symbolic model**: the operations trait implemented for
+//!    [`bolt_see::SymbolicCtx`] by the one [`model::DsModel`], which
+//!    returns fresh symbols, forks the path per contract case, and
+//!    records a [`bolt_trace::StatefulCall`] event instead of executing;
 //! 3. a **manual performance contract** ([`registry::MethodContract`])
 //!    expressing each case's cost as a polynomial over the structure's
 //!    PCVs. Contract and implementation are built from the *same* cost

@@ -10,12 +10,13 @@
 //! The first-level width is configurable (`first_bits`), so unit tests can
 //! run with a 2^16-entry first level while benches use the full 2^24.
 
-use bolt_expr::{PerfExpr, Width};
-use bolt_see::NfCtx;
+use bolt_expr::{TermRef, Width};
+use bolt_see::concrete::CVal;
+use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
 
 use crate::model::DsModel;
-use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{self, constant_case, DsContract, DsRegistry, MethodContract};
 
 /// The single method.
 pub const M_LOOKUP: u16 = 0;
@@ -42,6 +43,41 @@ pub trait Dir24_8Ops<C: NfCtx> {
 }
 
 /// The concrete, instrumented table.
+///
+/// Its operations take the concrete context, so the table runs only in
+/// the production build:
+///
+/// ```
+/// use bolt_expr::Width;
+/// use bolt_see::{ConcreteCtx, NfCtx};
+/// use bolt_trace::{AddressSpace, DsId, NullTracer};
+/// use nf_lib::lpm_dir24_8::{Dir24_8, Dir24_8Ids, Dir24_8Ops};
+///
+/// let mut tracer = NullTracer;
+/// let ctx = &mut ConcreteCtx::new(&mut tracer);
+/// let ids = Dir24_8Ids { ds: DsId(0) };
+/// let mut table = Dir24_8::new(ids, 16, 4, 0, &mut AddressSpace::new());
+/// table.insert(0x0A00_0000, 8, 1);
+/// let ip = ctx.lit(0x0A00_0001, Width::W32);
+/// assert_eq!(table.lookup(ctx, ip).v, 1);
+/// ```
+///
+/// Driving it inside an exploration does not compile:
+///
+/// ```compile_fail,E0308
+/// use bolt_expr::Width;
+/// use bolt_see::{Explorer, NfCtx};
+/// use bolt_trace::{AddressSpace, DsId};
+/// use nf_lib::lpm_dir24_8::{Dir24_8, Dir24_8Ids, Dir24_8Ops};
+///
+/// Explorer::new().explore(|ctx| {
+///     let ids = Dir24_8Ids { ds: DsId(0) };
+///     let mut table = Dir24_8::new(ids, 16, 4, 0, &mut AddressSpace::new());
+///     table.insert(0x0A00_0000, 8, 1);
+///     let ip = ctx.lit(0x0A00_0001, Width::W32);
+///     table.lookup(ctx, ip);
+/// });
+/// ```
 #[derive(Debug, Clone)]
 pub struct Dir24_8 {
     #[allow(dead_code)] // kept: instances carry their registry identity
@@ -169,9 +205,9 @@ impl Dir24_8 {
     }
 }
 
-impl<C: NfCtx> Dir24_8Ops<C> for Dir24_8 {
-    fn lookup(&mut self, ctx: &mut C, ip: C::Val) -> C::Val {
-        let ipv = ctx.concrete_value(ip).expect("concrete address") as u32;
+impl Dir24_8Ops<ConcreteCtx<'_>> for Dir24_8 {
+    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_>, ip: CVal) -> CVal {
+        let ipv = ip.v as u32;
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         // idx = ip >> (32 - fb); load tbl24[idx]; flag tests.
@@ -212,8 +248,8 @@ impl<C: NfCtx> Dir24_8Ops<C> for Dir24_8 {
     }
 }
 
-impl<C: NfCtx> Dir24_8Ops<C> for DsModel {
-    fn lookup(&mut self, ctx: &mut C, _ip: C::Val) -> C::Val {
+impl Dir24_8Ops<SymbolicCtx<'_>> for DsModel {
+    fn lookup(&mut self, ctx: &mut SymbolicCtx<'_>, _ip: TermRef) -> TermRef {
         let long = self.split(ctx, M_LOOKUP, &[("dir24_8.long_match", C_LONG)], C_SHORT) == C_LONG;
         ctx.tag(if long { "lpm:long" } else { "lpm:short" });
         ctx.fresh("dir24_8.port", Width::W16)
@@ -239,22 +275,8 @@ pub fn register(reg: &mut DsRegistry, name: &str) -> Dir24_8Ids {
         methods: vec![MethodContract {
             name: "lookup",
             cases: vec![
-                CaseContract {
-                    name: "matched prefix <= 24 bits",
-                    perf: [
-                        PerfExpr::constant(short[0]),
-                        PerfExpr::constant(short[1]),
-                        PerfExpr::constant(short[2]),
-                    ],
-                },
-                CaseContract {
-                    name: "matched prefix > 24 bits",
-                    perf: [
-                        PerfExpr::constant(long[0]),
-                        PerfExpr::constant(long[1]),
-                        PerfExpr::constant(long[2]),
-                    ],
-                },
+                constant_case("matched prefix <= 24 bits", short),
+                constant_case("matched prefix > 24 bits", long),
             ],
         }],
     };

@@ -8,8 +8,9 @@
 //! 0 or 1 (different branch shapes), and the contract charges the worse of
 //! the two.
 
-use bolt_expr::{PcvId, PerfExpr, Width};
-use bolt_see::NfCtx;
+use bolt_expr::{PcvId, PerfExpr, TermRef, Width};
+use bolt_see::concrete::CVal;
+use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
 
 use crate::model::DsModel;
@@ -117,11 +118,9 @@ impl LpmTrie {
     }
 }
 
-impl<C: NfCtx> LpmTrieOps<C> for LpmTrie {
-    fn lookup(&mut self, ctx: &mut C, ip: C::Val) -> C::Val {
-        let ipv = ctx
-            .concrete_value(ip)
-            .expect("concrete trie needs a concrete address") as u32;
+impl LpmTrieOps<ConcreteCtx<'_>> for LpmTrie {
+    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_>, ip: CVal) -> CVal {
+        let ipv = ip.v as u32;
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         let mut node = 0usize;
@@ -157,8 +156,8 @@ impl<C: NfCtx> LpmTrieOps<C> for LpmTrie {
 }
 
 /// The model's matched length is opaque: one case, a fresh port.
-impl<C: NfCtx> LpmTrieOps<C> for DsModel {
-    fn lookup(&mut self, ctx: &mut C, _ip: C::Val) -> C::Val {
+impl LpmTrieOps<SymbolicCtx<'_>> for DsModel {
+    fn lookup(&mut self, ctx: &mut SymbolicCtx<'_>, _ip: TermRef) -> TermRef {
         self.record(ctx, M_LOOKUP, 0);
         ctx.fresh("lpm.port", Width::W16)
     }

@@ -13,8 +13,9 @@
 //! the `unknown` case coalesces `put`'s stored/full outcomes into the
 //! worst (stored).
 
-use bolt_expr::Width;
-use bolt_see::NfCtx;
+use bolt_expr::{TermRef, Width};
+use bolt_see::concrete::CVal;
+use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass};
 
 use crate::flow_table::{
@@ -150,15 +151,21 @@ impl MacTable {
     }
 }
 
-impl<C: NfCtx> MacTableOps<C> for MacTable {
-    fn expire(&mut self, ctx: &mut C, now: C::Val) -> C::Val {
+impl MacTableOps<ConcreteCtx<'_>> for MacTable {
+    fn expire(&mut self, ctx: &mut ConcreteCtx<'_>, now: CVal) -> CVal {
         ctx.tracer().instr(InstrClass::Call, 1);
         let e = self.inner.expire(ctx, now);
         ctx.tracer().instr(InstrClass::Ret, 1);
         e
     }
 
-    fn learn(&mut self, ctx: &mut C, mac: C::Val, port: C::Val, now: C::Val) -> LearnOutcome {
+    fn learn(
+        &mut self,
+        ctx: &mut ConcreteCtx<'_>,
+        mac: CVal,
+        port: CVal,
+        now: CVal,
+    ) -> LearnOutcome {
         ctx.tracer().instr(InstrClass::Call, 1);
         let hit = self.inner.get(ctx, &[mac], now).is_some();
         self.last_op_probe = self.inner.last_probe;
@@ -190,7 +197,7 @@ impl<C: NfCtx> MacTableOps<C> for MacTable {
         outcome
     }
 
-    fn lookup(&mut self, ctx: &mut C, mac: C::Val) -> Option<C::Val> {
+    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_>, mac: CVal) -> Option<CVal> {
         ctx.tracer().instr(InstrClass::Call, 1);
         let r = self.inner.peek(ctx, &[mac]);
         self.last_op_probe = self.inner.last_probe;
@@ -200,13 +207,19 @@ impl<C: NfCtx> MacTableOps<C> for MacTable {
     }
 }
 
-impl<C: NfCtx> MacTableOps<C> for DsModel {
-    fn expire(&mut self, ctx: &mut C, _now: C::Val) -> C::Val {
+impl MacTableOps<SymbolicCtx<'_>> for DsModel {
+    fn expire(&mut self, ctx: &mut SymbolicCtx<'_>, _now: TermRef) -> TermRef {
         self.record(ctx, M_MT_EXPIRE, 0);
         self.fresh_bounded(ctx, "mac_table.expired", Width::W64)
     }
 
-    fn learn(&mut self, ctx: &mut C, _mac: C::Val, _port: C::Val, _now: C::Val) -> LearnOutcome {
+    fn learn(
+        &mut self,
+        ctx: &mut SymbolicCtx<'_>,
+        _mac: TermRef,
+        _port: TermRef,
+        _now: TermRef,
+    ) -> LearnOutcome {
         let cases = [
             ("mac_table.learn.known", C_KNOWN),
             ("mac_table.learn.rehash", C_UNKNOWN_REHASH),
@@ -218,7 +231,7 @@ impl<C: NfCtx> MacTableOps<C> for DsModel {
         }
     }
 
-    fn lookup(&mut self, ctx: &mut C, _mac: C::Val) -> Option<C::Val> {
+    fn lookup(&mut self, ctx: &mut SymbolicCtx<'_>, _mac: TermRef) -> Option<TermRef> {
         let case = self.split(ctx, M_MT_LOOKUP, &[("mac_table.lookup.hit", C_HIT)], C_MISS);
         (case == C_HIT).then(|| ctx.fresh("mac_table.lookup.port", Width::W64))
     }
@@ -288,8 +301,6 @@ pub fn register(reg: &mut DsRegistry, name: &str, params: FlowTableParams) -> Ma
 mod tests {
     use super::*;
     use bolt_expr::PcvAssignment;
-    use bolt_see::concrete::CVal;
-    use bolt_see::ConcreteCtx;
     use bolt_trace::{Metric, NullTracer, RecordingTracer, StatefulCall};
 
     fn setup(capacity: usize, threshold: u64) -> (DsRegistry, MacTableIds, MacTable) {

@@ -14,12 +14,13 @@
 //!   against the heartbeat TTL and forks alive/dead cases in the model
 //!   (classes LB3 vs LB4 in §5.1).
 
-use bolt_expr::{PerfExpr, Width};
-use bolt_see::{ConcreteCtx, NfCtx};
+use bolt_expr::{TermRef, Width};
+use bolt_see::concrete::CVal;
+use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
 
 use crate::model::DsModel;
-use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{self, constant_case, DsContract, DsRegistry, MethodContract};
 
 /// Ring method index.
 const M_RING_LOOKUP: u16 = 0;
@@ -128,13 +129,12 @@ impl MaglevRing {
     }
 }
 
-impl<C: NfCtx> MaglevRingOps<C> for MaglevRing {
-    fn lookup(&mut self, ctx: &mut C, hash: C::Val) -> C::Val {
-        let h = ctx.concrete_value(hash).expect("concrete hash");
+impl MaglevRingOps<ConcreteCtx<'_>> for MaglevRing {
+    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_>, hash: CVal) -> CVal {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         t.instr(InstrClass::Div, 1); // hash % m
-        let slot = (h % self.m) as usize;
+        let slot = (hash.v % self.m) as usize;
         t.mem_read(self.r_table.addr(slot as u64 * 2), 2);
         t.alu(1);
         t.instr(InstrClass::Ret, 1);
@@ -142,8 +142,8 @@ impl<C: NfCtx> MaglevRingOps<C> for MaglevRing {
     }
 }
 
-impl<C: NfCtx> MaglevRingOps<C> for DsModel {
-    fn lookup(&mut self, ctx: &mut C, _hash: C::Val) -> C::Val {
+impl MaglevRingOps<SymbolicCtx<'_>> for DsModel {
+    fn lookup(&mut self, ctx: &mut SymbolicCtx<'_>, _hash: TermRef) -> TermRef {
         self.record(ctx, M_RING_LOOKUP, 0);
         // `bound` is the backend count: b < n would need a strict bound;
         // b ≤ n is a sound relaxation.
@@ -179,37 +179,35 @@ impl BackendPool {
     }
 }
 
-impl<C: NfCtx> BackendPoolOps<C> for BackendPool {
-    fn heartbeat(&mut self, ctx: &mut C, backend: C::Val, now: C::Val) {
-        let b = ctx.concrete_value(backend).expect("concrete backend") as usize;
-        let n = ctx.concrete_value(now).expect("concrete time");
+impl BackendPoolOps<ConcreteCtx<'_>> for BackendPool {
+    fn heartbeat(&mut self, ctx: &mut ConcreteCtx<'_>, backend: CVal, now: CVal) {
+        let b = backend.v as usize;
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         t.alu(2);
         t.mem_write(self.r_hb.addr(b as u64 * 8), 8);
         t.instr(InstrClass::Ret, 1);
-        self.last_hb[b] = n;
+        self.last_hb[b] = now.v;
     }
 
-    fn is_alive(&mut self, ctx: &mut C, backend: C::Val, now: C::Val) -> bool {
-        let b = ctx.concrete_value(backend).expect("concrete backend") as usize;
-        let n = ctx.concrete_value(now).expect("concrete time");
+    fn is_alive(&mut self, ctx: &mut ConcreteCtx<'_>, backend: CVal, now: CVal) -> bool {
+        let b = backend.v as usize;
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         t.mem_read(self.r_hb.addr(b as u64 * 8), 8);
         t.alu(2);
         t.instr(InstrClass::Branch, 1);
         t.instr(InstrClass::Ret, 1);
-        n.saturating_sub(self.last_hb[b]) < self.hb_ttl_ns
+        now.v.saturating_sub(self.last_hb[b]) < self.hb_ttl_ns
     }
 }
 
-impl<C: NfCtx> BackendPoolOps<C> for DsModel {
-    fn heartbeat(&mut self, ctx: &mut C, _backend: C::Val, _now: C::Val) {
+impl BackendPoolOps<SymbolicCtx<'_>> for DsModel {
+    fn heartbeat(&mut self, ctx: &mut SymbolicCtx<'_>, _backend: TermRef, _now: TermRef) {
         self.record(ctx, M_HEARTBEAT, 0);
     }
 
-    fn is_alive(&mut self, ctx: &mut C, _backend: C::Val, _now: C::Val) -> bool {
+    fn is_alive(&mut self, ctx: &mut SymbolicCtx<'_>, _backend: TermRef, _now: TermRef) -> bool {
         self.split(ctx, M_IS_ALIVE, &[("backend.alive", C_ALIVE)], C_DEAD) == C_ALIVE
     }
 }
@@ -219,21 +217,14 @@ pub fn register_ring(reg: &mut DsRegistry, name: &str, n_backends: u16, m: u64) 
     let provisional = MaglevRingIds { ds: DsId(u32::MAX) };
     let mut aspace = AddressSpace::new();
     let mut ring = MaglevRing::new(provisional, n_backends.max(2), m.max(13), &mut aspace);
-    let [ic, ma, cyc] = registry::measure(|ctx| {
+    let cost = registry::measure(|ctx| {
         let h = ctx.lit(0x1234_5678, Width::W64);
         let _ = MaglevRingOps::<_>::lookup(&mut ring, ctx, h);
     });
     let contract = DsContract {
         methods: vec![MethodContract {
             name: "lookup",
-            cases: vec![CaseContract {
-                name: "unconstrained",
-                perf: [
-                    PerfExpr::constant(ic),
-                    PerfExpr::constant(ma),
-                    PerfExpr::constant(cyc),
-                ],
-            }],
+            cases: vec![constant_case("unconstrained", cost)],
         }],
     };
     let ds = reg.register(name, contract);
@@ -253,37 +244,20 @@ pub fn register_pool(reg: &mut DsRegistry, name: &str, n: u16, hb_ttl_ns: u64) -
         let now = ctx.lit(5, Width::W64);
         BackendPoolOps::<_>::heartbeat(pool, ctx, b, now);
     });
-    let alive = measure(&|pool, ctx| {
-        let b = ctx.lit(0, Width::W16);
-        let now = ctx.lit(5, Width::W64);
-        BackendPoolOps::<_>::heartbeat(pool, ctx, b, now);
-        // Measure only the is_alive below by subtracting? Simpler: the
-        // check's cost is identical in both cases; measure it alone on a
-        // fresh pool (backend 0 is dead at now=huge, alive at now=0).
-    });
-    let _ = alive;
     let check = measure(&|pool, ctx| {
         let b = ctx.lit(0, Width::W16);
         let now = ctx.lit(0, Width::W64);
         let _ = BackendPoolOps::<_>::is_alive(pool, ctx, b, now);
     });
-    let case = |name: &'static str, v: [u64; 3]| CaseContract {
-        name,
-        perf: [
-            PerfExpr::constant(v[0]),
-            PerfExpr::constant(v[1]),
-            PerfExpr::constant(v[2]),
-        ],
-    };
     let contract = DsContract {
         methods: vec![
             MethodContract {
                 name: "heartbeat",
-                cases: vec![case("heartbeat", hb)],
+                cases: vec![constant_case("heartbeat", hb)],
             },
             MethodContract {
                 name: "is_alive",
-                cases: vec![case("alive", check), case("dead", check)],
+                cases: vec![constant_case("alive", check), constant_case("dead", check)],
             },
         ],
     };

@@ -20,10 +20,13 @@
 //! external port to flow metadata (one load to read, one store to write).
 
 use bolt_expr::{PcvId, PerfExpr, Width};
-use bolt_see::NfCtx;
+use bolt_see::concrete::CVal;
+use bolt_see::{ConcreteCtx, NfCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
 
-use crate::registry::{measure, CaseContract, DsContract, DsRegistry, MethodContract};
+use crate::registry::{
+    constant_case, measure, CaseContract, DsContract, DsRegistry, MethodContract,
+};
 
 /// Method indices shared by both allocators.
 pub const M_ALLOC: u16 = 0;
@@ -162,8 +165,8 @@ impl AllocatorA {
     }
 }
 
-impl<C: NfCtx> PortAllocOps<C> for AllocatorA {
-    fn alloc(&mut self, ctx: &mut C) -> Option<C::Val> {
+impl PortAllocOps<ConcreteCtx<'_>> for AllocatorA {
+    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_>) -> Option<CVal> {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         t.mem_read(self.r_meta.addr(0), 4); // free head
@@ -197,8 +200,8 @@ impl<C: NfCtx> PortAllocOps<C> for AllocatorA {
         Some(ctx.lit(self.base_port as u64 + h as u64, Width::W16))
     }
 
-    fn free(&mut self, ctx: &mut C, port: C::Val) {
-        let p = ctx.concrete_value(port).expect("concrete port");
+    fn free(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) {
+        let p = port.v;
         let i = (p - self.base_port as u64) as usize;
         assert!(self.used[i], "double free of port {p}");
         let t = ctx.tracer();
@@ -287,8 +290,8 @@ impl AllocatorB {
     }
 }
 
-impl<C: NfCtx> PortAllocOps<C> for AllocatorB {
-    fn alloc(&mut self, ctx: &mut C) -> Option<C::Val> {
+impl PortAllocOps<ConcreteCtx<'_>> for AllocatorB {
+    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_>) -> Option<CVal> {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         // The free count lives in a register (one compare, no memory).
@@ -322,8 +325,8 @@ impl<C: NfCtx> PortAllocOps<C> for AllocatorB {
         Some(ctx.lit(self.base_port as u64 + i as u64, Width::W16))
     }
 
-    fn free(&mut self, ctx: &mut C, port: C::Val) {
-        let p = ctx.concrete_value(port).expect("concrete port");
+    fn free(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) {
+        let p = port.v;
         let i = (p - self.base_port as u64) as usize;
         assert!(self.used[i], "double free of port {p}");
         let t = ctx.tracer();
@@ -370,28 +373,20 @@ impl PortAllocator {
     }
 }
 
-impl<C: NfCtx> PortAllocOps<C> for PortAllocator {
-    fn alloc(&mut self, ctx: &mut C) -> Option<C::Val> {
+impl PortAllocOps<ConcreteCtx<'_>> for PortAllocator {
+    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_>) -> Option<CVal> {
         match self {
             PortAllocator::A(a) => a.alloc(ctx),
             PortAllocator::B(b) => b.alloc(ctx),
         }
     }
 
-    fn free(&mut self, ctx: &mut C, port: C::Val) {
+    fn free(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) {
         match self {
             PortAllocator::A(a) => a.free(ctx, port),
             PortAllocator::B(b) => b.free(ctx, port),
         }
     }
-}
-
-fn consts(v: [u64; 3]) -> [PerfExpr; 3] {
-    [
-        PerfExpr::constant(v[0]),
-        PerfExpr::constant(v[1]),
-        PerfExpr::constant(v[2]),
-    ]
 }
 
 /// Calibrate and register allocator A (constant costs).
@@ -426,22 +421,13 @@ pub fn register_a(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) ->
             MethodContract {
                 name: "alloc",
                 cases: vec![
-                    CaseContract {
-                        name: "ok",
-                        perf: consts(alloc_cost),
-                    },
-                    CaseContract {
-                        name: "exhausted",
-                        perf: consts(exhausted),
-                    },
+                    constant_case("ok", alloc_cost),
+                    constant_case("exhausted", exhausted),
                 ],
             },
             MethodContract {
                 name: "free",
-                cases: vec![CaseContract {
-                    name: "free",
-                    perf: consts(free_cost),
-                }],
+                cases: vec![constant_case("free", free_cost)],
             },
         ],
     };
@@ -505,20 +491,11 @@ pub fn register_b(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) ->
         methods: vec![
             MethodContract {
                 name: "alloc",
-                cases: vec![
-                    ok_case,
-                    CaseContract {
-                        name: "exhausted",
-                        perf: consts(exhausted),
-                    },
-                ],
+                cases: vec![ok_case, constant_case("exhausted", exhausted)],
             },
             MethodContract {
                 name: "free",
-                cases: vec![CaseContract {
-                    name: "free",
-                    perf: consts(free_cost),
-                }],
+                cases: vec![constant_case("free", free_cost)],
             },
         ],
     };
@@ -574,29 +551,26 @@ impl PortMap {
     }
 }
 
-impl<C: NfCtx> PortMapOps<C> for PortMap {
-    fn set(&mut self, ctx: &mut C, port: C::Val, value: C::Val) {
-        let p = ctx.concrete_value(port).expect("concrete port");
-        let v = ctx.concrete_value(value).expect("concrete value");
+impl PortMapOps<ConcreteCtx<'_>> for PortMap {
+    fn set(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal, value: CVal) {
         let i = self
-            .index_of(p)
+            .index_of(port.v)
             .expect("set on a port outside the map's range");
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         t.alu(2);
         t.mem_write(self.r.addr(i as u64 * 8), 8);
         t.instr(InstrClass::Ret, 1);
-        self.entries[i] = v;
+        self.entries[i] = value.v;
     }
 
-    fn get(&mut self, ctx: &mut C, port: C::Val) -> C::Val {
-        let p = ctx.concrete_value(port).expect("concrete port");
+    fn get(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) -> CVal {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         // Range check first: external traffic carries arbitrary ports.
         t.alu(2);
         t.instr(InstrClass::Branch, 1);
-        let out = match self.index_of(p) {
+        let out = match self.index_of(port.v) {
             Some(i) => {
                 t.mem_read(self.r.addr(i as u64 * 8), 8);
                 self.entries[i]
@@ -628,17 +602,11 @@ pub fn register_map(reg: &mut DsRegistry, name: &str, n: usize, base_port: u16) 
         methods: vec![
             MethodContract {
                 name: "set",
-                cases: vec![CaseContract {
-                    name: "set",
-                    perf: consts(set_cost),
-                }],
+                cases: vec![constant_case("set", set_cost)],
             },
             MethodContract {
                 name: "get",
-                cases: vec![CaseContract {
-                    name: "get",
-                    perf: consts(get_cost),
-                }],
+                cases: vec![constant_case("get", get_cost)],
             },
         ],
     };

@@ -19,6 +19,9 @@ pub struct CaseContract {
     /// Human-readable case name (e.g. `"hit"`, `"miss"`, `"rehash"`).
     pub name: &'static str,
     /// One [`PerfExpr`] per [`Metric`], indexed by [`Metric::index`].
+    /// Instructions and memory accesses are exact polynomials; cycles are
+    /// the conservative worst-case expression (every potentially-uncached
+    /// access at main-memory latency, worst-case instruction latencies).
     pub perf: [PerfExpr; 3],
 }
 
@@ -131,31 +134,6 @@ impl DsRegistry {
     }
 }
 
-/// Convenience builder for `[PerfExpr; 3]` case costs.
-///
-/// Instructions and memory accesses are exact polynomials; cycles are the
-/// conservative worst-case expression (every potentially-uncached access
-/// at main-memory latency, worst-case instruction latencies).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CasePerf {
-    /// Instruction-count expression.
-    pub instructions: PerfExpr,
-    /// Memory-access expression.
-    pub mem_accesses: PerfExpr,
-    /// Conservative cycles expression.
-    pub cycles: PerfExpr,
-}
-
-impl CasePerf {
-    /// Finish into the contract array.
-    pub(crate) fn build(self, name: &'static str) -> CaseContract {
-        CaseContract {
-            name,
-            perf: [self.instructions, self.mem_accesses, self.cycles],
-        }
-    }
-}
-
 /// Calibration probes run by this process (a statistic: it publishes
 /// nothing else, hence relaxed).
 static CALIBRATIONS: AtomicU64 = AtomicU64::new(0);
@@ -179,6 +157,15 @@ pub fn measure(op: impl FnOnce(&mut ConcreteCtx<'_>)) -> [u64; 3] {
     }
     let (ic, ma) = bolt_trace::count_ic_ma(&rec.events);
     [ic, ma, bolt_hw::conservative_cycles(&rec.events)]
+}
+
+/// A case whose cost is the same at every PCV: one measured
+/// `[instructions, mem accesses, cycles]` triple.
+pub(crate) fn constant_case(name: &'static str, v: [u64; 3]) -> CaseContract {
+    CaseContract {
+        name,
+        perf: v.map(PerfExpr::constant),
+    }
 }
 
 /// The three per-metric expressions of one registered contract case, for

@@ -49,17 +49,14 @@ use bolt_expr::Width;
 use bolt_see::NfCtx;
 use dpdk_sim::Mbuf;
 
-/// The packet's input port as a context value: concrete runs read the
-/// mbuf metadata; the analysis build makes it a fresh symbol so input
-/// classes can constrain traffic direction ("packets arriving from the
-/// internal network"). Costs one ALU op (metadata is register-resident).
+/// The packet's input port as a context value ([`NfCtx::in_port`]):
+/// concrete runs read the mbuf metadata; the analysis build makes it a
+/// fresh symbol so input classes can constrain traffic direction
+/// ("packets arriving from the internal network"). Costs one ALU op
+/// (metadata is register-resident).
 pub(crate) fn in_port<C: NfCtx>(ctx: &mut C, mbuf: &Mbuf) -> C::Val {
     ctx.tracer().alu(1);
-    if ctx.is_symbolic() {
-        ctx.fresh("pkt.in_port", Width::W16)
-    } else {
-        ctx.lit(mbuf.port as u64, Width::W16)
-    }
+    ctx.in_port(mbuf.port)
 }
 
 /// Build the canonical 3-word flow key from the 5-tuple:

@@ -13,7 +13,8 @@
 //! of [`nf_lib::clock::Granularity`].
 
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
-use bolt_expr::{PerfExpr, Width};
+use bolt_expr::{PerfExpr, TermRef, Width};
+use bolt_see::concrete::CVal;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::{AddressSpace, DsId, InstrClass};
 use dpdk_sim::{headers as h, Mbuf};
@@ -181,8 +182,8 @@ impl NatTable {
     }
 }
 
-impl<C: NfCtx> NatTableOps<C> for NatTable {
-    fn expire(&mut self, ctx: &mut C, now: C::Val) -> C::Val {
+impl NatTableOps<ConcreteCtx<'_>> for NatTable {
+    fn expire(&mut self, ctx: &mut ConcreteCtx<'_>, now: CVal) -> CVal {
         ctx.tracer().instr(InstrClass::Call, 1);
         let e = self.ft.expire(ctx, now);
         // Release each expired flow's port and reverse entry.
@@ -199,7 +200,12 @@ impl<C: NfCtx> NatTableOps<C> for NatTable {
         e
     }
 
-    fn lookup_int(&mut self, ctx: &mut C, key: &[C::Val; 3], now: C::Val) -> Option<C::Val> {
+    fn lookup_int(
+        &mut self,
+        ctx: &mut ConcreteCtx<'_>,
+        key: &[CVal; 3],
+        now: CVal,
+    ) -> Option<CVal> {
         ctx.tracer().instr(InstrClass::Call, 1);
         let r = self.ft.get(ctx, key, now);
         ctx.tracer().instr(InstrClass::Branch, 1);
@@ -210,11 +216,11 @@ impl<C: NfCtx> NatTableOps<C> for NatTable {
 
     fn new_flow(
         &mut self,
-        ctx: &mut C,
-        key: &[C::Val; 3],
-        packed: C::Val,
-        now: C::Val,
-    ) -> NewFlowOutcome<C::Val> {
+        ctx: &mut ConcreteCtx<'_>,
+        key: &[CVal; 3],
+        packed: CVal,
+        now: CVal,
+    ) -> NewFlowOutcome<CVal> {
         ctx.tracer().instr(InstrClass::Call, 1);
         let port = match self.pa.alloc(ctx) {
             Some(p) => p,
@@ -238,7 +244,7 @@ impl<C: NfCtx> NatTableOps<C> for NatTable {
         NewFlowOutcome::Ok(port)
     }
 
-    fn lookup_ext(&mut self, ctx: &mut C, port: C::Val) -> C::Val {
+    fn lookup_ext(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) -> CVal {
         ctx.tracer().instr(InstrClass::Call, 1);
         let v = self.pm.get(ctx, port);
         ctx.tracer().instr(InstrClass::Ret, 1);
@@ -246,24 +252,29 @@ impl<C: NfCtx> NatTableOps<C> for NatTable {
     }
 }
 
-impl<C: NfCtx> NatTableOps<C> for DsModel {
-    fn expire(&mut self, ctx: &mut C, _now: C::Val) -> C::Val {
+impl NatTableOps<SymbolicCtx<'_>> for DsModel {
+    fn expire(&mut self, ctx: &mut SymbolicCtx<'_>, _now: TermRef) -> TermRef {
         self.record(ctx, N_EXPIRE, 0);
         self.fresh_bounded(ctx, "nat.expired", Width::W64)
     }
 
-    fn lookup_int(&mut self, ctx: &mut C, _key: &[C::Val; 3], _now: C::Val) -> Option<C::Val> {
+    fn lookup_int(
+        &mut self,
+        ctx: &mut SymbolicCtx<'_>,
+        _key: &[TermRef; 3],
+        _now: TermRef,
+    ) -> Option<TermRef> {
         let case = self.split(ctx, N_LOOKUP_INT, &[("nat.int.hit", C_HIT)], C_MISS);
         (case == C_HIT).then(|| ctx.fresh("nat.int.port", Width::W16))
     }
 
     fn new_flow(
         &mut self,
-        ctx: &mut C,
-        _key: &[C::Val; 3],
-        _packed: C::Val,
-        _now: C::Val,
-    ) -> NewFlowOutcome<C::Val> {
+        ctx: &mut SymbolicCtx<'_>,
+        _key: &[TermRef; 3],
+        _packed: TermRef,
+        _now: TermRef,
+    ) -> NewFlowOutcome<TermRef> {
         let cases = [("nat.new.ok", C_NF_OK), ("nat.new.table_full", C_NF_FULL)];
         match self.split(ctx, N_NEW_FLOW, &cases, C_NF_PORTS) {
             C_NF_OK => NewFlowOutcome::Ok(ctx.fresh("nat.new.port", Width::W16)),
@@ -272,7 +283,7 @@ impl<C: NfCtx> NatTableOps<C> for DsModel {
         }
     }
 
-    fn lookup_ext(&mut self, ctx: &mut C, _port: C::Val) -> C::Val {
+    fn lookup_ext(&mut self, ctx: &mut SymbolicCtx<'_>, _port: TermRef) -> TermRef {
         self.record(ctx, N_LOOKUP_EXT, 0);
         ctx.fresh("nat.ext.packed", Width::W64)
     }

@@ -168,16 +168,6 @@ impl NfCtx for ConcreteCtx<'_> {
         c.v != 0
     }
 
-    fn fork(&mut self, c: CVal) -> bool {
-        assert_eq!(c.w, Width::W1, "fork condition must be boolean");
-        c.v != 0
-    }
-
-    fn ule_free(&mut self, a: CVal, b: CVal) -> CVal {
-        assert_eq!(a.w, b.w);
-        CVal::new((a.v <= b.v) as u64, Width::W1)
-    }
-
     fn load(&mut self, region: MemRegion, offset: u64, bytes: usize) -> CVal {
         let w = Width::from_bytes(bytes);
         self.tracer.mem_read(region.addr(offset), bytes as u8);
@@ -199,26 +189,14 @@ impl NfCtx for ConcreteCtx<'_> {
         }
     }
 
-    fn fresh(&mut self, name: &str, _w: Width) -> CVal {
-        panic!(
-            "fresh({name}) called in concrete mode: data-structure models \
-             must only run under symbolic execution"
-        );
-    }
-
-    fn assume(&mut self, c: CVal) {
-        assert_eq!(c.w, Width::W1);
-        assert_eq!(c.v, 1, "assumption violated in concrete execution");
-    }
-
     fn tag(&mut self, _tag: &'static str) {}
 
     fn verdict(&mut self, v: NfVerdict) {
         self.verdicts.push(v);
     }
 
-    fn is_symbolic(&self) -> bool {
-        false
+    fn in_port(&mut self, port: u16) -> CVal {
+        CVal::new(port as u64, Width::W16)
     }
 
     fn concrete_value(&self, v: CVal) -> Option<u64> {
@@ -348,14 +326,6 @@ mod tests {
         }
         let (ic, ma) = count_ic_ma(&r.events);
         assert_eq!((ic, ma), (3, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "fresh")]
-    fn fresh_panics_in_concrete_mode() {
-        let mut t = NullTracer;
-        let mut ctx = ConcreteCtx::new(&mut t);
-        let _ = ctx.fresh("model.x", Width::W32);
     }
 
     #[test]

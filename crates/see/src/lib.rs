@@ -18,6 +18,11 @@
 //! worklist (the classic concolic scheduling approach), pruning flips the
 //! solver proves infeasible.
 //!
+//! Only NF bodies are written against both contexts. A data-structure
+//! library is linked against one: the production structures take a
+//! [`ConcreteCtx`], and the models take a [`SymbolicCtx`], whose own
+//! operations (`fresh`, `fork`, `ule_free`, `assume`) build their cases.
+//!
 //! Every `NfCtx` operation also reports its cost to the ambient
 //! [`bolt_trace::Tracer`], with a fixed mapping to x86-style instruction
 //! classes, so that for a given path the symbolic run and a concrete run
@@ -55,11 +60,6 @@ pub enum NfVerdict {
 /// instruction and — in symbolic mode — forks the path when the condition
 /// is symbolic, `load`/`store` access packet buffers and cost a memory
 /// instruction plus a memory access.
-///
-/// The model-side operations (`fresh`, `assume`) are used by
-/// data-structure models during symbolic execution; calling `fresh` in
-/// concrete mode is a bug (concrete runs use the real data structures) and
-/// panics.
 pub trait NfCtx {
     /// Value representation: `u64`+width when concrete, a term when
     /// symbolic.
@@ -115,21 +115,6 @@ pub trait NfCtx {
     /// Big-endian store (1 store instruction + 1 memory access).
     fn store(&mut self, region: MemRegion, offset: u64, v: Self::Val, bytes: usize);
 
-    /// Model-only: a fresh symbolic value (panics in concrete mode).
-    fn fresh(&mut self, name: &str, w: Width) -> Self::Val;
-
-    /// Cost-free fork on a condition. Data-structure models use this to
-    /// split contract cases without perturbing the stateless instruction
-    /// trace — the branch's cost is part of the method's manual contract.
-    fn fork(&mut self, c: Self::Val) -> bool;
-
-    /// Cost-free `a <= b` for model-side constraint building.
-    fn ule_free(&mut self, a: Self::Val, b: Self::Val) -> Self::Val;
-
-    /// Constrain the current path (symbolic); assert the condition holds
-    /// (concrete). Free.
-    fn assume(&mut self, c: Self::Val);
-
     /// Attach a human-readable label to the current path (free). Concrete
     /// mode ignores tags.
     fn tag(&mut self, tag: &'static str);
@@ -137,9 +122,10 @@ pub trait NfCtx {
     /// Record the NF's verdict for this packet/path.
     fn verdict(&mut self, v: NfVerdict);
 
-    /// Whether this is the symbolic interpreter (models use this to guard
-    /// mode-specific behaviour in shared helper code).
-    fn is_symbolic(&self) -> bool;
+    /// The packet's input port, `port` in the mbuf metadata: the 16-bit
+    /// literal when concrete; when symbolic, a fresh `pkt.in_port` symbol,
+    /// so input classes can constrain traffic direction. Free.
+    fn in_port(&mut self, port: u16) -> Self::Val;
 
     /// The concrete value, if this value is statically known.
     fn concrete_value(&self, v: Self::Val) -> Option<u64>;

@@ -241,6 +241,55 @@ impl<'p> SymbolicCtx<'p> {
         self.verdict
     }
 
+    /// A fresh symbolic value, for data-structure models. The `n`-th
+    /// `fresh(name)` of a run mints `name` for `n` = 0 and `name#n` after
+    /// that.
+    pub fn fresh(&mut self, name: &str, w: Width) -> TermRef {
+        let shared = self.shared.get_mut();
+        let n = match shared.fresh.get_mut(name) {
+            Some(n) => {
+                *n += 1;
+                *n - 1
+            }
+            None => {
+                shared.fresh.insert(name.to_string(), 1);
+                0
+            }
+        };
+        if n == 0 {
+            self.mint_sym(format_args!("{name}"), w)
+        } else {
+            self.mint_sym(format_args!("{name}#{n}"), w)
+        }
+    }
+
+    /// Cost-free fork on a condition. Data-structure models use this to
+    /// split contract cases without perturbing the stateless instruction
+    /// trace — the branch's cost is part of the method's manual contract.
+    pub fn fork(&mut self, c: TermRef) -> bool {
+        if let Some(v) = self.pool.as_const(c) {
+            return v != 0;
+        }
+        self.decide(c)
+    }
+
+    /// Cost-free `a <= b` for model-side constraint building.
+    pub fn ule_free(&mut self, a: TermRef, b: TermRef) -> TermRef {
+        self.pool.ule(a, b)
+    }
+
+    /// Constrain the current path. Free.
+    pub fn assume(&mut self, c: TermRef) {
+        if self.pool.as_const(c) == Some(1) {
+            return;
+        }
+        self.entries.push(ConstraintEntry {
+            term: c,
+            branch: None,
+        });
+        self.sctx.assert_term(self.pool, c);
+    }
+
     /// Whole-path feasibility of the constraints asserted so far, decided
     /// on the run's own incremental context (no replay). Classification
     /// is exactly the batch solver's.
@@ -427,49 +476,6 @@ impl NfCtx for SymbolicCtx<'_> {
         self.mem.insert((addr, bytes as u8), v);
     }
 
-    /// The `n`-th `fresh(name)` of a run mints `name` for `n` = 0 and
-    /// `name#n` after that.
-    fn fresh(&mut self, name: &str, w: Width) -> TermRef {
-        let shared = self.shared.get_mut();
-        let n = match shared.fresh.get_mut(name) {
-            Some(n) => {
-                *n += 1;
-                *n - 1
-            }
-            None => {
-                shared.fresh.insert(name.to_string(), 1);
-                0
-            }
-        };
-        if n == 0 {
-            self.mint_sym(format_args!("{name}"), w)
-        } else {
-            self.mint_sym(format_args!("{name}#{n}"), w)
-        }
-    }
-
-    fn fork(&mut self, c: TermRef) -> bool {
-        if let Some(v) = self.pool.as_const(c) {
-            return v != 0;
-        }
-        self.decide(c)
-    }
-
-    fn ule_free(&mut self, a: TermRef, b: TermRef) -> TermRef {
-        self.pool.ule(a, b)
-    }
-
-    fn assume(&mut self, c: TermRef) {
-        if self.pool.as_const(c) == Some(1) {
-            return;
-        }
-        self.entries.push(ConstraintEntry {
-            term: c,
-            branch: None,
-        });
-        self.sctx.assert_term(self.pool, c);
-    }
-
     fn tag(&mut self, tag: &'static str) {
         self.tags.push(tag);
     }
@@ -478,8 +484,8 @@ impl NfCtx for SymbolicCtx<'_> {
         self.verdict = Some(v);
     }
 
-    fn is_symbolic(&self) -> bool {
-        true
+    fn in_port(&mut self, _port: u16) -> TermRef {
+        self.fresh("pkt.in_port", Width::W16)
     }
 
     fn concrete_value(&self, v: TermRef) -> Option<u64> {

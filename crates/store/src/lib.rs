@@ -33,7 +33,7 @@ pub mod store;
 pub mod wire;
 
 pub use fingerprint::{fnv64, Fingerprint, Fingerprinter, STORE_FORMAT_VERSION};
-pub use store::{ContractStore, RecordHeader, RecordKind, StoreEntry, SweepReport};
+pub use store::{ContractStore, RecordHeader, RecordKind, SweepReport};
 pub use wire::{ByteReader, ByteWriter, DecodeError};
 
 use std::collections::HashMap;

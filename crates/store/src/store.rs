@@ -158,9 +158,6 @@ pub struct RecordHeader {
     pub header_len: u64,
 }
 
-/// What `list` returns per record: the header is the metadata.
-pub type StoreEntry = RecordHeader;
-
 /// Upper bound on the encoded header (magic through payload-length
 /// prefix). Generous: the only variable-size field is the NF/chain name.
 const HEADER_PREFIX_MAX: usize = 4096;
@@ -520,7 +517,7 @@ impl ContractStore {
     /// are corrupt (but whose header parses and whose file size matches)
     /// still lists — it occupies disk and participates in sweep budgets;
     /// payload integrity is [`ContractStore::get`]'s job.
-    pub fn list(&self) -> io::Result<Vec<StoreEntry>> {
+    pub fn list(&self) -> io::Result<Vec<RecordHeader>> {
         let mut out = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();

@@ -1,16 +1,14 @@
-//! Workload generation: the MoonGen/PCAP side of the paper's testbed.
+//! Workload generation: the MoonGen side of the paper's testbed.
 //!
 //! Each generator produces a timed packet sequence ([`TimedPacket`])
 //! matching one of the evaluation's input classes: uniform random flows,
 //! churn-controlled NAT traffic, broadcast/unicast bridge frames,
 //! adversarially colliding MACs (the CASTAN-substitute for attack
-//! workloads), LPM address mixes, and backend heartbeats. [`pcap`]
-//! reads and writes the classic libpcap container so traces can move in
-//! and out of the toolchain (§4: the Distiller's input is "a sample of
-//! real-world traffic (as PCAP files)").
+//! workloads), LPM address mixes, and backend heartbeats. The harnesses,
+//! the Distiller and the benchmark all take their traffic from these
+//! generators.
 
 pub mod generators;
-pub mod pcap;
 
 pub use generators::*;
 
