@@ -848,8 +848,7 @@ pub struct ChainReport {
     /// Stage contracts decoded from stored explorations.
     pub stages_cached: usize,
     /// The parallelization plan, when the run was asked to plan
-    /// ([`Pipeline::parallelize`] or
-    /// [`crate::composer::Composer::parallelize`]).
+    /// ([`Pipeline::parallelize`]).
     pub plan: Option<ChainPlan>,
     /// Whether the plan was decoded from a stored plan record (no
     /// commutativity probes ran).
@@ -1139,7 +1138,7 @@ impl<'s> Pipeline<'s> {
     ///
     /// Equivalent to [`crate::composer::Composer::chain`] on a fresh
     /// solver; build a [`Composer`] directly to share a solver cache
-    /// across chains or to enable planning.
+    /// across chains.
     pub fn report(&self, level: StackLevel) -> Option<ChainReport> {
         let solver = Solver::default();
         Composer::new(&solver).chain(self, level)
@@ -1154,7 +1153,7 @@ impl<'s> Pipeline<'s> {
     /// it); a fully warm parallelized run is still solver-free.
     pub fn parallelize(&self, level: StackLevel) -> Option<ChainReport> {
         let solver = Solver::default();
-        Composer::new(&solver).parallelize(true).chain(self, level)
+        Composer::new(&solver).fold(self, level, true)
     }
 }
 

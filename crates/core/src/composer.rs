@@ -1,11 +1,11 @@
 //! The unified front door for chain composition: [`Composer`].
 //!
-//! One builder carries every composition capability (a shared cache,
-//! worker threads, planning):
+//! One builder carries every composition capability (a shared cache and
+//! worker threads); planning a chain is [`Pipeline::parallelize`]:
 //!
 //! ```ignore
 //! let solver = Solver::default();
-//! let mut composer = Composer::new(&solver).parallelize(true);
+//! let mut composer = Composer::new(&solver);
 //! let report = composer.chain(&pipeline, StackLevel::FullStack).unwrap();
 //! println!("{report}");
 //! ```
@@ -53,7 +53,6 @@ pub struct Composer<'a> {
     solver: &'a Solver,
     cache: SolverCache,
     threads: usize,
-    parallelize: bool,
 }
 
 impl<'a> Composer<'a> {
@@ -63,7 +62,6 @@ impl<'a> Composer<'a> {
             solver,
             cache: SolverCache::new(),
             threads: 1,
-            parallelize: false,
         }
     }
 
@@ -73,13 +71,6 @@ impl<'a> Composer<'a> {
     /// ([`Pipeline::threads`]). Output is bit-identical.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Enable the chain parallelization planner: [`Composer::chain`]
-    /// will attach a [`ChainPlan`] to its report.
-    pub fn parallelize(mut self, on: bool) -> Self {
-        self.parallelize = on;
         self
     }
 
@@ -110,13 +101,23 @@ impl<'a> Composer<'a> {
     }
 
     /// Compose a [`Pipeline`] at `level`, reporting what the run did —
-    /// the store-aware, provenance-counting chain fold (and, with
-    /// [`Composer::parallelize`] enabled, the plan). `None` for an
+    /// the store-aware, provenance-counting chain fold. `None` for an
     /// empty chain.
     ///
     /// The store and the thread count are the pipeline's; without a
     /// store nothing is persisted.
     pub fn chain(&mut self, pipeline: &Pipeline<'_>, level: StackLevel) -> Option<ChainReport> {
+        self.fold(pipeline, level, false)
+    }
+
+    /// [`Composer::chain`], and with `planned` the [`ChainPlan`] too —
+    /// the body of [`Pipeline::parallelize`].
+    pub(crate) fn fold(
+        &mut self,
+        pipeline: &Pipeline<'_>,
+        level: StackLevel,
+        planned: bool,
+    ) -> Option<ChainReport> {
         if pipeline.stages.is_empty() {
             return None;
         }
@@ -143,7 +144,7 @@ impl<'a> Composer<'a> {
         let mut plan: Option<ChainPlan> = None;
         let mut plan_cached = false;
         let mut prebuilt: Option<Vec<Option<NfContract>>> = None;
-        if self.parallelize {
+        if planned {
             let pkey = plan_key(&keys, level);
             if let Some(st) = store {
                 if let Some(p) = st.get_plan(pkey) {

@@ -20,10 +20,11 @@
 //! conjoining their constraints with equality links between the upstream
 //! NF's output packet expressions and the downstream NF's input symbols,
 //! and keeping only solver-feasible pairs. [`composer`] is the unified
-//! front door ([`Composer`]): one builder for the solver cache, worker
-//! threads, and the chain parallelization planner, which proves adjacent
-//! stages order-independent and turns the chain's cycle contract from a
-//! sum into per-group `max + merge` ([`ChainPlan`]).
+//! front door ([`Composer`]): one builder for the solver cache and worker
+//! threads. [`Pipeline::parallelize`] adds the chain parallelization
+//! planner, which proves adjacent stages order-independent and turns the
+//! chain's cycle contract from a sum into per-group `max + merge`
+//! ([`ChainPlan`]).
 //!
 //! [`nf`] is the unified NF abstraction: the [`NetworkFunction`] trait
 //! gives every NF the explore→generate→query pipeline for free, the

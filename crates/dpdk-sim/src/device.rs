@@ -1,4 +1,5 @@
-//! Simulated NIC device, driver paths, and mbuf mempool.
+//! The driver's half of the device loop, written once: one [`Driver`]
+//! with two layouts, and an mbuf mempool.
 //!
 //! The driver cost sequences below model the ixgbe-style subset the paper
 //! analyses: descriptor-ring reads/writes plus device register accesses
@@ -6,18 +7,24 @@
 //! exact instruction counts are calibration constants; what matters for
 //! the reproduction is that they are (a) identical between the symbolic
 //! analysis build and the concrete production build and (b) constant per
-//! packet, so they fold into each contract's constant term.
+//! packet, so they fold into each contract's constant term. Both builds
+//! call [`Driver::receive`] and [`Driver::transmit`], the only callers of
+//! these sequences, so every driver access lands on the same line of the
+//! same region in both; only where the regions sit differs.
 
-use bolt_trace::{AddressSpace, InstrClass, MemRegion, Tracer};
+use bolt_see::{NfVerdict, SymbolicCtx};
+use bolt_trace::{AddressSpace, InstrClass, Marker, MemRegion, Tracer};
+
+use crate::StackLevel;
 
 /// Size of the simulated descriptor ring region (64 descriptors × 16 B).
-pub(crate) const RING_BYTES: u64 = 64 * 16;
+const RING_BYTES: u64 = 64 * 16;
 /// Size of the simulated device register window.
-pub(crate) const REG_BYTES: u64 = 128;
+const REG_BYTES: u64 = 128;
 
 /// Driver receive path: poll the RX descriptor, read status/length, hand
 /// the buffer to the NF, replenish the descriptor, bump the tail register.
-pub(crate) fn rx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
+fn rx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.mem_read(ring.addr(0), 8); // descriptor status word
     t.instr(InstrClass::Alu, 4); // status decode
@@ -34,7 +41,7 @@ pub(crate) fn rx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
 
 /// Driver transmit path: write the TX descriptor, update the tail
 /// register, reap a completed descriptor.
-pub(crate) fn tx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
+fn tx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 6); // descriptor fill
     t.mem_write(ring.addr(16), 8); // TX descriptor write
@@ -49,7 +56,7 @@ pub(crate) fn tx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
 
 /// Dropping a packet in the driver: no device interaction, just bookkeeping
 /// before the mbuf goes back to the pool.
-pub(crate) fn drop_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+fn drop_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 2);
     t.mem_read(pool_meta.addr(0), 8);
@@ -57,7 +64,7 @@ pub(crate) fn drop_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
 }
 
 /// Mempool allocation: pop a buffer from the free ring.
-pub(crate) fn pool_alloc_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+fn pool_alloc_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.mem_read(pool_meta.addr(0), 8); // free-list head
     t.instr(InstrClass::Alu, 3);
@@ -66,85 +73,109 @@ pub(crate) fn pool_alloc_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
 }
 
 /// Mempool free: push the buffer back.
-pub(crate) fn pool_free_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+fn pool_free_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 2);
     t.mem_write(pool_meta.addr(8), 8);
     t.instr(InstrClass::Ret, 1);
 }
 
+/// One simulated NIC port and its mempool's metadata line: the regions
+/// the driver touches around every packet.
+pub(crate) struct Driver {
+    ring: MemRegion,
+    regs: MemRegion,
+    pool_meta: MemRegion,
+}
+
+impl Driver {
+    /// The production layout in `aspace`: the pool line, `n` buffers of
+    /// `size` bytes, the descriptor ring, then the register page.
+    pub(crate) fn production(aspace: &mut AddressSpace, n: usize, size: u64) -> (Self, Mempool) {
+        let pool_meta = aspace.alloc_table(64);
+        let pool = Mempool::new(aspace, n, size);
+        let driver = Driver {
+            ring: aspace.alloc_table(RING_BYTES),
+            regs: aspace.alloc_pages(REG_BYTES.max(4096)),
+            pool_meta,
+        };
+        (driver, pool)
+    }
+
+    /// The analysis layout in the symbolic context's address space: the
+    /// ring, the registers, then the pool line (the packet comes next).
+    pub(crate) fn analysis(ctx: &mut SymbolicCtx<'_>) -> Self {
+        Driver {
+            ring: ctx.alloc_region(RING_BYTES),
+            regs: ctx.alloc_region(REG_BYTES),
+            pool_meta: ctx.alloc_region(64),
+        }
+    }
+
+    /// RX half of packet `seq`: open the packet, pop a buffer off the
+    /// pool, and at full stack poll the RX descriptor.
+    pub(crate) fn receive(&self, t: &mut dyn Tracer, level: StackLevel, seq: u64) {
+        t.mark(Marker::PacketStart(seq));
+        pool_alloc_costs(t, self.pool_meta);
+        if level == StackLevel::FullStack {
+            rx_costs(t, self.ring, self.regs);
+        }
+    }
+
+    /// TX half of packet `seq`: at full stack transmit or drop by
+    /// `verdict`, push the buffer back, and close the packet.
+    pub(crate) fn transmit(
+        &self,
+        t: &mut dyn Tracer,
+        level: StackLevel,
+        seq: u64,
+        verdict: NfVerdict,
+    ) {
+        if level == StackLevel::FullStack {
+            match verdict {
+                NfVerdict::Forward(_) | NfVerdict::Flood => tx_costs(t, self.ring, self.regs),
+                NfVerdict::Drop => drop_costs(t, self.pool_meta),
+            }
+        }
+        pool_free_costs(t, self.pool_meta);
+        t.mark(Marker::PacketEnd(seq));
+    }
+}
+
 /// A pool of fixed-size packet buffers; the buffer freed last is handed
-/// out next, like an `rte_mempool`'s per-core cache.
-#[derive(Debug)]
+/// out next, like an `rte_mempool`'s per-core cache. Its cost is the
+/// [`Driver`]'s to charge.
 pub(crate) struct Mempool {
     /// In ascending address order.
     buffers: Vec<MemRegion>,
     free: Vec<usize>,
-    meta: MemRegion,
 }
 
 impl Mempool {
     /// Carve `n` buffers of `buf_size` bytes out of `aspace`.
-    pub(crate) fn new(aspace: &mut AddressSpace, n: usize, buf_size: u64) -> Self {
+    fn new(aspace: &mut AddressSpace, n: usize, buf_size: u64) -> Self {
         assert!(n > 0);
-        let meta = aspace.alloc_table(64);
-        let buffers: Vec<MemRegion> = (0..n).map(|_| aspace.alloc_table(buf_size)).collect();
         Mempool {
+            buffers: (0..n).map(|_| aspace.alloc_table(buf_size)).collect(),
             free: (0..n).rev().collect(),
-            buffers,
-            meta,
         }
     }
 
     /// Allocate a buffer (panics if the pool is exhausted — a real NF
     /// sizes its pool to its ring depth).
-    pub(crate) fn alloc(&mut self, t: &mut dyn Tracer) -> MemRegion {
-        pool_alloc_costs(t, self.meta);
+    pub(crate) fn alloc(&mut self) -> MemRegion {
         let i = self.free.pop().expect("mempool exhausted");
         self.buffers[i]
     }
 
     /// Return a buffer to the pool.
-    pub(crate) fn free(&mut self, t: &mut dyn Tracer, region: MemRegion) {
-        pool_free_costs(t, self.meta);
+    pub(crate) fn free(&mut self, region: MemRegion) {
         let i = self
             .buffers
             .binary_search_by_key(&region.base, |r| r.base)
             .expect("freeing a region not owned by this pool");
         debug_assert!(!self.free.contains(&i), "double free of mbuf");
         self.free.push(i);
-    }
-}
-
-/// One simulated NIC port with RX/TX descriptor rings and registers.
-#[derive(Debug)]
-pub(crate) struct NicDevice {
-    ring: MemRegion,
-    regs: MemRegion,
-}
-
-impl NicDevice {
-    /// Allocate the device's simulated ring and register regions.
-    pub(crate) fn new(aspace: &mut AddressSpace) -> Self {
-        NicDevice {
-            ring: aspace.alloc_table(RING_BYTES),
-            regs: aspace.alloc_pages(REG_BYTES.max(4096)),
-        }
-    }
-
-    /// Execute the receive path.
-    pub(crate) fn rx(&self, t: &mut dyn Tracer) {
-        rx_costs(t, self.ring, self.regs);
-    }
-
-    /// Execute the transmit path.
-    pub(crate) fn tx(&self, t: &mut dyn Tracer) {
-        tx_costs(t, self.ring, self.regs);
-    }
-
-    /// Execute the drop path.
-    pub(crate) fn drop(&self, t: &mut dyn Tracer) {
-        drop_costs(t, self.ring);
     }
 }
 
@@ -155,47 +186,38 @@ mod tests {
 
     #[test]
     fn mempool_alloc_free_cycle() {
-        let mut aspace = AddressSpace::new();
-        let mut pool = Mempool::new(&mut aspace, 4, 2048);
-        let mut t = CountingTracer::new();
+        let mut pool = Mempool::new(&mut AddressSpace::new(), 4, 2048);
         assert_eq!(pool.free.len(), 4);
-        let a = pool.alloc(&mut t);
-        let b = pool.alloc(&mut t);
+        let a = pool.alloc();
+        let b = pool.alloc();
         assert_ne!(a.base, b.base);
         assert_eq!(pool.free.len(), 2);
-        pool.free(&mut t, a);
-        pool.free(&mut t, b);
+        pool.free(a);
+        pool.free(b);
         assert_eq!(pool.free.len(), 4);
     }
 
     #[test]
     #[should_panic(expected = "mempool exhausted")]
     fn mempool_exhaustion_panics() {
-        let mut aspace = AddressSpace::new();
-        let mut pool = Mempool::new(&mut aspace, 1, 2048);
-        let mut t = CountingTracer::new();
-        let _ = pool.alloc(&mut t);
-        let _ = pool.alloc(&mut t);
+        let mut pool = Mempool::new(&mut AddressSpace::new(), 1, 2048);
+        let _ = pool.alloc();
+        let _ = pool.alloc();
     }
 
     #[test]
     fn driver_paths_have_fixed_cost() {
-        let mut aspace = AddressSpace::new();
-        let nic = NicDevice::new(&mut aspace);
-        let cost_of = |nic: &NicDevice, which: u8| {
+        let (driver, _) = Driver::production(&mut AddressSpace::new(), 1, 2048);
+        let cost_of = |verdict: NfVerdict| {
             let mut t = CountingTracer::new();
-            match which {
-                0 => nic.rx(&mut t),
-                1 => nic.tx(&mut t),
-                _ => nic.drop(&mut t),
-            }
+            driver.receive(&mut t, StackLevel::FullStack, 0);
+            driver.transmit(&mut t, StackLevel::FullStack, 0, verdict);
             (t.instructions, t.mem_accesses)
         };
-        let rx1 = cost_of(&nic, 0);
-        let rx2 = cost_of(&nic, 0);
-        assert_eq!(rx1, rx2, "rx cost must be constant per packet");
-        let tx = cost_of(&nic, 1);
-        let dr = cost_of(&nic, 2);
+        let tx = cost_of(NfVerdict::Forward(1));
+        assert_eq!(tx, cost_of(NfVerdict::Forward(1)), "constant per packet");
+        assert_eq!(tx, cost_of(NfVerdict::Flood));
+        let dr = cost_of(NfVerdict::Drop);
         assert!(tx.0 > dr.0, "tx does more work than drop");
     }
 }

@@ -7,21 +7,23 @@
 //! simulation:
 //!
 //! * [`headers`] — Ethernet/IPv4/L4 field offsets and a packet builder;
-//! * `device` (private) — a mempool of reusable mbuf buffers and a NIC
-//!   whose receive/transmit paths execute an instrumented
-//!   descriptor-ring and register-access sequence;
-//! * [`Mbuf`] and [`DpdkEnv`] — the per-packet glue that brackets NF logic
-//!   with RX/TX driver work and trace markers, at either analysis level
-//!   ([`StackLevel::NfOnly`] or [`StackLevel::FullStack`]).
+//! * `device` (private) — the driver's half of the device loop, written
+//!   once: one `Driver` whose receive/transmit halves run the instrumented
+//!   mempool, descriptor-ring and register-access sequences, and a
+//!   mempool of reusable mbuf buffers;
+//! * [`Mbuf`] and [`DpdkEnv`] / [`sym_process_packet`] — the production
+//!   and analysis device loops, which bracket NF logic with those two
+//!   halves at either analysis level ([`StackLevel::NfOnly`] or
+//!   [`StackLevel::FullStack`]).
 //!
-//! The same driver cost sequence runs under both the concrete executor and
-//! the symbolic engine, so full-stack contracts include driver work
-//! exactly the way the paper's do.
+//! The two builds call the same `Driver` and differ only in its layout,
+//! so full-stack contracts include driver work exactly the way the
+//! paper's do, down to the lines each driver access touches.
 
 mod device;
 pub mod headers;
 
-use device::{Mempool, NicDevice};
+use device::{Driver, Mempool};
 
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
 use bolt_trace::{Marker, MemRegion};
@@ -46,29 +48,24 @@ pub struct Mbuf {
     pub port: u16,
 }
 
-/// Per-run DPDK environment for **concrete** execution: owns the mempool
-/// and NIC, tracks the packet sequence number, and brackets each packet
-/// with markers and driver costs.
+/// Per-run DPDK environment for **concrete** execution: owns the driver
+/// and the mbuf pool, and numbers the packets.
 pub struct DpdkEnv {
-    /// Analysis level.
-    pub level: StackLevel,
-    /// The mbuf pool.
+    level: StackLevel,
+    driver: Driver,
     pool: Mempool,
-    /// The (single) simulated NIC.
-    nic: NicDevice,
     seq: u64,
 }
 
 impl DpdkEnv {
     /// Build an environment with `n_mbufs` buffers of `buf_size` bytes.
     pub fn new(level: StackLevel, n_mbufs: usize, buf_size: u64) -> Self {
-        let mut aspace = bolt_trace::AddressSpace::new();
-        let pool = Mempool::new(&mut aspace, n_mbufs, buf_size);
-        let nic = NicDevice::new(&mut aspace);
+        let (driver, pool) =
+            Driver::production(&mut bolt_trace::AddressSpace::new(), n_mbufs, buf_size);
         DpdkEnv {
             level,
+            driver,
             pool,
-            nic,
             seq: 0,
         }
     }
@@ -78,17 +75,13 @@ impl DpdkEnv {
         Self::new(StackLevel::FullStack, 512, 2048)
     }
 
-    /// RX half of the device loop for one frame: open the packet, take an
-    /// mbuf and DMA the frame into it (DMA is free for the CPU; driver
-    /// descriptor work is charged in `rx`).
+    /// The driver's RX half for one frame, then the frame's DMA into the
+    /// mbuf it popped (DMA is free for the CPU).
     #[inline]
     fn receive(&mut self, ctx: &mut ConcreteCtx<'_>, seq: u64, bytes: &[u8], port: u16) -> Mbuf {
-        ctx.tracer().mark(Marker::PacketStart(seq));
-        let region = self.pool.alloc(ctx.tracer());
+        self.driver.receive(ctx.tracer(), self.level, seq);
+        let region = self.pool.alloc();
         ctx.register_buffer(region, bytes);
-        if self.level == StackLevel::FullStack {
-            self.nic.rx(ctx.tracer());
-        }
         Mbuf {
             region,
             len: bytes.len() as u64,
@@ -96,24 +89,11 @@ impl DpdkEnv {
         }
     }
 
-    /// TX half: transmit or drop by verdict, return the mbuf, close the
-    /// packet.
+    /// The driver's TX half by verdict, then the mbuf's return.
     #[inline]
-    fn transmit(
-        &mut self,
-        ctx: &mut ConcreteCtx<'_>,
-        seq: u64,
-        region: MemRegion,
-        verdict: NfVerdict,
-    ) {
-        if self.level == StackLevel::FullStack {
-            match verdict {
-                NfVerdict::Forward(_) | NfVerdict::Flood => self.nic.tx(ctx.tracer()),
-                NfVerdict::Drop => self.nic.drop(ctx.tracer()),
-            }
-        }
-        self.pool.free(ctx.tracer(), region);
-        ctx.tracer().mark(Marker::PacketEnd(seq));
+    fn transmit(&mut self, ctx: &mut ConcreteCtx<'_>, seq: u64, mbuf: Mbuf, verdict: NfVerdict) {
+        self.driver.transmit(ctx.tracer(), self.level, seq, verdict);
+        self.pool.free(mbuf.region);
     }
 
     /// Process one packet concretely: receive `bytes` on `port`, run the
@@ -135,13 +115,12 @@ impl DpdkEnv {
         ctx.tracer().mark(Marker::NfStart);
         let before = ctx.verdicts().len();
         body(ctx, mbuf);
-        let verdict = if ctx.verdicts().len() > before {
-            *ctx.verdicts().last().unwrap()
-        } else {
-            NfVerdict::Drop
-        };
+        let verdict = ctx.verdicts()[before..]
+            .last()
+            .copied()
+            .unwrap_or(NfVerdict::Drop);
         ctx.tracer().mark(Marker::NfEnd);
-        self.transmit(ctx, seq, mbuf.region, verdict);
+        self.transmit(ctx, seq, mbuf, verdict);
         ctx.tracer().mark(Marker::TxDone);
         verdict
     }
@@ -185,18 +164,18 @@ impl DpdkEnv {
         ctx.tracer().mark(Marker::NfEnd);
 
         for (i, (mbuf, verdict)) in mbufs.iter().zip(&verdicts).enumerate() {
-            self.transmit(ctx, first_seq + i as u64, mbuf.region, *verdict);
+            self.transmit(ctx, first_seq + i as u64, *mbuf, *verdict);
         }
         ctx.tracer().mark(Marker::TxDone);
         verdicts
     }
 }
 
-/// Symbolic-mode equivalent of [`DpdkEnv::process_packet`]: installs a
-/// symbolic packet, charges the same driver costs, runs the body, then
-/// charges the verdict-dependent transmit path. Driver register/ring
-/// addresses are allocated deterministically inside the symbolic context's
-/// own address space, so every explored path sees identical structure.
+/// Symbolic-mode equivalent of [`DpdkEnv::process_packet`]: the same
+/// driver halves around the body, on a symbolic packet. The driver's
+/// regions and the packet are allocated in a fixed order inside the
+/// symbolic context's own address space, so every explored path sees
+/// identical structure.
 pub fn sym_process_packet<F>(
     ctx: &mut SymbolicCtx<'_>,
     level: StackLevel,
@@ -205,33 +184,18 @@ pub fn sym_process_packet<F>(
 ) where
     F: FnMut(&mut SymbolicCtx<'_>, Mbuf),
 {
-    ctx.tracer().mark(Marker::PacketStart(0));
-    // Deterministic region layout: ring, registers, then the packet.
-    let ring = ctx.alloc_region(device::RING_BYTES);
-    let regs = ctx.alloc_region(device::REG_BYTES);
-    let mbuf_pool = ctx.alloc_region(64); // pool metadata line
-    let region = ctx.packet(pkt_len.max(64));
+    let driver = Driver::analysis(ctx);
     let mbuf = Mbuf {
-        region,
+        region: ctx.packet(pkt_len.max(64)),
         len: pkt_len,
         port: 0,
     };
-    device::pool_alloc_costs(ctx.tracer(), mbuf_pool);
-    if level == StackLevel::FullStack {
-        device::rx_costs(ctx.tracer(), ring, regs);
-    }
+    driver.receive(ctx.tracer(), level, 0);
     ctx.tracer().mark(Marker::NfStart);
     body(ctx, mbuf);
     ctx.tracer().mark(Marker::NfEnd);
     let verdict = ctx.last_verdict().unwrap_or(NfVerdict::Drop);
-    if level == StackLevel::FullStack {
-        match verdict {
-            NfVerdict::Forward(_) | NfVerdict::Flood => device::tx_costs(ctx.tracer(), ring, regs),
-            NfVerdict::Drop => device::drop_costs(ctx.tracer(), mbuf_pool),
-        }
-    }
-    device::pool_free_costs(ctx.tracer(), mbuf_pool);
-    ctx.tracer().mark(Marker::PacketEnd(0));
+    driver.transmit(ctx.tracer(), level, 0, verdict);
     ctx.tracer().mark(Marker::TxDone);
 }
 

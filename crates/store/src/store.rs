@@ -211,10 +211,7 @@ fn read_header(path: &Path) -> Option<RecordHeader> {
         .ok()?;
     let hdr = decode_header(&prefix).ok()?;
     let file_len = f.metadata().ok()?.len();
-    if hdr.header_len + hdr.payload_len != file_len {
-        return None;
-    }
-    Some(hdr)
+    (hdr.header_len.checked_add(hdr.payload_len) == Some(file_len)).then_some(hdr)
 }
 
 /// What one [`ContractStore::sweep`] did.
@@ -382,7 +379,7 @@ impl ContractStore {
         let bytes = fs::read(&path).ok();
         let present = bytes.is_some();
         let res = bytes.and_then(|bytes| {
-            verify_record(&bytes, Some(fp), Some(kind))
+            verify_record(&bytes, fp, kind)
                 .ok()
                 .map(|(_, payload)| (payload.to_vec(), bytes.len() as u64))
         });
@@ -672,23 +669,24 @@ fn bump_stamp(path: &Path) -> io::Result<()> {
     f.write_all(&next_stamp().to_le_bytes())
 }
 
-/// Parse and verify a record file. `expect_fp`/`expect_kind` of `None`
-/// accept any (used by `list`, which reads whatever the directory
-/// holds).
+/// Parse and verify the record file of key `(fp, kind)`.
 fn verify_record(
     bytes: &[u8],
-    expect_fp: Option<Fingerprint>,
-    expect_kind: Option<RecordKind>,
+    fp: Fingerprint,
+    kind: RecordKind,
 ) -> Result<(RecordHeader, &[u8]), DecodeError> {
     let hdr = decode_header(bytes)?;
-    if expect_kind.is_some_and(|k| k != hdr.kind) {
+    if hdr.kind != kind {
         return Err(DecodeError::Malformed("record kind mismatch"));
     }
-    if expect_fp.is_some_and(|e| e != hdr.fingerprint) {
+    if hdr.fingerprint != fp {
         return Err(DecodeError::Malformed("fingerprint mismatch"));
     }
     let start = hdr.header_len as usize;
-    let end = start + hdr.payload_len as usize;
+    let end = usize::try_from(hdr.payload_len)
+        .ok()
+        .and_then(|n| start.checked_add(n))
+        .ok_or(DecodeError::Truncated)?;
     if end != bytes.len() {
         return Err(if end > bytes.len() {
             DecodeError::Truncated
@@ -780,6 +778,27 @@ mod tests {
         assert!(store.get(fp(1), RecordKind::Exploration).is_none());
         assert!(store.header(fp(1), RecordKind::Exploration).is_none());
         // list() must skip it rather than fail.
+        assert!(store.list().unwrap().is_empty());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_payload_length_near_u64_max_is_a_miss() {
+        let store = temp_store("huge-len");
+        store
+            .put(fp(3), RecordKind::Exploration, "nf", 0, 1, b"")
+            .unwrap();
+        let path = store.path_of(fp(3), RecordKind::Exploration);
+        // The empty payload's one-byte length prefix ends the file; claim
+        // a payload of u64::MAX bytes instead. No size check may overflow.
+        let mut bytes = fs::read(&path).unwrap();
+        let mut len = ByteWriter::new();
+        len.varint(u64::MAX);
+        bytes.pop();
+        bytes.extend(len.into_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(store.header(fp(3), RecordKind::Exploration).is_none());
+        assert!(store.get(fp(3), RecordKind::Exploration).is_none());
         assert!(store.list().unwrap().is_empty());
         let _ = fs::remove_dir_all(store.dir());
     }

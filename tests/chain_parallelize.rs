@@ -6,7 +6,7 @@
 //! cache its plan as a store record that any stage-config change
 //! invalidates.
 
-use bolt::core::{encode_contract, encode_plan, stages_commute, Composer, ContractStore, Pipeline};
+use bolt::core::{encode_contract, encode_plan, stages_commute, ContractStore, Pipeline};
 use bolt::expr::PcvAssignment;
 use bolt::nfs::firewall::FirewallConfig;
 use bolt::nfs::{Firewall, Nat, StaticRouter};
@@ -191,24 +191,4 @@ fn plan_records_cache_and_invalidate_on_stage_config_change() {
     let rewarm = changed().with_store(&store).parallelize(level).unwrap();
     assert!(rewarm.plan_cached);
     let _ = std::fs::remove_dir_all(store.dir());
-}
-
-#[test]
-fn composer_front_door_matches_pipeline_parallelize() {
-    let level = StackLevel::NfOnly;
-    let via_pipeline = fw_fw_rt().parallelize(level).unwrap();
-    let solver = Solver::default();
-    let pipeline = fw_fw_rt();
-    let via_composer = Composer::new(&solver)
-        .parallelize(true)
-        .chain(&pipeline, level)
-        .unwrap();
-    assert_eq!(
-        encode_plan(via_composer.plan.as_ref().unwrap()),
-        encode_plan(via_pipeline.plan.as_ref().unwrap())
-    );
-    assert_eq!(
-        encode_contract(&via_composer.contract),
-        encode_contract(&via_pipeline.contract)
-    );
 }

@@ -54,44 +54,75 @@ proptest! {
     /// build run the same steps for the same path, at both stack levels,
     /// for any EtherType/TTL combination driving a small NF: event for
     /// event the same kind, instruction class and count, access width and
-    /// dependence, and markers. Only addresses may differ, since each
-    /// build lays out its own memory.
+    /// dependence, and markers, and each access lands on the same line
+    /// (by first-touch rank) at the same offset. One EtherType in two is
+    /// IPv4, so the forward and TTL-drop paths are compared too.
     #[test]
-    fn analysis_and_production_streams_agree(ether_type: u16, ttl: u8, full_stack: bool) {
+    fn analysis_and_production_streams_agree(
+        ether_type in prop_oneof![Just(h::ETHERTYPE_IPV4), any::<u16>()],
+        ttl: u8,
+        full_stack: bool,
+    ) {
         let level = if full_stack { StackLevel::FullStack } else { StackLevel::NfOnly };
-        let result = Explorer::new().explore(|ctx| {
-            sym_process_packet(ctx, level, 64, |ctx, mbuf| toy_nf(ctx, mbuf))
-        });
-        // Concrete run of the same NF on a packet with the generated
-        // fields.
-        let frame = h::PacketBuilder::new()
-            .eth(2, 1, ether_type)
-            .ipv4(1, 2, h::IPPROTO_UDP, ttl)
-            .udp(1, 2)
-            .build();
-        let mut rec = RecordingTracer::new();
-        let mut env = DpdkEnv::new(level, 512, 2048);
-        let mut cctx = ConcreteCtx::new(&mut rec);
-        let verdict = env.process_packet(&mut cctx, &frame, 0, |ctx, mbuf| toy_nf(ctx, mbuf));
-        // Find the matching symbolic path by the concrete branch outcomes.
-        let is_v4 = ether_type == h::ETHERTYPE_IPV4;
-        let is_dead = ttl <= 1;
-        let matching = result.paths.iter().find(|p| {
-            if !is_v4 {
-                p.verdict == Some(NfVerdict::Drop) && p.decisions.first() == Some(&false)
-            } else if is_dead {
-                p.decisions == vec![true, true]
-            } else {
-                p.verdict == Some(NfVerdict::Forward(1))
-            }
-        });
-        let p = matching.expect("a path must match every input");
-        let steps = |evs: &[TraceEvent]| evs.iter().map(without_address).collect::<Vec<_>>();
-        prop_assert_eq!(steps(&p.events), steps(&rec.events));
-        prop_assert_eq!(p.verdict, Some(verdict));
+        let [analysis, production] = both_builds(level, ether_type, ttl);
+        prop_assert_eq!(analysis, production);
     }
 }
 
+#[test]
+fn every_toy_nf_path_agrees_at_both_levels() {
+    let paths = [
+        (h::ETHERTYPE_IPV4, 64, NfVerdict::Forward(1)),
+        (h::ETHERTYPE_IPV4, 1, NfVerdict::Drop),
+        (h::ETHERTYPE_IPV6, 64, NfVerdict::Drop),
+    ];
+    for level in [StackLevel::NfOnly, StackLevel::FullStack] {
+        for (ether_type, ttl, verdict) in paths {
+            let [analysis, production] = both_builds(level, ether_type, ttl);
+            assert_eq!(
+                analysis, production,
+                "{level:?} {ether_type:#06x} ttl {ttl}"
+            );
+            assert_eq!(production.1, Some(verdict));
+        }
+    }
+}
+
+/// Each build's event stream (addresses by [`by_line`]) and verdict for
+/// `toy_nf` on a packet with `ether_type` and `ttl`: the analysis build's
+/// from the explored path those fields take, the production build's from
+/// one concrete run.
+fn both_builds(
+    level: StackLevel,
+    ether_type: u16,
+    ttl: u8,
+) -> [(Vec<TraceEvent>, Option<NfVerdict>); 2] {
+    let result = Explorer::new()
+        .explore(|ctx| sym_process_packet(ctx, level, 64, |ctx, mbuf| toy_nf(ctx, mbuf)));
+    let frame = h::PacketBuilder::new()
+        .eth(2, 1, ether_type)
+        .ipv4(1, 2, h::IPPROTO_UDP, ttl)
+        .udp(1, 2)
+        .build();
+    let mut rec = RecordingTracer::new();
+    let mut env = DpdkEnv::new(level, 512, 2048);
+    let mut cctx = ConcreteCtx::new(&mut rec);
+    let verdict = env.process_packet(&mut cctx, &frame, 0, |ctx, mbuf| toy_nf(ctx, mbuf));
+    // The symbolic path whose branch outcomes the packet takes.
+    let decisions = match (ether_type == h::ETHERTYPE_IPV4, ttl <= 1) {
+        (false, _) => vec![false],
+        (true, dead) => vec![true, dead],
+    };
+    let p = result
+        .paths
+        .iter()
+        .find(|p| p.decisions == decisions)
+        .expect("a path must match every input");
+    [
+        (by_line(&p.events), p.verdict),
+        (by_line(&rec.events), Some(verdict)),
+    ]
+}
 /// A toy NF, one body for both builds: EtherType gate, then a TTL check.
 fn toy_nf<C: NfCtx>(ctx: &mut C, mbuf: Mbuf) {
     let et = ctx.load(mbuf.region, h::ETHER_TYPE, 2);
@@ -109,15 +140,33 @@ fn toy_nf<C: NfCtx>(ctx: &mut C, mbuf: Mbuf) {
     }
 }
 
-/// `ev` with its address zeroed.
-fn without_address(ev: &TraceEvent) -> TraceEvent {
-    match *ev {
-        TraceEvent::MemRead { bytes, dep, .. } => TraceEvent::MemRead {
-            addr: 0,
-            bytes,
-            dep,
-        },
-        TraceEvent::MemWrite { bytes, .. } => TraceEvent::MemWrite { addr: 0, bytes },
-        other => other,
-    }
+/// `evs` with each address rewritten as its 64-byte line's rank in
+/// first-touch order times 64, plus its offset in the line: two layouts
+/// then compare line for line without exposing where either put a region.
+fn by_line(evs: &[TraceEvent]) -> Vec<TraceEvent> {
+    let mut lines: Vec<u64> = Vec::new();
+    let mut at = |addr: u64| {
+        let rank = lines
+            .iter()
+            .position(|&l| l == addr / 64)
+            .unwrap_or_else(|| {
+                lines.push(addr / 64);
+                lines.len() - 1
+            });
+        rank as u64 * 64 + addr % 64
+    };
+    evs.iter()
+        .map(|ev| match *ev {
+            TraceEvent::MemRead { addr, bytes, dep } => TraceEvent::MemRead {
+                addr: at(addr),
+                bytes,
+                dep,
+            },
+            TraceEvent::MemWrite { addr, bytes } => TraceEvent::MemWrite {
+                addr: at(addr),
+                bytes,
+            },
+            other => other,
+        })
+        .collect()
 }
