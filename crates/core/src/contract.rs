@@ -93,7 +93,19 @@ pub fn generate(reg: &DsRegistry, exploration: ExplorationResult) -> NfContract 
     let mut out = Vec::with_capacity(paths.len());
     let mut hw = ConservativeModel::new();
     for (index, p) in paths.into_iter().enumerate() {
-        let mut perf = [PerfExpr::zero(), PerfExpr::zero(), PerfExpr::zero()];
+        // A sum has at most one term per term of its summands, plus the
+        // stateless constant: with room for that, each metric's sum
+        // allocates once.
+        let mut room = [1; 3];
+        for ev in &p.events {
+            if let TraceEvent::Stateful(call) = ev {
+                let case = reg.resolve(*call);
+                for m in Metric::ALL {
+                    room[m.index()] += case.expr(m).iter().count();
+                }
+            }
+        }
+        let mut perf = room.map(PerfExpr::with_capacity);
         let mut stateless_ic = 0u64;
         let mut stateless_ma = 0u64;
         hw.reset();

@@ -15,6 +15,7 @@
 //! loop walks a collision chain), scaling, exact evaluation under a
 //! [`PcvAssignment`], and a pointwise upper-bound comparison.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -94,6 +95,8 @@ const INLINE_DEGREE: usize = 4;
 
 #[derive(Clone)]
 enum Vars {
+    /// Built only by `Monomial::from_sorted`, which leaves the slots past
+    /// `len` at `PcvId(0)`: `Ord` and `Eq` compare whole arrays.
     Inline {
         len: u8,
         ids: [PcvId; INLINE_DEGREE],
@@ -181,21 +184,32 @@ impl Default for Monomial {
 
 impl PartialEq for Monomial {
     fn eq(&self, other: &Self) -> bool {
-        self.vars() == other.vars()
+        match (&self.0, &other.0) {
+            (Vars::Inline { len: a, ids: x }, Vars::Inline { len: b, ids: y }) => a == b && x == y,
+            _ => self.vars() == other.vars(),
+        }
     }
 }
 
 impl Eq for Monomial {}
 
 impl PartialOrd for Monomial {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Monomial {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.vars().cmp(other.vars())
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            // Unused inline slots hold zero, and a list sorts after its
+            // prefixes: so inline lists order as their whole arrays, then
+            // by length.
+            (Vars::Inline { len: a, ids: x }, Vars::Inline { len: b, ids: y }) => {
+                x.cmp(y).then(a.cmp(b))
+            }
+            _ => self.vars().cmp(other.vars()),
+        }
     }
 }
 
@@ -241,9 +255,14 @@ impl PcvAssignment {
 }
 
 /// A polynomial over PCVs with `u64` coefficients.
+///
+/// Stored as one vector of `(monomial, coefficient)` pairs, strictly
+/// ascending by [`Monomial`]'s order and free of zero coefficients, so
+/// each value has exactly one representation (derived equality is
+/// polynomial equality) and a small expression is a single allocation.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct PerfExpr {
-    terms: BTreeMap<Monomial, u64>,
+    terms: Vec<(Monomial, u64)>,
 }
 
 impl PerfExpr {
@@ -252,31 +271,32 @@ impl PerfExpr {
         Self::default()
     }
 
+    /// The zero polynomial, with room for `terms` terms before its
+    /// storage grows (a sum whose summands' sizes are known).
+    pub fn with_capacity(terms: usize) -> Self {
+        PerfExpr {
+            terms: Vec::with_capacity(terms),
+        }
+    }
+
     /// A constant polynomial.
     pub fn constant(c: u64) -> Self {
-        let mut e = Self::zero();
-        if c != 0 {
-            e.terms.insert(Monomial::one(), c);
-        }
-        e
+        Self::term(Monomial::one(), c)
     }
 
     /// The polynomial `coeff · pcv`.
     pub fn var(pcv: PcvId, coeff: u64) -> Self {
-        let mut e = Self::zero();
-        if coeff != 0 {
-            e.terms.insert(Monomial::var(pcv), coeff);
-        }
-        e
+        Self::term(Monomial::var(pcv), coeff)
     }
 
     /// The polynomial `coeff · m` for an arbitrary monomial.
     pub fn term(m: Monomial, coeff: u64) -> Self {
-        let mut e = Self::zero();
-        if coeff != 0 {
-            e.terms.insert(m, coeff);
-        }
-        e
+        let terms = if coeff == 0 {
+            Vec::new()
+        } else {
+            vec![(m, coeff)]
+        };
+        PerfExpr { terms }
     }
 
     /// Whether this is the zero polynomial.
@@ -286,55 +306,95 @@ impl PerfExpr {
 
     /// Whether this polynomial is a constant, and its value if so.
     pub fn as_const(&self) -> Option<u64> {
-        match self.terms.len() {
-            0 => Some(0),
-            1 => self.terms.get(&Monomial::one()).copied(),
+        match self.terms.as_slice() {
+            [] => Some(0),
+            [(m, c)] if m.degree() == 0 => Some(*c),
             _ => None,
         }
     }
 
     /// The constant term.
     pub fn constant_term(&self) -> u64 {
-        self.terms.get(&Monomial::one()).copied().unwrap_or(0)
+        // The constant monomial sorts first.
+        match self.terms.first() {
+            Some((m, c)) if m.degree() == 0 => *c,
+            _ => 0,
+        }
     }
 
     /// Coefficient of a monomial (0 if absent).
     pub fn coeff(&self, m: &Monomial) -> u64 {
-        self.terms.get(m).copied().unwrap_or(0)
+        self.terms
+            .binary_search_by(|(n, _)| n.cmp(m))
+            .map_or(0, |i| self.terms[i].1)
     }
 
-    /// Iterate over `(monomial, coefficient)` pairs.
+    /// Iterate over `(monomial, coefficient)` pairs, in ascending
+    /// monomial order.
     pub fn iter(&self) -> impl Iterator<Item = (&Monomial, u64)> {
-        self.terms.iter().map(|(m, &c)| (m, c))
+        self.terms.iter().map(|(m, c)| (m, *c))
     }
 
     /// Total degree of the polynomial (0 for constants).
     pub fn degree(&self) -> usize {
-        self.terms.keys().map(Monomial::degree).max().unwrap_or(0)
+        self.terms
+            .iter()
+            .map(|(m, _)| m.degree())
+            .max()
+            .unwrap_or(0)
     }
 
     /// The set of PCVs mentioned.
     pub fn pcvs(&self) -> Vec<PcvId> {
         let mut v: Vec<PcvId> = self
             .terms
-            .keys()
-            .flat_map(|m| m.vars().iter().copied())
+            .iter()
+            .flat_map(|(m, _)| m.vars().iter().copied())
             .collect();
         v.sort_unstable();
         v.dedup();
         v
     }
 
-    /// `self += other`. A monomial is cloned only when it is new here.
+    /// `self += other`: a merge of the two sorted runs, in place. A
+    /// monomial is cloned only when it is new here, and the storage
+    /// grows only when the new ones do not fit the room left (see
+    /// [`PerfExpr::with_capacity`]).
     pub fn add_assign(&mut self, other: &PerfExpr) {
-        for (m, c) in other.iter() {
-            match self.terms.get_mut(m) {
-                Some(e) => *e = e.saturating_add(c),
-                None => {
-                    self.terms.insert(m.clone(), c);
+        if self.terms.is_empty() {
+            self.terms.clone_from(&other.terms);
+            return;
+        }
+        let new = count_missing(&self.terms, &other.terms);
+        // Merge from the back: `self.terms[..mine]` is still unmerged,
+        // `self.terms[out..]` is finished, and the slots between hold
+        // placeholders. Each of `other`'s terms left to place that is
+        // new here keeps one slot of that gap open, so `out == mine`
+        // once every term is placed.
+        let mut mine = self.terms.len();
+        self.terms.resize_with(mine + new, Default::default);
+        let mut out = self.terms.len();
+        for (m, c) in other.terms.iter().rev() {
+            loop {
+                let order = match mine {
+                    0 => Ordering::Less,
+                    _ => self.terms[mine - 1].0.cmp(m),
+                };
+                out -= 1;
+                if order == Ordering::Less {
+                    self.terms[out] = (m.clone(), *c);
+                    break;
+                }
+                mine -= 1;
+                self.terms.swap(mine, out);
+                if order == Ordering::Equal {
+                    let sum = &mut self.terms[out].1;
+                    *sum = sum.saturating_add(*c);
+                    break;
                 }
             }
         }
+        debug_assert_eq!(out, mine);
     }
 
     /// `self + other`.
@@ -346,9 +406,12 @@ impl PerfExpr {
 
     /// Add a constant.
     pub fn add_const(&mut self, c: u64) {
-        if c != 0 {
-            let e = self.terms.entry(Monomial::one()).or_insert(0);
-            *e = e.saturating_add(c);
+        if c == 0 {
+            return;
+        }
+        match self.terms.first_mut() {
+            Some((m, e)) if m.degree() == 0 => *e = e.saturating_add(c),
+            _ => self.terms.insert(0, (Monomial::one(), c)),
         }
     }
 
@@ -357,30 +420,40 @@ impl PerfExpr {
         if k == 0 {
             return PerfExpr::zero();
         }
-        let mut r = PerfExpr::zero();
-        for (m, c) in self.iter() {
-            r.terms.insert(m.clone(), c.saturating_mul(k));
-        }
-        r
+        let terms = self
+            .terms
+            .iter()
+            .map(|(m, c)| (m.clone(), c.saturating_mul(k)))
+            .collect();
+        PerfExpr { terms }
     }
 
     /// Polynomial product (distributes; used to build cross terms such as
     /// `e·c` when a per-expired-entry cost itself depends on collisions).
     pub fn mul(&self, other: &PerfExpr) -> PerfExpr {
-        let mut r = PerfExpr::zero();
-        for (ma, ca) in self.iter() {
-            for (mb, cb) in other.iter() {
-                let m = ma.mul(mb);
-                let e = r.terms.entry(m).or_insert(0);
-                *e = e.saturating_add(ca.saturating_mul(cb));
+        let mut terms: Vec<(Monomial, u64)> =
+            Vec::with_capacity(self.terms.len() * other.terms.len());
+        for (ma, ca) in &self.terms {
+            for (mb, cb) in &other.terms {
+                terms.push((ma.mul(mb), ca.saturating_mul(*cb)));
             }
         }
-        r
+        // Saturating sums of unsigned values do not depend on their
+        // order, so equal products coalesce after an unstable sort.
+        terms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        terms.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.saturating_add(next.1);
+            }
+            same
+        });
+        PerfExpr { terms }
     }
 
     /// Exact evaluation under an assignment (saturating).
     pub fn eval(&self, env: &PcvAssignment) -> u64 {
-        self.terms.iter().fold(0u64, |acc, (m, &c)| {
+        self.terms.iter().fold(0u64, |acc, (m, c)| {
             acc.saturating_add(c.saturating_mul(m.eval(env)))
         })
     }
@@ -400,6 +473,27 @@ impl PerfExpr {
     pub fn display<'a>(&'a self, pcvs: &'a PcvTable) -> PerfExprDisplay<'a> {
         PerfExprDisplay { expr: self, pcvs }
     }
+}
+
+/// How many of `theirs`' monomials `mine` lacks (both strictly ascending).
+fn count_missing(mine: &[(Monomial, u64)], theirs: &[(Monomial, u64)]) -> usize {
+    let (mut i, mut missing) = (0, 0);
+    for (m, _) in theirs {
+        loop {
+            match mine.get(i).map(|(n, _)| n.cmp(m)) {
+                Some(Ordering::Less) => i += 1,
+                Some(Ordering::Equal) => {
+                    i += 1;
+                    break;
+                }
+                _ => {
+                    missing += 1;
+                    break;
+                }
+            }
+        }
+    }
+    missing
 }
 
 /// Helper returned by [`PerfExpr::display`].

@@ -157,6 +157,7 @@ impl TermPool {
     }
 
     /// Number of distinct terms in the pool.
+    #[inline]
     pub fn len(&self) -> usize {
         self.terms.len()
     }
@@ -167,6 +168,7 @@ impl TermPool {
     }
 
     /// Number of symbols created so far.
+    #[inline]
     pub fn sym_count(&self) -> usize {
         self.sym_names.len()
     }
@@ -649,6 +651,25 @@ impl TermPool {
         self.sym_names.push(name.into());
         self.sym_widths.push(width);
         id
+    }
+
+    /// Make room for `additional` more terms: interning that many grows
+    /// no arena and rehashes nothing. The index table ends the size
+    /// interning one term at a time would have grown it to.
+    pub fn reserve(&mut self, additional: usize) {
+        if additional == 0 {
+            return;
+        }
+        self.terms.reserve_exact(additional);
+        self.meta.reserve_exact(additional);
+        let len = self.terms.len() + additional;
+        let mut slots = self.slots.len();
+        while len * 10 >= slots * 7 {
+            slots = (slots * 2).max(64);
+        }
+        if slots > self.slots.len() {
+            self.grow_slots(slots);
+        }
     }
 
     /// Re-intern one decoded arena node (children must already be

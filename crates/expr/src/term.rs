@@ -78,6 +78,7 @@ pub struct TermRef(pub(crate) u32);
 
 impl TermRef {
     /// Raw index of the term inside its pool (stable for the pool lifetime).
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -87,6 +88,7 @@ impl TermRef {
     /// Only meaningful for indices obtained from [`TermRef::index`] against
     /// the same (or a bit-identically rehydrated) pool; the store codec
     /// validates indices against the pool length before use.
+    #[inline]
     pub fn from_raw(index: u32) -> TermRef {
         TermRef(index)
     }

@@ -95,6 +95,7 @@ fn instr_class_tag(c: InstrClass) -> u8 {
     c.index() as u8
 }
 
+#[inline]
 fn instr_class_from_tag(t: u8) -> Result<InstrClass, DecodeError> {
     InstrClass::ALL
         .get(t as usize)
@@ -107,11 +108,13 @@ fn instr_class_from_tag(t: u8) -> Result<InstrClass, DecodeError> {
 // ----------------------------------------------------------------------
 
 /// Write a term reference as its arena index.
+#[inline]
 pub fn write_term_ref(w: &mut ByteWriter, t: TermRef) {
     w.varint(t.index() as u64);
 }
 
 /// Read a term reference, bounds-checked against the rehydrated pool.
+#[inline]
 pub fn read_term_ref(r: &mut ByteReader<'_>, pool: &TermPool) -> Result<TermRef, DecodeError> {
     let idx = r.varint()?;
     if idx >= pool.len() as u64 {
@@ -187,8 +190,11 @@ pub fn read_pool(r: &mut ByteReader<'_>) -> Result<TermPool, DecodeError> {
         pool.register_sym(name, width);
     }
     let n_terms = r.count(MAX_COUNT)?;
+    // `count` bounds `n_terms` by the bytes left, so this reserves no
+    // more than the input could fill.
+    pool.reserve(n_terms);
     // Nesting depth of every node read so far (a leaf is 1).
-    let mut depths: Vec<u32> = Vec::new();
+    let mut depths: Vec<u32> = Vec::with_capacity(n_terms);
     for expect in 0..n_terms {
         let mut deepest_child = 0;
         // Children must precede parents, so every reference inside the
@@ -267,7 +273,7 @@ pub fn read_pool(r: &mut ByteReader<'_>) -> Result<TermPool, DecodeError> {
 // PerfExpr
 // ----------------------------------------------------------------------
 
-/// Encode a performance polynomial (monomials in BTreeMap order, so the
+/// Encode a performance polynomial (monomials in ascending order, so the
 /// encoding is canonical).
 pub fn write_perf(w: &mut ByteWriter, e: &PerfExpr) {
     let terms: Vec<(&Monomial, u64)> = e.iter().collect();
@@ -331,16 +337,22 @@ fn marker_parts(m: Marker) -> (u8, u64) {
     }
 }
 
+#[inline]
 fn marker_from_parts(tag: u8, seq: u64) -> Result<Marker, DecodeError> {
-    Ok(match tag {
-        0 => Marker::PacketStart(seq),
-        1 => Marker::PacketEnd(seq),
+    let marker = match tag {
+        0 => return Ok(Marker::PacketStart(seq)),
+        1 => return Ok(Marker::PacketEnd(seq)),
         2 => Marker::RxStart,
         3 => Marker::NfStart,
         4 => Marker::NfEnd,
         5 => Marker::TxDone,
         _ => return Err(DecodeError::Malformed("marker tag out of range")),
-    })
+    };
+    // [`marker_parts`] writes 0 for a marker without a sequence number.
+    if seq != 0 {
+        return Err(DecodeError::Malformed("marker carries a sequence number"));
+    }
+    Ok(marker)
 }
 
 /// Encode one trace event.
@@ -383,6 +395,7 @@ pub fn write_event(w: &mut ByteWriter, ev: &TraceEvent) {
 }
 
 /// Decode one trace event.
+#[inline]
 pub fn read_event(r: &mut ByteReader<'_>) -> Result<TraceEvent, DecodeError> {
     Ok(match r.u8()? {
         0 => {
@@ -435,6 +448,7 @@ pub fn read_event(r: &mut ByteReader<'_>) -> Result<TraceEvent, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn toy_pool() -> (TermPool, Vec<TermRef>) {
         let mut p = TermPool::new();
@@ -599,9 +613,9 @@ mod tests {
         assert_eq!(decode(&[(&[0], 0)]), malformed("zero coefficient"));
     }
 
-    #[test]
-    fn event_round_trip() {
-        let events = vec![
+    /// One event of every kind.
+    fn toy_events() -> Vec<TraceEvent> {
+        vec![
             TraceEvent::Instr {
                 class: InstrClass::Crc,
                 n: 7,
@@ -626,7 +640,12 @@ mod tests {
             },
             TraceEvent::Mark(Marker::PacketStart(41)),
             TraceEvent::Mark(Marker::NfEnd),
-        ];
+        ]
+    }
+
+    #[test]
+    fn event_round_trip() {
+        let events = toy_events();
         let mut w = ByteWriter::new();
         for ev in &events {
             write_event(&mut w, ev);
@@ -637,5 +656,94 @@ mod tests {
             assert_eq!(&read_event(&mut r).unwrap(), ev);
         }
         r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn markers_without_a_sequence_number_carry_none() {
+        // `RxStart` is written with sequence 0; any other number would be
+        // a second encoding of the same event.
+        assert_eq!(
+            read_event(&mut ByteReader::new(&[5, 2, 0])),
+            Ok(TraceEvent::Mark(Marker::RxStart))
+        );
+        assert_eq!(
+            read_event(&mut ByteReader::new(&[5, 2, 7])),
+            Err(DecodeError::Malformed("marker carries a sequence number"))
+        );
+    }
+
+    fn encoded(write: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        write(&mut w);
+        w.into_bytes()
+    }
+
+    /// `bytes` on its own and written over `valid` from `at` on.
+    fn hostile_inputs(valid: Vec<u8>, bytes: &[u8], at: usize) -> [Vec<u8>; 2] {
+        let mut spliced = valid;
+        let at = at % spliced.len();
+        let end = spliced.len().min(at + bytes.len());
+        spliced[at..end].copy_from_slice(&bytes[..end - at]);
+        [bytes.to_vec(), spliced]
+    }
+
+    /// Read `input` with `read` until it fails or the input ends; every
+    /// value read must re-encode to exactly the bytes it was read from.
+    fn assert_reads_are_canonical<T>(
+        input: &[u8],
+        read: impl Fn(&mut ByteReader<'_>) -> Result<T, DecodeError>,
+        write: impl Fn(&mut ByteWriter, &T),
+    ) {
+        let mut r = ByteReader::new(input);
+        while !r.is_empty() {
+            let start = input.len() - r.remaining();
+            let Ok(value) = read(&mut r) else { break };
+            let end = input.len() - r.remaining();
+            assert_eq!(
+                encoded(|w| write(w, &value)),
+                &input[start..end],
+                "accepted bytes are not canonical"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_pool_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            at: usize,
+        ) {
+            let valid = encoded(|w| write_pool(w, &toy_pool().0));
+            for input in hostile_inputs(valid, &bytes, at) {
+                assert_reads_are_canonical(&input, read_pool, write_pool);
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_event_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            at: usize,
+        ) {
+            let valid = encoded(|w| toy_events().iter().for_each(|ev| write_event(w, ev)));
+            for input in hostile_inputs(valid, &bytes, at) {
+                assert_reads_are_canonical(&input, read_event, write_event);
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_perf_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            at: usize,
+        ) {
+            let mut e = PerfExpr::constant(882);
+            e.add_assign(&PerfExpr::var(PcvId(0), 245));
+            e.add_assign(&PerfExpr::term(Monomial::from_vars(vec![PcvId(1); 5]), 82));
+            let valid = encoded(|w| write_perf(w, &e));
+            for input in hostile_inputs(valid, &bytes, at) {
+                assert_reads_are_canonical(&input, read_perf, write_perf);
+            }
+        }
     }
 }

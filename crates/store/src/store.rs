@@ -162,6 +162,22 @@ pub struct RecordHeader {
 /// prefix). Generous: the only variable-size field is the NF/chain name.
 const HEADER_PREFIX_MAX: usize = 4096;
 
+/// Encode a record's header: the layout [`decode_header`] reads, ending
+/// with the payload's length prefix. `header_len` is not written (it is
+/// the length of what this writes).
+fn write_header(w: &mut ByteWriter, hdr: &RecordHeader) {
+    w.raw(MAGIC);
+    w.u16(STORE_FORMAT_VERSION);
+    w.u8(hdr.kind.tag());
+    w.u8(hdr.level);
+    w.u128(hdr.fingerprint.0);
+    w.u64(hdr.last_used);
+    w.str(&hdr.nf_name);
+    w.varint(hdr.n_paths);
+    w.u64(hdr.checksum);
+    w.varint(hdr.payload_len);
+}
+
 /// Decode a record's header from a byte prefix (the payload need not be
 /// present). Validates magic, version, and kind, but *not* the payload
 /// checksum — that is [`ContractStore::get`]'s job.
@@ -378,10 +394,13 @@ impl ContractStore {
         }
         let bytes = fs::read(&path).ok();
         let present = bytes.is_some();
-        let res = bytes.and_then(|bytes| {
-            verify_record(&bytes, fp, kind)
-                .ok()
-                .map(|(_, payload)| (payload.to_vec(), bytes.len() as u64))
+        // The payload is the buffer's tail: strip the header in place
+        // rather than copy the payload out.
+        let res = bytes.and_then(|mut bytes| {
+            let hdr = verify_record(&bytes, fp, kind).ok()?;
+            let size = bytes.len() as u64;
+            bytes.drain(..hdr.header_len as usize);
+            Some((bytes, size))
         });
         match res {
             Some(sized) => {
@@ -433,17 +452,20 @@ impl ContractStore {
     ) -> io::Result<u64> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let _span = self.h_put.span();
+        let hdr = RecordHeader {
+            fingerprint: fp,
+            kind,
+            nf_name: nf_name.to_owned(),
+            level,
+            last_used: next_stamp(),
+            n_paths,
+            payload_len: payload.len() as u64,
+            checksum: fnv64(payload),
+            header_len: 0,
+        };
         let mut w = ByteWriter::new();
-        w.raw(MAGIC);
-        w.u16(STORE_FORMAT_VERSION);
-        w.u8(kind.tag());
-        w.u8(level);
-        w.u128(fp.0);
-        w.u64(next_stamp());
-        w.str(nf_name);
-        w.varint(n_paths);
-        w.u64(fnv64(payload));
-        w.bytes(payload);
+        write_header(&mut w, &hdr);
+        w.raw(payload);
         let bytes = w.into_bytes();
         let final_path = self.path_of(fp, kind);
         let tmp = self.dir.join(format!(
@@ -674,7 +696,7 @@ fn verify_record(
     bytes: &[u8],
     fp: Fingerprint,
     kind: RecordKind,
-) -> Result<(RecordHeader, &[u8]), DecodeError> {
+) -> Result<RecordHeader, DecodeError> {
     let hdr = decode_header(bytes)?;
     if hdr.kind != kind {
         return Err(DecodeError::Malformed("record kind mismatch"));
@@ -694,16 +716,16 @@ fn verify_record(
             DecodeError::Malformed("trailing bytes")
         });
     }
-    let payload = &bytes[start..end];
-    if fnv64(payload) != hdr.checksum {
+    if fnv64(&bytes[start..end]) != hdr.checksum {
         return Err(DecodeError::Malformed("payload checksum mismatch"));
     }
-    Ok((hdr, payload))
+    Ok(hdr)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_store(tag: &str) -> ContractStore {
         let dir =
@@ -1118,5 +1140,55 @@ mod tests {
         );
         assert!(store.get(fp(3), RecordKind::Exploration).is_some());
         let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// A record's bytes as [`ContractStore::put`] lays them out.
+    fn record(hdr: &RecordHeader, payload: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        write_header(&mut w, hdr);
+        w.raw(payload);
+        w.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// No byte string panics the header or record decoders — random,
+        /// or written over a valid record from `at` on — and what they
+        /// accept is what the writer lays out for the value they read.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_record_decoders(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            at: usize,
+        ) {
+            let payload = b"payload bytes";
+            let mut spliced = record(
+                &RecordHeader {
+                    fingerprint: fp(5),
+                    kind: RecordKind::Exploration,
+                    nf_name: "nat".into(),
+                    level: 1,
+                    last_used: 1_700_000_000_000_000,
+                    n_paths: 4,
+                    payload_len: payload.len() as u64,
+                    checksum: fnv64(payload),
+                    header_len: 0,
+                },
+                payload,
+            );
+            let at = at % spliced.len();
+            let end = spliced.len().min(at + bytes.len());
+            spliced[at..end].copy_from_slice(&bytes[..end - at]);
+            for input in [&bytes, &spliced] {
+                if let Ok(hdr) = decode_header(input) {
+                    let len = hdr.header_len as usize;
+                    prop_assert_eq!(&record(&hdr, &[]), &input[..len]);
+                }
+                if let Ok(hdr) = verify_record(input, fp(5), RecordKind::Exploration) {
+                    let len = hdr.header_len as usize;
+                    prop_assert_eq!(&record(&hdr, &input[len..]), input);
+                }
+            }
+        }
     }
 }

@@ -2,15 +2,15 @@
 //! (8 NFs × 2 stack levels): explore on one thread, `encode_result`,
 //! `generate`, and one unconstrained query per metric — makes a pinned
 //! number of allocations. Counted with the pass-through allocator of
-//! `tests/solver_alloc.rs` (the only test in this binary, so nothing else
+//! `tests/counting_alloc` (the only test in this binary, so nothing else
 //! allocates meanwhile). The first round warms the process-wide
 //! calibrated-registry memo; the second is counted against the ceiling,
 //! and a third must repeat its count exactly, so the gate does not depend
 //! on the machine.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod counting_alloc;
+
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bolt::core::InputClass;
 use bolt::expr::PcvAssignment;
@@ -20,34 +20,6 @@ use bolt::see::codec::encode_result;
 use bolt::see::StackLevel;
 use bolt::trace::Metric;
 use bolt::NetworkFunction;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout, via `alloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Allocations and reallocations of one warm round: what sharing the
 /// calibrated registry, inline monomials and the explorer's reused
@@ -71,7 +43,7 @@ fn generate_one<N: NetworkFunction + Sync>(nf: &N, level: StackLevel) {
 /// Allocations one round over the catalog makes.
 fn round() -> usize {
     let nat = |kind| Nat::with(NatConfig::default(), kind);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     for level in [StackLevel::NfOnly, StackLevel::FullStack] {
         generate_one(&Bridge::default(), level);
         generate_one(&ExampleRouter::default(), level);
@@ -82,7 +54,7 @@ fn round() -> usize {
         generate_one(&nat(AllocKind::B), level);
         generate_one(&StaticRouter::default(), level);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    counting_alloc::allocations() - before
 }
 
 #[test]

@@ -6,39 +6,10 @@
 //! allocates meanwhile); the count repeats exactly, so the gate does not
 //! depend on the machine.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting_alloc;
 
 use bolt::expr::{TermPool, TermRef, Width};
 use bolt::solver::Solver;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout, via `alloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// The shape `gen_chain` spends its time on — the router's IP-options
 /// loop over the version/IHL byte meeting the firewall's header-length
@@ -89,9 +60,9 @@ fn exhausted_square(side: u64) -> (TermPool, Vec<TermRef>) {
 }
 
 fn allocations_to_refute((p, cs): (TermPool, Vec<TermRef>)) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocations();
     let feasible = Solver::default().is_feasible(&p, &cs);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = counting_alloc::allocations() - before;
     assert!(
         !feasible,
         "no candidate satisfies the list: the sweep is exhausted"
