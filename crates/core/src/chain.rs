@@ -15,15 +15,11 @@
 //!
 //! The public front door is [`crate::composer::Composer`].
 //!
-//! The cross-product runs on [`bolt_expr::speculate`], whose module docs
-//! carry the determinism argument: a key is an upstream path index, a
-//! step composes that path against every downstream candidate, and
-//! `threads` only sets how many workers speculate steps ahead of the
-//! committer. A chain runs at its [`Pipeline::threads`] count and a bare
-//! pair at its `Composer`'s, both 1 unless the caller sets them. Composed
-//! path order, constraint terms, verdicts, metrics, and [`SolverStats`]
-//! counters are byte-equal at any thread count. With workers, a debug
-//! build runs both routes of every step and asserts they agree.
+//! The cross-product is one loop on the caller's thread: each upstream
+//! path, in path order, is composed against every downstream candidate.
+//! Composed path order, constraint terms, verdicts, metrics, and
+//! [`SolverStats`] counters are therefore a function of the two operand
+//! contracts and the cache's prior contents alone.
 //!
 //! # Memoized composition
 //!
@@ -58,10 +54,9 @@
 //! [`bolt_hw::CostTable::parallel_merge_cycles`]).
 
 use std::fmt;
-use std::ops::ControlFlow;
 
 use bolt_expr::{
-    speculate, BinOp, FxHashMap, PcvAssignment, PerfExpr, SymTable, Term, TermPool, TermRef, UnOp,
+    BinOp, FxHashMap, PcvAssignment, PerfExpr, SymTable, Term, TermPool, TermRef, UnOp,
 };
 use bolt_see::symbolic::PacketField;
 use bolt_see::NfVerdict;
@@ -89,12 +84,10 @@ fn field_of(pool: &TermPool, offset: u64, bytes: u8, term: TermRef) -> Option<Pa
 }
 
 /// Migrates both operands' terms into the joint pool, remapping each
-/// side's symbols under its prefix. Symbols mint through `syms` — the
-/// table absorbed steps resolve through — so whichever route first sees
-/// a symbol, it is minted once. The memos are a pure cache under
-/// hash-consing: a miss rebuilds the same ref and interns nothing new,
-/// so they may lag behind what absorbed steps brought in.
-#[derive(Clone)]
+/// side's symbols under its prefix. Symbols mint through `syms`, so
+/// however many upstream paths meet a symbol, it is minted once. The
+/// memos are a pure cache under hash-consing: a miss rebuilds the same
+/// ref and interns nothing new.
 struct Migrator<'a> {
     srcs: [&'a TermPool; 2],
     memo: [FxHashMap<TermRef, TermRef>; 2],
@@ -154,10 +147,7 @@ impl<'a> Migrator<'a> {
     }
 }
 
-/// Everything composing one upstream path produces, expressed in the
-/// refs of whichever pool [`compose_one`] ran against (the shared pool
-/// on the direct route, a private pool under speculation).
-#[derive(PartialEq)]
+/// Everything composing one upstream path produces, in joint-pool refs.
 enum PaBody {
     /// The upstream path ends the packet: the pair is the path alone.
     Terminal {
@@ -172,15 +162,13 @@ enum PaBody {
 }
 
 /// One upstream×downstream candidate pair.
-#[derive(PartialEq)]
 struct PairSpec {
     /// Downstream path index.
     bi: usize,
     /// Constraints beyond `ca`: the migrated downstream constraints plus
     /// the input/output link equalities (`cs = ca ++ tail`).
     tail: Vec<TermRef>,
-    /// Feasibility verdict. When speculated, the absorbed route's
-    /// shared-cache replay re-derives it and hard-asserts agreement.
+    /// Feasibility verdict.
     feasible: bool,
     /// Composed-path fields, recorded (and migrated) only for feasible
     /// pairs.
@@ -188,9 +176,7 @@ struct PairSpec {
     final_packet: Vec<(u64, u8, TermRef)>,
 }
 
-/// Compose one upstream path against every downstream path: the step
-/// both routes run, directly against the shared pool, migrator and
-/// cache or speculatively against private ones.
+/// Compose one upstream path against every downstream path.
 ///
 /// The upstream constraints are asserted once into an incremental
 /// [`SolverCtx`]; every downstream candidate extends that saved state
@@ -319,8 +305,7 @@ fn compose_one(
     PaBody::Forwarding { ca, pairs }
 }
 
-/// Turn one upstream path's composed body (in shared-pool refs) into
-/// [`PathContract`]s.
+/// Turn one upstream path's composed body into [`PathContract`]s.
 fn push_paths(
     paths: &mut Vec<PathContract>,
     pool: &TermPool,
@@ -374,127 +359,25 @@ fn push_paths(
     }
 }
 
-/// Remap every term ref in a body through an absorb table.
-fn remap_body(body: &mut PaBody, map: &[TermRef]) {
-    let rv = |v: &mut Vec<TermRef>| v.iter_mut().for_each(|t| *t = map[t.index()]);
-    let rf = |v: &mut Vec<(u64, u8, TermRef)>| v.iter_mut().for_each(|f| f.2 = map[f.2.index()]);
-    match body {
-        PaBody::Terminal {
-            constraints,
-            packet_fields,
-        } => {
-            rv(constraints);
-            rf(packet_fields);
-        }
-        PaBody::Forwarding { ca, pairs } => {
-            rv(ca);
-            for p in pairs {
-                rv(&mut p.tail);
-                rf(&mut p.packet_fields);
-                rf(&mut p.final_packet);
-            }
-        }
-    }
-}
-
 /// Compose two contracts into the contract of `first → second` (the
 /// body behind [`Composer::compose`]).
 ///
 /// Both NFs must have been registered against the *same*
 /// [`nf_lib::registry::DsRegistry`]
 /// (or be stateless) so that PCV ids agree in the summed expressions.
-/// `threads` counts the committing caller plus the workers speculating
-/// upstream paths ahead of it; output — composed path order, constraint
-/// terms, verdicts, metrics, and the cache's stats counters — is
-/// bit-identical at any count.
 pub(crate) fn compose_pair(
     first: &NfContract,
     second: &NfContract,
     solver: &Solver,
     cache: &mut SolverCache,
-    threads: usize,
 ) -> NfContract {
     let mut pool = TermPool::new();
     let mut mig = Migrator::new(first, second);
     let mut paths = Vec::new();
-    // One upstream path against private state, in private-pool refs.
-    // Valid at any time, in any order: the body depends only on the two
-    // (immutable) operand contracts.
-    let speculate = |&ai: &usize| {
-        let mut pool = TermPool::new();
-        let mut mig = Migrator::new(first, second);
-        let mut cache = SolverCache::new();
-        let pa = &first.paths[ai];
-        let body = compose_one(&mut pool, &mut mig, pa, second, solver, &mut cache);
-        (pool, body)
-    };
-    // One step on the given state, by either route: the composition
-    // itself when no speculation is handed over, else its absorption.
-    let step = |pool: &mut TermPool,
-                mig: &mut Migrator<'_>,
-                cache: &mut SolverCache,
-                ai: usize,
-                spec: Option<(TermPool, PaBody)>| match spec {
-        None => compose_one(pool, mig, &first.paths[ai], second, solver, cache),
-        Some((private, mut body)) => {
-            let tmap = pool.absorb_with(&private, |p, name, w| mig.syms.sym_for(p, name, w));
-            remap_body(&mut body, &tmap);
-            // Replay the step's solver schedule against the shared
-            // cache — and hard-assert that the speculative verdicts
-            // agree (a divergence would mean a solver fast path
-            // stopped being classification-identical).
-            if let PaBody::Forwarding { ca, pairs } = &body {
-                let mut upstream = SolverCtx::new(solver);
-                for &c in ca {
-                    upstream.assert_term(pool, c);
-                }
-                for pair in pairs {
-                    upstream.push();
-                    for &c in &pair.tail {
-                        upstream.assert_term(pool, c);
-                    }
-                    let feasible = upstream.current_feasible(pool, cache);
-                    upstream.pop();
-                    assert_eq!(
-                        feasible, pair.feasible,
-                        "speculative pair verdict diverged from the shared-cache \
-                         replay (solver fast path not classification-identical?)"
-                    );
-                }
-            }
-            body
-        }
-    };
-    // Keys are upstream path indices, stacked so they pop in path order.
-    let roots: Vec<usize> = (0..first.paths.len()).rev().collect();
-    let workers = threads.saturating_sub(1);
-    speculate::run(workers, roots, &speculate, |ai, spec| {
-        // Debug builds check the client's obligation at every step (see
-        // `bolt_expr::speculate`): the route not taken runs from a copy
-        // of the same state and must leave the same body, arena, symbols
-        // and solver cache. The migration memo is a pure cache, so which
-        // route filled it is not compared.
-        #[cfg(debug_assertions)]
-        let other = (workers > 0).then(|| {
-            let (mut pool, mut mig, mut cache) = (pool.clone(), mig.clone(), cache.clone());
-            let spec = spec.is_none().then(|| speculate(&ai));
-            let body = step(&mut pool, &mut mig, &mut cache, ai, spec);
-            (body, pool, mig.syms, cache)
-        });
-        let body = step(&mut pool, &mut mig, cache, ai, spec);
-        #[cfg(debug_assertions)]
-        if let Some((other_body, other_pool, other_syms, other_cache)) = other {
-            assert!(
-                body == other_body
-                    && pool.same_terms(&other_pool)
-                    && mig.syms == other_syms
-                    && cache.same_as(&other_cache),
-                "upstream path {ai}: the two routes of a step diverged"
-            );
-        }
-        push_paths(&mut paths, &pool, &first.paths[ai], second, body);
-        ControlFlow::Continue(Vec::new())
-    });
+    for pa in &first.paths {
+        let body = compose_one(&mut pool, &mut mig, pa, second, solver, cache);
+        push_paths(&mut paths, &pool, pa, second, body);
+    }
     NfContract { pool, paths }
 }
 
@@ -648,10 +531,9 @@ pub fn stages_commute(
     label_b: &str,
     solver: &Solver,
     cache: &mut SolverCache,
-    threads: usize,
 ) -> bool {
-    let ab = compose_pair(a, b, solver, cache, threads);
-    let ba = compose_pair(b, a, solver, cache, threads);
+    let ab = compose_pair(a, b, solver, cache);
+    let ba = compose_pair(b, a, solver, cache);
     // Two sorted multisets of different size are never equal, and a
     // drop-capable stage yields exactly that shape (see above), so the
     // common refusal costs no rendering at all.
@@ -684,15 +566,12 @@ pub struct CommuteWitness {
 /// `max(members) + merge_cost`.
 ///
 /// The semantic contract of the chain is untouched — groups are proven
-/// order-independent, so the sequential composed contract (which the
-/// speculate/commit worker pool already produces bit-identically at any
-/// thread count) remains the truth for paths/verdicts/metrics; the plan
-/// re-interprets *latency* only.
+/// order-independent, so the sequential composed contract remains the
+/// truth for paths/verdicts/metrics; the plan re-interprets *latency*
+/// only.
 ///
 /// Plans are store-cacheable (keyed over every stage fingerprint and the
-/// level, so any stage-config change invalidates) and
-/// byte-stable: [`crate::codec::encode_plan`] of the same chain is
-/// identical at any worker-thread count.
+/// level, so any stage-config change invalidates).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChainPlan {
     /// Stage names, upstream first.
@@ -1029,7 +908,6 @@ impl fmt::Display for ChainReport {
 pub struct Pipeline<'s> {
     pub(crate) stages: Vec<Box<dyn AbstractNf>>,
     pub(crate) store: Option<&'s bolt_store::ContractStore>,
-    pub(crate) threads: usize,
 }
 
 impl Default for Pipeline<'_> {
@@ -1044,7 +922,6 @@ impl<'s> Pipeline<'s> {
         Pipeline {
             stages: Vec::new(),
             store: None,
-            threads: 1,
         }
     }
 
@@ -1067,13 +944,10 @@ impl<'s> Pipeline<'s> {
         self
     }
 
-    /// Explore stages and compose path pairs on `n` threads: the
-    /// committing caller and `n − 1` workers (1, the default, is
-    /// sequential). Every way of running the chain uses this count,
-    /// [`Composer::chain`] included; contracts and plans are
-    /// bit-identical at any count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+    /// Accepted and ignored: a chain explores and composes on the
+    /// caller's thread. Kept only so existing callers build; it goes
+    /// with them (ROADMAP item 1 (g)).
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -1111,14 +985,14 @@ impl<'s> Pipeline<'s> {
     pub fn contracts(&self, level: StackLevel) -> Vec<NfContract> {
         self.stages
             .iter()
-            .map(|s| s.explore_contract(level, self.store, self.threads).0)
+            .map(|s| s.explore_contract(level, self.store).0)
             .collect()
     }
 
     /// The composed contract of the whole chain: stage contracts are
     /// composed pairwise left to right, discarding solver-infeasible
     /// path pairs (which is what masks downstream slow paths the upstream
-    /// NFs filter out). Store-aware and parallel — this is
+    /// NFs filter out). Store-aware — this is
     /// [`Pipeline::report`] without the provenance counters. `None` for
     /// an empty chain.
     pub fn contract(&self, level: StackLevel) -> Option<NfContract> {
@@ -1131,9 +1005,8 @@ impl<'s> Pipeline<'s> {
     /// consults the attached store, if any, under the step's
     /// [`crate::store::compose_key`]; a hit decodes the composed record
     /// — no stage exploration, no solver work. On a miss the two
-    /// operands are materialised (themselves store-backed), composed on
-    /// the configured worker-thread count, and the result is persisted
-    /// for the next run. Stage contracts are built lazily, so a fully
+    /// operands are materialised (themselves store-backed), composed, and
+    /// the result is persisted for the next run. Stage contracts are built lazily, so a fully
     /// warm chain run touches nothing but the final composed record.
     ///
     /// Equivalent to [`crate::composer::Composer::chain`] on a fresh
@@ -1176,7 +1049,6 @@ pub fn naive_add<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_contract;
     use bolt_expr::Width;
     use bolt_see::{Explorer, NfCtx};
 
@@ -1241,7 +1113,7 @@ mod tests {
         }
     }
 
-    fn filter_contract(body: impl Fn(&mut bolt_see::SymbolicCtx<'_>) + Sync) -> NfContract {
+    fn filter_contract(body: impl Fn(&mut bolt_see::SymbolicCtx<'_>)) -> NfContract {
         let reg = nf_lib::registry::DsRegistry::new();
         crate::contract::generate(&reg, Explorer::new().explore(|ctx| body(ctx)))
     }
@@ -1263,37 +1135,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_composition_is_bit_identical() {
-        let (a, b) = toy_pair();
-        let solver = Solver::default();
-        let mut seq_cache = SolverCache::new();
-        let seq = compose_pair(&a, &b, &solver, &mut seq_cache, 1);
-        let seq_bytes = encode_contract(&seq);
-        for threads in [2, 3, 8] {
-            let mut cache = SolverCache::new();
-            let par = compose_pair(&a, &b, &solver, &mut cache, threads);
-            assert_eq!(
-                encode_contract(&par),
-                seq_bytes,
-                "composition at {threads} threads diverged from sequential"
-            );
-            assert_eq!(
-                cache.stats, seq_cache.stats,
-                "solver counters diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn shared_cache_reuses_verdicts_across_fold_steps() {
         let (a, b) = toy_pair();
         let solver = Solver::default();
         // Composing the same pair twice through one cache must answer
         // the second step's identical probes from the memo.
         let mut cache = SolverCache::new();
-        let _ = compose_pair(&a, &b, &solver, &mut cache, 1);
+        let _ = compose_pair(&a, &b, &solver, &mut cache);
         let after_first = cache.stats;
-        let _ = compose_pair(&a, &b, &solver, &mut cache, 1);
+        let _ = compose_pair(&a, &b, &solver, &mut cache);
         assert!(
             cache.stats.checks_requested > after_first.checks_requested,
             "second step must issue requests"
@@ -1336,13 +1186,9 @@ mod tests {
         let solver = Solver::default();
         let mut cache = SolverCache::new();
         assert!(
-            stages_commute(&f, &g, "f", "g", &solver, &mut cache, 1),
+            stages_commute(&f, &g, "f", "g", &solver, &mut cache),
             "independent stateless filters must provably commute"
         );
-        // And the signature machinery agrees with itself at any thread
-        // count (compose is bit-identical, signatures are derived).
-        let mut cache8 = SolverCache::new();
-        assert!(stages_commute(&f, &g, "f", "g", &solver, &mut cache8, 8));
     }
 
     #[test]
@@ -1354,13 +1200,13 @@ mod tests {
         let solver = Solver::default();
         let mut cache = SolverCache::new();
         assert!(
-            !stages_commute(&a, &b, "up", "down", &solver, &mut cache, 1),
+            !stages_commute(&a, &b, "up", "down", &solver, &mut cache),
             "a writer and a reader of the same field must stay sequential"
         );
         // Refused on the path counts alone: up→down masks down-slow and
         // lets up-drop stand alone, down→up crosses everything.
-        let ab = compose_pair(&a, &b, &solver, &mut cache, 1);
-        let ba = compose_pair(&b, &a, &solver, &mut cache, 1);
+        let ab = compose_pair(&a, &b, &solver, &mut cache);
+        let ba = compose_pair(&b, &a, &solver, &mut cache);
         assert_eq!((ab.paths.len(), ba.paths.len()), (2, 4));
     }
 
@@ -1391,16 +1237,16 @@ mod tests {
         let g = filter_contract(stamping_filter(30, 2));
         let solver = Solver::default();
         let mut cache = SolverCache::new();
-        let fg = compose_pair(&f, &g, &solver, &mut cache, 1);
-        let gf = compose_pair(&g, &f, &solver, &mut cache, 1);
+        let fg = compose_pair(&f, &g, &solver, &mut cache);
+        let gf = compose_pair(&g, &f, &solver, &mut cache);
         assert_eq!((fg.paths.len(), gf.paths.len()), (4, 4));
         assert!(
-            !stages_commute(&f, &g, "f", "g", &solver, &mut cache, 1),
+            !stages_commute(&f, &g, "f", "g", &solver, &mut cache),
             "the last writer of a field is visible in the final packet"
         );
         // Stamping the same value, the same two stages do commute.
         let g = filter_contract(stamping_filter(30, 1));
-        assert!(stages_commute(&f, &g, "f", "g", &solver, &mut cache, 1));
+        assert!(stages_commute(&f, &g, "f", "g", &solver, &mut cache));
     }
 
     #[test]
@@ -1413,7 +1259,7 @@ mod tests {
         let g = filter_contract(mark_filter(40, "g-hit", "g-miss"));
         let solver = Solver::default();
         let mut cache = SolverCache::new();
-        assert!(!stages_commute(&a, &g, "up", "g", &solver, &mut cache, 1));
+        assert!(!stages_commute(&a, &g, "up", "g", &solver, &mut cache));
     }
 
     #[test]

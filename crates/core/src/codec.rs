@@ -14,8 +14,7 @@
 //! A plan record carries no terms — group indices, witnesses, and
 //! evaluated-form cost polynomials only — and encoding is a pure
 //! function of the plan's fields, so the same chain encodes to the same
-//! bytes at any worker-thread count (the chain-determinism CI gate
-//! diffs exactly these bytes).
+//! bytes on every run.
 
 use bolt_store::codec::{
     read_perf, read_pool, read_term_ref, write_perf, write_pool, write_term_ref, MAX_COUNT,

@@ -1,7 +1,7 @@
 //! The unified front door for chain composition: [`Composer`].
 //!
-//! One builder carries every composition capability (a shared cache and
-//! worker threads); planning a chain is [`Pipeline::parallelize`]:
+//! One builder carries every composition capability (a shared solver
+//! cache); planning a chain is [`Pipeline::parallelize`]:
 //!
 //! ```ignore
 //! let solver = Solver::default();
@@ -10,12 +10,9 @@
 //! println!("{report}");
 //! ```
 //!
-//! A thread count belongs to the object that owns the work. A chain is
-//! its [`Pipeline`]'s — its stages, its store and its thread count — so
-//! [`Composer::chain`] runs at [`Pipeline::threads`]. A bare
-//! [`Composer::compose`] or [`Composer::compose_all`] runs at
-//! [`Composer::threads`]. Both default to 1, and output is bit-identical
-//! at any count.
+//! Every composition runs on the caller's thread. A chain is its
+//! [`Pipeline`]'s — its stages and its store — so [`Composer::chain`]
+//! takes both from the pipeline.
 //!
 //! One `Composer` can serve many compositions: its solver cache carries
 //! feasibility memos across calls, and [`ChainReport::solver`] always
@@ -46,13 +43,11 @@ use crate::chain::{
 use crate::contract::NfContract;
 use crate::store::{compose_key, level_name, plan_key, Fingerprint, StoreExt};
 
-/// Builder-style composition engine — see the module docs. All
-/// configuration is optional: `Composer::new(&solver)` composes
-/// sequentially with a fresh cache.
+/// Builder-style composition engine — see the module docs.
+/// `Composer::new(&solver)` composes with a fresh cache.
 pub struct Composer<'a> {
     solver: &'a Solver,
     cache: SolverCache,
-    threads: usize,
 }
 
 impl<'a> Composer<'a> {
@@ -61,16 +56,13 @@ impl<'a> Composer<'a> {
         Composer {
             solver,
             cache: SolverCache::new(),
-            threads: 1,
         }
     }
 
-    /// Compose path pairs in [`Composer::compose`] and
-    /// [`Composer::compose_all`] on `n` threads: the committing caller and
-    /// `n − 1` workers. A chain runs at its pipeline's count instead
-    /// ([`Pipeline::threads`]). Output is bit-identical.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+    /// Accepted and ignored: composition runs on the caller's thread.
+    /// Kept only so existing callers build; it goes with them (ROADMAP
+    /// item 1 (g)).
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -85,7 +77,7 @@ impl<'a> Composer<'a> {
         let registry = bolt_obs::global();
         registry.counter("compose.pairs").inc();
         let _span = registry.histogram("compose.wall").span();
-        compose_pair(first, second, self.solver, &mut self.cache, self.threads)
+        compose_pair(first, second, self.solver, &mut self.cache)
     }
 
     /// Fold pre-built stage contracts left to right through this
@@ -104,8 +96,7 @@ impl<'a> Composer<'a> {
     /// the store-aware, provenance-counting chain fold. `None` for an
     /// empty chain.
     ///
-    /// The store and the thread count are the pipeline's; without a
-    /// store nothing is persisted.
+    /// The store is the pipeline's; without one nothing is persisted.
     pub fn chain(&mut self, pipeline: &Pipeline<'_>, level: StackLevel) -> Option<ChainReport> {
         self.fold(pipeline, level, false)
     }
@@ -121,7 +112,6 @@ impl<'a> Composer<'a> {
         if pipeline.stages.is_empty() {
             return None;
         }
-        let threads = pipeline.threads;
         let store = pipeline.store;
         let registry: Arc<Registry> = match store {
             Some(s) => s.metrics().clone(),
@@ -162,15 +152,12 @@ impl<'a> Composer<'a> {
                             s.as_ref(),
                             level,
                             store,
-                            threads,
                             &mut stages_explored,
                             &mut stages_cached,
                         )
                     })
                     .collect();
-                let p = build_plan(
-                    &contracts, &keys, &names, level, solver, cache, threads, &registry,
-                );
+                let p = build_plan(&contracts, &keys, &names, level, solver, cache, &registry);
                 if let Some(st) = store {
                     // A failed write costs only the next run's warm plan.
                     let _ = st.put_plan(pkey, &chain_label, level, &p);
@@ -201,14 +188,7 @@ impl<'a> Composer<'a> {
                     return c;
                 }
             }
-            stage_contract(
-                pipeline.stages[i].as_ref(),
-                level,
-                store,
-                threads,
-                explored,
-                cached,
-            )
+            stage_contract(pipeline.stages[i].as_ref(), level, store, explored, cached)
         };
 
         // `cks[i]` addresses the composed contract of stages `0..=i`
@@ -245,7 +225,7 @@ impl<'a> Composer<'a> {
             registry.counter("compose.pairs").inc();
             let composed = {
                 let _span = registry.histogram("compose.wall").span();
-                compose_pair(&left, &right, solver, cache, threads)
+                compose_pair(&left, &right, solver, cache)
             };
             if let Some(st) = store {
                 // A failed write costs only the next run's warm start.
@@ -291,11 +271,10 @@ fn stage_contract(
     stage: &dyn crate::nf::AbstractNf,
     level: StackLevel,
     store: Option<&ContractStore>,
-    threads: usize,
     explored: &mut usize,
     cached: &mut usize,
 ) -> NfContract {
-    let (c, was_cached) = stage.explore_contract(level, store, threads);
+    let (c, was_cached) = stage.explore_contract(level, store);
     if was_cached {
         *cached += 1;
     } else {
@@ -310,7 +289,6 @@ fn stage_contract(
 /// adjacent swaps, each justified by one witness). Stages with identical
 /// store keys — same NF, same config — commute trivially and skip the
 /// probe.
-#[allow(clippy::too_many_arguments)]
 fn build_plan(
     contracts: &[NfContract],
     keys: &[Fingerprint],
@@ -318,7 +296,6 @@ fn build_plan(
     level: StackLevel,
     solver: &Solver,
     cache: &mut SolverCache,
-    threads: usize,
     registry: &Registry,
 ) -> ChainPlan {
     let n = contracts.len();
@@ -344,7 +321,6 @@ fn build_plan(
                     &labels[i],
                     solver,
                     cache,
-                    threads,
                 )
             };
             if commutes {

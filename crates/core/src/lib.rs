@@ -20,8 +20,8 @@
 //! conjoining their constraints with equality links between the upstream
 //! NF's output packet expressions and the downstream NF's input symbols,
 //! and keeping only solver-feasible pairs. [`composer`] is the unified
-//! front door ([`Composer`]): one builder for the solver cache and worker
-//! threads. [`Pipeline::parallelize`] adds the chain parallelization
+//! front door ([`Composer`]): one builder around a shared solver cache.
+//! [`Pipeline::parallelize`] adds the chain parallelization
 //! planner, which proves adjacent stages order-independent and turns the
 //! chain's cycle contract from a sum into per-group `max + merge`
 //! ([`ChainPlan`]).

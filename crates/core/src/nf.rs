@@ -18,10 +18,10 @@
 //! let q = contract.query(&broadcast_frames, Metric::Instructions, &env);
 //! ```
 //!
-//! Exploration runs on one thread unless the caller passes a count
-//! ([`Bolt::threads`], [`NetworkFunction::explore_threads`],
-//! [`crate::store::StoreExt::get_or_explore_threads`]); output is
-//! bit-identical at any count.
+//! Exploration runs on the caller's thread. [`Bolt::threads`],
+//! [`NetworkFunction::explore_threads`] and
+//! [`crate::store::StoreExt::get_or_explore_threads`] still accept a
+//! thread count, and ignore it.
 //!
 //! Chains (§3.4) compose over the same abstraction: [`crate::chain::Pipeline`]
 //! takes heterogeneous NFs as trait objects and pairwise-composes their
@@ -56,11 +56,10 @@ use crate::store::StoreExt;
 /// demand by [`NetworkFunction::state`].
 pub trait NetworkFunction {
     /// Handle to the NF's registered stateful parts (data-structure ids
-    /// and PCVs). `()` for stateless NFs. `Sync` because exploration
-    /// worker threads share the handle while re-executing the NF body;
-    /// `Send` because the library keeps one calibrated copy per
-    /// configuration for the whole process, whichever thread made it.
-    type Ids: Copy + Send + Sync + 'static;
+    /// and PCVs). `()` for stateless NFs. `Send` because the library
+    /// keeps one calibrated copy per configuration for the whole
+    /// process, whichever thread made it.
+    type Ids: Copy + Send + 'static;
 
     /// Concrete instrumented state (the production build's data
     /// structures).
@@ -117,26 +116,13 @@ pub trait NetworkFunction {
 
     /// Run the analysis build: enumerate every feasible path of this NF
     /// at the given stack level (Algorithm 2, lines 2–3). Provided for
-    /// every NF. Sequential; [`NetworkFunction::explore_threads`] takes a
-    /// thread count, and output is bit-identical at any count.
+    /// every NF.
     fn explore(&self, level: StackLevel) -> Exploration<Self::Ids>
     where
-        Self: Sized + Sync,
-    {
-        self.explore_threads(level, 1)
-    }
-
-    /// [`NetworkFunction::explore`] with an explicit thread count
-    /// ([`Explorer::threads`]: 1 spawns nothing). Exploration output is
-    /// bit-identical at any count.
-    fn explore_threads(&self, level: StackLevel, threads: usize) -> Exploration<Self::Ids>
-    where
-        Self: Sized + Sync,
+        Self: Sized,
     {
         let (reg, ids) = registered(self);
-        let mut explorer = Explorer::new();
-        explorer.threads = threads;
-        let result = explorer.explore(|ctx| {
+        let result = Explorer::new().explore(|ctx| {
             sym_process_packet(ctx, level, self.packet_len(), |ctx, mbuf| {
                 self.sym_process(ctx, ids, mbuf);
             });
@@ -151,10 +137,20 @@ pub trait NetworkFunction {
         }
     }
 
+    /// [`NetworkFunction::explore`]; the thread count is accepted and
+    /// ignored, since exploration runs on the caller's thread. Kept only
+    /// so existing callers build; it goes with them (ROADMAP item 1 (g)).
+    fn explore_threads(&self, level: StackLevel, _threads: usize) -> Exploration<Self::Ids>
+    where
+        Self: Sized,
+    {
+        self.explore(level)
+    }
+
     /// Explore and generate in one step (`explore(level).contract()`).
     fn contract(&self, level: StackLevel) -> Contract<Self::Ids>
     where
-        Self: Sized + Sync,
+        Self: Sized,
     {
         self.explore(level).contract()
     }
@@ -213,22 +209,16 @@ pub(crate) fn registered<N: NetworkFunction>(nf: &N) -> (Arc<DsRegistry>, N::Ids
 /// `explore` consults the persistent contract store when one is attached
 /// with [`Bolt::with_store`], and skips the explorer (and every solver
 /// query) on a warm hit. With no store attached it explores fresh and
-/// touches no disk. [`Bolt::threads`] sets the exploration
-/// worker-thread count (default 1); output is bit-identical at any count.
+/// touches no disk.
 pub struct Bolt<'s, N> {
     nf: N,
     store: Option<&'s ContractStore>,
-    threads: usize,
 }
 
-impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
+impl<'s, N: NetworkFunction> Bolt<'s, N> {
     /// Wrap a network function descriptor.
     pub fn nf(nf: N) -> Self {
-        Bolt {
-            nf,
-            store: None,
-            threads: 1,
-        }
+        Bolt { nf, store: None }
     }
 
     /// Attach a persistent contract store: `explore` becomes
@@ -238,11 +228,10 @@ impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
         self
     }
 
-    /// Explore on `n` threads: the committing caller and `n − 1` workers
-    /// (1 = sequential). The knob trades cores for wall-clock only —
-    /// output is bit-identical.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+    /// Accepted and ignored: exploration runs on the caller's thread.
+    /// Kept only so existing callers build; it goes with them (ROADMAP
+    /// item 1 (g)).
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -250,8 +239,8 @@ impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
     /// store, when there is one).
     pub fn explore(self, level: StackLevel) -> Exploration<N::Ids> {
         match self.store {
-            Some(store) => store.get_or_explore_threads(&self.nf, level, self.threads),
-            None => self.nf.explore_threads(level, self.threads),
+            Some(store) => store.get_or_explore(&self.nf, level),
+            None => self.nf.explore(level),
         }
     }
 
@@ -360,8 +349,7 @@ pub trait AbstractNf {
     /// The NF's short name.
     fn name(&self) -> &'static str;
 
-    /// Run the analysis build on `threads` exploration threads (output
-    /// is bit-identical at any count) and generate the raw contract —
+    /// Run the analysis build and generate the raw contract —
     /// get-or-explore against `store` when one is given, where warm hits
     /// skip the explorer and the solver entirely. The flag reports
     /// whether the stage was served from the store: the provenance
@@ -370,7 +358,6 @@ pub trait AbstractNf {
         &self,
         level: StackLevel,
         store: Option<&ContractStore>,
-        threads: usize,
     ) -> (NfContract, bool);
 
     /// The stage's contract-store key at a stack level (NF name, config,
@@ -381,7 +368,7 @@ pub trait AbstractNf {
     fn store_key(&self, level: StackLevel) -> crate::store::Fingerprint;
 }
 
-impl<N: NetworkFunction + Sync> AbstractNf for N {
+impl<N: NetworkFunction> AbstractNf for N {
     fn name(&self) -> &'static str {
         NetworkFunction::name(self)
     }
@@ -390,11 +377,10 @@ impl<N: NetworkFunction + Sync> AbstractNf for N {
         &self,
         level: StackLevel,
         store: Option<&ContractStore>,
-        threads: usize,
     ) -> (NfContract, bool) {
         let ex = match store {
-            Some(st) => st.get_or_explore_threads(self, level, threads),
-            None => self.explore_threads(level, threads),
+            Some(st) => st.get_or_explore(self, level),
+            None => self.explore(level),
         };
         let cached = ex.cached;
         (ex.contract().into_inner(), cached)

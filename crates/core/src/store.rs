@@ -133,24 +133,20 @@ pub trait StoreExt {
     /// first use in the process. Cold path: explore, save the record,
     /// and return the fresh result. The returned [`Exploration::cached`]
     /// flag says which happened, and [`Exploration::record_bytes`] the
-    /// size of the record read or written. Explores sequentially.
-    fn get_or_explore<N: NetworkFunction + Sync>(
-        &self,
-        nf: &N,
-        level: StackLevel,
-    ) -> Exploration<N::Ids> {
-        self.get_or_explore_threads(nf, level, 1)
-    }
+    /// size of the record read or written.
+    fn get_or_explore<N: NetworkFunction>(&self, nf: &N, level: StackLevel) -> Exploration<N::Ids>;
 
-    /// [`StoreExt::get_or_explore`] with an explicit exploration
-    /// worker-thread count for the cold path. Exploration output — and
-    /// therefore the persisted record — is bit-identical at any count.
-    fn get_or_explore_threads<N: NetworkFunction + Sync>(
+    /// [`StoreExt::get_or_explore`]; the thread count is accepted and
+    /// ignored, since exploration runs on the caller's thread. Kept only
+    /// so existing callers build; it goes with them (ROADMAP item 1 (g)).
+    fn get_or_explore_threads<N: NetworkFunction>(
         &self,
         nf: &N,
         level: StackLevel,
-        threads: usize,
-    ) -> Exploration<N::Ids>;
+        _threads: usize,
+    ) -> Exploration<N::Ids> {
+        self.get_or_explore(nf, level)
+    }
 
     /// Fetch and decode a composed-chain contract record (keyed by
     /// [`compose_key`]). A hit is fully solver-free: the record decodes
@@ -219,12 +215,7 @@ fn feed_explore_stats(metrics: &bolt_obs::Registry, stats: &bolt_see::ExploreSta
 }
 
 impl StoreExt for ContractStore {
-    fn get_or_explore_threads<N: NetworkFunction + Sync>(
-        &self,
-        nf: &N,
-        level: StackLevel,
-        threads: usize,
-    ) -> Exploration<N::Ids> {
+    fn get_or_explore<N: NetworkFunction>(&self, nf: &N, level: StackLevel) -> Exploration<N::Ids> {
         let key = store_key(nf, level);
         if let Some((payload, record_bytes)) = self.get_sized(key, RecordKind::Exploration) {
             let decoded = {
@@ -253,7 +244,7 @@ impl StoreExt for ContractStore {
         }
         let mut ex = {
             let _span = self.metrics().histogram("explore.wall").span();
-            nf.explore_threads(level, threads)
+            nf.explore(level)
         };
         feed_explore_stats(self.metrics(), &ex.result.stats);
         let payload = bolt_see::codec::encode_result(&ex.result);

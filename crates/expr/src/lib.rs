@@ -16,10 +16,6 @@
 //! The split mirrors the paper: terms describe *which inputs take which
 //! path*; performance expressions describe *what that path costs*.
 //!
-//! [`speculate`] is the ordered speculate/commit engine that both users
-//! of [`TermPool::absorb_with`] — path exploration and chain
-//! composition — run their loops on.
-//!
 //! [`FxHasher`] and [`FxHashMap`] are the unseeded fast hash the
 //! analysis tables use (the intern table here, the solver's memos, the
 //! explorer's and composer's maps); keys that come from outside the
@@ -28,7 +24,6 @@
 mod fxhash;
 pub mod perf;
 pub mod pool;
-pub mod speculate;
 pub mod term;
 
 pub use fxhash::{FxHashMap, FxHasher};

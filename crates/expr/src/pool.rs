@@ -19,7 +19,7 @@ use crate::fxhash::{FxHashMap, FxHasher};
 use crate::term::{BinOp, SymId, Term, TermRef, UnOp, Width};
 
 /// Per-term metadata, computed once when the term is interned.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct TermMeta {
     /// Result width of the node.
     width: Width,
@@ -61,21 +61,6 @@ impl Default for TermPool {
             sym_names: Vec::new(),
             sym_widths: Vec::new(),
             no_syms: Arc::new([]),
-            uid: POOL_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        }
-    }
-}
-
-/// A clone is a new pool: same arena and symbols, fresh [`TermPool::uid`].
-impl Clone for TermPool {
-    fn clone(&self) -> Self {
-        TermPool {
-            terms: self.terms.clone(),
-            meta: self.meta.clone(),
-            slots: self.slots.clone(),
-            sym_names: self.sym_names.clone(),
-            sym_widths: self.sym_widths.clone(),
-            no_syms: Arc::clone(&self.no_syms),
             uid: POOL_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -126,12 +111,12 @@ fn merge_syms(a: &Arc<[SymId]>, b: &Arc<[SymId]>) -> Arc<[SymId]> {
 }
 
 /// `(name, width) → symbol term` for one destination [`TermPool`]: the
-/// identity of a symbol across the steps that build that pool, whether
-/// a step mints it directly or [`TermPool::absorb_with`] meets it in a
-/// private pool. Width is part of the identity, so a name reused at a
-/// different width (degenerate, but possible with order-dependent
-/// `fresh` ordinals) gets its own symbol.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// identity of a symbol across the steps that build that pool (the runs
+/// of one exploration, the path pairs of one composition), so a symbol
+/// is minted once however many steps meet it. Width is part of the
+/// identity, so a name reused at a different width (degenerate, but
+/// possible with order-dependent `fresh` ordinals) gets its own symbol.
+#[derive(Debug, Default)]
 pub struct SymTable {
     by_name: FxHashMap<String, Vec<TermRef>>,
 }
@@ -175,20 +160,11 @@ impl TermPool {
 
     /// Process-unique identity of this pool instance. Stable for the
     /// pool's lifetime, fresh for every construction (including decoded
-    /// and cloned pools), never serialized — interpretations of a
+    /// pools), never serialized — interpretations of a
     /// [`TermRef`] are only comparable between calls that observed the
     /// same `uid`.
     pub fn uid(&self) -> u64 {
         self.uid
-    }
-
-    /// Whether two pools hold the same arena and the same symbols (the
-    /// metadata and intern table follow from those).
-    #[cfg(debug_assertions)]
-    pub fn same_terms(&self, other: &TermPool) -> bool {
-        self.terms == other.terms
-            && self.sym_names == other.sym_names
-            && self.sym_widths == other.sym_widths
     }
 
     /// Metadata for a new node (children are already interned, so their
@@ -684,18 +660,14 @@ impl TermPool {
     /// returning the full remap table (`src` arena index → ref in
     /// `self`).
     ///
-    /// This is the merge half of the per-thread-pool design: a worker
-    /// explores against a private pool, and the committer absorbs that
-    /// pool into the shared one. Nodes are replayed *through the public
-    /// constructors* in arena order (children precede parents), so
-    /// commutative canonicalisation is re-applied against the
-    /// destination pool's ref ordering — the absorbed node is exactly
-    /// the node `self` would have built had the run executed against it
-    /// directly, which is what keeps multi-threaded exploration
-    /// bit-identical to sequential. Folding never fires during a replay:
-    /// `src` nodes are post-folding canonical forms, and the remap
-    /// preserves the structural facts folding keys on (constant-ness,
-    /// constant values, operand equality).
+    /// Nodes are replayed *through the public constructors* in arena
+    /// order (children precede parents), so commutative canonicalisation
+    /// is re-applied against the destination pool's ref ordering — the
+    /// absorbed node is exactly the node `self` would have built had the
+    /// terms been constructed against it directly. Folding never fires
+    /// during a replay: `src` nodes are post-folding canonical forms, and
+    /// the remap preserves the structural facts folding keys on
+    /// (constant-ness, constant values, operand equality).
     ///
     /// `sym` resolves symbol identity across pools — given the symbol's
     /// name and width, it must return the destination pool's term for

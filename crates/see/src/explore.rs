@@ -16,21 +16,16 @@
 //! of feasibility verdicts and models. [`ExplorationResult::stats`]
 //! reports what answered each request.
 //!
-//! The worklist runs on [`bolt_expr::speculate`], whose module docs
-//! carry the determinism argument: a key is a decision prefix, a step is
-//! one run plus its flip walk, and [`Explorer::threads`] only sets how
-//! many workers speculate runs ahead of the committer. The result — pool
-//! arena order, path order, decisions, tags, verdicts, metrics, stats,
-//! truncation — is bit-identical at any thread count. With workers, a
-//! debug build runs both routes of every step and asserts they agree.
+//! The worklist is one LIFO stack of decision prefixes, run on the
+//! caller's thread: pop a prefix, run it, enqueue its feasible flips.
+//! Pool arena order, path order, decisions, tags, verdicts, metrics,
+//! stats and truncation are therefore a function of the NF body alone.
 
-use std::ops::ControlFlow;
-
-use bolt_expr::{speculate, Term, TermPool, TermRef};
+use bolt_expr::{TermPool, TermRef};
 use bolt_solver::{Solver, SolverCtx, SolverStats};
 use bolt_trace::TraceEvent;
 
-use crate::symbolic::{ExploreShared, PacketField, RunRecord, SymbolicCtx};
+use crate::symbolic::{ExploreShared, PacketField, SymbolicCtx};
 use crate::NfVerdict;
 
 /// One explored feasible execution path.
@@ -109,10 +104,6 @@ pub struct Explorer {
     pub solver: Solver,
     /// Hard cap on explored paths (defence against unbounded NF loops).
     pub max_paths: usize,
-    /// Threads exploring: the committing caller plus `threads - 1`
-    /// workers speculating worklist entries ahead of it. 1 (the
-    /// default) spawns nothing; output is bit-identical at any value.
-    pub threads: usize,
 }
 
 impl Default for Explorer {
@@ -120,7 +111,6 @@ impl Default for Explorer {
         Explorer {
             solver: Solver::default(),
             max_paths: 65536,
-            threads: 1,
         }
     }
 }
@@ -140,73 +130,28 @@ impl Explorer {
     /// of panicking, so library callers can handle path explosion.
     pub fn explore<F>(&self, body: F) -> ExplorationResult
     where
-        F: Fn(&mut SymbolicCtx<'_>) + Sync,
+        F: Fn(&mut SymbolicCtx<'_>),
     {
         let mut pool = TermPool::new();
         let mut shared = ExploreShared::default();
         let mut paths = Vec::new();
         let mut truncated = false;
         let mut runs = 0u64;
-        // One run against private state, in private-pool refs. Valid at
-        // any time, in any order: a run's behaviour depends only on its
-        // decision prefix, never on sibling runs.
-        let speculate = |prefix: &Vec<bool>| {
-            let mut pool = TermPool::new();
-            let mut shared = ExploreShared::default();
-            let mut ctx =
-                SymbolicCtx::with_shared(&mut pool, &self.solver, prefix.clone(), &mut shared);
-            body(&mut ctx);
-            let rec = ctx.finish();
-            (pool, rec)
-        };
-        // One step on the given state, by either route: the run itself
-        // when no speculation is handed over, else its absorption.
-        let step = |pool: &mut TermPool,
-                    shared: &mut ExploreShared,
-                    prefix: Vec<bool>,
-                    spec: Option<(TermPool, RunRecord)>| match spec {
-            None => {
-                let mut ctx = SymbolicCtx::with_shared(pool, &self.solver, prefix, shared);
-                body(&mut ctx);
-                let feasible = ctx.path_feasible();
-                (ctx.finish(), feasible)
-            }
-            Some((private, rec)) => self.absorb(pool, shared, prefix.len(), &private, rec),
-        };
-        // Keys are decision prefixes; the final decision of each prefix
-        // is the flip that spawned it.
-        let roots = vec![Vec::new()];
-        let workers = self.threads.saturating_sub(1);
-        speculate::run(workers, roots, &speculate, |prefix, spec| {
+        // The final decision of each stacked prefix is the flip that
+        // spawned it.
+        let mut stack: Vec<Vec<bool>> = vec![Vec::new()];
+        while let Some(prefix) = stack.pop() {
             if paths.len() >= self.max_paths {
                 // Path explosion: stop exploring and report truncation.
                 truncated = true;
-                return ControlFlow::Break(());
+                break;
             }
             runs += 1;
             let prefix_len = prefix.len();
-            // Debug builds check the client's obligation at every step
-            // (see `bolt_expr::speculate`): the route not taken runs from
-            // a copy of the same state and must leave the same run,
-            // arena, symbols and solver cache.
-            #[cfg(debug_assertions)]
-            let other = (workers > 0).then(|| {
-                let (mut pool, mut shared) = (pool.clone(), shared.clone());
-                let spec = spec.is_none().then(|| speculate(&prefix));
-                let out = step(&mut pool, &mut shared, prefix.clone(), spec);
-                (out, pool, shared)
-            });
-            let out = step(&mut pool, &mut shared, prefix, spec);
-            #[cfg(debug_assertions)]
-            if let Some((other_out, other_pool, other_shared)) = other {
-                assert!(
-                    out == other_out
-                        && pool.same_terms(&other_pool)
-                        && shared.same_as(&other_shared),
-                    "run {runs}: the two routes of a step diverged (nondeterministic NF body?)"
-                );
-            }
-            let (mut rec, feasible) = out;
+            let mut ctx = SymbolicCtx::with_shared(&mut pool, &self.solver, prefix, &mut shared);
+            body(&mut ctx);
+            let feasible = ctx.path_feasible();
+            let mut rec = ctx.finish();
 
             // Enqueue feasible flips of the decisions made beyond the
             // prefix (the prefix's own decisions were already covered when
@@ -217,7 +162,6 @@ impl Explorer {
             if let Some(m) = rec.model.take() {
                 walk.install_model(&pool, m);
             }
-            let mut children = Vec::new();
             for e in &rec.entries {
                 if let Some(i) = e.branch {
                     if i >= prefix_len {
@@ -231,7 +175,7 @@ impl Explorer {
                             let mut alt = Vec::with_capacity(i + 1);
                             alt.extend_from_slice(&rec.decisions[..i]);
                             alt.push(!rec.decisions[i]);
-                            children.push(alt);
+                            stack.push(alt);
                         }
                     }
                 }
@@ -250,8 +194,7 @@ impl Explorer {
                     decisions: rec.decisions,
                 });
             }
-            ControlFlow::Continue(children)
-        });
+        }
         let stats = ExploreStats {
             solver: shared.cache.stats,
             runs,
@@ -264,70 +207,6 @@ impl Explorer {
             stats,
             truncated,
         }
-    }
-
-    /// The absorbed route of one step: bring a speculated run into the
-    /// shared state, leaving what the direct run would have left.
-    ///
-    /// 1. Absorb the private pool (symbols resolve through the shared
-    ///    cross-run table) and remap the record into shared refs.
-    /// 2. Replay the run's solver interaction — the in-run decision
-    ///    probes and asserts in assertion order, then the whole-path
-    ///    feasibility check — against the shared cache.
-    fn absorb(
-        &self,
-        pool: &mut TermPool,
-        shared: &mut ExploreShared,
-        prefix_len: usize,
-        private: &TermPool,
-        mut rec: RunRecord,
-    ) -> (RunRecord, bool) {
-        let tmap = pool.absorb_with(private, |p, name, w| shared.sym_for(p, name, w));
-        let remap = |t: TermRef| tmap[t.index()];
-        for e in &mut rec.entries {
-            e.term = remap(e.term);
-        }
-        for c in &mut rec.branch_conds {
-            *c = remap(*c);
-        }
-        for f in &mut rec.packet_fields {
-            f.term = remap(f.term);
-            f.sym = match *pool.get(f.term) {
-                Term::Sym { id, .. } => id,
-                _ => unreachable!("packet-field terms are symbols"),
-            };
-        }
-        for (_, _, t) in &mut rec.final_packet {
-            *t = remap(*t);
-        }
-
-        // Beyond the scheduled prefix, every decision was probed before
-        // its constraint was asserted; scheduled decisions and `assume`s
-        // assert without probing.
-        let mut rctx = SolverCtx::new(&self.solver);
-        for e in &rec.entries {
-            if let Some(i) = e.branch {
-                if i >= prefix_len {
-                    let taken = rctx.probe_feasible(pool, &mut shared.cache, rec.branch_conds[i]);
-                    // Hard assert (one comparison per decision, free
-                    // next to the probe): a divergence means the NF
-                    // body is nondeterministic or a solver fast path
-                    // stopped being classification-identical, and
-                    // committing the speculated constraints against
-                    // replayed cache state would silently produce an
-                    // inconsistent tree.
-                    assert_eq!(
-                        taken, rec.decisions[i],
-                        "speculative decision diverged from the shared-state replay \
-                         (nondeterministic NF body?)"
-                    );
-                }
-            }
-            rctx.assert_term(pool, e.term);
-        }
-        let feasible = rctx.current_feasible(pool, &mut shared.cache);
-        rec.model = rctx.model().cloned();
-        (rec, feasible)
     }
 }
 
@@ -480,82 +359,6 @@ mod tests {
             "every request is either a query or a shortcut"
         );
         assert_eq!(result.stats.terms_interned, result.pool.len() as u64);
-    }
-
-    #[test]
-    fn parallel_exploration_is_bit_identical() {
-        let seq = Explorer::new().explore(toy_router);
-        let seq_bytes = crate::codec::encode_result(&seq);
-        for threads in [2, 3, 8] {
-            let mut ex = Explorer::new();
-            ex.threads = threads;
-            let par = ex.explore(toy_router);
-            // The encoded result pins everything: pool arena order,
-            // symbol registry, path order, constraints, events, tags,
-            // verdicts, stats, truncation.
-            assert_eq!(
-                crate::codec::encode_result(&par),
-                seq_bytes,
-                "exploration at {threads} threads diverged from sequential"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_truncation_is_deterministic() {
-        let mut seq = Explorer::new();
-        seq.max_paths = 2;
-        let seq = seq.explore(toy_router);
-        assert!(seq.truncated);
-        assert_eq!(seq.paths.len(), 2, "truncation stops at exactly max_paths");
-        let seq_bytes = crate::codec::encode_result(&seq);
-        for threads in [2, 8] {
-            let mut ex = Explorer::new();
-            ex.max_paths = 2;
-            ex.threads = threads;
-            let par = ex.explore(toy_router);
-            assert!(
-                par.truncated,
-                "truncation marker must survive {threads} threads"
-            );
-            assert_eq!(par.paths.len(), 2);
-            assert_eq!(crate::codec::encode_result(&par), seq_bytes);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "nf body panicked")]
-    fn parallel_exploration_propagates_body_panics() {
-        // A panicking NF body must unwind out of explore (the engine
-        // releases its workers), not deadlock the scope join.
-        let mut ex = Explorer::new();
-        ex.threads = 2;
-        let _ = ex.explore(|ctx| {
-            let pkt = ctx.packet(64);
-            let b = ctx.load(pkt, 0, 1);
-            let z = ctx.lit(0, Width::W8);
-            let c = ctx.eq(b, z);
-            ctx.branch(c);
-            panic!("nf body panicked");
-        });
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "the two routes of a step diverged")]
-    fn a_step_whose_routes_diverge_fails_the_debug_check() {
-        // The tag alternates from one execution of the body to the next,
-        // so a step's two routes record different tags. Its decisions
-        // agree, which is all the absorbed route's replay compares.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static EXECUTIONS: AtomicUsize = AtomicUsize::new(0);
-        let mut ex = Explorer::new();
-        ex.threads = 2;
-        let _ = ex.explore(|ctx| {
-            let odd = !EXECUTIONS.fetch_add(1, Ordering::Relaxed).is_multiple_of(2);
-            ctx.tag(if odd { "odd" } else { "even" });
-            toy_router(ctx);
-        });
     }
 
     #[test]

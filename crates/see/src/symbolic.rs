@@ -31,7 +31,7 @@ use crate::{NfCtx, NfVerdict};
 /// either computes: the emptied memory map, a name buffer, `fresh`'s
 /// name keys, and the largest record sizes seen so far, which size the
 /// next run's vectors up front.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ExploreShared {
     /// Feasibility memo, per-atom witness cache, model cache, counters.
     pub cache: SolverCache,
@@ -58,28 +58,12 @@ struct RunSizes {
 
 impl ExploreShared {
     /// Mint (or, when an earlier run already minted it, reuse) the
-    /// symbol for `name` in `pool`. In-run minting ([`SymbolicCtx`]'s
-    /// lazy packet fields and model `fresh` calls) and the absorption
-    /// of a speculated run's private pool resolve through this one
-    /// table, so both assign identical ids in identical order.
-    pub(crate) fn sym_for(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
-        self.syms.sym_for(pool, name, w)
-    }
-
-    /// [`ExploreShared::sym_for`] on the name `name` formats, written
+    /// symbol whose name `name` formats, in `pool`. The name is written
     /// into the reused buffer instead of a fresh string.
     fn sym_named(&mut self, pool: &mut TermPool, name: fmt::Arguments<'_>, w: Width) -> TermRef {
         self.name.clear();
         let _ = self.name.write_fmt(name);
         self.syms.sym_for(pool, &self.name, w)
-    }
-
-    /// Whether two states hold the same solver cache and symbol table.
-    /// The per-run scratch is left out: which run last filled it depends
-    /// on the route a step took.
-    #[cfg(debug_assertions)]
-    pub(crate) fn same_as(&self, other: &ExploreShared) -> bool {
-        self.cache.same_as(&other.cache) && self.syms == other.syms
     }
 }
 
@@ -114,7 +98,7 @@ pub struct PacketField {
 
 /// One recorded path constraint, remembering whether it came from a branch
 /// (and which one) so the explorer can rebuild constraint prefixes.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct ConstraintEntry {
     /// The (width-1) constraint term.
     pub term: TermRef,
@@ -123,7 +107,7 @@ pub(crate) struct ConstraintEntry {
 }
 
 /// Raw per-run record handed to the explorer.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub(crate) struct RunRecord {
     /// Every decision taken at a symbolic branch, in order.
     pub decisions: Vec<bool>,

@@ -1204,7 +1204,7 @@ impl Solver {
 /// outside the pool that interned them, and reusing them across pools
 /// once served stale verdicts when a planner probed pair orders through
 /// the same cache a chain fold was using.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct SolverCache {
     /// Ordered constraint list (content hashes) → feasibility verdict.
     list_memo: FxHashMap<Box<[u64]>, bool>,
@@ -1224,7 +1224,7 @@ pub struct SolverCache {
 }
 
 /// One cached model with its usage count (eviction weight).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 struct CachedModel {
     w: Witness,
     hits: u64,
@@ -1238,18 +1238,6 @@ impl SolverCache {
     /// Fresh, empty caches.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether two caches hold the same memos, models (with their hit
-    /// counts and stamps) and stats. The content-hash memo is left out:
-    /// it is keyed by pool uid, so two equal pools never share its keys.
-    #[cfg(debug_assertions)]
-    pub fn same_as(&self, other: &SolverCache) -> bool {
-        self.list_memo == other.list_memo
-            && self.atom_memo == other.atom_memo
-            && self.models == other.models
-            && self.model_seq == other.model_seq
-            && self.stats == other.stats
     }
 
     fn push_model(&mut self, w: Witness) {

@@ -53,11 +53,11 @@ fn usage() -> ! {
         "usage: bolt_cli <command> [options]\n\
          \n\
          commands:\n\
-         \x20 explore  --nf NAME | --all   [--level nf-only|full-stack|both] [--threads N] [--store DIR]\n\
+         \x20 explore  --nf NAME | --all   [--level nf-only|full-stack|both] [--store DIR]\n\
          \x20 list     [--store DIR | --remote EP]\n\
          \x20 query    --nf NAME [--level L] [--metric M] [--pcv name=val]... [--tag TAG] [--store DIR | --remote EP]\n\
          \x20          [--depth N] [--repeat N]   (remote only: pipeline window, default 8; N queries on one connection)\n\
-         \x20 chain    --nfs A,B[,C...] [--level L] [--metric M] [--tag TAG] [--threads N]\n\
+         \x20 chain    --nfs A,B[,C...] [--level L] [--metric M] [--tag TAG]\n\
          \x20          [--parallelize] [--plan] [--json] [--store DIR]\n\
          \x20 diff     --a NF[:LEVEL] --b NF[:LEVEL] [--metric M] [--store DIR | --remote EP]\n\
          \x20 evict    --nf NAME [--level L|both] | --budget BYTES   [--store DIR]\n\
@@ -72,7 +72,6 @@ fn usage() -> ! {
          LEVEL  ∈ {{nf-only, full-stack}} (default: full-stack)\n\
          M      ∈ {{instructions, mem-accesses, cycles}} (default: instructions)\n\
          EP     a unix socket path, or tcp:HOST:PORT\n\
-         N      for --threads: explore/compose on N threads (default 1; output is identical at any N)\n\
          store  --store DIR, else $BOLT_STORE_DIR, else .bolt-store\n\
          remote calls honour --timeout SECS as the per-call reply deadline",
         NF_NAMES.join(", ")
@@ -110,7 +109,6 @@ struct Opts {
     a: Option<String>,
     b: Option<String>,
     budget: Option<u64>,
-    threads: Option<usize>,
     remote: Option<String>,
     socket: Option<String>,
     tcp: Option<String>,
@@ -141,13 +139,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--nf" => o.nf = Some(val("--nf")),
             "--nfs" => o.nfs = Some(val("--nfs")),
             "--all" => o.all = true,
-            "--threads" => {
-                let v = val("--threads");
-                o.threads = Some(
-                    v.parse::<usize>()
-                        .unwrap_or_else(|_| die(&format!("bad --threads {v:?} (want a count)"))),
-                );
-            }
             "--level" => o.level = Some(val("--level")),
             "--metric" => o.metric = Some(val("--metric")),
             "--store" => o.store = Some(val("--store")),
@@ -258,10 +249,10 @@ fn levels_of(o: &Opts) -> Vec<StackLevel> {
 /// Get-or-explore one NF — the exploration record is what persists;
 /// the contract is regenerated from it on every load — and print a
 /// one-line summary.
-fn explore_one(store: &ContractStore, name: &str, level: StackLevel, threads: usize) {
+fn explore_one(store: &ContractStore, name: &str, level: StackLevel) {
     let nf = nf_by_name(name).unwrap_or_else(|e| die(&e));
     let key = nf.store_key(level);
-    let (contract, cached) = nf.explore_contract(level, Some(store), threads);
+    let (contract, cached) = nf.explore_contract(level, Some(store));
     let source = if cached { "warm" } else { "explored" };
     println!(
         "{name:>14} {:>10} {source:>8}  {:>3} paths  key {key}",
@@ -283,7 +274,7 @@ fn cmd_explore(o: &Opts) {
     };
     for name in names {
         for &level in &levels {
-            explore_one(&store, name, level, o.threads.unwrap_or(1));
+            explore_one(&store, name, level);
         }
     }
 }
@@ -415,7 +406,6 @@ fn cmd_chain(o: &Opts) {
     for name in spec.split(',') {
         chain = chain.push_boxed(nf_by_name(name.trim()).unwrap_or_else(|e| die(&e)));
     }
-    let chain = chain.threads(o.threads.unwrap_or(1));
     let metric = parse_metric(o.metric.as_deref().unwrap_or("instructions"));
     for &level in &levels_of(o) {
         let rep = if o.parallelize || o.plan {

@@ -46,7 +46,7 @@ fn the_library_calibrates_once_per_configuration() {
     let (again, ()) = probes(|| {
         Bolt::nf(nat_a).explore(StackLevel::FullStack);
         Bolt::nf(nat_a).explore(StackLevel::NfOnly);
-        nat_a.explore_contract(StackLevel::NfOnly, None, 1);
+        nat_a.explore_contract(StackLevel::NfOnly, None);
         Pipeline::new().push(nat_a).contracts(StackLevel::NfOnly);
         let cold = store.get_or_explore(&nat_a, StackLevel::NfOnly);
         let warm = store.get_or_explore(&nat_a, StackLevel::NfOnly);

@@ -28,8 +28,8 @@ use bolt::NetworkFunction;
 const CEILING: usize = 6_763;
 
 /// One contract of the round, as the benchmark's in-memory round makes it.
-fn generate_one<N: NetworkFunction + Sync>(nf: &N, level: StackLevel) {
-    let ex = nf.explore_threads(level, 1);
+fn generate_one<N: NetworkFunction>(nf: &N, level: StackLevel) {
+    let ex = nf.explore(level);
     let payload = encode_result(&ex.result);
     let mut contract = ex.contract();
     let class = InputClass::unconstrained();

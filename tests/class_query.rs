@@ -20,7 +20,7 @@ use bolt::{NetworkFunction, Pipeline};
 const LEVELS: [StackLevel; 2] = [StackLevel::NfOnly, StackLevel::FullStack];
 
 /// An NF's contract, and a binding of every PCV its registry knows to 3.
-fn contract_of<N: NetworkFunction + Sync>(nf: N, level: StackLevel) -> (NfContract, PcvAssignment) {
+fn contract_of<N: NetworkFunction>(nf: N, level: StackLevel) -> (NfContract, PcvAssignment) {
     let c = nf.explore(level).contract();
     let mut threes = PcvAssignment::new();
     for (id, _) in c.reg.pcvs.iter() {

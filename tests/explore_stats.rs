@@ -28,7 +28,7 @@ fn assert_reduction(name: &str, s: SolverStats, factor: u64) {
     );
 }
 
-fn explore_stats<N: NetworkFunction + Sync>(nf: N, level: StackLevel) -> ExploreStats {
+fn explore_stats<N: NetworkFunction>(nf: N, level: StackLevel) -> ExploreStats {
     nf.explore(level).result.stats
 }
 
@@ -65,7 +65,7 @@ fn lpm_router_exploration_reduces_solver_queries_5x() {
 #[test]
 fn exploration_output_is_unchanged() {
     type PathCounter = Box<dyn Fn(StackLevel) -> usize>;
-    fn paths<N: NetworkFunction + Sync>(nf: N, level: StackLevel) -> usize {
+    fn paths<N: NetworkFunction>(nf: N, level: StackLevel) -> usize {
         nf.explore(level).result.paths.len()
     }
     let cases: Vec<(&str, usize, PathCounter)> = vec![

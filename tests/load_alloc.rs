@@ -31,8 +31,8 @@ struct Record {
     payload: Vec<u8>,
 }
 
-fn record<N: NetworkFunction + Sync>(nf: &N, level: StackLevel) -> Record {
-    let ex = nf.explore_threads(level, 1);
+fn record<N: NetworkFunction>(nf: &N, level: StackLevel) -> Record {
+    let ex = nf.explore(level);
     Record {
         payload: encode_result(&ex.result),
         reg: ex.reg,

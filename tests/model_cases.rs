@@ -29,7 +29,7 @@ fn case_count(reg: &DsRegistry, ds: DsId, method: u16) -> Option<usize> {
     methods.get(method as usize).map(|m| m.cases.len())
 }
 
-fn check<N: NetworkFunction + Sync>(name: &str, nf: N) {
+fn check<N: NetworkFunction>(name: &str, nf: N) {
     for level in [StackLevel::NfOnly, StackLevel::FullStack] {
         let ex = nf.explore(level);
         let mut recorded: BTreeMap<(DsId, u16), BTreeSet<u16>> = BTreeMap::new();

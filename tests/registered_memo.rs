@@ -1,4 +1,4 @@
-//! The per-configuration registry memo behind `explore_threads` and
+//! The per-configuration registry memo behind `explore` and
 //! `get_or_explore`, checked differentially: whatever the memo hands
 //! out must render exactly like a registry calibrated afresh by a direct
 //! `NetworkFunction::register` call — with other configurations hot, in
@@ -53,19 +53,19 @@ where
 
 /// Explore through the library (the memo's client) and require its
 /// registry to render like a fresh one; returns that rendering.
-fn memo_matches_fresh<N: NetworkFunction + Sync>(nf: &N, level: StackLevel) -> String
+fn memo_matches_fresh<N: NetworkFunction>(nf: &N, level: StackLevel) -> String
 where
     N::Ids: Debug,
 {
     let want = fresh(nf);
-    let ex = nf.explore_threads(level, 1);
+    let ex = nf.explore(level);
     assert_eq!(render(&ex.reg, &ex.ids), want, "{}", nf.name());
     want
 }
 
 type Check = Box<dyn Fn(StackLevel) -> String>;
 
-fn check<N: NetworkFunction + Sync + 'static>(label: &'static str, nf: N) -> (&'static str, Check)
+fn check<N: NetworkFunction + 'static>(label: &'static str, nf: N) -> (&'static str, Check)
 where
     N::Ids: Debug,
 {
@@ -166,7 +166,7 @@ fn racing_threads_on_a_cold_configuration_all_get_the_fresh_registry() {
             .map(|_| {
                 s.spawn(|| {
                     start.wait();
-                    let ex = nf.explore_threads(StackLevel::NfOnly, 1);
+                    let ex = nf.explore(StackLevel::NfOnly);
                     render(&ex.reg, &ex.ids)
                 })
             })

@@ -127,7 +127,7 @@ fn real_contracts_nest_far_below_the_decode_depth_bound() {
     for level in [StackLevel::NfOnly, StackLevel::FullStack] {
         for name in bolt::serve::NF_NAMES {
             let nf = bolt::serve::nf_by_name(name).unwrap();
-            deepest = deepest.max(max_term_depth(&nf.explore_contract(level, None, 1).0.pool));
+            deepest = deepest.max(max_term_depth(&nf.explore_contract(level, None).0.pool));
         }
         let (fw, rt) = (Firewall::default, StaticRouter::default);
         for chain in [
