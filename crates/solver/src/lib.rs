@@ -79,9 +79,22 @@ use rand::{Rng, SeedableRng};
 /// pool's symbol registry: a lookup is an index, a copy is a `memcpy`.
 /// The first insert reserves [`SymMap::MIN_SLOTS`] at once, so a map over
 /// a small registry grows once rather than once per doubling.
-#[derive(Clone)]
 struct SymMap<T> {
     slots: Vec<Option<T>>,
+}
+
+/// `clone_from` copies into the existing buffer, which is what lets a
+/// recycled [`SolverCtx`] checkpoint allocate nothing.
+impl<T: Copy> Clone for SymMap<T> {
+    fn clone(&self) -> Self {
+        SymMap {
+            slots: self.slots.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+    }
 }
 
 impl<T> Default for SymMap<T> {
@@ -128,6 +141,11 @@ impl<T: Copy> SymMap<T> {
     fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten()
     }
+
+    /// Remove every entry, keeping the buffer.
+    fn clear(&mut self) {
+        self.slots.clear();
+    }
 }
 
 /// Equal when the same ids are present with equal values: a present 0
@@ -154,9 +172,21 @@ impl<T: Copy + fmt::Debug> fmt::Debug for SymMap<T> {
 
 /// A satisfying assignment, total over the queried constraints' symbols
 /// (anything else evaluates to 0 via [`Witness::get`]'s default).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Witness {
     values: SymMap<u64>,
+}
+
+impl Clone for Witness {
+    fn clone(&self) -> Self {
+        Witness {
+            values: self.values.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl Witness {
@@ -283,14 +313,19 @@ const MAX_TRIALS: usize = 256;
 /// deterministic but distinct queries explore differently.
 const SEED: u64 = 0x0b17_c0de;
 
-/// The solver. Stateless between queries and deterministic.
+/// The solver. Stateless between queries and deterministic: it holds no
+/// buffer of its own. The working state of a query — the propagator copy
+/// the decision tail consumes and its sweep buffers — lives in the
+/// session's [`SolverCache`] and is freed with it, so no query's work can
+/// depend on what another session ran before; the batch
+/// [`Solver::check`] and [`Solver::is_feasible`] make theirs per call.
 #[derive(Clone, Debug, Default)]
 pub struct Solver {}
 
 /// Internal propagation state. Holds no pool reference so that an
 /// incremental [`SolverCtx`] can keep it alive while the caller keeps
 /// appending terms to the pool; every method takes the pool explicitly.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Propagator {
     /// Union-find parent pointers over symbols that must be equal.
     parent: SymMap<SymId>,
@@ -303,6 +338,30 @@ struct Propagator {
     /// Disequalities `repr != value` collected for completion.
     diseq: Vec<(SymId, u64)>,
     contradiction: bool,
+}
+
+/// `clone_from` copies field by field into the existing buffers: a
+/// checkpoint and the decision tail's working copy reuse theirs.
+impl Clone for Propagator {
+    fn clone(&self) -> Self {
+        Propagator {
+            parent: self.parent.clone(),
+            bound: self.bound.clone(),
+            interval: self.interval.clone(),
+            residual: self.residual.clone(),
+            diseq: self.diseq.clone(),
+            contradiction: self.contradiction,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.parent.clone_from(&source.parent);
+        self.bound.clone_from(&source.bound);
+        self.interval.clone_from(&source.interval);
+        self.residual.clone_from(&source.residual);
+        self.diseq.clone_from(&source.diseq);
+        self.contradiction = source.contradiction;
+    }
 }
 
 impl Propagator {
@@ -569,7 +628,7 @@ enum Finish {
 
 /// One step of a [`SweepKernel`]. A value step writes slot `dst` from
 /// slots an earlier step of the same pass wrote (or compilation filled).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum SweepOp {
     /// A swept symbol: the candidate's value for enumerated slot `i`,
     /// masked to a width as [`TermPool::eval`] does — one step per
@@ -619,9 +678,9 @@ enum SweepOp {
 /// each distinct subterm a swept symbol reaches is one step, emitted in
 /// first-use order with a [`SweepOp::Check`] after each constraint's
 /// root; a subterm no swept symbol reaches is evaluated once, when the
-/// kernel is built. The buffers outlive a component, so one `finish`
-/// allocates them once.
-#[derive(Default)]
+/// kernel is built. The buffers live in the session's [`FinishScratch`],
+/// so a warm query allocates none of them.
+#[derive(Debug, Default)]
 struct SweepKernel {
     /// Term index → slot + 1, 0 while the term has no slot; as long as
     /// the pool.
@@ -632,6 +691,8 @@ struct SweepKernel {
     vals: Vec<u64>,
     /// The part of each enumerated slot's interval the sweep visits.
     window: Vec<Interval>,
+    /// The candidate under test, one value per interval.
+    assignment: Vec<u64>,
 }
 
 impl SweepKernel {
@@ -653,15 +714,16 @@ impl SweepKernel {
         swept: &[(SymId, usize)],
         intervals: &[Interval],
         env: &[u64],
-    ) -> Option<Vec<u64>> {
-        let mut assignment: Vec<u64> = intervals.iter().map(|iv| iv.lo).collect();
+    ) -> Option<&[u64]> {
+        self.assignment.clear();
+        self.assignment.extend(intervals.iter().map(|iv| iv.lo));
         self.compile(pool, terms, swept, env);
         self.narrow(intervals);
         loop {
-            if self.holds(&assignment) {
-                return Some(assignment);
+            if Self::holds(&self.ops, &mut self.vals, &self.assignment) {
+                return Some(&self.assignment);
             }
-            if !next_candidate(&mut assignment, &self.window) {
+            if !next_candidate(&mut self.assignment, &self.window) {
                 return None;
             }
         }
@@ -823,9 +885,8 @@ impl SweepKernel {
 
     /// Whether every compiled constraint holds for the candidate; stops
     /// at the first that does not.
-    fn holds(&mut self, assignment: &[u64]) -> bool {
-        let vals = &mut self.vals[..];
-        for step in &self.ops {
+    fn holds(ops: &[SweepOp], vals: &mut [u64], assignment: &[u64]) -> bool {
+        for step in ops {
             match *step {
                 SweepOp::Sym { dst, i, mask } => vals[dst as usize] = assignment[i as usize] & mask,
                 SweepOp::Unop { dst, op, a, w } => {
@@ -878,7 +939,15 @@ impl Solver {
                 return SolveResult::Unsat;
             }
         }
-        self.finish(pool, constraints, prop, Finish::Full, None)
+        let mut scratch = FinishScratch::default();
+        self.finish(
+            pool,
+            constraints,
+            &mut prop,
+            Finish::Full,
+            None,
+            &mut scratch,
+        )
     }
 
     /// Conservative feasibility: `true` unless definitively unsatisfiable.
@@ -892,30 +961,42 @@ impl Solver {
                 return false;
             }
         }
-        self.finish(pool, constraints, prop, Finish::Feasibility, None)
-            .possibly_sat()
+        let mut scratch = FinishScratch::default();
+        self.finish(
+            pool,
+            constraints,
+            &mut prop,
+            Finish::Feasibility,
+            None,
+            &mut scratch,
+        )
+        .possibly_sat()
     }
 
     /// The decision-procedure tail: runs after all constraints have been
-    /// asserted (in order) into `prop`. Shared verbatim by the batch API
-    /// and the incremental [`SolverCtx`], which is what keeps their
-    /// verdicts bit-identical.
+    /// asserted (in order) into `prop`, which it consumes as working
+    /// state. Shared verbatim by the batch API and the incremental
+    /// [`SolverCtx`], which is what keeps their verdicts bit-identical.
+    /// `scratch` holds its buffers: the session's, or a fresh one.
     fn finish(
         &self,
         pool: &TermPool,
         constraints: &[TermRef],
-        mut prop: Propagator,
+        prop: &mut Propagator,
         mode: Finish,
         stats: Option<&mut SolverStats>,
+        scratch: &mut FinishScratch,
     ) -> SolveResult {
         // Fixpoint: re-assert residual atoms whose operands may have since
         // become evaluable (e.g. chained equalities asserted out of order).
+        // The two residual lists trade buffers, so the loop allocates none.
         loop {
-            let atoms = std::mem::take(&mut prop.residual);
-            let before = atoms.len();
-            for (t, pol) in atoms {
+            std::mem::swap(&mut scratch.atoms, &mut prop.residual);
+            let before = scratch.atoms.len();
+            for &(t, pol) in &scratch.atoms {
                 prop.assert_atom(pool, t, pol);
             }
+            scratch.atoms.clear();
             if prop.contradiction {
                 return SolveResult::Unsat;
             }
@@ -923,6 +1004,18 @@ impl Solver {
                 break;
             }
         }
+        let FinishScratch {
+            sup_syms,
+            sup_bounds,
+            comp,
+            groups,
+            syms,
+            intervals,
+            env,
+            swept,
+            kernel,
+            ..
+        } = scratch;
 
         // Component-wise exhaustive checking. Constraints are grouped
         // into connected components by shared *unbound* symbols; a
@@ -935,25 +1028,25 @@ impl Solver {
         // bare symbols cannot see, even when other constraints in the set
         // range over 32-bit fields.
         {
-            // Free-symbol support of each constraint (the per-term symbol
-            // support is cached in the pool; only the representative
-            // mapping is computed here).
-            let supports: Vec<Vec<SymId>> = constraints
-                .iter()
-                .map(|&c| {
-                    let mut v: Vec<SymId> = pool
-                        .syms_of(c)
-                        .iter()
-                        .filter_map(|&s| {
-                            let r = prop.find(s);
-                            (!prop.bound.contains(r)).then_some(r)
-                        })
-                        .collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                })
-                .collect();
+            // Free-symbol support of each constraint, sorted and without
+            // duplicates: constraint `ci`'s is
+            // `sup_syms[sup_bounds[ci]..sup_bounds[ci + 1]]`. (The
+            // per-term symbol support is cached in the pool; only the
+            // representative mapping is computed here.)
+            sup_syms.clear();
+            sup_bounds.clear();
+            sup_bounds.push(0);
+            for &c in constraints {
+                let start = sup_syms.len();
+                sup_syms.extend(pool.syms_of(c).iter().filter_map(|&s| {
+                    let r = prop.find(s);
+                    (!prop.bound.contains(r)).then_some(r)
+                }));
+                sup_syms[start..].sort_unstable();
+                dedup_from(sup_syms, start);
+                sup_bounds.push(sup_syms.len());
+            }
+            let support = |ci: usize| &sup_syms[sup_bounds[ci]..sup_bounds[ci + 1]];
             // The witness under construction: every bound representative,
             // then each solved component's values, then class members.
             let mut partial = Witness::default();
@@ -963,9 +1056,8 @@ impl Solver {
             // Constraints whose symbols are all bound are decided by
             // direct evaluation: the bindings are forced, so a false
             // value here is a definitive contradiction.
-            for (ci, sup) in supports.iter().enumerate() {
-                if sup.is_empty() {
-                    let c = constraints[ci];
+            for (ci, &c) in constraints.iter().enumerate() {
+                if support(ci).is_empty() {
                     for &s in pool.syms_of(c) {
                         let r = prop.find(s);
                         let v = partial.get(r);
@@ -976,25 +1068,34 @@ impl Solver {
                     }
                 }
             }
-            // Union-find over constraint indices via shared symbols.
-            let mut comp: SymMap<usize> = SymMap::default();
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for (ci, sup) in supports.iter().enumerate() {
+            // Union-find over constraint indices via shared symbols. The
+            // first `n_groups` lists are this query's; a merged-away
+            // group is left empty.
+            comp.clear();
+            let mut n_groups = 0;
+            for ci in 0..constraints.len() {
+                let sup = support(ci);
                 if sup.is_empty() {
                     continue;
                 }
                 // Find an existing group among this constraint's symbols.
                 let gi = sup.iter().find_map(|&s| comp.get(s)).unwrap_or_else(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
+                    if n_groups == groups.len() {
+                        groups.push(Vec::new());
+                    }
+                    groups[n_groups].clear();
+                    n_groups += 1;
+                    n_groups - 1
                 });
                 groups[gi].push(ci);
                 for &s in sup {
                     if let Some(old) = comp.get(s) {
                         if old != gi {
                             // Merge: move old group's constraints in.
-                            let moved = std::mem::take(&mut groups[old]);
-                            groups[gi].extend(moved);
+                            let mut moved = std::mem::take(&mut groups[old]);
+                            groups[gi].extend_from_slice(&moved);
+                            moved.clear();
+                            groups[old] = moved;
                             for v in comp.values_mut() {
                                 if *v == old {
                                     *v = gi;
@@ -1006,18 +1107,13 @@ impl Solver {
                 }
             }
             let mut all_components_solved = true;
-            // The sweep's buffers, shared by every component of this query.
-            let mut env: Vec<u64> = Vec::new();
-            let mut swept: Vec<(SymId, usize)> = Vec::new();
-            let mut kernel = SweepKernel::default();
-            for group in groups.iter().filter(|g| !g.is_empty()) {
-                let mut syms: Vec<SymId> = group
-                    .iter()
-                    .flat_map(|&ci| supports[ci].iter().copied())
-                    .collect();
+            for group in groups[..n_groups].iter().filter(|g| !g.is_empty()) {
+                syms.clear();
+                syms.extend(group.iter().flat_map(|&ci| support(ci).iter().copied()));
                 syms.sort_unstable();
                 syms.dedup();
-                let intervals: Vec<Interval> = syms.iter().map(|&r| prop.iv(pool, r)).collect();
+                intervals.clear();
+                intervals.extend(syms.iter().map(|&r| prop.iv(pool, r)));
                 // The symbol count is tested first: two full 64-bit
                 // intervals already multiply to 2^128, which no integer
                 // holds (a product that overflows is too large).
@@ -1035,8 +1131,9 @@ impl Solver {
                 // each member symbol of the group's terms either follows
                 // enumerated slot `i` or keeps its representative's bound
                 // value in `env`, the sweep's environment indexed by
-                // `SymId` (entries an earlier component left behind belong
-                // to symbols this one's terms do not mention).
+                // `SymId` (entries an earlier component or query left
+                // behind belong to symbols this one's terms do not
+                // mention).
                 env.resize(pool.sym_count(), 0);
                 swept.clear();
                 for c in group_terms.clone() {
@@ -1053,11 +1150,11 @@ impl Solver {
                 }
                 swept.sort_unstable();
                 swept.dedup();
-                let Some(assignment) = kernel.sweep(pool, group_terms, &swept, &intervals, &env)
+                let Some(assignment) = kernel.sweep(pool, group_terms, swept, intervals, env)
                 else {
                     return SolveResult::Unsat;
                 };
-                for (&r, &v) in syms.iter().zip(&assignment) {
+                for (&r, &v) in syms.iter().zip(assignment) {
                     partial.set(r, v);
                 }
             }
@@ -1095,15 +1192,15 @@ impl Solver {
         // committer absorbed before replaying this query) cannot perturb
         // the RNG stream or the produced model. Symbols outside the
         // support evaluate to 0 under the witness either way.
-        let all_syms: Vec<SymId> = {
-            let mut v: Vec<SymId> = constraints
+        let all_syms = &mut scratch.all_syms;
+        all_syms.clear();
+        all_syms.extend(
+            constraints
                 .iter()
-                .flat_map(|&c| pool.syms_of(c).iter().copied())
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+                .flat_map(|&c| pool.syms_of(c).iter().copied()),
+        );
+        all_syms.sort_unstable();
+        all_syms.dedup();
         let mut seed = SEED;
         for &c in constraints {
             seed = seed
@@ -1112,9 +1209,11 @@ impl Solver {
         }
         let mut rng = SmallRng::seed_from_u64(seed);
 
+        // One witness buffer for every trial: each starts empty.
+        let mut w = Witness::default();
         for trial in 0..MAX_TRIALS {
-            let mut w = Witness::default();
-            for &s in &all_syms {
+            w.values.clear();
+            for &s in all_syms.iter() {
                 let r = prop.find(s);
                 if w.values.contains(r) {
                     continue;
@@ -1148,7 +1247,7 @@ impl Solver {
                 w.set(r, v);
             }
             // Propagate representative values to all class members.
-            for &s in &all_syms {
+            for &s in all_syms.iter() {
                 let r = prop.find(s);
                 let v = w.get(r);
                 w.set(s, v);
@@ -1192,6 +1291,48 @@ impl Solver {
     }
 }
 
+/// Drop adjacent duplicates from `v[start..]`, which is sorted.
+fn dedup_from<T: PartialEq + Copy>(v: &mut Vec<T>, start: usize) {
+    let mut kept = start;
+    for i in start..v.len() {
+        if kept == start || v[i] != v[kept - 1] {
+            v[kept] = v[i];
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
+}
+
+/// The working buffers of [`Solver::finish`], grown by one query and
+/// reused by the next. A [`SolverCache`] owns one for its session, so a
+/// warm query allocates none of them and they are freed with the session;
+/// the batch entry points make a fresh one per call. Nothing in here
+/// carries meaning from one query to the next: every buffer is cleared
+/// (or, for `env` and the kernel's term table, only read where this
+/// query wrote) before use.
+#[derive(Debug, Default)]
+struct FinishScratch {
+    /// The fixpoint's second residual list.
+    atoms: Vec<(TermRef, bool)>,
+    /// Every constraint's free-symbol support, concatenated.
+    sup_syms: Vec<SymId>,
+    /// Where each constraint's support starts in `sup_syms`, and its end.
+    sup_bounds: Vec<usize>,
+    /// Union-find over constraints: the group each symbol joined.
+    comp: SymMap<usize>,
+    /// Constraint indices of each component.
+    groups: Vec<Vec<usize>>,
+    /// A component's representatives, and their intervals.
+    syms: Vec<SymId>,
+    intervals: Vec<Interval>,
+    /// The sweep's environment (indexed by `SymId`) and swept symbols.
+    env: Vec<u64>,
+    swept: Vec<(SymId, usize)>,
+    kernel: SweepKernel,
+    /// The completion search's symbols.
+    all_syms: Vec<SymId>,
+}
+
 /// Shared feasibility caches for one exploration / composition session:
 /// an exact-constraint-list memo, a per-atom satisfiability cache, and a
 /// bounded model cache for witness reuse. Memo entries key on
@@ -1204,6 +1345,13 @@ impl Solver {
 /// outside the pool that interned them, and reusing them across pools
 /// once served stale verdicts when a planner probed pair orders through
 /// the same cache a chain fold was using.
+///
+/// The cache is also where a session's decision tail keeps its working
+/// state: the propagator copy [`SolverCtx`] hands the full procedure, and
+/// the procedure's supports, components and sweep kernel (whose term
+/// table is as long as the pool). A warm query reuses what earlier ones
+/// grew instead of allocating it again; nothing is process-wide, so the
+/// buffers go when the session does.
 #[derive(Debug, Default)]
 pub struct SolverCache {
     /// Ordered constraint list (content hashes) → feasibility verdict.
@@ -1219,6 +1367,11 @@ pub struct SolverCache {
     models: Vec<CachedModel>,
     /// Monotone insertion stamp (eviction tie-breaker: oldest loses).
     model_seq: u64,
+    /// The working copy of a context's propagator that the decision tail
+    /// consumes, overwritten in place by each full decision.
+    prop: Propagator,
+    /// The decision tail's buffers.
+    scratch: FinishScratch,
     /// Counters for everything routed through this cache.
     pub stats: SolverStats,
 }
@@ -1328,7 +1481,9 @@ fn term_content_hash(pool: &TermPool, memo: &mut FxHashMap<(u64, u32), u64>, t: 
     h
 }
 
-/// Snapshot for [`SolverCtx::push`]/[`SolverCtx::pop`].
+/// Snapshot for [`SolverCtx::push`]/[`SolverCtx::pop`]. A popped frame
+/// stays allocated, holding stale state, until the next `push` copies
+/// over it.
 #[derive(Debug)]
 struct Frame {
     prop: Propagator,
@@ -1354,7 +1509,14 @@ pub struct SolverCtx {
     known_syms: SymMap<()>,
     /// A verified model of the current constraint list, when one is known.
     cur_witness: Option<Witness>,
+    /// Checkpoints: the first `depth` are open, the rest are spare.
     frames: Vec<Frame>,
+    depth: usize,
+    /// Content hashes of a prefix of `constraints`, in step with it
+    /// (`pop` cuts both), computed against the pool `hashes_pool` names
+    /// and rebuilt when a query comes with another pool.
+    hashes: Vec<u64>,
+    hashes_pool: Option<u64>,
 }
 
 impl SolverCtx {
@@ -1367,6 +1529,9 @@ impl SolverCtx {
             known_syms: SymMap::default(),
             cur_witness: Some(Witness::default()),
             frames: Vec::new(),
+            depth: 0,
+            hashes: Vec::new(),
+            hashes_pool: None,
         }
     }
 
@@ -1390,7 +1555,7 @@ impl SolverCtx {
 
     /// Number of open checkpoints.
     pub fn depth(&self) -> usize {
-        self.frames.len()
+        self.depth
     }
 
     /// Assert one constraint on top of the current state (the incremental
@@ -1454,34 +1619,65 @@ impl SolverCtx {
     }
 
     /// Save a checkpoint of the full propagation state.
+    ///
+    /// A frame is recycled: `pop` keeps it, and the next `push` at its
+    /// depth copies the state into its buffers with `clone_from`, field by
+    /// field, so a checkpoint allocates only where the state outgrew the
+    /// frame's earlier contents — after the first at a depth, usually
+    /// nothing.
     pub fn push(&mut self) {
-        self.frames.push(Frame {
-            prop: self.prop.clone(),
-            n_constraints: self.constraints.len(),
-            known_syms: self.known_syms.clone(),
-            cur_witness: self.cur_witness.clone(),
-        });
+        if let Some(f) = self.frames.get_mut(self.depth) {
+            f.prop.clone_from(&self.prop);
+            f.n_constraints = self.constraints.len();
+            f.known_syms.clone_from(&self.known_syms);
+            f.cur_witness.clone_from(&self.cur_witness);
+        } else {
+            self.frames.push(Frame {
+                prop: self.prop.clone(),
+                n_constraints: self.constraints.len(),
+                known_syms: self.known_syms.clone(),
+                cur_witness: self.cur_witness.clone(),
+            });
+        }
+        self.depth += 1;
     }
 
-    /// Restore the most recent checkpoint.
+    /// Restore the most recent checkpoint: its state is swapped back in,
+    /// and the frame keeps the discarded state's buffers for the next
+    /// `push` to overwrite.
     pub fn pop(&mut self) {
-        let f = self.frames.pop().expect("pop without matching push");
-        self.prop = f.prop;
+        assert!(self.depth > 0, "pop without matching push");
+        self.depth -= 1;
+        let f = &mut self.frames[self.depth];
+        std::mem::swap(&mut self.prop, &mut f.prop);
         self.constraints.truncate(f.n_constraints);
-        self.known_syms = f.known_syms;
-        self.cur_witness = f.cur_witness;
+        self.hashes.truncate(f.n_constraints);
+        std::mem::swap(&mut self.known_syms, &mut f.known_syms);
+        std::mem::swap(&mut self.cur_witness, &mut f.cur_witness);
     }
 
+    /// The memo key of `constraints + [extra]`: the content hash of each
+    /// term in order. The prefix's hashes are kept from earlier queries,
+    /// so only constraints asserted since, and `extra`, are hashed here.
     fn memo_key(
-        &self,
+        &mut self,
         pool: &TermPool,
         cache: &mut SolverCache,
         extra: Option<TermRef>,
     ) -> Box<[u64]> {
+        if self.hashes_pool != Some(pool.uid()) {
+            self.hashes.clear();
+            self.hashes_pool = Some(pool.uid());
+        }
+        for &c in &self.constraints[self.hashes.len()..] {
+            let h = term_content_hash(pool, &mut cache.term_hashes, c);
+            self.hashes.push(h);
+        }
         // Sized once: the boxed slice takes the vector's buffer as is.
-        let mut key = Vec::with_capacity(self.constraints.len() + extra.is_some() as usize);
-        for &c in self.constraints.iter().chain(&extra) {
-            key.push(term_content_hash(pool, &mut cache.term_hashes, c));
+        let mut key = Vec::with_capacity(self.hashes.len() + extra.is_some() as usize);
+        key.extend_from_slice(&self.hashes);
+        if let Some(t) = extra {
+            key.push(term_content_hash(pool, &mut cache.term_hashes, t));
         }
         key.into_boxed_slice()
     }
@@ -1537,7 +1733,14 @@ impl SolverCtx {
         if w.is_none() && !prop.contradiction {
             // Residual or oddly-shaped atom: run the real procedure once.
             cache.stats.solver_queries += 1;
-            let res = solver.finish(pool, &[atom], prop, Finish::Full, Some(&mut cache.stats));
+            let res = solver.finish(
+                pool,
+                &[atom],
+                &mut prop,
+                Finish::Full,
+                Some(&mut cache.stats),
+                &mut cache.scratch,
+            );
             if let SolveResult::Sat(got) = res {
                 w = Some(got);
             }
@@ -1575,11 +1778,14 @@ impl SolverCtx {
         //    revive one from the cache. A model satisfying the whole
         //    extended list answers immediately; one satisfying just the
         //    prefix re-arms the merge path below.
+        //    Models are tested newest constraint first: a cached model
+        //    usually satisfies the long shared prefix and fails on what
+        //    was asserted last, and the verdict does not depend on order.
         if self.cur_witness.is_none() {
             let mut prefix_model = None;
             for i in 0..cache.models.len() {
                 let m = &cache.models[i].w;
-                if self.constraints.iter().all(|&c| m.eval(pool, c) == 1) {
+                if self.constraints.iter().rev().all(|&c| m.eval(pool, c) == 1) {
                     if m.eval(pool, extra) == 1 {
                         let w = m.clone();
                         cache.models[i].hits += 1;
@@ -1625,14 +1831,12 @@ impl SolverCtx {
         self.assert_term(pool, extra);
         // `key` (prefix + extra) is exactly this frame's constraint list.
         let feasible = self.decide_current(pool, cache, key);
-        let carried = if feasible {
-            self.cur_witness.take()
-        } else {
-            None
-        };
         self.pop();
-        if let Some(w) = carried {
-            self.cur_witness = Some(w);
+        // The popped frame holds the extended list's model, if any: swap
+        // it in.
+        let popped = &mut self.frames[self.depth].cur_witness;
+        if feasible && popped.is_some() {
+            std::mem::swap(&mut self.cur_witness, popped);
         }
         feasible
     }
@@ -1666,11 +1870,13 @@ impl SolverCtx {
             cache.stats.memo_hits += 1;
             return f;
         }
+        // Newest constraint first, as in `probe_feasible`'s revival.
         {
             for i in 0..cache.models.len() {
                 if self
                     .constraints
                     .iter()
+                    .rev()
                     .all(|&c| cache.models[i].w.eval(pool, c) == 1)
                 {
                     let w = cache.models[i].w.clone();
@@ -1687,12 +1893,14 @@ impl SolverCtx {
             false
         } else {
             cache.stats.solver_queries += 1;
+            cache.prop.clone_from(&self.prop);
             let res = self.solver.finish(
                 pool,
                 &self.constraints,
-                self.prop.clone(),
+                &mut cache.prop,
                 Finish::Full,
                 Some(&mut cache.stats),
+                &mut cache.scratch,
             );
             let feasible = res.possibly_sat();
             if let SolveResult::Sat(w) = res {
@@ -1714,9 +1922,10 @@ impl SolverCtx {
         self.solver.finish(
             pool,
             &self.constraints,
-            self.prop.clone(),
+            &mut self.prop.clone(),
             Finish::Full,
             None,
+            &mut FinishScratch::default(),
         )
     }
 }
@@ -2320,7 +2529,9 @@ mod tests {
         let (mut sat, mut unsat, mut past_first, mut narrowed) = (0, 0, 0, 0);
         for seed in 0..400 {
             let (p, cs, (swept, intervals, mut env)) = random_component(seed);
-            let by_kernel = kernel.sweep(&p, cs.iter().copied(), &swept, &intervals, &env);
+            let by_kernel = kernel
+                .sweep(&p, cs.iter().copied(), &swept, &intervals, &env)
+                .map(<[u64]>::to_vec);
             let by_tree = sweep_by_tree(&p, &cs, &swept, &intervals, &mut env);
             assert_eq!(by_kernel, by_tree, "seed {seed}: the kernel moved a model");
             let window = kernel.window.iter().zip(&intervals);
@@ -2397,6 +2608,79 @@ mod tests {
             ctx.assert_term(&p, c);
         }
         assert_eq!(ctx.check(&p), s.check(&p, &cs));
+    }
+
+    #[test]
+    fn prefix_memo_keys_equal_a_fresh_hash() {
+        // Two pools built by the same calls, over differently named
+        // symbols and other constants: each `TermRef` names a term in
+        // both, with other content hashes. After every step of a seeded
+        // assert/push/probe/pop/switch-pool sequence, the key the context
+        // builds from its kept prefix hashes must be the one hashed from
+        // scratch, with and without an extra atom.
+        let build = |name: &str, k: u64| {
+            let mut p = TermPool::new();
+            let x = p.fresh_sym(name, Width::W8);
+            let y = p.fresh_sym(format!("{name}'"), Width::W8);
+            let mut atoms = Vec::new();
+            for i in 0..4 {
+                let c = p.constant(k + i, Width::W8);
+                atoms.push(p.ult(x, c));
+                atoms.push(p.ne(y, c));
+                let sum = p.add(x, y);
+                atoms.push(p.eq(sum, c));
+            }
+            (p, atoms)
+        };
+        let (pa, atoms) = build("x", 3);
+        let (pb, atoms_b) = build("y", 40);
+        assert_eq!(atoms, atoms_b, "the same refs in both pools");
+        let fresh = |pool: &TermPool, cs: &[TermRef], extra: Option<TermRef>| {
+            let mut memo = FxHashMap::default();
+            cs.iter()
+                .chain(&extra)
+                .map(|&c| term_content_hash(pool, &mut memo, c))
+                .collect::<Vec<u64>>()
+        };
+        let s = solver();
+        let mut cache = SolverCache::new();
+        let mut ctx = SolverCtx::new(&s);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut on_b = false;
+        let (mut pushes, mut pops, mut switches) = (0, 0, 0);
+        for _ in 0..400 {
+            let pool = if on_b { &pb } else { &pa };
+            let atom = atoms[rng.gen_range(0..atoms.len())];
+            match rng.gen_range(0..5u32) {
+                0 => ctx.assert_term(pool, atom),
+                1 if ctx.depth() < 4 => {
+                    ctx.push();
+                    pushes += 1;
+                }
+                2 => {
+                    ctx.probe_feasible(pool, &mut cache, atom);
+                }
+                3 if ctx.depth() > 0 => {
+                    ctx.pop();
+                    pops += 1;
+                }
+                _ => {
+                    on_b = !on_b;
+                    switches += 1;
+                }
+            }
+            let pool = if on_b { &pb } else { &pa };
+            let cs = ctx.constraints().to_vec();
+            for extra in [None, Some(atom)] {
+                let key = ctx.memo_key(pool, &mut cache, extra);
+                assert_eq!(
+                    *key,
+                    *fresh(pool, &cs, extra),
+                    "a kept prefix hash is stale"
+                );
+            }
+        }
+        assert!(pushes >= 20 && pops >= 20 && switches >= 20);
     }
 
     #[test]

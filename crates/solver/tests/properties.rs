@@ -438,3 +438,73 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// One long-lived context driven through random interleavings of
+    /// assert, push, probe, whole-list check and pop, nested up to depth
+    /// 4, against one shared cache. Frames come back from `pop` holding
+    /// the state they last saw and are copied over by the next `push`,
+    /// and the prefix's memo keys are cut on every `pop`, so a stale
+    /// frame or key shows up here as a verdict, list or model that
+    /// differs from the batch solver's on the same list.
+    #[test]
+    fn recycled_frames_and_prefix_keys_match_batch(
+        atom_spec in proptest::collection::vec((0u8..12, 0u8..9, 0u8..20), 9..13),
+        steps in proptest::collection::vec((0u8..5, 0u8..12), 8..60),
+    ) {
+        let mut p = TermPool::new();
+        // Atoms over three groups of three symbols: within a group the
+        // lists interact and cached models answer for several of them,
+        // and a group first asserted inside a checkpoint is unknown to
+        // the state a `pop` restores.
+        let atoms: Vec<TermRef> = atom_spec
+            .chunks(4)
+            .flat_map(|group| random_conjunction(&mut p, group))
+            .collect();
+        let s = Solver::default();
+        let mut cache = SolverCache::new();
+        let mut ctx = SolverCtx::new(&s);
+        let mut cs: Vec<TermRef> = Vec::new();
+        let mut saved: Vec<Vec<TermRef>> = Vec::new();
+        for (i, &(op, a)) in steps.iter().enumerate() {
+            let atom = atoms[a as usize % atoms.len()];
+            match op {
+                0 => {
+                    ctx.assert_term(&p, atom);
+                    cs.push(atom);
+                }
+                1 if saved.len() < 4 => {
+                    ctx.push();
+                    saved.push(cs.clone());
+                }
+                2 => {
+                    let mut ext = cs.clone();
+                    ext.push(atom);
+                    prop_assert_eq!(
+                        ctx.probe_feasible(&p, &mut cache, atom),
+                        s.is_feasible(&p, &ext),
+                        "probe diverged from batch at step {}", i
+                    );
+                }
+                3 => prop_assert_eq!(
+                    ctx.current_feasible(&p, &mut cache),
+                    s.is_feasible(&p, &cs),
+                    "whole-list check diverged from batch at step {}", i
+                ),
+                // A pop, or a push that would go past depth 4.
+                _ => {
+                    if let Some(prefix) = saved.pop() {
+                        ctx.pop();
+                        cs = prefix;
+                    }
+                }
+            }
+            prop_assert_eq!(ctx.depth(), saved.len(), "depth at step {}", i);
+            prop_assert_eq!(ctx.constraints(), cs.as_slice(), "list at step {}", i);
+            prop_assert_eq!(ctx.check(&p), s.check(&p, &cs), "check at step {}", i);
+            if let Some(m) = ctx.model() {
+                prop_assert!(m.satisfies(&p, &cs), "model must verify at step {}", i);
+            }
+        }
+    }
+}

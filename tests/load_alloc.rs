@@ -2,8 +2,8 @@
 //! levels) — `decode_result` of the stored exploration, `generate`, and
 //! dropping the contract as an eviction does — makes a pinned number of
 //! allocations. Counted with the pass-through allocator of
-//! `tests/counting_alloc` (the only test in this binary, so nothing else
-//! allocates meanwhile). The records are encoded before counting; the
+//! `tests/counting_alloc`, which counts what the test's own thread
+//! allocates. The records are encoded before counting; the
 //! first round interns the path tags process-wide, the second is counted
 //! against the ceiling, and a third must repeat its count exactly, so the
 //! gate does not depend on the machine.

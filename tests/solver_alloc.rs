@@ -1,15 +1,17 @@
-//! The solver's component sweep allocates nothing per candidate: an
-//! exhausted sweep over 256 candidates makes as many allocations as one
-//! over 16, with two swept symbols (where the candidate loop carries), and
-//! a masked byte costs what a narrowed one does. Counted with a
-//! pass-through allocator (the only test in this binary, so nothing else
-//! allocates meanwhile); the count repeats exactly, so the gate does not
+//! The solver allocates nothing per unit of repeated work. The component
+//! sweep allocates nothing per candidate: an exhausted sweep over 256
+//! candidates makes as many allocations as one over 16, with two swept
+//! symbols (where the candidate loop carries), and a masked byte costs
+//! what a narrowed one does. And a context's checkpoint is recycled: once
+//! a `push`/`pop` pair has sized its frame, further pairs allocate
+//! nothing. Counted per thread with the pass-through allocator of
+//! `tests/counting_alloc`; the counts repeat exactly, so the gates do not
 //! depend on the machine.
 
 mod counting_alloc;
 
 use bolt::expr::{TermPool, TermRef, Width};
-use bolt::solver::Solver;
+use bolt::solver::{Solver, SolverCache, SolverCtx};
 
 /// The shape `gen_chain` spends its time on — the router's IP-options
 /// loop over the version/IHL byte meeting the firewall's header-length
@@ -86,4 +88,54 @@ fn an_exhausted_sweep_allocates_nothing_per_candidate() {
         few.abs_diff(all) <= 8,
         "{few} allocations to sweep 4 x 4 candidates, {all} to sweep 16 x 16"
     );
+}
+
+#[test]
+fn a_checkpoint_allocates_nothing_after_the_first() {
+    // A few constraints that leave something in every part of the
+    // propagation state: a union, a binding, intervals, a disequality and
+    // a residual atom; then a live model to copy with them.
+    let mut p = TermPool::new();
+    let x = p.fresh_sym("x", Width::W16);
+    let y = p.fresh_sym("y", Width::W16);
+    let z = p.fresh_sym("z", Width::W16);
+    let (c3, c7, c100) = (
+        p.constant(3, Width::W16),
+        p.constant(7, Width::W16),
+        p.constant(100, Width::W16),
+    );
+    let sum = p.add(y, z);
+    let cs = [
+        p.eq(x, y),
+        p.ult(x, c100),
+        p.ne(y, c3),
+        p.eq(z, c7),
+        p.eq(sum, c100),
+    ];
+    let solver = Solver::default();
+    let mut ctx = SolverCtx::new(&solver);
+    for c in cs {
+        ctx.assert_term(&p, c);
+    }
+    let mut cache = SolverCache::new();
+    assert!(ctx.current_feasible(&p, &mut cache));
+    assert!(
+        ctx.model().is_some(),
+        "a live model for the checkpoint to copy"
+    );
+    // The warm-up pair sizes the frame.
+    ctx.push();
+    ctx.pop();
+    let before = counting_alloc::allocations();
+    for _ in 0..64 {
+        ctx.push();
+        ctx.pop();
+    }
+    let allocations = counting_alloc::allocations() - before;
+    assert_eq!(
+        allocations, 0,
+        "64 push/pop pairs after the first made {allocations} allocations"
+    );
+    assert_eq!((ctx.depth(), ctx.constraints()), (0, &cs[..]));
+    assert!(ctx.model().is_some_and(|m| m.satisfies(&p, &cs)));
 }
