@@ -70,17 +70,21 @@ use crate::contract::{NfContract, PathContract};
 use crate::nf::AbstractNf;
 use crate::store::{compose_key, level_name, Fingerprint};
 
-/// Rebuild a [`PacketField`] around a migrated symbol term.
-fn field_of(pool: &TermPool, offset: u64, bytes: u8, term: TermRef) -> Option<PacketField> {
-    match *pool.get(term) {
-        Term::Sym { id, .. } => Some(PacketField {
-            offset,
-            bytes,
-            sym: id,
-            term,
-        }),
-        _ => None,
-    }
+/// Rebuild [`PacketField`]s around migrated terms, keeping the fields
+/// whose term is a symbol. Reads the pool only.
+fn fields_of(pool: &TermPool, fields: &[(u64, u8, TermRef)]) -> Vec<PacketField> {
+    fields
+        .iter()
+        .filter_map(|&(offset, bytes, term)| match *pool.get(term) {
+            Term::Sym { id, .. } => Some(PacketField {
+                offset,
+                bytes,
+                sym: id,
+                term,
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Migrates both operands' terms into the joint pool, remapping each
@@ -147,220 +151,15 @@ impl<'a> Migrator<'a> {
     }
 }
 
-/// Everything composing one upstream path produces, in joint-pool refs.
-enum PaBody {
-    /// The upstream path ends the packet: the pair is the path alone.
-    Terminal {
-        constraints: Vec<TermRef>,
-        packet_fields: Vec<(u64, u8, TermRef)>,
-    },
-    /// The upstream path forwards: one entry per downstream candidate.
-    Forwarding {
-        ca: Vec<TermRef>,
-        pairs: Vec<PairSpec>,
-    },
-}
-
-/// One upstream×downstream candidate pair.
-struct PairSpec {
-    /// Downstream path index.
-    bi: usize,
-    /// Constraints beyond `ca`: the migrated downstream constraints plus
-    /// the input/output link equalities (`cs = ca ++ tail`).
-    tail: Vec<TermRef>,
-    /// Feasibility verdict.
-    feasible: bool,
-    /// Composed-path fields, recorded (and migrated) only for feasible
-    /// pairs.
-    packet_fields: Vec<(u64, u8, TermRef)>,
-    final_packet: Vec<(u64, u8, TermRef)>,
-}
-
-/// Compose one upstream path against every downstream path.
-///
-/// The upstream constraints are asserted once into an incremental
-/// [`SolverCtx`]; every downstream candidate extends that saved state
-/// under a push/pop checkpoint, with verdicts and models memoised in the
-/// given [`SolverCache`].
-fn compose_one(
-    pool: &mut TermPool,
-    mig: &mut Migrator<'_>,
-    pa: &PathContract,
-    second: &NfContract,
-    solver: &Solver,
-    cache: &mut SolverCache,
-) -> PaBody {
-    let ca: Vec<TermRef> = pa
-        .constraints
-        .iter()
-        .map(|&t| mig.migrate(pool, NF1, t))
-        .collect();
-    let forwards = matches!(
-        pa.verdict,
-        Some(NfVerdict::Forward(_)) | Some(NfVerdict::Flood)
-    );
-    if !forwards {
-        // The packet dies here: the pair is the upstream path alone.
-        let packet_fields = pa
-            .packet_fields
-            .iter()
-            .map(|f| (f.offset, f.bytes, mig.migrate(pool, NF1, f.term)))
-            .collect();
-        return PaBody::Terminal {
-            constraints: ca,
-            packet_fields,
-        };
-    }
-    // Output packet state of the upstream path, migrated.
-    let out_fields: Vec<(u64, u8, TermRef)> = pa
-        .final_packet
-        .iter()
-        .map(|&(o, b, t)| (o, b, mig.migrate(pool, NF1, t)))
-        .collect();
-    let in_fields: Vec<(u64, u8, TermRef)> = pa
-        .packet_fields
-        .iter()
-        .map(|f| (f.offset, f.bytes, mig.migrate(pool, NF1, f.term)))
-        .collect();
-    // The upstream constraints are asserted once; every downstream
-    // candidate extends this saved state under a checkpoint.
-    let mut upstream = SolverCtx::new(solver);
-    for &c in &ca {
-        upstream.assert_term(pool, c);
-    }
-    let mut pairs = Vec::new();
-    for (bi, pb) in second.paths.iter().enumerate() {
-        let mut tail: Vec<TermRef> = pb
-            .constraints
-            .iter()
-            .map(|&t| mig.migrate(pool, NF2, t))
-            .collect();
-        // Link: the downstream NF's input fields equal the upstream
-        // NF's output (written value if any, else the pass-through
-        // input symbol).
-        for f in &pb.packet_fields {
-            let downstream = mig.migrate(pool, NF2, f.term);
-            let up = out_fields
-                .iter()
-                .find(|&&(o, b, _)| o == f.offset && b == f.bytes)
-                .or_else(|| {
-                    in_fields
-                        .iter()
-                        .find(|&&(o, b, _)| o == f.offset && b == f.bytes)
-                })
-                .map(|&(_, _, t)| t);
-            if let Some(u) = up {
-                tail.push(pool.eq(downstream, u));
-            }
-        }
-        upstream.push();
-        for &c in &tail {
-            upstream.assert_term(pool, c);
-        }
-        let feasible = upstream.current_feasible(pool, cache);
-        upstream.pop();
-        let (packet_fields, final_packet) = if feasible {
-            // The chain's input fields are the first NF's inputs, plus
-            // any field the second NF reads that passed through the
-            // first NF untouched (it is still free chain input).
-            let mut pf: Vec<(u64, u8, TermRef)> = pa
-                .packet_fields
-                .iter()
-                .map(|f| (f.offset, f.bytes, mig.migrate(pool, NF1, f.term)))
-                .collect();
-            for f in &pb.packet_fields {
-                let nf1_touched = out_fields
-                    .iter()
-                    .any(|&(o, b, _)| o == f.offset && b == f.bytes)
-                    || in_fields
-                        .iter()
-                        .any(|&(o, b, _)| o == f.offset && b == f.bytes);
-                if !nf1_touched {
-                    pf.push((f.offset, f.bytes, mig.migrate(pool, NF2, f.term)));
-                }
-            }
-            // The chain's final packet: the second NF's writes overlay
-            // the first NF's final state.
-            let mut fpk: Vec<(u64, u8, TermRef)> = out_fields.clone();
-            for &(o, b, t) in &pb.final_packet {
-                let t = mig.migrate(pool, NF2, t);
-                if let Some(slot) = fpk.iter_mut().find(|(fo, fb, _)| *fo == o && *fb == b) {
-                    slot.2 = t;
-                } else {
-                    fpk.push((o, b, t));
-                }
-            }
-            (pf, fpk)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        pairs.push(PairSpec {
-            bi,
-            tail,
-            feasible,
-            packet_fields,
-            final_packet,
-        });
-    }
-    PaBody::Forwarding { ca, pairs }
-}
-
-/// Turn one upstream path's composed body into [`PathContract`]s.
-fn push_paths(
-    paths: &mut Vec<PathContract>,
-    pool: &TermPool,
-    pa: &PathContract,
-    second: &NfContract,
-    body: PaBody,
-) {
-    match body {
-        PaBody::Terminal {
-            constraints,
-            packet_fields,
-        } => {
-            paths.push(PathContract {
-                index: paths.len(),
-                constraints,
-                tags: pa.tags.clone(),
-                verdict: pa.verdict,
-                perf: pa.perf.clone(),
-                packet_fields: packet_fields
-                    .iter()
-                    .filter_map(|&(o, b, t)| field_of(pool, o, b, t))
-                    .collect(),
-                final_packet: Vec::new(),
-            });
-        }
-        PaBody::Forwarding { ca, pairs } => {
-            for pair in pairs {
-                if !pair.feasible {
-                    continue;
-                }
-                let pb = &second.paths[pair.bi];
-                let mut constraints = ca.clone();
-                constraints.extend(pair.tail.iter().copied());
-                let mut tags = pa.tags.clone();
-                tags.extend(pb.tags.iter().copied());
-                paths.push(PathContract {
-                    index: paths.len(),
-                    constraints,
-                    tags,
-                    verdict: pb.verdict,
-                    perf: sum3(&pa.perf, &pb.perf),
-                    packet_fields: pair
-                        .packet_fields
-                        .iter()
-                        .filter_map(|&(o, b, t)| field_of(pool, o, b, t))
-                        .collect(),
-                    final_packet: pair.final_packet,
-                });
-            }
-        }
-    }
-}
-
 /// Compose two contracts into the contract of `first → second` (the
 /// body behind [`Composer::compose`]).
+///
+/// One loop: each upstream path, in path order, is paired with every
+/// downstream path, and a pair becomes a composed [`PathContract`] as
+/// soon as it is proved feasible. The upstream constraints are asserted
+/// once into an incremental [`SolverCtx`]; every downstream candidate
+/// extends that saved state under a push/pop checkpoint, with verdicts
+/// and models memoised in the given [`SolverCache`].
 ///
 /// Both NFs must have been registered against the *same*
 /// [`nf_lib::registry::DsRegistry`]
@@ -374,9 +173,121 @@ pub(crate) fn compose_pair(
     let mut pool = TermPool::new();
     let mut mig = Migrator::new(first, second);
     let mut paths = Vec::new();
+    // A pair's constraints beyond the upstream path's own: the migrated
+    // downstream constraints plus the input/output link equalities.
+    let mut tail: Vec<TermRef> = Vec::new();
     for pa in &first.paths {
-        let body = compose_one(&mut pool, &mut mig, pa, second, solver, cache);
-        push_paths(&mut paths, &pool, pa, second, body);
+        let ca: Vec<TermRef> = pa
+            .constraints
+            .iter()
+            .map(|&t| mig.migrate(&mut pool, NF1, t))
+            .collect();
+        let forwards = matches!(
+            pa.verdict,
+            Some(NfVerdict::Forward(_)) | Some(NfVerdict::Flood)
+        );
+        // Output packet state of the upstream path, then its input
+        // fields, migrated.
+        let out_fields: Vec<(u64, u8, TermRef)> = if forwards {
+            pa.final_packet
+                .iter()
+                .map(|&(o, b, t)| (o, b, mig.migrate(&mut pool, NF1, t)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let in_fields: Vec<(u64, u8, TermRef)> = pa
+            .packet_fields
+            .iter()
+            .map(|f| (f.offset, f.bytes, mig.migrate(&mut pool, NF1, f.term)))
+            .collect();
+        if !forwards {
+            // The packet dies here: the pair is the upstream path alone.
+            paths.push(PathContract {
+                index: paths.len(),
+                constraints: ca,
+                tags: pa.tags.clone(),
+                verdict: pa.verdict,
+                perf: pa.perf.clone(),
+                packet_fields: fields_of(&pool, &in_fields),
+                final_packet: Vec::new(),
+            });
+            continue;
+        }
+        // The upstream NF's value of a field: written value if any, else
+        // the pass-through input symbol.
+        let nf1_field = |o: u64, b: u8| {
+            out_fields
+                .iter()
+                .chain(&in_fields)
+                .find(|&&(fo, fb, _)| fo == o && fb == b)
+                .map(|&(_, _, t)| t)
+        };
+        let mut upstream = SolverCtx::new(solver);
+        for &c in &ca {
+            upstream.assert_term(&pool, c);
+        }
+        for pb in &second.paths {
+            tail.clear();
+            tail.extend(
+                pb.constraints
+                    .iter()
+                    .map(|&t| mig.migrate(&mut pool, NF2, t)),
+            );
+            // Link: the downstream NF's input fields equal the upstream
+            // NF's output.
+            for f in &pb.packet_fields {
+                let downstream = mig.migrate(&mut pool, NF2, f.term);
+                if let Some(up) = nf1_field(f.offset, f.bytes) {
+                    tail.push(pool.eq(downstream, up));
+                }
+            }
+            upstream.push();
+            for &c in &tail {
+                upstream.assert_term(&pool, c);
+            }
+            let feasible = upstream.current_feasible(&pool, cache);
+            upstream.pop();
+            if !feasible {
+                continue;
+            }
+            let mut constraints = Vec::with_capacity(ca.len() + tail.len());
+            constraints.extend_from_slice(&ca);
+            constraints.extend_from_slice(&tail);
+            // The chain's input fields are the first NF's inputs, plus
+            // any field the second NF reads that passed through the
+            // first NF untouched (it is still free chain input).
+            let mut pf = in_fields.clone();
+            for f in &pb.packet_fields {
+                if nf1_field(f.offset, f.bytes).is_none() {
+                    pf.push((f.offset, f.bytes, mig.migrate(&mut pool, NF2, f.term)));
+                }
+            }
+            // The chain's final packet: the second NF's writes overlay
+            // the first NF's final state.
+            let mut final_packet = out_fields.clone();
+            for &(o, b, t) in &pb.final_packet {
+                let t = mig.migrate(&mut pool, NF2, t);
+                match final_packet
+                    .iter_mut()
+                    .find(|(fo, fb, _)| *fo == o && *fb == b)
+                {
+                    Some(slot) => slot.2 = t,
+                    None => final_packet.push((o, b, t)),
+                }
+            }
+            let mut tags = pa.tags.clone();
+            tags.extend(pb.tags.iter().copied());
+            paths.push(PathContract {
+                index: paths.len(),
+                constraints,
+                tags,
+                verdict: pb.verdict,
+                perf: sum3(&pa.perf, &pb.perf),
+                packet_fields: fields_of(&pool, &pf),
+                final_packet,
+            });
+        }
     }
     NfContract { pool, paths }
 }
@@ -742,6 +653,7 @@ impl ChainReport {
         self.steps_composed == 0
             && self.stages_explored == 0
             && self.solver == SolverStats::default()
+            && (self.plan.is_none() || self.plan_cached)
     }
 
     /// Machine-readable rendering of the report (one JSON object; the

@@ -18,20 +18,13 @@
 //! feasibility memos across calls, and [`ChainReport::solver`] always
 //! reports the *delta* this run added, so reuse never inflates a report.
 //!
-//! Every composition is fed through the `bolt_obs` registry of the
-//! pipeline's store (or the process-global registry when composing
-//! storeless): `compose.pairs` / `compose.steps` / `compose.steps_cached`
-//! / `compose.stages_explored` / `compose.stages_cached` counters, the
-//! `compose.wall` latency histogram, and — when planning —
-//! `compose.plans`, `compose.plans_cached`, `compose.pairs_checked`,
-//! `compose.pairs_commuting`, plus a `chain.plan` trace event under
+//! The [`ChainReport`] is the one record of what a chain run did; a
+//! planning run also emits a `chain.plan` trace event under
 //! `BOLT_TRACE`.
-
-use std::sync::Arc;
 
 use bolt_expr::{PcvAssignment, PerfExpr};
 use bolt_hw::CostTable;
-use bolt_obs::{trace, Registry, Value};
+use bolt_obs::{trace, Value};
 use bolt_solver::{Solver, SolverCache, SolverStats};
 use bolt_store::ContractStore;
 use bolt_trace::Metric;
@@ -74,9 +67,6 @@ impl<'a> Composer<'a> {
 
     /// Compose two contracts into the contract of `first → second`.
     pub fn compose(&mut self, first: &NfContract, second: &NfContract) -> NfContract {
-        let registry = bolt_obs::global();
-        registry.counter("compose.pairs").inc();
-        let _span = registry.histogram("compose.wall").span();
         compose_pair(first, second, self.solver, &mut self.cache)
     }
 
@@ -113,10 +103,6 @@ impl<'a> Composer<'a> {
             return None;
         }
         let store = pipeline.store;
-        let registry: Arc<Registry> = match store {
-            Some(s) => s.metrics().clone(),
-            None => bolt_obs::global().clone(),
-        };
         let solver = self.solver;
         let cache = &mut self.cache;
         let stats_before = cache.stats;
@@ -129,20 +115,15 @@ impl<'a> Composer<'a> {
         // The parallelization plan, when asked for. A store hit skips
         // every commutativity probe; a miss materialises all stage
         // contracts up front (the planner needs each stage's worst-case
-        // cycles anyway) and hands them to the fold below so no stage is
-        // built — or counted — twice.
+        // cycles anyway) and leaves them in `slots` for the fold below,
+        // so no stage is built — or counted — twice.
         let mut plan: Option<ChainPlan> = None;
         let mut plan_cached = false;
-        let mut prebuilt: Option<Vec<Option<NfContract>>> = None;
+        let mut slots: Vec<Option<NfContract>> = Vec::new();
         if planned {
             let pkey = plan_key(&keys, level);
-            if let Some(st) = store {
-                if let Some(p) = st.get_plan(pkey) {
-                    registry.counter("compose.plans_cached").inc();
-                    plan = Some(p);
-                    plan_cached = true;
-                }
-            }
+            plan = store.and_then(|st| st.get_plan(pkey));
+            plan_cached = plan.is_some();
             if plan.is_none() {
                 let contracts: Vec<NfContract> = pipeline
                     .stages
@@ -157,14 +138,13 @@ impl<'a> Composer<'a> {
                         )
                     })
                     .collect();
-                let p = build_plan(&contracts, &keys, &names, level, solver, cache, &registry);
+                let p = build_plan(&contracts, &keys, &names, level, solver, cache);
                 if let Some(st) = store {
                     // A failed write costs only the next run's warm plan.
                     let _ = st.put_plan(pkey, &chain_label, level, &p);
                 }
-                registry.counter("compose.plans").inc();
                 plan = Some(p);
-                prebuilt = Some(contracts.into_iter().map(Some).collect());
+                slots = contracts.into_iter().map(Some).collect();
             }
             if let Some(p) = &plan {
                 let groups = p.groups_display();
@@ -183,12 +163,10 @@ impl<'a> Composer<'a> {
         }
 
         let mut take_stage = |i: usize, explored: &mut usize, cached: &mut usize| -> NfContract {
-            if let Some(v) = &mut prebuilt {
-                if let Some(c) = v[i].take() {
-                    return c;
-                }
+            match slots.get_mut(i).and_then(Option::take) {
+                Some(c) => c,
+                None => stage_contract(pipeline.stages[i].as_ref(), level, store, explored, cached),
             }
-            stage_contract(pipeline.stages[i].as_ref(), level, store, explored, cached)
         };
 
         // `cks[i]` addresses the composed contract of stages `0..=i`
@@ -222,11 +200,7 @@ impl<'a> Composer<'a> {
                 None => take_stage(0, &mut stages_explored, &mut stages_cached),
             };
             let right = take_stage(i, &mut stages_explored, &mut stages_cached);
-            registry.counter("compose.pairs").inc();
-            let composed = {
-                let _span = registry.histogram("compose.wall").span();
-                compose_pair(&left, &right, solver, cache)
-            };
+            let composed = compose_pair(&left, &right, solver, cache);
             if let Some(st) = store {
                 // A failed write costs only the next run's warm start.
                 let _ = st.put_composed(cks[i], &names[..=i].join("+"), level, &composed);
@@ -239,16 +213,6 @@ impl<'a> Composer<'a> {
             // Single-stage chain: the contract is the stage contract.
             None => take_stage(0, &mut stages_explored, &mut stages_cached),
         };
-        registry.counter("compose.steps").add(steps_composed as u64);
-        registry
-            .counter("compose.steps_cached")
-            .add(steps_cached as u64);
-        registry
-            .counter("compose.stages_explored")
-            .add(stages_explored as u64);
-        registry
-            .counter("compose.stages_cached")
-            .add(stages_cached as u64);
         Some(ChainReport {
             names: names.iter().map(|n| n.to_string()).collect(),
             level,
@@ -296,7 +260,6 @@ fn build_plan(
     level: StackLevel,
     solver: &Solver,
     cache: &mut SolverCache,
-    registry: &Registry,
 ) -> ChainPlan {
     let n = contracts.len();
     let labels: Vec<String> = names
@@ -312,20 +275,15 @@ fn build_plan(
         for &m in &current {
             let mu = m as usize;
             let identical = keys[mu] == keys[i];
-            let commutes = identical || {
-                registry.counter("compose.pairs_checked").inc();
-                stages_commute(
+            let commutes = identical
+                || stages_commute(
                     &contracts[mu],
                     &contracts[i],
                     &labels[mu],
                     &labels[i],
                     solver,
                     cache,
-                )
-            };
-            if commutes {
-                registry.counter("compose.pairs_commuting").inc();
-            }
+                );
             witnesses.push(CommuteWitness {
                 left: m,
                 right: i as u32,

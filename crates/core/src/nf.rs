@@ -158,9 +158,10 @@ pub trait NetworkFunction {
 
 /// Configurations the process keeps a calibrated registry for. On
 /// overflow everything is dropped and the memo starts again: a hit is
-/// only ever a saving, and an entry retains up to ≈ 28 KB (the NAT's;
-/// every `PerfExpr` is a B-tree) for as long as the memo or any
-/// exploration or contract shares it.
+/// only ever a saving, and an entry retains the NF's whole registry —
+/// every model's cost expressions, each a sorted vector of monomial
+/// terms — for as long as the memo or any exploration or contract
+/// shares it.
 const REGISTERED_CAP: usize = 64;
 
 type Registered = BTreeMap<(TypeId, Fingerprint), (Arc<DsRegistry>, Box<dyn Any + Send>)>;

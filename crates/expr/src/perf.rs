@@ -458,15 +458,6 @@ impl PerfExpr {
         })
     }
 
-    /// Conservative pointwise comparison: `true` if every coefficient of
-    /// `self` is ≤ the corresponding coefficient of `other`, which implies
-    /// `self.eval(a) ≤ other.eval(a)` for *all* assignments. (This is
-    /// sufficient but not necessary; used to pick the worst path of an
-    /// input class when one path dominates coefficient-wise.)
-    pub fn dominated_by(&self, other: &PerfExpr) -> bool {
-        self.iter().all(|(m, c)| c <= other.coeff(m))
-    }
-
     /// Render against a PCV table, in the paper's format: degree-1 terms
     /// first (alphabetical), then higher-degree cross terms, constant last.
     /// E.g. `245·e + 144·c + 82·e·c + 882`.
@@ -598,26 +589,6 @@ mod tests {
         assert_eq!(p.coeff(&Monomial::var(e).mul(&Monomial::var(c))), 2);
         assert_eq!(p.coeff(&Monomial::var(c)), 3);
         assert_eq!(p.constant_term(), 0);
-    }
-
-    #[test]
-    fn dominated_by_is_sound() {
-        let (_, e, c, _) = table();
-        let mut small = PerfExpr::var(e, 3);
-        small.add_const(5);
-        let mut big = PerfExpr::var(e, 4);
-        big.add_assign(&PerfExpr::var(c, 1));
-        big.add_const(5);
-        assert!(small.dominated_by(&big));
-        assert!(!big.dominated_by(&small));
-        // Dominance implies pointwise ≤ everywhere.
-        for ev in [0u64, 1, 17, 1000] {
-            for cv in [0u64, 2, 999] {
-                let mut env = PcvAssignment::new();
-                env.set(e, ev).set(c, cv);
-                assert!(small.eval(&env) <= big.eval(&env));
-            }
-        }
     }
 
     #[test]

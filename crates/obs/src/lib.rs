@@ -6,8 +6,8 @@
 //! * **[`Registry`]** — a named home for [`Counter`]s, [`Gauge`]s, and
 //!   [`Histogram`]s. Handles are `Arc`s minted once and bumped with relaxed
 //!   atomics; the registry lock is never taken on the sample path.
-//!   [`global()`] is the process-wide default; components needing isolated
-//!   numbers (each `ContractStore`, each serve core) mint their own.
+//!   Each component that reports series (each `ContractStore`, each serve
+//!   core) owns its registry; there is no process-wide one.
 //! * **[`Histogram`]** — 64 log2 buckets covering all of `u64`, recorded
 //!   directly or via RAII [`Span`] guards (elapsed nanoseconds on drop).
 //!   [`HistogramSnapshot`]s merge associatively and derive
@@ -24,7 +24,6 @@ mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    bucket_of, global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, Span,
-    HIST_BUCKETS,
+    bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, Span, HIST_BUCKETS,
 };
 pub use trace::{TraceSink, Value};

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Monotonically increasing event count.
@@ -237,9 +237,9 @@ struct RegistryInner {
 /// Named home for counters, gauges, and histograms. Handles are get-or-create
 /// and shared: two `counter("x")` calls return the same `Arc`.
 ///
-/// Registries are instantiable so that independent components (two servers in
-/// one test process, say) keep isolated numbers; [`global`] is the
-/// process-wide default for ambient instrumentation.
+/// There is no process-wide registry: each component that reports series
+/// (each `ContractStore`, each serve core) owns one, so independent
+/// components (two servers in one test process, say) keep isolated numbers.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
@@ -406,13 +406,6 @@ fn promname(name: &str) -> String {
         }
     }
     out
-}
-
-/// The process-wide default registry. Components that want isolation (the
-/// serve core, each `ContractStore`) mint their own `Registry` instead.
-pub fn global() -> &'static Arc<Registry> {
-    static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(Registry::new()))
 }
 
 #[cfg(test)]

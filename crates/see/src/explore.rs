@@ -148,7 +148,7 @@ impl Explorer {
             }
             runs += 1;
             let prefix_len = prefix.len();
-            let mut ctx = SymbolicCtx::with_shared(&mut pool, &self.solver, prefix, &mut shared);
+            let mut ctx = SymbolicCtx::new(&mut pool, &self.solver, prefix, &mut shared);
             body(&mut ctx);
             let feasible = ctx.path_feasible();
             let mut rec = ctx.finish();

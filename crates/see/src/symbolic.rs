@@ -67,22 +67,6 @@ impl ExploreShared {
     }
 }
 
-/// Shared state: borrowed from the explorer, or owned by a standalone
-/// context.
-enum SharedRef<'p> {
-    Owned(Box<ExploreShared>),
-    Borrowed(&'p mut ExploreShared),
-}
-
-impl SharedRef<'_> {
-    fn get_mut(&mut self) -> &mut ExploreShared {
-        match self {
-            SharedRef::Owned(s) => s,
-            SharedRef::Borrowed(s) => s,
-        }
-    }
-}
-
 /// A lazily-minted symbolic packet field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketField {
@@ -139,7 +123,7 @@ pub(crate) struct RunRecord {
 pub struct SymbolicCtx<'p> {
     pool: &'p mut TermPool,
     sctx: SolverCtx,
-    shared: SharedRef<'p>,
+    shared: &'p mut ExploreShared,
     tracer: RecordingTracer,
     schedule: Vec<bool>,
     decisions: Vec<bool>,
@@ -154,33 +138,18 @@ pub struct SymbolicCtx<'p> {
 }
 
 impl<'p> SymbolicCtx<'p> {
-    /// New standalone context that will replay `schedule` and then
-    /// default-explore, with private caches.
-    pub fn new(pool: &'p mut TermPool, solver: &'p Solver, schedule: Vec<bool>) -> Self {
-        Self::build(pool, solver, schedule, SharedRef::Owned(Box::default()))
-    }
-
-    /// New context sharing caches and the symbol registry with sibling
-    /// runs of one exploration.
-    pub(crate) fn with_shared(
+    /// New context for one run of an exploration: it replays `schedule`
+    /// and then default-explores, sharing caches and the symbol registry
+    /// with the exploration's sibling runs.
+    pub(crate) fn new(
         pool: &'p mut TermPool,
         solver: &'p Solver,
         schedule: Vec<bool>,
         shared: &'p mut ExploreShared,
     ) -> Self {
-        Self::build(pool, solver, schedule, SharedRef::Borrowed(shared))
-    }
-
-    fn build(
-        pool: &'p mut TermPool,
-        solver: &'p Solver,
-        schedule: Vec<bool>,
-        mut shared: SharedRef<'p>,
-    ) -> Self {
-        let sh = shared.get_mut();
-        sh.fresh.values_mut().for_each(|n| *n = 0);
-        let mem = std::mem::take(&mut sh.mem);
-        let sizes = sh.sizes;
+        shared.fresh.values_mut().for_each(|n| *n = 0);
+        let mem = std::mem::take(&mut shared.mem);
+        let sizes = shared.sizes;
         SymbolicCtx {
             sctx: SolverCtx::new(solver),
             pool,
@@ -229,14 +198,13 @@ impl<'p> SymbolicCtx<'p> {
     /// `fresh(name)` of a run mints `name` for `n` = 0 and `name#n` after
     /// that.
     pub fn fresh(&mut self, name: &str, w: Width) -> TermRef {
-        let shared = self.shared.get_mut();
-        let n = match shared.fresh.get_mut(name) {
+        let n = match self.shared.fresh.get_mut(name) {
             Some(n) => {
                 *n += 1;
                 *n - 1
             }
             None => {
-                shared.fresh.insert(name.to_string(), 1);
+                self.shared.fresh.insert(name.to_string(), 1);
                 0
             }
         };
@@ -278,8 +246,8 @@ impl<'p> SymbolicCtx<'p> {
     /// on the run's own incremental context (no replay). Classification
     /// is exactly the batch solver's.
     pub(crate) fn path_feasible(&mut self) -> bool {
-        let shared = self.shared.get_mut();
-        self.sctx.current_feasible(self.pool, &mut shared.cache)
+        self.sctx
+            .current_feasible(self.pool, &mut self.shared.cache)
     }
 
     /// Tear down the run and emit its record.
@@ -292,9 +260,8 @@ impl<'p> SymbolicCtx<'p> {
         }));
         // Keys are unique, so the sort fixes an order the map's does not.
         final_packet.sort_by_key(|&(o, b, _)| (o, b));
-        let shared = self.shared.get_mut();
-        shared.mem = self.mem;
-        let sizes = &mut shared.sizes;
+        self.shared.mem = self.mem;
+        let sizes = &mut self.shared.sizes;
         sizes.events = sizes.events.max(self.tracer.events.len());
         sizes.decisions = sizes.decisions.max(self.decisions.len());
         sizes.entries = sizes.entries.max(self.entries.len());
@@ -321,8 +288,7 @@ impl<'p> SymbolicCtx<'p> {
     /// common decision prefixes identical between siblings, which is what
     /// lets the feasibility memo and model cache hit across runs.
     fn mint_sym(&mut self, name: fmt::Arguments<'_>, w: Width) -> TermRef {
-        let SymbolicCtx { shared, pool, .. } = self;
-        shared.get_mut().sym_named(pool, name, w)
+        self.shared.sym_named(self.pool, name, w)
     }
 
     /// Record a taken decision: remember the branch, append its
@@ -345,8 +311,8 @@ impl<'p> SymbolicCtx<'p> {
         let taken = if idx < self.schedule.len() {
             self.schedule[idx]
         } else {
-            let shared = self.shared.get_mut();
-            self.sctx.probe_feasible(self.pool, &mut shared.cache, c)
+            self.sctx
+                .probe_feasible(self.pool, &mut self.shared.cache, c)
         };
         self.take_decision(idx, c, taken);
         taken
@@ -486,14 +452,14 @@ mod tests {
     use super::*;
     use bolt_trace::count_ic_ma;
 
-    fn setup() -> (TermPool, Solver) {
-        (TermPool::new(), Solver::default())
+    fn setup() -> (TermPool, Solver, ExploreShared) {
+        (TermPool::new(), Solver::default(), ExploreShared::default())
     }
 
     #[test]
     fn lazy_packet_fields_are_memoised() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let pkt = ctx.packet(64);
         let a = ctx.load(pkt, 12, 2);
         let b = ctx.load(pkt, 12, 2);
@@ -505,8 +471,8 @@ mod tests {
 
     #[test]
     fn store_then_load_returns_stored_term() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let pkt = ctx.packet(64);
         let v = ctx.lit(0xBEEF, Width::W16);
         ctx.store(pkt, 20, v, 2);
@@ -516,8 +482,8 @@ mod tests {
 
     #[test]
     fn concrete_branches_do_not_fork() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let t = ctx.lit(1, Width::W1);
         assert!(ctx.branch(t));
         let rec = ctx.finish();
@@ -527,8 +493,8 @@ mod tests {
 
     #[test]
     fn symbolic_branch_records_decision_and_constraint() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let pkt = ctx.packet(64);
         let et = ctx.load(pkt, 12, 2);
         let taken = ctx.branch_eq_imm(et, 0x0800, Width::W16);
@@ -541,8 +507,8 @@ mod tests {
 
     #[test]
     fn schedule_is_replayed() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![false]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![false], &mut shared);
         let pkt = ctx.packet(64);
         let et = ctx.load(pkt, 12, 2);
         let taken = ctx.branch_eq_imm(et, 0x0800, Width::W16);
@@ -551,8 +517,8 @@ mod tests {
 
     #[test]
     fn infeasible_true_arm_falls_back_to_false() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let pkt = ctx.packet(64);
         let n = ctx.load(pkt, 0, 1);
         // Assume n < 1, then branch on n >= 1: the true arm is infeasible.
@@ -566,8 +532,8 @@ mod tests {
 
     #[test]
     fn bounded_symbolic_loop_terminates() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let pkt = ctx.packet(64);
         let n = ctx.load(pkt, 0, 1);
         let three = ctx.lit(3, Width::W8);
@@ -588,8 +554,8 @@ mod tests {
 
     #[test]
     fn cost_stream_counts() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let pkt = ctx.packet(64);
         let x = ctx.load(pkt, 8, 2); // load
         let c = ctx.eq_imm(x, 0, Width::W16); // alu
@@ -601,8 +567,8 @@ mod tests {
 
     #[test]
     fn fresh_names_are_unique_per_run() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let a = ctx.fresh("m.hit", Width::W1);
         let b = ctx.fresh("m.hit", Width::W1);
         assert_ne!(a, b);
@@ -614,8 +580,8 @@ mod tests {
 
     #[test]
     fn final_packet_reflects_writes() {
-        let (mut pool, solver) = setup();
-        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![]);
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
         let pkt = ctx.packet(64);
         let _src = ctx.load(pkt, 26, 4);
         let v = ctx.lit(0x0a000001, Width::W32);

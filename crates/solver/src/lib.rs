@@ -20,6 +20,10 @@
 //!    treat conservatively (keep the path / keep the pair) — exactly how
 //!    the paper's pipeline stays sound when the solver times out.
 //!
+//! Every decision runs this one procedure to the end: a feasibility
+//! question ([`Solver::is_feasible`], or a probe of the incremental layer
+//! below) is a full decision read as "anything but `Unsat`".
+//!
 //! On top of the batch [`Solver::check`] API sits the incremental layer
 //! used by the path explorer and chain composition:
 //!
@@ -613,19 +617,6 @@ impl Propagator {
     }
 }
 
-/// How far [`Solver::finish`] must go.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Finish {
-    /// The full batch procedure, including randomized completion — the
-    /// exact behaviour of the original `check()`.
-    Full,
-    /// Feasibility classification only: identical `Unsat` detection
-    /// (fixpoint, forced evaluation, component enumeration), but skip
-    /// the completion search — its only contribution is upgrading
-    /// `Unknown` to `Sat`, which feasibility callers don't distinguish.
-    Feasibility,
-}
-
 /// One step of a [`SweepKernel`]. A value step writes slot `dst` from
 /// slots an earlier step of the same pass wrote (or compilation filled).
 #[derive(Clone, Copy, Debug)]
@@ -939,38 +930,19 @@ impl Solver {
                 return SolveResult::Unsat;
             }
         }
-        let mut scratch = FinishScratch::default();
         self.finish(
             pool,
             constraints,
             &mut prop,
-            Finish::Full,
             None,
-            &mut scratch,
+            &mut FinishScratch::default(),
         )
     }
 
-    /// Conservative feasibility: `true` unless definitively unsatisfiable.
-    /// Runs the same `Unsat` detection as [`Solver::check`] but skips the
-    /// randomized completion search (whose verdicts are never `Unsat`).
+    /// Conservative feasibility: `true` unless [`Solver::check`] proves
+    /// the conjunction unsatisfiable (`Unknown` counts as feasible).
     pub fn is_feasible(&self, pool: &TermPool, constraints: &[TermRef]) -> bool {
-        let mut prop = Propagator::new();
-        for &c in constraints {
-            prop.assert_atom(pool, c, true);
-            if prop.contradiction {
-                return false;
-            }
-        }
-        let mut scratch = FinishScratch::default();
-        self.finish(
-            pool,
-            constraints,
-            &mut prop,
-            Finish::Feasibility,
-            None,
-            &mut scratch,
-        )
-        .possibly_sat()
+        self.check(pool, constraints).possibly_sat()
     }
 
     /// The decision-procedure tail: runs after all constraints have been
@@ -983,7 +955,6 @@ impl Solver {
         pool: &TermPool,
         constraints: &[TermRef],
         prop: &mut Propagator,
-        mode: Finish,
         stats: Option<&mut SolverStats>,
         scratch: &mut FinishScratch,
     ) -> SolveResult {
@@ -1175,12 +1146,6 @@ impl Solver {
             }
         }
 
-        // Feasibility callers stop here: completion can only upgrade
-        // Unknown to Sat, never produce Unsat, so the classification they
-        // care about is already decided.
-        if mode == Finish::Feasibility {
-            return SolveResult::Unknown;
-        }
         if let Some(s) = stats {
             s.completion_searches += 1;
         }
@@ -1188,10 +1153,9 @@ impl Solver {
         // Completion: every symbol the constraints mention gets a value.
         // The support — not the whole pool registry — so the verdict and
         // the witness depend only on the constraint list itself: symbols
-        // other runs registered in a shared pool (or that a parallel
-        // committer absorbed before replaying this query) cannot perturb
-        // the RNG stream or the produced model. Symbols outside the
-        // support evaluate to 0 under the witness either way.
+        // other runs or compositions registered in a shared pool cannot
+        // perturb the RNG stream or the produced model. Symbols outside
+        // the support evaluate to 0 under the witness either way.
         let all_syms = &mut scratch.all_syms;
         all_syms.clear();
         all_syms.extend(
@@ -1737,7 +1701,6 @@ impl SolverCtx {
                 pool,
                 &[atom],
                 &mut prop,
-                Finish::Full,
                 Some(&mut cache.stats),
                 &mut cache.scratch,
             );
@@ -1898,7 +1861,6 @@ impl SolverCtx {
                 pool,
                 &self.constraints,
                 &mut cache.prop,
-                Finish::Full,
                 Some(&mut cache.stats),
                 &mut cache.scratch,
             );
@@ -1923,7 +1885,6 @@ impl SolverCtx {
             pool,
             &self.constraints,
             &mut self.prop.clone(),
-            Finish::Full,
             None,
             &mut FinishScratch::default(),
         )

@@ -3,10 +3,12 @@
 //! stack levels and answer `query()` exactly like the fresh composition;
 //! a store-aware chain run must be fully solver-free when warm; and
 //! changing one stage's configuration must miss the composed record
-//! (stale-stage invalidation), never serve it.
+//! (stale-stage invalidation), never serve it. A planned run reports
+//! where each stage and its plan came from, and is fully cached only
+//! when its plan record was warm too.
 
 use bolt::core::chain::ChainReport;
-use bolt::core::store::{compose_key, store_key, StoreExt};
+use bolt::core::store::{compose_key, store_key, RecordKind, StoreExt};
 use bolt::core::{
     decode_contract, encode_contract, Composer, ContractStore, InputClass, NfContract, Pipeline,
 };
@@ -248,5 +250,79 @@ fn stale_stage_fingerprint_invalidates_composed_records() {
     // And the new composition is itself memoized.
     let warm = changed().with_store(&store).report(level).unwrap();
     assert_fully_cached(&warm);
+    let _ = std::fs::remove_dir_all(store.dir());
+}
+
+/// A planned run whose plan record was evicted is not fully cached, even
+/// when rebuilding the plan needs no solver probe: two identical
+/// firewalls commute by their equal stage keys, and the composed record
+/// is still warm.
+#[test]
+fn a_rebuilt_plan_is_not_fully_cached() {
+    let store = temp_store("plan-evicted");
+    let level = StackLevel::NfOnly;
+    let build = || {
+        Pipeline::new()
+            .push(Firewall::default())
+            .push(Firewall::default())
+            .with_store(&store)
+    };
+    let cold = build().parallelize(level).unwrap();
+    assert!(!cold.fully_cached(), "the cold run explores and composes");
+    assert!(build().parallelize(level).unwrap().fully_cached());
+    let plans: Vec<_> = store
+        .list()
+        .unwrap()
+        .into_iter()
+        .filter(|h| h.kind == RecordKind::Plan)
+        .collect();
+    assert_eq!(plans.len(), 1, "one plan record");
+    for h in &plans {
+        assert!(store.evict(h.fingerprint, RecordKind::Plan).unwrap());
+    }
+    let rebuilt = build().parallelize(level).unwrap();
+    assert!(!rebuilt.plan_cached, "the plan was rebuilt");
+    assert_eq!(rebuilt.steps_composed, 0, "the composed record is warm");
+    assert_eq!(rebuilt.stages_explored, 0, "the stage records are warm");
+    assert_eq!(
+        rebuilt.solver,
+        SolverStats::default(),
+        "identical stages commute without a probe"
+    );
+    assert!(
+        !rebuilt.fully_cached(),
+        "a run that rebuilt its plan is not fully cached"
+    );
+    let _ = std::fs::remove_dir_all(store.dir());
+}
+
+/// A planned fold names where its stages came from: a cold run explores
+/// both; with only the composed record evicted, the warm plan skips the
+/// planner's stage materialisation, and the fold decodes both stage
+/// records and composes its one step.
+#[test]
+fn a_planned_fold_reports_its_stage_provenance() {
+    let store = temp_store("plan-provenance");
+    let level = StackLevel::NfOnly;
+    let cold = fw_rt_pipeline()
+        .with_store(&store)
+        .parallelize(level)
+        .unwrap();
+    assert_eq!(cold.stages_explored, 2, "a cold run explores both stages");
+    assert_eq!(cold.stages_cached, 0);
+    let key = fw_rt_pipeline().chain_key(level).unwrap();
+    assert!(store.evict(key, RecordKind::Composed).unwrap());
+    let rerun = fw_rt_pipeline()
+        .with_store(&store)
+        .parallelize(level)
+        .unwrap();
+    assert!(rerun.plan_cached, "the plan record is still warm");
+    assert_eq!(rerun.stages_cached, 2, "both stages decode from the store");
+    assert_eq!(rerun.stages_explored, 0);
+    assert_eq!(rerun.steps_composed, 1, "the evicted step composes again");
+    assert_eq!(
+        encode_contract(&rerun.contract),
+        encode_contract(&cold.contract)
+    );
     let _ = std::fs::remove_dir_all(store.dir());
 }
