@@ -3,18 +3,20 @@
 //! The explorer re-runs the NF body deterministically with a worklist of
 //! decision prefixes. A run takes the scheduled decisions at its first
 //! `prefix.len()` symbolic branches, then defaults (feasibility-guided
-//! true-first) beyond. For every *new* decision the run makes, the flipped
-//! alternative is enqueued unless the solver proves it infeasible at that
-//! point. The result is the full feasible-path tree of the stateless NF
-//! code, each path carrying its constraints, stateless instruction trace,
-//! stateful-call events, tags, verdict, and packet-field symbol table.
+//! true-first) beyond. At every *new* decision the run probes both arms
+//! where it makes the decision, and the flipped alternative is enqueued
+//! unless the solver proved it infeasible there. The result is the full
+//! feasible-path tree of the stateless NF code, each path carrying its
+//! constraints, stateless instruction trace, stateful-call events, tags,
+//! verdict, and packet-field symbol table.
 //!
-//! Solving is incremental throughout: each run extends one
-//! [`SolverCtx`] constraint-by-constraint as it executes, every flip is
-//! probed with a single push/pop against the saved propagation state of
-//! the walked prefix, and all runs share a [`bolt_solver::SolverCache`]
-//! of feasibility verdicts and models. [`ExplorationResult::stats`]
-//! reports what answered each request.
+//! Solving is incremental throughout and done once per run: each run
+//! extends one [`bolt_solver::SolverCtx`] constraint-by-constraint as it
+//! executes, each arm is probed with a single push/pop against the saved
+//! propagation state of the constraints asserted so far, and all runs
+//! share a [`bolt_solver::SolverCache`] of feasibility verdicts and
+//! models. [`ExplorationResult::stats`] reports what answered each
+//! request.
 //!
 //! The worklist is one LIFO stack of decision prefixes, run on the
 //! caller's thread: pop a prefix, run it, enqueue its feasible flips.
@@ -22,7 +24,7 @@
 //! stats and truncation are therefore a function of the NF body alone.
 
 use bolt_expr::{TermPool, TermRef};
-use bolt_solver::{Solver, SolverCtx, SolverStats};
+use bolt_solver::{Solver, SolverStats};
 use bolt_trace::TraceEvent;
 
 use crate::symbolic::{ExploreShared, PacketField, SymbolicCtx};
@@ -147,45 +149,24 @@ impl Explorer {
                 break;
             }
             runs += 1;
-            let prefix_len = prefix.len();
             let mut ctx = SymbolicCtx::new(&mut pool, &self.solver, prefix, &mut shared);
             body(&mut ctx);
             let feasible = ctx.path_feasible();
-            let mut rec = ctx.finish();
+            let rec = ctx.finish();
 
-            // Enqueue feasible flips of the decisions made beyond the
+            // Enqueue the feasible flips of the decisions made beyond the
             // prefix (the prefix's own decisions were already covered when
-            // their parent run enqueued them). One incrementally-extended
-            // context walks the entries in assertion order; each flip is
-            // one push/pop probe against the walked prefix state.
-            let mut walk = SolverCtx::new(&self.solver);
-            if let Some(m) = rec.model.take() {
-                walk.install_model(&pool, m);
-            }
-            for e in &rec.entries {
-                if let Some(i) = e.branch {
-                    if i >= prefix_len {
-                        let cond = rec.branch_conds[i];
-                        let flipped = if rec.decisions[i] {
-                            pool.not(cond)
-                        } else {
-                            cond
-                        };
-                        if walk.probe_feasible(&pool, &mut shared.cache, flipped) {
-                            let mut alt = Vec::with_capacity(i + 1);
-                            alt.extend_from_slice(&rec.decisions[..i]);
-                            alt.push(!rec.decisions[i]);
-                            stack.push(alt);
-                        }
-                    }
-                }
-                walk.assert_term(&pool, e.term);
+            // their parent run enqueued them).
+            for &i in &rec.flips {
+                let mut alt = Vec::with_capacity(i + 1);
+                alt.extend_from_slice(&rec.decisions[..i]);
+                alt.push(!rec.decisions[i]);
+                stack.push(alt);
             }
 
             if feasible {
-                let constraints: Vec<TermRef> = rec.entries.iter().map(|e| e.term).collect();
                 paths.push(Path {
-                    constraints,
+                    constraints: rec.entries,
                     events: rec.events,
                     tags: rec.tags,
                     verdict: rec.verdict,
@@ -214,7 +195,7 @@ impl Explorer {
 mod tests {
     use super::*;
     use crate::NfCtx;
-    use bolt_expr::Width;
+    use bolt_expr::{BinOp, Width};
     use bolt_trace::count_ic_ma;
 
     /// Toy LPM-router shape: invalid packets drop; valid packets loop over
@@ -359,6 +340,248 @@ mod tests {
             "every request is either a query or a shortcut"
         );
         assert_eq!(result.stats.terms_interned, result.pool.len() as u64);
+    }
+
+    /// A SplitMix64 stream: the differential test's trees are a function
+    /// of the seed alone.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[(self.next() % xs.len() as u64) as usize]
+        }
+    }
+
+    /// A value of a random condition: a packet field, a literal, or a
+    /// field plus a literal (which wraps).
+    #[derive(Clone, Copy, Debug)]
+    enum Val {
+        Field(u64),
+        Lit(u64),
+        FieldPlus(u64, u64),
+    }
+
+    /// `a op b` over fields of `bytes` bytes.
+    #[derive(Clone, Copy, Debug)]
+    struct Cond {
+        op: BinOp,
+        bytes: usize,
+        a: Val,
+        b: Val,
+    }
+
+    #[derive(Debug)]
+    enum Node {
+        Leaf,
+        Assume(Cond, Box<Node>),
+        Branch(Cond, Box<Node>, Box<Node>),
+    }
+
+    fn random_val(rng: &mut Mix, bytes: usize) -> Val {
+        // Two fields per width: offsets 0 and 1 hold bytes, 2 and 4 hold
+        // 16-bit words.
+        let field = if bytes == 1 {
+            rng.pick(&[0, 1])
+        } else {
+            rng.pick(&[2, 4])
+        };
+        let lit = if bytes == 1 {
+            rng.pick(&[0, 1, 2, 3, 8, 200, 255])
+        } else {
+            rng.pick(&[0, 1, 3, 0x0800, 0x8000, 0xffff])
+        };
+        match rng.next() % 5 {
+            0 | 1 => Val::Field(field),
+            2 | 3 => Val::Lit(lit),
+            _ => Val::FieldPlus(field, lit),
+        }
+    }
+
+    fn random_cond(rng: &mut Mix) -> Cond {
+        let bytes = rng.pick(&[1, 2]);
+        Cond {
+            op: rng.pick(&[BinOp::Eq, BinOp::Ne, BinOp::Ult, BinOp::Ule]),
+            bytes,
+            a: random_val(rng, bytes),
+            b: random_val(rng, bytes),
+        }
+    }
+
+    fn random_tree(rng: &mut Mix, depth: u32) -> Node {
+        if depth == 0 || rng.next().is_multiple_of(6) {
+            return Node::Leaf;
+        }
+        let c = random_cond(rng);
+        if rng.next().is_multiple_of(4) {
+            Node::Assume(c, Box::new(random_tree(rng, depth - 1)))
+        } else {
+            let t = random_tree(rng, depth - 1);
+            Node::Branch(c, Box::new(t), Box::new(random_tree(rng, depth - 1)))
+        }
+    }
+
+    /// `c` built through the analysis build, as an NF body would.
+    fn cond_in_ctx(ctx: &mut SymbolicCtx<'_>, pkt: bolt_trace::MemRegion, c: Cond) -> TermRef {
+        let w = Width::from_bytes(c.bytes);
+        let val = |ctx: &mut SymbolicCtx<'_>, v: Val| match v {
+            Val::Field(o) => ctx.load(pkt, o, c.bytes),
+            Val::Lit(x) => ctx.lit(x, w),
+            Val::FieldPlus(o, x) => {
+                let f = ctx.load(pkt, o, c.bytes);
+                let l = ctx.lit(x, w);
+                ctx.add(f, l)
+            }
+        };
+        let (a, b) = (val(ctx, c.a), val(ctx, c.b));
+        match c.op {
+            BinOp::Eq => ctx.eq(a, b),
+            BinOp::Ne => ctx.ne(a, b),
+            BinOp::Ult => ctx.ult(a, b),
+            _ => ctx.ule(a, b),
+        }
+    }
+
+    fn run_tree(ctx: &mut SymbolicCtx<'_>, pkt: bolt_trace::MemRegion, node: &Node) {
+        match node {
+            Node::Leaf => ctx.verdict(NfVerdict::Drop),
+            Node::Assume(c, next) => {
+                let t = cond_in_ctx(ctx, pkt, *c);
+                ctx.assume(t);
+                run_tree(ctx, pkt, next);
+            }
+            Node::Branch(c, then, els) => {
+                let t = cond_in_ctx(ctx, pkt, *c);
+                let next = if ctx.branch(t) { then } else { els };
+                run_tree(ctx, pkt, next);
+            }
+        }
+    }
+
+    /// `c` built straight in a pool, under the explorer's symbol names.
+    fn cond_in_pool(pool: &mut TermPool, syms: &mut bolt_expr::SymTable, c: Cond) -> TermRef {
+        let w = Width::from_bytes(c.bytes);
+        let mut val = |pool: &mut TermPool, v: Val| match v {
+            Val::Field(o) => syms.sym_for(pool, &format!("pkt@{o}:{}", c.bytes), w),
+            Val::Lit(x) => pool.constant(x, w),
+            Val::FieldPlus(o, x) => {
+                let f = syms.sym_for(pool, &format!("pkt@{o}:{}", c.bytes), w);
+                let l = pool.constant(x, w);
+                pool.binop(BinOp::Add, f, l)
+            }
+        };
+        let (a, b) = (val(pool, c.a), val(pool, c.b));
+        pool.binop(c.op, a, b)
+    }
+
+    /// Every full schedule of `node` that the explorer's rule admits,
+    /// each arm judged by the batch solver on the constraints before it
+    /// plus the arm: the true arm when it is not refuted, the false arm
+    /// when it is not refuted or the true arm is. A leaf is kept when its
+    /// whole constraint list is not refuted. Leaves are not judged on
+    /// their whole list alone because the batch solver can answer
+    /// `Unknown` for a list whose prefix it refutes.
+    struct Leaves {
+        pool: TermPool,
+        syms: bolt_expr::SymTable,
+        decisions: Vec<bool>,
+        constraints: Vec<TermRef>,
+        found: Vec<(Vec<bool>, Vec<String>)>,
+    }
+
+    impl Leaves {
+        /// Whether the batch solver fails to refute the constraints so
+        /// far plus `extra`, if any.
+        fn feasible(&mut self, extra: Option<TermRef>) -> bool {
+            self.constraints.extend(extra);
+            let r = Solver::default().check(&self.pool, &self.constraints);
+            if extra.is_some() {
+                self.constraints.pop();
+            }
+            !matches!(r, bolt_solver::SolveResult::Unsat)
+        }
+
+        fn walk(&mut self, node: &Node) {
+            match node {
+                Node::Leaf => {
+                    if self.feasible(None) {
+                        let shown = self.constraints.iter().map(|&c| self.pool.display(c));
+                        self.found.push((self.decisions.clone(), shown.collect()));
+                    }
+                }
+                Node::Assume(c, next) => {
+                    let t = cond_in_pool(&mut self.pool, &mut self.syms, *c);
+                    if self.pool.as_const(t) == Some(1) {
+                        self.walk(next);
+                    } else {
+                        self.constraints.push(t);
+                        self.walk(next);
+                        self.constraints.pop();
+                    }
+                }
+                Node::Branch(c, then, els) => {
+                    let t = cond_in_pool(&mut self.pool, &mut self.syms, *c);
+                    if let Some(v) = self.pool.as_const(t) {
+                        return self.walk(if v != 0 { then } else { els });
+                    }
+                    let not_t = self.pool.not(t);
+                    let then_ok = self.feasible(Some(t));
+                    let else_ok = !then_ok || self.feasible(Some(not_t));
+                    for (taken, k, ok, next) in
+                        [(true, t, then_ok, then), (false, not_t, else_ok, els)]
+                    {
+                        if ok {
+                            self.decisions.push(taken);
+                            self.constraints.push(k);
+                            self.walk(next);
+                            self.constraints.pop();
+                            self.decisions.pop();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn explored_paths_are_exactly_the_feasible_leaves() {
+        let mut rng = Mix(0x5eed);
+        let mut forks = 0;
+        for _ in 0..64 {
+            let tree = random_tree(&mut rng, 6);
+            let result = Explorer::new().explore(|ctx| {
+                let pkt = ctx.packet(64);
+                run_tree(ctx, pkt, &tree);
+            });
+            let mut explored: Vec<(Vec<bool>, Vec<String>)> = result
+                .paths
+                .iter()
+                .map(|p| {
+                    let shown = p.constraints.iter().map(|&c| result.pool.display(c));
+                    (p.decisions.clone(), shown.collect())
+                })
+                .collect();
+            let mut reference = Leaves {
+                pool: TermPool::new(),
+                syms: Default::default(),
+                decisions: Vec::new(),
+                constraints: Vec::new(),
+                found: Vec::new(),
+            };
+            reference.walk(&tree);
+            explored.sort();
+            reference.found.sort();
+            assert_eq!(explored, reference.found, "tree {tree:?}");
+            forks += explored.len().saturating_sub(1);
+        }
+        assert!(forks > 200, "the trees must fork: {forks} feasible forks");
     }
 
     #[test]

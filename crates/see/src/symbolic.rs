@@ -7,7 +7,8 @@
 //! by the [`Explorer`](crate::Explorer); beyond the schedule, the
 //! interpreter takes the true arm unless a quick solver check proves it
 //! infeasible (which both prunes dead paths early and guarantees progress
-//! for loops whose bounds are symbolic but constrained).
+//! for loops whose bounds are symbolic but constrained), and records
+//! whether the other arm is feasible for the explorer to enqueue.
 //!
 //! Limitations, documented and intentional (same shape as the paper's
 //! prototype): load/store offsets must be concrete along any given path,
@@ -16,7 +17,7 @@
 use std::fmt::{self, Write as _};
 
 use bolt_expr::{BinOp, FxHashMap, SymId, SymTable, TermPool, TermRef, Width};
-use bolt_solver::{Solver, SolverCache, SolverCtx, Witness};
+use bolt_solver::{Solver, SolverCache, SolverCtx};
 use bolt_trace::{AddressSpace, InstrClass, MemRegion, RecordingTracer, TraceEvent, Tracer};
 
 use crate::{NfCtx, NfVerdict};
@@ -25,27 +26,36 @@ use crate::{NfCtx, NfVerdict};
 /// feasibility caches and the cross-run symbol table (the same packet
 /// field or model call mints the same symbol in every run, so terms —
 /// and therefore cached feasibility verdicts and models — are shared
-/// between sibling runs instead of re-interned per run).
+/// between sibling runs instead of re-interned per run). A symbol's name
+/// is formatted once per exploration: later runs find it by the key its
+/// name is built from.
 ///
 /// It also carries what one run can hand the next without changing what
-/// either computes: the emptied memory map, a name buffer, `fresh`'s
-/// name keys, and the largest record sizes seen so far, which size the
-/// next run's vectors up front.
+/// either computes: the emptied memory map, the emptied solving context,
+/// a name buffer, and the largest record sizes seen so far, which size
+/// the next run's vectors up front.
 #[derive(Debug, Default)]
 pub(crate) struct ExploreShared {
     /// Feasibility memo, per-atom witness cache, model cache, counters.
     pub cache: SolverCache,
     syms: SymTable,
-    /// The current run's `fresh` count per model name. Names stay from
-    /// run to run (so each allocates once); a run starts by zeroing the
-    /// counts.
-    fresh: FxHashMap<String, usize>,
+    /// Load symbols by `(in the packet region, packet offset or absolute
+    /// address, bytes)`, which is all their name and width are made of.
+    loads: FxHashMap<(bool, u64, u8), TermRef>,
+    /// Per model name, the current run's `fresh` count and the symbols
+    /// minted so far by ordinal. Names stay from run to run; a run starts
+    /// by zeroing the counts.
+    fresh: FxHashMap<String, (usize, Vec<TermRef>)>,
     /// The previous run's memory map, emptied.
     mem: FxHashMap<(u64, u8), TermRef>,
     /// Buffer the names of lazily minted symbols are written into.
     name: String,
     /// Largest record sizes of the runs so far.
     sizes: RunSizes,
+    /// The previous run's solving context: a run asserts on top of a
+    /// checkpoint of the empty context, which `finish` pops, so the next
+    /// run starts empty but with the probes' checkpoints already grown.
+    sctx: Option<SolverCtx>,
 }
 
 /// Largest lengths a finished run's record vectors reached.
@@ -59,11 +69,58 @@ struct RunSizes {
 impl ExploreShared {
     /// Mint (or, when an earlier run already minted it, reuse) the
     /// symbol whose name `name` formats, in `pool`. The name is written
-    /// into the reused buffer instead of a fresh string.
+    /// into the reused buffer instead of a fresh string. Sharing symbols
+    /// across runs makes the terms of common decision prefixes identical
+    /// between siblings, which is what lets the feasibility memo and
+    /// model cache hit across runs.
     fn sym_named(&mut self, pool: &mut TermPool, name: fmt::Arguments<'_>, w: Width) -> TermRef {
         self.name.clear();
         let _ = self.name.write_fmt(name);
         self.syms.sym_for(pool, &self.name, w)
+    }
+
+    /// The symbol of a lazily read location: `pkt@{at}:{bytes}` at packet
+    /// offset `at`, `mem@{at:#x}:{bytes}` at any other address `at`.
+    fn load_sym(&mut self, pool: &mut TermPool, is_packet: bool, at: u64, bytes: usize) -> TermRef {
+        let key = (is_packet, at, bytes as u8);
+        if let Some(&t) = self.loads.get(&key) {
+            return t;
+        }
+        let w = Width::from_bytes(bytes);
+        let t = if is_packet {
+            self.sym_named(pool, format_args!("pkt@{at}:{bytes}"), w)
+        } else {
+            self.sym_named(pool, format_args!("mem@{at:#x}:{bytes}"), w)
+        };
+        self.loads.insert(key, t);
+        t
+    }
+
+    /// The symbol of the current run's next [`SymbolicCtx::fresh`]`(name)`.
+    fn fresh_sym(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
+        let n = match self.fresh.get_mut(name) {
+            Some((count, syms)) => {
+                *count += 1;
+                match syms.get(*count - 1) {
+                    Some(&t) if pool.width(t) == w => return t,
+                    _ => *count - 1,
+                }
+            }
+            None => {
+                self.fresh.insert(name.to_string(), (1, Vec::new()));
+                0
+            }
+        };
+        let t = if n == 0 {
+            self.sym_named(pool, format_args!("{name}"), w)
+        } else {
+            self.sym_named(pool, format_args!("{name}#{n}"), w)
+        };
+        let syms = &mut self.fresh.get_mut(name).expect("counted above").1;
+        if syms.len() == n {
+            syms.push(t);
+        }
+        t
     }
 }
 
@@ -80,25 +137,16 @@ pub struct PacketField {
     pub term: TermRef,
 }
 
-/// One recorded path constraint, remembering whether it came from a branch
-/// (and which one) so the explorer can rebuild constraint prefixes.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ConstraintEntry {
-    /// The (width-1) constraint term.
-    pub term: TermRef,
-    /// Index of the symbolic branch that produced it, if any.
-    pub branch: Option<usize>,
-}
-
 /// Raw per-run record handed to the explorer.
 #[derive(Debug, Default)]
 pub(crate) struct RunRecord {
     /// Every decision taken at a symbolic branch, in order.
     pub decisions: Vec<bool>,
-    /// The condition term of each symbolic branch.
-    pub branch_conds: Vec<TermRef>,
+    /// Ascending indices of the decisions made beyond the schedule whose
+    /// flipped arm was feasible where the run decided them.
+    pub flips: Vec<usize>,
     /// Ordered constraints (branch-derived and assumed).
-    pub entries: Vec<ConstraintEntry>,
+    pub entries: Vec<TermRef>,
     /// Recorded stateless event trace.
     pub events: Vec<TraceEvent>,
     /// Path tags.
@@ -109,16 +157,13 @@ pub(crate) struct RunRecord {
     pub packet_fields: Vec<PacketField>,
     /// Final `(offset, bytes) → term` state of the packet region.
     pub final_packet: Vec<(u64, u8, TermRef)>,
-    /// A verified model of the full path constraints, when one fell out
-    /// of the run's feasibility checks (seeds the explorer's flip walk).
-    pub model: Option<Witness>,
 }
 
 /// Symbolic execution context for one run (one candidate path).
 ///
 /// Carries an incrementally-extended [`SolverCtx`] mirroring the path
-/// constraints asserted so far, so default-arm feasibility probes at
-/// branches assert one atom against saved propagation state instead of
+/// constraints asserted so far, so the feasibility probes of both arms at
+/// a branch assert one atom against saved propagation state instead of
 /// replaying the whole conjunction.
 pub struct SymbolicCtx<'p> {
     pool: &'p mut TermPool,
@@ -127,8 +172,8 @@ pub struct SymbolicCtx<'p> {
     tracer: RecordingTracer,
     schedule: Vec<bool>,
     decisions: Vec<bool>,
-    branch_conds: Vec<TermRef>,
-    entries: Vec<ConstraintEntry>,
+    flips: Vec<usize>,
+    entries: Vec<TermRef>,
     mem: FxHashMap<(u64, u8), TermRef>,
     packet_fields: Vec<PacketField>,
     tags: Vec<&'static str>,
@@ -147,11 +192,13 @@ impl<'p> SymbolicCtx<'p> {
         schedule: Vec<bool>,
         shared: &'p mut ExploreShared,
     ) -> Self {
-        shared.fresh.values_mut().for_each(|n| *n = 0);
+        shared.fresh.values_mut().for_each(|f| f.0 = 0);
         let mem = std::mem::take(&mut shared.mem);
         let sizes = shared.sizes;
+        let mut sctx = shared.sctx.take().unwrap_or_else(|| SolverCtx::new(solver));
+        sctx.push();
         SymbolicCtx {
-            sctx: SolverCtx::new(solver),
+            sctx,
             pool,
             shared,
             tracer: RecordingTracer {
@@ -159,7 +206,7 @@ impl<'p> SymbolicCtx<'p> {
             },
             schedule,
             decisions: Vec::with_capacity(sizes.decisions),
-            branch_conds: Vec::with_capacity(sizes.decisions),
+            flips: Vec::new(),
             entries: Vec::with_capacity(sizes.entries),
             mem,
             packet_fields: Vec::new(),
@@ -184,11 +231,6 @@ impl<'p> SymbolicCtx<'p> {
         self.aspace.alloc_table(size)
     }
 
-    /// Current path constraints (terms only).
-    pub fn constraints(&self) -> Vec<TermRef> {
-        self.entries.iter().map(|e| e.term).collect()
-    }
-
     /// The most recent verdict recorded on this path, if any.
     pub fn last_verdict(&self) -> Option<NfVerdict> {
         self.verdict
@@ -198,21 +240,7 @@ impl<'p> SymbolicCtx<'p> {
     /// `fresh(name)` of a run mints `name` for `n` = 0 and `name#n` after
     /// that.
     pub fn fresh(&mut self, name: &str, w: Width) -> TermRef {
-        let n = match self.shared.fresh.get_mut(name) {
-            Some(n) => {
-                *n += 1;
-                *n - 1
-            }
-            None => {
-                self.shared.fresh.insert(name.to_string(), 1);
-                0
-            }
-        };
-        if n == 0 {
-            self.mint_sym(format_args!("{name}"), w)
-        } else {
-            self.mint_sym(format_args!("{name}#{n}"), w)
-        }
+        self.shared.fresh_sym(self.pool, name, w)
     }
 
     /// Cost-free fork on a condition. Data-structure models use this to
@@ -235,10 +263,7 @@ impl<'p> SymbolicCtx<'p> {
         if self.pool.as_const(c) == Some(1) {
             return;
         }
-        self.entries.push(ConstraintEntry {
-            term: c,
-            branch: None,
-        });
+        self.entries.push(c);
         self.sctx.assert_term(self.pool, c);
     }
 
@@ -261,20 +286,21 @@ impl<'p> SymbolicCtx<'p> {
         // Keys are unique, so the sort fixes an order the map's does not.
         final_packet.sort_by_key(|&(o, b, _)| (o, b));
         self.shared.mem = self.mem;
+        self.sctx.pop();
+        self.shared.sctx = Some(self.sctx);
         let sizes = &mut self.shared.sizes;
         sizes.events = sizes.events.max(self.tracer.events.len());
         sizes.decisions = sizes.decisions.max(self.decisions.len());
         sizes.entries = sizes.entries.max(self.entries.len());
         RunRecord {
             decisions: self.decisions,
-            branch_conds: self.branch_conds,
+            flips: self.flips,
             entries: self.entries,
             events: self.tracer.events,
             tags: self.tags,
             verdict: self.verdict,
             packet_fields: self.packet_fields,
             final_packet,
-            model: self.sctx.model().cloned(),
         }
     }
 
@@ -283,38 +309,32 @@ impl<'p> SymbolicCtx<'p> {
         self.pool.binop(op, a, b)
     }
 
-    /// Mint (or, when a sibling run already minted it, reuse) the symbol
-    /// named `name`. Sharing symbols across runs makes the terms of
-    /// common decision prefixes identical between siblings, which is what
-    /// lets the feasibility memo and model cache hit across runs.
-    fn mint_sym(&mut self, name: fmt::Arguments<'_>, w: Width) -> TermRef {
-        self.shared.sym_named(self.pool, name, w)
-    }
-
-    /// Record a taken decision: remember the branch, append its
-    /// constraint, and extend the incremental solver context.
-    fn take_decision(&mut self, idx: usize, c: TermRef, taken: bool) {
-        self.decisions.push(taken);
-        self.branch_conds.push(c);
-        let constraint = if taken { c } else { self.pool.not(c) };
-        self.entries.push(ConstraintEntry {
-            term: constraint,
-            branch: Some(idx),
-        });
-        self.sctx.assert_term(self.pool, constraint);
-    }
-
-    /// Decide a symbolic condition: replay the schedule, or default to
-    /// the true arm unless a single push/pop probe proves it infeasible.
+    /// Decide a symbolic condition, append its constraint and extend
+    /// the incremental solver context. A scheduled decision is replayed.
+    /// Beyond the schedule, both arms are probed against the constraints
+    /// asserted so far: the true arm is taken unless it is infeasible,
+    /// and the decision is recorded as a flip when the other arm is
+    /// feasible too. The false arm is probed first, so the model the true
+    /// arm's probe leaves is the one its assertion keeps alive.
     fn decide(&mut self, c: TermRef) -> bool {
         let idx = self.decisions.len();
-        let taken = if idx < self.schedule.len() {
-            self.schedule[idx]
-        } else {
-            self.sctx
-                .probe_feasible(self.pool, &mut self.shared.cache, c)
+        let taken = match self.schedule.get(idx) {
+            Some(&taken) => taken,
+            None => {
+                let not_c = self.pool.not(c);
+                let cache = &mut self.shared.cache;
+                let else_ok = self.sctx.probe_feasible(self.pool, cache, not_c);
+                let then_ok = self.sctx.probe_feasible(self.pool, cache, c);
+                if then_ok && else_ok {
+                    self.flips.push(idx);
+                }
+                then_ok
+            }
         };
-        self.take_decision(idx, c, taken);
+        let constraint = if taken { c } else { self.pool.not(c) };
+        self.decisions.push(taken);
+        self.entries.push(constraint);
+        self.sctx.assert_term(self.pool, constraint);
         taken
     }
 }
@@ -396,16 +416,12 @@ impl NfCtx for SymbolicCtx<'_> {
         if let Some(&t) = self.mem.get(&key) {
             return t;
         }
-        let w = Width::from_bytes(bytes);
         let is_packet = self
             .packet_region
             .map(|r| r.contains(addr))
             .unwrap_or(false);
-        let t = if is_packet {
-            self.mint_sym(format_args!("pkt@{offset}:{bytes}"), w)
-        } else {
-            self.mint_sym(format_args!("mem@{addr:#x}:{bytes}"), w)
-        };
+        let at = if is_packet { offset } else { addr };
+        let t = self.shared.load_sym(self.pool, is_packet, at, bytes);
         self.mem.insert(key, t);
         if is_packet {
             if let bolt_expr::Term::Sym { id, .. } = *self.pool.get(t) {
@@ -502,7 +518,7 @@ mod tests {
         let rec = ctx.finish();
         assert_eq!(rec.decisions, vec![true]);
         assert_eq!(rec.entries.len(), 1);
-        assert_eq!(rec.entries[0].branch, Some(0));
+        assert_eq!(rec.flips, vec![0], "both arms are feasible");
     }
 
     #[test]

@@ -1509,14 +1509,6 @@ impl SolverCtx {
         self.cur_witness.as_ref()
     }
 
-    /// Install a candidate model; kept only if it actually satisfies the
-    /// current constraint list (the invariant every fast path relies on).
-    pub fn install_model(&mut self, pool: &TermPool, w: Witness) {
-        if w.satisfies(pool, &self.constraints) {
-            self.cur_witness = Some(w);
-        }
-    }
-
     /// Number of open checkpoints.
     pub fn depth(&self) -> usize {
         self.depth

@@ -26,8 +26,11 @@ use bolt::NetworkFunction;
 /// per-run buffers brought it to (6 749, from 13 389), plus 14 for the
 /// two sweeps a round that end at their first candidate compile too
 /// (6 763); then 6 051, from 6 713, once a solver session kept its
-/// checkpoints, prefix hashes and decision buffers between queries.
-const CEILING: usize = 6_051;
+/// checkpoints, prefix hashes and decision buffers between queries; then
+/// 4 325 once a run probed its flips where it decided them instead of in
+/// a second context, minted each symbol once per exploration, and handed
+/// its emptied solving context to the next run.
+const CEILING: usize = 4_325;
 
 /// One contract of the round, as the benchmark's in-memory round makes it.
 fn generate_one<N: NetworkFunction>(nf: &N, level: StackLevel) {

@@ -58,10 +58,10 @@ fn lpm_router_exploration_reduces_solver_queries_5x() {
 }
 
 /// Exact path counts for every NF at both stack levels, pinned to the
-/// values the pre-incremental explorer produced (the full per-path
-/// fingerprint — decisions, tags, verdicts, metrics — can be diffed with
-/// `cargo run --release --example fingerprint`; expression-level parity
-/// is pinned by `tests/nf_api.rs` and the conservatism suite).
+/// values the pre-incremental explorer produced (every path's tags,
+/// verdict and metrics are pinned by `tests/contract_golden.rs`;
+/// expression-level parity by `tests/nf_api.rs` and the conservatism
+/// suite).
 #[test]
 fn exploration_output_is_unchanged() {
     type PathCounter = Box<dyn Fn(StackLevel) -> usize>;
