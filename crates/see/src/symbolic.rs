@@ -100,10 +100,11 @@ impl ExploreShared {
     fn fresh_sym(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
         let n = match self.fresh.get_mut(name) {
             Some((count, syms)) => {
+                let n = *count;
                 *count += 1;
-                match syms.get(*count - 1) {
+                match syms.get(n) {
                     Some(&t) if pool.width(t) == w => return t,
-                    _ => *count - 1,
+                    _ => n,
                 }
             }
             None => {
