@@ -10,15 +10,29 @@
 //!
 //! 1. **Propagation** — top-level conjunctions are flattened; equalities
 //!    bind symbols through a union-find; comparisons against constants
-//!    narrow per-symbol intervals; contradictions found here are definitive
+//!    narrow per-symbol intervals, and `(x & m) == c` teaches `x` known
+//!    bits; contradictions found here are definitive
 //!    [`SolveResult::Unsat`].
-//! 2. **Completion** — remaining free symbols are filled in by a bounded
-//!    randomized search (interval endpoints, midpoints, random samples,
-//!    plus equation-directed repair). Any witness found is checked by
-//!    concrete evaluation, so [`SolveResult::Sat`] is always sound.
-//! 3. Otherwise the result is [`SolveResult::Unknown`], which callers must
-//!    treat conservatively (keep the path / keep the pair) — exactly how
-//!    the paper's pipeline stays sound when the solver times out.
+//! 2. **Absorption** — an atom every value of the domains satisfies (an
+//!    equality inside one union-find class, a one-symbol comparison its
+//!    interval or known bits decide) is left out of everything below
+//!    but the final verification.
+//! 3. **Component sweep** — the other constraints fall into components
+//!    that share free symbols. Each component's candidates are tried in
+//!    a fixed order, up to 4 096 of them: the first model found is the
+//!    component's, and a component refuted to its last candidate is a
+//!    definitive `Unsat`. A symbol only absorbed atoms mention takes its
+//!    domain's least value.
+//! 4. **Completion** — a component whose sweep ran out of candidates
+//!    tries one more assignment: its symbols' least values, repaired
+//!    through its equations `x == e`.
+//! 5. **Verification** — the assembled witness is checked against every
+//!    constraint by concrete evaluation, so [`SolveResult::Sat`] is always
+//!    sound. A component that completion does not satisfy either makes
+//!    the result [`SolveResult::Unknown`], which callers must treat
+//!    conservatively (keep the path / keep the pair) — exactly how the
+//!    paper's pipeline stays sound when the solver times out. Nothing is
+//!    drawn at random.
 //!
 //! Every decision runs this one procedure to the end: a feasibility
 //! question ([`Solver::is_feasible`], or a probe of the incremental layer
@@ -47,10 +61,11 @@
 //!
 //! Two invariants an edit must keep:
 //!
-//! * **Which witness is found is behaviour.** Component enumeration
-//!   sweeps with the lowest-numbered representative varying fastest, each
-//!   symbol from its interval's low end, and completion draws one fixed
-//!   RNG stream in trial order, so a query always returns the same model.
+//! * **Which witness is found is behaviour.** Each component's model is
+//!   its sweep's first candidate: the lowest-numbered representative
+//!   varies fastest, each over its domain's values from the low end, so
+//!   a query always returns the same model, and leaving an absorbed atom
+//!   out of a component (or splitting one in two) moves no model.
 //!   [`SolverCache`] reuses those models to answer later probes, so a
 //!   procedure that is merely *equivalent* (same verdicts, other
 //!   witnesses) moves [`SolverStats`] — and the benchmark's golden files
@@ -58,12 +73,12 @@
 //!   candidate costs is *not* behaviour: the sweep decides every
 //!   candidate with a straight-line kernel compiled once per component,
 //!   which checks a candidate's constraints in list order but computes
-//!   both arms of every `Ite` on the way. That is valid only while every operator is total — a
-//!   partial operator added to `BinOp` (a division, say) must make the
+//!   both arms of every `Ite` on the way. That is valid only while every
+//!   operator is total — a partial operator added to `BinOp` (a division, say) must make the
 //!   kernel evaluate `Ite` arms lazily, as [`TermPool::eval`] does.
 //! * **Dense containers are indexed by pool-local [`SymId`]s.** Every
 //!   per-symbol map here (`SymMap`: witness values, union-find parents,
-//!   bindings, intervals, known symbols) is a vector indexed by the id,
+//!   bindings, domains, known symbols) is a vector indexed by the id,
 //!   sized by the largest id it has seen. That is sound because ids are
 //!   indices into one pool's symbol registry, below
 //!   `TermPool::sym_count()` — the pool decoder rejects records that
@@ -74,8 +89,6 @@
 use std::fmt;
 
 use bolt_expr::{BinOp, FxHashMap, SymId, Term, TermPool, TermRef, UnOp, Width};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// A map keyed by [`SymId`], stored as a vector indexed by the id.
 /// Symbol ids are pool-local indices below `TermPool::sym_count()`
@@ -252,11 +265,12 @@ pub struct SolverStats {
     /// Feasibility/check requests made by callers.
     pub checks_requested: u64,
     /// Full decision-procedure executions (propagation fixpoint +
-    /// component enumeration, plus randomized completion for batch
-    /// checks). Each costs roughly one pre-incremental `check()`.
+    /// component enumeration). Each costs roughly one pre-incremental
+    /// `check()`.
     pub solver_queries: u64,
-    /// Randomized completion searches actually run (the expensive part of
-    /// a batch query; pure feasibility checks never need it).
+    /// Decisions left `Unknown` because a component was too wide to
+    /// sweep. (A randomized completion search once ran there; the name
+    /// stays because stored exploration records carry the count.)
     pub completion_searches: u64,
     /// Requests answered by a contradiction found while asserting a
     /// single atom against saved propagation state.
@@ -288,18 +302,31 @@ impl SolverStats {
     }
 }
 
-/// Per-symbol interval domain (inclusive bounds within the symbol width).
+/// Per-symbol domain: an interval (inclusive bounds within the symbol
+/// width) and known bits, the bits `mask` selects, which equal those of
+/// `value`. A value is in the domain when it lies in the interval and
+/// agrees with the known bits. Propagation narrows the interval and
+/// learns the bits, but tests a value against the bits only in the
+/// decision tail, which draws nothing else.
 #[derive(Clone, Copy, Debug)]
 struct Interval {
     lo: u64,
     hi: u64,
+    mask: u64,
+    value: u64,
 }
 
 impl Interval {
     fn full(w: Width) -> Self {
+        Interval::range(0, w.mask())
+    }
+    /// `lo..=hi`, no bit known.
+    fn range(lo: u64, hi: u64) -> Self {
         Interval {
-            lo: 0,
-            hi: w.mask(),
+            lo,
+            hi,
+            mask: 0,
+            value: 0,
         }
     }
     fn is_empty(self) -> bool {
@@ -308,14 +335,101 @@ impl Interval {
     fn singleton(self) -> Option<u64> {
         (self.lo == self.hi).then_some(self.lo)
     }
+
+    /// The domain with both bounds moved onto its least and greatest
+    /// values, or `None` when it holds no value.
+    fn tightened(self) -> Option<Interval> {
+        if self.mask == 0 {
+            return (!self.is_empty()).then_some(self);
+        }
+        let lo = next_with_bits(self.lo, self.mask, self.value).filter(|&lo| lo <= self.hi)?;
+        // Complementing every bit reverses the order, so the greatest
+        // value at most `hi` is the complement of the least complement
+        // at least `!hi`; `lo` is one, so it exists.
+        let hi = !next_with_bits(!self.hi, self.mask, !self.value & self.mask)?;
+        Some(Interval { lo, hi, ..self })
+    }
+
+    /// The domain's next value after `v`, which lies below `hi`; both
+    /// bounds are domain values (see [`Interval::tightened`]).
+    fn after(self, v: u64) -> u64 {
+        if self.mask == 0 {
+            v + 1
+        } else {
+            next_with_bits(v + 1, self.mask, self.value).expect("hi is a later value")
+        }
+    }
+
+    /// The tightened domain's `n`-th value after `lo`, or `hi` when it
+    /// holds fewer. The domain's values are those its free bits take, in
+    /// order, so a value's rank is its free bits packed together.
+    fn nth(self, n: u64) -> u64 {
+        let free = !self.mask;
+        match extract(self.lo, free).checked_add(n) {
+            Some(r) if r <= extract(self.hi, free) => deposit(r, free) | self.value,
+            _ => self.hi,
+        }
+    }
 }
 
-/// Maximum number of randomized completion trials.
-const MAX_TRIALS: usize = 256;
+/// The least `u >= v` whose bits under `mask` equal those of `value`, if
+/// one fits in 64 bits. `value` has no bit outside `mask`.
+fn next_with_bits(v: u64, mask: u64, value: u64) -> Option<u64> {
+    let wrong = (v ^ value) & mask;
+    if wrong == 0 {
+        return Some(v);
+    }
+    // The highest wrong bit decides: raise it if `v` has it clear, else
+    // carry into the lowest clear free bit above it. Either way every
+    // bit below the raised one restarts at its least: known bits their
+    // value, free bits zero.
+    let i = 63 - wrong.leading_zeros();
+    let raise = if value >> i & 1 == 1 {
+        i
+    } else {
+        let above = !mask & !v & (u64::MAX << i << 1);
+        if above == 0 {
+            return None;
+        }
+        above.trailing_zeros()
+    };
+    let below = (1u64 << raise) - 1;
+    Some((v | 1 << raise) & !below | value & below)
+}
 
-/// RNG seed, mixed with a hash of the constraint set so each query is
-/// deterministic but distinct queries explore differently.
-const SEED: u64 = 0x0b17_c0de;
+/// The bits of `v` at the positions `free` selects, packed into the low
+/// bits in order.
+fn extract(v: u64, free: u64) -> u64 {
+    if free == u64::MAX {
+        return v;
+    }
+    let (mut out, mut k, mut f) = (0, 0, free);
+    while f != 0 {
+        let bit = f & f.wrapping_neg();
+        out |= ((v & bit != 0) as u64) << k;
+        k += 1;
+        f ^= bit;
+    }
+    out
+}
+
+/// The inverse of [`extract`]: the low bits of `n`, spread in order to
+/// the positions `free` selects.
+fn deposit(n: u64, free: u64) -> u64 {
+    if free == u64::MAX {
+        return n;
+    }
+    let (mut out, mut k, mut f) = (0, 0, free);
+    while f != 0 {
+        let bit = f & f.wrapping_neg();
+        if n >> k & 1 == 1 {
+            out |= bit;
+        }
+        k += 1;
+        f ^= bit;
+    }
+    out
+}
 
 /// The solver. Stateless between queries and deterministic: it holds no
 /// buffer of its own. The working state of a query — the propagator copy
@@ -335,11 +449,14 @@ struct Propagator {
     parent: SymMap<SymId>,
     /// Constant binding of each representative.
     bound: SymMap<u64>,
-    /// Interval of each representative.
+    /// Domain (interval and known bits) of each representative.
     interval: SymMap<Interval>,
-    /// Atoms propagation could not absorb, with their polarity.
-    residual: Vec<(TermRef, bool)>,
-    /// Disequalities `repr != value` collected for completion.
+    /// Atoms propagation could not absorb, with their polarity and how
+    /// many of their symbols had a bound representative then: until that
+    /// count grows, asserting the atom again would only push it back.
+    residual: Vec<(TermRef, bool, u32)>,
+    /// Disequalities `repr != value`, which a one-atom witness steps its
+    /// low end off (see `SolverCtx::atom_witness`).
     diseq: Vec<(SymId, u64)>,
     contradiction: bool,
 }
@@ -398,7 +515,23 @@ impl Propagator {
         }
         if let Some(i) = self.interval.remove(rb) {
             self.narrow(pool, ra, i.lo, i.hi);
+            self.learn_bits(pool, ra, i.mask, i.value);
         }
+    }
+
+    /// Record that `s`'s bits under `mask` equal those of `value`, unless
+    /// that contradicts a bit already known: then the known bits stay as
+    /// they are, and the atom that asked stays with the decision tail,
+    /// which refutes it there.
+    fn learn_bits(&mut self, pool: &TermPool, s: SymId, mask: u64, value: u64) {
+        let r = self.find(s);
+        let mut iv = self.iv(pool, r);
+        if value & !mask != 0 || (iv.value ^ value) & iv.mask & mask != 0 {
+            return;
+        }
+        iv.mask |= mask;
+        iv.value |= value;
+        self.interval.insert(r, iv);
     }
 
     fn iv(&self, pool: &TermPool, s: SymId) -> Interval {
@@ -440,6 +573,15 @@ impl Propagator {
         }
     }
 
+    /// `find` without path compression, for a shared borrow.
+    fn root(&self, s: SymId) -> SymId {
+        let mut r = s;
+        while let Some(p) = self.parent.get(r) {
+            r = p;
+        }
+        r
+    }
+
     fn value_of(&mut self, s: SymId) -> Option<u64> {
         let r = self.find(s);
         self.bound.get(r)
@@ -479,6 +621,29 @@ impl Propagator {
         if self.contradiction {
             return;
         }
+        if let Term::Binop { op, a, b } = *pool.get(t) {
+            // Each side is evaluated once: both fixed decide the atom, and
+            // either is what a comparison absorbs.
+            let (va, vb) = (self.partial_eval(pool, a), self.partial_eval(pool, b));
+            if let (Some(va), Some(vb)) = (va, vb) {
+                if (op.apply(va, vb, pool.width(a)) != 0) != polarity {
+                    self.contradiction = true;
+                }
+                return;
+            }
+            match (op, polarity) {
+                (BinOp::And, true) | (BinOp::Or, false) => {
+                    self.assert_atom(pool, a, polarity);
+                    self.assert_atom(pool, b, polarity);
+                }
+                _ => {
+                    if !self.assert_comparison(pool, op, (a, va), (b, vb), polarity) {
+                        self.push_residual(pool, t, polarity);
+                    }
+                }
+            }
+            return;
+        }
         if let Some(v) = self.partial_eval(pool, t) {
             if (v != 0) != polarity {
                 self.contradiction = true;
@@ -493,54 +658,44 @@ impl Propagator {
             } => {
                 self.bind(pool, id, polarity as u64);
             }
-            Term::Binop {
-                op: BinOp::And,
-                a,
-                b,
-            } if polarity => {
-                self.assert_atom(pool, a, true);
-                self.assert_atom(pool, b, true);
-            }
-            Term::Binop {
-                op: BinOp::Or,
-                a,
-                b,
-            } if !polarity => {
-                self.assert_atom(pool, a, false);
-                self.assert_atom(pool, b, false);
-            }
-            Term::Binop { op, a, b } => {
-                if !self.assert_comparison(pool, op, a, b, polarity) {
-                    self.residual.push((t, polarity));
-                }
-            }
-            _ => self.residual.push((t, polarity)),
+            _ => self.push_residual(pool, t, polarity),
         }
     }
 
+    fn push_residual(&mut self, pool: &TermPool, t: TermRef, polarity: bool) {
+        let bound = self.bound_syms(pool, t);
+        self.residual.push((t, polarity, bound));
+    }
+
+    /// How many of `t`'s symbols have a bound representative. Only a
+    /// binding can let propagation absorb an atom it once left residual:
+    /// evaluation, and each side of a comparison, see a symbol only
+    /// through its representative's binding. Bindings are never undone,
+    /// so the count only grows.
+    fn bound_syms(&mut self, pool: &TermPool, t: TermRef) -> u32 {
+        let mut n = 0;
+        for &s in pool.syms_of(t) {
+            let r = self.find(s);
+            n += self.bound.contains(r) as u32;
+        }
+        n
+    }
+
     /// Try to absorb a comparison into the domain; returns whether handled.
+    /// Each side comes with its value, if the bindings fix one.
     fn assert_comparison(
         &mut self,
         pool: &TermPool,
         op: BinOp,
-        a: TermRef,
-        b: TermRef,
+        a: (TermRef, Option<u64>),
+        b: (TermRef, Option<u64>),
         pol: bool,
     ) -> bool {
-        // Normalise negated comparisons.
-        let (op, a, b) = match (op, pol) {
-            (BinOp::Eq, true) | (BinOp::Ne, false) => (BinOp::Eq, a, b),
-            (BinOp::Eq, false) | (BinOp::Ne, true) => (BinOp::Ne, a, b),
-            (BinOp::Ult, true) => (BinOp::Ult, a, b),
-            (BinOp::Ult, false) => (BinOp::Ule, b, a), // !(a<b)  ⇔  b<=a
-            (BinOp::Ule, true) => (BinOp::Ule, a, b),
-            (BinOp::Ule, false) => (BinOp::Ult, b, a), // !(a<=b) ⇔  b<a
-            _ => return false,
+        let Some((op, (a, val_a), (b, val_b))) = normalise(op, a, b, pol) else {
+            return false;
         };
         let sym_a = Self::as_sym(pool, a);
         let sym_b = Self::as_sym(pool, b);
-        let val_a = self.partial_eval(pool, a);
-        let val_b = self.partial_eval(pool, b);
         match op {
             BinOp::Eq => match (sym_a, val_a, sym_b, val_b) {
                 (Some(x), _, _, Some(v)) => {
@@ -554,6 +709,14 @@ impl Propagator {
                 (Some(x), _, Some(y), _) => {
                     self.union(pool, x, y);
                     true
+                }
+                // `(x & m) == c` teaches known bits, and stays an atom.
+                (None, None, None, Some(c)) | (None, Some(c), None, None) => {
+                    let masked = if val_b.is_some() { a } else { b };
+                    if let Some((x, m)) = Self::as_masked_sym(pool, masked) {
+                        self.learn_bits(pool, x, m, c);
+                    }
+                    false
                 }
                 _ => false,
             },
@@ -615,6 +778,117 @@ impl Propagator {
             _ => None,
         }
     }
+
+    /// `x & m`, a symbol under a constant mask, as `(x, m)`.
+    fn as_masked_sym(pool: &TermPool, t: TermRef) -> Option<(SymId, u64)> {
+        let Term::Binop {
+            op: BinOp::And,
+            a,
+            b,
+        } = *pool.get(t)
+        else {
+            return None;
+        };
+        match (pool.get(a), pool.get(b)) {
+            (&Term::Sym { id, width }, &Term::Const { value, .. })
+            | (&Term::Const { value, .. }, &Term::Sym { id, width }) => {
+                Some((id, value & width.mask()))
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether the state already implies atom `t` at `polarity`: every
+    /// value of the domains satisfies it, so the decision tail has
+    /// nothing to try for it. That holds for an equality inside one
+    /// union-find class, and for a comparison of one symbol against a
+    /// value the bindings fix (normalised as
+    /// [`Propagator::assert_comparison`] does) that the symbol's interval
+    /// decides — or, for `(x & m) == c` and `(x & m) != c`, its known
+    /// bits.
+    fn implied(&mut self, pool: &TermPool, t: TermRef, polarity: bool) -> bool {
+        let (op, a, b) = match *pool.get(t) {
+            Term::Unop { op: UnOp::Not, a } => return self.implied(pool, a, !polarity),
+            Term::Sym {
+                id,
+                width: Width::W1,
+            } => return self.value_of(id) == Some(polarity as u64),
+            Term::Binop { op, a, b } => match normalise(op, a, b, polarity) {
+                Some(n) => n,
+                None => return false,
+            },
+            _ => return false,
+        };
+        let (sym_a, sym_b) = (Self::as_sym(pool, a), Self::as_sym(pool, b));
+        if let (BinOp::Eq, Some(x), Some(y)) = (op, sym_a, sym_b) {
+            return self.find(x) == self.find(y);
+        }
+        // The symbol's side, the fixed value, and whether the symbol is
+        // on the left.
+        let (side, v, left) = match self.partial_eval(pool, b) {
+            Some(v) if sym_a.is_some() || sym_b.is_none() => (a, v, true),
+            _ => match self.partial_eval(pool, a) {
+                Some(v) => (b, v, false),
+                None => return false,
+            },
+        };
+        if let Some(x) = Self::as_sym(pool, side) {
+            let r = self.find(x);
+            let iv = self.iv(pool, r);
+            return match (op, left) {
+                (BinOp::Eq, _) => iv.singleton() == Some(v),
+                (BinOp::Ne, _) => v < iv.lo || v > iv.hi,
+                (BinOp::Ult, true) => iv.hi < v,
+                (BinOp::Ule, true) => iv.hi <= v,
+                (BinOp::Ult, false) => v < iv.lo,
+                _ => v <= iv.lo,
+            };
+        }
+        let Some((x, m)) = Self::as_masked_sym(pool, side) else {
+            return false;
+        };
+        let r = self.find(x);
+        if self.bound.contains(r) {
+            return false;
+        }
+        let iv = self.iv(pool, r);
+        match op {
+            BinOp::Eq => iv.mask & m == m && iv.value & m == v,
+            BinOp::Ne => (v ^ iv.value) & iv.mask & m != 0,
+            _ => false,
+        }
+    }
+}
+
+/// A comparison atom `a op b` at `polarity`, as an equality, a
+/// disequality, `<` or `<=` that holds: `!(a < b)` is `b <= a`, and
+/// `!(a <= b)` is `b < a`. `None` for any other operator. A side is a
+/// term, or a term with what travels with it.
+fn normalise<T>(op: BinOp, a: T, b: T, polarity: bool) -> Option<(BinOp, T, T)> {
+    Some(match (op, polarity) {
+        (BinOp::Eq, true) | (BinOp::Ne, false) => (BinOp::Eq, a, b),
+        (BinOp::Eq, false) | (BinOp::Ne, true) => (BinOp::Ne, a, b),
+        (BinOp::Ult, true) => (BinOp::Ult, a, b),
+        (BinOp::Ult, false) => (BinOp::Ule, b, a),
+        (BinOp::Ule, true) => (BinOp::Ule, a, b),
+        (BinOp::Ule, false) => (BinOp::Ult, b, a),
+        _ => return None,
+    })
+}
+
+/// Candidates one component's sweep tries at most: every one of a
+/// component of up to 4 096, and the first 4 096 of a wider one.
+const SWEEP_BUDGET: usize = 4096;
+
+/// How a [`SweepKernel::sweep`] ends.
+#[derive(Debug, PartialEq, Eq)]
+enum Swept<'a> {
+    /// The first candidate satisfying every term, one value per domain.
+    Model(&'a [u64]),
+    /// Every candidate is refuted: the terms are unsatisfiable.
+    Refuted,
+    /// The budget ran out first.
+    OverBudget,
 }
 
 /// One step of a [`SweepKernel`]. A value step writes slot `dst` from
@@ -688,16 +962,24 @@ struct SweepKernel {
 
 impl SweepKernel {
     /// The first candidate satisfying every term of `terms`, as one value
-    /// per interval, or `None` once all are refuted. Candidates are
-    /// visited with the lowest slot varying fastest, each from its
-    /// interval's low end. `swept` maps every unbound member symbol of
-    /// `terms` to its slot; `env` holds the value of every bound one.
+    /// per domain, or `None` once all are refuted. Candidates are
+    /// visited with the lowest slot varying fastest, each over its
+    /// domain's values in ascending order — the interval's, less those
+    /// the known bits exclude. `intervals` are tightened (see
+    /// [`Interval::tightened`]). `swept` maps every unbound member symbol
+    /// of `terms` to its slot; `env` holds the value of every bound one.
     ///
     /// A slot whose uses read only its low `k` bits is swept over its
-    /// first `2^k` values alone: every step sees the slot only through
-    /// its value mod `2^k`, which those values all take, each no later
-    /// than the order would reach it elsewhere. The first model and every
-    /// refutation are those of the whole intervals.
+    /// first `2^j` values alone, `j` the free bits among those `k`: every
+    /// step sees the slot only through its low `k` bits, which the free
+    /// bits below `k` decide, and those values take each of their
+    /// settings, each no later than the order would reach it elsewhere.
+    /// The first model and every refutation are those of the whole
+    /// domains.
+    ///
+    /// At most [`SWEEP_BUDGET`] candidates are tried: a sweep that has
+    /// met neither a model nor its last candidate by then is
+    /// [`Swept::OverBudget`].
     fn sweep(
         &mut self,
         pool: &TermPool,
@@ -705,19 +987,20 @@ impl SweepKernel {
         swept: &[(SymId, usize)],
         intervals: &[Interval],
         env: &[u64],
-    ) -> Option<&[u64]> {
+    ) -> Swept<'_> {
         self.assignment.clear();
         self.assignment.extend(intervals.iter().map(|iv| iv.lo));
         self.compile(pool, terms, swept, env);
         self.narrow(intervals);
-        loop {
+        for _ in 0..SWEEP_BUDGET {
             if Self::holds(&self.ops, &mut self.vals, &self.assignment) {
-                return Some(&self.assignment);
+                return Swept::Model(&self.assignment);
             }
             if !next_candidate(&mut self.assignment, &self.window) {
-                return None;
+                return Swept::Refuted;
             }
         }
+        Swept::OverBudget
     }
 
     fn compile(
@@ -833,23 +1116,21 @@ impl SweepKernel {
         self.vals.len() as u32 - 1
     }
 
-    /// Sets `window` to the values of each interval the sweep visits: a
-    /// slot read only through `Mask` steps keeps the first `2^k` values,
-    /// `k` the width of the widest mask; any other read keeps its
+    /// Sets `window` to the values of each domain the sweep visits: a
+    /// slot read only through `Mask` steps keeps the first `2^j` values,
+    /// `j` the free bits within the widest mask; any other read keeps its
     /// symbol's whole width, and a slot nothing reads its low end alone.
     fn narrow(&mut self, intervals: &[Interval]) {
         let (ops, window) = (&self.ops, &mut self.window);
         window.clear();
-        window.extend(intervals.iter().map(|iv| Interval {
-            lo: iv.lo,
-            hi: iv.lo,
-        }));
+        window.extend(intervals.iter().map(|&iv| Interval { hi: iv.lo, ..iv }));
         // Slot `s` is a swept symbol's exactly when step `s` is its `Sym`.
         let mut read = |s: u32, bits: u32| {
             if let Some(&SweepOp::Sym { i, mask, .. }) = ops.get(s as usize) {
                 let (iv, bits) = (intervals[i as usize], bits.min(64 - mask.leading_zeros()));
-                let hi = match 1u64.checked_shl(bits) {
-                    Some(n) => iv.hi.min(iv.lo.saturating_add(n - 1)),
+                let low = u64::MAX.checked_shr(64 - bits).unwrap_or(0);
+                let hi = match 1u64.checked_shl((low & !iv.mask).count_ones()) {
+                    Some(n) => iv.nth(n - 1),
                     None => iv.hi,
                 };
                 let w = &mut window[i as usize];
@@ -907,7 +1188,7 @@ impl SweepKernel {
 fn next_candidate(assignment: &mut [u64], intervals: &[Interval]) -> bool {
     for (v, iv) in assignment.iter_mut().zip(intervals) {
         if *v < iv.hi {
-            *v += 1;
+            *v = iv.after(*v);
             return true;
         }
         *v = iv.lo;
@@ -922,6 +1203,13 @@ impl Solver {
     }
 
     /// Decide the conjunction of `constraints` (each a width-1 term).
+    ///
+    /// `Unsat` is definitive and a `Sat` witness is verified. `Unknown`
+    /// comes back only for a component — constraints linked by the free
+    /// symbols they share, once absorbed atoms are left out — whose first
+    /// model in sweep order lies past its first 4 096 candidates and
+    /// whose equations do not complete its symbols' least values to a
+    /// model. The catalog's contracts and chains have no such component.
     pub fn check(&self, pool: &TermPool, constraints: &[TermRef]) -> SolveResult {
         let mut prop = Propagator::new();
         for &c in constraints {
@@ -959,13 +1247,18 @@ impl Solver {
         scratch: &mut FinishScratch,
     ) -> SolveResult {
         // Fixpoint: re-assert residual atoms whose operands may have since
-        // become evaluable (e.g. chained equalities asserted out of order).
+        // become evaluable (e.g. chained equalities asserted out of order);
+        // one none of whose symbols was bound since goes back as it is.
         // The two residual lists trade buffers, so the loop allocates none.
         loop {
             std::mem::swap(&mut scratch.atoms, &mut prop.residual);
             let before = scratch.atoms.len();
-            for &(t, pol) in &scratch.atoms {
-                prop.assert_atom(pool, t, pol);
+            for &(t, pol, bound) in &scratch.atoms {
+                if prop.bound_syms(pool, t) == bound {
+                    prop.residual.push((t, pol, bound));
+                } else {
+                    prop.assert_atom(pool, t, pol);
+                }
             }
             scratch.atoms.clear();
             if prop.contradiction {
@@ -985,274 +1278,244 @@ impl Solver {
             env,
             swept,
             kernel,
+            w,
             ..
         } = scratch;
 
-        // Component-wise exhaustive checking. Constraints are grouped
-        // into connected components by shared *unbound* symbols; a
-        // component whose free symbols span a small domain is enumerated
-        // completely. An unsatisfiable component makes the whole
-        // conjunction definitively Unsat (an unsat core). This is what
-        // lets the explorer prune contradictions over *derived* packet
-        // fields — e.g. the chain pair "firewall saw (ihl & 0xF) ≤ 5" ∧
-        // "router saw (ihl & 0xF) > 5" — which interval propagation over
-        // bare symbols cannot see, even when other constraints in the set
-        // range over 32-bit fields.
-        {
-            // Free-symbol support of each constraint, sorted and without
-            // duplicates: constraint `ci`'s is
-            // `sup_syms[sup_bounds[ci]..sup_bounds[ci + 1]]`. (The
-            // per-term symbol support is cached in the pool; only the
-            // representative mapping is computed here.)
-            sup_syms.clear();
-            sup_bounds.clear();
-            sup_bounds.push(0);
-            for &c in constraints {
+        // The witness under construction: every bound representative,
+        // then each component's values, then class members.
+        w.values.clear();
+        for (r, v) in prop.bound.iter() {
+            w.set(r, v);
+        }
+        // Free-symbol support of each constraint, sorted and without
+        // duplicates: constraint `ci`'s is
+        // `sup_syms[sup_bounds[ci]..sup_bounds[ci + 1]]`. (The per-term
+        // symbol support is cached in the pool; only the representative
+        // mapping is computed here.) An atom propagation absorbed gets
+        // none: every value of the domains satisfies it, so it neither
+        // joins a component nor is checked before the final verification.
+        // Any other constraint whose symbols are all bound is decided by
+        // direct evaluation: the bindings are forced, so a false value
+        // here is a definitive contradiction.
+        sup_syms.clear();
+        sup_bounds.clear();
+        sup_bounds.push(0);
+        for &c in constraints {
+            if !prop.implied(pool, c, true) {
                 let start = sup_syms.len();
                 sup_syms.extend(pool.syms_of(c).iter().filter_map(|&s| {
                     let r = prop.find(s);
                     (!prop.bound.contains(r)).then_some(r)
                 }));
-                sup_syms[start..].sort_unstable();
-                dedup_from(sup_syms, start);
-                sup_bounds.push(sup_syms.len());
-            }
-            let support = |ci: usize| &sup_syms[sup_bounds[ci]..sup_bounds[ci + 1]];
-            // The witness under construction: every bound representative,
-            // then each solved component's values, then class members.
-            let mut partial = Witness::default();
-            for (r, v) in prop.bound.iter() {
-                partial.set(r, v);
-            }
-            // Constraints whose symbols are all bound are decided by
-            // direct evaluation: the bindings are forced, so a false
-            // value here is a definitive contradiction.
-            for (ci, &c) in constraints.iter().enumerate() {
-                if support(ci).is_empty() {
+                if sup_syms.len() == start {
                     for &s in pool.syms_of(c) {
-                        let r = prop.find(s);
-                        let v = partial.get(r);
-                        partial.set(s, v);
+                        let v = w.get(prop.find(s));
+                        w.set(s, v);
                     }
-                    if partial.eval(pool, c) != 1 {
+                    if w.eval(pool, c) != 1 {
                         return SolveResult::Unsat;
                     }
                 }
+                sup_syms[start..].sort_unstable();
+                dedup_from(sup_syms, start);
             }
-            // Union-find over constraint indices via shared symbols. The
-            // first `n_groups` lists are this query's; a merged-away
-            // group is left empty.
-            comp.clear();
-            let mut n_groups = 0;
-            for ci in 0..constraints.len() {
-                let sup = support(ci);
-                if sup.is_empty() {
-                    continue;
-                }
-                // Find an existing group among this constraint's symbols.
-                let gi = sup.iter().find_map(|&s| comp.get(s)).unwrap_or_else(|| {
-                    if n_groups == groups.len() {
-                        groups.push(Vec::new());
-                    }
-                    groups[n_groups].clear();
-                    n_groups += 1;
-                    n_groups - 1
-                });
-                groups[gi].push(ci);
-                for &s in sup {
-                    if let Some(old) = comp.get(s) {
-                        if old != gi {
-                            // Merge: move old group's constraints in.
-                            let mut moved = std::mem::take(&mut groups[old]);
-                            groups[gi].extend_from_slice(&moved);
-                            moved.clear();
-                            groups[old] = moved;
-                            for v in comp.values_mut() {
-                                if *v == old {
-                                    *v = gi;
-                                }
-                            }
-                        }
-                    }
-                    comp.insert(s, gi);
-                }
+            sup_bounds.push(sup_syms.len());
+        }
+        let support = |ci: usize| &sup_syms[sup_bounds[ci]..sup_bounds[ci + 1]];
+
+        // Component-wise sweeps. Constraints are grouped into connected
+        // components by shared *unbound* symbols; each component's
+        // candidates are tried in order up to the budget, which covers a
+        // small component completely. An unsatisfiable component makes
+        // the whole conjunction definitively Unsat (an unsat core). This
+        // is what lets the explorer prune contradictions over *derived*
+        // packet fields — e.g. the chain pair "firewall saw (ihl & 0xF)
+        // ≤ 5" ∧ "router saw (ihl & 0xF) > 5" — which interval
+        // propagation over bare symbols cannot see, even when other
+        // constraints in the set range over 32-bit fields.
+        //
+        // Union-find over constraint indices via shared symbols. The first
+        // `n_groups` lists are this query's; a merged-away group is left
+        // empty.
+        comp.clear();
+        let mut n_groups = 0;
+        for ci in 0..constraints.len() {
+            let sup = support(ci);
+            if sup.is_empty() {
+                continue;
             }
-            let mut all_components_solved = true;
-            for group in groups[..n_groups].iter().filter(|g| !g.is_empty()) {
-                syms.clear();
-                syms.extend(group.iter().flat_map(|&ci| support(ci).iter().copied()));
-                syms.sort_unstable();
-                syms.dedup();
-                intervals.clear();
-                intervals.extend(syms.iter().map(|&r| prop.iv(pool, r)));
-                // The symbol count is tested first: two full 64-bit
-                // intervals already multiply to 2^128, which no integer
-                // holds (a product that overflows is too large).
-                let enumerable = syms.len() <= 2
-                    && intervals
-                        .iter()
-                        .try_fold(1u128, |d, iv| d.checked_mul((iv.hi - iv.lo) as u128 + 1))
-                        .is_some_and(|d| d <= 4096);
-                if !enumerable {
-                    all_components_solved = false;
-                    continue;
+            // Find an existing group among this constraint's symbols.
+            let gi = sup.iter().find_map(|&s| comp.get(s)).unwrap_or_else(|| {
+                if n_groups == groups.len() {
+                    groups.push(Vec::new());
                 }
-                let group_terms = group.iter().map(|&ci| constraints[ci]);
-                // Everything a candidate does not change is settled here:
-                // each member symbol of the group's terms either follows
-                // enumerated slot `i` or keeps its representative's bound
-                // value in `env`, the sweep's environment indexed by
-                // `SymId` (entries an earlier component or query left
-                // behind belong to symbols this one's terms do not
-                // mention).
-                env.resize(pool.sym_count(), 0);
-                swept.clear();
-                for c in group_terms.clone() {
-                    for &s in pool.syms_of(c) {
-                        let r = prop.find(s);
-                        match prop.bound.get(r) {
-                            Some(v) => env[s as usize] = v,
-                            None => {
-                                let i = syms.binary_search(&r).expect("unbound, so enumerated");
-                                swept.push((s, i));
+                groups[n_groups].clear();
+                n_groups += 1;
+                n_groups - 1
+            });
+            groups[gi].push(ci);
+            for &s in sup {
+                if let Some(old) = comp.get(s) {
+                    if old != gi {
+                        // Merge: move old group's constraints in.
+                        let mut moved = std::mem::take(&mut groups[old]);
+                        groups[gi].extend_from_slice(&moved);
+                        moved.clear();
+                        groups[old] = moved;
+                        for v in comp.values_mut() {
+                            if *v == old {
+                                *v = gi;
                             }
                         }
                     }
                 }
-                swept.sort_unstable();
-                swept.dedup();
-                let Some(assignment) = kernel.sweep(pool, group_terms, swept, intervals, env)
-                else {
-                    return SolveResult::Unsat;
-                };
-                for (&r, &v) in syms.iter().zip(assignment) {
-                    partial.set(r, v);
+                comp.insert(s, gi);
+            }
+        }
+        let (mut completed, mut undecided) = (false, false);
+        for group in groups[..n_groups].iter().filter(|g| !g.is_empty()) {
+            syms.clear();
+            syms.extend(group.iter().flat_map(|&ci| support(ci).iter().copied()));
+            syms.sort_unstable();
+            syms.dedup();
+            intervals.clear();
+            for &r in syms.iter() {
+                match prop.iv(pool, r).tightened() {
+                    Some(iv) => intervals.push(iv),
+                    None => return SolveResult::Unsat,
                 }
             }
-            if all_components_solved {
-                // Every component got a witness over disjoint symbols:
-                // extend to members and verify.
-                let mut w = partial;
-                for &c in constraints {
-                    for &s in pool.syms_of(c) {
-                        let r = prop.find(s);
-                        let v = w.get(r);
-                        w.set(s, v);
+            let group_terms = group.iter().map(|&ci| constraints[ci]);
+            // Everything a candidate does not change is settled here: each
+            // member symbol of the group's terms either follows enumerated
+            // slot `i` or keeps its representative's bound value in `env`,
+            // the sweep's environment indexed by `SymId` (entries an
+            // earlier component or query left behind belong to symbols
+            // this one's terms do not mention).
+            env.resize(pool.sym_count(), 0);
+            swept.clear();
+            for c in group_terms.clone() {
+                for &s in pool.syms_of(c) {
+                    let r = prop.find(s);
+                    match prop.bound.get(r) {
+                        Some(v) => env[s as usize] = v,
+                        None => {
+                            let i = syms.binary_search(&r).expect("unbound, so enumerated");
+                            swept.push((s, i));
+                        }
                     }
                 }
-                if w.satisfies(pool, constraints) {
-                    return SolveResult::Sat(w);
+            }
+            swept.sort_unstable();
+            swept.dedup();
+            match kernel.sweep(pool, group_terms.clone(), swept, intervals, env) {
+                Swept::Model(assignment) => {
+                    for (&r, &v) in syms.iter().zip(assignment) {
+                        w.set(r, v);
+                    }
+                }
+                Swept::Refuted => return SolveResult::Unsat,
+                Swept::OverBudget => {
+                    completed = true;
+                    undecided |= !complete(pool, prop, group_terms, syms, intervals, w);
                 }
             }
         }
-
-        if let Some(s) = stats {
-            s.completion_searches += 1;
-        }
-
-        // Completion: every symbol the constraints mention gets a value.
-        // The support — not the whole pool registry — so the verdict and
-        // the witness depend only on the constraint list itself: symbols
-        // other runs or compositions registered in a shared pool cannot
-        // perturb the RNG stream or the produced model. Symbols outside
-        // the support evaluate to 0 under the witness either way.
-        let all_syms = &mut scratch.all_syms;
-        all_syms.clear();
-        all_syms.extend(
-            constraints
-                .iter()
-                .flat_map(|&c| pool.syms_of(c).iter().copied()),
-        );
-        all_syms.sort_unstable();
-        all_syms.dedup();
-        let mut seed = SEED;
+        // Extend to members. A representative no component swept — one
+        // that only absorbed atoms mention — takes its domain's least
+        // value, which is the first candidate a sweep would have tried.
         for &c in constraints {
-            seed = seed
-                .wrapping_mul(0x100000001b3)
-                .wrapping_add(c.index() as u64 + 1);
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-
-        // One witness buffer for every trial: each starts empty.
-        let mut w = Witness::default();
-        for trial in 0..MAX_TRIALS {
-            w.values.clear();
-            for &s in all_syms.iter() {
+            for &s in pool.syms_of(c) {
                 let r = prop.find(s);
-                if w.values.contains(r) {
-                    continue;
-                }
-                let v = if let Some(v) = prop.bound.get(r) {
-                    v
-                } else {
-                    let iv = prop.iv(pool, r);
-                    let v = match trial {
-                        0 => iv.lo,
-                        1 => iv.hi,
-                        2 => iv.lo + (iv.hi - iv.lo) / 2,
-                        _ => {
-                            if iv.hi == iv.lo {
-                                iv.lo
-                            } else {
-                                iv.lo + rng.gen_range(0..=(iv.hi - iv.lo))
-                            }
+                let v = match w.values.get(r) {
+                    Some(v) => v,
+                    None => match prop.iv(pool, r).tightened() {
+                        Some(iv) => {
+                            w.set(r, iv.lo);
+                            iv.lo
                         }
-                    };
-                    if prop.diseq.iter().any(|&(ds, dv)| ds == r && dv == v) {
-                        if v < iv.hi {
-                            v + 1
-                        } else {
-                            v.saturating_sub(1).max(iv.lo)
-                        }
-                    } else {
-                        v
-                    }
+                        None => return SolveResult::Unsat,
+                    },
                 };
-                w.set(r, v);
-            }
-            // Propagate representative values to all class members.
-            for &s in all_syms.iter() {
-                let r = prop.find(s);
-                let v = w.get(r);
                 w.set(s, v);
             }
-            // Equation-directed repair for residual equalities of the form
-            // `sym == expr` / `expr == sym`.
-            for _ in 0..4 {
-                let mut repaired = false;
-                for &(t, pol) in &prop.residual {
-                    if w.eval(pool, t) == pol as u64 {
-                        continue;
-                    }
-                    if let Term::Binop {
-                        op: BinOp::Eq,
-                        a,
-                        b,
-                    } = *pool.get(t)
-                    {
-                        if pol {
-                            if let Some(x) = Propagator::as_sym(pool, a) {
-                                let v = w.eval(pool, b);
-                                w.set(x, v);
-                                repaired = true;
-                            } else if let Some(y) = Propagator::as_sym(pool, b) {
-                                let v = w.eval(pool, a);
-                                w.set(y, v);
-                                repaired = true;
-                            }
-                        }
-                    }
-                }
-                if !repaired {
+        }
+        if completed {
+            if let Some(s) = stats {
+                s.completion_searches += 1;
+            }
+        }
+        if undecided {
+            return SolveResult::Unknown;
+        }
+        // Every constraint holds by construction; verifying them all is
+        // what makes a `Sat` sound whatever the steps above get wrong.
+        if w.satisfies(pool, constraints) {
+            SolveResult::Sat(std::mem::take(w))
+        } else {
+            SolveResult::Unknown
+        }
+    }
+}
+
+/// Rounds of equation repair in [`complete`].
+const REPAIR_ROUNDS: usize = 4;
+
+/// Completion, for a component its sweep could not decide within the
+/// budget: each representative of `syms` takes its domain's least value
+/// (`intervals` are tightened), then up to [`REPAIR_ROUNDS`] rounds of
+/// repair follow. An unsatisfied `x == e` (or `e == x`) whose `x` is in
+/// the class of one of `syms` gives that class `e`'s value, if it lies
+/// in the class's domain. Whether every term then holds. It draws
+/// nothing at random: it tries one assignment, the one a chain's link
+/// equations (`nf2.ttl == nf1.ttl - 1`) define from the low ends.
+fn complete(
+    pool: &TermPool,
+    prop: &Propagator,
+    terms: impl Iterator<Item = TermRef> + Clone,
+    syms: &[SymId],
+    intervals: &[Interval],
+    w: &mut Witness,
+) -> bool {
+    for (&r, iv) in syms.iter().zip(intervals) {
+        w.set(r, iv.lo);
+    }
+    let value = |w: &Witness, t: TermRef| pool.eval(t, &|s| w.get(prop.root(s)));
+    for _ in 0..REPAIR_ROUNDS {
+        let mut repaired = false;
+        for t in terms.clone() {
+            let Term::Binop {
+                op: BinOp::Eq,
+                a,
+                b,
+            } = *pool.get(t)
+            else {
+                continue;
+            };
+            if value(w, t) == 1 {
+                continue;
+            }
+            for (x, e) in [(a, b), (b, a)] {
+                let Some(r) = Propagator::as_sym(pool, x).map(|x| prop.root(x)) else {
+                    continue;
+                };
+                let Ok(i) = syms.binary_search(&r) else {
+                    continue;
+                };
+                let (v, iv) = (value(w, e), intervals[i]);
+                if (iv.lo..=iv.hi).contains(&v) && v & iv.mask == iv.value {
+                    w.set(r, v);
+                    repaired = true;
                     break;
                 }
             }
-            if w.satisfies(pool, constraints) {
-                return SolveResult::Sat(w);
-            }
         }
-        SolveResult::Unknown
+        if !repaired {
+            break;
+        }
     }
+    terms.clone().all(|t| value(w, t) == 1)
 }
 
 /// Drop adjacent duplicates from `v[start..]`, which is sorted.
@@ -1277,7 +1540,7 @@ fn dedup_from<T: PartialEq + Copy>(v: &mut Vec<T>, start: usize) {
 #[derive(Debug, Default)]
 struct FinishScratch {
     /// The fixpoint's second residual list.
-    atoms: Vec<(TermRef, bool)>,
+    atoms: Vec<(TermRef, bool, u32)>,
     /// Every constraint's free-symbol support, concatenated.
     sup_syms: Vec<SymId>,
     /// Where each constraint's support starts in `sup_syms`, and its end.
@@ -1293,8 +1556,8 @@ struct FinishScratch {
     env: Vec<u64>,
     swept: Vec<(SymId, usize)>,
     kernel: SweepKernel,
-    /// The completion search's symbols.
-    all_syms: Vec<SymId>,
+    /// The witness under construction; a `Sat` takes it away.
+    w: Witness,
 }
 
 /// Shared feasibility caches for one exploration / composition session:
@@ -1658,7 +1921,7 @@ impl SolverCtx {
         let mut w = None;
         if !prop.contradiction && prop.residual.is_empty() {
             // Fully absorbed: every support symbol has a consistent
-            // domain; the trial-0 assignment (bound value or interval
+            // domain; the low-end assignment (bound value or interval
             // low, nudged off recorded disequalities) is a model if one
             // exists. Verified before use, so this stays sound.
             let mut cand = Witness::default();
@@ -1806,8 +2069,8 @@ impl SolverCtx {
 
     /// Shared tail of the decision cascade for the *current* constraint
     /// list: memo lookup → model revival → saved-state contradiction →
-    /// full procedure from saved state (with completion, so a model comes
-    /// back for future witness reuse). Verdict is memoised under `key`.
+    /// full procedure from saved state (a model comes back for future
+    /// witness reuse). Verdict is memoised under `key`.
     fn decide_current(
         &mut self,
         pool: &TermPool,
@@ -1889,6 +2152,36 @@ mod tests {
 
     fn solver() -> Solver {
         Solver::default()
+    }
+
+    /// The tests' seeded generator: splitmix64 over the seed.
+    struct TestRng(u64);
+
+    impl TestRng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform over `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            match (hi - lo).checked_add(1) {
+                Some(n) => lo + self.next() % n,
+                None => self.next(),
+            }
+        }
+
+        /// Uniform over `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            self.range(0, n as u64 - 1) as usize
+        }
+
+        /// `true` with probability `p`.
+        fn coin(&mut self, p: f64) -> bool {
+            (self.next() >> 11) as f64 / ((1u64 << 53) as f64) < p
+        }
     }
 
     #[test]
@@ -2107,35 +2400,25 @@ mod tests {
         assert_eq!(solver().check(&p, &[nlt, le4]), SolveResult::Unsat);
     }
 
-    /// A satisfiable list far over the enumeration cap gets a sound
-    /// verdict from both entry points (and gets one at all: a sweep of
-    /// its component would not return).
-    fn assert_sound_verdict(p: &TermPool, cs: &[TermRef]) {
-        match solver().check(p, cs) {
-            SolveResult::Sat(w) => assert!(w.satisfies(p, cs), "witness must verify"),
-            SolveResult::Unknown => {}
-            SolveResult::Unsat => panic!("a satisfiable list came back Unsat"),
-        }
-        assert!(solver().is_feasible(p, cs));
-    }
-
     #[test]
-    fn two_wide_symbols_are_over_the_enumeration_cap() {
-        // Two unbound 64-bit symbols span 2^128 candidates: the product
-        // overflows `u128` (a panic in debug builds, a wrap to 0 — "small
-        // enough" — in release builds, which then sweep for ever). The
-        // nearest model is 2^40 candidates away, so no sweep gets lucky.
+    fn a_model_past_the_budget_is_unknown_and_feasible() {
+        // Two unbound 64-bit symbols span 2^128 candidates, and the first
+        // model is 2^40 of them away: the sweep stops at its budget, and
+        // completion has no equation to repair through.
         let mut p = TermPool::new();
         let x = p.fresh_sym("x", Width::W64);
         let y = p.fresh_sym("y", Width::W64);
         let xor = p.xor(x, y);
         let far = p.constant(1 << 40, Width::W64);
         let eq = p.eq(xor, far);
-        assert_sound_verdict(&p, &[eq]);
+        assert_eq!(solver().check(&p, &[eq]), SolveResult::Unknown);
+        assert!(solver().is_feasible(&p, &[eq]));
     }
 
     #[test]
-    fn three_wide_symbols_are_over_the_enumeration_cap() {
+    fn a_near_model_of_wide_symbols_is_the_sweeps_first() {
+        // Three 64-bit symbols: x varies fastest, so the first model is
+        // (5, 0, 0), the sixth candidate.
         let mut p = TermPool::new();
         let x = p.fresh_sym("x", Width::W64);
         let y = p.fresh_sym("y", Width::W64);
@@ -2144,7 +2427,159 @@ mod tests {
         let xyz = p.add(xy, z);
         let five = p.constant(5, Width::W64);
         let eq = p.eq(xyz, five);
-        assert_sound_verdict(&p, &[eq]);
+        let w = solver().check(&p, &[eq]);
+        let w = w.witness().expect("sat");
+        assert_eq!((w.get(0), w.get(1), w.get(2)), (5, 0, 0));
+    }
+
+    #[test]
+    fn completion_repairs_through_a_link_equation() {
+        // A chain's checksum link, `out + 0x100 == in` over 16 bits, with
+        // `out` at least 1: `out` varies fastest, so the sweep's first
+        // model (0xff00, 0) lies past its budget. Completion starts both
+        // at their least values and repairs `in`.
+        let mut p = TermPool::new();
+        let out = p.fresh_sym("nf1.pkt@24:2", Width::W16);
+        let inp = p.fresh_sym("nf2.pkt@24:2", Width::W16);
+        let (one, k) = (p.constant(1, Width::W16), p.constant(0x100, Width::W16));
+        let sum = p.add(out, k);
+        let cs = [p.ule(one, out), p.eq(sum, inp)];
+        let w = assert_decided(&p, &cs);
+        assert_eq!((w.get(0), w.get(1)), (1, 0x101));
+        let s = solver();
+        let (mut ctx, mut cache) = (SolverCtx::new(&s), SolverCache::new());
+        for &c in &cs {
+            ctx.assert_term(&p, c);
+        }
+        assert!(ctx.current_feasible(&p, &mut cache));
+        assert_eq!(cache.stats.completion_searches, 1);
+    }
+
+    /// `cs` gets a verified `Sat` from batch `check` and from a context
+    /// that asserts it and decides it through a session; both models are
+    /// the batch one.
+    fn assert_decided(p: &TermPool, cs: &[TermRef]) -> Witness {
+        let w = match solver().check(p, cs) {
+            SolveResult::Sat(w) => w,
+            r => panic!("expected sat, got {r:?}"),
+        };
+        assert!(w.satisfies(p, cs), "the batch witness must verify");
+        let s = solver();
+        let mut ctx = SolverCtx::new(&s);
+        for &c in cs {
+            ctx.assert_term(p, c);
+        }
+        assert_eq!(ctx.check(p), SolveResult::Sat(w.clone()));
+        let mut cache = SolverCache::new();
+        assert!(ctx.current_feasible(p, &mut cache));
+        let m = ctx.model().expect("a decided list keeps its model");
+        assert!(m.satisfies(p, cs), "the context's model must verify");
+        w
+    }
+
+    /// The NAT's path 0: an expiry count one value wider than a sweep
+    /// takes, and a protocol of TCP or UDP. Symbols: expired 0, ether
+    /// type 1, protocol 2, in-port 3.
+    fn nat_path_0(p: &mut TermPool) -> Vec<TermRef> {
+        let expired = p.fresh_sym("nat.expired", Width::W32);
+        let ether = p.fresh_sym("pkt@12:2", Width::W16);
+        let proto = p.fresh_sym("pkt@23:1", Width::W8);
+        let port = p.fresh_sym("pkt.in_port", Width::W16);
+        let cap = p.constant(0x1000, Width::W32);
+        let ipv4 = p.constant(0x800, Width::W16);
+        let (tcp, udp) = (p.constant(6, Width::W8), p.constant(17, Width::W8));
+        let zero = p.constant(0, Width::W16);
+        let (is_tcp, is_udp) = (p.eq(proto, tcp), p.eq(proto, udp));
+        let internal = p.eq(port, zero);
+        vec![
+            p.ule(expired, cap),
+            p.eq(ether, ipv4),
+            p.or(is_tcp, is_udp),
+            p.not(internal),
+        ]
+    }
+
+    #[test]
+    fn an_absorbed_bound_leaves_the_sweep_nat_path_0() {
+        let mut p = TermPool::new();
+        let cs = nat_path_0(&mut p);
+        let w = assert_decided(&p, &cs);
+        // Each from its domain's low end: expired and the protocol sweep
+        // to their first models, the port off its excluded zero.
+        assert_eq!((w.get(0), w.get(1), w.get(2), w.get(3)), (0, 0x800, 6, 1));
+    }
+
+    #[test]
+    fn a_wide_disequality_is_absorbed_nat_path_4() {
+        let mut p = TermPool::new();
+        let mut cs = nat_path_0(&mut p);
+        let packed = p.fresh_sym("nat.ext.packed", Width::W32);
+        let zero = p.constant(0, Width::W32);
+        cs.push(p.ne(packed, zero));
+        let w = assert_decided(&p, &cs);
+        assert_eq!(w.get(4), 1, "packed takes its domain's low end");
+    }
+
+    #[test]
+    fn known_bits_decide_a_prefix_match() {
+        // The /24 of `tests/calibrate_once.rs`, alone, beside a second
+        // atom that keeps the address in a component, and against a
+        // bound its prefix cannot meet.
+        let mut p = TermPool::new();
+        let addr = p.fresh_sym("pkt@30:4", Width::W32);
+        let mask = p.constant(0xffff_ff00, Width::W32);
+        let net = p.constant(0x100, Width::W32);
+        let masked = p.and(addr, mask);
+        let prefix = p.eq(masked, net);
+        let w = assert_decided(&p, &[prefix]);
+        assert_eq!(w.get(0), 0x100);
+        let host = p.constant(0x1_0005, Width::W32);
+        let sum = p.add(addr, host);
+        let c = p.constant(0x1_010a, Width::W32);
+        let shifted = p.eq(sum, c);
+        let w = assert_decided(&p, &[prefix, shifted]);
+        assert_eq!(
+            w.get(0),
+            0x105,
+            "the first of the prefix's 256 hosts that fits"
+        );
+        let low = p.constant(0xff, Width::W32);
+        let below = p.ule(addr, low);
+        assert_eq!(solver().check(&p, &[prefix, below]), SolveResult::Unsat);
+        let other = p.constant(0x200, Width::W32);
+        let clash = p.eq(masked, other);
+        assert_eq!(
+            solver().check(&p, &[prefix, clash, shifted]),
+            SolveResult::Unsat
+        );
+    }
+
+    #[test]
+    fn known_bit_domains_match_their_values() {
+        // Every helper against the domain's values listed one by one,
+        // over random byte intervals and masks.
+        let mut rng = TestRng(41);
+        for _ in 0..2000 {
+            let (a, b) = (rng.range(0, 255), rng.range(0, 255));
+            let mask = rng.next() & rng.next() & 0xff;
+            let iv = Interval {
+                lo: a.min(b),
+                hi: a.max(b),
+                mask,
+                value: rng.next() & mask,
+            };
+            let values: Vec<u64> = (iv.lo..=iv.hi).filter(|v| v & mask == iv.value).collect();
+            let Some(t) = iv.tightened() else {
+                assert!(values.is_empty(), "{iv:?} has values");
+                continue;
+            };
+            assert_eq!((t.lo, t.hi), (values[0], values[values.len() - 1]));
+            for (n, pair) in values.windows(2).enumerate() {
+                assert_eq!(t.after(pair[0]), pair[1]);
+                assert_eq!(t.nth(n as u64 + 1), pair[1]);
+            }
+            assert_eq!(t.nth(values.len() as u64), t.hi);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2154,7 +2589,8 @@ mod tests {
     /// The sweep as it was before the kernel, the reference it is
     /// compared with: every candidate evaluates every constraint as a
     /// tree through `TermPool::eval`, and carries with the loop the
-    /// kernel's `next_candidate` replaced.
+    /// kernel's `next_candidate` replaced, over whole intervals; a
+    /// candidate that breaks a known bit is passed over.
     fn sweep_by_tree(
         pool: &TermPool,
         terms: &[TermRef],
@@ -2167,9 +2603,14 @@ mod tests {
             for &(s, i) in swept {
                 env[s as usize] = assignment[i];
             }
-            if terms
+            let admitted = assignment
                 .iter()
-                .all(|&c| pool.eval(c, &|id| env[id as usize]) == 1)
+                .zip(intervals)
+                .all(|(&v, iv)| v & iv.mask == iv.value);
+            if admitted
+                && terms
+                    .iter()
+                    .all(|&c| pool.eval(c, &|id| env[id as usize]) == 1)
             {
                 return Some(assignment);
             }
@@ -2307,11 +2748,11 @@ mod tests {
             BinOp::Ult,
             BinOp::Ule,
         ];
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = TestRng(seed);
         let mut p = TermPool::new();
-        let two_swept = rng.gen_bool(0.5);
-        let wide = rng.gen_bool(0.5);
-        let masked = rng.gen_bool(0.5);
+        let two_swept = rng.coin(0.5);
+        let wide = rng.coin(0.5);
+        let masked = rng.coin(0.5);
         let x = p.fresh_sym("x", Width::W8);
         let x2 = p.fresh_sym("x2", Width::W8);
         let y = p.fresh_sym("y", if wide { Width::W16 } else { Width::W8 });
@@ -2319,7 +2760,7 @@ mod tests {
         let b16 = p.fresh_sym("b16", Width::W16);
         let mut cs = Vec::new();
         // Bind the bound ones, join the class, keep the domain ≤ 4096.
-        let (v8, v16) = (rng.gen_range(0..=255u64), rng.gen_range(0..=0xffffu64));
+        let (v8, v16) = (rng.range(0, 255), rng.range(0, 0xffff));
         let env = vec![0, 0, 0, v8, v16];
         let (v8, v16) = (p.constant(v8, Width::W8), p.constant(v16, Width::W16));
         cs.push(p.eq(b8, v8));
@@ -2333,14 +2774,11 @@ mod tests {
         let y_width = p.width(y);
         let mut interval = |span: u64, w: Width| {
             let lo = if masked {
-                rng.gen_range(0..=w.mask() + 1 - span)
+                rng.range(0, w.mask() + 1 - span)
             } else {
                 0
             };
-            Interval {
-                lo,
-                hi: lo + span - 1,
-            }
+            Interval::range(lo, lo + span - 1)
         };
         let (x_iv, y_iv) = (interval(x_span, Width::W8), interval(y_span, y_width));
         let sweep = if two_swept {
@@ -2355,7 +2793,7 @@ mod tests {
             // makes the pair's equality a node.
             let mut low = |p: &mut TermPool, s: TermRef| {
                 let w = p.width(s);
-                let c = rng.gen_range(0..=w.mask()) >> rng.gen_range(0..w.bits());
+                let c = rng.range(0, w.mask()) >> rng.range(0, w.bits() as u64 - 1);
                 let c = p.constant(c, w);
                 p.and(s, c)
             };
@@ -2377,7 +2815,7 @@ mod tests {
             nodes[2].push(p.zext(lx, Width::W16));
             // Now and then x escapes the masks through an `Ite` arm or a
             // `Not`, which read it whole.
-            match rng.gen_range(0..4u32) {
+            match rng.range(0, 3) {
                 0 => nodes[1].push(p.ite(pair, x, lx)),
                 1 => nodes[1].push(p.not(x)),
                 _ => {}
@@ -2393,18 +2831,18 @@ mod tests {
         let fixed = p.add(b8, v8);
         nodes[1].push(fixed);
         for _ in 0..4 {
-            let k8 = p.constant(rng.gen_range(0..=255u64), Width::W8);
-            let k16 = p.constant(rng.gen_range(0..=0xffffu64), Width::W16);
+            let k8 = p.constant(rng.range(0, 255), Width::W8);
+            let k16 = p.constant(rng.range(0, 0xffff), Width::W16);
             nodes[1].push(k8);
             nodes[2].push(k16);
         }
-        let pick = |rng: &mut SmallRng, of: &[TermRef]| of[rng.gen_range(0..of.len())];
-        for _ in 0..rng.gen_range(12..=40usize) {
-            let wi = rng.gen_range(1..=2usize);
+        let pick = |rng: &mut TestRng, of: &[TermRef]| of[rng.below(of.len())];
+        for _ in 0..rng.range(12, 40) {
+            let wi = rng.range(1, 2) as usize;
             let (a, b) = (pick(&mut rng, &nodes[wi]), pick(&mut rng, &nodes[wi]));
-            match rng.gen_range(0..=5u32) {
+            match rng.range(0, 5) {
                 0..=2 => {
-                    let op = OPS[rng.gen_range(0..OPS.len())];
+                    let op = OPS[rng.below(OPS.len())];
                     let t = p.binop(op, a, b);
                     nodes[if op.is_comparison() { 0 } else { wi }].push(t);
                 }
@@ -2414,7 +2852,7 @@ mod tests {
                 }
                 4 if !nodes[0].is_empty() => {
                     let c = pick(&mut rng, &nodes[0]);
-                    let c = if rng.gen_bool(0.3) { p.not(c) } else { c };
+                    let c = if rng.coin(0.3) { p.not(c) } else { c };
                     let t = p.ite(c, a, b);
                     nodes[wi].push(t);
                 }
@@ -2437,12 +2875,9 @@ mod tests {
         // Half the lists pin a byte node to its value at a random
         // candidate, so a model exists, often past the first candidate.
         let bytes = over_swept(&p, &nodes[1]);
-        if rng.gen_bool(0.5) && !bytes.is_empty() {
+        if rng.coin(0.5) && !bytes.is_empty() {
             let (swept, intervals, env) = &sweep;
-            let point: Vec<u64> = intervals
-                .iter()
-                .map(|iv| rng.gen_range(iv.lo..=iv.hi))
-                .collect();
+            let point: Vec<u64> = intervals.iter().map(|iv| rng.range(iv.lo, iv.hi)).collect();
             let mut at = env.clone();
             for &(s, i) in swept {
                 at[s as usize] = point[i];
@@ -2455,9 +2890,9 @@ mod tests {
         // Boolean nodes over a swept symbol become constraints, some
         // through a connective propagation does not flatten.
         let over_swept = over_swept(&p, &nodes[0]);
-        for _ in 0..rng.gen_range(1..=4usize).min(over_swept.len()) {
+        for _ in 0..(rng.range(1, 4) as usize).min(over_swept.len()) {
             let c = pick(&mut rng, &over_swept);
-            let c = match rng.gen_range(0..=3u32) {
+            let c = match rng.range(0, 3) {
                 0 => p.not(c),
                 1 => {
                     let d = pick(&mut rng, &over_swept);
@@ -2480,11 +2915,32 @@ mod tests {
         // components.
         let mut kernel = SweepKernel::default();
         let (mut sat, mut unsat, mut past_first, mut narrowed) = (0, 0, 0, 0);
+        let mut with_bits = 0;
         for seed in 0..400 {
-            let (p, cs, (swept, intervals, mut env)) = random_component(seed);
-            let by_kernel = kernel
-                .sweep(&p, cs.iter().copied(), &swept, &intervals, &env)
-                .map(<[u64]>::to_vec);
+            let (p, cs, (swept, mut intervals, mut env)) = random_component(seed);
+            // A third of the sweeps draw each slot from known bits too: a
+            // sparse random mask over the width, anywhere in it.
+            let mut rng = TestRng(!seed);
+            if rng.coin(0.33) {
+                let known = intervals.iter().map(|&iv| {
+                    let mask = rng.next() & rng.next() & (iv.hi | (iv.hi.next_power_of_two() - 1));
+                    Interval {
+                        mask,
+                        value: rng.next() & mask,
+                        ..iv
+                    }
+                    .tightened()
+                });
+                if let Some(known) = known.collect::<Option<Vec<_>>>() {
+                    intervals = known;
+                    with_bits += 1;
+                }
+            }
+            let by_kernel = match kernel.sweep(&p, cs.iter().copied(), &swept, &intervals, &env) {
+                Swept::Model(model) => Some(model.to_vec()),
+                Swept::Refuted => None,
+                Swept::OverBudget => panic!("seed {seed}: a component within the budget"),
+            };
             let by_tree = sweep_by_tree(&p, &cs, &swept, &intervals, &mut env);
             assert_eq!(by_kernel, by_tree, "seed {seed}: the kernel moved a model");
             let window = kernel.window.iter().zip(&intervals);
@@ -2501,9 +2957,13 @@ mod tests {
         // candidate, at a later one, and exhausted; and many sweeps visit
         // part of their intervals only.
         assert!(
-            sat > past_first && past_first >= 40 && unsat >= 40 && narrowed >= 80,
+            sat > past_first
+                && past_first >= 40
+                && unsat >= 40
+                && narrowed >= 80
+                && with_bits >= 80,
             "{sat} sat, {past_first} of them past the first candidate, {unsat} unsat, \
-             {narrowed} narrowed"
+             {narrowed} narrowed, {with_bits} with known bits"
         );
     }
 
@@ -2534,8 +2994,8 @@ mod tests {
         let mut kernel = SweepKernel::default();
         for (bare, hi) in [(false, 15), (true, 255)] {
             let (p, cs) = ihl(bare);
-            let full = [Interval { lo: 0, hi: 255 }];
-            assert_eq!(kernel.sweep(&p, cs, &[(0, 0)], &full, &[0]), None);
+            let full = [Interval::range(0, 255)];
+            assert_eq!(kernel.sweep(&p, cs, &[(0, 0)], &full, &[0]), Swept::Refuted);
             assert_eq!((kernel.window[0].lo, kernel.window[0].hi), (0, hi));
         }
     }
@@ -2598,13 +3058,13 @@ mod tests {
         let s = solver();
         let mut cache = SolverCache::new();
         let mut ctx = SolverCtx::new(&s);
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = TestRng(7);
         let mut on_b = false;
         let (mut pushes, mut pops, mut switches) = (0, 0, 0);
         for _ in 0..400 {
             let pool = if on_b { &pb } else { &pa };
-            let atom = atoms[rng.gen_range(0..atoms.len())];
-            match rng.gen_range(0..5u32) {
+            let atom = atoms[rng.below(atoms.len())];
+            match rng.range(0, 4) {
                 0 => ctx.assert_term(pool, atom),
                 1 if ctx.depth() < 4 => {
                     ctx.push();
@@ -2825,21 +3285,6 @@ mod tests {
         assert_eq!(
             cache.stats.solver_queries, queries_before,
             "hot model must answer from the cache"
-        );
-    }
-
-    #[test]
-    fn feasibility_skips_completion() {
-        let mut p = TermPool::new();
-        let a = p.fresh_sym("a", Width::W8);
-        let b = p.fresh_sym("b", Width::W8);
-        let sum = p.add(a, b);
-        let c10 = p.constant(10, Width::W8);
-        let eq = p.eq(sum, c10);
-        // Batch feasibility agrees with batch check classification.
-        assert_eq!(
-            solver().is_feasible(&p, &[eq]),
-            solver().check(&p, &[eq]).possibly_sat()
         );
     }
 }

@@ -23,8 +23,11 @@ use bolt::see::StackLevel;
 /// while pair composition recorded every candidate pair in one pass and
 /// built the feasible ones' paths in a second; 14 720 while each
 /// exploration run re-asserted its constraints in a second context to
-/// probe its flips.
-const CEILING: usize = 13_008;
+/// probe its flips; 13 008 while the solver's decision tail kept link
+/// equalities its union-find had absorbed, sent the components they
+/// widened to a randomized completion search, and grew a witness for
+/// decisions that came out unsatisfiable.
+const CEILING: usize = 12_742;
 
 fn chains() -> [Pipeline<'static>; 3] {
     [
