@@ -74,8 +74,9 @@
 //!   candidate with a straight-line kernel compiled once per component,
 //!   which checks a candidate's constraints in list order but computes
 //!   both arms of every `Ite` on the way. That is valid only while every
-//!   operator is total — a partial operator added to `BinOp` (a division, say) must make the
-//!   kernel evaluate `Ite` arms lazily, as [`TermPool::eval`] does.
+//!   operator is total — a partial operator added to `BinOp` (a
+//!   division, say) must make the kernel evaluate `Ite` arms lazily, as
+//!   [`TermPool::eval`] does.
 //! * **Dense containers are indexed by pool-local [`SymId`]s.** Every
 //!   per-symbol map here (`SymMap`: witness values, union-find parents,
 //!   bindings, domains, known symbols) is a vector indexed by the id,
@@ -268,9 +269,10 @@ pub struct SolverStats {
     /// component enumeration). Each costs roughly one pre-incremental
     /// `check()`.
     pub solver_queries: u64,
-    /// Decisions left `Unknown` because a component was too wide to
-    /// sweep. (A randomized completion search once ran there; the name
-    /// stays because stored exploration records carry the count.)
+    /// Decisions in which a component's sweep ran out of candidates, so
+    /// completion ran; it either finds that component a model or leaves
+    /// the decision `Unknown`. (The name is from the randomized search
+    /// that once ran there; stored exploration records carry it.)
     pub completion_searches: u64,
     /// Requests answered by a contradiction found while asserting a
     /// single atom against saved propagation state.
@@ -306,8 +308,8 @@ impl SolverStats {
 /// width) and known bits, the bits `mask` selects, which equal those of
 /// `value`. A value is in the domain when it lies in the interval and
 /// agrees with the known bits. Propagation narrows the interval and
-/// learns the bits, but tests a value against the bits only in the
-/// decision tail, which draws nothing else.
+/// learns the bits, but never tests a value against the bits: the
+/// decision tail does, and draws only values that agree with them.
 #[derive(Clone, Copy, Debug)]
 struct Interval {
     lo: u64,
@@ -800,12 +802,12 @@ impl Propagator {
 
     /// Whether the state already implies atom `t` at `polarity`: every
     /// value of the domains satisfies it, so the decision tail has
-    /// nothing to try for it. That holds for an equality inside one
-    /// union-find class, and for a comparison of one symbol against a
-    /// value the bindings fix (normalised as
-    /// [`Propagator::assert_comparison`] does) that the symbol's interval
-    /// decides — or, for `(x & m) == c` and `(x & m) != c`, its known
-    /// bits.
+    /// nothing to try for it. That holds for a boolean symbol bound to
+    /// the polarity, an equality inside one union-find class, and a
+    /// comparison of one symbol against a value the bindings fix
+    /// (normalised as [`Propagator::assert_comparison`] does) that the
+    /// symbol's interval decides — or, for `(x & m) == c` and
+    /// `(x & m) != c`, its known bits.
     fn implied(&mut self, pool: &TermPool, t: TermRef, polarity: bool) -> bool {
         let (op, a, b) = match *pool.get(t) {
             Term::Unop { op: UnOp::Not, a } => return self.implied(pool, a, !polarity),
@@ -962,7 +964,7 @@ struct SweepKernel {
 
 impl SweepKernel {
     /// The first candidate satisfying every term of `terms`, as one value
-    /// per domain, or `None` once all are refuted. Candidates are
+    /// per domain, or [`Swept::Refuted`] once all are. Candidates are
     /// visited with the lowest slot varying fastest, each over its
     /// domain's values in ascending order — the interval's, less those
     /// the known bits exclude. `intervals` are tightened (see
