@@ -571,9 +571,7 @@ impl TermPool {
 
     /// Evaluate a term under a symbol assignment. Symbols missing from the
     /// assignment evaluate to 0 (useful when a model symbol is don't-care).
-    /// Generic over the assignment, so each caller's lookup is compiled
-    /// into the walk rather than called through a pointer per symbol.
-    pub fn eval<F: Fn(SymId) -> u64 + ?Sized>(&self, r: TermRef, env: &F) -> u64 {
+    pub fn eval(&self, r: TermRef, env: &dyn Fn(SymId) -> u64) -> u64 {
         match *self.get(r) {
             Term::Const { value, .. } => value,
             Term::Sym { id, width } => env(id) & width.mask(),

@@ -10,21 +10,21 @@
 //!
 //! 1. **Propagation** — top-level conjunctions are flattened; equalities
 //!    bind symbols through a union-find; comparisons against constants
-//!    narrow per-symbol intervals, and `(x & m) == c` teaches `x` known
-//!    bits; contradictions found here are definitive
-//!    [`SolveResult::Unsat`].
-//! 2. **Absorption** — an atom every value of the domains satisfies (an
-//!    equality inside one union-find class, a one-symbol comparison its
-//!    interval or known bits decide) is left out of everything below
-//!    but the final verification.
+//!    narrow per-symbol intervals, a prefix match `(x & m) == c` (`m` a
+//!    run of high bits) among them; contradictions found here are
+//!    definitive [`SolveResult::Unsat`].
+//! 2. **Absorption** — an atom every value of the intervals satisfies
+//!    (an equality inside one union-find class, a one-symbol comparison
+//!    or prefix match its interval decides) is left out of everything
+//!    below but the final verification.
 //! 3. **Component sweep** — the other constraints fall into components
 //!    that share free symbols. Each component's candidates are tried in
 //!    a fixed order, up to 4 096 of them: the first model found is the
 //!    component's, and a component refuted to its last candidate is a
 //!    definitive `Unsat`. A symbol only absorbed atoms mention takes its
-//!    domain's least value.
+//!    interval's low end.
 //! 4. **Completion** — a component whose sweep ran out of candidates
-//!    tries one more assignment: its symbols' least values, repaired
+//!    tries one more assignment: its symbols' low ends, repaired
 //!    through its equations `x == e`.
 //! 5. **Verification** — the assembled witness is checked against every
 //!    constraint by concrete evaluation, so [`SolveResult::Sat`] is always
@@ -63,7 +63,7 @@
 //!
 //! * **Which witness is found is behaviour.** Each component's model is
 //!   its sweep's first candidate: the lowest-numbered representative
-//!   varies fastest, each over its domain's values from the low end, so
+//!   varies fastest, each over its interval from the low end, so
 //!   a query always returns the same model, and leaving an absorbed atom
 //!   out of a component (or splitting one in two) moves no model.
 //!   [`SolverCache`] reuses those models to answer later probes, so a
@@ -79,7 +79,7 @@
 //!   [`TermPool::eval`] does.
 //! * **Dense containers are indexed by pool-local [`SymId`]s.** Every
 //!   per-symbol map here (`SymMap`: witness values, union-find parents,
-//!   bindings, domains, known symbols) is a vector indexed by the id,
+//!   bindings, intervals, known symbols) is a vector indexed by the id,
 //!   sized by the largest id it has seen. That is sound because ids are
 //!   indices into one pool's symbol registry, below
 //!   `TermPool::sym_count()` — the pool decoder rejects records that
@@ -304,31 +304,18 @@ impl SolverStats {
     }
 }
 
-/// Per-symbol domain: an interval (inclusive bounds within the symbol
-/// width) and known bits, the bits `mask` selects, which equal those of
-/// `value`. A value is in the domain when it lies in the interval and
-/// agrees with the known bits. Propagation narrows the interval and
-/// learns the bits, but never tests a value against the bits: the
-/// decision tail does, and draws only values that agree with them.
+/// Per-symbol interval domain (inclusive bounds within the symbol width).
 #[derive(Clone, Copy, Debug)]
 struct Interval {
     lo: u64,
     hi: u64,
-    mask: u64,
-    value: u64,
 }
 
 impl Interval {
     fn full(w: Width) -> Self {
-        Interval::range(0, w.mask())
-    }
-    /// `lo..=hi`, no bit known.
-    fn range(lo: u64, hi: u64) -> Self {
         Interval {
-            lo,
-            hi,
-            mask: 0,
-            value: 0,
+            lo: 0,
+            hi: w.mask(),
         }
     }
     fn is_empty(self) -> bool {
@@ -337,100 +324,6 @@ impl Interval {
     fn singleton(self) -> Option<u64> {
         (self.lo == self.hi).then_some(self.lo)
     }
-
-    /// The domain with both bounds moved onto its least and greatest
-    /// values, or `None` when it holds no value.
-    fn tightened(self) -> Option<Interval> {
-        if self.mask == 0 {
-            return (!self.is_empty()).then_some(self);
-        }
-        let lo = next_with_bits(self.lo, self.mask, self.value).filter(|&lo| lo <= self.hi)?;
-        // Complementing every bit reverses the order, so the greatest
-        // value at most `hi` is the complement of the least complement
-        // at least `!hi`; `lo` is one, so it exists.
-        let hi = !next_with_bits(!self.hi, self.mask, !self.value & self.mask)?;
-        Some(Interval { lo, hi, ..self })
-    }
-
-    /// The domain's next value after `v`, which lies below `hi`; both
-    /// bounds are domain values (see [`Interval::tightened`]).
-    fn after(self, v: u64) -> u64 {
-        if self.mask == 0 {
-            v + 1
-        } else {
-            next_with_bits(v + 1, self.mask, self.value).expect("hi is a later value")
-        }
-    }
-
-    /// The tightened domain's `n`-th value after `lo`, or `hi` when it
-    /// holds fewer. The domain's values are those its free bits take, in
-    /// order, so a value's rank is its free bits packed together.
-    fn nth(self, n: u64) -> u64 {
-        let free = !self.mask;
-        match extract(self.lo, free).checked_add(n) {
-            Some(r) if r <= extract(self.hi, free) => deposit(r, free) | self.value,
-            _ => self.hi,
-        }
-    }
-}
-
-/// The least `u >= v` whose bits under `mask` equal those of `value`, if
-/// one fits in 64 bits. `value` has no bit outside `mask`.
-fn next_with_bits(v: u64, mask: u64, value: u64) -> Option<u64> {
-    let wrong = (v ^ value) & mask;
-    if wrong == 0 {
-        return Some(v);
-    }
-    // The highest wrong bit decides: raise it if `v` has it clear, else
-    // carry into the lowest clear free bit above it. Either way every
-    // bit below the raised one restarts at its least: known bits their
-    // value, free bits zero.
-    let i = 63 - wrong.leading_zeros();
-    let raise = if value >> i & 1 == 1 {
-        i
-    } else {
-        let above = !mask & !v & (u64::MAX << i << 1);
-        if above == 0 {
-            return None;
-        }
-        above.trailing_zeros()
-    };
-    let below = (1u64 << raise) - 1;
-    Some((v | 1 << raise) & !below | value & below)
-}
-
-/// The bits of `v` at the positions `free` selects, packed into the low
-/// bits in order.
-fn extract(v: u64, free: u64) -> u64 {
-    if free == u64::MAX {
-        return v;
-    }
-    let (mut out, mut k, mut f) = (0, 0, free);
-    while f != 0 {
-        let bit = f & f.wrapping_neg();
-        out |= ((v & bit != 0) as u64) << k;
-        k += 1;
-        f ^= bit;
-    }
-    out
-}
-
-/// The inverse of [`extract`]: the low bits of `n`, spread in order to
-/// the positions `free` selects.
-fn deposit(n: u64, free: u64) -> u64 {
-    if free == u64::MAX {
-        return n;
-    }
-    let (mut out, mut k, mut f) = (0, 0, free);
-    while f != 0 {
-        let bit = f & f.wrapping_neg();
-        if n >> k & 1 == 1 {
-            out |= bit;
-        }
-        k += 1;
-        f ^= bit;
-    }
-    out
 }
 
 /// The solver. Stateless between queries and deterministic: it holds no
@@ -451,12 +344,10 @@ struct Propagator {
     parent: SymMap<SymId>,
     /// Constant binding of each representative.
     bound: SymMap<u64>,
-    /// Domain (interval and known bits) of each representative.
+    /// Interval of each representative.
     interval: SymMap<Interval>,
-    /// Atoms propagation could not absorb, with their polarity and how
-    /// many of their symbols had a bound representative then: until that
-    /// count grows, asserting the atom again would only push it back.
-    residual: Vec<(TermRef, bool, u32)>,
+    /// Atoms propagation could not absorb, with their polarity.
+    residual: Vec<(TermRef, bool)>,
     /// Disequalities `repr != value`, which a one-atom witness steps its
     /// low end off (see `SolverCtx::atom_witness`).
     diseq: Vec<(SymId, u64)>,
@@ -517,23 +408,7 @@ impl Propagator {
         }
         if let Some(i) = self.interval.remove(rb) {
             self.narrow(pool, ra, i.lo, i.hi);
-            self.learn_bits(pool, ra, i.mask, i.value);
         }
-    }
-
-    /// Record that `s`'s bits under `mask` equal those of `value`, unless
-    /// that contradicts a bit already known: then the known bits stay as
-    /// they are, and the atom that asked stays with the decision tail,
-    /// which refutes it there.
-    fn learn_bits(&mut self, pool: &TermPool, s: SymId, mask: u64, value: u64) {
-        let r = self.find(s);
-        let mut iv = self.iv(pool, r);
-        if value & !mask != 0 || (iv.value ^ value) & iv.mask & mask != 0 {
-            return;
-        }
-        iv.mask |= mask;
-        iv.value |= value;
-        self.interval.insert(r, iv);
     }
 
     fn iv(&self, pool: &TermPool, s: SymId) -> Interval {
@@ -640,7 +515,7 @@ impl Propagator {
                 }
                 _ => {
                     if !self.assert_comparison(pool, op, (a, va), (b, vb), polarity) {
-                        self.push_residual(pool, t, polarity);
+                        self.residual.push((t, polarity));
                     }
                 }
             }
@@ -660,27 +535,8 @@ impl Propagator {
             } => {
                 self.bind(pool, id, polarity as u64);
             }
-            _ => self.push_residual(pool, t, polarity),
+            _ => self.residual.push((t, polarity)),
         }
-    }
-
-    fn push_residual(&mut self, pool: &TermPool, t: TermRef, polarity: bool) {
-        let bound = self.bound_syms(pool, t);
-        self.residual.push((t, polarity, bound));
-    }
-
-    /// How many of `t`'s symbols have a bound representative. Only a
-    /// binding can let propagation absorb an atom it once left residual:
-    /// evaluation, and each side of a comparison, see a symbol only
-    /// through its representative's binding. Bindings are never undone,
-    /// so the count only grows.
-    fn bound_syms(&mut self, pool: &TermPool, t: TermRef) -> u32 {
-        let mut n = 0;
-        for &s in pool.syms_of(t) {
-            let r = self.find(s);
-            n += self.bound.contains(r) as u32;
-        }
-        n
     }
 
     /// Try to absorb a comparison into the domain; returns whether handled.
@@ -712,13 +568,16 @@ impl Propagator {
                     self.union(pool, x, y);
                     true
                 }
-                // `(x & m) == c` teaches known bits, and stays an atom.
+                // A prefix match `(x & m) == c` is an interval of `x`.
                 (None, None, None, Some(c)) | (None, Some(c), None, None) => {
                     let masked = if val_b.is_some() { a } else { b };
-                    if let Some((x, m)) = Self::as_masked_sym(pool, masked) {
-                        self.learn_bits(pool, x, m, c);
+                    match Self::prefix_match(pool, masked, c) {
+                        Some((x, span)) => {
+                            self.narrow(pool, x, span.lo, span.hi);
+                            true
+                        }
+                        None => false,
                     }
-                    false
                 }
                 _ => false,
             },
@@ -781,8 +640,11 @@ impl Propagator {
         }
     }
 
-    /// `x & m`, a symbol under a constant mask, as `(x, m)`.
-    fn as_masked_sym(pool: &TermPool, t: TermRef) -> Option<(SymId, u64)> {
+    /// For `t` a symbol `x` under a mask of its high bits (a network
+    /// prefix: `addr & 0xffffff00`), `x` and the values for which `t`
+    /// equals `c`, which are one interval; `None` for any other mask, or
+    /// a `c` with bits outside it.
+    fn prefix_match(pool: &TermPool, t: TermRef, c: u64) -> Option<(SymId, Interval)> {
         let Term::Binop {
             op: BinOp::And,
             a,
@@ -791,13 +653,16 @@ impl Propagator {
         else {
             return None;
         };
-        match (pool.get(a), pool.get(b)) {
+        let (x, w, m) = match (pool.get(a), pool.get(b)) {
             (&Term::Sym { id, width }, &Term::Const { value, .. })
-            | (&Term::Const { value, .. }, &Term::Sym { id, width }) => {
-                Some((id, value & width.mask()))
-            }
-            _ => None,
+            | (&Term::Const { value, .. }, &Term::Sym { id, width }) => (id, width, value),
+            _ => return None,
+        };
+        let low = w.mask() & !m;
+        if low & low.wrapping_add(1) != 0 || c & !(w.mask() & m) != 0 {
+            return None;
         }
+        Some((x, Interval { lo: c, hi: c | low }))
     }
 
     /// Whether the state already implies atom `t` at `polarity`: every
@@ -806,8 +671,8 @@ impl Propagator {
     /// the polarity, an equality inside one union-find class, and a
     /// comparison of one symbol against a value the bindings fix
     /// (normalised as [`Propagator::assert_comparison`] does) that the
-    /// symbol's interval decides — or, for `(x & m) == c` and
-    /// `(x & m) != c`, its known bits.
+    /// symbol's interval decides, a prefix match `(x & m) == c` or
+    /// `(x & m) != c` included.
     fn implied(&mut self, pool: &TermPool, t: TermRef, polarity: bool) -> bool {
         let (op, a, b) = match *pool.get(t) {
             Term::Unop { op: UnOp::Not, a } => return self.implied(pool, a, !polarity),
@@ -846,17 +711,14 @@ impl Propagator {
                 _ => v <= iv.lo,
             };
         }
-        let Some((x, m)) = Self::as_masked_sym(pool, side) else {
+        let Some((x, span)) = Self::prefix_match(pool, side, v) else {
             return false;
         };
         let r = self.find(x);
-        if self.bound.contains(r) {
-            return false;
-        }
         let iv = self.iv(pool, r);
         match op {
-            BinOp::Eq => iv.mask & m == m && iv.value & m == v,
-            BinOp::Ne => (v ^ iv.value) & iv.mask & m != 0,
+            BinOp::Eq => span.lo <= iv.lo && iv.hi <= span.hi,
+            BinOp::Ne => iv.hi < span.lo || span.hi < iv.lo,
             _ => false,
         }
     }
@@ -885,7 +747,7 @@ const SWEEP_BUDGET: usize = 4096;
 /// How a [`SweepKernel::sweep`] ends.
 #[derive(Debug, PartialEq, Eq)]
 enum Swept<'a> {
-    /// The first candidate satisfying every term, one value per domain.
+    /// The first candidate satisfying every term, one value per interval.
     Model(&'a [u64]),
     /// Every candidate is refuted: the terms are unsatisfiable.
     Refuted,
@@ -964,20 +826,16 @@ struct SweepKernel {
 
 impl SweepKernel {
     /// The first candidate satisfying every term of `terms`, as one value
-    /// per domain, or [`Swept::Refuted`] once all are. Candidates are
-    /// visited with the lowest slot varying fastest, each over its
-    /// domain's values in ascending order — the interval's, less those
-    /// the known bits exclude. `intervals` are tightened (see
-    /// [`Interval::tightened`]). `swept` maps every unbound member symbol
-    /// of `terms` to its slot; `env` holds the value of every bound one.
+    /// per interval, or [`Swept::Refuted`] once all are. Candidates are
+    /// visited with the lowest slot varying fastest, each from its
+    /// interval's low end. `swept` maps every unbound member symbol of
+    /// `terms` to its slot; `env` holds the value of every bound one.
     ///
     /// A slot whose uses read only its low `k` bits is swept over its
-    /// first `2^j` values alone, `j` the free bits among those `k`: every
-    /// step sees the slot only through its low `k` bits, which the free
-    /// bits below `k` decide, and those values take each of their
-    /// settings, each no later than the order would reach it elsewhere.
-    /// The first model and every refutation are those of the whole
-    /// domains.
+    /// first `2^k` values alone: every step sees the slot only through
+    /// its value mod `2^k`, which those values all take, each no later
+    /// than the order would reach it elsewhere. The first model and every
+    /// refutation are those of the whole intervals.
     ///
     /// At most [`SWEEP_BUDGET`] candidates are tried: a sweep that has
     /// met neither a model nor its last candidate by then is
@@ -1118,21 +976,23 @@ impl SweepKernel {
         self.vals.len() as u32 - 1
     }
 
-    /// Sets `window` to the values of each domain the sweep visits: a
-    /// slot read only through `Mask` steps keeps the first `2^j` values,
-    /// `j` the free bits within the widest mask; any other read keeps its
+    /// Sets `window` to the values of each interval the sweep visits: a
+    /// slot read only through `Mask` steps keeps the first `2^k` values,
+    /// `k` the width of the widest mask; any other read keeps its
     /// symbol's whole width, and a slot nothing reads its low end alone.
     fn narrow(&mut self, intervals: &[Interval]) {
         let (ops, window) = (&self.ops, &mut self.window);
         window.clear();
-        window.extend(intervals.iter().map(|&iv| Interval { hi: iv.lo, ..iv }));
+        window.extend(intervals.iter().map(|iv| Interval {
+            lo: iv.lo,
+            hi: iv.lo,
+        }));
         // Slot `s` is a swept symbol's exactly when step `s` is its `Sym`.
         let mut read = |s: u32, bits: u32| {
             if let Some(&SweepOp::Sym { i, mask, .. }) = ops.get(s as usize) {
                 let (iv, bits) = (intervals[i as usize], bits.min(64 - mask.leading_zeros()));
-                let low = u64::MAX.checked_shr(64 - bits).unwrap_or(0);
-                let hi = match 1u64.checked_shl((low & !iv.mask).count_ones()) {
-                    Some(n) => iv.nth(n - 1),
+                let hi = match 1u64.checked_shl(bits) {
+                    Some(n) => iv.hi.min(iv.lo.saturating_add(n - 1)),
                     None => iv.hi,
                 };
                 let w = &mut window[i as usize];
@@ -1190,7 +1050,7 @@ impl SweepKernel {
 fn next_candidate(assignment: &mut [u64], intervals: &[Interval]) -> bool {
     for (v, iv) in assignment.iter_mut().zip(intervals) {
         if *v < iv.hi {
-            *v = iv.after(*v);
+            *v += 1;
             return true;
         }
         *v = iv.lo;
@@ -1249,18 +1109,13 @@ impl Solver {
         scratch: &mut FinishScratch,
     ) -> SolveResult {
         // Fixpoint: re-assert residual atoms whose operands may have since
-        // become evaluable (e.g. chained equalities asserted out of order);
-        // one none of whose symbols was bound since goes back as it is.
+        // become evaluable (e.g. chained equalities asserted out of order).
         // The two residual lists trade buffers, so the loop allocates none.
         loop {
             std::mem::swap(&mut scratch.atoms, &mut prop.residual);
             let before = scratch.atoms.len();
-            for &(t, pol, bound) in &scratch.atoms {
-                if prop.bound_syms(pool, t) == bound {
-                    prop.residual.push((t, pol, bound));
-                } else {
-                    prop.assert_atom(pool, t, pol);
-                }
+            for &(t, pol) in &scratch.atoms {
+                prop.assert_atom(pool, t, pol);
             }
             scratch.atoms.clear();
             if prop.contradiction {
@@ -1382,12 +1237,7 @@ impl Solver {
             syms.sort_unstable();
             syms.dedup();
             intervals.clear();
-            for &r in syms.iter() {
-                match prop.iv(pool, r).tightened() {
-                    Some(iv) => intervals.push(iv),
-                    None => return SolveResult::Unsat,
-                }
-            }
+            intervals.extend(syms.iter().map(|&r| prop.iv(pool, r)));
             let group_terms = group.iter().map(|&ci| constraints[ci]);
             // Everything a candidate does not change is settled here: each
             // member symbol of the group's terms either follows enumerated
@@ -1425,20 +1275,18 @@ impl Solver {
             }
         }
         // Extend to members. A representative no component swept — one
-        // that only absorbed atoms mention — takes its domain's least
-        // value, which is the first candidate a sweep would have tried.
+        // that only absorbed atoms mention — takes its interval's low end,
+        // which is the first candidate a sweep would have tried.
         for &c in constraints {
             for &s in pool.syms_of(c) {
                 let r = prop.find(s);
                 let v = match w.values.get(r) {
                     Some(v) => v,
-                    None => match prop.iv(pool, r).tightened() {
-                        Some(iv) => {
-                            w.set(r, iv.lo);
-                            iv.lo
-                        }
-                        None => return SolveResult::Unsat,
-                    },
+                    None => {
+                        let v = prop.iv(pool, r).lo;
+                        w.set(r, v);
+                        v
+                    }
                 };
                 w.set(s, v);
             }
@@ -1465,11 +1313,10 @@ impl Solver {
 const REPAIR_ROUNDS: usize = 4;
 
 /// Completion, for a component its sweep could not decide within the
-/// budget: each representative of `syms` takes its domain's least value
-/// (`intervals` are tightened), then up to [`REPAIR_ROUNDS`] rounds of
-/// repair follow. An unsatisfied `x == e` (or `e == x`) whose `x` is in
-/// the class of one of `syms` gives that class `e`'s value, if it lies
-/// in the class's domain. Whether every term then holds. It draws
+/// budget: each representative of `syms` takes its interval's low end,
+/// then up to [`REPAIR_ROUNDS`] rounds of repair follow. An unsatisfied
+/// `x == e` (or `e == x`) whose `x` is in the class of one of `syms`
+/// gives that class `e`'s value, if it lies in the class's interval. Whether every term then holds. It draws
 /// nothing at random: it tries one assignment, the one a chain's link
 /// equations (`nf2.ttl == nf1.ttl - 1`) define from the low ends.
 fn complete(
@@ -1506,7 +1353,7 @@ fn complete(
                     continue;
                 };
                 let (v, iv) = (value(w, e), intervals[i]);
-                if (iv.lo..=iv.hi).contains(&v) && v & iv.mask == iv.value {
+                if (iv.lo..=iv.hi).contains(&v) {
                     w.set(r, v);
                     repaired = true;
                     break;
@@ -1542,7 +1389,7 @@ fn dedup_from<T: PartialEq + Copy>(v: &mut Vec<T>, start: usize) {
 #[derive(Debug, Default)]
 struct FinishScratch {
     /// The fixpoint's second residual list.
-    atoms: Vec<(TermRef, bool, u32)>,
+    atoms: Vec<(TermRef, bool)>,
     /// Every constraint's free-symbol support, concatenated.
     sup_syms: Vec<SymId>,
     /// Where each constraint's support starts in `sup_syms`, and its end.
@@ -2523,10 +2370,10 @@ mod tests {
     }
 
     #[test]
-    fn known_bits_decide_a_prefix_match() {
+    fn a_prefix_match_is_an_interval() {
         // The /24 of `tests/calibrate_once.rs`, alone, beside a second
         // atom that keeps the address in a component, and against a
-        // bound its prefix cannot meet.
+        // bound and a second prefix it cannot meet.
         let mut p = TermPool::new();
         let addr = p.fresh_sym("pkt@30:4", Width::W32);
         let mask = p.constant(0xffff_ff00, Width::W32);
@@ -2557,30 +2404,27 @@ mod tests {
     }
 
     #[test]
-    fn known_bit_domains_match_their_values() {
-        // Every helper against the domain's values listed one by one,
-        // over random byte intervals and masks.
-        let mut rng = TestRng(41);
-        for _ in 0..2000 {
-            let (a, b) = (rng.range(0, 255), rng.range(0, 255));
-            let mask = rng.next() & rng.next() & 0xff;
-            let iv = Interval {
-                lo: a.min(b),
-                hi: a.max(b),
-                mask,
-                value: rng.next() & mask,
-            };
-            let values: Vec<u64> = (iv.lo..=iv.hi).filter(|v| v & mask == iv.value).collect();
-            let Some(t) = iv.tightened() else {
-                assert!(values.is_empty(), "{iv:?} has values");
-                continue;
-            };
-            assert_eq!((t.lo, t.hi), (values[0], values[values.len() - 1]));
-            for (n, pair) in values.windows(2).enumerate() {
-                assert_eq!(t.after(pair[0]), pair[1]);
-                assert_eq!(t.nth(n as u64 + 1), pair[1]);
+    fn prefix_spans_are_the_matching_values() {
+        // Every mask of one byte the pool keeps (it folds `x & 0` and
+        // `x & 0xff`): a run of high bits gives, for each `c`, the values
+        // `x` with `x & m == c` as one interval; a `c` no value matches,
+        // or another mask, gives none.
+        let mut p = TermPool::new();
+        let x = p.fresh_sym("x", Width::W8);
+        for m in 1..255u64 {
+            let k = p.constant(m, Width::W8);
+            let masked = p.and(x, k);
+            let prefix = (!m & 0xff).count_ones() == m.trailing_zeros();
+            for c in 0..=255u64 {
+                let got = Propagator::prefix_match(&p, masked, c).map(|(_, iv)| (iv.lo, iv.hi));
+                let values: Vec<u64> = (0..=255).filter(|v| v & m == c).collect();
+                let want = match values[..] {
+                    [] => None,
+                    [lo, .., hi] => Some((lo, hi)),
+                    [v] => Some((v, v)),
+                };
+                assert_eq!(got, want.filter(|_| prefix), "mask {m:#x}, c {c:#x}");
             }
-            assert_eq!(t.nth(values.len() as u64), t.hi);
         }
     }
 
@@ -2591,8 +2435,7 @@ mod tests {
     /// The sweep as it was before the kernel, the reference it is
     /// compared with: every candidate evaluates every constraint as a
     /// tree through `TermPool::eval`, and carries with the loop the
-    /// kernel's `next_candidate` replaced, over whole intervals; a
-    /// candidate that breaks a known bit is passed over.
+    /// kernel's `next_candidate` replaced.
     fn sweep_by_tree(
         pool: &TermPool,
         terms: &[TermRef],
@@ -2605,14 +2448,9 @@ mod tests {
             for &(s, i) in swept {
                 env[s as usize] = assignment[i];
             }
-            let admitted = assignment
+            if terms
                 .iter()
-                .zip(intervals)
-                .all(|(&v, iv)| v & iv.mask == iv.value);
-            if admitted
-                && terms
-                    .iter()
-                    .all(|&c| pool.eval(c, &|id| env[id as usize]) == 1)
+                .all(|&c| pool.eval(c, &|id| env[id as usize]) == 1)
             {
                 return Some(assignment);
             }
@@ -2780,7 +2618,10 @@ mod tests {
             } else {
                 0
             };
-            Interval::range(lo, lo + span - 1)
+            Interval {
+                lo,
+                hi: lo + span - 1,
+            }
         };
         let (x_iv, y_iv) = (interval(x_span, Width::W8), interval(y_span, y_width));
         let sweep = if two_swept {
@@ -2917,27 +2758,8 @@ mod tests {
         // components.
         let mut kernel = SweepKernel::default();
         let (mut sat, mut unsat, mut past_first, mut narrowed) = (0, 0, 0, 0);
-        let mut with_bits = 0;
         for seed in 0..400 {
-            let (p, cs, (swept, mut intervals, mut env)) = random_component(seed);
-            // A third of the sweeps draw each slot from known bits too: a
-            // sparse random mask over the width, anywhere in it.
-            let mut rng = TestRng(!seed);
-            if rng.coin(0.33) {
-                let known = intervals.iter().map(|&iv| {
-                    let mask = rng.next() & rng.next() & (iv.hi | (iv.hi.next_power_of_two() - 1));
-                    Interval {
-                        mask,
-                        value: rng.next() & mask,
-                        ..iv
-                    }
-                    .tightened()
-                });
-                if let Some(known) = known.collect::<Option<Vec<_>>>() {
-                    intervals = known;
-                    with_bits += 1;
-                }
-            }
+            let (p, cs, (swept, intervals, mut env)) = random_component(seed);
             let by_kernel = match kernel.sweep(&p, cs.iter().copied(), &swept, &intervals, &env) {
                 Swept::Model(model) => Some(model.to_vec()),
                 Swept::Refuted => None,
@@ -2959,13 +2781,9 @@ mod tests {
         // candidate, at a later one, and exhausted; and many sweeps visit
         // part of their intervals only.
         assert!(
-            sat > past_first
-                && past_first >= 40
-                && unsat >= 40
-                && narrowed >= 80
-                && with_bits >= 80,
+            sat > past_first && past_first >= 40 && unsat >= 40 && narrowed >= 80,
             "{sat} sat, {past_first} of them past the first candidate, {unsat} unsat, \
-             {narrowed} narrowed, {with_bits} with known bits"
+             {narrowed} narrowed"
         );
     }
 
@@ -2996,7 +2814,7 @@ mod tests {
         let mut kernel = SweepKernel::default();
         for (bare, hi) in [(false, 15), (true, 255)] {
             let (p, cs) = ihl(bare);
-            let full = [Interval::range(0, 255)];
+            let full = [Interval { lo: 0, hi: 255 }];
             assert_eq!(kernel.sweep(&p, cs, &[(0, 0)], &full, &[0]), Swept::Refuted);
             assert_eq!((kernel.window[0].lo, kernel.window[0].hi), (0, hi));
         }
@@ -3287,6 +3105,21 @@ mod tests {
         assert_eq!(
             cache.stats.solver_queries, queries_before,
             "hot model must answer from the cache"
+        );
+    }
+
+    #[test]
+    fn feasibility_skips_completion() {
+        let mut p = TermPool::new();
+        let a = p.fresh_sym("a", Width::W8);
+        let b = p.fresh_sym("b", Width::W8);
+        let sum = p.add(a, b);
+        let c10 = p.constant(10, Width::W8);
+        let eq = p.eq(sum, c10);
+        // Batch feasibility agrees with batch check classification.
+        assert_eq!(
+            solver().is_feasible(&p, &[eq]),
+            solver().check(&p, &[eq]).possibly_sat()
         );
     }
 }
