@@ -5,19 +5,31 @@
 //! queryable contract — across every client that asks about the same
 //! (NF, level). This module holds those decoded contracts in memory
 //! under an LRU byte budget, plus a per-contract *query memo* so a
-//! repeated identical query does not even touch the solver.
+//! repeated identical query is one map lookup.
 //!
-//! Two coherence details matter:
+//! A hot contract answers any wire query from memory: a memo miss runs
+//! `NfContract::query` over a tag or unconstrained class, which needs
+//! neither the solver nor the disk. So the socket server's event loop
+//! answers a query itself whenever [`ContractCache::peek`] finds its
+//! contract and the entry's lock is free (see
+//! [`crate::ServeCore::dispatch`]); only cold contracts go to the
+//! handler pool.
+//!
+//! Three coherence details matter:
 //!
 //! * **Store/cache LRU agreement.** The on-disk store ranks records for
 //!   [`bolt_store::ContractStore::sweep`] by a last-used stamp that a
 //!   `get` bumps — but a server cache hit never calls `get`, so a record
 //!   hot in the server would look cold to the sweeper. Cache hits
 //!   therefore record a *pending touch*; the server flushes the batch
-//!   through [`bolt_store::ContractStore::touch`] once
+//!   through [`bolt_store::ContractStore::touch`] (one read and one
+//!   stamp write per record, through one descriptor) once
 //!   `FLUSH_EVERY` (32) records are pending (and on shutdown), keeping the
 //!   sweeper's MRU order aligned with the server's without one stamp
 //!   write per request.
+//! * **Probes do not count as use.** [`ContractCache::peek`], the
+//!   dispatch probe, neither bumps recency nor records a touch; the
+//!   [`ContractCache::lookup`] the answer itself makes does both.
 //! * **Entry mutability.** [`bolt_core::NfContract::query`] needs `&mut`
 //!   (class constraints intern into the contract's term pool), so each
 //!   entry lives behind its own [`Mutex`]: concurrent queries to

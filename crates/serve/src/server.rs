@@ -13,8 +13,8 @@
 //!   owning its [`FrameBuffer`] and write buffer;
 //! * a small pool of *handler* threads that absorb cold requests
 //!   (explorations, diffs, store scans) so the event loop never blocks
-//!   on the solver — warm memo hits dispatch inline on the loop itself
-//!   (see [`ServeCore::dispatch`]);
+//!   on the solver — queries on hot contracts dispatch inline on the
+//!   loop itself (see [`ServeCore::dispatch`]);
 //! * an optional 1 Hz Prometheus-text exporter.
 //!
 //! Every connection starts with a pipeline window of 1; a client that

@@ -11,7 +11,9 @@
 //!    answered before: return the stored reply. Zero explorations, zero
 //!    solver requests, zero record decodes.
 //! 2. **Cache hit** — the contract is hot but the question is new: one
-//!    solver pass over the in-memory contract. Zero decodes.
+//!    `NfContract::query` pass over the in-memory contract. A wire class
+//!    (a tag or unconstrained) adds no constraint, so this runs no
+//!    solver and reads no disk. Zero decodes.
 //! 3. **Store hit** — decode the record, rehydrate the pool, generate
 //!    the contract, admit it to the cache, then as (2).
 //! 4. **Miss** — explore fresh (persisting the record), then as (3).
@@ -25,7 +27,9 @@ use std::sync::{Arc, Mutex};
 use bolt_core::store::{
     level_from_name, level_from_tag, level_name, store_key, RecordKind, StoreExt,
 };
-use bolt_core::{generate, AbstractNf, ClassSpec, Exploration, InputClass, NetworkFunction};
+use bolt_core::{
+    generate, AbstractNf, ClassSpec, Exploration, InputClass, NetworkFunction, NfContract,
+};
 use bolt_expr::PcvAssignment;
 use bolt_nfs::nat::{AllocKind, NatConfig};
 use bolt_nfs::{Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter};
@@ -129,13 +133,25 @@ fn parse_level(tag: u8) -> Result<StackLevel, String> {
     level_from_tag(tag).ok_or_else(|| format!("bad level tag {tag} (0 = nf-only, 1 = full-stack)"))
 }
 
-fn class_of(tag: &Option<String>) -> InputClass {
+/// The class a wire query names, as its rendered name and its spec. A
+/// wire tag resolves against the tags `contract`'s paths carry, which
+/// are `&'static` already, so no client string is ever interned; a tag
+/// no path carries has no spec, and selects no path.
+fn class_of(tag: Option<&str>, contract: &NfContract) -> (String, Option<ClassSpec>) {
     match tag {
-        Some(t) => InputClass::new(
+        None => {
+            let class = InputClass::unconstrained();
+            (class.name, Some(class.spec))
+        }
+        Some(t) => (
             format!("tag:{t}"),
-            ClassSpec::Tag(bolt_store::intern_tag(t)),
+            contract
+                .paths
+                .iter()
+                .flat_map(|p| p.tags.iter().copied())
+                .find(|&known| known == t)
+                .map(ClassSpec::Tag),
         ),
-        None => InputClass::unconstrained(),
     }
 }
 
@@ -408,15 +424,20 @@ impl ServeCore {
     }
 
     /// Classify one request for the socket server's event loop:
-    /// [`Dispatch::Inline`] work is bounded (counter snapshots, memoised
-    /// answers — never the solver, never the disk) and may run on the
-    /// loop itself; [`Dispatch::Offload`] work can block arbitrarily
-    /// (exploration, record decode, store I/O) and must go to the
-    /// handler pool so the loop keeps breathing.
+    /// [`Dispatch::Inline`] work is bounded (counter snapshots and
+    /// answers from a hot contract — never the solver, never the disk)
+    /// and may run on the loop itself; [`Dispatch::Offload`] work can
+    /// block arbitrarily (exploration, record decode, store I/O) and must
+    /// go to the handler pool so the loop keeps breathing.
+    ///
+    /// A query on a hot contract is inline whether or not its answer is
+    /// memoised: a memo miss runs `NfContract::query` over a wire class,
+    /// a tag or unconstrained, which adds no constraint, so it touches
+    /// neither the solver nor the disk.
     ///
     /// This is advisory: [`ServeCore::handle`] computes the same answer
-    /// either way. A race (the memo entry evicted between classification
-    /// and handling) costs latency on one request, never correctness.
+    /// either way. A race (the entry evicted between classification and
+    /// handling) costs latency on one request, never correctness.
     pub fn dispatch(&self, req: &Request) -> Dispatch {
         match req {
             Request::Ping
@@ -424,34 +445,27 @@ impl ServeCore {
             | Request::Metrics
             | Request::Shutdown
             | Request::Hello { .. } => Dispatch::Inline,
-            Request::Query(q) if self.memo_ready(q) => Dispatch::Inline,
+            Request::Query(q) if self.hot(q) => Dispatch::Inline,
             Request::Query(_) | Request::Diff(_) | Request::List | Request::Provenance { .. } => {
                 Dispatch::Offload
             }
         }
     }
 
-    /// Whether a query would be answered straight from a hot contract's
-    /// memo: the contract is cached, its lock is free right now, and the
-    /// exact (metric, class, PCV binding) answer is memoised. Uses
-    /// [`ContractCache::peek`] so probing does not perturb recency — the
-    /// eventual [`ServeCore::handle`] records the real hit.
-    fn memo_ready(&self, q: &QueryRequest) -> bool {
+    /// Whether a query's contract is hot and free right now: cached, and
+    /// its entry lock not held. Uses [`ContractCache::peek`] so probing
+    /// does not perturb recency — the eventual [`ServeCore::handle`]
+    /// records the real hit.
+    fn hot(&self, q: &QueryRequest) -> bool {
         let Ok(level) = parse_level(q.level) else {
             return false;
         };
         let Ok(key) = self.key_of(&q.nf, level) else {
             return false;
         };
-        let Some(entry) = self.cache.peek(key) else {
-            return false;
-        };
-        let Ok(e) = entry.try_lock() else {
-            return false;
-        };
-        let mut pcvs = q.pcvs.clone();
-        pcvs.sort_by(|a, b| a.0.cmp(&b.0));
-        e.memo.contains_key(&(q.metric, q.tag.clone(), pcvs))
+        self.cache
+            .peek(key)
+            .is_some_and(|entry| entry.try_lock().is_ok())
     }
 
     /// Get the hot contract for (NF name, level): cache hit, store
@@ -545,7 +559,6 @@ impl ServeCore {
                 }
             }
         }
-        let class = class_of(&q.tag);
         self.stat(Stat::SolverQueries).inc();
         let source = if e.from_store { "warm" } else { "explored" };
         let CacheEntry {
@@ -556,22 +569,26 @@ impl ServeCore {
             memo,
             ..
         } = &mut *e;
-        let reply = match contract.query(solver, &class, metric, &env) {
+        let (class_name, spec) = class_of(q.tag.as_deref(), contract);
+        let answer = spec.and_then(|spec| {
+            let class = InputClass::new(class_name.as_str(), spec);
+            contract.query(solver, &class, metric, &env)
+        });
+        let reply = match answer {
             None => QueryReply {
                 found: false,
                 path_index: 0,
                 value: 0,
-                text: format!("no path of {nf_name} is compatible with {}\n", class.name),
+                text: format!("no path of {nf_name} is compatible with {class_name}\n"),
             },
             Some(r) => {
                 let path = &contract.paths[r.path_index];
                 let text = format!(
-                    "{nf_name} @ {} ({source}), class {}, metric {metric}:\n\
+                    "{nf_name} @ {} ({source}), class {class_name}, metric {metric}:\n\
                      \x20 worst path : #{} tags {:?}\n\
                      \x20 expression : {}\n\
                      \x20 prediction : {} {metric}\n",
                     level_name(level),
-                    class.name,
                     r.path_index,
                     path.tags,
                     r.expr.display(&reg.pcvs),
@@ -710,5 +727,113 @@ impl ServeCore {
     /// The store key of an (NF name, level) pair.
     fn key_of(&self, name: &str, level: StackLevel) -> Result<Fingerprint, String> {
         with_nf!(name, nf => { Ok(store_key(&nf, level)) })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("bolt-service-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn bridge_query(tag: Option<&str>, pcvs: &[(&str, u64)]) -> Request {
+        Request::Query(QueryRequest {
+            nf: "bridge".into(),
+            level: 0,
+            tag: tag.map(str::to_owned),
+            pcvs: pcvs.iter().map(|&(n, v)| (n.to_owned(), v)).collect(),
+            metric: Metric::Cycles as u8,
+        })
+    }
+
+    #[test]
+    fn dispatch_runs_every_query_on_a_hot_contract_inline() {
+        let dir = temp_dir("dispatch");
+        let core = ServeCore::new(ContractStore::open(&dir).unwrap());
+        let first = bridge_query(None, &[]);
+        assert_eq!(core.dispatch(&first), Dispatch::Offload, "cold contract");
+        core.handle(&first);
+        // A fresh PCV binding misses the memo, but the contract is hot.
+        let fresh = bridge_query(None, &[("e", 16)]);
+        assert_eq!(core.dispatch(&fresh), Dispatch::Inline, "hot, memo miss");
+        let key = core.key_of("bridge", StackLevel::NfOnly).unwrap();
+        {
+            let entry = core.cache.peek(key).expect("hot");
+            let _held = entry.lock().unwrap();
+            assert_eq!(core.dispatch(&fresh), Dispatch::Offload, "entry busy");
+        }
+        assert_eq!(core.dispatch(&fresh), Dispatch::Inline, "lock released");
+        let others = [
+            Request::Diff(DiffRequest {
+                a: "bridge:nf-only".into(),
+                b: "bridge:nf-only".into(),
+                metric: Metric::Cycles as u8,
+            }),
+            Request::List,
+            Request::Provenance {
+                nf: "bridge".into(),
+                level: 0,
+            },
+        ];
+        for req in &others {
+            assert_eq!(core.dispatch(req), Dispatch::Offload, "{req:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reply_does_not_depend_on_how_its_request_was_dispatched() {
+        let dir = temp_dir("same-reply");
+        ServeCore::new(ContractStore::open(&dir).unwrap()).handle(&bridge_query(None, &[]));
+        // Both cores decode the stored record, so both render `warm`.
+        let hot = ServeCore::new(ContractStore::open(&dir).unwrap());
+        hot.handle(&bridge_query(None, &[]));
+        for req in [
+            bridge_query(None, &[("e", 16)]),
+            bridge_query(Some("src:rehash"), &[("e", 16)]),
+            bridge_query(Some("nosuch"), &[]),
+        ] {
+            let cold = ServeCore::new(ContractStore::open(&dir).unwrap());
+            assert_eq!(hot.dispatch(&req), Dispatch::Inline);
+            assert_eq!(cold.dispatch(&req), Dispatch::Offload);
+            assert_eq!(hot.handle(&req), cold.handle(&req), "{req:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wire_tags_resolve_against_the_contract_tags() {
+        let dir = temp_dir("tags");
+        let core = ServeCore::new(ContractStore::open(&dir).unwrap());
+        assert_eq!(
+            core.handle(&bridge_query(Some("src:rehash"), &[("e", 16)])),
+            Response::Query(QueryReply {
+                found: true,
+                path_index: 4,
+                value: 214961,
+                text: "bridge @ nf-only (explored), class tag:src:rehash, metric cycles:\n\
+                       \x20 worst path : #4 tags [\"src:rehash\", \"dst:known\"]\n\
+                       \x20 expression : 16·c + 276·e + 1747·o + 624·t + 8·e·ce + 208·e·te + 210545\n\
+                       \x20 prediction : 214961 cycles\n"
+                    .into(),
+            })
+        );
+        // A tag no path carries selects no path.
+        assert_eq!(
+            core.handle(&bridge_query(Some("nosuch"), &[])),
+            Response::Query(QueryReply {
+                found: false,
+                path_index: 0,
+                value: 0,
+                text: "no path of bridge is compatible with tag:nosuch\n".into(),
+            })
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,6 +14,13 @@
 //! ordering), the NF name and path count, and an FNV-1a-64 checksum of
 //! the payload.
 //!
+//! Each record operation opens its file once. A `get` or `touch` opens
+//! it read-write, reads through that descriptor, and writes the stamp
+//! back with one positioned 8-byte write on the same descriptor; a
+//! header read takes the file's length from `fstat` and reads the
+//! header prefix once. A `get` costs one read and one write system
+//! call, a `touch` the same, a header read one read.
+//!
 //! The format splits into two decode passes with different costs:
 //! [`RecordHeader`] (everything before the payload, plus the payload's
 //! length prefix) decodes from a small bounded read — this is what
@@ -27,8 +34,9 @@
 //! miss, never returned. Writes go through a temp file + rename so a
 //! crashed writer can not leave a half-record under a valid name.
 
-use std::fs;
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,6 +56,9 @@ const MAGIC: &[u8; 4] = b"BLTS";
 /// in-place 8-byte write instead of rewriting the record:
 /// magic (4) + version (2) + kind (1) + level (1) + fingerprint (16).
 const STAMP_OFFSET: u64 = 24;
+
+/// Length of the fixed record prefix that ends with the stamp.
+const STAMP_END: usize = STAMP_OFFSET as usize + 8;
 
 /// A fresh last-used stamp: microseconds since the Unix epoch, forced
 /// strictly monotone within this process so that same-instant accesses
@@ -213,20 +224,18 @@ fn decode_header(bytes: &[u8]) -> Result<RecordHeader, DecodeError> {
     })
 }
 
-/// Header-only read of a record file: one bounded `read` of the header
-/// prefix plus a `stat`, never the payload. The file's size must equal
-/// `header_len + payload_len` exactly — a cheap truncation/garbage check
-/// that costs no payload I/O.
+/// Header-only read of a record file, never the payload: the file's
+/// length from `fstat`, then one read of at most [`HEADER_PREFIX_MAX`]
+/// bytes into a stack buffer. The file's size must equal
+/// `header_len + payload_len` exactly — a cheap truncation/garbage
+/// check that costs no payload I/O.
 fn read_header(path: &Path) -> Option<RecordHeader> {
-    use std::io::Read;
-    let mut f = fs::File::open(path).ok()?;
-    let mut prefix = Vec::with_capacity(512);
-    std::io::Read::by_ref(&mut f)
-        .take(HEADER_PREFIX_MAX as u64)
-        .read_to_end(&mut prefix)
-        .ok()?;
-    let hdr = decode_header(&prefix).ok()?;
+    let f = File::open(path).ok()?;
     let file_len = f.metadata().ok()?.len();
+    let mut buf = [0u8; HEADER_PREFIX_MAX];
+    let prefix = &mut buf[..file_len.min(HEADER_PREFIX_MAX as u64) as usize];
+    f.read_exact_at(prefix, 0).ok()?;
+    let hdr = decode_header(prefix).ok()?;
     (hdr.header_len.checked_add(hdr.payload_len) == Some(file_len)).then_some(hdr)
 }
 
@@ -370,8 +379,9 @@ impl ContractStore {
     /// file, bad magic, version skew, fingerprint or kind mismatch,
     /// checksum failure, truncation — is a miss. A verified hit bumps
     /// the record's last-used stamp in place (LRU food for
-    /// [`ContractStore::sweep`]); a failed bump is ignored — it only
-    /// ages the record's sweep priority, never the payload.
+    /// [`ContractStore::sweep`]), written on the descriptor the read
+    /// used; a failed bump is ignored — it only ages the record's sweep
+    /// priority, never the payload.
     pub fn get(&self, fp: Fingerprint, kind: RecordKind) -> Option<Vec<u8>> {
         self.get_sized(fp, kind).map(|(payload, _)| payload)
     }
@@ -379,6 +389,13 @@ impl ContractStore {
     /// [`ContractStore::get`], plus the record's size on disk (header and
     /// payload: the unit [`ContractStore::sweep`] budgets in), taken from
     /// the bytes the read just verified rather than from a second read.
+    ///
+    /// One descriptor serves the whole operation: the file is opened
+    /// read-write, its length taken from `fstat`, its bytes read at once,
+    /// and the stamp written back with one positioned write. A file that
+    /// exists but cannot be opened for writing is read through a
+    /// read-only descriptor and gets no stamp, like any failed bump; a
+    /// missing file is a miss at once, with no second open.
     pub fn get_sized(&self, fp: Fingerprint, kind: RecordKind) -> Option<(Vec<u8>, u64)> {
         let _span = self.h_get.span();
         let path = self.path_of(fp, kind);
@@ -392,7 +409,12 @@ impl ContractStore {
             self.misses.inc();
             return None;
         }
-        let bytes = fs::read(&path).ok();
+        let file = match OpenOptions::new().read(true).write(true).open(&path) {
+            Ok(f) => Some((f, true)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(_) => File::open(&path).ok().map(|f| (f, false)),
+        };
+        let bytes = file.as_ref().and_then(|(f, _)| read_whole(f).ok());
         let present = bytes.is_some();
         // The payload is the buffer's tail: strip the header in place
         // rather than copy the payload out.
@@ -405,7 +427,9 @@ impl ContractStore {
         match res {
             Some(sized) => {
                 self.hits.inc();
-                let _ = bump_stamp(&path);
+                if let Some((f, true)) = &file {
+                    let _ = write_stamp(f);
+                }
                 Some(sized)
             }
             None => {
@@ -509,7 +533,7 @@ impl ContractStore {
         }
         // A put that replaces a header-skewed record is a heal — worth a
         // trace line (the cheap stamp probe only runs when tracing is on).
-        if trace::enabled() && final_path.exists() && read_stamp(&final_path).is_none() {
+        if trace::enabled() && File::open(&final_path).is_ok_and(|f| read_stamp(&f).is_none()) {
             trace::emit(
                 "store.heal",
                 &[
@@ -555,7 +579,8 @@ impl ContractStore {
 
     /// Header-only metadata of one record: fingerprint, kind, level,
     /// name, path count, sizes, and last-used stamp — without reading
-    /// (let alone decoding) the payload. `None` when the record is
+    /// (let alone decoding) the payload: one read of the header prefix,
+    /// sized by `fstat`, and no write. `None` when the record is
     /// missing, format-skewed, size-inconsistent, or keyed differently
     /// than its file name claims. This is what `list`-style enumeration
     /// and cache admission decisions should use; only an actual payload
@@ -568,20 +593,27 @@ impl ContractStore {
     /// Bump a record's last-used stamp in place without reading its
     /// payload — the batched "this record is hot" signal a long-lived
     /// server sends so that an on-disk [`ContractStore::sweep`] and the
-    /// server's in-memory cache agree on MRU order. Returns whether a
-    /// valid record was stamped (`false` for missing or format-skewed
-    /// files — never an error for those, since the caller's cache entry
-    /// remains correct either way).
+    /// server's in-memory cache agree on MRU order. One read-write
+    /// descriptor reads the fixed prefix and writes the stamp back, so a
+    /// touch costs one read and one write. Returns whether a valid
+    /// record was stamped (`false` for missing or format-skewed files —
+    /// never an error for those, since the caller's cache entry remains
+    /// correct either way); a file that cannot be opened for writing is
+    /// an error.
     pub fn touch(&self, fp: Fingerprint, kind: RecordKind) -> io::Result<bool> {
-        let path = self.path_of(fp, kind);
-        if read_stamp(&path).is_none() {
+        let f = match OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(self.path_of(fp, kind))
+        {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
+            Err(e) => return Err(e),
+        };
+        if read_stamp(&f).is_none() {
             return Ok(false);
         }
-        match bump_stamp(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
+        write_stamp(&f).map(|()| true)
     }
 
     /// Remove a record. Returns whether one existed.
@@ -621,7 +653,10 @@ impl ContractStore {
                 continue;
             }
             // Unparseable prefix → stamp 0: dead weight, evicted first.
-            let stamp = read_stamp(&path).unwrap_or(0);
+            let stamp = File::open(&path)
+                .ok()
+                .and_then(|f| read_stamp(&f))
+                .unwrap_or(0);
             let Ok(meta) = entry.metadata() else {
                 continue;
             };
@@ -665,15 +700,10 @@ impl ContractStore {
     }
 }
 
-/// Read the last-used stamp and validate the fixed-size header prefix
-/// (magic, version, kind) of a record file, without touching the
-/// payload. `None` when the prefix is missing, short, or skewed.
-fn read_stamp(path: &Path) -> Option<u64> {
-    use std::io::Read;
-    let mut prefix = [0u8; STAMP_OFFSET as usize + 8];
-    let mut f = fs::File::open(path).ok()?;
-    f.read_exact(&mut prefix).ok()?;
-    let mut r = ByteReader::new(&prefix);
+/// The last-used stamp of a record prefix, once its magic, version and
+/// kind check out. `None` when the prefix is short or skewed.
+fn parse_stamp(prefix: &[u8]) -> Option<u64> {
+    let mut r = ByteReader::new(prefix);
     if r.raw(4).ok()? != MAGIC || r.u16().ok()? != STORE_FORMAT_VERSION {
         return None;
     }
@@ -683,12 +713,32 @@ fn read_stamp(path: &Path) -> Option<u64> {
     r.u64().ok()
 }
 
-/// Bump a record's last-used stamp in place (8-byte write at the fixed
-/// header offset).
-fn bump_stamp(path: &Path) -> io::Result<()> {
-    let mut f = fs::OpenOptions::new().write(true).open(path)?;
-    f.seek(SeekFrom::Start(STAMP_OFFSET))?;
-    f.write_all(&next_stamp().to_le_bytes())
+/// The last-used stamp of an open record file: one read of its fixed
+/// prefix, parsed by [`parse_stamp`]. The payload is never read.
+fn read_stamp(f: &File) -> Option<u64> {
+    let mut prefix = [0u8; STAMP_END];
+    f.read_exact_at(&mut prefix, 0).ok()?;
+    parse_stamp(&prefix)
+}
+
+/// Write a fresh last-used stamp at the fixed header offset of an open
+/// record file: one positioned 8-byte write.
+fn write_stamp(f: &File) -> io::Result<()> {
+    f.write_all_at(&next_stamp().to_le_bytes(), STAMP_OFFSET)
+}
+
+/// A whole record file through one descriptor: its length from `fstat`,
+/// then one read of exactly that many bytes. A length the allocator
+/// refuses is an error, not an abort.
+fn read_whole(f: &File) -> io::Result<Vec<u8>> {
+    let len = usize::try_from(f.metadata()?.len()).map_err(|_| io::ErrorKind::OutOfMemory)?;
+    let mut bytes = Vec::new();
+    bytes
+        .try_reserve_exact(len)
+        .map_err(|_| io::ErrorKind::OutOfMemory)?;
+    bytes.resize(len, 0);
+    f.read_exact_at(&mut bytes, 0)?;
+    Ok(bytes)
 }
 
 /// Parse and verify the record file of key `(fp, kind)`.
