@@ -11,7 +11,9 @@
 //!
 //! Both contracts keep their own term pools; composition migrates terms
 //! into a joint pool, remapping every symbol to a fresh one prefixed by
-//! the NF's name.
+//! its compose position (`nf1.`, `nf2.`). Migration is by index: each
+//! source term and symbol is looked up by its index in its own pool, and
+//! one solver session serves every path pair of a composition.
 //!
 //! The public front door is [`crate::composer::Composer`].
 //!
@@ -55,9 +57,7 @@
 
 use std::fmt;
 
-use bolt_expr::{
-    BinOp, FxHashMap, PcvAssignment, PerfExpr, SymTable, Term, TermPool, TermRef, UnOp,
-};
+use bolt_expr::{BinOp, PcvAssignment, PerfExpr, Term, TermPool, TermRef, UnOp};
 use bolt_see::symbolic::PacketField;
 use bolt_see::NfVerdict;
 use bolt_solver::{Solver, SolverCache, SolverCtx, SolverStats};
@@ -88,14 +88,17 @@ fn fields_of(pool: &TermPool, fields: &[(u64, u8, TermRef)]) -> Vec<PacketField>
 }
 
 /// Migrates both operands' terms into the joint pool, remapping each
-/// side's symbols under its prefix. Symbols mint through `syms`, so
-/// however many upstream paths meet a symbol, it is minted once. The
-/// memos are a pure cache under hash-consing: a miss rebuilds the same
-/// ref and interns nothing new.
+/// side's symbols under its prefix. Per side, a dense table indexed by
+/// the source term's index holds the joint-pool ref of every term
+/// already migrated. A pool interns one `Sym` node per symbol, so the
+/// table is also the symbol map: however many upstream paths meet a
+/// symbol, it is minted once, under its source id — two distinct source
+/// symbols stay distinct whatever their names. Migration is lazy, in
+/// first-meet order, so joint-pool term indices and symbol ids follow
+/// the order the composer asks for terms.
 struct Migrator<'a> {
     srcs: [&'a TermPool; 2],
-    memo: [FxHashMap<TermRef, TermRef>; 2],
-    syms: SymTable,
+    migrated: [Vec<Option<TermRef>>; 2],
 }
 
 /// [`Migrator`] sides: the upstream and the downstream operand.
@@ -106,21 +109,19 @@ impl<'a> Migrator<'a> {
     fn new(first: &'a NfContract, second: &'a NfContract) -> Self {
         Migrator {
             srcs: [&first.pool, &second.pool],
-            memo: Default::default(),
-            syms: SymTable::default(),
+            migrated: [vec![None; first.pool.len()], vec![None; second.pool.len()]],
         }
     }
 
     fn migrate(&mut self, dst: &mut TermPool, side: usize, t: TermRef) -> TermRef {
-        if let Some(&m) = self.memo[side].get(&t) {
+        if let Some(m) = self.migrated[side][t.index()] {
             return m;
         }
         let src = self.srcs[side];
         let out = match *src.get(t) {
             Term::Const { value, width } => dst.constant(value, width),
             Term::Sym { id, width } => {
-                let name = format!("nf{}.{}", side + 1, src.sym_name(id));
-                self.syms.sym_for(dst, &name, width)
+                dst.fresh_sym(format!("nf{}.{}", side + 1, src.sym_name(id)), width)
             }
             Term::Unop { op, a } => {
                 let a = self.migrate(dst, side, a);
@@ -146,7 +147,7 @@ impl<'a> Migrator<'a> {
                 dst.trunc(a, width)
             }
         };
-        self.memo[side].insert(t, out);
+        self.migrated[side][t.index()] = Some(out);
         out
     }
 }
@@ -156,10 +157,14 @@ impl<'a> Migrator<'a> {
 ///
 /// One loop: each upstream path, in path order, is paired with every
 /// downstream path, and a pair becomes a composed [`PathContract`] as
-/// soon as it is proved feasible. The upstream constraints are asserted
-/// once into an incremental [`SolverCtx`]; every downstream candidate
-/// extends that saved state under a push/pop checkpoint, with verdicts
-/// and models memoised in the given [`SolverCache`].
+/// soon as it is proved feasible. One incremental [`SolverCtx`] serves
+/// the whole pair: each forwarding upstream path asserts its
+/// constraints under a checkpoint of the empty context, every
+/// downstream candidate extends that saved state under a nested
+/// push/pop, and popping the upstream checkpoint empties the context
+/// for the next path, so its recycled frames and maps are reused path
+/// after path. Verdicts and models are memoised in the given
+/// [`SolverCache`].
 ///
 /// Both NFs must have been registered against the *same*
 /// [`nf_lib::registry::DsRegistry`]
@@ -173,6 +178,7 @@ pub(crate) fn compose_pair(
     let mut pool = TermPool::new();
     let mut mig = Migrator::new(first, second);
     let mut paths = Vec::new();
+    let mut session = SolverCtx::new(solver);
     // A pair's constraints beyond the upstream path's own: the migrated
     // downstream constraints plus the input/output link equalities.
     let mut tail: Vec<TermRef> = Vec::new();
@@ -223,9 +229,9 @@ pub(crate) fn compose_pair(
                 .find(|&&(fo, fb, _)| fo == o && fb == b)
                 .map(|&(_, _, t)| t)
         };
-        let mut upstream = SolverCtx::new(solver);
+        session.push();
         for &c in &ca {
-            upstream.assert_term(&pool, c);
+            session.assert_term(&pool, c);
         }
         for pb in &second.paths {
             tail.clear();
@@ -242,12 +248,12 @@ pub(crate) fn compose_pair(
                     tail.push(pool.eq(downstream, up));
                 }
             }
-            upstream.push();
+            session.push();
             for &c in &tail {
-                upstream.assert_term(&pool, c);
+                session.assert_term(&pool, c);
             }
-            let feasible = upstream.current_feasible(&pool, cache);
-            upstream.pop();
+            let feasible = session.current_feasible(&pool, cache);
+            session.pop();
             if !feasible {
                 continue;
             }
@@ -288,6 +294,7 @@ pub(crate) fn compose_pair(
                 final_packet,
             });
         }
+        session.pop();
     }
     NfContract { pool, paths }
 }
@@ -1044,6 +1051,72 @@ mod tests {
             .iter()
             .any(|p| p.has_tag("up-valid") && p.has_tag("down-fast")));
         assert!(!chain.paths.iter().any(|p| p.has_tag("down-slow")));
+    }
+
+    #[test]
+    fn migration_mints_each_source_symbol_once_in_first_meet_order() {
+        let (a, b) = toy_pair();
+        let solver = Solver::default();
+        let mut cache = SolverCache::new();
+        // The upstream paths read the ethertype, both downstream paths
+        // byte 30, and only the slow one byte 31: one symbol each.
+        let ab = compose_pair(&a, &b, &solver, &mut cache);
+        assert_eq!(
+            ab.pool.sym_entries().collect::<Vec<_>>(),
+            [
+                ("nf1.pkt@12:2", Width::W16),
+                ("nf2.pkt@30:1", Width::W8),
+                ("nf2.pkt@31:1", Width::W8),
+            ]
+        );
+        // Reversed, the fast path meets byte 30, then the ethertype the
+        // second operand reads; byte 31 waits for the slow path.
+        let ba = compose_pair(&b, &a, &solver, &mut cache);
+        assert_eq!(
+            ba.pool.sym_entries().collect::<Vec<_>>(),
+            [
+                ("nf1.pkt@30:1", Width::W8),
+                ("nf2.pkt@12:2", Width::W16),
+                ("nf1.pkt@31:1", Width::W8),
+            ]
+        );
+    }
+
+    /// A one-path contract over `pool` with the given constraints and
+    /// verdict, reading no packet field and writing none.
+    fn one_path(pool: TermPool, constraints: Vec<TermRef>, verdict: NfVerdict) -> NfContract {
+        NfContract {
+            pool,
+            paths: vec![PathContract {
+                index: 0,
+                constraints,
+                tags: Vec::new(),
+                verdict: Some(verdict),
+                perf: std::array::from_fn(|_| PerfExpr::constant(1)),
+                packet_fields: Vec::new(),
+                final_packet: Vec::new(),
+            }],
+        }
+    }
+
+    #[test]
+    fn same_named_symbols_stay_distinct_after_composition() {
+        // Two distinct symbols named `x` at one width, bound to different
+        // values: the path is feasible only while they stay two symbols.
+        let mut pool = TermPool::new();
+        let x1 = pool.fresh_sym("x", Width::W8);
+        let x2 = pool.fresh_sym("x", Width::W8);
+        let (one, two) = (pool.constant(1, Width::W8), pool.constant(2, Width::W8));
+        let c = vec![pool.eq(x1, one), pool.eq(x2, two)];
+        let up = one_path(pool, c, NfVerdict::Forward(0));
+        let down = one_path(TermPool::new(), Vec::new(), NfVerdict::Forward(1));
+        let solver = Solver::default();
+        let chain = compose_pair(&up, &down, &solver, &mut SolverCache::new());
+        assert_eq!(
+            chain.pool.sym_entries().collect::<Vec<_>>(),
+            [("nf1.x", Width::W8), ("nf1.x", Width::W8)]
+        );
+        assert_eq!(chain.paths.len(), 1, "x1 = 1 and x2 = 2 is satisfiable");
     }
 
     #[test]

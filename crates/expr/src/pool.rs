@@ -7,13 +7,14 @@
 //!
 //! Every term carries O(1) metadata computed once at intern time — its
 //! [`Width`] and its deduplicated, sorted symbol support — so the solver
-//! never re-walks a term to answer `width()` or `syms_of()`. The intern
+//! never re-walks a term to answer `width()` or `syms_of()`. Supports
+//! live in one arena per pool, so interning a term allocates nothing of
+//! its own. The intern
 //! table hashes *into the arena* (an open-addressed index table) instead
 //! of keying a `HashMap` by cloned `Term`s, so each node is stored once.
 
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher as _};
-use std::sync::Arc;
 
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::term::{BinOp, SymId, Term, TermRef, UnOp, Width};
@@ -25,9 +26,12 @@ struct TermMeta {
     width: Width,
     /// Hash of the node (cached for intern-table rehashing).
     hash: u64,
-    /// Sorted, deduplicated symbol support. Shared with child terms when
-    /// the support is identical (unary wrappers, one-sided binops).
-    syms: Arc<[SymId]>,
+    /// Sorted, deduplicated symbol support: the `(start, len)` range of
+    /// the pool's `supports` arena. A node whose support equals a
+    /// child's (unary wrappers, width adapters, a binop or `Ite` whose
+    /// union is one side) holds that child's range; constants hold the
+    /// empty range.
+    syms: (u32, u32),
 }
 
 /// Arena + intern table for [`Term`]s, plus the symbol name registry.
@@ -40,9 +44,10 @@ pub struct TermPool {
     slots: Vec<u32>,
     sym_names: Vec<String>,
     sym_widths: Vec<Width>,
-    /// The empty support every constant shares (one allocation per pool,
-    /// not one per constant).
-    no_syms: Arc<[SymId]>,
+    /// Every term's support, each a range a `TermMeta::syms` names: one
+    /// buffer per pool, not one allocation per symbol node and per
+    /// merged support.
+    supports: Vec<SymId>,
     /// Process-unique pool identity (never serialized). Caches that
     /// memoize per-[`TermRef`] facts key on `(uid, index)` so entries
     /// from one pool can never be mistaken for another pool's.
@@ -60,7 +65,7 @@ impl Default for TermPool {
             slots: Vec::new(),
             sym_names: Vec::new(),
             sym_widths: Vec::new(),
-            no_syms: Arc::new([]),
+            supports: Vec::new(),
             uid: POOL_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -75,45 +80,10 @@ fn hash_term(t: &Term) -> u64 {
     h.finish()
 }
 
-/// Merge two sorted, deduplicated symbol lists.
-fn merge_syms(a: &Arc<[SymId]>, b: &Arc<[SymId]>) -> Arc<[SymId]> {
-    if a.is_empty() {
-        return Arc::clone(b);
-    }
-    if b.is_empty() {
-        return Arc::clone(a);
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    if out.len() == a.len() {
-        return Arc::clone(a); // b ⊆ a
-    }
-    out.into()
-}
-
 /// `(name, width) → symbol term` for one destination [`TermPool`]: the
 /// identity of a symbol across the steps that build that pool (the runs
-/// of one exploration, the path pairs of one composition), so a symbol
-/// is minted once however many steps meet it. Width is part of the
+/// of one exploration), so a symbol is minted once however many steps
+/// meet it. Width is part of the
 /// identity, so a name reused at a different width (degenerate, but
 /// possible with order-dependent `fresh` ordinals) gets its own symbol.
 #[derive(Debug, Default)]
@@ -169,37 +139,69 @@ impl TermPool {
 
     /// Metadata for a new node (children are already interned, so their
     /// metadata is an O(1) lookup).
-    fn meta_for(&self, t: &Term, hash: u64) -> TermMeta {
+    fn meta_for(&mut self, t: &Term, hash: u64) -> TermMeta {
         let (width, syms) = match *t {
-            Term::Const { width, .. } => (width, Arc::clone(&self.no_syms)),
-            Term::Sym { id, width } => (width, Arc::from([id])),
+            Term::Const { width, .. } => (width, (0, 0)),
+            Term::Sym { id, width } => {
+                self.supports.push(id);
+                (width, (self.supports.len() as u32 - 1, 1))
+            }
             Term::Unop { a, .. } => {
                 let m = &self.meta[a.index()];
-                (m.width, Arc::clone(&m.syms))
+                (m.width, m.syms)
             }
             Term::Binop { op, a, b } => {
-                let (ma, mb) = (&self.meta[a.index()], &self.meta[b.index()]);
                 let w = if op.is_comparison() {
                     Width::W1
                 } else {
-                    ma.width
+                    self.meta[a.index()].width
                 };
-                (w, merge_syms(&ma.syms, &mb.syms))
+                let sides = [a, b].map(|r| self.meta[r.index()].syms);
+                (w, self.union_supports(&sides))
             }
             Term::Ite { c, t: tt, e } => {
-                let (mc, mt, me) = (
-                    &self.meta[c.index()],
-                    &self.meta[tt.index()],
-                    &self.meta[e.index()],
-                );
-                let ct = merge_syms(&mc.syms, &mt.syms);
-                (mt.width, merge_syms(&ct, &me.syms))
+                let sides = [c, tt, e].map(|r| self.meta[r.index()].syms);
+                (self.meta[tt.index()].width, self.union_supports(&sides))
             }
             Term::Zext { a, width } | Term::Trunc { a, width } => {
-                (width, Arc::clone(&self.meta[a.index()].syms))
+                (width, self.meta[a.index()].syms)
             }
         };
         TermMeta { width, hash, syms }
+    }
+
+    /// The support range of the union of up to three sorted supports,
+    /// merged in one pass. A union equal to one side (the others empty,
+    /// equal to it, or inside it) is that side's range and leaves the
+    /// arena as it was; any other union is appended to it.
+    fn union_supports(&mut self, sides: &[(u32, u32)]) -> (u32, u32) {
+        let start = self.supports.len();
+        let mut at = [0u32; 3];
+        loop {
+            let mut next: Option<SymId> = None;
+            for (k, &(s, n)) in sides.iter().enumerate() {
+                if at[k] < n {
+                    let v = self.supports[(s + at[k]) as usize];
+                    next = Some(next.map_or(v, |m| m.min(v)));
+                }
+            }
+            let Some(v) = next else { break };
+            for (k, &(s, n)) in sides.iter().enumerate() {
+                if at[k] < n && self.supports[(s + at[k]) as usize] == v {
+                    at[k] += 1;
+                }
+            }
+            self.supports.push(v);
+        }
+        let len = (self.supports.len() - start) as u32;
+        // The union holds every side, so a side as long is the union.
+        match sides.iter().find(|&&(_, n)| n == len) {
+            Some(&side) => {
+                self.supports.truncate(start);
+                side
+            }
+            None => (start as u32, len),
+        }
     }
 
     /// Grow the intern table to `cap` slots (a power of two) and rehash.
@@ -596,10 +598,12 @@ impl TermPool {
     }
 
     /// The set of symbols appearing in a term (deduplicated, sorted).
-    /// An O(1) lookup of the support memoised at intern time — no
-    /// traversal, no re-sort, no allocation.
+    /// An O(1) lookup of the support recorded at intern time — a slice
+    /// of the pool's support arena: no traversal, no re-sort, no
+    /// allocation.
     pub fn syms_of(&self, r: TermRef) -> &[SymId] {
-        &self.meta[r.index()].syms
+        let (start, len) = self.meta[r.index()].syms;
+        &self.supports[start as usize..(start + len) as usize]
     }
 
     // ------------------------------------------------------------------
@@ -892,6 +896,39 @@ mod tests {
         assert_eq!(p.syms_of(e), &[0, 1, 2]);
         let cmp = p.ult(x, y);
         assert_eq!(p.width(cmp), Width::W1);
+    }
+
+    #[test]
+    fn a_union_equal_to_one_side_reuses_its_range() {
+        let mut p = TermPool::new();
+        let x = p.fresh_sym("x", Width::W32);
+        let y = p.fresh_sym("y", Width::W32);
+        let xy = p.add(x, y);
+        let c = p.eq(x, y);
+        let k = p.constant(5, Width::W32);
+        let arena = p.supports.len();
+        let reused = [
+            p.sub(xy, x),    // b ⊆ a
+            p.sub(y, xy),    // a ⊆ b
+            p.mul(xy, xy),   // a == b
+            p.xor(xy, k),    // an empty side
+            p.ite(c, xy, y), // three sides, the union is one of them
+            p.not(xy),
+        ];
+        for t in reused {
+            assert_eq!(p.syms_of(t), &[0, 1], "{}", p.display(t));
+        }
+        assert_eq!(p.supports.len(), arena, "no reused union grows the arena");
+        let z = p.fresh_sym("z", Width::W32);
+        let b = p.fresh_sym("b", Width::W1);
+        let arena = p.supports.len();
+        let three = p.ite(b, xy, z);
+        assert_eq!(p.syms_of(three), &[0, 1, 2, 3]);
+        assert_eq!(
+            p.supports.len(),
+            arena + 4,
+            "one merge pass, no intermediate range"
+        );
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Property-based tests: the term pool's constant folding and algebraic
-//! simplification must never change a term's value, and the performance
-//! polynomial algebra must satisfy the semiring laws.
+//! simplification must never change a term's value, every term's
+//! recorded symbol support must be the symbols it reaches, and the
+//! performance polynomial algebra must satisfy the semiring laws.
 
-use bolt_expr::{BinOp, Monomial, PcvAssignment, PcvId, PerfExpr, TermPool, TermRef, UnOp, Width};
+use std::collections::BTreeSet;
+
+use bolt_expr::{
+    BinOp, Monomial, PcvAssignment, PcvId, PerfExpr, SymId, Term, TermPool, TermRef, UnOp, Width,
+};
 use proptest::prelude::*;
 
 /// A recipe for building a random term over two symbols.
@@ -97,7 +102,115 @@ fn eval_ref(r: &Recipe, va: u64, vb: u64) -> u64 {
     }
 }
 
+/// One step of a random term DAG: an operation and three picks among
+/// the terms built so far (each taken modulo the candidates' count).
+type DagStep = (u8, u16, u16, u16, u64);
+
+/// Build a DAG over a few 32-bit symbols and one boolean symbol, step by
+/// step, through the (simplifying) pool. Every built term is a candidate
+/// operand of later steps, so supports share, nest, repeat and empty
+/// out in every combination the recipe draws: a union equal to either
+/// side, equal sides, an empty side, and three-way `Ite` unions.
+fn build_dag(steps: &[DagStep]) -> TermPool {
+    let mut pool = TermPool::new();
+    let mut vals: Vec<TermRef> = (0..3)
+        .map(|i| pool.fresh_sym(format!("v{i}"), Width::W32))
+        .collect();
+    let mut bools = vec![pool.fresh_sym("c", Width::W1)];
+    let pick = |from: &[TermRef], i: u16| from[i as usize % from.len()];
+    for (n, &(op, i, j, k, value)) in steps.iter().enumerate() {
+        let (a, b) = (pick(&vals, i), pick(&vals, j));
+        match op % 8 {
+            0 => vals.push(pool.constant(value % 4, Width::W32)),
+            1 => vals.push(pool.not(a)),
+            2 => {
+                let ops = [BinOp::Add, BinOp::And, BinOp::Or, BinOp::Xor, BinOp::Sub];
+                vals.push(pool.binop(ops[k as usize % ops.len()], a, b));
+            }
+            3 => bools.push(if k % 2 == 0 {
+                pool.eq(a, b)
+            } else {
+                pool.ult(a, b)
+            }),
+            4 => {
+                let c = pick(&bools, k);
+                vals.push(pool.ite(c, a, b));
+            }
+            5 => {
+                let narrow = pool.trunc(a, Width::W8);
+                vals.push(pool.zext(narrow, Width::W32));
+            }
+            6 => {
+                let (c, d) = (pick(&bools, i), pick(&bools, k));
+                bools.push(pool.and(c, d));
+            }
+            _ => vals.push(pool.fresh_sym(format!("s{n}"), Width::W32)),
+        }
+    }
+    pool
+}
+
+/// The symbols a recursive walk of `t` reaches, sorted and deduplicated.
+fn walked_support(pool: &TermPool, t: TermRef, out: &mut BTreeSet<SymId>) {
+    match *pool.get(t) {
+        Term::Const { .. } => {}
+        Term::Sym { id, .. } => {
+            out.insert(id);
+        }
+        Term::Unop { a, .. } | Term::Zext { a, .. } | Term::Trunc { a, .. } => {
+            walked_support(pool, a, out)
+        }
+        Term::Binop { a, b, .. } => {
+            walked_support(pool, a, out);
+            walked_support(pool, b, out);
+        }
+        Term::Ite { c, t, e } => {
+            walked_support(pool, c, out);
+            walked_support(pool, t, out);
+            walked_support(pool, e, out);
+        }
+    }
+}
+
+fn arb_dag() -> impl Strategy<Value = Vec<DagStep>> {
+    prop::collection::vec(
+        (
+            any::<u8>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u64>(),
+        ),
+        0..48,
+    )
+}
+
 proptest! {
+    /// Every interned term's recorded support is the sorted,
+    /// deduplicated set of symbols it reaches, and a pool rebuilt by
+    /// replaying its arena through `intern_node` records the same
+    /// support for every term.
+    #[test]
+    fn supports_are_the_symbols_each_term_reaches(steps in arb_dag()) {
+        let pool = build_dag(&steps);
+        let mut replayed = TermPool::new();
+        for (name, width) in pool.sym_entries() {
+            replayed.register_sym(name, width);
+        }
+        for node in pool.nodes() {
+            replayed.intern_node(node.clone());
+        }
+        prop_assert_eq!(replayed.nodes(), pool.nodes());
+        for i in 0..pool.len() {
+            let t = TermRef::from_raw(i as u32);
+            let mut want = BTreeSet::new();
+            walked_support(&pool, t, &mut want);
+            let want: Vec<SymId> = want.into_iter().collect();
+            prop_assert_eq!(pool.syms_of(t), &want[..], "term {}", pool.display(t));
+            prop_assert_eq!(replayed.syms_of(t), &want[..]);
+        }
+    }
+
     /// Simplification must be semantics-preserving for every input.
     #[test]
     fn simplifier_preserves_evaluation(r in arb_recipe(), va: u64, vb: u64) {

@@ -71,9 +71,16 @@ pub struct CacheEntry {
     /// unconstrained) adds no constraint, so serving never runs it.
     pub solver: Solver,
     /// Answers already computed against this contract: a hit here is
-    /// the zero-work path — no decode, no solver, no exploration.
+    /// the zero-work path — no decode, no solver, no exploration. Holds
+    /// at most `MEMO_CAP` answers.
     pub memo: HashMap<MemoKey, QueryReply>,
 }
+
+/// Answers one entry's memo keeps. The cache budget weighs record bytes
+/// only, so a client sending ever new PCV bindings (or unknown tags)
+/// would otherwise grow one hot entry without bound; past the cap an
+/// answer is still computed and returned, just not kept.
+pub(crate) const MEMO_CAP: usize = 1024;
 
 /// Flush pending last-used touches to disk once this many distinct
 /// records are pending (shutdown always flushes the remainder).

@@ -39,7 +39,7 @@ use bolt_store::{ContractStore, Fingerprint};
 use bolt_trace::Metric;
 use dpdk_sim::StackLevel;
 
-use crate::cache::{CacheConfig, CacheEntry, ContractCache, MemoKey};
+use crate::cache::{CacheConfig, CacheEntry, ContractCache, MemoKey, MEMO_CAP};
 use crate::protocol::{
     DiffRequest, MetricsReply, Opcode, QueryReply, QueryRequest, Request, Response, StatsReply,
     MAX_PIPELINE_DEPTH,
@@ -602,7 +602,9 @@ impl ServeCore {
                 }
             }
         };
-        memo.insert(memo_key, reply.clone());
+        if memo.len() < MEMO_CAP {
+            memo.insert(memo_key, reply.clone());
+        }
         Ok(reply)
     }
 
@@ -834,6 +836,26 @@ mod tests {
                 text: "no path of bridge is compatible with tag:nosuch\n".into(),
             })
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_query_memo_stops_at_its_cap_and_answers_stay_exact() {
+        let dir = temp_dir("memo-cap");
+        ServeCore::new(ContractStore::open(&dir).unwrap()).handle(&bridge_query(None, &[]));
+        // Both cores decode the stored record. The reference core is asked
+        // each binding once, so every one of its replies is computed fresh.
+        let hot = ServeCore::new(ContractStore::open(&dir).unwrap());
+        let reference = ServeCore::new(ContractStore::open(&dir).unwrap());
+        for e in 0..3_000u64 {
+            let req = bridge_query(None, &[("e", e)]);
+            let want = reference.handle(&req);
+            assert_eq!(hot.handle(&req), want, "e = {e}, first ask");
+            assert_eq!(hot.handle(&req), want, "e = {e}, asked again");
+        }
+        let key = hot.key_of("bridge", StackLevel::NfOnly).unwrap();
+        let (_, memoised) = hot.cache.slot_info(key).expect("hot");
+        assert_eq!(memoised, MEMO_CAP);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

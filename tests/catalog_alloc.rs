@@ -29,8 +29,10 @@ use bolt::NetworkFunction;
 /// checkpoints, prefix hashes and decision buffers between queries; then
 /// 4 325 once a run probed its flips where it decided them instead of in
 /// a second context, minted each symbol once per exploration, and handed
-/// its emptied solving context to the next run.
-const CEILING: usize = 4_325;
+/// its emptied solving context to the next run; then 4 087 once every
+/// term pool kept its terms' symbol supports in one arena instead of one
+/// shared slice per symbol node and per merged support.
+const CEILING: usize = 4_087;
 
 /// One contract of the round, as the benchmark's in-memory round makes it.
 fn generate_one<N: NetworkFunction>(nf: &N, level: StackLevel) {

@@ -26,8 +26,11 @@ use bolt::see::StackLevel;
 /// probe its flips; 13 008 while the solver's decision tail kept link
 /// equalities its union-find had absorbed, sent the components they
 /// widened to a randomized completion search, and grew a witness for
-/// decisions that came out unsatisfiable.
-const CEILING: usize = 12_742;
+/// decisions that came out unsatisfiable; 12 742 while pair composition
+/// built a solver context per upstream path, migrated terms and symbols
+/// through hash maps keyed by term and by name, and every term pool
+/// allocated one shared slice per symbol node and per merged support.
+const CEILING: usize = 8_786;
 
 fn chains() -> [Pipeline<'static>; 3] {
     [
