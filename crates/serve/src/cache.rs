@@ -24,9 +24,12 @@
 //!   therefore record a *pending touch*; the server flushes the batch
 //!   through [`bolt_store::ContractStore::touch`] (one read and one
 //!   stamp write per record, through one descriptor) once
-//!   `FLUSH_EVERY` (32) records are pending (and on shutdown), keeping the
+//!   `FLUSH_EVERY` (32) records are pending, once the oldest pending
+//!   touch is `FLUSH_AFTER` (1 s) old, and on shutdown. That keeps the
 //!   sweeper's MRU order aligned with the server's without one stamp
-//!   write per request.
+//!   write per request, and a server with fewer hot records than a batch
+//!   still stamps them while it runs. The time bound adds at most one
+//!   flush a second, so at most one `touch` per hot record a second.
 //! * **Probes do not count as use.** [`ContractCache::peek`], the
 //!   dispatch probe, neither bumps recency nor records a touch; the
 //!   [`ContractCache::lookup`] the answer itself makes does both.
@@ -38,6 +41,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use bolt_core::NfContract;
 use bolt_solver::Solver;
@@ -86,6 +90,10 @@ pub(crate) const MEMO_CAP: usize = 1024;
 /// records are pending (shutdown always flushes the remainder).
 const FLUSH_EVERY: usize = 32;
 
+/// Flush pending last-used touches to disk once the oldest of them is
+/// this old, however few they are.
+const FLUSH_AFTER: Duration = Duration::from_secs(1);
+
 /// Cache tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
@@ -116,6 +124,8 @@ struct CacheInner {
     total_weight: u64,
     clock: u64,
     pending_touches: HashSet<Fingerprint>,
+    /// When the oldest pending touch was recorded.
+    pending_since: Option<Instant>,
 }
 
 /// The shared in-memory contract cache (see the module docs).
@@ -140,7 +150,7 @@ impl ContractCache {
 
     /// Look up a hot contract. A hit bumps the entry's recency and
     /// records a pending on-disk touch (flushed in batches of
-    /// `FLUSH_EVERY`).
+    /// `FLUSH_EVERY`, or once the oldest is `FLUSH_AFTER` old).
     pub fn lookup(&self, key: Fingerprint) -> Option<Arc<Mutex<CacheEntry>>> {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.clock += 1;
@@ -149,6 +159,7 @@ impl ContractCache {
         slot.last_access = clock;
         let entry = Arc::clone(&slot.entry);
         inner.pending_touches.insert(key);
+        inner.pending_since.get_or_insert_with(Instant::now);
         Some(entry)
     }
 
@@ -205,15 +216,21 @@ impl ContractCache {
         (entry, evicted)
     }
 
-    /// Drain the pending touch batch if it has reached `FLUSH_EVERY`
-    /// (or unconditionally with
-    /// `force`). The caller writes the stamps through
-    /// [`bolt_store::ContractStore::touch`].
-    pub(crate) fn take_pending_touches(&self, force: bool) -> Vec<Fingerprint> {
+    /// Drain the pending touch batch if it has reached `FLUSH_EVERY`,
+    /// or its oldest touch is `FLUSH_AFTER` old at `now` (or
+    /// unconditionally with `force`). The caller writes the stamps
+    /// through [`bolt_store::ContractStore::touch`].
+    pub(crate) fn take_pending_touches(&self, force: bool, now: Instant) -> Vec<Fingerprint> {
         let mut inner = self.inner.lock().expect("cache poisoned");
-        if !force && inner.pending_touches.len() < FLUSH_EVERY {
+        let due = force
+            || inner.pending_touches.len() >= FLUSH_EVERY
+            || inner
+                .pending_since
+                .is_some_and(|since| now.saturating_duration_since(since) >= FLUSH_AFTER);
+        if !due {
             return Vec::new();
         }
+        inner.pending_since = None;
         let mut keys: Vec<Fingerprint> = inner.pending_touches.drain().collect();
         keys.sort();
         keys
@@ -296,11 +313,12 @@ mod tests {
         let (_, evicted) = cache.insert(c, entry("c"), 40);
         assert_eq!(evicted, vec![a], "peek must not bump LRU recency");
         // ...and must not queue an on-disk touch.
-        assert!(cache.take_pending_touches(true).is_empty());
+        let now = Instant::now();
+        assert!(cache.take_pending_touches(true, now).is_empty());
         assert!(cache.peek(b).is_some());
-        assert!(cache.take_pending_touches(true).is_empty());
+        assert!(cache.take_pending_touches(true, now).is_empty());
         cache.lookup(b);
-        assert_eq!(cache.take_pending_touches(true), vec![b]);
+        assert_eq!(cache.take_pending_touches(true, now), vec![b]);
     }
 
     #[test]
@@ -329,18 +347,50 @@ mod tests {
         for &k in &keys {
             cache.insert(k, entry("k"), 1);
         }
+        // No touch is older than this, so the time bound never fires.
+        let now = Instant::now();
         for &k in &keys[..FLUSH_EVERY - 1] {
             cache.lookup(k);
             // A repeat hit on a pending record does not grow the batch.
             cache.lookup(k);
         }
-        assert!(cache.take_pending_touches(false).is_empty(), "below batch");
+        assert!(
+            cache.take_pending_touches(false, now).is_empty(),
+            "below batch"
+        );
         cache.lookup(keys[FLUSH_EVERY - 1]);
-        assert_eq!(cache.take_pending_touches(false), keys);
+        assert_eq!(cache.take_pending_touches(false, now), keys);
         // Drained: nothing pending, even forced.
-        assert!(cache.take_pending_touches(true).is_empty());
+        assert!(cache.take_pending_touches(true, now).is_empty());
         // Force flushes a partial batch (the shutdown path).
         cache.lookup(keys[0]);
-        assert_eq!(cache.take_pending_touches(true), vec![keys[0]]);
+        assert_eq!(cache.take_pending_touches(true, now), vec![keys[0]]);
+    }
+
+    #[test]
+    fn touches_flush_once_the_oldest_is_old_enough() {
+        let cache = ContractCache::new(CacheConfig { budget: 1000 });
+        let (a, b) = (Fingerprint(1), Fingerprint(2));
+        cache.insert(a, entry("a"), 1);
+        cache.insert(b, entry("b"), 1);
+        let before = Instant::now();
+        cache.lookup(a);
+        let after = Instant::now();
+        // A later touch does not restart the clock.
+        cache.lookup(b);
+        let almost = before + FLUSH_AFTER - Duration::from_nanos(1);
+        assert!(
+            cache.take_pending_touches(false, almost).is_empty(),
+            "younger than the bound"
+        );
+        assert_eq!(
+            cache.take_pending_touches(false, after + FLUSH_AFTER),
+            vec![a, b]
+        );
+        // Draining restarts the clock at the next touch.
+        let before = Instant::now();
+        cache.lookup(a);
+        let almost = before + FLUSH_AFTER - Duration::from_nanos(1);
+        assert!(cache.take_pending_touches(false, almost).is_empty());
     }
 }

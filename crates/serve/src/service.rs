@@ -23,6 +23,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use bolt_core::store::{
     level_from_name, level_from_tag, level_name, store_key, RecordKind, StoreExt,
@@ -363,25 +364,26 @@ impl ServeCore {
     }
 
     /// Write every pending cache-hit touch to the store's last-used
-    /// stamps, unconditionally (the shutdown path; the batched path
-    /// runs automatically on cache hits). Returns how many records were
-    /// stamped.
+    /// stamps, unconditionally (the shutdown path; a running socket
+    /// server flushes due batches from its event loop). Returns how many
+    /// records were stamped.
     pub fn flush_touches(&self) -> u64 {
         self.flush(true)
     }
 
     /// Flush the pending cache-hit touch batch to the store's last-used
-    /// stamps if it has reached the cache's batch size — the
-    /// socket server calls this from its event loop between poll
-    /// wakeups, so the request path itself never pays a stamp write.
-    /// Returns how many records were stamped (0 below the threshold).
+    /// stamps if it has reached the cache's batch size or its oldest
+    /// touch is a second old — the socket server calls this from its
+    /// event loop between poll wakeups, so the request path itself never
+    /// pays a stamp write. Returns how many records were stamped (0 when
+    /// the batch is not due).
     pub(crate) fn drain_touches(&self) -> u64 {
         self.flush(false)
     }
 
     fn flush(&self, force: bool) -> u64 {
         let mut stamped = 0;
-        for key in self.cache.take_pending_touches(force) {
+        for key in self.cache.take_pending_touches(force, Instant::now()) {
             if let Ok(true) = self.store.touch(key, RecordKind::Exploration) {
                 stamped += 1;
                 self.stat(Stat::TouchesFlushed).inc();

@@ -2789,7 +2789,7 @@ mod tests {
 
     #[test]
     fn the_window_spans_the_bits_a_sweep_reads() {
-        // The IHL refutation of `tests/solver_alloc.rs` reads `x & 15`
+        // The IHL refutation of `tests/work_counts.rs` reads `x & 15`
         // only: 16 of the byte's 256 values. A bare `x < 200` reads all
         // eight bits.
         let ihl = |bare: bool| {
