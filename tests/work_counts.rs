@@ -25,6 +25,9 @@
 //!   catalog round: paths, runs, interned terms, minted symbols, and
 //!   every `SolverStats` counter.
 //!
+//! Each round — catalog, chain, reload, sweeps — is one test, and a
+//! fifth fails on a counter the last row holds but no round counts.
+//!
 //! `BENCH_work.json` holds one flat JSON object per line, oldest first;
 //! its `pr` field names the change whose tree measured the row. After an
 //! intended change, append a row with
@@ -275,47 +278,90 @@ fn allocations_to_refute((p, cs): (TermPool, Vec<TermRef>)) -> u64 {
     allocations
 }
 
-/// Every exact count, in the order a row lists them.
-fn work_counts() -> Vec<(&'static str, u64)> {
-    let (catalog, explored) = warm("catalog", catalog_round);
-    let chains = chains();
-    let (chain, ()) = warm("chain", || chain_round(&chains));
-    let records = records();
-    assert_eq!(records.len(), 16);
-    let (reload, ()) = warm("reload", || reload_round(&records));
-    let (stats, solver) = (explored.stats, explored.stats.solver);
-    vec![
-        ("alloc.catalog", catalog),
-        ("alloc.chain", chain),
-        ("alloc.reload", reload),
-        (
-            "alloc.sweep_narrowed",
+/// A round of counted work: the counters it fills, in the order a row
+/// lists them, and the function that counts them in that order.
+struct Round {
+    counters: &'static [&'static str],
+    count: fn() -> Vec<u64>,
+}
+
+const CATALOG: Round = Round {
+    counters: &[
+        "alloc.catalog",
+        "see.paths",
+        "see.runs",
+        "see.terms_interned",
+        "see.syms_minted",
+        "solver.checks_requested",
+        "solver.queries",
+        "solver.memo_hits",
+        "solver.witness_hits",
+        "solver.unsat_by_propagation",
+        "solver.completion_searches",
+        "solver.model_evictions",
+    ],
+    count: || {
+        let (catalog, explored) = warm("catalog", catalog_round);
+        let (stats, solver) = (explored.stats, explored.stats.solver);
+        vec![
+            catalog,
+            explored.paths,
+            stats.runs,
+            stats.terms_interned,
+            stats.syms_minted,
+            solver.checks_requested,
+            solver.solver_queries,
+            solver.memo_hits,
+            solver.witness_reuse_hits,
+            solver.unsat_by_propagation,
+            solver.completion_searches,
+            solver.model_evictions,
+        ]
+    },
+};
+
+const CHAIN: Round = Round {
+    counters: &["alloc.chain"],
+    count: || {
+        let chains = chains();
+        vec![warm("chain", || chain_round(&chains)).0]
+    },
+};
+
+const RELOAD: Round = Round {
+    counters: &["alloc.reload"],
+    count: || {
+        let records = records();
+        assert_eq!(records.len(), 16);
+        vec![warm("reload", || reload_round(&records)).0]
+    },
+};
+
+const SWEEPS: Round = Round {
+    counters: &[
+        "alloc.sweep_narrowed",
+        "alloc.sweep_masked",
+        "alloc.sweep_square_4",
+        "alloc.sweep_square_16",
+    ],
+    count: || {
+        vec![
             allocations_to_refute(exhausted_sweep(true)),
-        ),
-        (
-            "alloc.sweep_masked",
             allocations_to_refute(exhausted_sweep(false)),
-        ),
-        (
-            "alloc.sweep_square_4",
             allocations_to_refute(exhausted_square(4)),
-        ),
-        (
-            "alloc.sweep_square_16",
             allocations_to_refute(exhausted_square(16)),
-        ),
-        ("see.paths", explored.paths),
-        ("see.runs", stats.runs),
-        ("see.terms_interned", stats.terms_interned),
-        ("see.syms_minted", stats.syms_minted),
-        ("solver.checks_requested", solver.checks_requested),
-        ("solver.queries", solver.solver_queries),
-        ("solver.memo_hits", solver.memo_hits),
-        ("solver.witness_hits", solver.witness_reuse_hits),
-        ("solver.unsat_by_propagation", solver.unsat_by_propagation),
-        ("solver.completion_searches", solver.completion_searches),
-        ("solver.model_evictions", solver.model_evictions),
-    ]
+        ]
+    },
+};
+
+/// Every round, in the order a row lists them.
+const ROUNDS: [Round; 4] = [CATALOG, CHAIN, RELOAD, SWEEPS];
+
+/// A round's counters and this tree's counts of them.
+fn counted(round: &Round) -> Vec<(&'static str, u64)> {
+    let counts = (round.count)();
+    assert_eq!(counts.len(), round.counters.len(), "one count per counter");
+    round.counters.iter().copied().zip(counts).collect()
 }
 
 const TRAJECTORY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_work.json");
@@ -356,27 +402,21 @@ fn field(row: &[(String, u64)], name: &str) -> Option<u64> {
     row.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
 }
 
-#[test]
-fn work_counts_equal_the_last_row() {
+/// Compares a round's counts with the last row, by equality.
+fn check(round: &Round) {
     let row = last_row();
-    let counts = work_counts();
-    let mut mismatches = Vec::new();
-    for &(name, count) in &counts {
-        match field(&row, name) {
-            Some(v) if v == count => {}
-            Some(v) => mismatches.push(format!(
+    let mismatches: Vec<String> = counted(round)
+        .into_iter()
+        .filter_map(|(name, count)| match field(&row, name) {
+            Some(v) if v == count => None,
+            Some(v) => Some(format!(
                 "{name}: the last row has {v}, this tree counts {count}"
             )),
-            None => mismatches.push(format!(
+            None => Some(format!(
                 "{name}: not in the last row, this tree counts {count}"
             )),
-        }
-    }
-    for (name, v) in &row {
-        if name != "pr" && !counts.iter().any(|(n, _)| n == name) {
-            mismatches.push(format!("{name}: the last row has {v}, nothing counts it"));
-        }
-    }
+        })
+        .collect();
     assert!(
         mismatches.is_empty(),
         "work counts differ from the last row of BENCH_work.json:\n  {}\n\
@@ -386,13 +426,46 @@ fn work_counts_equal_the_last_row() {
     );
 }
 
+#[test]
+fn a_warm_catalog_round_counts_what_the_last_row_says() {
+    check(&CATALOG);
+}
+
+#[test]
+fn a_warm_chain_planning_round_allocates_what_the_last_row_says() {
+    check(&CHAIN);
+}
+
+#[test]
+fn reloading_the_catalog_allocates_what_the_last_row_says() {
+    check(&RELOAD);
+}
+
+#[test]
+fn exhausted_sweeps_allocate_what_the_last_row_says() {
+    check(&SWEEPS);
+}
+
+#[test]
+fn the_last_row_holds_no_counter_that_nothing_counts() {
+    let stray: Vec<String> = last_row()
+        .into_iter()
+        .filter(|(name, _)| {
+            name != "pr" && !ROUNDS.iter().any(|r| r.counters.contains(&name.as_str()))
+        })
+        .map(|(name, v)| format!("{name}: the last row has {v}, nothing counts it"))
+        .collect();
+    assert!(stray.is_empty(), "{}", stray.join("\n"));
+}
+
 /// Appends this tree's counts as a new row, numbered one past the last.
 #[test]
 #[ignore = "appends a row to BENCH_work.json"]
 fn regenerate() {
     let pr = field(&last_row(), "pr").expect("the last row names its pr");
-    let fields: Vec<String> = work_counts()
+    let fields: Vec<String> = ROUNDS
         .iter()
+        .flat_map(counted)
         .map(|(name, count)| format!("\"{name}\": {count}"))
         .collect();
     let mut file = fs::OpenOptions::new()
