@@ -1,21 +1,24 @@
 //! The event-driven socket front end: fixed worker pool, pipelining,
 //! graceful drain.
 //!
-//! PR 6 spent one OS thread per connection; this core replaces that
-//! with a **fixed thread topology** that does not grow with the
-//! connection count:
+//! The engine runs a **fixed thread topology** of two roles that does
+//! not grow with the connection count:
 //!
-//! * one *acceptor* per listening socket (Unix and/or TCP), which only
-//!   accepts, enforces the connection cap, and routes the socket to a
-//!   worker;
 //! * a small pool of *event workers*, each running a nonblocking
-//!   poll(2)-driven readiness loop; every connection is a state machine
-//!   owning its [`FrameBuffer`] and write buffer;
+//!   poll(2)-driven readiness loop over the listening sockets (Unix
+//!   and/or TCP) and its own connections. A loop that finds a listener
+//!   readable accepts until `WouldBlock`, enforces the connection cap
+//!   and seats each new connection in its own slots; every connection
+//!   is a state machine owning its [`FrameBuffer`] and write buffer.
+//!   Event worker 0 also rewrites the optional Prometheus-text metrics
+//!   file once a second;
 //! * a small pool of *handler* threads that absorb cold requests
 //!   (explorations, diffs, store scans) so the event loop never blocks
 //!   on the solver — queries on hot contracts dispatch inline on the
-//!   loop itself (see [`ServeCore::dispatch`]);
-//! * an optional 1 Hz Prometheus-text exporter.
+//!   loop itself (see [`ServeCore::dispatch`]).
+//!
+//! Every wait is a poll(2) or condition-variable timeout; the only
+//! sleeps are injected fault stalls.
 //!
 //! Every connection starts with a pipeline window of 1; a client that
 //! sends [`Request::Hello`] may pipeline up to the granted window on
@@ -49,9 +52,13 @@ use crate::protocol::{
 };
 use crate::service::{Dispatch, Phase, ServeCore};
 
-/// How long a poll wait blocks before re-checking the shutdown flag,
-/// and how long an idle accept loop sleeps between polls.
+/// How long a poll wait blocks before re-checking the shutdown flag;
+/// also how long a loop keeps its listeners out of poll after a failed
+/// accept (a full fd table, say).
 const POLL: Duration = Duration::from_millis(25);
+
+/// How often event worker 0 rewrites the metrics text file.
+const EXPORT_EVERY: Duration = Duration::from_secs(1);
 
 /// Event-loop workers when [`ServerBuilder::event_workers`] is 0.
 const DEFAULT_EVENT_WORKERS: usize = 2;
@@ -96,9 +103,10 @@ struct ServerConfig {
     /// Cap on the pipeline window granted to clients; `0` means the
     /// protocol maximum ([`MAX_PIPELINE_DEPTH`]).
     max_pipeline_depth: u32,
-    /// When set, an exporter thread rewrites this file about once a
-    /// second with the Prometheus text rendering of the server's
-    /// metrics (and once more on shutdown).
+    /// When set, event worker 0 rewrites this file about once a second
+    /// with the Prometheus text rendering of the server's metrics, and
+    /// [`Server::join`] writes it once more after the shutdown's touch
+    /// flush.
     metrics_text: Option<PathBuf>,
 }
 
@@ -215,17 +223,13 @@ impl Drop for ActiveGuard {
     }
 }
 
-/// A running server: acceptor/event/handler threads, shutdown
-/// plumbing. Dropped handles keep running; call [`Server::join`] to
-/// drain and stop.
+/// A running server: event/handler threads, shutdown plumbing.
+/// Dropped handles keep running; call [`Server::join`] to drain and
+/// stop.
 pub struct Server {
-    core: Arc<ServeCore>,
-    shutdown: Arc<AtomicBool>,
     engine: Arc<Engine>,
-    accept_handles: Vec<JoinHandle<()>>,
     event_handles: Vec<JoinHandle<()>>,
     handler_handles: Vec<JoinHandle<()>>,
-    exporter: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
 }
@@ -244,8 +248,6 @@ impl Server {
                 "server config names no endpoint (need a unix path or a tcp address)",
             ));
         }
-        let core = Arc::new(core);
-        let shutdown = Arc::new(AtomicBool::new(false));
         let limits = Limits {
             max_connections: config.max_connections,
             idle_timeout: config.idle_timeout,
@@ -255,27 +257,26 @@ impl Server {
             } else {
                 config.max_pipeline_depth.min(MAX_PIPELINE_DEPTH)
             },
-            fault: config.fault.clone(),
+            fault: config.fault,
             active: Arc::new(AtomicUsize::new(0)),
         };
 
         // Bind everything fallible before spawning any thread.
+        let mut listeners = Vec::new();
         let mut tcp_addr = None;
-        let mut tcp_listener = None;
         if let Some(addr) = &config.tcp {
             let listener = TcpListener::bind(addr.as_str())?;
             listener.set_nonblocking(true)?;
             tcp_addr = Some(listener.local_addr()?);
-            tcp_listener = Some(listener);
+            listeners.push(Listener::Tcp(listener));
         }
         let mut unix_path = None;
-        let mut unix_listener = None;
         if let Some(path) = &config.unix {
             reclaim_unix_socket(path)?;
             let listener = UnixListener::bind(path)?;
             listener.set_nonblocking(true)?;
             unix_path = Some(path.clone());
-            unix_listener = Some(listener);
+            listeners.push(Listener::Unix(listener));
         }
 
         let n_event = if config.event_workers == 0 {
@@ -293,19 +294,19 @@ impl Server {
         for _ in 0..n_event {
             let (waker, rx) = Waker::pair()?;
             workers.push(Arc::new(WorkerShared {
-                inbox: Mutex::new(Vec::new()),
                 completions: Mutex::new(Vec::new()),
                 waker,
             }));
             wake_rxs.push(rx);
         }
         let engine = Arc::new(Engine {
-            core: Arc::clone(&core),
-            shutdown: Arc::clone(&shutdown),
+            core: Arc::new(core),
+            shutdown: AtomicBool::new(false),
             limits,
+            listeners,
+            metrics_text: config.metrics_text,
             workers,
             jobs: JobQueue::default(),
-            next_worker: AtomicUsize::new(0),
             live_event_workers: AtomicUsize::new(n_event),
         });
 
@@ -322,57 +323,10 @@ impl Server {
             handler_handles.push(std::thread::spawn(move || handler_worker(engine)));
         }
 
-        let mut accept_handles = Vec::new();
-        if let Some(listener) = tcp_listener {
-            accept_handles.push(spawn_acceptor(
-                Arc::clone(&engine),
-                move || match listener.accept() {
-                    Ok((s, _)) => {
-                        let _ = s.set_nodelay(true);
-                        Some(Ok(Box::new(s) as Box<dyn Conn>))
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(e) => Some(Err(e)),
-                },
-            ));
-        }
-        if let Some(listener) = unix_listener {
-            accept_handles.push(spawn_acceptor(
-                Arc::clone(&engine),
-                move || match listener.accept() {
-                    Ok((s, _)) => Some(Ok(Box::new(s) as Box<dyn Conn>)),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(e) => Some(Err(e)),
-                },
-            ));
-        }
-
-        let exporter = config.metrics_text.as_ref().map(|path| {
-            let path = path.clone();
-            let stop = Arc::new(AtomicBool::new(false));
-            let flag = Arc::clone(&stop);
-            let core = Arc::clone(&core);
-            let handle = std::thread::spawn(move || loop {
-                write_metrics_text(&path, &core);
-                for _ in 0..10 {
-                    if flag.load(Ordering::SeqCst) {
-                        write_metrics_text(&path, &core);
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            });
-            (stop, handle)
-        });
-
         Ok(Server {
-            core,
-            shutdown,
             engine,
-            accept_handles,
             event_handles,
             handler_handles,
-            exporter,
             tcp_addr,
             unix_path,
         })
@@ -392,60 +346,47 @@ impl Server {
     /// The shared query engine (for in-process inspection in tests and
     /// benches).
     pub fn core(&self) -> &Arc<ServeCore> {
-        &self.core
+        &self.engine.core
     }
 
-    /// Total engine threads this server runs: acceptors + event
-    /// workers + handlers + exporter. The figure is fixed at start and
-    /// independent of how many connections are open — the property the
-    /// 1024-connection soak test pins.
+    /// Total engine threads this server runs: event workers (which
+    /// also accept and export metrics) + handlers. The figure is fixed
+    /// at start and independent of how many connections are open — the
+    /// property the 1024-connection soak test pins.
     pub fn worker_threads(&self) -> usize {
-        self.accept_handles.len()
-            + self.event_handles.len()
-            + self.handler_handles.len()
-            + usize::from(self.exporter.is_some())
+        self.event_handles.len() + self.handler_handles.len()
     }
 
-    /// Raise the shutdown flag: accept loops stop, connections drain.
-    /// Also raised when any client sends a `Shutdown` request.
+    /// Raise the shutdown flag: event loops stop accepting, connections
+    /// drain. Also raised when any client sends a `Shutdown` request.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.engine.shutdown.store(true, Ordering::SeqCst);
         self.engine.wake_all();
     }
 
-    /// Block until the server has fully stopped: waits for the
-    /// shutdown flag, joins every engine thread (connections finish
-    /// answering what they already received), flushes pending
-    /// cache-hit touches to the store's LRU stamps, and removes the
-    /// Unix socket file. Returns the engine for post-mortem
-    /// inspection.
-    pub fn join(mut self) -> Arc<ServeCore> {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(POLL);
-        }
-        // The flag may have been flipped by a client request on an
-        // event loop; re-assert the wakeups so nobody sleeps through
-        // it.
-        self.engine.wake_all();
-        for h in self.accept_handles.drain(..) {
+    /// Block until the server has fully stopped: joins the event loops
+    /// (each exits once the shutdown flag is up and its connections
+    /// have answered what they already received), then the handlers;
+    /// flushes pending cache-hit touches to the store's LRU stamps,
+    /// writes the final metrics text, and removes the Unix socket file.
+    /// Returns the engine for post-mortem inspection.
+    pub fn join(self) -> Arc<ServeCore> {
+        // The last loop out wakes the handlers, which then exit.
+        for h in self.event_handles {
             let _ = h.join();
         }
-        for h in self.event_handles.drain(..) {
+        for h in self.handler_handles {
             let _ = h.join();
         }
-        self.engine.jobs.notify_all();
-        for h in self.handler_handles.drain(..) {
-            let _ = h.join();
+        let core = Arc::clone(&self.engine.core);
+        core.flush_touches();
+        if let Some(path) = &self.engine.metrics_text {
+            write_metrics_text(path, &core);
         }
-        if let Some((stop, handle)) = self.exporter.take() {
-            stop.store(true, Ordering::SeqCst);
-            let _ = handle.join();
-        }
-        self.core.flush_touches();
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
-        self.core
+        core
     }
 }
 
@@ -526,6 +467,34 @@ impl Conn for Box<dyn Conn> {
     }
     fn raw_fd(&self) -> std::os::fd::RawFd {
         (**self).raw_fd()
+    }
+}
+
+/// A listening socket; every event loop polls it beside its own
+/// connections.
+enum Listener {
+    Tcp(TcpListener),
+    Unix(UnixListener),
+}
+
+impl Listener {
+    /// Accept one pending connection (`WouldBlock` once none is left).
+    fn accept(&self) -> io::Result<Box<dyn Conn>> {
+        Ok(match self {
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                let _ = s.set_nodelay(true);
+                Box::new(s)
+            }
+            Listener::Unix(l) => Box::new(l.accept()?.0),
+        })
+    }
+
+    fn raw_fd(&self) -> std::os::fd::RawFd {
+        match self {
+            Listener::Tcp(l) => std::os::fd::AsRawFd::as_raw_fd(l),
+            Listener::Unix(l) => std::os::fd::AsRawFd::as_raw_fd(l),
+        }
     }
 }
 
@@ -657,13 +626,6 @@ impl WakeRx {
     }
 }
 
-/// A freshly accepted connection en route to its event worker.
-struct NewConn {
-    stream: Box<dyn Conn>,
-    conn_id: u64,
-    guard: ActiveGuard,
-}
-
 /// A cold request handed off the event loop.
 struct Job {
     wid: usize,
@@ -715,11 +677,9 @@ impl JobQueue {
     }
 }
 
-/// Per-worker mailboxes: new connections from the acceptors,
-/// completions from the handler pool, and the waker that makes the
-/// loop look at them.
+/// Per-worker mailbox: completions from the handler pool, and the
+/// waker that makes the loop look at them.
 struct WorkerShared {
-    inbox: Mutex<Vec<NewConn>>,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
 }
@@ -727,11 +687,13 @@ struct WorkerShared {
 /// Everything the engine threads share.
 struct Engine {
     core: Arc<ServeCore>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     limits: Limits,
+    listeners: Vec<Listener>,
+    /// Where event worker 0 exports the metrics text, if anywhere.
+    metrics_text: Option<PathBuf>,
     workers: Vec<Arc<WorkerShared>>,
     jobs: JobQueue,
-    next_worker: AtomicUsize,
     live_event_workers: AtomicUsize,
 }
 
@@ -772,11 +734,11 @@ struct Connection {
 }
 
 impl Connection {
-    fn new(nc: NewConn, gen: u64) -> Connection {
+    fn new(stream: Box<dyn Conn>, conn_id: u64, guard: ActiveGuard, gen: u64) -> Connection {
         Connection {
-            conn_id: nc.conn_id,
+            conn_id,
             gen,
-            stream: nc.stream,
+            stream,
             fb: FrameBuffer::new(),
             wbuf: Vec::new(),
             wpos: 0,
@@ -786,7 +748,7 @@ impl Connection {
             idle_since: Instant::now(),
             read_started: None,
             closing: None,
-            _guard: nc.guard,
+            _guard: guard,
         }
     }
 
@@ -1077,7 +1039,7 @@ fn handle_readable(
     release_and_flush(&engine.core, conn);
 }
 
-/// One event loop over the connections routed to it.
+/// One event loop over the listeners and the connections it accepted.
 struct EventWorker {
     wid: usize,
     engine: Arc<Engine>,
@@ -1086,11 +1048,16 @@ struct EventWorker {
     slots: Vec<Option<Connection>>,
     free: Vec<usize>,
     next_gen: u64,
+    /// Set by a failed accept: the listeners sit out the next poll.
+    accept_backoff: bool,
+    /// When the metrics text is next due (event worker 0 only).
+    export_due: Option<Instant>,
 }
 
 impl EventWorker {
     fn new(wid: usize, engine: Arc<Engine>, wake_rx: WakeRx) -> EventWorker {
         let shared = Arc::clone(&engine.workers[wid]);
+        let export_due = (wid == 0 && engine.metrics_text.is_some()).then(Instant::now);
         EventWorker {
             wid,
             engine,
@@ -1099,16 +1066,20 @@ impl EventWorker {
             slots: Vec::new(),
             free: Vec::new(),
             next_gen: 0,
+            accept_backoff: false,
+            export_due,
         }
     }
 
     fn run(mut self) {
         let mut buf = vec![0u8; READ_CHUNK];
         loop {
-            let ready = self.wait();
+            let (acceptable, ready) = self.wait();
             self.wake_rx.drain();
             self.apply_completions();
-            self.admit_new();
+            if acceptable {
+                self.accept_all();
+            }
             for (slot, readable, writable) in ready {
                 if readable {
                     if let Some(conn) = self.slots[slot].as_mut() {
@@ -1125,9 +1096,7 @@ impl EventWorker {
             }
             self.tick();
             self.engine.core.drain_touches();
-            if self.engine.shutdown.load(Ordering::SeqCst)
-                && self.slots.iter().all(|s| s.is_none())
-                && self.shared.inbox.lock().expect("inbox poisoned").is_empty()
+            if self.engine.shutdown.load(Ordering::SeqCst) && self.slots.iter().all(Option::is_none)
             {
                 self.engine
                     .live_event_workers
@@ -1140,17 +1109,34 @@ impl EventWorker {
         }
     }
 
-    /// Wait for readiness; returns `(slot, readable, writable)` per
-    /// ready connection.
-    fn wait(&mut self) -> Vec<(usize, bool, bool)> {
+    /// Wait for readiness; returns whether a listener has connections
+    /// to accept, and `(slot, readable, writable)` per ready connection.
+    /// The listeners sit out the poll after a failed accept and under
+    /// shutdown.
+    fn wait(&mut self) -> (bool, Vec<(usize, bool, bool)>) {
         use readiness::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
-        let mut fds = Vec::with_capacity(self.slots.len() + 1);
+        let listening = !std::mem::take(&mut self.accept_backoff)
+            && !self.engine.shutdown.load(Ordering::SeqCst);
+        let listeners = if listening {
+            &self.engine.listeners[..]
+        } else {
+            &[]
+        };
+        let mut fds = Vec::with_capacity(self.slots.len() + listeners.len() + 1);
         let mut map = Vec::with_capacity(self.slots.len());
         fds.push(PollFd {
             fd: self.wake_rx.raw_fd(),
             events: POLLIN,
             revents: 0,
         });
+        for l in listeners {
+            fds.push(PollFd {
+                fd: l.raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            });
+        }
+        let first_conn = fds.len();
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(conn) = slot {
                 let mut events = 0;
@@ -1171,10 +1157,11 @@ impl EventWorker {
             }
         }
         readiness::wait(&mut fds, POLL.as_millis() as i32);
+        let acceptable = fds[1..first_conn].iter().any(|f| f.revents != 0);
         let err_bits = POLLERR | POLLHUP | POLLNVAL;
         let mut out = Vec::new();
         for (k, slot) in map.into_iter().enumerate() {
-            let f = &fds[k + 1];
+            let f = &fds[first_conn + k];
             let errored = f.revents & err_bits != 0;
             let readable = f.events & POLLIN != 0 && (f.revents & POLLIN != 0 || errored);
             let writable = f.events & POLLOUT != 0 && (f.revents & POLLOUT != 0 || errored);
@@ -1182,7 +1169,7 @@ impl EventWorker {
                 out.push((slot, readable, writable));
             }
         }
-        out
+        (acceptable, out)
     }
 
     /// Fold finished handler answers into their connections and flush.
@@ -1215,25 +1202,88 @@ impl EventWorker {
         }
     }
 
-    /// Seat newly accepted connections into free slots.
-    fn admit_new(&mut self) {
-        let incoming: Vec<NewConn> = {
-            let mut inbox = self.shared.inbox.lock().expect("inbox poisoned");
-            inbox.drain(..).collect()
-        };
-        for nc in incoming {
-            self.next_gen += 1;
-            let conn = Connection::new(nc, self.next_gen);
-            match self.free.pop() {
-                Some(slot) => self.slots[slot] = Some(conn),
-                None => self.slots.push(Some(conn)),
+    /// Accept every pending connection on the listeners. An accept
+    /// error other than `WouldBlock` (a full fd table, say) keeps the
+    /// listeners out of the next poll, so the loop backs off one
+    /// [`POLL`] instead of spinning on it.
+    fn accept_all(&mut self) {
+        let engine = Arc::clone(&self.engine);
+        for listener in &engine.listeners {
+            loop {
+                match listener.accept() {
+                    Ok(stream) => self.admit(stream),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        self.accept_backoff = true;
+                        break;
+                    }
+                }
             }
         }
     }
 
+    /// Seat one accepted connection in a free slot, or turn it away
+    /// with a `server busy` frame past the connection cap.
+    fn admit(&mut self, mut stream: Box<dyn Conn>) {
+        let engine = &self.engine;
+        let core = &engine.core;
+        let conn_id = core.note_connection();
+        // Claim a slot first, so the cap holds across event loops
+        // accepting at once.
+        let taken = engine.limits.active.fetch_add(1, Ordering::SeqCst);
+        core.connection_gauge().inc();
+        let guard = ActiveGuard(
+            Arc::clone(&engine.limits.active),
+            Arc::clone(core.connection_gauge()),
+        );
+        if engine.limits.max_connections > 0 && taken >= engine.limits.max_connections {
+            core.note_busy_reject();
+            trace::emit("serve.conn.busy", &[("id", conn_id.into())]);
+            let reply = Response::Error {
+                message: format!(
+                    "server busy: {} connection(s) already active; retry later",
+                    engine.limits.max_connections
+                ),
+            };
+            // The socket is still blocking here, so the reject frame
+            // goes out before the close.
+            let _ = write_frame(&mut stream, &reply.encode_v2(0));
+            return; // the guard releases the slot; the stream closes
+        }
+        if stream.set_nonblocking(true).is_err() {
+            trace::emit(
+                "serve.conn.close",
+                &[("id", conn_id.into()), ("reason", "setup-failed".into())],
+            );
+            return;
+        }
+        trace::emit("serve.conn.open", &[("id", conn_id.into())]);
+        let stream: Box<dyn Conn> = match engine.limits.fault.clone() {
+            Some(plan) => Box::new(FaultStream {
+                inner: stream,
+                plan,
+            }),
+            None => stream,
+        };
+        self.next_gen += 1;
+        let conn = Connection::new(stream, conn_id, guard, self.next_gen);
+        match self.free.pop() {
+            Some(slot) => self.slots[slot] = Some(conn),
+            None => self.slots.push(Some(conn)),
+        }
+    }
+
     /// Housekeeping pass: pump frames parked behind the pipeline
-    /// window, drain-under-shutdown, idle timeout, and slot reclaim.
+    /// window, drain-under-shutdown, idle timeout, slot reclaim, and
+    /// the metrics text once it is due.
     fn tick(&mut self) {
+        if let (Some(due), Some(path)) = (self.export_due, &self.engine.metrics_text) {
+            let now = Instant::now();
+            if now >= due {
+                write_metrics_text(path, &self.engine.core);
+                self.export_due = Some(now + EXPORT_EVERY);
+            }
+        }
         for slot in 0..self.slots.len() {
             let engine = Arc::clone(&self.engine);
             let Some(conn) = self.slots[slot].as_mut() else {
@@ -1301,77 +1351,4 @@ fn handler_worker(engine: Arc<Engine>) {
             }
         }
     }
-}
-
-/// Spawn one accept loop over a nonblocking listener: enforce the
-/// connection cap, then route the socket to an event worker
-/// round-robin.
-fn spawn_acceptor(
-    engine: Arc<Engine>,
-    mut accept: impl FnMut() -> Option<io::Result<Box<dyn Conn>>> + Send + 'static,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || loop {
-        match accept() {
-            Some(Ok(mut stream)) => {
-                let core = &engine.core;
-                let conn_id = core.note_connection();
-                // Claim a slot before routing, so the cap holds even
-                // while a burst of accepts races the event loops.
-                let taken = engine.limits.active.fetch_add(1, Ordering::SeqCst);
-                core.connection_gauge().inc();
-                let guard = ActiveGuard(
-                    Arc::clone(&engine.limits.active),
-                    Arc::clone(core.connection_gauge()),
-                );
-                if engine.limits.max_connections > 0 && taken >= engine.limits.max_connections {
-                    core.note_busy_reject();
-                    trace::emit("serve.conn.busy", &[("id", conn_id.into())]);
-                    let reply = Response::Error {
-                        message: format!(
-                            "server busy: {} connection(s) already active; retry later",
-                            engine.limits.max_connections
-                        ),
-                    };
-                    // The socket is still blocking here, so the reject
-                    // frame goes out before the close.
-                    let _ = write_frame(&mut stream, &reply.encode_v2(0));
-                    drop(guard); // releases the slot; stream drops too
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    trace::emit(
-                        "serve.conn.close",
-                        &[("id", conn_id.into()), ("reason", "setup-failed".into())],
-                    );
-                    drop(guard);
-                    continue;
-                }
-                trace::emit("serve.conn.open", &[("id", conn_id.into())]);
-                let stream: Box<dyn Conn> = match engine.limits.fault.clone() {
-                    Some(plan) => Box::new(FaultStream {
-                        inner: stream,
-                        plan,
-                    }),
-                    None => stream,
-                };
-                let wid = engine.next_worker.fetch_add(1, Ordering::SeqCst) % engine.workers.len();
-                engine.workers[wid]
-                    .inbox
-                    .lock()
-                    .expect("inbox poisoned")
-                    .push(NewConn {
-                        stream,
-                        conn_id,
-                        guard,
-                    });
-                engine.workers[wid].waker.wake();
-            }
-            Some(Err(_)) | None => {
-                if engine.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(POLL);
-            }
-        }
-    })
 }

@@ -319,6 +319,40 @@ fn fault_storm_on_the_event_loop_converges_with_pipelining() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh connection is served as soon as it arrives: the event loops
+/// poll the listener with their connections, so nothing waits out a
+/// sleep before the first request is read.
+#[test]
+fn twenty_fresh_connections_are_answered_without_an_accept_delay() {
+    let (dir, store) = warm_store("fresh");
+    let sock = dir.join("bolt.sock");
+    let server = Server::builder()
+        .unix(sock.clone())
+        .start(ServeCore::new(store))
+        .unwrap();
+    let started = std::time::Instant::now();
+    for i in 0..20 {
+        let mut s = UnixStream::connect(&sock).unwrap();
+        write_frame(&mut s, &Request::Ping.encode_v2(1)).unwrap();
+        let payload = read_frame(&mut s).unwrap().expect("ping reply");
+        assert!(
+            matches!(
+                Response::decode_v2(&payload),
+                Ok((1, Response::Pong { .. }))
+            ),
+            "connection {i}: expected a pong"
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 fresh connections took {elapsed:?}"
+    );
+    server.request_shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// 1024 idle connections must not grow the thread pool: the engine is
 /// a fixed set of poll-driven workers, not thread-per-connection.
 #[test]
@@ -342,7 +376,7 @@ fn a_1024_idle_connection_soak_keeps_the_thread_count_fixed() {
             Err(e) => panic!("connection {i} refused: {e}"),
         }
     }
-    // Give the acceptors time to hand every socket to an event worker.
+    // Give the event loops time to accept and seat every socket.
     std::thread::sleep(Duration::from_millis(300));
 
     // The pool is fixed: same engine thread count as at start.

@@ -435,6 +435,42 @@ fn shutdown_drains_requests_received_before_the_flag() {
     server.join();
 }
 
+/// The metrics file a server leaves behind is written after the
+/// shutdown's touch flush, so it agrees with the core's own counters.
+#[test]
+fn the_final_metrics_file_counts_the_shutdown_touch_flush() {
+    let (dir, store) = warm_store("final-metrics");
+    let prom = dir.join("bolt.prom");
+    let server = Server::builder()
+        .unix(dir.join("bolt.sock"))
+        .metrics_text(&prom)
+        .start(ServeCore::new(store))
+        .unwrap();
+    let ep = Endpoint::Unix(server.unix_path().unwrap().to_path_buf());
+    let mut client = Client::builder(&ep).build().unwrap();
+    let q = QueryRequest {
+        nf: "bridge".to_string(),
+        level: level_tag(StackLevel::NfOnly),
+        metric: 0,
+        tag: None,
+        pcvs: vec![],
+    };
+    // A load, then a cache hit: one touch pending until shutdown.
+    client.query(q.clone()).unwrap();
+    client.query(q).unwrap();
+    server.request_shutdown();
+    let core = server.join();
+    let flushed = counter(&core.stats_reply(), "touches_flushed");
+    assert_eq!(flushed, 1);
+    let text = std::fs::read_to_string(&prom).unwrap();
+    let exported = text
+        .lines()
+        .find_map(|l| l.strip_prefix("bolt_serve_touches_flushed "))
+        .expect("touches_flushed series in the metrics file");
+    assert_eq!(exported, flushed.to_string());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn server_cache_hits_keep_the_store_lru_honest() {
     let (dir, store) = warm_store("coherence");

@@ -531,9 +531,10 @@ fn cmd_serve(o: &Opts) {
     if let Some(a) = server.tcp_addr() {
         println!("  tcp         : tcp:{a}");
     }
-    // The Prometheus textfile exporter now lives in the server itself
-    // (`ServerBuilder::metrics_text`): once a second while serving,
-    // once more after the drain.
+    // The server writes the Prometheus textfile itself
+    // (`ServerBuilder::metrics_text`): its first event loop rewrites it
+    // once a second while serving, and `join` once more after the
+    // drain and the final touch flush.
     if let Some(path) = &o.metrics_text {
         println!("  metrics     : {path} (Prometheus text)");
     }
