@@ -6,8 +6,9 @@
 //! without a separate rewrite pass.
 //!
 //! Every term carries O(1) metadata computed once at intern time — its
-//! [`Width`] and its deduplicated, sorted symbol support — so the solver
-//! never re-walks a term to answer `width()` or `syms_of()`. Supports
+//! [`Width`], its deduplicated, sorted symbol support and its
+//! pool-independent content hash — so the solver never re-walks a term
+//! to answer `width()`, `syms_of()` or `content_hash()`. Supports
 //! live in one arena per pool, so interning a term allocates nothing of
 //! its own. The intern
 //! table hashes *into the arena* (an open-addressed index table) instead
@@ -26,6 +27,8 @@ struct TermMeta {
     width: Width,
     /// Hash of the node (cached for intern-table rehashing).
     hash: u64,
+    /// Pool-independent content hash (see [`TermPool::content_hash`]).
+    content: u64,
     /// Sorted, deduplicated symbol support: the `(start, len)` range of
     /// the pool's `supports` arena. A node whose support equals a
     /// child's (unary wrappers, width adapters, a binop or `Ite` whose
@@ -48,9 +51,8 @@ pub struct TermPool {
     /// buffer per pool, not one allocation per symbol node and per
     /// merged support.
     supports: Vec<SymId>,
-    /// Process-unique pool identity (never serialized). Caches that
-    /// memoize per-[`TermRef`] facts key on `(uid, index)` so entries
-    /// from one pool can never be mistaken for another pool's.
+    /// Process-unique pool identity (never serialized): a fact about a
+    /// [`TermRef`] holds only in the pool whose `uid` it was found under.
     uid: u64,
 }
 
@@ -78,6 +80,14 @@ fn hash_term(t: &Term) -> u64 {
     let mut h = FxHasher::default();
     t.hash(&mut h);
     h.finish()
+}
+
+/// The content hash's FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step of the content hash, over a whole word.
+fn fnv(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0100_0000_01b3)
 }
 
 /// `(name, width) → symbol term` for one destination [`TermPool`]: the
@@ -132,7 +142,9 @@ impl TermPool {
     /// pool's lifetime, fresh for every construction (including decoded
     /// pools), never serialized — interpretations of a
     /// [`TermRef`] are only comparable between calls that observed the
-    /// same `uid`.
+    /// same `uid`. The solver's model cache uses it to remember which
+    /// term of which pool a cached model failed; facts that must hold
+    /// across pools key on [`TermPool::content_hash`] instead.
     pub fn uid(&self) -> u64 {
         self.uid
     }
@@ -140,6 +152,7 @@ impl TermPool {
     /// Metadata for a new node (children are already interned, so their
     /// metadata is an O(1) lookup).
     fn meta_for(&mut self, t: &Term, hash: u64) -> TermMeta {
+        let content = self.content_of(t);
         let (width, syms) = match *t {
             Term::Const { width, .. } => (width, (0, 0)),
             Term::Sym { id, width } => {
@@ -167,7 +180,33 @@ impl TermPool {
                 (width, self.meta[a.index()].syms)
             }
         };
-        TermMeta { width, hash, syms }
+        TermMeta {
+            width,
+            hash,
+            content,
+            syms,
+        }
+    }
+
+    /// The content hash of a new node: an FNV-1a fold over its kind, its
+    /// widths, constant values, symbol ids and names, and its children's
+    /// content hashes (already in their metadata).
+    fn content_of(&self, t: &Term) -> u64 {
+        let fold = |words: &[u64]| words.iter().fold(FNV_OFFSET, |h, &v| fnv(h, v));
+        let child = |r: TermRef| self.meta[r.index()].content;
+        match *t {
+            Term::Const { value, width } => fold(&[1, value, width.bits() as u64]),
+            Term::Sym { id, width } => {
+                let head = fold(&[2, id as u64, width.bits() as u64]);
+                let name = self.sym_names[id as usize].bytes();
+                name.fold(head, |h, b| fnv(h, b as u64))
+            }
+            Term::Unop { op, a } => fold(&[3, op as u64, child(a)]),
+            Term::Binop { op, a, b } => fold(&[4, op as u64, child(a), child(b)]),
+            Term::Ite { c, t, e } => fold(&[5, child(c), child(t), child(e)]),
+            Term::Zext { a, width } => fold(&[6, width.bits() as u64, child(a)]),
+            Term::Trunc { a, width } => fold(&[7, width.bits() as u64, child(a)]),
+        }
     }
 
     /// The support range of the union of up to three sorted supports,
@@ -255,6 +294,19 @@ impl TermPool {
     /// time, not a recursive walk).
     pub fn width(&self, r: TermRef) -> Width {
         self.meta[r.index()].width
+    }
+
+    /// Pool-independent content hash of a term — an O(1) metadata lookup,
+    /// folded once at intern time from the node's kind, widths, constant
+    /// values, symbol ids *and* names, and its children's content hashes.
+    /// Two terms of any two pools hash equal only when they are
+    /// structurally identical and bind identically numbered, identically
+    /// named symbols (barring a 64-bit collision): the condition under
+    /// which a feasibility verdict or a witness (which maps raw
+    /// [`SymId`]s) carries from one pool to the other. Deterministic
+    /// across processes, so a decoded pool hashes as the encoded one did.
+    pub fn content_hash(&self, r: TermRef) -> u64 {
+        self.meta[r.index()].content
     }
 
     /// Name of a symbol.

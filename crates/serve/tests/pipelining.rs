@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bolt_core::store::{level_tag, StoreExt};
 use bolt_nfs::{Bridge, Firewall};
@@ -19,6 +19,16 @@ use bolt_serve::{
 };
 use bolt_store::ContractStore;
 use dpdk_sim::StackLevel;
+
+/// Poll `done` every millisecond until it holds; fails the test after
+/// ten seconds.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bolt-pipeline-test-{tag}-{}", std::process::id()));
@@ -330,7 +340,7 @@ fn twenty_fresh_connections_are_answered_without_an_accept_delay() {
         .unix(sock.clone())
         .start(ServeCore::new(store))
         .unwrap();
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     for i in 0..20 {
         let mut s = UnixStream::connect(&sock).unwrap();
         write_frame(&mut s, &Request::Ping.encode_v2(1)).unwrap();
@@ -376,8 +386,9 @@ fn a_1024_idle_connection_soak_keeps_the_thread_count_fixed() {
             Err(e) => panic!("connection {i} refused: {e}"),
         }
     }
-    // Give the event loops time to accept and seat every socket.
-    std::thread::sleep(Duration::from_millis(300));
+    // Wait until the event loops have accepted and seated every socket.
+    let seated = server.core().metrics().gauge("serve.active_connections");
+    wait_until("1024 seated connections", || seated.get() >= 1024);
 
     // The pool is fixed: same engine thread count as at start.
     assert_eq!(server.worker_threads(), threads_before);

@@ -8,6 +8,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use bolt_core::store::{level_tag, store_key, RecordKind, StoreExt};
 use bolt_core::{ClassSpec, InputClass, NetworkFunction};
@@ -20,6 +21,16 @@ use bolt_serve::{
 use bolt_store::ContractStore;
 use bolt_trace::Metric;
 use dpdk_sim::StackLevel;
+
+/// Poll `done` every millisecond until it holds; fails the test after
+/// ten seconds.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bolt-serve-test-{tag}-{}", std::process::id()));
@@ -416,9 +427,10 @@ fn shutdown_drains_requests_received_before_the_flag() {
             s
         })
         .collect();
-    // Give the frames time to reach the per-connection threads, then
-    // ask for shutdown.
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    // Wait until the event loops have read all four frames and handed
+    // them to the core, then ask for shutdown.
+    let requests = server.core().metrics().counter("serve.requests");
+    wait_until("four requests to reach the core", || requests.get() >= 4);
     let mut killer = Client::builder(&Endpoint::Unix(sock)).build().unwrap();
     killer.shutdown().unwrap();
     // Every request written before the shutdown still gets its answer,

@@ -49,6 +49,13 @@
 //!   list, caches satisfiable-alone witnesses per atom, and keeps a small
 //!   model cache whose witnesses answer repeated satisfiable probes by
 //!   evaluation alone (sound: a verified model proves satisfiability).
+//!   Both memos key on the content hashes the pool folded for each term
+//!   when it interned it ([`TermPool::content_hash`]), so a request's
+//!   key costs one read per term. A cached model remembers the last
+//!   term it failed and where, and is passed over without evaluation
+//!   while a list still holds that term there: neither a model nor an
+//!   interned term ever changes, so the model that revives, and every
+//!   count, are those of testing each model in full.
 //! * [`SolverStats`] counts every request and what answered it, so the
 //!   query reduction is observable and assertable in tests.
 //!
@@ -1411,12 +1418,13 @@ struct FinishScratch {
 
 /// Shared feasibility caches for one exploration / composition session:
 /// an exact-constraint-list memo, a per-atom satisfiability cache, and a
-/// bounded model cache for witness reuse. Memo entries key on
-/// pool-independent *content hashes* (structure, widths, constants,
-/// symbol ids and names — see `term_content_hash`), so one cache can
-/// safely serve probes against several [`TermPool`]s: two terms share a
-/// key only when they are structurally identical and bind the same
-/// symbols, in which case their verdicts (and atom witnesses) coincide.
+/// bounded model cache for witness reuse. Memo entries key on the
+/// pool-independent content hashes the pool computed when it interned
+/// each term ([`TermPool::content_hash`]: structure, widths, constants,
+/// symbol ids and names), so one cache can safely serve probes against
+/// several [`TermPool`]s: two terms share a key only when they are
+/// structurally identical and bind the same symbols, in which case their
+/// verdicts (and atom witnesses) coincide.
 /// Raw `TermRef` indices are never used as keys — they are meaningless
 /// outside the pool that interned them, and reusing them across pools
 /// once served stale verdicts when a planner probed pair orders through
@@ -1431,14 +1439,11 @@ struct FinishScratch {
 #[derive(Debug, Default)]
 pub struct SolverCache {
     /// Ordered constraint list (content hashes) → feasibility verdict.
+    /// Looked up by a borrowed slice; a key is boxed only when inserted.
     list_memo: FxHashMap<Box<[u64]>, bool>,
     /// Atom content hash → witness satisfying the atom alone (`None`:
     /// no usable witness — the atom alone was Unsat or Unknown).
     atom_memo: FxHashMap<u64, Option<Witness>>,
-    /// Content-hash memo: `(pool uid, term index)` → hash. Sound because
-    /// pools are append-only (an interned term's content never changes)
-    /// and uids are process-unique.
-    term_hashes: FxHashMap<(u64, u32), u64>,
     /// Recently discovered models, reused to answer satisfiable probes.
     models: Vec<CachedModel>,
     /// Monotone insertion stamp (eviction tie-breaker: oldest loses).
@@ -1458,6 +1463,34 @@ struct CachedModel {
     w: Witness,
     hits: u64,
     seq: u64,
+    /// The last term the model was found to fail, as `(pool uid,
+    /// position in the list, term)`. A cached model never changes, and
+    /// neither does an interned term, so the model fails every list of
+    /// that pool that holds the term at that position: revival skips it
+    /// without evaluating anything.
+    failed: Option<(u64, usize, TermRef)>,
+}
+
+impl CachedModel {
+    /// Whether the model satisfies every term of `list`, tested newest
+    /// first: a cached model usually satisfies the long shared prefix and
+    /// fails on what was asserted last. A failure is remembered, and a
+    /// list that still holds the remembered term where it was fails here
+    /// at once. The answer is the evaluation's either way.
+    fn satisfies(&mut self, pool: &TermPool, list: &[TermRef]) -> bool {
+        if let Some((uid, at, t)) = self.failed {
+            if uid == pool.uid() && list.get(at) == Some(&t) {
+                return false;
+            }
+        }
+        match list.iter().rposition(|&c| self.w.eval(pool, c) != 1) {
+            Some(at) => {
+                self.failed = Some((pool.uid(), at, list[at]));
+                false
+            }
+            None => true,
+        }
+    }
 }
 
 /// Cached models kept for witness reuse.
@@ -1469,15 +1502,17 @@ impl SolverCache {
         Self::default()
     }
 
-    fn push_model(&mut self, w: Witness) {
+    /// Cache a copy of `w`. At capacity the copy goes into the evicted
+    /// entry's buffer.
+    fn push_model(&mut self, w: &Witness) {
         self.model_seq += 1;
-        let entry = CachedModel {
-            w,
-            hits: 0,
-            seq: self.model_seq,
-        };
         if self.models.len() < MODEL_CACHE_CAP {
-            self.models.push(entry);
+            self.models.push(CachedModel {
+                w: w.clone(),
+                hits: 0,
+                seq: self.model_seq,
+                failed: None,
+            });
             return;
         }
         // Hit-count-weighted retention: a model that has answered many
@@ -1492,69 +1527,20 @@ impl SolverCache {
             .min_by_key(|(_, m)| (m.hits, m.seq))
             .map(|(i, _)| i)
             .expect("cache is non-empty at capacity");
-        self.models[i] = entry;
+        let m = &mut self.models[i];
+        m.w.clone_from(w);
+        (m.hits, m.seq, m.failed) = (0, self.model_seq, None);
         self.stats.model_evictions += 1;
     }
-}
 
-/// Pool-independent content hash of a term: a deterministic FNV-1a fold
-/// over the node kind, widths, constant values, symbol ids *and* names,
-/// and (recursively) child hashes, memoised per `(pool uid, index)` in
-/// `memo`. Two terms hash equal only when they are structurally
-/// identical and bind identically-numbered, identically-named symbols —
-/// exactly the condition under which feasibility verdicts and cached
-/// atom witnesses (which map raw [`SymId`]s) transfer between pools.
-fn term_content_hash(pool: &TermPool, memo: &mut FxHashMap<(u64, u32), u64>, t: TermRef) -> u64 {
-    let key = (pool.uid(), t.index() as u32);
-    if let Some(&h) = memo.get(&key) {
-        return h;
-    }
-    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0100_0000_01b3);
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    match *pool.get(t) {
-        Term::Const { value, width } => {
-            h = mix(h, 1);
-            h = mix(h, value);
-            h = mix(h, width.bits() as u64);
-        }
-        Term::Sym { id, width } => {
-            h = mix(h, 2);
-            h = mix(h, id as u64);
-            h = mix(h, width.bits() as u64);
-            for b in pool.sym_name(id).bytes() {
-                h = mix(h, b as u64);
-            }
-        }
-        Term::Unop { op, a } => {
-            h = mix(h, 3);
-            h = mix(h, op as u64);
-            h = mix(h, term_content_hash(pool, memo, a));
-        }
-        Term::Binop { op, a, b } => {
-            h = mix(h, 4);
-            h = mix(h, op as u64);
-            h = mix(h, term_content_hash(pool, memo, a));
-            h = mix(h, term_content_hash(pool, memo, b));
-        }
-        Term::Ite { c, t: tt, e } => {
-            h = mix(h, 5);
-            h = mix(h, term_content_hash(pool, memo, c));
-            h = mix(h, term_content_hash(pool, memo, tt));
-            h = mix(h, term_content_hash(pool, memo, e));
-        }
-        Term::Zext { a, width } => {
-            h = mix(h, 6);
-            h = mix(h, width.bits() as u64);
-            h = mix(h, term_content_hash(pool, memo, a));
-        }
-        Term::Trunc { a, width } => {
-            h = mix(h, 7);
-            h = mix(h, width.bits() as u64);
-            h = mix(h, term_content_hash(pool, memo, a));
+    /// Memoise the verdict of the list whose content hashes are `key`,
+    /// boxing the key only if the list is new. A list's verdict never
+    /// changes, so one already memoised stays as it is.
+    fn remember(&mut self, key: &[u64], feasible: bool) {
+        if !self.list_memo.contains_key(key) {
+            self.list_memo.insert(key.into(), feasible);
         }
     }
-    memo.insert(key, h);
-    h
 }
 
 /// Snapshot for [`SolverCtx::push`]/[`SolverCtx::pop`]. A popped frame
@@ -1588,11 +1574,12 @@ pub struct SolverCtx {
     /// Checkpoints: the first `depth` are open, the rest are spare.
     frames: Vec<Frame>,
     depth: usize,
-    /// Content hashes of a prefix of `constraints`, in step with it
-    /// (`pop` cuts both), computed against the pool `hashes_pool` names
-    /// and rebuilt when a query comes with another pool.
-    hashes: Vec<u64>,
-    hashes_pool: Option<u64>,
+    /// The memo key of the request being decided (see
+    /// [`SolverCtx::memo_key`]), rebuilt in place by each request.
+    key: Vec<u64>,
+    /// The buffer of the last model that died, which the next revived
+    /// model is copied into.
+    spare: Witness,
 }
 
 impl SolverCtx {
@@ -1606,8 +1593,8 @@ impl SolverCtx {
             cur_witness: Some(Witness::default()),
             frames: Vec::new(),
             depth: 0,
-            hashes: Vec::new(),
-            hashes_pool: None,
+            key: Vec::new(),
+            spare: Witness::default(),
         }
     }
 
@@ -1675,6 +1662,8 @@ impl SolverCtx {
                     }
                 }
                 if !repaired {
+                    // The model dies; its buffer waits for the next one.
+                    self.spare = std::mem::take(w);
                     self.cur_witness = None;
                 }
             }
@@ -1719,35 +1708,23 @@ impl SolverCtx {
         let f = &mut self.frames[self.depth];
         std::mem::swap(&mut self.prop, &mut f.prop);
         self.constraints.truncate(f.n_constraints);
-        self.hashes.truncate(f.n_constraints);
         std::mem::swap(&mut self.known_syms, &mut f.known_syms);
         std::mem::swap(&mut self.cur_witness, &mut f.cur_witness);
     }
 
-    /// The memo key of `constraints + [extra]`: the content hash of each
-    /// term in order. The prefix's hashes are kept from earlier queries,
-    /// so only constraints asserted since, and `extra`, are hashed here.
-    fn memo_key(
-        &mut self,
-        pool: &TermPool,
-        cache: &mut SolverCache,
-        extra: Option<TermRef>,
-    ) -> Box<[u64]> {
-        if self.hashes_pool != Some(pool.uid()) {
-            self.hashes.clear();
-            self.hashes_pool = Some(pool.uid());
-        }
-        for &c in &self.constraints[self.hashes.len()..] {
-            let h = term_content_hash(pool, &mut cache.term_hashes, c);
-            self.hashes.push(h);
-        }
-        // Sized once: the boxed slice takes the vector's buffer as is.
-        let mut key = Vec::with_capacity(self.hashes.len() + extra.is_some() as usize);
-        key.extend_from_slice(&self.hashes);
-        if let Some(t) = extra {
-            key.push(term_content_hash(pool, &mut cache.term_hashes, t));
-        }
-        key.into_boxed_slice()
+    /// Fill `self.key` with the memo key of `constraints + [extra]`: the
+    /// content hash of each term in order, read from the pool.
+    fn memo_key(&mut self, pool: &TermPool, extra: Option<TermRef>) {
+        self.key.clear();
+        let terms = self.constraints.iter().chain(&extra);
+        self.key.extend(terms.map(|&t| pool.content_hash(t)));
+    }
+
+    /// Make a copy of `m` the current model, in the spare buffer.
+    fn revive(&mut self, m: &Witness) {
+        let mut w = std::mem::take(&mut self.spare);
+        w.clone_from(m);
+        self.cur_witness = Some(w);
     }
 
     /// Witness satisfying `atom` alone, solved once per atom and cached
@@ -1761,7 +1738,7 @@ impl SolverCtx {
         cache: &'c mut SolverCache,
         atom: TermRef,
     ) -> Option<&'c Witness> {
-        let k = term_content_hash(pool, &mut cache.term_hashes, atom);
+        let k = pool.content_hash(atom);
         if cache.atom_memo.contains_key(&k) {
             return cache.atom_memo[&k].as_ref();
         }
@@ -1835,40 +1812,39 @@ impl SolverCtx {
         }
         // 2. Exact-list memo (identical ordered probe seen before —
         //    possibly against a different pool holding the same terms).
-        let key = self.memo_key(pool, cache, Some(extra));
-        if let Some(&f) = cache.list_memo.get(&key) {
+        self.memo_key(pool, Some(extra));
+        if let Some(&f) = cache.list_memo.get(&self.key[..]) {
             cache.stats.memo_hits += 1;
             return f;
         }
         // 3. No live model (scheduled replays assert their prefix without
         //    probing, which usually kills the initial all-zeros model):
         //    revive one from the cache. A model satisfying the whole
-        //    extended list answers immediately; one satisfying just the
-        //    prefix re-arms the merge path below.
-        //    Models are tested newest constraint first: a cached model
-        //    usually satisfies the long shared prefix and fails on what
-        //    was asserted last, and the verdict does not depend on order.
+        //    extended list answers immediately; the first one satisfying
+        //    just the prefix re-arms the merge path below. A model that
+        //    fails `extra` remembers it at the extended list's last
+        //    position, where the one-atom push below puts it.
         if self.cur_witness.is_none() {
+            let (uid, n) = (pool.uid(), self.constraints.len());
             let mut prefix_model = None;
             for i in 0..cache.models.len() {
-                let m = &cache.models[i].w;
-                if self.constraints.iter().rev().all(|&c| m.eval(pool, c) == 1) {
-                    if m.eval(pool, extra) == 1 {
-                        let w = m.clone();
-                        cache.models[i].hits += 1;
-                        cache.stats.witness_reuse_hits += 1;
-                        cache.list_memo.insert(key, true);
-                        self.cur_witness = Some(w);
-                        return true;
-                    }
-                    if prefix_model.is_none() {
-                        prefix_model = Some((i, m.clone()));
-                    }
+                let m = &mut cache.models[i];
+                if !m.satisfies(pool, &self.constraints) {
+                    continue;
                 }
+                if m.w.eval(pool, extra) == 1 {
+                    m.hits += 1;
+                    cache.stats.witness_reuse_hits += 1;
+                    cache.remember(&self.key, true);
+                    self.revive(&cache.models[i].w);
+                    return true;
+                }
+                m.failed = Some((uid, n, extra));
+                prefix_model = prefix_model.or(Some(i));
             }
-            if let Some((i, m)) = prefix_model {
+            if let Some(i) = prefix_model {
                 cache.models[i].hits += 1;
-                self.cur_witness = Some(m);
+                self.revive(&cache.models[i].w);
             }
         }
         // 4. Disjoint-support merge: the atom touches only symbols no
@@ -1881,9 +1857,8 @@ impl SolverCtx {
                     for &s in syms {
                         w.set(s, wa.get(s));
                     }
-                    let w = w.clone();
                     cache.stats.witness_reuse_hits += 1;
-                    cache.list_memo.insert(key, true);
+                    cache.remember(&self.key, true);
                     cache.push_model(w);
                     return true;
                 }
@@ -1896,8 +1871,8 @@ impl SolverCtx {
         //      satisfies prefix + extra, hence the prefix too.
         self.push();
         self.assert_term(pool, extra);
-        // `key` (prefix + extra) is exactly this frame's constraint list.
-        let feasible = self.decide_current(pool, cache, key);
+        // `self.key` still holds prefix + extra: this frame's list's key.
+        let feasible = self.decide_current(pool, cache);
         self.pop();
         // The popped frame holds the extended list's model, if any: swap
         // it in.
@@ -1912,47 +1887,34 @@ impl SolverCtx {
     /// check). Same cascade as [`SolverCtx::probe_feasible`].
     pub fn current_feasible(&mut self, pool: &TermPool, cache: &mut SolverCache) -> bool {
         cache.stats.checks_requested += 1;
-        let key = self.memo_key(pool, cache, None);
-        self.decide_current(pool, cache, key)
+        self.memo_key(pool, None);
+        self.decide_current(pool, cache)
     }
 
     /// Shared tail of the decision cascade for the *current* constraint
     /// list: memo lookup → model revival → saved-state contradiction →
     /// full procedure from saved state (a model comes back for future
-    /// witness reuse). Verdict is memoised under `key`.
-    fn decide_current(
-        &mut self,
-        pool: &TermPool,
-        cache: &mut SolverCache,
-        key: Box<[u64]>,
-    ) -> bool {
+    /// witness reuse). Verdict is memoised under `self.key`, which the
+    /// caller filled for the current list.
+    fn decide_current(&mut self, pool: &TermPool, cache: &mut SolverCache) -> bool {
         // A live model (e.g. kept alive by assert_term's verified repair)
         // already proves the current list satisfiable.
         if self.cur_witness.is_some() {
             cache.stats.witness_reuse_hits += 1;
-            cache.list_memo.insert(key, true);
+            cache.remember(&self.key, true);
             return true;
         }
-        if let Some(&f) = cache.list_memo.get(&key) {
+        if let Some(&f) = cache.list_memo.get(&self.key[..]) {
             cache.stats.memo_hits += 1;
             return f;
         }
-        // Newest constraint first, as in `probe_feasible`'s revival.
-        {
-            for i in 0..cache.models.len() {
-                if self
-                    .constraints
-                    .iter()
-                    .rev()
-                    .all(|&c| cache.models[i].w.eval(pool, c) == 1)
-                {
-                    let w = cache.models[i].w.clone();
-                    cache.models[i].hits += 1;
-                    cache.stats.witness_reuse_hits += 1;
-                    cache.list_memo.insert(key, true);
-                    self.cur_witness = Some(w);
-                    return true;
-                }
+        for i in 0..cache.models.len() {
+            if cache.models[i].satisfies(pool, &self.constraints) {
+                cache.models[i].hits += 1;
+                cache.stats.witness_reuse_hits += 1;
+                cache.remember(&self.key, true);
+                self.revive(&cache.models[i].w);
+                return true;
             }
         }
         let feasible = if self.prop.contradiction {
@@ -1970,12 +1932,15 @@ impl SolverCtx {
             );
             let feasible = res.possibly_sat();
             if let SolveResult::Sat(w) = res {
-                cache.push_model(w.clone());
+                cache.push_model(&w);
+                // The decision took the tail's witness buffer with it; the
+                // spare one takes its place.
+                cache.scratch.w = std::mem::take(&mut self.spare);
                 self.cur_witness = Some(w);
             }
             feasible
         };
-        cache.list_memo.insert(key, feasible);
+        cache.remember(&self.key, feasible);
         feasible
     }
 
@@ -1998,6 +1963,7 @@ impl SolverCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bolt_expr::SymTable;
 
     fn solver() -> Solver {
         Solver::default()
@@ -2843,38 +2809,146 @@ mod tests {
         assert_eq!(ctx.check(&p), s.check(&p, &cs));
     }
 
+    /// The content hash as a recursive FNV-1a fold over the term's tree:
+    /// the oracle [`TermPool::content_hash`], which folds each node once
+    /// when the pool interns it, must equal.
+    fn content_hash_oracle(pool: &TermPool, t: TermRef) -> u64 {
+        let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0100_0000_01b3);
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        match *pool.get(t) {
+            Term::Const { value, width } => {
+                h = mix(h, 1);
+                h = mix(h, value);
+                h = mix(h, width.bits() as u64);
+            }
+            Term::Sym { id, width } => {
+                h = mix(h, 2);
+                h = mix(h, id as u64);
+                h = mix(h, width.bits() as u64);
+                for b in pool.sym_name(id).bytes() {
+                    h = mix(h, b as u64);
+                }
+            }
+            Term::Unop { op, a } => {
+                h = mix(h, 3);
+                h = mix(h, op as u64);
+                h = mix(h, content_hash_oracle(pool, a));
+            }
+            Term::Binop { op, a, b } => {
+                h = mix(h, 4);
+                h = mix(h, op as u64);
+                h = mix(h, content_hash_oracle(pool, a));
+                h = mix(h, content_hash_oracle(pool, b));
+            }
+            Term::Ite { c, t: tt, e } => {
+                h = mix(h, 5);
+                h = mix(h, content_hash_oracle(pool, c));
+                h = mix(h, content_hash_oracle(pool, tt));
+                h = mix(h, content_hash_oracle(pool, e));
+            }
+            Term::Zext { a, width } => {
+                h = mix(h, 6);
+                h = mix(h, width.bits() as u64);
+                h = mix(h, content_hash_oracle(pool, a));
+            }
+            Term::Trunc { a, width } => {
+                h = mix(h, 7);
+                h = mix(h, width.bits() as u64);
+                h = mix(h, content_hash_oracle(pool, a));
+            }
+        }
+        h
+    }
+
+    fn assert_hashes_match_the_oracle(pool: &TermPool, what: &str) {
+        for i in 0..pool.len() {
+            let t = TermRef::from_raw(i as u32);
+            assert_eq!(
+                pool.content_hash(t),
+                content_hash_oracle(pool, t),
+                "{what}: {}",
+                pool.display(t)
+            );
+        }
+    }
+
     #[test]
-    fn prefix_memo_keys_equal_a_fresh_hash() {
+    fn content_hashes_are_the_recursive_fold() {
+        use bolt_store::codec::{read_pool, write_pool};
+        use bolt_store::{ByteReader, ByteWriter};
+        for seed in 0..32 {
+            let (pool, _, _) = random_component(seed);
+            assert_hashes_match_the_oracle(&pool, "built");
+            let mut replayed = TermPool::new();
+            for (name, width) in pool.sym_entries() {
+                replayed.register_sym(name, width);
+            }
+            for node in pool.nodes() {
+                replayed.intern_node(node.clone());
+            }
+            assert_hashes_match_the_oracle(&replayed, "replayed");
+            let mut absorbed = TermPool::new();
+            let mut syms = SymTable::default();
+            absorbed.absorb_with(&pool, |dst, name, w| syms.sym_for(dst, name, w));
+            assert_hashes_match_the_oracle(&absorbed, "absorbed");
+            let mut w = ByteWriter::new();
+            write_pool(&mut w, &pool);
+            let bytes = w.into_bytes();
+            let decoded = read_pool(&mut ByteReader::new(&bytes)).expect("round trip");
+            assert_hashes_match_the_oracle(&decoded, "decoded");
+            for i in 0..pool.len() {
+                let t = TermRef::from_raw(i as u32);
+                assert_eq!(decoded.content_hash(t), pool.content_hash(t));
+            }
+        }
+    }
+
+    /// A pool of comparison atoms over symbols `name` and `name'`
+    /// against constants from `k`. Two calls make the same `TermRef`s.
+    fn twin_pool(name: &str, k: u64) -> (TermPool, Vec<TermRef>) {
+        let mut p = TermPool::new();
+        let x = p.fresh_sym(name, Width::W8);
+        let y = p.fresh_sym(format!("{name}'"), Width::W8);
+        let mut atoms = Vec::new();
+        for i in 0..4 {
+            let c = p.constant(k + i, Width::W8);
+            atoms.push(p.ult(x, c));
+            atoms.push(p.ne(y, c));
+            let sum = p.add(x, y);
+            atoms.push(p.eq(sum, c));
+        }
+        (p, atoms)
+    }
+
+    #[test]
+    fn content_hashes_tell_symbol_names_apart() {
+        let (pa, atoms) = twin_pool("x", 3);
+        let (pb, atoms_b) = twin_pool("y", 3);
+        assert_eq!(atoms, atoms_b, "the same refs in both pools");
+        assert_eq!(pa.nodes(), pb.nodes(), "the same nodes, other names");
+        for i in 0..pa.len() {
+            let t = TermRef::from_raw(i as u32);
+            assert_eq!(
+                pa.content_hash(t) == pb.content_hash(t),
+                pa.syms_of(t).is_empty(),
+                "{} vs {}",
+                pa.display(t),
+                pb.display(t)
+            );
+        }
+    }
+
+    #[test]
+    fn memo_keys_are_the_oracle_fold() {
         // Two pools built by the same calls, over differently named
         // symbols and other constants: each `TermRef` names a term in
         // both, with other content hashes. After every step of a seeded
-        // assert/push/probe/pop/switch-pool sequence, the key the context
-        // builds from its kept prefix hashes must be the one hashed from
-        // scratch, with and without an extra atom.
-        let build = |name: &str, k: u64| {
-            let mut p = TermPool::new();
-            let x = p.fresh_sym(name, Width::W8);
-            let y = p.fresh_sym(format!("{name}'"), Width::W8);
-            let mut atoms = Vec::new();
-            for i in 0..4 {
-                let c = p.constant(k + i, Width::W8);
-                atoms.push(p.ult(x, c));
-                atoms.push(p.ne(y, c));
-                let sum = p.add(x, y);
-                atoms.push(p.eq(sum, c));
-            }
-            (p, atoms)
-        };
-        let (pa, atoms) = build("x", 3);
-        let (pb, atoms_b) = build("y", 40);
+        // assert/push/probe/pop/switch-pool sequence, the memo key of
+        // the list, with and without an extra atom, must be its terms'
+        // recursive folds in the current pool.
+        let (pa, atoms) = twin_pool("x", 3);
+        let (pb, atoms_b) = twin_pool("y", 40);
         assert_eq!(atoms, atoms_b, "the same refs in both pools");
-        let fresh = |pool: &TermPool, cs: &[TermRef], extra: Option<TermRef>| {
-            let mut memo = FxHashMap::default();
-            cs.iter()
-                .chain(&extra)
-                .map(|&c| term_content_hash(pool, &mut memo, c))
-                .collect::<Vec<u64>>()
-        };
         let s = solver();
         let mut cache = SolverCache::new();
         let mut ctx = SolverCtx::new(&s);
@@ -2905,15 +2979,140 @@ mod tests {
             let pool = if on_b { &pb } else { &pa };
             let cs = ctx.constraints().to_vec();
             for extra in [None, Some(atom)] {
-                let key = ctx.memo_key(pool, &mut cache, extra);
-                assert_eq!(
-                    *key,
-                    *fresh(pool, &cs, extra),
-                    "a kept prefix hash is stale"
-                );
+                ctx.memo_key(pool, extra);
+                let want: Vec<u64> = cs
+                    .iter()
+                    .chain(&extra)
+                    .map(|&c| content_hash_oracle(pool, c))
+                    .collect();
+                assert_eq!(ctx.key, want);
             }
         }
         assert!(pushes >= 20 && pops >= 20 && switches >= 20);
+    }
+
+    /// Range atoms over four symbols named from `name`, against constants
+    /// from `k`: lists of them are mostly satisfiable, by many models.
+    /// Two calls make the same `TermRef`s.
+    fn range_pool(name: &str, k: u64) -> (TermPool, Vec<TermRef>) {
+        let mut p = TermPool::new();
+        let xs: Vec<TermRef> = (0..4)
+            .map(|i| p.fresh_sym(format!("{name}{i}"), Width::W8))
+            .collect();
+        let mut atoms = Vec::new();
+        for (i, &x) in xs.iter().enumerate() {
+            for d in [5, 20, 60] {
+                let c = p.constant(k + d, Width::W8);
+                atoms.push(p.ult(x, c));
+            }
+            for d in [1, 10, 30] {
+                let c = p.constant(k + d, Width::W8);
+                atoms.push(p.ule(c, x));
+            }
+            for d in [0, 1, 11] {
+                let c = p.constant(k + d, Width::W8);
+                atoms.push(p.ne(x, c));
+            }
+            let y = xs[(i + 1) % xs.len()];
+            let c = p.constant(k + 2, Width::W8);
+            let sum = p.add(x, y);
+            atoms.push(p.ne(sum, c));
+            atoms.push(p.ult(x, y));
+        }
+        (p, atoms)
+    }
+
+    #[test]
+    fn remembered_failures_move_no_verdict_model_or_counter() {
+        // One seeded assert/push/probe/pop/switch-pool sequence drives
+        // two contexts, each with its own cache, over two pools that give
+        // the same refs other terms. The second cache forgets every
+        // model's remembered failure before each request, so it tests
+        // every model by evaluation; verdicts, current models, cached
+        // models and every counter must still agree after every step.
+        let (pa, atoms) = range_pool("x", 3);
+        let (pb, _) = range_pool("y", 40);
+        let s = solver();
+        let (mut cache_a, mut cache_b) = (SolverCache::new(), SolverCache::new());
+        let (mut ctx_a, mut ctx_b) = (SolverCtx::new(&s), SolverCtx::new(&s));
+        let mut rng = TestRng(11);
+        let mut on_b = false;
+        // Requests at which a model's remembered failure still applied.
+        let mut remembered = 0;
+        for step in 0..2000 {
+            let pool = if on_b { &pb } else { &pa };
+            let atom = atoms[rng.below(atoms.len())];
+            // Asserts sit above a checkpoint, so pops keep lists short.
+            let request = match rng.range(0, 7) {
+                0 | 1 if ctx_a.depth() > 0 => {
+                    ctx_a.assert_term(pool, atom);
+                    ctx_b.assert_term(pool, atom);
+                    None
+                }
+                0..=2 if ctx_a.depth() < 6 => {
+                    ctx_a.push();
+                    ctx_b.push();
+                    None
+                }
+                3 if ctx_a.depth() > 0 => {
+                    ctx_a.pop();
+                    ctx_b.pop();
+                    None
+                }
+                4 => Some(Some(atom)),
+                5 => Some(None),
+                _ => {
+                    on_b = !on_b;
+                    None
+                }
+            };
+            if let Some(extra) = request {
+                let mut list = ctx_a.constraints().to_vec();
+                list.extend(extra);
+                remembered += cache_a
+                    .models
+                    .iter()
+                    .filter(|m| {
+                        m.failed.is_some_and(|(uid, at, t)| {
+                            uid == pool.uid() && list.get(at) == Some(&t)
+                        })
+                    })
+                    .count();
+                for m in &mut cache_b.models {
+                    m.failed = None;
+                }
+                let (a, b) = match extra {
+                    Some(t) => (
+                        ctx_a.probe_feasible(pool, &mut cache_a, t),
+                        ctx_b.probe_feasible(pool, &mut cache_b, t),
+                    ),
+                    None => (
+                        ctx_a.current_feasible(pool, &mut cache_a),
+                        ctx_b.current_feasible(pool, &mut cache_b),
+                    ),
+                };
+                assert_eq!(a, b, "verdict at step {step}");
+            }
+            assert_eq!(ctx_a.model(), ctx_b.model(), "model at step {step}");
+            assert_eq!(cache_a.stats, cache_b.stats, "stats at step {step}");
+            let cached = |c: &SolverCache| {
+                c.models
+                    .iter()
+                    .map(|m| (m.w.clone(), m.hits, m.seq))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(cached(&cache_a), cached(&cache_b), "cache at step {step}");
+        }
+        let st = cache_a.stats;
+        assert!(
+            st.witness_reuse_hits > 200 && st.solver_queries > 40,
+            "{st:?}"
+        );
+        assert!(st.model_evictions > 10, "{st:?}");
+        assert!(
+            remembered > 1000,
+            "only {remembered} remembered failures applied"
+        );
     }
 
     #[test]
