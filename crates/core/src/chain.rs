@@ -88,14 +88,14 @@ fn fields_of(pool: &TermPool, fields: &[(u64, u8, TermRef)]) -> Vec<PacketField>
 }
 
 /// Migrates both operands' terms into the joint pool, remapping each
-/// side's symbols under its prefix. Per side, a dense table indexed by
-/// the source term's index holds the joint-pool ref of every term
-/// already migrated. A pool interns one `Sym` node per symbol, so the
-/// table is also the symbol map: however many upstream paths meet a
-/// symbol, it is minted once, under its source id — two distinct source
-/// symbols stay distinct whatever their names. Migration is lazy, in
-/// first-meet order, so joint-pool term indices and symbol ids follow
-/// the order the composer asks for terms.
+/// side's symbols under its prefix: one [`TermPool::import`] memo per
+/// side, indexed by the source term's index, holds the joint-pool ref of
+/// every term already migrated. A pool interns one `Sym` node per
+/// symbol, so the memo is also the symbol map: however many upstream
+/// paths meet a symbol, it is minted once, under its source id — two
+/// distinct source symbols stay distinct whatever their names. Migration
+/// is lazy, in first-meet order, so joint-pool term indices and symbol
+/// ids follow the order the composer asks for terms.
 struct Migrator<'a> {
     srcs: [&'a TermPool; 2],
     migrated: [Vec<Option<TermRef>>; 2],
@@ -114,41 +114,12 @@ impl<'a> Migrator<'a> {
     }
 
     fn migrate(&mut self, dst: &mut TermPool, side: usize, t: TermRef) -> TermRef {
-        if let Some(m) = self.migrated[side][t.index()] {
-            return m;
-        }
-        let src = self.srcs[side];
-        let out = match *src.get(t) {
-            Term::Const { value, width } => dst.constant(value, width),
-            Term::Sym { id, width } => {
-                dst.fresh_sym(format!("nf{}.{}", side + 1, src.sym_name(id)), width)
-            }
-            Term::Unop { op, a } => {
-                let a = self.migrate(dst, side, a);
-                dst.unop(op, a)
-            }
-            Term::Binop { op, a, b } => {
-                let a = self.migrate(dst, side, a);
-                let b = self.migrate(dst, side, b);
-                dst.binop(op, a, b)
-            }
-            Term::Ite { c, t: tt, e } => {
-                let c = self.migrate(dst, side, c);
-                let tt = self.migrate(dst, side, tt);
-                let e = self.migrate(dst, side, e);
-                dst.ite(c, tt, e)
-            }
-            Term::Zext { a, width } => {
-                let a = self.migrate(dst, side, a);
-                dst.zext(a, width)
-            }
-            Term::Trunc { a, width } => {
-                let a = self.migrate(dst, side, a);
-                dst.trunc(a, width)
-            }
-        };
-        self.migrated[side][t.index()] = Some(out);
-        out
+        dst.import(
+            self.srcs[side],
+            t,
+            &mut self.migrated[side],
+            &mut |dst, name, w| dst.fresh_sym(format!("nf{}.{name}", side + 1), w),
+        )
     }
 }
 

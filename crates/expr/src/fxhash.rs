@@ -1,7 +1,7 @@
 //! An unseeded multiply-rotate hasher for the analysis tables.
 //!
-//! The term pool's intern table, the symbol tables, the solver's memos and
-//! the explorer's per-run maps hash small integer and short string keys
+//! The solver's memos and the explorer's symbol memos and per-run maps
+//! hash small integer and short string keys
 //! many thousands of times per exploration, and every one of those keys is
 //! made by the program itself. std's seeded SipHash defends a `HashMap`
 //! against keys an adversary picks; these tables have no such keys, so
@@ -12,8 +12,8 @@
 //! `bolt_store` hash — keep std's seeded hasher.
 //!
 //! Unseeded means the same key hashes the same in every process, as
-//! `DefaultHasher::new()`'s fixed keys did for the intern table before.
-//! No result may depend on a map's iteration order either way.
+//! `DefaultHasher::new()`'s fixed keys did before. No result may depend
+//! on a map's iteration order either way.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

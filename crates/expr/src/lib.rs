@@ -17,9 +17,10 @@
 //! path*; performance expressions describe *what that path costs*.
 //!
 //! [`FxHasher`] and [`FxHashMap`] are the unseeded fast hash the
-//! analysis tables use (the intern table here, the solver's memos, the
-//! explorer's and composer's maps); keys that come from outside the
-//! process keep std's seeded hasher.
+//! analysis maps use (the solver's memos, the explorer's symbol memos
+//! and per-run maps); the pool's intern table keys on each term's
+//! content hash instead. Keys that come from outside the process keep
+//! std's seeded hasher.
 
 mod fxhash;
 pub mod perf;
@@ -28,5 +29,5 @@ pub mod term;
 
 pub use fxhash::{FxHashMap, FxHasher};
 pub use perf::{Monomial, PcvAssignment, PcvId, PcvTable, PerfExpr};
-pub use pool::{SymTable, TermPool};
+pub use pool::TermPool;
 pub use term::{BinOp, SymId, Term, TermRef, UnOp, Width};

@@ -10,14 +10,17 @@
 //! pool-independent content hash — so the solver never re-walks a term
 //! to answer `width()`, `syms_of()` or `content_hash()`. Supports
 //! live in one arena per pool, so interning a term allocates nothing of
-//! its own. The intern
-//! table hashes *into the arena* (an open-addressed index table) instead
-//! of keying a `HashMap` by cloned `Term`s, so each node is stored once.
+//! its own. The intern table is an open-addressed index table over the
+//! arena, probed from the content hash's slot, so each node is stored
+//! once and hashed once.
+//!
+//! One mechanism copies a term between pools: [`TermPool::import`]
+//! rebuilds it through the public constructors into a memo indexed by
+//! source term. Chain composition migrates its operands with it, and
+//! [`TermPool::absorb_with`] is a loop over it.
 
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher as _};
 
-use crate::fxhash::{FxHashMap, FxHasher};
 use crate::term::{BinOp, SymId, Term, TermRef, UnOp, Width};
 
 /// Per-term metadata, computed once when the term is interned.
@@ -25,9 +28,8 @@ use crate::term::{BinOp, SymId, Term, TermRef, UnOp, Width};
 struct TermMeta {
     /// Result width of the node.
     width: Width,
-    /// Hash of the node (cached for intern-table rehashing).
-    hash: u64,
-    /// Pool-independent content hash (see [`TermPool::content_hash`]).
+    /// Pool-independent content hash (see [`TermPool::content_hash`]),
+    /// also the key of the intern table (see [`slot`]).
     content: u64,
     /// Sorted, deduplicated symbol support: the `(start, len)` range of
     /// the pool's `supports` arena. A node whose support equals a
@@ -73,15 +75,6 @@ impl Default for TermPool {
     }
 }
 
-/// Deterministic node hash (stable across processes, like every
-/// [`FxHasher`] hash). Only the intern table's probe sequence depends on
-/// it: arena order is intern order, whatever the hash.
-fn hash_term(t: &Term) -> u64 {
-    let mut h = FxHasher::default();
-    t.hash(&mut h);
-    h.finish()
-}
-
 /// The content hash's FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -90,29 +83,13 @@ fn fnv(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0100_0000_01b3)
 }
 
-/// `(name, width) → symbol term` for one destination [`TermPool`]: the
-/// identity of a symbol across the steps that build that pool (the runs
-/// of one exploration), so a symbol is minted once however many steps
-/// meet it. Width is part of the
-/// identity, so a name reused at a different width (degenerate, but
-/// possible with order-dependent `fresh` ordinals) gets its own symbol.
-#[derive(Debug, Default)]
-pub struct SymTable {
-    by_name: FxHashMap<String, Vec<TermRef>>,
-}
-
-impl SymTable {
-    /// `pool`'s term for the symbol `name` at width `w`, minted on
-    /// first sight. Looks up by `&str`: only a first sight allocates.
-    pub fn sym_for(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
-        let mut known = self.by_name.get(name).into_iter().flatten();
-        if let Some(&t) = known.find(|&&t| pool.width(t) == w) {
-            return t;
-        }
-        let t = pool.fresh_sym(name, w);
-        self.by_name.entry(name.to_string()).or_default().push(t);
-        t
-    }
+/// The intern-table slot a term with content hash `content` probes
+/// from. An FNV product's low bits depend only on its inputs' low bits,
+/// so the high half is folded onto the low half: terms that differ only
+/// high up (constants shifted into the high half) still spread. Only
+/// the probe sequence depends on it: arena order is intern order.
+fn slot(content: u64, mask: usize) -> usize {
+    (content ^ (content >> 32)) as usize & mask
 }
 
 impl TermPool {
@@ -149,10 +126,9 @@ impl TermPool {
         self.uid
     }
 
-    /// Metadata for a new node (children are already interned, so their
-    /// metadata is an O(1) lookup).
-    fn meta_for(&mut self, t: &Term, hash: u64) -> TermMeta {
-        let content = self.content_of(t);
+    /// Metadata for a new node with content hash `content` (children
+    /// are already interned, so their metadata is an O(1) lookup).
+    fn meta_for(&mut self, t: &Term, content: u64) -> TermMeta {
         let (width, syms) = match *t {
             Term::Const { width, .. } => (width, (0, 0)),
             Term::Sym { id, width } => {
@@ -182,13 +158,12 @@ impl TermPool {
         };
         TermMeta {
             width,
-            hash,
             content,
             syms,
         }
     }
 
-    /// The content hash of a new node: an FNV-1a fold over its kind, its
+    /// The content hash of a node: an FNV-1a fold over its kind, its
     /// widths, constant values, symbol ids and names, and its children's
     /// content hashes (already in their metadata).
     fn content_of(&self, t: &Term) -> u64 {
@@ -248,7 +223,7 @@ impl TermPool {
         let mut slots = vec![0u32; cap];
         let mask = cap - 1;
         for (idx, m) in self.meta.iter().enumerate() {
-            let mut i = (m.hash as usize) & mask;
+            let mut i = slot(m.content, mask);
             while slots[i] != 0 {
                 i = (i + 1) & mask;
             }
@@ -262,15 +237,15 @@ impl TermPool {
         if (self.terms.len() + 1) * 10 >= self.slots.len() * 7 {
             self.grow_slots((self.slots.len() * 2).max(64));
         }
-        let hash = hash_term(&t);
+        let content = self.content_of(&t);
         let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
+        let mut i = slot(content, mask);
         loop {
             match self.slots[i] {
                 0 => break,
                 s => {
                     let idx = (s - 1) as usize;
-                    if self.meta[idx].hash == hash && self.terms[idx] == t {
+                    if self.meta[idx].content == content && self.terms[idx] == t {
                         return TermRef(s - 1);
                     }
                 }
@@ -278,7 +253,7 @@ impl TermPool {
             i = (i + 1) & mask;
         }
         let r = TermRef(self.terms.len() as u32);
-        let meta = self.meta_for(&t, hash);
+        let meta = self.meta_for(&t, content);
         self.terms.push(t);
         self.meta.push(meta);
         self.slots[i] = r.0 + 1;
@@ -305,6 +280,7 @@ impl TermPool {
     /// which a feasibility verdict or a witness (which maps raw
     /// [`SymId`]s) carries from one pool to the other. Deterministic
     /// across processes, so a decoded pool hashes as the encoded one did.
+    /// The pool's intern table keys on it too: a term is hashed once.
     pub fn content_hash(&self, r: TermRef) -> u64 {
         self.meta[r.index()].content
     }
@@ -352,13 +328,6 @@ impl TermPool {
     /// A fresh symbolic variable with a human-readable name.
     pub fn fresh_sym(&mut self, name: impl Into<String>, width: Width) -> TermRef {
         let id = self.register_sym(name, width);
-        self.intern(Term::Sym { id, width })
-    }
-
-    /// The term for an existing symbol (used to share input symbols
-    /// across exploration runs instead of re-minting them).
-    pub fn sym_ref(&mut self, id: SymId) -> TermRef {
-        let width = self.sym_widths[id as usize];
         self.intern(Term::Sym { id, width })
     }
 
@@ -712,42 +681,80 @@ impl TermPool {
         self.intern(t)
     }
 
-    /// Deterministically re-intern every node of `src` into `self`,
-    /// returning the full remap table (`src` arena index → ref in
-    /// `self`).
+    /// `src`'s term `t`, rebuilt in `self`. The term is rebuilt through
+    /// the public constructors, children first and left to right, so
+    /// commutative canonicalisation is re-applied against `self`'s ref
+    /// ordering: the imported node is exactly the node `self` would have
+    /// built had the term been constructed against it directly. Folding
+    /// never fires during an import: `src` nodes are post-folding
+    /// canonical forms, and the rebuild preserves the structural facts
+    /// folding keys on (constant-ness, constant values, operand
+    /// equality).
     ///
-    /// Nodes are replayed *through the public constructors* in arena
-    /// order (children precede parents), so commutative canonicalisation
-    /// is re-applied against the destination pool's ref ordering — the
-    /// absorbed node is exactly the node `self` would have built had the
-    /// terms been constructed against it directly. Folding never fires
-    /// during a replay: `src` nodes are post-folding canonical forms, and
-    /// the remap preserves the structural facts folding keys on
-    /// (constant-ness, constant values, operand equality).
+    /// `memo` is indexed by `src` term and holds the `self` ref of every
+    /// term imported so far (sized `src.len()`, `None` at first): each
+    /// source term is rebuilt once, and a source symbol, one `Sym` node,
+    /// meets `sym` once however often it is imported. `sym` maps a
+    /// source symbol's name and width to its term in `self`.
+    pub fn import(
+        &mut self,
+        src: &TermPool,
+        t: TermRef,
+        memo: &mut [Option<TermRef>],
+        sym: &mut impl FnMut(&mut TermPool, &str, Width) -> TermRef,
+    ) -> TermRef {
+        if let Some(m) = memo[t.index()] {
+            return m;
+        }
+        let mut child = |dst: &mut TermPool, r: TermRef| dst.import(src, r, memo, sym);
+        let out = match *src.get(t) {
+            Term::Const { value, width } => self.constant(value, width),
+            Term::Sym { id, width } => sym(self, src.sym_name(id), width),
+            Term::Unop { op, a } => {
+                let a = child(self, a);
+                self.unop(op, a)
+            }
+            Term::Binop { op, a, b } => {
+                let a = child(self, a);
+                let b = child(self, b);
+                self.binop(op, a, b)
+            }
+            Term::Ite { c, t, e } => {
+                let c = child(self, c);
+                let t = child(self, t);
+                let e = child(self, e);
+                self.ite(c, t, e)
+            }
+            Term::Zext { a, width } => {
+                let a = child(self, a);
+                self.zext(a, width)
+            }
+            Term::Trunc { a, width } => {
+                let a = child(self, a);
+                self.trunc(a, width)
+            }
+        };
+        memo[t.index()] = Some(out);
+        out
+    }
+
+    /// Import every node of `src` into `self`, in arena order, returning
+    /// the full remap table (`src` arena index → ref in `self`). Children
+    /// precede parents in the arena, so each [`TermPool::import`] makes
+    /// exactly one constructor call.
     ///
     /// `sym` resolves symbol identity across pools — given the symbol's
-    /// name and width, it must return the destination pool's term for
-    /// it (registering a fresh symbol on first sight): pass the
-    /// destination's [`SymTable::sym_for`].
+    /// name and width, it returns the destination pool's term for it,
+    /// minting one with [`TermPool::fresh_sym`] on first sight.
     pub fn absorb_with(
         &mut self,
         src: &TermPool,
         mut sym: impl FnMut(&mut TermPool, &str, Width) -> TermRef,
     ) -> Vec<TermRef> {
-        let mut map: Vec<TermRef> = Vec::with_capacity(src.len());
-        for node in src.nodes() {
-            let m = match *node {
-                Term::Const { value, width } => self.constant(value, width),
-                Term::Sym { id, width } => sym(self, src.sym_name(id), width),
-                Term::Unop { op, a } => self.unop(op, map[a.index()]),
-                Term::Binop { op, a, b } => self.binop(op, map[a.index()], map[b.index()]),
-                Term::Ite { c, t, e } => self.ite(map[c.index()], map[t.index()], map[e.index()]),
-                Term::Zext { a, width } => self.zext(map[a.index()], width),
-                Term::Trunc { a, width } => self.trunc(map[a.index()], width),
-            };
-            map.push(m);
-        }
-        map
+        let mut memo = vec![None; src.len()];
+        (0..src.len() as u32)
+            .map(|i| self.import(src, TermRef(i), &mut memo, &mut sym))
+            .collect()
     }
 
     /// Render a term as human-readable infix text, using symbol names.
@@ -922,16 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn sym_ref_reuses_the_interned_symbol() {
-        let mut p = TermPool::new();
-        let x = p.fresh_sym("x", Width::W16);
-        let n = p.len();
-        let again = p.sym_ref(0);
-        assert_eq!(x, again);
-        assert_eq!(p.len(), n);
-    }
-
-    #[test]
     fn cached_metadata_matches_structure() {
         let mut p = TermPool::new();
         let x = p.fresh_sym("x", Width::W32);
@@ -1001,12 +998,14 @@ mod tests {
 
     #[test]
     fn sequential_keys_spread_over_the_intern_table() {
-        // The slot is the hash's low bits. Sequential constants and
+        // The slot is the content hash's low bits, with its high half
+        // folded onto them. Sequential constants and
         // symbol ids differ in their low bits, and sequential constants
         // shifted into the high half (addresses, MACs) only in their high
         // bits; a hash that does not fold those down into the low ones
         // piles the second family into probe runs thousands of slots
-        // long.
+        // long. (An FNV product's low bits see only its inputs' low
+        // bits.)
         let mut p = TermPool::new();
         for i in 0..1u64 << 16 {
             p.constant(i, Width::W64);
@@ -1020,7 +1019,7 @@ mod tests {
             .enumerate()
             .filter(|&(_, &s)| s != 0)
             .map(|(i, &s)| {
-                let home = p.meta[(s - 1) as usize].hash as usize & mask;
+                let home = slot(p.meta[(s - 1) as usize].content, mask);
                 (i.wrapping_sub(home) & mask) + 1
             })
             .max()
@@ -1029,19 +1028,14 @@ mod tests {
     }
 
     /// Symbol resolver for absorb tests: share symbols by name, minting
-    /// on first sight (what the explorer's registry does).
+    /// on first sight.
     fn absorb_by_name(
-        seen: &mut std::collections::HashMap<String, SymId>,
+        seen: &mut std::collections::HashMap<String, TermRef>,
     ) -> impl FnMut(&mut TermPool, &str, Width) -> TermRef + '_ {
-        move |dst, name, w| match seen.get(name) {
-            Some(&id) => dst.sym_ref(id),
-            None => {
-                let t = dst.fresh_sym(name, w);
-                if let Term::Sym { id, .. } = *dst.get(t) {
-                    seen.insert(name.to_string(), id);
-                }
-                t
-            }
+        move |dst, name, w| {
+            *seen
+                .entry(name.to_string())
+                .or_insert_with(|| dst.fresh_sym(name, w))
         }
     }
 
@@ -1099,9 +1093,7 @@ mod tests {
         let _ = master.add(mb, pad);
 
         let mut seen = std::collections::HashMap::new();
-        if let Term::Sym { id, .. } = *master.get(mb) {
-            seen.insert("b".to_string(), id);
-        }
+        seen.insert("b".to_string(), mb);
         let map = master.absorb_with(&local, absorb_by_name(&mut seen));
         let ma = map[la.index()];
         let msum = map[lsum.index()];

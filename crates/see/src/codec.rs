@@ -10,7 +10,7 @@
 //! contracts generated from a decoded exploration are indistinguishable
 //! from freshly explored ones.
 
-use bolt_expr::TermRef;
+use bolt_expr::{Term, TermRef};
 use bolt_solver::SolverStats;
 use bolt_store::codec::{
     read_event, read_pool, read_term_ref, write_event, write_pool, write_term_ref, MAX_COUNT,
@@ -168,8 +168,9 @@ pub fn write_packet_field(w: &mut ByteWriter, f: &PacketField) {
     write_term_ref(w, f.term);
 }
 
-/// Decode one packet field, validating its symbol and term against the
-/// rehydrated pool.
+/// Decode one packet field, validating it against the rehydrated pool:
+/// its term must be the `Sym` node of its symbol, as every writer makes
+/// it.
 pub fn read_packet_field(
     r: &mut ByteReader<'_>,
     pool: &bolt_expr::TermPool,
@@ -177,16 +178,18 @@ pub fn read_packet_field(
     let offset = r.varint()?;
     let bytes = r.u8()?;
     let sym = r.varint()?;
-    if sym >= pool.sym_count() as u64 {
-        return Err(DecodeError::Malformed("packet-field symbol out of range"));
-    }
     let term = read_term_ref(r, pool)?;
-    Ok(PacketField {
-        offset,
-        bytes,
-        sym: sym as u32,
-        term,
-    })
+    match *pool.get(term) {
+        Term::Sym { id, .. } if u64::from(id) == sym => Ok(PacketField {
+            offset,
+            bytes,
+            sym: id,
+            term,
+        }),
+        _ => Err(DecodeError::Malformed(
+            "packet-field term is not its symbol",
+        )),
+    }
 }
 
 /// Encode a final-packet overlay (`(offset, bytes, term)` triples).

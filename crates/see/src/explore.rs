@@ -197,6 +197,7 @@ mod tests {
     use crate::NfCtx;
     use bolt_expr::{BinOp, Width};
     use bolt_trace::count_ic_ma;
+    use std::collections::HashMap;
 
     /// Toy LPM-router shape: invalid packets drop; valid packets loop over
     /// a bounded symbolic prefix length.
@@ -465,14 +466,20 @@ mod tests {
         }
     }
 
-    /// `c` built straight in a pool, under the explorer's symbol names.
-    fn cond_in_pool(pool: &mut TermPool, syms: &mut bolt_expr::SymTable, c: Cond) -> TermRef {
+    /// `c` built straight in a pool, under the explorer's symbol names;
+    /// `syms` maps each name to its symbol.
+    fn cond_in_pool(pool: &mut TermPool, syms: &mut HashMap<String, TermRef>, c: Cond) -> TermRef {
         let w = Width::from_bytes(c.bytes);
+        let mut field = |pool: &mut TermPool, o: u64| {
+            *syms
+                .entry(format!("pkt@{o}:{}", c.bytes))
+                .or_insert_with_key(|name| pool.fresh_sym(name.as_str(), w))
+        };
         let mut val = |pool: &mut TermPool, v: Val| match v {
-            Val::Field(o) => syms.sym_for(pool, &format!("pkt@{o}:{}", c.bytes), w),
+            Val::Field(o) => field(pool, o),
             Val::Lit(x) => pool.constant(x, w),
             Val::FieldPlus(o, x) => {
-                let f = syms.sym_for(pool, &format!("pkt@{o}:{}", c.bytes), w);
+                let f = field(pool, o);
                 let l = pool.constant(x, w);
                 pool.binop(BinOp::Add, f, l)
             }
@@ -490,7 +497,7 @@ mod tests {
     /// `Unknown` for a list whose prefix it refutes.
     struct Leaves {
         pool: TermPool,
-        syms: bolt_expr::SymTable,
+        syms: HashMap<String, TermRef>,
         decisions: Vec<bool>,
         constraints: Vec<TermRef>,
         found: Vec<(Vec<bool>, Vec<String>)>,

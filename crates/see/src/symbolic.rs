@@ -16,19 +16,19 @@
 
 use std::fmt::{self, Write as _};
 
-use bolt_expr::{BinOp, FxHashMap, SymId, SymTable, TermPool, TermRef, Width};
+use bolt_expr::{BinOp, FxHashMap, SymId, TermPool, TermRef, Width};
 use bolt_solver::{Solver, SolverCache, SolverCtx};
 use bolt_trace::{AddressSpace, InstrClass, MemRegion, RecordingTracer, TraceEvent, Tracer};
 
 use crate::{NfCtx, NfVerdict};
 
 /// State shared across the runs of one exploration: the solver's
-/// feasibility caches and the cross-run symbol table (the same packet
+/// feasibility caches and the cross-run symbol memos (the same packet
 /// field or model call mints the same symbol in every run, so terms —
 /// and therefore cached feasibility verdicts and models — are shared
-/// between sibling runs instead of re-interned per run). A symbol's name
-/// is formatted once per exploration: later runs find it by the key its
-/// name is built from.
+/// between sibling runs instead of re-interned per run). The memos are
+/// the explorer's only symbol tables, keyed by what a symbol is made of,
+/// not by its name, which is formatted once, when the symbol is minted.
 ///
 /// It also carries what one run can hand the next without changing what
 /// either computes: the emptied memory map, the emptied solving context,
@@ -38,14 +38,14 @@ use crate::{NfCtx, NfVerdict};
 pub(crate) struct ExploreShared {
     /// Feasibility memo, per-atom witness cache, model cache, counters.
     pub cache: SolverCache,
-    syms: SymTable,
     /// Load symbols by `(in the packet region, packet offset or absolute
     /// address, bytes)`, which is all their name and width are made of.
     loads: FxHashMap<(bool, u64, u8), TermRef>,
-    /// Per model name, the current run's `fresh` count and the symbols
-    /// minted so far by ordinal. Names stay from run to run; a run starts
+    /// Per model name, the current run's `fresh` count and every symbol
+    /// minted under the name so far, with its ordinal: one per
+    /// `(ordinal, width)` met. Names stay from run to run; a run starts
     /// by zeroing the counts.
-    fresh: FxHashMap<String, (usize, Vec<TermRef>)>,
+    fresh: FxHashMap<String, (usize, Vec<(usize, TermRef)>)>,
     /// The previous run's memory map, emptied.
     mem: FxHashMap<(u64, u8), TermRef>,
     /// Buffer the names of lazily minted symbols are written into.
@@ -66,19 +66,15 @@ struct RunSizes {
     entries: usize,
 }
 
-impl ExploreShared {
-    /// Mint (or, when an earlier run already minted it, reuse) the
-    /// symbol whose name `name` formats, in `pool`. The name is written
-    /// into the reused buffer instead of a fresh string. Sharing symbols
-    /// across runs makes the terms of common decision prefixes identical
-    /// between siblings, which is what lets the feasibility memo and
-    /// model cache hit across runs.
-    fn sym_named(&mut self, pool: &mut TermPool, name: fmt::Arguments<'_>, w: Width) -> TermRef {
-        self.name.clear();
-        let _ = self.name.write_fmt(name);
-        self.syms.sym_for(pool, &self.name, w)
-    }
+/// Mint the symbol whose name `name` formats, in `pool`. The name is
+/// written into the reused buffer `buf`, then copied into the pool.
+fn mint(pool: &mut TermPool, buf: &mut String, name: fmt::Arguments<'_>, w: Width) -> TermRef {
+    buf.clear();
+    let _ = buf.write_fmt(name);
+    pool.fresh_sym(buf.as_str(), w)
+}
 
+impl ExploreShared {
     /// The symbol of a lazily read location: `pkt@{at}:{bytes}` at packet
     /// offset `at`, `mem@{at:#x}:{bytes}` at any other address `at`.
     fn load_sym(&mut self, pool: &mut TermPool, is_packet: bool, at: u64, bytes: usize) -> TermRef {
@@ -88,24 +84,32 @@ impl ExploreShared {
         }
         let w = Width::from_bytes(bytes);
         let t = if is_packet {
-            self.sym_named(pool, format_args!("pkt@{at}:{bytes}"), w)
+            mint(pool, &mut self.name, format_args!("pkt@{at}:{bytes}"), w)
         } else {
-            self.sym_named(pool, format_args!("mem@{at:#x}:{bytes}"), w)
+            mint(pool, &mut self.name, format_args!("mem@{at:#x}:{bytes}"), w)
         };
         self.loads.insert(key, t);
         t
     }
 
-    /// The symbol of the current run's next [`SymbolicCtx::fresh`]`(name)`.
+    /// The symbol of the current run's next [`SymbolicCtx::fresh`]`(name)`
+    /// at width `w`: the `(ordinal, width)` variant an earlier call
+    /// minted, else a new symbol. Two distinct calls never share a
+    /// symbol, whatever their formatted names.
     fn fresh_sym(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
         let n = match self.fresh.get_mut(name) {
             Some((count, syms)) => {
                 let n = *count;
                 *count += 1;
-                match syms.get(n) {
-                    Some(&t) if pool.width(t) == w => return t,
-                    _ => n,
+                // Every lower ordinal was met before ordinal `n` was
+                // first minted, so its variants sit at positions ≥ `n`.
+                let known = syms[n..]
+                    .iter()
+                    .find(|&&(o, t)| o == n && pool.width(t) == w);
+                if let Some(&(_, t)) = known {
+                    return t;
                 }
+                n
             }
             None => {
                 self.fresh.insert(name.to_string(), (1, Vec::new()));
@@ -113,14 +117,12 @@ impl ExploreShared {
             }
         };
         let t = if n == 0 {
-            self.sym_named(pool, format_args!("{name}"), w)
+            mint(pool, &mut self.name, format_args!("{name}"), w)
         } else {
-            self.sym_named(pool, format_args!("{name}#{n}"), w)
+            mint(pool, &mut self.name, format_args!("{name}#{n}"), w)
         };
         let syms = &mut self.fresh.get_mut(name).expect("counted above").1;
-        if syms.len() == n {
-            syms.push(t);
-        }
+        syms.push((n, t));
         t
     }
 }
@@ -593,6 +595,44 @@ mod tests {
         drop(rec);
         assert_eq!(pool.sym_name(0), "m.hit");
         assert_eq!(pool.sym_name(1), "m.hit#1");
+    }
+
+    #[test]
+    fn fresh_symbols_stay_distinct_when_their_names_collide() {
+        let (mut pool, solver, mut shared) = setup();
+        let mut ctx = SymbolicCtx::new(&mut pool, &solver, vec![], &mut shared);
+        let a = ctx.fresh("x", Width::W8);
+        let b = ctx.fresh("x", Width::W8);
+        let c = ctx.fresh("x#1", Width::W8);
+        drop(ctx.finish());
+        assert!(a != b && b != c && a != c, "{a:?} {b:?} {c:?}");
+        assert_eq!(pool.sym_count(), 3);
+        assert_eq!((pool.sym_name(1), pool.sym_name(2)), ("x#1", "x#1"));
+    }
+
+    #[test]
+    fn a_fresh_call_at_two_widths_mints_two_symbols_per_exploration() {
+        // Three runs call `fresh("m")` at W8, W16 and W8 again.
+        let result = crate::Explorer::new().explore(|ctx| {
+            let pkt = ctx.packet(64);
+            let x = ctx.load(pkt, 0, 1);
+            let w = if ctx.branch_eq_imm(x, 1, Width::W8) {
+                Width::W16
+            } else {
+                let _ = ctx.branch_eq_imm(x, 2, Width::W8);
+                Width::W8
+            };
+            ctx.fresh("m", w);
+        });
+        assert_eq!(result.paths.len(), 3);
+        let minted: Vec<Width> = result
+            .pool
+            .sym_entries()
+            .filter(|&(name, _)| name == "m")
+            .map(|(_, w)| w)
+            .collect();
+        assert_eq!(minted.len(), 2, "{minted:?}");
+        assert_ne!(minted[0], minted[1]);
     }
 
     #[test]

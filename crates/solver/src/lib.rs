@@ -1963,7 +1963,6 @@ impl SolverCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_expr::SymTable;
 
     fn solver() -> Solver {
         Solver::default()
@@ -2888,8 +2887,12 @@ mod tests {
             }
             assert_hashes_match_the_oracle(&replayed, "replayed");
             let mut absorbed = TermPool::new();
-            let mut syms = SymTable::default();
-            absorbed.absorb_with(&pool, |dst, name, w| syms.sym_for(dst, name, w));
+            let mut syms = FxHashMap::default();
+            absorbed.absorb_with(&pool, |dst, name, w| {
+                *syms
+                    .entry(name.to_string())
+                    .or_insert_with(|| dst.fresh_sym(name, w))
+            });
             assert_hashes_match_the_oracle(&absorbed, "absorbed");
             let mut w = ByteWriter::new();
             write_pool(&mut w, &pool);

@@ -527,7 +527,10 @@ mod tests {
         let buf = w.into_bytes();
         let mut decoded = read_pool(&mut ByteReader::new(&buf)).unwrap();
         let n = decoded.len();
-        let et = decoded.sym_ref(0);
+        let et = decoded.intern_node(Term::Sym {
+            id: 0,
+            width: Width::W16,
+        });
         let v4 = decoded.constant(0x0800, Width::W16);
         let again = decoded.eq(et, v4);
         assert_eq!(again, roots[0]);

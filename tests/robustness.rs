@@ -141,3 +141,26 @@ fn real_contracts_nest_far_below_the_decode_depth_bound() {
     }
     assert!((1..=64).contains(&deepest), "deepest term: {deepest}");
 }
+
+#[test]
+fn a_packet_field_naming_another_symbol_is_malformed() {
+    use bolt::core::nf::NetworkFunction;
+    use bolt::nfs::Firewall;
+    use bolt::see::codec::{decode_result, encode_result};
+    use bolt::see::StackLevel;
+    // A field's term is the `Sym` node of its symbol; a record whose
+    // field names another valid symbol would hand `synthesize_packet` the
+    // wrong one, so the decoder refuses it.
+    let mut r = Firewall::default().explore(StackLevel::NfOnly).result;
+    assert!(decode_result(&encode_result(&r)).is_ok());
+    let syms = r.pool.sym_count() as u32;
+    assert!(syms >= 2, "another symbol to name");
+    let field = r
+        .paths
+        .iter_mut()
+        .flat_map(|p| &mut p.packet_fields)
+        .next()
+        .expect("a path reads the packet");
+    field.sym = (field.sym + 1) % syms;
+    assert!(decode_result(&encode_result(&r)).is_err());
+}
