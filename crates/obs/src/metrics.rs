@@ -44,8 +44,9 @@ impl Gauge {
         Self::default()
     }
 
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+    /// Add one; returns the level *after* the increment.
+    pub fn inc(&self) -> i64 {
+        self.0.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     pub fn dec(&self) {
@@ -541,6 +542,7 @@ mod tests {
         assert_eq!(r.snapshot().counter("serve.requests"), Some(3));
         r.gauge("active").set(-4);
         assert_eq!(r.snapshot().gauge("active"), Some(-4));
+        assert_eq!(r.gauge("active").inc(), -3, "inc returns the new level");
     }
 
     #[test]

@@ -200,11 +200,6 @@ pub fn enabled() -> bool {
     ambient().is_some()
 }
 
-/// Events emitted through the ambient sink so far (0 when tracing is off).
-pub fn ambient_events() -> u64 {
-    ambient().map(|s| s.events()).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,7 +249,6 @@ mod tests {
         if std::env::var_os(TRACE_ENV).is_none() {
             emit("unit.noop", &[]);
             assert!(!enabled());
-            assert_eq!(ambient_events(), 0);
         }
     }
 }

@@ -8,7 +8,7 @@
 //!   and transport failures on *idempotent* requests (everything but
 //!   shutdown, see [`Request::is_idempotent`]) tear down the
 //!   connection, back off with jitter, reconnect, and retry up to
-//!   [`ClientConfig::retries`] times. Shutdown must never fire twice,
+//!   [`ClientBuilder::retries`] times. Shutdown must never fire twice,
 //!   so it surfaces the first failure. Error *frames* — the server
 //!   answered, but with a diagnostic — are never retried: the server
 //!   is healthy and would say the same thing again.
@@ -21,7 +21,7 @@
 //!   the raw connection; resilience lives in [`Client`].
 //!
 //! The pipeline window is negotiated: a session opened with
-//! [`ClientConfig::pipeline_depth`] > 1 sends a `Hello` first and
+//! [`ClientBuilder::pipeline_depth`] > 1 sends a `Hello` first and
 //! latches the window the server grants. A fresh connection already
 //! has window 1, so a depth of 1 skips `Hello` and pays no extra round
 //! trip.
@@ -37,7 +37,7 @@ use std::time::Duration;
 use bolt_fault::XorShift64;
 
 use crate::protocol::{
-    read_frame, DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response, StatsReply,
+    read_frame, DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response,
     MAX_PIPELINE_DEPTH,
 };
 
@@ -157,27 +157,27 @@ impl From<io::Error> for ServeError {
     }
 }
 
-/// Tunables for one client connection.
+/// Tunables for one client connection (the builder's state).
 #[derive(Clone, Debug)]
-pub struct ClientConfig {
+struct ClientConfig {
     /// Per-call reply deadline. Warm answers are microseconds; a cold
     /// one can run a fresh exploration, so the default is generous.
-    pub deadline: Duration,
+    deadline: Duration,
     /// How long to wait for a TCP connect (Unix connects are local and
     /// effectively instant).
-    pub connect_timeout: Duration,
+    connect_timeout: Duration,
     /// How many times to re-dial and retry an idempotent request after
     /// a transport failure. Zero disables retry entirely.
-    pub retries: u32,
+    retries: u32,
     /// Base reconnect backoff; doubles per attempt.
-    pub backoff: Duration,
+    backoff: Duration,
     /// Backoff ceiling.
-    pub backoff_cap: Duration,
+    backoff_cap: Duration,
     /// Requested pipeline window: how many requests may be in flight
-    /// on the connection at once. `<= 1` means window 1 and skips
+    /// on the connection at once, in `1..=MAX_PIPELINE_DEPTH`. 1 skips
     /// negotiation; higher values negotiate with the server, which may
     /// grant less.
-    pub pipeline_depth: u32,
+    pipeline_depth: u32,
 }
 
 impl Default for ClientConfig {
@@ -248,13 +248,6 @@ impl ClientBuilder {
     /// (`0` means 1; a window of 1 skips negotiation).
     pub fn pipeline_depth(mut self, depth: u32) -> Self {
         self.config.pipeline_depth = depth.clamp(1, MAX_PIPELINE_DEPTH);
-        self
-    }
-
-    /// Start from an explicit [`ClientConfig`] (the builder's other
-    /// setters still apply on top).
-    pub fn config(mut self, config: ClientConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -359,7 +352,7 @@ impl Session {
             wbuf: Vec::new(),
         };
         if config.pipeline_depth > 1 {
-            session.negotiate(config.pipeline_depth.min(MAX_PIPELINE_DEPTH))?;
+            session.negotiate(config.pipeline_depth)?;
         }
         Ok(session)
     }
@@ -406,7 +399,22 @@ impl Session {
             return Ok(());
         }
         let buf = std::mem::take(&mut self.wbuf);
-        self.write_all(&buf)
+        match self.write_all(&buf) {
+            // A server that hung up may have said why first (a busy
+            // reject): its error frame outranks the broken pipe.
+            Err(ServeError::Io(e))
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
+                ) =>
+            {
+                match self.read_one() {
+                    Err(refusal @ ServeError::Remote(_)) => Err(refusal),
+                    _ => Err(ServeError::Io(e)),
+                }
+            }
+            other => other,
+        }
     }
 
     /// Block until the ticket's reply arrives, filing any other
@@ -595,14 +603,6 @@ impl Client {
         match self.request(&req)? {
             Response::Provenance { text } => Ok(text),
             other => Err(mismatch("provenance reply", &other)),
-        }
-    }
-
-    /// Fetch the server's counters.
-    pub fn stats(&mut self) -> Result<StatsReply, ServeError> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(mismatch("stats reply", &other)),
         }
     }
 

@@ -31,7 +31,8 @@
 //!
 //! A warm repeat of the same query is answered from the memo: zero
 //! explorations, zero solver requests, zero record decodes — the
-//! property the protocol tests assert via the `stats` counters.
+//! property the protocol tests assert via the `serve.*` counters of
+//! the `metrics` reply.
 
 // The event loop is Linux poll(2), and `server::readiness` passes the
 // poll set's length as Linux's `nfds_t`: elsewhere the crate would
@@ -51,11 +52,11 @@ pub mod service;
 
 pub use cache::{CacheConfig, ContractCache};
 pub use client::{
-    Client, ClientBuilder, ClientConfig, Endpoint, ParseEndpointError, ServeError, Session, Ticket,
+    Client, ClientBuilder, Endpoint, ParseEndpointError, ServeError, Session, Ticket,
 };
 pub use protocol::{
-    DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response, StatsReply, MAX_FRAME,
+    DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response, MAX_FRAME,
     MAX_PIPELINE_DEPTH,
 };
 pub use server::{Server, ServerBuilder};
-pub use service::{nf_by_name, Dispatch, Phase, ServeCore, LEGACY_STATS_NAMES, NF_NAMES};
+pub use service::{nf_by_name, Dispatch, Phase, ServeCore, StatsReply, NF_NAMES};

@@ -71,8 +71,8 @@ pub(crate) enum Opcode {
     List = 4,
     /// Where a record came from: key, on-disk state, cache state.
     Provenance = 5,
-    /// Server counters (cache hits, decodes, explorations, memo traffic).
-    Stats = 6,
+    // Opcodes are wire values, so 6 (a retired counter request) stays
+    // unassigned and decodes as an unknown opcode.
     /// Graceful shutdown: stop accepting, drain in-flight, exit.
     Shutdown = 7,
     /// Full observability snapshot: every counter, gauge, and latency
@@ -84,32 +84,31 @@ pub(crate) enum Opcode {
 
 impl Opcode {
     fn from_u8(v: u8) -> Result<Self, DecodeError> {
-        Ok(match v {
-            1 => Opcode::Ping,
-            2 => Opcode::Query,
-            3 => Opcode::Diff,
-            4 => Opcode::List,
-            5 => Opcode::Provenance,
-            6 => Opcode::Stats,
-            7 => Opcode::Shutdown,
-            8 => Opcode::Metrics,
-            9 => Opcode::Hello,
-            _ => return Err(DecodeError::Malformed("unknown opcode")),
-        })
+        Opcode::ALL
+            .into_iter()
+            .find(|&op| op as u8 == v)
+            .ok_or(DecodeError::Malformed("unknown opcode"))
     }
 
-    /// Every opcode, in wire order (indexable as `op as u8 - 1`).
-    pub(crate) const ALL: [Opcode; 9] = [
+    /// Every opcode, in wire order.
+    pub(crate) const ALL: [Opcode; 8] = [
         Opcode::Ping,
         Opcode::Query,
         Opcode::Diff,
         Opcode::List,
         Opcode::Provenance,
-        Opcode::Stats,
         Opcode::Shutdown,
         Opcode::Metrics,
         Opcode::Hello,
     ];
+
+    /// Position in [`Opcode::ALL`].
+    pub(crate) fn index(self) -> usize {
+        Opcode::ALL
+            .iter()
+            .position(|&op| op == self)
+            .expect("ALL lists every opcode")
+    }
 
     /// Lower-case wire name — the `serve.req.<name>` histogram suffix.
     pub(crate) fn name(self) -> &'static str {
@@ -119,7 +118,6 @@ impl Opcode {
             Opcode::Diff => "diff",
             Opcode::List => "list",
             Opcode::Provenance => "provenance",
-            Opcode::Stats => "stats",
             Opcode::Shutdown => "shutdown",
             Opcode::Metrics => "metrics",
             Opcode::Hello => "hello",
@@ -176,8 +174,6 @@ pub enum Request {
         /// Stack-level tag.
         level: u8,
     },
-    /// Server counters.
-    Stats,
     /// Graceful shutdown.
     Shutdown,
     /// Full observability snapshot.
@@ -199,7 +195,6 @@ impl Request {
             Request::Diff(_) => Opcode::Diff,
             Request::List => Opcode::List,
             Request::Provenance { .. } => Opcode::Provenance,
-            Request::Stats => Opcode::Stats,
             Request::Shutdown => Opcode::Shutdown,
             Request::Metrics => Opcode::Metrics,
             Request::Hello { .. } => Opcode::Hello,
@@ -226,11 +221,7 @@ impl Request {
         w.u8(self.opcode() as u8);
         w.varint(corr);
         match self {
-            Request::Ping
-            | Request::List
-            | Request::Stats
-            | Request::Shutdown
-            | Request::Metrics => {}
+            Request::Ping | Request::List | Request::Shutdown | Request::Metrics => {}
             Request::Query(q) => {
                 w.str(&q.nf);
                 w.u8(q.level);
@@ -276,7 +267,6 @@ impl Request {
         let req = match op {
             Opcode::Ping => Request::Ping,
             Opcode::List => Request::List,
-            Opcode::Stats => Request::Stats,
             Opcode::Shutdown => Request::Shutdown,
             Opcode::Metrics => Request::Metrics,
             Opcode::Query => {
@@ -349,25 +339,6 @@ pub struct QueryReply {
     pub text: String,
 }
 
-/// A snapshot of the server's counters, as ordered name/value pairs (the
-/// encoding is schema-free so counters can be added without a protocol
-/// bump).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct StatsReply {
-    /// Counter names and values, in the server's canonical order.
-    pub counters: Vec<(String, u64)>,
-}
-
-impl StatsReply {
-    /// Look up one counter by name.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-}
-
 /// The full observability snapshot: every counter, gauge, and latency
 /// histogram in the server's registry, name-sorted. Histograms travel
 /// sparsely (only non-empty log2 buckets), so a reply stays small no
@@ -436,8 +407,6 @@ pub enum Response {
         /// The rendered provenance block.
         text: String,
     },
-    /// Server counters.
-    Stats(StatsReply),
     /// Full observability snapshot.
     Metrics(MetricsReply),
     /// Shutdown acknowledged; the server drains and exits.
@@ -496,14 +465,6 @@ impl Response {
             Response::Provenance { text } => {
                 w.u8(Opcode::Provenance as u8);
                 w.str(text);
-            }
-            Response::Stats(s) => {
-                w.u8(Opcode::Stats as u8);
-                w.varint(s.counters.len() as u64);
-                for (name, v) in &s.counters {
-                    w.str(name);
-                    w.u64(*v);
-                }
             }
             Response::Metrics(m) => {
                 w.u8(Opcode::Metrics as u8);
@@ -581,16 +542,6 @@ impl Response {
             Opcode::Provenance => Response::Provenance {
                 text: r.str()?.to_owned(),
             },
-            Opcode::Stats => {
-                let n = r.count(1 << 10)?;
-                let mut counters = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = r.str()?.to_owned();
-                    let v = r.u64()?;
-                    counters.push((name, v));
-                }
-                Response::Stats(StatsReply { counters })
-            }
             Opcode::Metrics => {
                 let n = r.count(1 << 12)?;
                 let mut counters = Vec::with_capacity(n);
@@ -792,33 +743,6 @@ mod tests {
 
     fn bucket_index(v: u64) -> usize {
         bolt_obs::bucket_of(v)
-    }
-
-    #[test]
-    fn stats_reply_wire_is_append_compatible() {
-        // The schema-free (name, value) encoding is the compatibility
-        // contract: a reply with counters appended past the legacy set
-        // still decodes, and the legacy names resolve unchanged — this is
-        // what lets an old client read a new server's stats.
-        let legacy = StatsReply {
-            counters: vec![("requests".into(), 3), ("errors".into(), 0)],
-        };
-        let extended = StatsReply {
-            counters: legacy
-                .counters
-                .iter()
-                .cloned()
-                .chain([("store_hits".into(), 9), ("brand_new".into(), 1)])
-                .collect(),
-        };
-        let decoded = Response::decode_v2(&Response::Stats(extended).encode_v2(1)).unwrap();
-        let (1, Response::Stats(s)) = decoded else {
-            unreachable!()
-        };
-        for (name, v) in &legacy.counters {
-            assert_eq!(s.get(name), Some(*v), "legacy counter {name} intact");
-        }
-        assert_eq!(s.get("store_hits"), Some(9));
     }
 
     #[test]

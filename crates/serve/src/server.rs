@@ -209,17 +209,15 @@ struct Limits {
     request_deadline: Option<Duration>,
     max_depth: u32,
     fault: Option<Arc<FaultPlan>>,
-    active: Arc<AtomicUsize>,
 }
 
-/// Decrements the active-connection count (and the exported
-/// `serve.active_connections` gauge) however the connection ends.
-struct ActiveGuard(Arc<AtomicUsize>, Arc<Gauge>);
+/// Releases a connection's claim on the `serve.active_connections`
+/// gauge however the connection ends.
+struct ActiveGuard(Arc<Gauge>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-        self.1.dec();
+        self.0.dec();
     }
 }
 
@@ -258,7 +256,6 @@ impl Server {
                 config.max_pipeline_depth.min(MAX_PIPELINE_DEPTH)
             },
             fault: config.fault,
-            active: Arc::new(AtomicUsize::new(0)),
         };
 
         // Bind everything fallible before spawning any thread.
@@ -1228,22 +1225,18 @@ impl EventWorker {
         let engine = &self.engine;
         let core = &engine.core;
         let conn_id = core.note_connection();
-        // Claim a slot first, so the cap holds across event loops
-        // accepting at once.
-        let taken = engine.limits.active.fetch_add(1, Ordering::SeqCst);
-        core.connection_gauge().inc();
-        let guard = ActiveGuard(
-            Arc::clone(&engine.limits.active),
-            Arc::clone(core.connection_gauge()),
-        );
-        if engine.limits.max_connections > 0 && taken >= engine.limits.max_connections {
+        // Claim a slot on the gauge first, so the cap holds across event
+        // loops accepting at once: read-modify-writes of one atomic take
+        // effect in one order at any memory ordering, so no two claims
+        // read the same level, and the gauge publishes no other data.
+        let active = core.connection_gauge().inc();
+        let guard = ActiveGuard(Arc::clone(core.connection_gauge()));
+        let cap = engine.limits.max_connections;
+        if cap > 0 && active > cap as i64 {
             core.note_busy_reject();
             trace::emit("serve.conn.busy", &[("id", conn_id.into())]);
             let reply = Response::Error {
-                message: format!(
-                    "server busy: {} connection(s) already active; retry later",
-                    engine.limits.max_connections
-                ),
+                message: format!("server busy: {cap} connection(s) already active; retry later"),
             };
             // The socket is still blocking here, so the reject frame
             // goes out before the close.

@@ -18,8 +18,9 @@
 //!    the contract, admit it to the cache, then as (2).
 //! 4. **Miss** — explore fresh (persisting the record), then as (3).
 //!
-//! Every rung is counted in [`ServeCore::stats_reply`], which is how the
-//! protocol tests pin the "warm repeat does zero work" property.
+//! Every rung is counted in the core's registry (`serve.*` in the
+//! `metrics` reply), which is how the protocol tests pin the "warm
+//! repeat does zero work" property.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -42,7 +43,7 @@ use dpdk_sim::StackLevel;
 
 use crate::cache::{CacheConfig, CacheEntry, ContractCache, MemoKey, MEMO_CAP};
 use crate::protocol::{
-    DiffRequest, MetricsReply, Opcode, QueryReply, QueryRequest, Request, Response, StatsReply,
+    DiffRequest, MetricsReply, Opcode, QueryReply, QueryRequest, Request, Response,
     MAX_PIPELINE_DEPTH,
 };
 
@@ -184,21 +185,18 @@ pub enum Dispatch {
     Offload,
 }
 
-/// The stats counters, said once: each line pairs the private handle
-/// index with its wire name, in the frozen wire order.
+/// The serve counters, said once: each line pairs the private handle
+/// index with the counter's name, `serve.<name>` in the registry.
 macro_rules! stats {
-    ($($(#[$doc:meta])* $stat:ident => $name:literal,)*) => {
-        /// Legacy `stats`-reply counter names, in their frozen wire order. The
-        /// first 17 entries of every [`StatsReply`] are exactly these, in this
-        /// order — consumers that index by position keep working; new counters
-        /// are only ever *appended* (see [`ServeCore::stats_reply`]).
-        pub const LEGACY_STATS_NAMES: [&str; 17] = [$($name),*];
+    ($($stat:ident => $name:literal,)*) => {
+        /// Counter names, indexed by [`Stat`].
+        const STAT_NAMES: &[&str] = &[$($name),*];
 
-        /// Index of one counter in [`LEGACY_STATS_NAMES`] and in the
-        /// core's pre-minted handle array.
+        /// Index of one counter in [`STAT_NAMES`] and in the core's
+        /// pre-minted handle array.
         #[derive(Clone, Copy)]
         enum Stat {
-            $($(#[$doc])* $stat),*
+            $($stat),*
         }
     };
 }
@@ -215,15 +213,29 @@ stats! {
     CacheMisses => "cache_misses",
     ContractDecodes => "contract_decodes",
     Explorations => "explorations",
-    /// Memo misses answered by `NfContract::query` (the wire name is
-    /// frozen). A wire class is a tag or unconstrained, which adds no
-    /// constraint, so none of these runs the solver.
-    SolverQueries => "solver_queries",
     Evictions => "evictions",
     TouchesFlushed => "touches_flushed",
     BusyRejects => "busy_rejects",
     IdleClosed => "idle_closed",
     DeadlinesExceeded => "deadlines_exceeded",
+}
+
+/// The serve counters as flat (name, value) pairs: a projection of the
+/// core's registry, not a second count.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct StatsReply {
+    /// Counter names and values.
+    pub counters: Vec<(String, u64)>,
+}
+
+impl StatsReply {
+    /// Look up one counter by name.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+    }
 }
 
 /// The query engine: one open store, one hot-contract cache, counters.
@@ -235,7 +247,7 @@ pub struct ServeCore {
     /// Monotonic request/work counters, indexed by [`Stat`] — handles
     /// into the registry under `serve.<name>`, minted once so the hot
     /// path never touches the registry lock.
-    counters: [Arc<Counter>; LEGACY_STATS_NAMES.len()],
+    counters: [Arc<Counter>; STAT_NAMES.len()],
     metrics: Arc<Registry>,
     /// Per-phase request-latency histograms, indexed by [`Phase`]
     /// (pre-minted: the request path must not take the registry lock).
@@ -260,7 +272,8 @@ impl ServeCore {
     pub fn with_config(store: ContractStore, config: CacheConfig) -> Self {
         let metrics = Arc::new(Registry::new());
         let store = store.with_metrics(Arc::clone(&metrics));
-        let counters = LEGACY_STATS_NAMES.map(|name| metrics.counter(&format!("serve.{name}")));
+        let counters =
+            std::array::from_fn(|i| metrics.counter(&format!("serve.{}", STAT_NAMES[i])));
         let phase_hists =
             std::array::from_fn(|i| metrics.histogram(&format!("serve.phase.{}", PHASE_NAMES[i])));
         let req_hists = std::array::from_fn(|i| {
@@ -295,7 +308,7 @@ impl ServeCore {
 
     /// The request-latency histogram for one opcode.
     pub(crate) fn request_histogram(&self, op: Opcode) -> &Arc<Histogram> {
-        &self.req_hists[op as u8 as usize - 1]
+        &self.req_hists[op.index()]
     }
 
     /// The latency histogram for one request phase.
@@ -309,23 +322,26 @@ impl ServeCore {
         &self.active_connections
     }
 
-    /// Counter snapshot (the `stats` reply body): the frozen legacy
-    /// 17-name prefix (see [`LEGACY_STATS_NAMES`]), then appended
-    /// counters — the encoding is schema-free (name, value) pairs, so
-    /// appending is wire-compatible with old clients.
+    /// The serve counters for in-process callers, projected from one
+    /// registry snapshot: every `serve.*` counter with its prefix
+    /// dropped, `store.hits` and `store.misses` as `store_hits` and
+    /// `store_misses`, and the connection gauge as `active_connections`.
     pub fn stats_reply(&self) -> StatsReply {
-        let mut counters: Vec<(String, u64)> = LEGACY_STATS_NAMES
+        let snap = self.metrics.snapshot();
+        let mut counters: Vec<(String, u64)> = snap
+            .counters
             .iter()
-            .zip(&self.counters)
-            .map(|(n, c)| (n.to_string(), c.get()))
+            .filter_map(|(name, v)| {
+                let short = match name.as_str() {
+                    "store.hits" => "store_hits",
+                    "store.misses" => "store_misses",
+                    other => other.strip_prefix("serve.")?,
+                };
+                Some((short.to_string(), *v))
+            })
             .collect();
-        counters.push(("store_hits".to_string(), self.store.hits()));
-        counters.push(("store_misses".to_string(), self.store.misses()));
-        counters.push((
-            "active_connections".to_string(),
-            self.active_connections.get().max(0) as u64,
-        ));
-        counters.push(("trace_events".to_string(), trace::ambient_events()));
+        let active = self.active_connections.get().max(0) as u64;
+        counters.push(("active_connections".to_string(), active));
         StatsReply { counters }
     }
 
@@ -408,7 +424,6 @@ impl ServeCore {
             Request::Provenance { nf, level } => self
                 .provenance(nf, *level)
                 .map(|text| Response::Provenance { text }),
-            Request::Stats => Ok(Response::Stats(self.stats_reply())),
             Request::Metrics => Ok(Response::Metrics(self.metrics_reply())),
             Request::Shutdown => Ok(Response::ShuttingDown),
             // The socket server intercepts Hello (negotiation is
@@ -442,11 +457,9 @@ impl ServeCore {
     /// handling) costs latency on one request, never correctness.
     pub fn dispatch(&self, req: &Request) -> Dispatch {
         match req {
-            Request::Ping
-            | Request::Stats
-            | Request::Metrics
-            | Request::Shutdown
-            | Request::Hello { .. } => Dispatch::Inline,
+            Request::Ping | Request::Metrics | Request::Shutdown | Request::Hello { .. } => {
+                Dispatch::Inline
+            }
             Request::Query(q) if self.hot(q) => Dispatch::Inline,
             Request::Query(_) | Request::Diff(_) | Request::List | Request::Provenance { .. } => {
                 Dispatch::Offload
@@ -561,7 +574,6 @@ impl ServeCore {
                 }
             }
         }
-        self.stat(Stat::SolverQueries).inc();
         let source = if e.from_store { "warm" } else { "explored" };
         let CacheEntry {
             nf_name,

@@ -6,9 +6,7 @@
 
 use bolt_obs::{HistogramSnapshot, HIST_BUCKETS};
 use bolt_serve::protocol::{DecodedRequest, FrameBuffer};
-use bolt_serve::{
-    DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response, StatsReply,
-};
+use bolt_serve::{DiffRequest, MetricsReply, QueryReply, QueryRequest, Request, Response};
 use proptest::prelude::*;
 
 /// Short strings that exercise multi-byte UTF-8 (surrogate code points
@@ -30,7 +28,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         Just(Request::Ping),
         Just(Request::List),
-        Just(Request::Stats),
         Just(Request::Shutdown),
         Just(Request::Metrics),
         (arb_string(), any::<u8>(), any::<u8>(), tag, arb_pairs()).prop_map(
@@ -81,7 +78,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_string().prop_map(|text| Response::Diff { text }),
         (any::<u64>(), arb_string()).prop_map(|(entries, text)| Response::List { entries, text }),
         arb_string().prop_map(|text| Response::Provenance { text }),
-        arb_pairs().prop_map(|counters| Response::Stats(StatsReply { counters })),
         (arb_pairs(), gauges, histograms).prop_map(|(counters, gauges, histograms)| {
             Response::Metrics(MetricsReply {
                 counters,

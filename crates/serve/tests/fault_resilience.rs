@@ -16,11 +16,15 @@ use bolt_expr::PcvAssignment;
 use bolt_nfs::Bridge;
 use bolt_serve::protocol::{read_frame, write_frame};
 use bolt_serve::{
-    Client, ClientConfig, Endpoint, QueryRequest, Request, ServeCore, ServeError, Server,
+    Client, ClientBuilder, Endpoint, QueryRequest, Request, Response, ServeCore, ServeError, Server,
 };
 use bolt_store::ContractStore;
 use bolt_trace::Metric;
 use dpdk_sim::StackLevel;
+
+use common::wait_until;
+
+mod common;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bolt-fault-test-{tag}-{}", std::process::id()));
@@ -85,17 +89,15 @@ fn expected_bridge_text(dir: &std::path::Path) -> String {
     )
 }
 
-fn fast_retry_config() -> ClientConfig {
-    ClientConfig {
-        deadline: Duration::from_secs(30),
-        retries: 5,
-        backoff: Duration::from_millis(20),
-        backoff_cap: Duration::from_millis(200),
-        // This suite runs at window 1 (no `Hello`); the pipelining
-        // suite covers negotiated windows.
-        pipeline_depth: 1,
-        ..ClientConfig::default()
-    }
+/// A client for `ep` that retries fast. This suite runs at window 1 (no
+/// `Hello`); the pipelining suite covers negotiated windows.
+fn fast_retry(ep: &Endpoint) -> ClientBuilder {
+    Client::builder(ep)
+        .deadline(Duration::from_secs(30))
+        .retries(5)
+        .backoff(Duration::from_millis(20))
+        .backoff_cap(Duration::from_millis(200))
+        .pipeline_depth(1)
 }
 
 #[test]
@@ -155,13 +157,9 @@ fn server_death_mid_request_is_a_clean_io_error() {
             }
             // Dropping the stream kills the connection mid-request.
         });
-        let no_retry = ClientConfig {
-            retries: 0,
-            pipeline_depth: 1,
-            ..ClientConfig::default()
-        };
         let mut client = Client::builder(&Endpoint::Unix(sock))
-            .config(no_retry)
+            .retries(0)
+            .pipeline_depth(1)
             .build()
             .unwrap();
         let err = client.request(&Request::Ping).unwrap_err();
@@ -170,6 +168,32 @@ fn server_death_mid_request_is_a_clean_io_error() {
             "{name}: want ServeError::Io, got {err:?}"
         );
         fake.join().unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server that turns a connection away writes its error frame and
+/// hangs up before the client has said anything, so the client's first
+/// write meets a broken pipe: the refusal is what the client reports.
+#[test]
+fn a_refusal_sent_before_the_request_outranks_the_broken_pipe() {
+    let dir = temp_dir("refusal");
+    let sock = dir.join("refuse.sock");
+    let listener = UnixListener::bind(&sock).unwrap();
+    let mut client = Client::builder(&Endpoint::Unix(sock))
+        .retries(0)
+        .pipeline_depth(1)
+        .build()
+        .unwrap();
+    let (mut conn, _) = listener.accept().unwrap();
+    let refusal = Response::Error {
+        message: "server busy: 1 connection(s) already active; retry later".into(),
+    };
+    write_frame(&mut conn, &refusal.encode_v2(0)).unwrap();
+    drop(conn);
+    match client.ping() {
+        Err(ServeError::Remote(m)) => assert!(m.starts_with("server busy"), "got {m:?}"),
+        other => panic!("want the refusal, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -193,10 +217,7 @@ fn client_retries_idempotent_requests_across_a_restart() {
         Ok(_) => panic!("binding over a live server must fail"),
     }
 
-    let mut client = Client::builder(&Endpoint::Unix(sock.clone()))
-        .config(fast_retry_config())
-        .build()
-        .unwrap();
+    let mut client = fast_retry(&Endpoint::Unix(sock.clone())).build().unwrap();
     assert_eq!(client.query(bridge_query()).unwrap().text, expected);
 
     // Kill server A, then leave a *stale* socket file behind, the way a
@@ -242,12 +263,11 @@ fn connection_cap_rejects_with_busy_and_recovers() {
     holder.ping().unwrap(); // the slot is definitely taken now
 
     // The next connection gets the busy frame, not service.
-    let no_retry = ClientConfig {
-        retries: 0,
-        pipeline_depth: 1,
-        ..ClientConfig::default()
-    };
-    let mut second = Client::builder(&ep).config(no_retry).build().unwrap();
+    let mut second = Client::builder(&ep)
+        .retries(0)
+        .pipeline_depth(1)
+        .build()
+        .unwrap();
     match second.ping() {
         Err(ServeError::Remote(m)) => {
             assert!(m.contains("busy"), "busy rejection said {m:?}")
@@ -259,10 +279,7 @@ fn connection_cap_rejects_with_busy_and_recovers() {
     // Releasing the slot lets a retrying client in (the reject closed
     // its connection, so the retry path re-dials into the free slot).
     drop(holder);
-    let mut third = Client::builder(&ep)
-        .config(fast_retry_config())
-        .build()
-        .unwrap();
+    let mut third = fast_retry(&ep).build().unwrap();
     let mut served = false;
     for _ in 0..40 {
         if third.ping().is_ok() {
@@ -272,6 +289,13 @@ fn connection_cap_rejects_with_busy_and_recovers() {
         std::thread::sleep(Duration::from_millis(25));
     }
     assert!(served, "a client must be served once the slot frees up");
+
+    // The gauge is the one connection count: once every client has
+    // closed, each claim on it has been released, the rejected one's
+    // included.
+    drop((second, third));
+    let active = server.core().metrics().gauge("serve.active_connections");
+    wait_until("every connection to close", || active.get() == 0);
 
     server.request_shutdown();
     server.join();
@@ -387,10 +411,7 @@ fn seeded_transport_storm_converges_to_byte_identical_answers() {
     // come back byte-identical; transport failures in between are
     // expected and healed by reconnect-and-retry (plus this outer loop
     // for fault runs longer than the client's retry budget).
-    let mut client = Client::builder(&Endpoint::Unix(sock))
-        .config(fast_retry_config())
-        .build()
-        .unwrap();
+    let mut client = fast_retry(&Endpoint::Unix(sock)).build().unwrap();
     for round in 0..20 {
         let mut answered = false;
         for _ in 0..40 {
@@ -442,10 +463,7 @@ fn every_fault_site_is_reached() {
                 .fault(Arc::clone(&plan))
                 .start(ServeCore::new(store))
                 .unwrap();
-            let mut client = Client::builder(&Endpoint::Unix(sock))
-                .config(fast_retry_config())
-                .build()
-                .unwrap();
+            let mut client = fast_retry(&Endpoint::Unix(sock)).build().unwrap();
             assert!(
                 (0..10).any(|_| client.query(bridge_query()).is_ok()),
                 "{site}: the query never converged"
@@ -474,8 +492,7 @@ fn a_diff_whose_reply_is_lost_is_retried_like_any_read() {
         .fault(plan)
         .start(ServeCore::new(store))
         .unwrap();
-    let mut client = Client::builder(&Endpoint::Unix(sock))
-        .config(fast_retry_config())
+    let mut client = fast_retry(&Endpoint::Unix(sock))
         .retries(1)
         .build()
         .unwrap();
@@ -492,7 +509,7 @@ fn shutdown_is_never_auto_retried_but_reads_are() {
     // A pure protocol-level check of the retry policy predicate.
     assert!(Request::Ping.is_idempotent());
     assert!(Request::List.is_idempotent());
-    assert!(Request::Stats.is_idempotent());
+    assert!(Request::Metrics.is_idempotent());
     assert!(Request::Query(bridge_query()).is_idempotent());
     assert!(Request::Provenance {
         nf: "bridge".into(),

@@ -14,21 +14,14 @@ use bolt_core::store::{level_tag, StoreExt};
 use bolt_nfs::{Bridge, Firewall};
 use bolt_serve::protocol::{read_frame, write_frame};
 use bolt_serve::{
-    Client, ClientConfig, Endpoint, QueryRequest, Request, Response, ServeCore, Server,
-    MAX_PIPELINE_DEPTH,
+    Client, Endpoint, QueryRequest, Request, Response, ServeCore, Server, MAX_PIPELINE_DEPTH,
 };
 use bolt_store::ContractStore;
 use dpdk_sim::StackLevel;
 
-/// Poll `done` every millisecond until it holds; fails the test after
-/// ten seconds.
-fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !done() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
+use common::wait_until;
+
+mod common;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bolt-pipeline-test-{tag}-{}", std::process::id()));
@@ -86,25 +79,14 @@ fn hello_negotiation_grants_the_clamped_depth() {
     let session = Client::builder(&ep).pipeline_depth(1).session().unwrap();
     assert_eq!(session.depth(), 1);
 
-    // Depth 0 means window 1 — through the builder, and through a bare
-    // config that bypasses the builder's clamp. A zero window would
-    // make `submit` wait forever for a slot, so each session must
-    // still answer.
-    let zero_config = ClientConfig {
-        pipeline_depth: 0,
-        ..ClientConfig::default()
-    };
-    for builder in [
-        Client::builder(&ep).pipeline_depth(0),
-        Client::builder(&ep).config(zero_config),
-    ] {
-        let mut session = builder.session().unwrap();
-        assert_eq!(session.depth(), 1);
-        assert!(matches!(
-            session.call(&Request::Ping).unwrap(),
-            Response::Pong { .. }
-        ));
-    }
+    // Depth 0 means window 1. A zero window would make `submit` wait
+    // forever for a slot, so the session must still answer.
+    let mut session = Client::builder(&ep).pipeline_depth(0).session().unwrap();
+    assert_eq!(session.depth(), 1);
+    assert!(matches!(
+        session.call(&Request::Ping).unwrap(),
+        Response::Pong { .. }
+    ));
 
     // Nor does the server ever grant 0: a raw `Hello { depth: 0 }` is
     // acked with window 1.

@@ -8,29 +8,20 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 use bolt_core::store::{level_tag, store_key, RecordKind, StoreExt};
 use bolt_core::{ClassSpec, InputClass, NetworkFunction};
 use bolt_expr::PcvAssignment;
 use bolt_nfs::{Bridge, Firewall, StaticRouter};
 use bolt_serve::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME};
-use bolt_serve::{
-    Client, DiffRequest, Endpoint, QueryRequest, ServeCore, Server, StatsReply, LEGACY_STATS_NAMES,
-};
+use bolt_serve::{Client, DiffRequest, Endpoint, QueryRequest, ServeCore, Server, StatsReply};
 use bolt_store::ContractStore;
 use bolt_trace::Metric;
 use dpdk_sim::StackLevel;
 
-/// Poll `done` every millisecond until it holds; fails the test after
-/// ten seconds.
-fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !done() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
+use common::wait_until;
+
+mod common;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bolt-serve-test-{tag}-{}", std::process::id()));
@@ -218,27 +209,23 @@ fn repeated_queries_are_pure_cache_hits() {
         tag: None,
         pcvs: vec![],
     };
-    // First ask: store hit (one record decode), solver runs once.
+    // First ask: store hit (one record decode), one contract query.
     let first = client.query(q.clone()).unwrap();
-    let before = client.stats().unwrap();
-    assert_eq!(counter(&before, "contract_decodes"), 1);
-    assert_eq!(counter(&before, "explorations"), 0);
-    assert_eq!(counter(&before, "solver_queries"), 1);
-    // Repeat: answered from the memo — zero explorations, zero solver
-    // requests, zero record decodes.
+    let before = client.metrics().unwrap();
+    assert_eq!(before.counter("serve.contract_decodes"), Some(1));
+    assert_eq!(before.counter("serve.explorations"), Some(0));
+    assert_eq!(before.counter("serve.memo_misses"), Some(1));
+    // Repeat: answered from the memo — zero explorations, zero contract
+    // queries, zero record decodes.
     let again = client.query(q).unwrap();
     assert_eq!(again, first, "memoised answer must be byte-identical");
-    let after = client.stats().unwrap();
-    assert_eq!(counter(&after, "explorations"), 0);
-    assert_eq!(counter(&after, "solver_queries"), 1);
-    assert_eq!(counter(&after, "contract_decodes"), 1);
+    let after = client.metrics().unwrap();
+    assert_eq!(after.counter("serve.explorations"), Some(0));
+    assert_eq!(after.counter("serve.memo_misses"), Some(1));
+    assert_eq!(after.counter("serve.contract_decodes"), Some(1));
     assert_eq!(
-        counter(&after, "memo_hits"),
-        counter(&before, "memo_hits") + 1
-    );
-    assert_eq!(
-        counter(&after, "memo_misses"),
-        counter(&before, "memo_misses")
+        after.counter("serve.memo_hits"),
+        before.counter("serve.memo_hits").map(|hits| hits + 1)
     );
     server.request_shutdown();
     server.join();
@@ -312,26 +299,41 @@ fn metrics_snapshot_spans_every_layer_over_the_socket() {
     server.join();
 }
 
+/// The in-process counter view is the registry seen through a rename,
+/// not a second count: every `serve.*` counter appears unprefixed with
+/// an equal value, beside the store's hits and misses and the
+/// connection gauge.
 #[test]
-fn stats_reply_keeps_the_legacy_prefix_order() {
-    let (_dir, store) = warm_store("statsorder");
-    let stats = ServeCore::new(store).stats_reply();
-    let names: Vec<&str> = stats.counters.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(
-        &names[..LEGACY_STATS_NAMES.len()],
-        &LEGACY_STATS_NAMES,
-        "the first 17 stats counters are a frozen wire prefix"
-    );
-    assert_eq!(
-        &names[LEGACY_STATS_NAMES.len()..],
-        &[
-            "store_hits",
-            "store_misses",
-            "active_connections",
-            "trace_events"
-        ],
-        "new counters are only ever appended"
-    );
+fn stats_reply_is_a_projection_of_the_registry() {
+    let (_dir, store) = warm_store("projection");
+    let core = ServeCore::new(store);
+    let q = Request::Query(QueryRequest {
+        nf: "bridge".to_string(),
+        level: level_tag(StackLevel::NfOnly),
+        metric: 0,
+        tag: None,
+        pcvs: vec![],
+    });
+    core.handle(&q);
+    core.handle(&q);
+    core.handle(&Request::Ping);
+    let Response::Metrics(m) = core.handle(&Request::Metrics) else {
+        panic!("metrics request answered with something else");
+    };
+    let stats = core.stats_reply();
+    assert_eq!(m.counter("serve.requests"), Some(4));
+    assert_eq!(m.counter("serve.memo_hits"), Some(1));
+    let mut serve_counters = 0;
+    for (name, v) in &m.counters {
+        if let Some(short) = name.strip_prefix("serve.") {
+            assert_eq!(stats.get(short), Some(*v), "{name}");
+            serve_counters += 1;
+        }
+    }
+    assert_eq!(stats.get("store_hits"), m.counter("store.hits"));
+    assert_eq!(stats.get("store_misses"), m.counter("store.misses"));
+    assert_eq!(stats.get("active_connections"), Some(0));
+    assert_eq!(stats.counters.len(), serve_counters + 3, "{stats:?}");
 }
 
 #[test]
@@ -360,6 +362,13 @@ fn malformed_frames_do_not_kill_the_server() {
             matches!(&reply, (c, Response::Error { .. }) if *c == corr),
             "got {reply:?}"
         );
+    }
+    // The retired `stats` opcode (6) is as unknown as any other.
+    match exchange(&[2, 6, 5]) {
+        (5, Response::Error { message }) => {
+            assert!(message.contains("unknown opcode"), "got {message:?}")
+        }
+        other => panic!("want an unknown-opcode error, got {other:?}"),
     }
     // Same connection still answers a valid request.
     let pong = exchange(&Request::Ping.encode_v2(4));
@@ -401,8 +410,8 @@ fn malformed_frames_do_not_kill_the_server() {
 
     // The server survived everything above.
     assert!(client.ping().is_ok());
-    let stats = client.stats().unwrap();
-    assert!(counter(&stats, "protocol_errors") >= 5);
+    let m = client.metrics().unwrap();
+    assert!(m.counter("serve.protocol_errors").unwrap() >= 6);
     server.request_shutdown();
     server.join();
 }

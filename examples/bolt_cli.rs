@@ -690,25 +690,19 @@ fn cmd_stats(o: &Opts) {
         .remote
         .as_deref()
         .unwrap_or_else(|| die("stats needs --remote ENDPOINT (counters live in the server)"));
-    let mut client = remote_client(o, ep);
-    if o.histograms || o.json {
-        // The full observability snapshot (metrics opcode): counters,
-        // gauges, and latency histograms in one consistent reply.
-        let m = client.metrics().unwrap_or_else(|e| die(&e.to_string()));
-        if o.json {
-            print!("{}", metrics_json(&m));
-        } else {
-            print_metrics_table(&m);
+    // Every view renders one `metrics` reply: counters, gauges, and
+    // latency histograms from one consistent snapshot.
+    let m = remote_client(o, ep)
+        .metrics()
+        .unwrap_or_else(|e| die(&e.to_string()));
+    if o.json {
+        print!("{}", metrics_json(&m));
+    } else if o.histograms {
+        print_metrics_table(&m);
+    } else {
+        for (name, value) in &m.counters {
+            println!("{name:>28} : {value}");
         }
-        return;
-    }
-    match client.stats() {
-        Ok(stats) => {
-            for (name, value) in &stats.counters {
-                println!("{name:>16} : {value}");
-            }
-        }
-        Err(e) => die(&e.to_string()),
     }
 }
 
