@@ -20,7 +20,7 @@
 use bolt_core::nf::NetworkFunction;
 use bolt_hw::TestbedModel;
 use bolt_see::{ConcreteCtx, NfVerdict};
-use bolt_trace::{CountingTracer, Marker, TraceEvent, Tracer};
+use bolt_trace::{CountingTracer, InstrClass, Marker, TraceEvent, Tracer};
 use bolt_workloads::TimedPacket;
 use dpdk_sim::{DpdkEnv, Mbuf, StackLevel};
 use nf_lib::clock::{Clock, Granularity};
@@ -107,6 +107,29 @@ impl Tracer for Windowed<'_> {
             _ => {}
         }
         self.tee.event(ev);
+    }
+
+    // Instructions and memory accesses carry no marker: straight to the
+    // sinks' own methods for them.
+
+    #[inline]
+    fn instr(&mut self, class: InstrClass, n: u32) {
+        self.tee.instr(class, n);
+    }
+
+    #[inline]
+    fn mem_read(&mut self, addr: u64, bytes: u8) {
+        self.tee.mem_read(addr, bytes);
+    }
+
+    #[inline]
+    fn mem_read_dep(&mut self, addr: u64, bytes: u8) {
+        self.tee.mem_read_dep(addr, bytes);
+    }
+
+    #[inline]
+    fn mem_write(&mut self, addr: u64, bytes: u8) {
+        self.tee.mem_write(addr, bytes);
     }
 }
 

@@ -1,9 +1,21 @@
-//! Set-associative cache simulator with LRU replacement.
+//! Set-associative cache simulator with exact LRU replacement.
 //!
 //! Used both as the conservative model's L1D residency prover and as the
 //! testbed simulator's L1/L2/L3 levels. Addresses are simulated addresses
 //! from [`bolt_trace::AddressSpace`]; only line presence is tracked, not
 //! data.
+//!
+//! The way count `W` is a compile-time constant (8 for L1D and L2, 16
+//! for L3), so every set is a fixed-size record and every scan a
+//! fixed-length loop. A set keeps its ways' tags with one `u64` recency
+//! stamp each, and beside them its length and the tag of its most recent
+//! line (MRU). A touch of the MRU line, most of a packet's accesses, is
+//! one compare and changes nothing. Any other touch stamps the way with
+//! the cache's next clock value: a hit stamps the way it found, a miss
+//! fills the next free way or the one with the least stamp, the least
+//! recent line. No tag ever moves, and a `u64` clock never wraps.
+//! [`CacheSim::reset`] clears only each set's length and MRU tag, so it
+//! costs O(sets), and the ways past a set's length are never read.
 
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,33 +63,44 @@ impl CacheParams {
     }
 }
 
-/// LRU set-associative cache. Tracks line tags only.
+/// LRU set-associative cache of `W` ways. Tracks line tags only.
 #[derive(Clone, Debug)]
-pub struct CacheSim {
-    params: CacheParams,
+pub struct CacheSim<const W: usize> {
     /// `log2(line_size)`: a tag is `addr >> line_shift`.
     line_shift: u32,
     /// `sets - 1`: the set count is a power of two, so a line's set is
     /// its tag's low bits.
     set_mask: u64,
-    /// `sets × ways` tags; set `s` owns `tags[s * ways..][..lens[s]]`,
-    /// most recent last.
-    tags: Vec<u64>,
-    lens: Vec<u32>,
+    /// Per set: the complement of its MRU line's tag, and how many of its
+    /// ways hold a line. All zeros is an empty set, since no tag is all
+    /// ones (a line is at least two bytes).
+    heads: Vec<(u64, u64)>,
+    /// Per set: the tags of its ways and their stamps. Way `w` holds a
+    /// line iff `w` is below the set's length; the largest stamp is the
+    /// MRU line's.
+    ways: Vec<([u64; W], [u64; W])>,
+    /// The last stamp handed out.
+    clock: u64,
 }
 
-impl CacheSim {
-    /// New empty cache.
+impl<const W: usize> CacheSim<W> {
+    /// New empty cache; `params.ways` must be `W`.
     pub fn new(params: CacheParams) -> Self {
-        assert!(params.line_size.is_power_of_two());
+        assert_eq!(
+            params.ways as usize, W,
+            "geometry has {} ways, not {W}",
+            params.ways
+        );
+        assert!(params.line_size >= 2 && params.line_size.is_power_of_two());
         let n = params.sets() as usize;
         assert!(n.is_power_of_two(), "set count must be a power of two");
+        // Tuples and arrays of integers: both allocations come zeroed.
         CacheSim {
-            params,
             line_shift: params.line_size.trailing_zeros(),
             set_mask: n as u64 - 1,
-            tags: vec![0; n * params.ways as usize],
-            lens: vec![0; n],
+            heads: vec![(0, 0); n],
+            ways: vec![([0; W], [0; W]); n],
+            clock: 0,
         }
     }
 
@@ -88,7 +111,7 @@ impl CacheSim {
 
     /// Empty the cache.
     pub fn reset(&mut self) {
-        self.lens.fill(0);
+        self.heads.fill((0, 0));
     }
 
     /// The tag of `addr`'s line and the index of the set it maps to.
@@ -101,24 +124,37 @@ impl CacheSim {
     /// recent if the set is full. Returns whether it was resident.
     #[inline]
     fn touch(&mut self, tag: u64, si: usize) -> bool {
-        let (len, ways) = (self.lens[si] as usize, self.params.ways as usize);
-        let set = &mut self.tags[si * ways..][..ways];
-        let pos = set[..len].iter().position(|&t| t == tag);
-        let from = match pos {
-            Some(p) => p,
-            None if len == ways => 0,
-            None => {
-                set[len] = tag;
-                self.lens[si] += 1;
-                return false;
+        self.heads[si].0 == !tag || self.touch_older(tag, si)
+    }
+
+    /// [`CacheSim::touch`] of a line that is not the set's MRU. Out of
+    /// line, so that a call site inlines only the MRU compare.
+    #[inline(never)]
+    fn touch_older(&mut self, tag: u64, si: usize) -> bool {
+        let (mru, len) = &mut self.heads[si];
+        *mru = !tag;
+        let n = *len as usize;
+        let (tags, stamps) = &mut self.ways[si];
+        self.clock += 1;
+        // Scan every way without a branch; ways from `n` on are stale.
+        let mut w = W;
+        for (i, &t) in tags.iter().enumerate() {
+            if (t == tag) & (i < n) {
+                w = i;
             }
-        };
-        // Close the gap the hit (or the evicted LRU way) leaves.
-        if from + 1 < len {
-            set.copy_within(from + 1..len, from);
         }
-        set[len - 1] = tag;
-        pos.is_some()
+        let hit = w < W;
+        if !hit {
+            w = if n < W {
+                *len += 1;
+                n
+            } else {
+                (0..W).min_by_key(|&w| stamps[w]).unwrap_or(0)
+            };
+            tags[w] = tag;
+        }
+        stamps[w] = self.clock;
+        hit
     }
 
     /// Access `addr`: returns `true` on hit. On miss the line is installed
@@ -142,7 +178,7 @@ impl CacheSim {
     /// update).
     pub fn contains(&self, addr: u64) -> bool {
         let (tag, si) = self.locate(addr);
-        self.tags[si * self.params.ways as usize..][..self.lens[si] as usize].contains(&tag)
+        self.ways[si].0[..self.heads[si].1 as usize].contains(&tag)
     }
 }
 
@@ -150,7 +186,7 @@ impl CacheSim {
 mod tests {
     use super::*;
 
-    fn tiny() -> CacheSim {
+    fn tiny() -> CacheSim<2> {
         // 4 sets × 2 ways × 64B = 512B.
         CacheSim::new(CacheParams {
             size: 512,

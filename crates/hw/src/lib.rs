@@ -34,7 +34,47 @@ pub mod cost;
 pub use cache::{CacheParams, CacheSim};
 pub use cost::CostTable;
 
-use bolt_trace::{TraceEvent, Tracer};
+use bolt_trace::{InstrClass, TraceEvent, Tracer};
+
+/// A [`CostTable`] in whole units of `1 / scale` cycle, so that a model
+/// sums its charges exactly in a `u64`.
+#[derive(Debug, Clone, Copy)]
+struct Units {
+    per_class: [u64; 10],
+    l1_hit: u64,
+    l2_hit: u64,
+    l3_hit: u64,
+    mem_latency: u64,
+    store_buffer: u64,
+}
+
+impl Units {
+    /// `table`'s costs times `scale`; each must come out whole.
+    fn new(table: &CostTable, scale: f64) -> Self {
+        let units = |cost: f64| {
+            let u = cost * scale;
+            assert!(
+                u >= 0.0 && u.fract() == 0.0,
+                "{cost} cycles is not a whole number of 1/{scale} cycles"
+            );
+            u as u64
+        };
+        Units {
+            per_class: table.per_class.map(units),
+            l1_hit: units(table.l1_hit),
+            l2_hit: units(table.l2_hit),
+            l3_hit: units(table.l3_hit),
+            mem_latency: units(table.mem_latency),
+            store_buffer: units(table.store_buffer),
+        }
+    }
+
+    /// Cost of `n` instructions of `class`.
+    #[inline]
+    fn instrs(&self, class: InstrClass, n: u32) -> u64 {
+        self.per_class[class.index()] * n as u64
+    }
+}
 
 /// BOLT's conservative hardware model (§3.5).
 ///
@@ -44,14 +84,15 @@ use bolt_trace::{TraceEvent, Tracer};
 /// proof of residency (spatial locality within a line already fetched on
 /// this path, or temporal locality to a line fetched earlier on this
 /// path), so it is charged the L1 latency; everything else is charged
-/// `mem_latency`.
+/// `mem_latency`. Every conservative cost is a whole number of cycles,
+/// and the model counts them in a `u64`.
 #[derive(Debug, Clone)]
 pub struct ConservativeModel {
     /// L1D simulator used as the residency prover.
-    l1: CacheSim,
-    /// Per-class worst-case costs.
-    cost: CostTable,
-    cycles: f64,
+    l1: CacheSim<8>,
+    /// Per-class worst-case costs, in cycles.
+    cost: Units,
+    cycles: u64,
 }
 
 impl ConservativeModel {
@@ -59,20 +100,20 @@ impl ConservativeModel {
     pub fn new() -> Self {
         ConservativeModel {
             l1: CacheSim::new(CacheParams::l1d()),
-            cost: CostTable::conservative(),
-            cycles: 0.0,
+            cost: Units::new(&CostTable::conservative(), 1.0),
+            cycles: 0,
         }
     }
 
-    /// Cycles accumulated so far (rounded up; the bound must stay a bound).
+    /// Cycles accumulated so far.
     pub fn cycles(&self) -> u64 {
-        self.cycles.ceil() as u64
+        self.cycles
     }
 
     /// Reset to a cold state (new path ⇒ no assumptions about the cache).
     pub fn reset(&mut self) {
         self.l1.reset();
-        self.cycles = 0.0;
+        self.cycles = 0;
     }
 
     fn mem_access(&mut self, addr: u64, bytes: u8) {
@@ -80,11 +121,11 @@ impl ConservativeModel {
         let shift = self.l1.line_shift();
         let last = (addr + bytes.max(1) as u64 - 1) >> shift;
         for l in addr >> shift..=last {
-            if self.l1.access(l << shift) {
-                self.cycles += self.cost.l1_hit;
+            self.cycles += if self.l1.access(l << shift) {
+                self.cost.l1_hit
             } else {
-                self.cycles += self.cost.mem_latency;
-            }
+                self.cost.mem_latency
+            };
         }
     }
 }
@@ -99,14 +140,14 @@ impl Tracer for ConservativeModel {
     fn event(&mut self, ev: TraceEvent) {
         match ev {
             TraceEvent::Instr { class, n } => {
-                self.cycles += self.cost.class_cost(class) * n as f64;
+                self.cycles += self.cost.instrs(class, n);
             }
             TraceEvent::MemRead { addr, bytes, .. } => {
-                self.cycles += self.cost.class_cost(bolt_trace::InstrClass::Load);
+                self.cycles += self.cost.instrs(InstrClass::Load, 1);
                 self.mem_access(addr, bytes);
             }
             TraceEvent::MemWrite { addr, bytes } => {
-                self.cycles += self.cost.class_cost(bolt_trace::InstrClass::Store);
+                self.cycles += self.cost.instrs(InstrClass::Store, 1);
                 self.mem_access(addr, bytes);
             }
             _ => {}
@@ -128,22 +169,28 @@ impl Tracer for ConservativeModel {
 /// * superscalar issue: ALU-class instructions retire at an average
 ///   throughput below one cycle each;
 /// * a store buffer: store misses do not stall the pipeline.
+///
+/// Every testbed cost is a whole number of quarter cycles, and the model
+/// counts quarters in a `u64`: the total is exact, whatever order the
+/// charges come in.
 #[derive(Debug, Clone)]
 pub struct TestbedModel {
     /// L1 data cache.
-    l1: CacheSim,
+    l1: CacheSim<8>,
     /// Unified L2.
-    l2: CacheSim,
+    l2: CacheSim<8>,
     /// Shared L3 slice.
-    l3: CacheSim,
-    /// Per-class throughput costs.
-    cost: CostTable,
-    cycles: f64,
-    /// Cycle at which the most recent miss group finished.
-    last_miss_end: f64,
+    l3: CacheSim<16>,
+    /// Per-class throughput costs, in quarter cycles.
+    cost: Units,
+    /// Quarter cycles so far.
+    quarters: u64,
+    /// Quarter cycle at which the most recent miss group finished.
+    last_miss_end: Option<u64>,
     /// Number of misses currently overlapped.
     outstanding: u32,
-    /// Recently accessed lines (stream detection table).
+    /// Recently accessed lines (stream detection table); `EMPTY_STREAM`
+    /// marks a slot not yet filled.
     streams: [u64; 8],
     stream_next: usize,
 }
@@ -153,15 +200,20 @@ impl TestbedModel {
     const PREFETCH_DEGREE: u64 = 2;
     /// Maximum overlapped misses (MLP window).
     const MLP_DEGREE: u32 = 10;
-    /// DRAM bandwidth increment per overlapped miss, cycles.
-    const OVERLAP_INCREMENT: f64 = 24.0;
-    /// Two misses closer together than this (in cycles of intervening
-    /// work) are considered overlappable by the out-of-order window.
-    const MLP_WINDOW: f64 = 48.0;
-    /// Effective cost of an *independent* L1 hit: the out-of-order core
-    /// pipelines them at ~1/cycle, while dependent (pointer-chasing) hits
-    /// pay the full load-to-use latency.
-    const L1_HIT_INDEPENDENT: f64 = 1.0;
+    /// DRAM bandwidth increment per overlapped miss: 24 cycles.
+    const OVERLAP_INCREMENT: u64 = 24 * 4;
+    /// Two misses closer together than this (in quarter cycles of
+    /// intervening work: 48 cycles) are considered overlappable by the
+    /// out-of-order window.
+    const MLP_WINDOW: u64 = 48 * 4;
+    /// Effective cost of an *independent* L1 hit, one cycle: the
+    /// out-of-order core pipelines them at ~1/cycle, while dependent
+    /// (pointer-chasing) hits pay the full load-to-use latency.
+    const L1_HIT_INDEPENDENT: u64 = 4;
+    /// A stream slot not yet filled. It matches no line: a line number
+    /// is below 2^63 (a line is at least two bytes), so neither `L-1` nor
+    /// `L-2` is ever 2^63.
+    const EMPTY_STREAM: u64 = 1 << 63;
 
     /// New cold testbed with Xeon-like parameters.
     pub fn new() -> Self {
@@ -169,29 +221,30 @@ impl TestbedModel {
             l1: CacheSim::new(CacheParams::l1d()),
             l2: CacheSim::new(CacheParams::l2()),
             l3: CacheSim::new(CacheParams::l3()),
-            cost: CostTable::testbed(),
-            cycles: 0.0,
-            last_miss_end: f64::NEG_INFINITY,
+            cost: Units::new(&CostTable::testbed(), 4.0),
+            quarters: 0,
+            last_miss_end: None,
             outstanding: 0,
-            streams: [u64::MAX; 8],
+            streams: [Self::EMPTY_STREAM; 8],
             stream_next: 0,
         }
     }
 
-    /// Cycles accumulated so far.
+    /// Cycles accumulated so far, rounded to the nearest (halves up).
     pub fn cycles(&self) -> u64 {
-        self.cycles.round() as u64
+        (self.quarters + 2) / 4
     }
 
     /// Exact fractional cycle count (for CDF plots).
     pub fn cycles_f64(&self) -> f64 {
-        self.cycles
+        self.quarters as f64 / 4.0
     }
 
     /// Look up the hierarchy; returns the latency of the level that hit.
     /// Every level that missed has already installed the line as its most
     /// recent: [`CacheSim::access`] allocates on a miss.
-    fn hierarchy_latency(&mut self, line_addr: u64) -> f64 {
+    #[inline(always)]
+    fn hierarchy_latency(&mut self, line_addr: u64) -> u64 {
         if self.l1.access(line_addr) {
             return self.cost.l1_hit;
         }
@@ -205,22 +258,33 @@ impl TestbedModel {
     }
 
     /// Stream detection, trained on *every* access: an access to line `L`
-    /// extends a stream if `L-1` or `L-2` was touched recently.
+    /// extends a stream if `L-1` or `L-2` was touched recently. Compares
+    /// every slot, without a branch.
+    #[inline]
     fn detect_stream(&mut self, line: u64) -> bool {
-        let hit = self
+        // `line - s` is 1 or 2 exactly when `line - s - 1` is below 2.
+        let hits: u32 = self
             .streams
             .iter()
-            .any(|&s| s != u64::MAX && (line == s + 1 || line == s + 2));
+            .map(|&s| u32::from(line.wrapping_sub(s).wrapping_sub(1) < 2))
+            .sum();
         self.streams[self.stream_next] = line;
         self.stream_next = (self.stream_next + 1) % self.streams.len();
-        hit
+        hits != 0
     }
 
+    /// A load: its issue cost, then its lines.
+    #[inline]
+    fn read(&mut self, addr: u64, bytes: u8, dep: bool) {
+        self.quarters += self.cost.instrs(InstrClass::Load, 1);
+        self.mem_access(addr, bytes, dep, false);
+    }
+
+    #[inline]
     fn mem_access(&mut self, addr: u64, bytes: u8, dep: bool, is_store: bool) {
         let shift = self.l1.line_shift();
         let last = (addr + bytes.max(1) as u64 - 1) >> shift;
         for l in addr >> shift..=last {
-            let line_addr = l << shift;
             // Prefetch ahead of any detected ascending stream, hit or miss,
             // so an established stream stays resident ahead of the access
             // point.
@@ -233,33 +297,30 @@ impl TestbedModel {
                     self.l3.install(pf);
                 }
             }
-            let lat = self.hierarchy_latency(line_addr);
-            let missed = lat >= self.cost.mem_latency;
-            if missed {
-                if is_store {
-                    // Store misses retire through the write buffer; the
-                    // pipeline does not stall for them.
-                    self.cycles += self.cost.store_buffer;
-                    continue;
-                }
-                let now = self.cycles;
-                let close = now - self.last_miss_end <= Self::MLP_WINDOW;
+            let lat = self.hierarchy_latency(l << shift);
+            if is_store {
+                // Stores retire through the store buffer, hit or miss; the
+                // pipeline does not stall for them.
+                self.quarters += self.cost.store_buffer;
+            } else if lat >= self.cost.mem_latency {
+                let now = self.quarters;
+                let close = self
+                    .last_miss_end
+                    .is_some_and(|end| now - end <= Self::MLP_WINDOW);
                 if !dep && close && self.outstanding < Self::MLP_DEGREE {
                     // The out-of-order window overlaps this independent
                     // miss with the previous one: pay bandwidth only.
                     self.outstanding += 1;
-                    self.cycles += Self::OVERLAP_INCREMENT;
+                    self.quarters += Self::OVERLAP_INCREMENT;
                 } else {
                     // Serialised miss: dependent, too far from the previous
                     // miss, or MLP slots exhausted.
                     self.outstanding = 1;
-                    self.cycles += lat;
+                    self.quarters += lat;
                 }
-                self.last_miss_end = self.cycles;
+                self.last_miss_end = Some(self.quarters);
             } else {
-                self.cycles += if is_store {
-                    self.cost.store_buffer
-                } else if !dep && streaming && lat <= self.cost.l1_hit {
+                self.quarters += if !dep && streaming && lat <= self.cost.l1_hit {
                     // Independent hits inside a detected stream pipeline
                     // at full issue rate; random-indexed warm hits and
                     // pointer chases pay the load-to-use latency.
@@ -278,23 +339,38 @@ impl Default for TestbedModel {
     }
 }
 
+/// Instructions and memory accesses have methods of their own, so a
+/// pair of sinks hands them over without building an event.
 impl Tracer for TestbedModel {
     #[inline]
     fn event(&mut self, ev: TraceEvent) {
         match ev {
-            TraceEvent::Instr { class, n } => {
-                self.cycles += self.cost.class_cost(class) * n as f64;
-            }
-            TraceEvent::MemRead { addr, bytes, dep } => {
-                self.cycles += self.cost.class_cost(bolt_trace::InstrClass::Load);
-                self.mem_access(addr, bytes, dep, false);
-            }
-            TraceEvent::MemWrite { addr, bytes } => {
-                self.cycles += self.cost.class_cost(bolt_trace::InstrClass::Store);
-                self.mem_access(addr, bytes, false, true);
-            }
+            TraceEvent::Instr { class, n } => self.instr(class, n),
+            TraceEvent::MemRead { addr, bytes, dep } => self.read(addr, bytes, dep),
+            TraceEvent::MemWrite { addr, bytes } => self.mem_write(addr, bytes),
             _ => {}
         }
+    }
+
+    #[inline]
+    fn instr(&mut self, class: InstrClass, n: u32) {
+        self.quarters += self.cost.instrs(class, n);
+    }
+
+    #[inline]
+    fn mem_read(&mut self, addr: u64, bytes: u8) {
+        self.read(addr, bytes, false);
+    }
+
+    #[inline]
+    fn mem_read_dep(&mut self, addr: u64, bytes: u8) {
+        self.read(addr, bytes, true);
+    }
+
+    #[inline]
+    fn mem_write(&mut self, addr: u64, bytes: u8) {
+        self.quarters += self.cost.instrs(InstrClass::Store, 1);
+        self.mem_access(addr, bytes, false, true);
     }
 }
 
@@ -317,8 +393,10 @@ mod tests {
     fn conservative_charges_dram_for_cold_access() {
         let mut m = ConservativeModel::new();
         m.mem_read(0x1000, 8);
-        let c = m.cycles() as f64;
-        assert!(c >= m.cost.mem_latency, "cold access must cost DRAM");
+        assert!(
+            m.cycles() >= m.cost.mem_latency,
+            "cold access must cost DRAM"
+        );
     }
 
     #[test]
@@ -329,7 +407,7 @@ mod tests {
         m.mem_read(0x1000, 8);
         let delta = m.cycles() - after_first;
         assert!(
-            (delta as f64) < m.cost.mem_latency,
+            delta < m.cost.mem_latency,
             "second access to same line must be an L1 hit"
         );
     }
@@ -341,15 +419,14 @@ mod tests {
         let after_first = m.cycles();
         m.mem_read(0x1008, 8); // same 64B line
         let delta = m.cycles() - after_first;
-        assert!((delta as f64) < m.cost.mem_latency);
+        assert!(delta < m.cost.mem_latency);
     }
 
     #[test]
     fn straddling_access_charges_both_lines() {
         let mut m = ConservativeModel::new();
         m.mem_read(0x103c, 8); // crosses the 0x1040 line boundary
-        let c = m.cycles() as f64;
-        assert!(c >= 2.0 * m.cost.mem_latency);
+        assert!(m.cycles() >= 2 * m.cost.mem_latency);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The flat [`CacheSim`] against the implementation it replaced, kept
+//! The stamped [`CacheSim`] against the implementation it replaced, kept
 //! here as the trivially correct model: one `Vec` of line addresses per
 //! set, most recent last, `remove` + `push` on every touch. Any
-//! interleaving of operations must give the same answers and residency;
-//! and the two hardware models, rebuilt here on the model cache exactly
-//! as they stood before the rewrite, must accumulate bit-identical cycles
-//! on arbitrary event streams. The testbed's `f64` cycle count is exact:
-//! whole quarter cycles, whatever order the instructions between memory
-//! events arrive in.
+//! interleaving of operations must give the same answers and residency,
+//! at every way count the models use; and the two hardware models,
+//! rebuilt here on the model cache exactly as they stood when they still
+//! summed `f64` cycles, must accumulate bit-identical cycles on arbitrary
+//! event streams. The testbed's cycle count is exact: whole quarter
+//! cycles, whatever order the instructions between memory events arrive
+//! in.
 
 use bolt_hw::{CacheParams, CacheSim, ConservativeModel, CostTable, TestbedModel};
 use bolt_trace::{InstrClass, TraceEvent, Tracer};
@@ -99,12 +100,52 @@ fn geometries() -> [CacheParams; 5] {
     ]
 }
 
-/// A set count off a power of two has no set-index path: the flat cache
-/// maps a line to its set by masking.
+/// A set count off a power of two has no set-index path: the cache maps
+/// a line to its set by masking.
 #[test]
 #[should_panic(expected = "set count must be a power of two")]
 fn three_sets_are_refused() {
-    CacheSim::new(small(3, 2));
+    CacheSim::<2>::new(small(3, 2));
+}
+
+/// The way count is the type's: a geometry with another is refused.
+#[test]
+#[should_panic(expected = "geometry has 16 ways, not 8")]
+fn a_geometry_must_match_the_way_count() {
+    CacheSim::<8>::new(CacheParams::l3());
+}
+
+/// A full set whose most recent line is not its last-filled way evicts
+/// its least recent line, and a reset — which clears only each set's
+/// length and MRU tag — leaves none of the old lines visible.
+#[test]
+fn reset_leaves_no_stale_way_after_an_eviction() {
+    const W: usize = 8;
+    let p = small(4, W as u32);
+    let mut c = CacheSim::<W>::new(p);
+    let mut r = RefCache::new(p);
+    let line = |round: u64| addr_of(p, round, 1, 0);
+    for round in 0..W as u64 {
+        assert!(!c.access(line(round)));
+        assert!(!r.access(line(round)));
+    }
+    // Way 2 becomes the most recent; way 0 is now the least.
+    assert!(c.access(line(2)) && r.access(line(2)));
+    assert!(!c.access(line(W as u64)) && !r.access(line(W as u64)));
+    assert!(!c.contains(line(0)) && !r.contains(line(0)));
+    for round in 1..=W as u64 {
+        assert!(
+            c.contains(line(round)) && r.contains(line(round)),
+            "round {round}"
+        );
+    }
+    c.reset();
+    for round in 0..=W as u64 {
+        assert!(!c.contains(line(round)), "round {round} survived the reset");
+    }
+    for round in [W as u64, 2, 0, 1] {
+        assert!(!c.access(line(round)), "round {round} hit after the reset");
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -361,6 +402,37 @@ fn testbed_cycles(evs: &[Ev]) -> f64 {
     m.cycles_f64()
 }
 
+/// An empty stream slot matches no line, at either end of the address
+/// space: the first lines a cold testbed touches, 0 and 1, follow no
+/// stream, and neither do lines just below the top.
+#[test]
+fn stream_detection_agrees_at_the_ends_of_the_address_space() {
+    let top = u64::MAX - 0x3ff;
+    let evs: Vec<Ev> = [
+        0x0,
+        0x40,
+        0x80,
+        0x0,
+        top,
+        top + 0x40,
+        top + 0x100,
+        top + 0x80,
+    ]
+    .iter()
+    .flat_map(|&a| [Ev::Read(a, 8, false), Ev::Instr(0, 3), Ev::Write(a, 8)])
+    .collect();
+    let (mut test, mut old_test) = (TestbedModel::new(), RefTestbed::new());
+    for ev in &evs {
+        feed(&mut test, ev);
+        feed(&mut old_test, ev);
+        assert_eq!(
+            test.cycles_f64().to_bits(),
+            old_test.cycles.to_bits(),
+            "{ev:?}"
+        );
+    }
+}
+
 /// Shuffle every run of `Instr` events that sits between two memory
 /// events (a seeded Fisher-Yates), leaving the memory events in place.
 fn shuffle_instr_runs(evs: &mut [Ev], mut seed: u64) {
@@ -370,6 +442,34 @@ fn shuffle_instr_runs(evs: &mut [Ev], mut seed: u64) {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             run.swap(i, (seed >> 33) as usize % (i + 1));
+        }
+    }
+}
+
+/// Replays `ops` on a `W`-way [`CacheSim`] and the reference, comparing
+/// answers and residency after every step.
+fn matches_the_reference<const W: usize>(p: CacheParams, ops: &[(u8, u64, u64, u64)]) {
+    let mut new = CacheSim::<W>::new(p);
+    let mut old = RefCache::new(p);
+    for &raw in ops {
+        let op = op_of(p, raw);
+        match op {
+            Op::Access(a) => assert_eq!(new.access(a), old.access(a), "{:?}", op),
+            Op::Install(a) => {
+                new.install(a);
+                old.install(a);
+            }
+            Op::Contains(a) => assert_eq!(new.contains(a), old.contains(a), "{:?}", op),
+            Op::Reset => {
+                new.reset();
+                old.reset();
+            }
+        }
+        for round in 0..ROUNDS {
+            for set in 0..SETS {
+                let a = addr_of(p, round, set, 0);
+                assert_eq!(new.contains(a), old.contains(a), "{:#x} after {:?}", a, op);
+            }
         }
     }
 }
@@ -385,28 +485,12 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..300),
     ) {
         let p = geometries()[geometry];
-        let mut new = CacheSim::new(p);
-        let mut old = RefCache::new(p);
-        for raw in ops {
-            let op = op_of(p, raw);
-            match op {
-                Op::Access(a) => prop_assert_eq!(new.access(a), old.access(a), "{:?}", op),
-                Op::Install(a) => {
-                    new.install(a);
-                    old.install(a);
-                }
-                Op::Contains(a) => prop_assert_eq!(new.contains(a), old.contains(a), "{:?}", op),
-                Op::Reset => {
-                    new.reset();
-                    old.reset();
-                }
-            }
-            for round in 0..ROUNDS {
-                for set in 0..SETS {
-                    let a = addr_of(p, round, set, 0);
-                    prop_assert_eq!(new.contains(a), old.contains(a), "{:#x} after {:?}", a, op);
-                }
-            }
+        match p.ways {
+            1 => matches_the_reference::<1>(p, &ops),
+            2 => matches_the_reference::<2>(p, &ops),
+            8 => matches_the_reference::<8>(p, &ops),
+            16 => matches_the_reference::<16>(p, &ops),
+            w => unreachable!("no {w}-way geometry"),
         }
     }
 
@@ -425,6 +509,7 @@ proptest! {
             feed(&mut old_test, ev);
             prop_assert_eq!(cons.cycles(), old_cons.cycles.ceil() as u64, "{:?}", ev);
             prop_assert_eq!(test.cycles_f64().to_bits(), old_test.cycles.to_bits(), "{:?}", ev);
+            prop_assert_eq!(test.cycles(), old_test.cycles.round() as u64, "{:?}", ev);
         }
     }
 

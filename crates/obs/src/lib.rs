@@ -26,4 +26,4 @@ pub mod trace;
 pub use metrics::{
     bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, Span, HIST_BUCKETS,
 };
-pub use trace::{TraceSink, Value};
+pub use trace::Value;

@@ -17,7 +17,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Environment variable holding the trace output path.
@@ -77,7 +77,7 @@ impl<'a> From<&'a str> for Value<'a> {
 
 /// Append-only JSONL sink. Every [`TraceSink::emit`] writes (and flushes)
 /// one line, so external scrapers see events as they happen.
-pub struct TraceSink {
+struct TraceSink {
     out: Mutex<BufWriter<File>>,
     start: Instant,
     // Last timestamp handed out, so ts_us is non-decreasing even if two
@@ -107,14 +107,14 @@ impl TraceSink {
     }
 
     /// Number of events emitted so far.
-    pub fn events(&self) -> u64 {
+    fn events(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
     }
 
     /// Write one event line. Field names must be plain identifiers; values
     /// are JSON-escaped. IO errors are swallowed — tracing must never take
     /// the traced system down.
-    pub fn emit(&self, event: &str, fields: &[(&str, Value)]) {
+    fn emit(&self, event: &str, fields: &[(&str, Value)]) {
         let now = self.start.elapsed().as_micros() as u64;
         let ts = self.last_ts.fetch_max(now, Ordering::Relaxed).max(now);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -167,8 +167,8 @@ fn escape_into(out: &mut String, s: &str) {
 
 /// The ambient sink configured by `BOLT_TRACE`, if any. Resolved once per
 /// process; an unopenable path disables tracing with a single warning.
-pub fn ambient() -> Option<&'static Arc<TraceSink>> {
-    static AMBIENT: OnceLock<Option<Arc<TraceSink>>> = OnceLock::new();
+fn ambient() -> Option<&'static TraceSink> {
+    static AMBIENT: OnceLock<Option<TraceSink>> = OnceLock::new();
     AMBIENT
         .get_or_init(|| {
             let path = std::env::var_os(TRACE_ENV)?;
@@ -176,7 +176,7 @@ pub fn ambient() -> Option<&'static Arc<TraceSink>> {
                 return None;
             }
             match TraceSink::to_path(Path::new(&path)) {
-                Ok(sink) => Some(Arc::new(sink)),
+                Ok(sink) => Some(sink),
                 Err(err) => {
                     eprintln!("bolt-obs: cannot open {TRACE_ENV}={path:?}: {err}; tracing off");
                     None

@@ -354,12 +354,12 @@ pub struct MetricsReply {
 }
 
 impl MetricsReply {
-    /// Build a reply from a registry snapshot.
-    pub(crate) fn from_snapshot(snap: &Snapshot) -> Self {
+    /// Build a reply from a registry snapshot, moving its series.
+    pub(crate) fn from_snapshot(snap: Snapshot) -> Self {
         MetricsReply {
-            counters: snap.counters.clone(),
-            gauges: snap.gauges.clone(),
-            histograms: snap.histograms.clone(),
+            counters: snap.counters,
+            gauges: snap.gauges,
+            histograms: snap.histograms,
         }
     }
 

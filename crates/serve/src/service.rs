@@ -303,7 +303,7 @@ impl ServeCore {
 
     /// The full observability snapshot (the `metrics` reply body).
     pub(crate) fn metrics_reply(&self) -> MetricsReply {
-        MetricsReply::from_snapshot(&self.metrics.snapshot())
+        MetricsReply::from_snapshot(self.metrics.snapshot())
     }
 
     /// The request-latency histogram for one opcode.

@@ -21,7 +21,11 @@
 //! `B` — nest pairs for more, lend a sink with `&mut`. The pair's type
 //! names its members, so the one virtual call an NF makes per event (the
 //! `&mut dyn Tracer` inside the execution context) lands in code where
-//! every member's `event` is inlined; nothing is allocated to fan out.
+//! every member is inlined; nothing is allocated to fan out. Pairs and
+//! borrows pass [`Tracer::instr`] and the `mem_*` calls, nearly all of an
+//! NF's, to each member's own method, so a sink that overrides them (the
+//! counters, the testbed model) handles an instruction or an access
+//! without building a [`TraceEvent`] and matching on its kind.
 
 use std::fmt;
 
@@ -319,6 +323,13 @@ impl CountingTracer {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// One memory access: one instruction, one access.
+    #[inline]
+    fn access(&mut self) {
+        self.instructions += 1;
+        self.mem_accesses += 1;
+    }
 }
 
 impl Tracer for CountingTracer {
@@ -326,12 +337,29 @@ impl Tracer for CountingTracer {
     fn event(&mut self, ev: TraceEvent) {
         match ev {
             TraceEvent::Instr { n, .. } => self.instructions += n as u64,
-            TraceEvent::MemRead { .. } | TraceEvent::MemWrite { .. } => {
-                self.instructions += 1;
-                self.mem_accesses += 1;
-            }
+            TraceEvent::MemRead { .. } | TraceEvent::MemWrite { .. } => self.access(),
             _ => {}
         }
+    }
+
+    #[inline]
+    fn instr(&mut self, _class: InstrClass, n: u32) {
+        self.instructions += n as u64;
+    }
+
+    #[inline]
+    fn mem_read(&mut self, _addr: u64, _bytes: u8) {
+        self.access();
+    }
+
+    #[inline]
+    fn mem_read_dep(&mut self, _addr: u64, _bytes: u8) {
+        self.access();
+    }
+
+    #[inline]
+    fn mem_write(&mut self, _addr: u64, _bytes: u8) {
+        self.access();
     }
 }
 
@@ -341,15 +369,61 @@ impl<T: Tracer + ?Sized> Tracer for &mut T {
     fn event(&mut self, ev: TraceEvent) {
         (**self).event(ev);
     }
+
+    #[inline]
+    fn instr(&mut self, class: InstrClass, n: u32) {
+        (**self).instr(class, n);
+    }
+
+    #[inline]
+    fn mem_read(&mut self, addr: u64, bytes: u8) {
+        (**self).mem_read(addr, bytes);
+    }
+
+    #[inline]
+    fn mem_read_dep(&mut self, addr: u64, bytes: u8) {
+        (**self).mem_read_dep(addr, bytes);
+    }
+
+    #[inline]
+    fn mem_write(&mut self, addr: u64, bytes: u8) {
+        (**self).mem_write(addr, bytes);
+    }
 }
 
 /// The tee: both sinks see every event, `A` first (e.g. counters + a
-/// cache model).
+/// cache model). Instructions and memory accesses, nearly every call an
+/// NF makes, reach each member's own method for them, so a member that
+/// handles them directly pays for no event and no dispatch on its kind.
 impl<A: Tracer, B: Tracer> Tracer for (A, B) {
     #[inline]
     fn event(&mut self, ev: TraceEvent) {
         self.0.event(ev);
         self.1.event(ev);
+    }
+
+    #[inline]
+    fn instr(&mut self, class: InstrClass, n: u32) {
+        self.0.instr(class, n);
+        self.1.instr(class, n);
+    }
+
+    #[inline]
+    fn mem_read(&mut self, addr: u64, bytes: u8) {
+        self.0.mem_read(addr, bytes);
+        self.1.mem_read(addr, bytes);
+    }
+
+    #[inline]
+    fn mem_read_dep(&mut self, addr: u64, bytes: u8) {
+        self.0.mem_read_dep(addr, bytes);
+        self.1.mem_read_dep(addr, bytes);
+    }
+
+    #[inline]
+    fn mem_write(&mut self, addr: u64, bytes: u8) {
+        self.0.mem_write(addr, bytes);
+        self.1.mem_write(addr, bytes);
     }
 }
 
@@ -413,6 +487,32 @@ mod tests {
         }
         assert_eq!(a.instructions, 8);
         assert_eq!(b.events.len(), 2);
+    }
+
+    /// A pair hands instructions and accesses to each member's own
+    /// method: the counters it keeps equal those of the events the
+    /// recorder beside them kept, zero-count instructions included.
+    #[test]
+    fn tee_methods_count_what_the_events_say() {
+        let mut tee = (
+            CountingTracer::new(),
+            (&mut RecordingTracer::new(), NullTracer),
+        );
+        tee.alu(3);
+        tee.instr(InstrClass::Div, 0);
+        tee.mem_read(0x40, 8);
+        tee.mem_read_dep(0x80, 4);
+        tee.branch_instr();
+        tee.mem_write(0xc0, 2);
+        tee.mark(Marker::TxDone);
+        let (ic, ma) = count_ic_ma(&tee.1 .0.events);
+        assert_eq!(
+            tee.1 .0.events.len(),
+            6,
+            "the zero-count instruction is dropped"
+        );
+        assert_eq!((tee.0.instructions, tee.0.mem_accesses), (ic, ma));
+        assert_eq!((ic, ma), (7, 3));
     }
 
     #[test]
