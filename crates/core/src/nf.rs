@@ -35,7 +35,7 @@ use bolt_expr::{PcvAssignment, PerfExpr};
 use bolt_see::{ConcreteCtx, ExplorationResult, Explorer, SymbolicCtx};
 use bolt_solver::Solver;
 use bolt_store::Fingerprint;
-use bolt_trace::{AddressSpace, Metric};
+use bolt_trace::{AddressSpace, Metric, Tracer};
 use dpdk_sim::{sym_process_packet, Mbuf, StackLevel};
 use nf_lib::clock::Clock;
 use nf_lib::registry::DsRegistry;
@@ -85,9 +85,9 @@ pub trait NetworkFunction {
     fn state(&self, ids: Self::Ids, aspace: &mut AddressSpace) -> Self::State;
 
     /// Process one packet concretely (the production build).
-    fn process(
+    fn process<T: Tracer>(
         &self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         state: &mut Self::State,
         clock: &Clock,
         mbuf: Mbuf,

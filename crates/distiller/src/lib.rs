@@ -19,24 +19,30 @@ pub mod runner;
 pub use runner::NfRunner;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use bolt_expr::{PcvAssignment, PcvId, PcvTable};
 use bolt_trace::{Marker, TraceEvent, Tracer};
 
+/// One PCV observation of a packet: `(pcv, max, sum)`.
+type Obs = (PcvId, u64, u64);
+
+/// Observations per block of the distiller's store: 24 KiB.
+const BLOCK: usize = 1024;
+
 /// Per-packet PCV observations. Within one packet, repeated observations
 /// of the same PCV keep the maximum (the conservative per-packet binding)
 /// and the sum (useful for totals like "collisions seen while expiring").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PacketObs {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketObs<'a> {
     /// Packet sequence number.
     pub seq: u64,
     /// `(pcv, max, sum)` in order of first observation: a packet sees a
-    /// handful of PCVs at most, and none costs no allocation.
-    obs: Box<[(PcvId, u64, u64)]>,
+    /// handful of PCVs at most.
+    obs: &'a [Obs],
 }
 
-impl PacketObs {
+impl PacketObs<'_> {
     /// The largest value `pcv` took in this packet (0 if unobserved).
     pub fn max(&self, pcv: PcvId) -> u64 {
         self.obs.iter().find(|o| o.0 == pcv).map_or(0, |o| o.1)
@@ -56,20 +62,120 @@ impl PacketObs {
 
     /// Raise `out` pointwise to this packet's maxima.
     fn max_into(&self, out: &mut PcvAssignment) {
-        for &(pcv, max, _) in self.obs.iter() {
+        for &(pcv, max, _) in self.obs {
             out.set(pcv, out.get(pcv).max(max));
         }
     }
 }
 
-/// The Distiller sink.
+/// Where a closed packet's observations are: `len` of them from `start`
+/// in block `block`.
+#[derive(Debug, Clone, Copy)]
+struct Filed {
+    seq: u64,
+    block: u32,
+    start: u16,
+    len: u16,
+}
+
+impl Filed {
+    fn obs(self, blocks: &[Vec<Obs>]) -> PacketObs<'_> {
+        let obs = match self.len {
+            0 => &[],
+            n => &blocks[self.block as usize][usize::from(self.start)..][..usize::from(n)],
+        };
+        PacketObs { seq: self.seq, obs }
+    }
+}
+
+/// Every closed packet's observations, in arrival order: what
+/// [`Distiller::packets`] returns.
+#[derive(Clone, Copy)]
+pub struct Packets<'a> {
+    filed: &'a [Filed],
+    blocks: &'a [Vec<Obs>],
+}
+
+impl<'a> Packets<'a> {
+    /// Number of packets.
+    pub fn len(&self) -> usize {
+        self.filed.len()
+    }
+
+    /// Whether no packet closed.
+    pub fn is_empty(&self) -> bool {
+        self.filed.is_empty()
+    }
+
+    /// The packets, in arrival order.
+    pub fn iter(&self) -> PacketIter<'a> {
+        PacketIter {
+            filed: self.filed.iter(),
+            blocks: self.blocks,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Packets<'a> {
+    type Item = PacketObs<'a>;
+    type IntoIter = PacketIter<'a>;
+
+    fn into_iter(self) -> PacketIter<'a> {
+        self.iter()
+    }
+}
+
+/// Two runs' packets are equal when they observed the same, packet for
+/// packet.
+impl PartialEq for Packets<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Packets<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over [`Packets`].
+#[derive(Debug, Clone)]
+pub struct PacketIter<'a> {
+    filed: std::slice::Iter<'a, Filed>,
+    blocks: &'a [Vec<Obs>],
+}
+
+impl<'a> Iterator for PacketIter<'a> {
+    type Item = PacketObs<'a>;
+
+    fn next(&mut self) -> Option<PacketObs<'a>> {
+        Some(self.filed.next()?.obs(self.blocks))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.filed.size_hint()
+    }
+}
+
+impl ExactSizeIterator for PacketIter<'_> {}
+
+/// The Distiller sink. Observations are filed packet after packet into
+/// blocks of fixed size, and a packet keeps where its own are: a packet
+/// costs no allocation of its own, whatever it observes, and the store
+/// holds at most one block it does not use (a growing vector would hold
+/// up to its whole length).
 #[derive(Debug, Default)]
 pub struct Distiller {
-    packets: Vec<PacketObs>,
-    /// Sequence number of the packet in flight, whose observations
-    /// gather in `scratch` until it closes.
+    /// Per closed packet, in arrival order.
+    filed: Vec<Filed>,
+    /// The observations; the packet in flight's are the last block's
+    /// from `open` on.
+    blocks: Vec<Vec<Obs>>,
+    /// Sequence number of the packet in flight.
     current: Option<u64>,
-    scratch: Vec<(PcvId, u64, u64)>,
+    /// Where the packet in flight's observations start in the last block.
+    open: usize,
 }
 
 impl Distiller {
@@ -80,27 +186,63 @@ impl Distiller {
 
     /// Make room for `packets` more packets' observations.
     pub(crate) fn reserve(&mut self, packets: usize) {
-        self.packets.reserve(packets);
+        self.filed.reserve(packets);
     }
 
     /// Per-packet observations, in arrival order.
-    pub fn packets(&self) -> &[PacketObs] {
-        &self.packets
+    pub fn packets(&self) -> Packets<'_> {
+        Packets {
+            filed: &self.filed,
+            blocks: &self.blocks,
+        }
     }
 
     /// File the packet in flight, if any.
     fn close(&mut self) {
         if let Some(seq) = self.current.take() {
-            let obs = self.scratch.as_slice().into();
-            self.scratch.clear();
-            self.packets.push(PacketObs { seq, obs });
+            let end = self.blocks.last().map_or(0, Vec::len);
+            let short = |n: usize| u16::try_from(n).expect("a packet observes under 65 536 PCVs");
+            self.filed.push(Filed {
+                seq,
+                block: self.blocks.len().saturating_sub(1) as u32,
+                start: short(self.open),
+                len: short(end - self.open),
+            });
+            self.open = end;
         }
+    }
+
+    /// Record `value` for `pcv` in the packet in flight.
+    fn observe(&mut self, pcv: PcvId, value: u64) {
+        if let Some(o) = self
+            .blocks
+            .last_mut()
+            .and_then(|b| b[self.open..].iter_mut().find(|o| o.0 == pcv))
+        {
+            *o = (pcv, o.1.max(value), o.2 + value);
+            return;
+        }
+        let block = match self.blocks.last_mut() {
+            // Room left, or the packet in flight fills the block alone.
+            Some(b) if b.len() < b.capacity() || self.open == 0 => b,
+            // Full (or none yet): the packet in flight moves to a new block.
+            _ => {
+                let mut fresh = Vec::with_capacity(BLOCK);
+                if let Some(full) = self.blocks.last_mut() {
+                    fresh.extend(full.drain(self.open..));
+                }
+                self.open = 0;
+                self.blocks.push(fresh);
+                self.blocks.last_mut().expect("just pushed")
+            }
+        };
+        block.push((pcv, value, value));
     }
 
     /// Histogram of a PCV's per-packet (max) values.
     pub fn histogram(&self, pcv: PcvId) -> BTreeMap<u64, u64> {
         let mut h = BTreeMap::new();
-        for p in &self.packets {
+        for p in self.packets() {
             *h.entry(p.max(pcv)).or_insert(0u64) += 1;
         }
         h
@@ -108,7 +250,7 @@ impl Distiller {
 
     /// Probability density (value, fraction) of a PCV.
     pub fn pdf(&self, pcv: PcvId) -> Vec<(u64, f64)> {
-        let n = self.packets.len().max(1) as f64;
+        let n = self.filed.len().max(1) as f64;
         self.histogram(pcv)
             .into_iter()
             .map(|(v, c)| (v, c as f64 / n))
@@ -117,9 +259,9 @@ impl Distiller {
 
     /// Complementary CDF of a PCV: `(value, P[X > value])`.
     pub fn ccdf(&self, pcv: PcvId) -> Vec<(u64, f64)> {
-        let n = self.packets.len().max(1) as f64;
+        let n = self.filed.len().max(1) as f64;
         let h = self.histogram(pcv);
-        let mut above = self.packets.len() as u64;
+        let mut above = self.filed.len() as u64;
         let mut out = Vec::with_capacity(h.len());
         for (v, c) in h {
             above -= c;
@@ -130,7 +272,7 @@ impl Distiller {
 
     /// The worst observed value of a PCV.
     pub fn worst(&self, pcv: PcvId) -> u64 {
-        self.packets.iter().map(|p| p.max(pcv)).max().unwrap_or(0)
+        self.packets().iter().map(|p| p.max(pcv)).max().unwrap_or(0)
     }
 
     /// The pointwise-worst PCV binding over the whole trace — the binding
@@ -144,7 +286,7 @@ impl Distiller {
     /// state-preparation traffic).
     pub fn worst_assignment_from(&self, from: u64) -> PcvAssignment {
         let mut out = PcvAssignment::new();
-        for p in self.packets.iter().filter(|p| p.seq >= from) {
+        for p in self.packets().iter().filter(|p| p.seq >= from) {
             p.max_into(&mut out);
         }
         out
@@ -156,7 +298,7 @@ impl Distiller {
         let mut s = String::new();
         let name = pcvs.name(pcv);
         let _ = writeln!(s, "{:<24} probability density (%)", name);
-        let n = self.packets.len().max(1) as f64;
+        let n = self.filed.len().max(1) as f64;
         let mut tail = 0u64;
         for (v, c) in self.histogram(pcv) {
             if v >= tail_from {
@@ -194,12 +336,7 @@ impl Tracer for Distiller {
                 self.current = Some(seq);
             }
             TraceEvent::Mark(Marker::PacketEnd(_)) => self.close(),
-            TraceEvent::Pcv { pcv, value } if self.current.is_some() => {
-                match self.scratch.iter_mut().find(|o| o.0 == pcv) {
-                    Some(o) => *o = (pcv, o.1.max(value), o.2 + value),
-                    None => self.scratch.push((pcv, value, value)),
-                }
-            }
+            TraceEvent::Pcv { pcv, value } if self.current.is_some() => self.observe(pcv, value),
             _ => {}
         }
     }
@@ -251,9 +388,44 @@ mod tests {
         let mut d = Distiller::new();
         feed(&mut d, &[&[(0, 3), (0, 7), (0, 2)]]);
         assert_eq!(d.packets().len(), 1);
-        assert_eq!(d.packets()[0].max(PcvId(0)), 7);
-        assert_eq!(d.packets()[0].sum(PcvId(0)), 12);
-        assert_eq!(d.packets()[0].max_assignment().get(PcvId(0)), 7);
+        let p = d.packets().iter().next().unwrap();
+        assert_eq!(p.max(PcvId(0)), 7);
+        assert_eq!(p.sum(PcvId(0)), 12);
+        assert_eq!(p.max_assignment().get(PcvId(0)), 7);
+    }
+
+    #[test]
+    fn packets_keep_their_observations_across_blocks() {
+        // Three PCVs a packet do not divide a block: packets straddling a
+        // block's end move to the next one whole. One packet observing
+        // more PCVs than a block holds fills a block of its own.
+        let three: Vec<[(u32, u64); 4]> = (0..3 * BLOCK as u64)
+            .map(|i| [(0, i), (1, i + 1), (0, 2 * i), (2, 7)])
+            .collect();
+        let wide: Vec<(u32, u64)> = (0..BLOCK as u32 + 100).map(|p| (p, 3)).collect();
+        let mut per_packet: Vec<&[(u32, u64)]> = three.iter().map(|o| &o[..]).collect();
+        per_packet.insert(5, &wide);
+        per_packet.insert(6, &[]);
+        let mut d = Distiller::new();
+        feed(&mut d, &per_packet);
+
+        assert_eq!(d.packets().len(), per_packet.len());
+        for (p, obs) in d.packets().iter().zip(&per_packet) {
+            let mut expected = PcvAssignment::new();
+            for &(pcv, v) in obs.iter() {
+                let pcv = PcvId(pcv);
+                expected.set(pcv, expected.get(pcv).max(v));
+            }
+            assert_eq!(p.max_assignment(), expected, "packet {}", p.seq);
+        }
+        // Past the two inserted packets, packet 9 is row 7 of `three`.
+        let p = d.packets().iter().nth(9).unwrap();
+        assert_eq!((p.max(PcvId(0)), p.sum(PcvId(0))), (14, 7 + 14));
+        assert_eq!(
+            d.packets().iter().nth(5).unwrap().sum(PcvId(BLOCK as u32)),
+            3
+        );
+        assert_eq!(d.worst(PcvId(2)), 7);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! build with every measurement sink attached.
 //!
 //! The runner advances the simulated clock to each arrival and the NF's
-//! event stream makes one pass through one statically dispatched sink: a
+//! event stream makes one pass through one sink, whose type the device
+//! loop, the NF and its library are instantiated for (no vtable): a
 //! `bolt_trace` pair of pairs holding (a) streaming IC/MA counters, (b)
 //! the warm [`TestbedModel`] for measured cycles (the paper's per-packet
 //! TSC readings) and (c) the [`Distiller`], inside a window that reads
@@ -13,9 +14,10 @@
 //! per packet, or a [`BurstSample`] per burst. Bursts attribute as they
 //! always have: the NF body is bracketed once, so IC/MA/cycles are per
 //! burst and the body's PCV observations land on the burst's last packet.
-//! With the distiller's [`crate::PacketObs`] per packet that is all the
-//! evaluation's tables and figures consume and all a run retains: two
-//! small records a packet, whatever the packet executes.
+//! With the distiller's per-packet observations ([`crate::PacketObs`],
+//! filed in blocks shared by all packets) that is all the evaluation's
+//! tables and figures consume and all a run retains: two small records a
+//! packet and the observations themselves, whatever the packet executes.
 
 use bolt_core::nf::NetworkFunction;
 use bolt_hw::TestbedModel;
@@ -78,7 +80,7 @@ impl Windowed<'_> {
         BurstSample {
             first_seq,
             len,
-            ic: self.tee.0.instructions,
+            ic: self.tee.0.instructions(),
             ma: self.tee.0.mem_accesses,
             cycles: self.tee.1 .0.cycles_f64(),
             verdicts: Vec::new(),
@@ -170,7 +172,7 @@ impl NfRunner {
     /// as in the analysis build.
     fn play<F>(&mut self, packets: &[TimedPacket], mut body: F)
     where
-        F: FnMut(&mut ConcreteCtx<'_>, Mbuf, &Clock),
+        F: FnMut(&mut ConcreteCtx<'_, Windowed<'_>>, Mbuf, &Clock),
     {
         let mut verdicts = Vec::with_capacity(packets.len());
         let windows = self.windows(packets.len(), packets.len(), |env, clock, ctx| {
@@ -203,7 +205,7 @@ impl NfRunner {
         &mut self,
         iterations: usize,
         packets: usize,
-        drive: impl FnOnce(&mut DpdkEnv, &mut Clock, &mut ConcreteCtx<'_>),
+        drive: impl FnOnce(&mut DpdkEnv, &mut Clock, &mut ConcreteCtx<'_, Windowed<'_>>),
     ) -> Vec<BurstSample> {
         self.distiller.reserve(packets);
         let mut sink = Windowed {
@@ -276,7 +278,7 @@ impl NfRunner {
 
     /// Total instructions so far.
     pub fn total_ic(&self) -> u64 {
-        self.counting.instructions
+        self.counting.instructions()
     }
 
     /// Total memory accesses so far.

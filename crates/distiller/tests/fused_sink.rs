@@ -86,7 +86,7 @@ fn iterations(events: &[TraceEvent]) -> Vec<(u64, u64, u64, f64)> {
             TraceEvent::Mark(Marker::PacketStart(seq)) if open.is_none() => {
                 open = Some((
                     seq,
-                    counting.instructions,
+                    counting.instructions(),
                     counting.mem_accesses,
                     model.cycles_f64(),
                 ));
@@ -95,7 +95,7 @@ fn iterations(events: &[TraceEvent]) -> Vec<(u64, u64, u64, f64)> {
                 let (seq, ic, ma, cycles) = open.take().unwrap();
                 out.push((
                     seq,
-                    counting.instructions - ic,
+                    counting.instructions() - ic,
                     counting.mem_accesses - ma,
                     model.cycles_f64() - cycles,
                 ));

@@ -1,5 +1,6 @@
 //! What a run retains is two records a packet — a `PacketSample` and the
-//! distiller's `PacketObs` — whatever the packets execute. Measured with
+//! distiller's record of where its observations are — whatever the
+//! packets execute. Measured with
 //! a counting allocator (the only test in this binary, so nothing else
 //! allocates meanwhile).
 
@@ -48,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Bytes a run may keep per packet: the 40-byte sample and the 24-byte
+/// Bytes a run may keep per packet: the 40-byte sample and the 16-byte
 /// observation record, with room for the runner's fixed parts (the
 /// simulated caches' tags, an mbuf) spread over the run.
 const RETAINED_BYTES_PER_PACKET: usize = 72;

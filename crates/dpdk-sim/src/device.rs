@@ -24,7 +24,7 @@ const REG_BYTES: u64 = 128;
 
 /// Driver receive path: poll the RX descriptor, read status/length, hand
 /// the buffer to the NF, replenish the descriptor, bump the tail register.
-fn rx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
+fn rx_costs(t: &mut (impl Tracer + ?Sized), ring: MemRegion, regs: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.mem_read(ring.addr(0), 8); // descriptor status word
     t.instr(InstrClass::Alu, 4); // status decode
@@ -41,7 +41,7 @@ fn rx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
 
 /// Driver transmit path: write the TX descriptor, update the tail
 /// register, reap a completed descriptor.
-fn tx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
+fn tx_costs(t: &mut (impl Tracer + ?Sized), ring: MemRegion, regs: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 6); // descriptor fill
     t.mem_write(ring.addr(16), 8); // TX descriptor write
@@ -56,7 +56,7 @@ fn tx_costs(t: &mut dyn Tracer, ring: MemRegion, regs: MemRegion) {
 
 /// Dropping a packet in the driver: no device interaction, just bookkeeping
 /// before the mbuf goes back to the pool.
-fn drop_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+fn drop_costs(t: &mut (impl Tracer + ?Sized), pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 2);
     t.mem_read(pool_meta.addr(0), 8);
@@ -64,7 +64,7 @@ fn drop_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
 }
 
 /// Mempool allocation: pop a buffer from the free ring.
-fn pool_alloc_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+fn pool_alloc_costs(t: &mut (impl Tracer + ?Sized), pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.mem_read(pool_meta.addr(0), 8); // free-list head
     t.instr(InstrClass::Alu, 3);
@@ -73,7 +73,7 @@ fn pool_alloc_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
 }
 
 /// Mempool free: push the buffer back.
-fn pool_free_costs(t: &mut dyn Tracer, pool_meta: MemRegion) {
+fn pool_free_costs(t: &mut (impl Tracer + ?Sized), pool_meta: MemRegion) {
     t.instr(InstrClass::Call, 1);
     t.instr(InstrClass::Alu, 2);
     t.mem_write(pool_meta.addr(8), 8);
@@ -114,7 +114,7 @@ impl Driver {
 
     /// RX half of packet `seq`: open the packet, pop a buffer off the
     /// pool, and at full stack poll the RX descriptor.
-    pub(crate) fn receive(&self, t: &mut dyn Tracer, level: StackLevel, seq: u64) {
+    pub(crate) fn receive(&self, t: &mut (impl Tracer + ?Sized), level: StackLevel, seq: u64) {
         t.mark(Marker::PacketStart(seq));
         pool_alloc_costs(t, self.pool_meta);
         if level == StackLevel::FullStack {
@@ -126,7 +126,7 @@ impl Driver {
     /// `verdict`, push the buffer back, and close the packet.
     pub(crate) fn transmit(
         &self,
-        t: &mut dyn Tracer,
+        t: &mut (impl Tracer + ?Sized),
         level: StackLevel,
         seq: u64,
         verdict: NfVerdict,
@@ -212,7 +212,7 @@ mod tests {
             let mut t = CountingTracer::new();
             driver.receive(&mut t, StackLevel::FullStack, 0);
             driver.transmit(&mut t, StackLevel::FullStack, 0, verdict);
-            (t.instructions, t.mem_accesses)
+            (t.instructions(), t.mem_accesses)
         };
         let tx = cost_of(NfVerdict::Forward(1));
         assert_eq!(tx, cost_of(NfVerdict::Forward(1)), "constant per packet");

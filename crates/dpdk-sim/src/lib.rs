@@ -26,7 +26,7 @@ pub mod headers;
 use device::{Driver, Mempool};
 
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::{Marker, MemRegion};
+use bolt_trace::{Marker, MemRegion, Tracer};
 
 /// Analysis/tracing boundary (§3.5): include the driver or only the NF.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,7 +78,13 @@ impl DpdkEnv {
     /// The driver's RX half for one frame, then the frame's DMA into the
     /// mbuf it popped (DMA is free for the CPU).
     #[inline]
-    fn receive(&mut self, ctx: &mut ConcreteCtx<'_>, seq: u64, bytes: &[u8], port: u16) -> Mbuf {
+    fn receive<T: Tracer>(
+        &mut self,
+        ctx: &mut ConcreteCtx<'_, T>,
+        seq: u64,
+        bytes: &[u8],
+        port: u16,
+    ) -> Mbuf {
         self.driver.receive(ctx.tracer(), self.level, seq);
         let region = self.pool.alloc();
         ctx.register_buffer(region, bytes);
@@ -91,7 +97,13 @@ impl DpdkEnv {
 
     /// The driver's TX half by verdict, then the mbuf's return.
     #[inline]
-    fn transmit(&mut self, ctx: &mut ConcreteCtx<'_>, seq: u64, mbuf: Mbuf, verdict: NfVerdict) {
+    fn transmit<T: Tracer>(
+        &mut self,
+        ctx: &mut ConcreteCtx<'_, T>,
+        seq: u64,
+        mbuf: Mbuf,
+        verdict: NfVerdict,
+    ) {
         self.driver.transmit(ctx.tracer(), self.level, seq, verdict);
         self.pool.free(mbuf.region);
     }
@@ -99,15 +111,15 @@ impl DpdkEnv {
     /// Process one packet concretely: receive `bytes` on `port`, run the
     /// NF body, then transmit/drop according to the body's verdict.
     /// Returns the verdict.
-    pub fn process_packet<F>(
+    pub fn process_packet<T: Tracer, F>(
         &mut self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         bytes: &[u8],
         port: u16,
         mut body: F,
     ) -> NfVerdict
     where
-        F: FnMut(&mut ConcreteCtx<'_>, Mbuf),
+        F: FnMut(&mut ConcreteCtx<'_, T>, Mbuf),
     {
         let seq = self.seq;
         self.seq += 1;
@@ -138,14 +150,14 @@ impl DpdkEnv {
     /// itself is marked once for the burst: per-packet cycle attribution
     /// inside a burst is intentionally coarse (that is the trade batching
     /// makes).
-    pub fn process_burst<F>(
+    pub fn process_burst<T: Tracer, F>(
         &mut self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         frames: &[(&[u8], u16)],
         body: F,
     ) -> Vec<NfVerdict>
     where
-        F: FnOnce(&mut ConcreteCtx<'_>, &[Mbuf]),
+        F: FnOnce(&mut ConcreteCtx<'_, T>, &[Mbuf]),
     {
         let first_seq = self.seq;
         let mut mbufs = Vec::with_capacity(frames.len());
@@ -229,7 +241,7 @@ mod tests {
                     ctx.verdict(NfVerdict::Drop);
                 }
             });
-            tracer.instructions
+            tracer.instructions()
         };
         let full = run(StackLevel::FullStack);
         let nf = run(StackLevel::NfOnly);
@@ -254,7 +266,7 @@ mod tests {
 
     #[test]
     fn burst_processing_matches_single_packet_verdicts() {
-        let nf_body = |ctx: &mut ConcreteCtx<'_>, mbuf: Mbuf| {
+        let nf_body = |ctx: &mut ConcreteCtx<'_, CountingTracer>, mbuf: Mbuf| {
             let et = ctx.load(mbuf.region, h::ETHER_TYPE, 2);
             if ctx.branch_eq_imm(et, h::ETHERTYPE_IPV4 as u64, Width::W16) {
                 ctx.verdict(NfVerdict::Forward(1));
@@ -299,7 +311,7 @@ mod tests {
             ]
         );
         // The burst path does the same driver work per packet.
-        assert_eq!(t_burst.instructions, t_single.instructions);
+        assert_eq!(t_burst.instructions(), t_single.instructions());
         assert_eq!(t_burst.mem_accesses, t_single.mem_accesses);
     }
 

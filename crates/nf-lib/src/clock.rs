@@ -13,7 +13,7 @@
 use bolt_expr::{TermRef, Width};
 use bolt_see::concrete::CVal;
 use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
-use bolt_trace::InstrClass;
+use bolt_trace::{InstrClass, Tracer};
 
 /// Timestamp granularity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,7 +69,7 @@ impl Clock {
 
     /// Read the truncated time the way an NF would: one TSC read (modelled
     /// as `Other`) plus the truncation AND. Returns a context value.
-    pub fn now(&self, ctx: &mut ConcreteCtx<'_>) -> CVal {
+    pub fn now<T: Tracer>(&self, ctx: &mut ConcreteCtx<'_, T>) -> CVal {
         ctx.tracer().instr(InstrClass::Other, 1);
         ctx.tracer().instr(InstrClass::Alu, 1);
         ctx.lit(self.granularity.truncate(self.t_ns), Width::W64)
@@ -129,7 +129,7 @@ mod tests {
             let mut ctx = ConcreteCtx::new(&mut t);
             let _ = clock.now(&mut ctx);
         }
-        assert_eq!(t.instructions, 2);
+        assert_eq!(t.instructions(), 2);
     }
 
     #[test]

@@ -223,13 +223,13 @@ impl<const K: usize> FlowTable<K> {
     }
 
     /// Charge the hash computation: one CRC per key word + mix/mask.
-    fn hash_cost(t: &mut dyn Tracer) {
+    fn hash_cost(t: &mut (impl Tracer + ?Sized)) {
         t.instr(InstrClass::Crc, K as u32);
         t.alu(2);
     }
 
     /// Instrumented probe. `for_insert` stops at the first usable slot.
-    fn probe(&mut self, t: &mut dyn Tracer, key: &[u64; K], for_insert: bool) -> Probe {
+    fn probe(&mut self, t: &mut (impl Tracer + ?Sized), key: &[u64; K], for_insert: bool) -> Probe {
         Self::hash_cost(t);
         let start = (Self::hash_raw(self.seed, key) & self.mask) as usize;
         let cap = self.params.capacity;
@@ -295,7 +295,7 @@ impl<const K: usize> FlowTable<K> {
         result
     }
 
-    fn age_append(&mut self, t: &mut dyn Tracer, i: usize) {
+    fn age_append(&mut self, t: &mut (impl Tracer + ?Sized), i: usize) {
         t.mem_read(self.r_meta.addr(4), 4); // tail
         t.alu(2);
         t.branch_instr();
@@ -315,7 +315,7 @@ impl<const K: usize> FlowTable<K> {
         t.alu(2);
     }
 
-    fn age_unlink(&mut self, t: &mut dyn Tracer, i: usize) {
+    fn age_unlink(&mut self, t: &mut (impl Tracer + ?Sized), i: usize) {
         t.mem_read(self.slot_addr(i, OFF_APREV), 4);
         t.mem_read(self.slot_addr(i, OFF_ANEXT), 4);
         t.alu(2);
@@ -340,7 +340,7 @@ impl<const K: usize> FlowTable<K> {
     }
 
     /// Erase the entry at `idx` (already located) from the hash structure.
-    fn erase_at(&mut self, t: &mut dyn Tracer, idx: usize) {
+    fn erase_at(&mut self, t: &mut (impl Tracer + ?Sized), idx: usize) {
         t.mem_write(self.slot_addr(idx, OFF_STATE), 8);
         self.state[idx] = TOMB;
         t.alu(1);
@@ -465,8 +465,8 @@ impl<const K: usize> FlowTable<K> {
     }
 }
 
-impl<const K: usize> FlowTableOps<ConcreteCtx<'_>, K> for FlowTable<K> {
-    fn expire(&mut self, ctx: &mut ConcreteCtx<'_>, now: CVal) -> CVal {
+impl<T: Tracer, const K: usize> FlowTableOps<ConcreteCtx<'_, T>, K> for FlowTable<K> {
+    fn expire(&mut self, ctx: &mut ConcreteCtx<'_, T>, now: CVal) -> CVal {
         let cutoff = now.v.saturating_sub(self.params.ttl_ns);
         {
             let t = ctx.tracer();
@@ -522,7 +522,7 @@ impl<const K: usize> FlowTableOps<ConcreteCtx<'_>, K> for FlowTable<K> {
         ctx.lit(e, Width::W64)
     }
 
-    fn get(&mut self, ctx: &mut ConcreteCtx<'_>, key: &[CVal; K], now: CVal) -> Option<CVal> {
+    fn get(&mut self, ctx: &mut ConcreteCtx<'_, T>, key: &[CVal; K], now: CVal) -> Option<CVal> {
         let k = key.map(|w| w.v);
         ctx.tracer().instr(InstrClass::Call, 1);
         let r = self.probe(ctx.tracer(), &k, false);
@@ -547,7 +547,7 @@ impl<const K: usize> FlowTableOps<ConcreteCtx<'_>, K> for FlowTable<K> {
         out
     }
 
-    fn peek(&mut self, ctx: &mut ConcreteCtx<'_>, key: &[CVal; K]) -> Option<CVal> {
+    fn peek(&mut self, ctx: &mut ConcreteCtx<'_, T>, key: &[CVal; K]) -> Option<CVal> {
         let k = key.map(|w| w.v);
         ctx.tracer().instr(InstrClass::Call, 1);
         let r = self.probe(ctx.tracer(), &k, false);
@@ -565,7 +565,7 @@ impl<const K: usize> FlowTableOps<ConcreteCtx<'_>, K> for FlowTable<K> {
         out
     }
 
-    fn put(&mut self, ctx: &mut ConcreteCtx<'_>, key: &[CVal; K], val: CVal, now: CVal) -> bool {
+    fn put(&mut self, ctx: &mut ConcreteCtx<'_, T>, key: &[CVal; K], val: CVal, now: CVal) -> bool {
         let k = key.map(|w| w.v);
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
@@ -609,7 +609,7 @@ impl<const K: usize> FlowTableOps<ConcreteCtx<'_>, K> for FlowTable<K> {
 
     fn update(
         &mut self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         key: &[CVal; K],
         val: CVal,
         _now: CVal,
@@ -639,7 +639,7 @@ impl<const K: usize> FlowTable<K> {
     /// Re-seed and rebuild the table (the bridge's collision-attack
     /// defence, §5.2). Clears tombstones. Cost: a large constant (array
     /// allocation + clear) plus per-entry rehash work.
-    pub fn rehash(&mut self, ctx: &mut ConcreteCtx<'_>, new_seed: u64) {
+    pub fn rehash<T: Tracer>(&mut self, ctx: &mut ConcreteCtx<'_, T>, new_seed: u64) {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         // Allocate + clear the new slot array: one store per line.
@@ -763,7 +763,7 @@ fn cal_key<const K: usize>(tag: u64, n: u64) -> [u64; K] {
     k
 }
 
-fn lit_key<const K: usize>(ctx: &mut ConcreteCtx<'_>, k: [u64; K]) -> [CVal; K] {
+fn lit_key<T: Tracer, const K: usize>(ctx: &mut ConcreteCtx<'_, T>, k: [u64; K]) -> [CVal; K] {
     k.map(|w| ctx.lit(w, Width::W64))
 }
 
@@ -1159,7 +1159,12 @@ mod tests {
         (reg, ids, table, params)
     }
 
-    fn k3(ctx: &mut ConcreteCtx<'_>, a: u64, b: u64, c: u64) -> [bolt_see::concrete::CVal; 3] {
+    fn k3<T: Tracer>(
+        ctx: &mut ConcreteCtx<'_, T>,
+        a: u64,
+        b: u64,
+        c: u64,
+    ) -> [bolt_see::concrete::CVal; 3] {
         [
             ctx.lit(a, Width::W64),
             ctx.lit(b, Width::W64),
@@ -1446,7 +1451,7 @@ mod tests {
                 let now = ctx.lit(u64::MAX, Width::W64);
                 let _ = FlowTableOps::<_, 3>::expire(&mut table, &mut ctx, now);
             }
-            t.instructions
+            t.instructions()
         };
         let c64 = cost_of(64);
         let c256 = cost_of(256);

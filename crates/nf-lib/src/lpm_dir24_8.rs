@@ -13,7 +13,7 @@
 use bolt_expr::{TermRef, Width};
 use bolt_see::concrete::CVal;
 use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, Tracer};
 
 use crate::model::DsModel;
 use crate::registry::{self, constant_case, DsContract, DsRegistry, MethodContract};
@@ -205,8 +205,8 @@ impl Dir24_8 {
     }
 }
 
-impl Dir24_8Ops<ConcreteCtx<'_>> for Dir24_8 {
-    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_>, ip: CVal) -> CVal {
+impl<T: Tracer> Dir24_8Ops<ConcreteCtx<'_, T>> for Dir24_8 {
+    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_, T>, ip: CVal) -> CVal {
         let ipv = ip.v as u32;
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);

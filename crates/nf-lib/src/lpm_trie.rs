@@ -11,7 +11,7 @@
 use bolt_expr::{PcvId, PerfExpr, TermRef, Width};
 use bolt_see::concrete::CVal;
 use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, Tracer};
 
 use crate::model::DsModel;
 use crate::registry::{self, CaseContract, DsContract, DsRegistry, MethodContract};
@@ -118,8 +118,8 @@ impl LpmTrie {
     }
 }
 
-impl LpmTrieOps<ConcreteCtx<'_>> for LpmTrie {
-    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_>, ip: CVal) -> CVal {
+impl<T: Tracer> LpmTrieOps<ConcreteCtx<'_, T>> for LpmTrie {
+    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_, T>, ip: CVal) -> CVal {
         let ipv = ip.v as u32;
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);

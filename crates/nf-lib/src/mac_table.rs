@@ -16,7 +16,7 @@
 use bolt_expr::{TermRef, Width};
 use bolt_see::concrete::CVal;
 use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass};
+use bolt_trace::{AddressSpace, DsId, InstrClass, Tracer};
 
 use crate::flow_table::{
     self, FlowTable, FlowTableIds, FlowTableOps, FlowTableParams, C_HIT, C_MISS, C_STORED,
@@ -151,8 +151,8 @@ impl MacTable {
     }
 }
 
-impl MacTableOps<ConcreteCtx<'_>> for MacTable {
-    fn expire(&mut self, ctx: &mut ConcreteCtx<'_>, now: CVal) -> CVal {
+impl<T: Tracer> MacTableOps<ConcreteCtx<'_, T>> for MacTable {
+    fn expire(&mut self, ctx: &mut ConcreteCtx<'_, T>, now: CVal) -> CVal {
         ctx.tracer().instr(InstrClass::Call, 1);
         let e = self.inner.expire(ctx, now);
         ctx.tracer().instr(InstrClass::Ret, 1);
@@ -161,7 +161,7 @@ impl MacTableOps<ConcreteCtx<'_>> for MacTable {
 
     fn learn(
         &mut self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         mac: CVal,
         port: CVal,
         now: CVal,
@@ -197,7 +197,7 @@ impl MacTableOps<ConcreteCtx<'_>> for MacTable {
         outcome
     }
 
-    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_>, mac: CVal) -> Option<CVal> {
+    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_, T>, mac: CVal) -> Option<CVal> {
         ctx.tracer().instr(InstrClass::Call, 1);
         let r = self.inner.peek(ctx, &[mac]);
         self.last_op_probe = self.inner.last_probe;
@@ -315,7 +315,7 @@ mod tests {
         (reg, ids, table)
     }
 
-    fn w48(ctx: &mut ConcreteCtx<'_>, v: u64) -> CVal {
+    fn w48<T: Tracer>(ctx: &mut ConcreteCtx<'_, T>, v: u64) -> CVal {
         ctx.lit(v, Width::W48)
     }
 

@@ -17,7 +17,7 @@
 use bolt_expr::{TermRef, Width};
 use bolt_see::concrete::CVal;
 use bolt_see::{ConcreteCtx, NfCtx, SymbolicCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, RecordingTracer, Tracer};
 
 use crate::model::DsModel;
 use crate::registry::{self, constant_case, DsContract, DsRegistry, MethodContract};
@@ -129,8 +129,8 @@ impl MaglevRing {
     }
 }
 
-impl MaglevRingOps<ConcreteCtx<'_>> for MaglevRing {
-    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_>, hash: CVal) -> CVal {
+impl<T: Tracer> MaglevRingOps<ConcreteCtx<'_, T>> for MaglevRing {
+    fn lookup(&mut self, ctx: &mut ConcreteCtx<'_, T>, hash: CVal) -> CVal {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         t.instr(InstrClass::Div, 1); // hash % m
@@ -179,8 +179,8 @@ impl BackendPool {
     }
 }
 
-impl BackendPoolOps<ConcreteCtx<'_>> for BackendPool {
-    fn heartbeat(&mut self, ctx: &mut ConcreteCtx<'_>, backend: CVal, now: CVal) {
+impl<T: Tracer> BackendPoolOps<ConcreteCtx<'_, T>> for BackendPool {
+    fn heartbeat(&mut self, ctx: &mut ConcreteCtx<'_, T>, backend: CVal, now: CVal) {
         let b = backend.v as usize;
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
@@ -190,7 +190,7 @@ impl BackendPoolOps<ConcreteCtx<'_>> for BackendPool {
         self.last_hb[b] = now.v;
     }
 
-    fn is_alive(&mut self, ctx: &mut ConcreteCtx<'_>, backend: CVal, now: CVal) -> bool {
+    fn is_alive(&mut self, ctx: &mut ConcreteCtx<'_, T>, backend: CVal, now: CVal) -> bool {
         let b = backend.v as usize;
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
@@ -234,11 +234,12 @@ pub fn register_ring(reg: &mut DsRegistry, name: &str, n_backends: u16, m: u64) 
 /// Calibrate and register a backend pool instance.
 pub fn register_pool(reg: &mut DsRegistry, name: &str, n: u16, hb_ttl_ns: u64) -> BackendPoolIds {
     let provisional = BackendPoolIds { ds: DsId(u32::MAX) };
-    let measure = |f: &dyn Fn(&mut BackendPool, &mut ConcreteCtx<'_>)| -> [u64; 3] {
-        let mut aspace = AddressSpace::new();
-        let mut pool = BackendPool::new(provisional, n.max(2), hb_ttl_ns, &mut aspace);
-        registry::measure(|ctx| f(&mut pool, ctx))
-    };
+    let measure =
+        |f: &dyn Fn(&mut BackendPool, &mut ConcreteCtx<'_, RecordingTracer>)| -> [u64; 3] {
+            let mut aspace = AddressSpace::new();
+            let mut pool = BackendPool::new(provisional, n.max(2), hb_ttl_ns, &mut aspace);
+            registry::measure(|ctx| f(&mut pool, ctx))
+        };
     let hb = measure(&|pool, ctx| {
         let b = ctx.lit(0, Width::W16);
         let now = ctx.lit(5, Width::W64);

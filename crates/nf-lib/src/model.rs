@@ -9,7 +9,7 @@
 
 use bolt_expr::{TermRef, Width};
 use bolt_see::{NfCtx, SymbolicCtx};
-use bolt_trace::{DsId, StatefulCall};
+use bolt_trace::{DsId, StatefulCall, Tracer};
 
 /// Symbolic model of one registered data-structure instance.
 ///

@@ -22,7 +22,7 @@
 use bolt_expr::{PcvId, PerfExpr, Width};
 use bolt_see::concrete::CVal;
 use bolt_see::{ConcreteCtx, NfCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion};
+use bolt_trace::{AddressSpace, DsId, InstrClass, MemRegion, Tracer};
 
 use crate::registry::{
     constant_case, measure, CaseContract, DsContract, DsRegistry, MethodContract,
@@ -60,6 +60,15 @@ pub struct PortAllocIds {
     pub p: PcvId,
 }
 
+/// Refuse a port range past 65 535: its ports would be handed out
+/// wrapped to 16 bits and freed below `base_port`.
+fn assert_ports_fit(n: usize, base_port: u16) {
+    assert!(
+        usize::from(base_port) + n <= 1 << 16,
+        "{n} ports from {base_port} do not fit in 16 bits"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Allocator A: doubly-linked free list
 // ---------------------------------------------------------------------
@@ -90,7 +99,12 @@ impl AllocatorA {
     /// list is a pseudo-random permutation of the port space (RFC 6056
     /// port randomization), so consecutive allocations touch scattered
     /// nodes.
+    ///
+    /// # Panics
+    ///
+    /// If the ports `base_port..base_port + n` do not all fit in 16 bits.
     pub fn new(ids: PortAllocIds, n: usize, base_port: u16, aspace: &mut AddressSpace) -> Self {
+        assert_ports_fit(n, base_port);
         // Multiplicative permutation (odd multiplier is a bijection mod
         // 2^k); falls back to a stride pattern for non-power-of-two n.
         let perm: Vec<usize> = if n.is_power_of_two() {
@@ -165,8 +179,8 @@ impl AllocatorA {
     }
 }
 
-impl PortAllocOps<ConcreteCtx<'_>> for AllocatorA {
-    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_>) -> Option<CVal> {
+impl<T: Tracer> PortAllocOps<ConcreteCtx<'_, T>> for AllocatorA {
+    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_, T>) -> Option<CVal> {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         t.mem_read(self.r_meta.addr(0), 4); // free head
@@ -200,7 +214,7 @@ impl PortAllocOps<ConcreteCtx<'_>> for AllocatorA {
         Some(ctx.lit(self.base_port as u64 + h as u64, Width::W16))
     }
 
-    fn free(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) {
+    fn free(&mut self, ctx: &mut ConcreteCtx<'_, T>, port: CVal) {
         let p = port.v;
         let i = (p - self.base_port as u64) as usize;
         assert!(self.used[i], "double free of port {p}");
@@ -254,7 +268,12 @@ pub struct AllocatorB {
 
 impl AllocatorB {
     /// Allocator over `n` ports starting at `base_port`.
+    ///
+    /// # Panics
+    ///
+    /// If the ports `base_port..base_port + n` do not all fit in 16 bits.
     pub fn new(ids: PortAllocIds, n: usize, base_port: u16, aspace: &mut AddressSpace) -> Self {
+        assert_ports_fit(n, base_port);
         AllocatorB {
             ids,
             used: vec![false; n],
@@ -290,8 +309,8 @@ impl AllocatorB {
     }
 }
 
-impl PortAllocOps<ConcreteCtx<'_>> for AllocatorB {
-    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_>) -> Option<CVal> {
+impl<T: Tracer> PortAllocOps<ConcreteCtx<'_, T>> for AllocatorB {
+    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_, T>) -> Option<CVal> {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         // The free count lives in a register (one compare, no memory).
@@ -325,7 +344,7 @@ impl PortAllocOps<ConcreteCtx<'_>> for AllocatorB {
         Some(ctx.lit(self.base_port as u64 + i as u64, Width::W16))
     }
 
-    fn free(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) {
+    fn free(&mut self, ctx: &mut ConcreteCtx<'_, T>, port: CVal) {
         let p = port.v;
         let i = (p - self.base_port as u64) as usize;
         assert!(self.used[i], "double free of port {p}");
@@ -373,15 +392,15 @@ impl PortAllocator {
     }
 }
 
-impl PortAllocOps<ConcreteCtx<'_>> for PortAllocator {
-    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_>) -> Option<CVal> {
+impl<T: Tracer> PortAllocOps<ConcreteCtx<'_, T>> for PortAllocator {
+    fn alloc(&mut self, ctx: &mut ConcreteCtx<'_, T>) -> Option<CVal> {
         match self {
             PortAllocator::A(a) => a.alloc(ctx),
             PortAllocator::B(b) => b.alloc(ctx),
         }
     }
 
-    fn free(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) {
+    fn free(&mut self, ctx: &mut ConcreteCtx<'_, T>, port: CVal) {
         match self {
             PortAllocator::A(a) => a.free(ctx, port),
             PortAllocator::B(b) => b.free(ctx, port),
@@ -534,7 +553,12 @@ pub struct PortMap {
 
 impl PortMap {
     /// Map over `n` ports starting at `base_port`.
+    ///
+    /// # Panics
+    ///
+    /// If the ports `base_port..base_port + n` do not all fit in 16 bits.
     pub fn new(ids: PortMapIds, n: usize, base_port: u16, aspace: &mut AddressSpace) -> Self {
+        assert_ports_fit(n, base_port);
         PortMap {
             ids,
             entries: vec![0; n],
@@ -551,8 +575,8 @@ impl PortMap {
     }
 }
 
-impl PortMapOps<ConcreteCtx<'_>> for PortMap {
-    fn set(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal, value: CVal) {
+impl<T: Tracer> PortMapOps<ConcreteCtx<'_, T>> for PortMap {
+    fn set(&mut self, ctx: &mut ConcreteCtx<'_, T>, port: CVal, value: CVal) {
         let i = self
             .index_of(port.v)
             .expect("set on a port outside the map's range");
@@ -564,7 +588,7 @@ impl PortMapOps<ConcreteCtx<'_>> for PortMap {
         self.entries[i] = value.v;
     }
 
-    fn get(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) -> CVal {
+    fn get(&mut self, ctx: &mut ConcreteCtx<'_, T>, port: CVal) -> CVal {
         let t = ctx.tracer();
         t.instr(InstrClass::Call, 1);
         // Range check first: external traffic carries arbitrary ports.
@@ -621,6 +645,41 @@ mod tests {
     use bolt_see::ConcreteCtx;
     use bolt_trace::{Metric, NullTracer, RecordingTracer, StatefulCall};
     use std::collections::HashSet;
+
+    #[test]
+    #[should_panic(expected = "2 ports from 65535 do not fit in 16 bits")]
+    fn allocator_a_refuses_a_range_past_16_bits() {
+        let ids = register_a(&mut DsRegistry::new(), "alloc_a", 64, 1024);
+        AllocatorA::new(ids, 2, u16::MAX, &mut AddressSpace::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "4097 ports from 61440 do not fit in 16 bits")]
+    fn allocator_b_refuses_a_range_past_16_bits() {
+        let ids = register_b(&mut DsRegistry::new(), "alloc_b", 64, 1024);
+        AllocatorB::new(ids, 4097, 61440, &mut AddressSpace::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "65537 ports from 0 do not fit in 16 bits")]
+    fn port_map_refuses_a_range_past_16_bits() {
+        let ids = register_map(&mut DsRegistry::new(), "ports", 64, 1024);
+        PortMap::new(ids, 1 << 16 | 1, 0, &mut AddressSpace::new());
+    }
+
+    #[test]
+    fn a_range_ending_at_65535_fits() {
+        let mut reg = DsRegistry::new();
+        let ids = register_b(&mut reg, "alloc_b", 64, 1024);
+        let mut b = AllocatorB::new(ids, 2, u16::MAX - 1, &mut AddressSpace::new());
+        let mut t = NullTracer;
+        let mut ctx = ConcreteCtx::new(&mut t);
+        let ports = [(); 2].map(|_| PortAllocOps::<_>::alloc(&mut b, &mut ctx).unwrap().v);
+        assert_eq!(ports, [65534, 65535]);
+        let last = ctx.lit(65535, Width::W16);
+        PortAllocOps::<_>::free(&mut b, &mut ctx, last);
+        assert_eq!(b.available(), 1);
+    }
 
     #[test]
     fn allocator_a_never_double_allocates() {

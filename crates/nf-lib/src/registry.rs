@@ -148,7 +148,7 @@ pub fn calibrations() -> u64 {
 
 /// Calibration probe: run `op` against a recording tracer and return its
 /// measured `[instructions, mem accesses, conservative cycles]`.
-pub fn measure(op: impl FnOnce(&mut ConcreteCtx<'_>)) -> [u64; 3] {
+pub fn measure(op: impl FnOnce(&mut ConcreteCtx<'_, RecordingTracer>)) -> [u64; 3] {
     CALIBRATIONS.fetch_add(1, Ordering::Relaxed);
     let mut rec = RecordingTracer::new();
     {

@@ -8,7 +8,7 @@
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::AddressSpace;
+use bolt_trace::{AddressSpace, Tracer};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::FlowTableParams;
@@ -144,9 +144,9 @@ impl NetworkFunction for Bridge {
         BridgeState::new(ids, &self.cfg, aspace)
     }
 
-    fn process(
+    fn process<T: Tracer>(
         &self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         state: &mut BridgeState,
         clock: &Clock,
         mbuf: Mbuf,

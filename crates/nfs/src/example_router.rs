@@ -8,7 +8,7 @@
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::AddressSpace;
+use bolt_trace::{AddressSpace, Tracer};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
 use nf_lib::lpm_trie::{self, LpmTrie, LpmTrieIds, LpmTrieOps};
@@ -94,9 +94,9 @@ impl NetworkFunction for ExampleRouter {
         ExampleRouterState::new(ids, self.max_nodes, aspace)
     }
 
-    fn process(
+    fn process<T: Tracer>(
         &self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         state: &mut ExampleRouterState,
         _clock: &Clock,
         mbuf: Mbuf,

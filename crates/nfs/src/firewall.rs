@@ -8,7 +8,7 @@
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::AddressSpace;
+use bolt_trace::{AddressSpace, Tracer};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
 use nf_lib::registry::DsRegistry;
@@ -118,7 +118,13 @@ impl NetworkFunction for Firewall {
 
     fn state(&self, _ids: (), _aspace: &mut AddressSpace) {}
 
-    fn process(&self, ctx: &mut ConcreteCtx<'_>, _state: &mut (), _clock: &Clock, mbuf: Mbuf) {
+    fn process<T: Tracer>(
+        &self,
+        ctx: &mut ConcreteCtx<'_, T>,
+        _state: &mut (),
+        _clock: &Clock,
+        mbuf: Mbuf,
+    ) {
         process(ctx, &self.cfg, mbuf);
     }
 

@@ -10,7 +10,7 @@
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::AddressSpace;
+use bolt_trace::{AddressSpace, Tracer};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::{self, FlowTable, FlowTableIds, FlowTableOps, FlowTableParams};
@@ -232,7 +232,13 @@ impl NetworkFunction for LoadBalancer {
         Lb::new(ids, &self.cfg, aspace)
     }
 
-    fn process(&self, ctx: &mut ConcreteCtx<'_>, state: &mut Lb, clock: &Clock, mbuf: Mbuf) {
+    fn process<T: Tracer>(
+        &self,
+        ctx: &mut ConcreteCtx<'_, T>,
+        state: &mut Lb,
+        clock: &Clock,
+        mbuf: Mbuf,
+    ) {
         let now = clock.now(ctx);
         process(
             ctx,

@@ -47,6 +47,7 @@ pub use static_router::StaticRouter;
 
 use bolt_expr::Width;
 use bolt_see::NfCtx;
+use bolt_trace::Tracer;
 use dpdk_sim::Mbuf;
 
 /// The packet's input port as a context value ([`NfCtx::in_port`]):

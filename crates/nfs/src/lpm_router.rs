@@ -7,7 +7,7 @@
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::AddressSpace;
+use bolt_trace::{AddressSpace, Tracer};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
 use nf_lib::lpm_dir24_8::{self, Dir24_8, Dir24_8Ids, Dir24_8Ops};
@@ -121,9 +121,9 @@ impl NetworkFunction for LpmRouter {
         LpmRouterState::new(ids, &self.cfg, aspace)
     }
 
-    fn process(
+    fn process<T: Tracer>(
         &self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         state: &mut LpmRouterState,
         _clock: &Clock,
         mbuf: Mbuf,

@@ -16,7 +16,7 @@ use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::{PerfExpr, TermRef, Width};
 use bolt_see::concrete::CVal;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::{AddressSpace, DsId, InstrClass};
+use bolt_trace::{AddressSpace, DsId, InstrClass, Tracer};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::{Clock, ClockModel};
 use nf_lib::flow_table::{
@@ -182,8 +182,8 @@ impl NatTable {
     }
 }
 
-impl NatTableOps<ConcreteCtx<'_>> for NatTable {
-    fn expire(&mut self, ctx: &mut ConcreteCtx<'_>, now: CVal) -> CVal {
+impl<T: Tracer> NatTableOps<ConcreteCtx<'_, T>> for NatTable {
+    fn expire(&mut self, ctx: &mut ConcreteCtx<'_, T>, now: CVal) -> CVal {
         ctx.tracer().instr(InstrClass::Call, 1);
         let e = self.ft.expire(ctx, now);
         // Release each expired flow's port and reverse entry.
@@ -202,7 +202,7 @@ impl NatTableOps<ConcreteCtx<'_>> for NatTable {
 
     fn lookup_int(
         &mut self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         key: &[CVal; 3],
         now: CVal,
     ) -> Option<CVal> {
@@ -216,7 +216,7 @@ impl NatTableOps<ConcreteCtx<'_>> for NatTable {
 
     fn new_flow(
         &mut self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         key: &[CVal; 3],
         packed: CVal,
         now: CVal,
@@ -244,7 +244,7 @@ impl NatTableOps<ConcreteCtx<'_>> for NatTable {
         NewFlowOutcome::Ok(port)
     }
 
-    fn lookup_ext(&mut self, ctx: &mut ConcreteCtx<'_>, port: CVal) -> CVal {
+    fn lookup_ext(&mut self, ctx: &mut ConcreteCtx<'_, T>, port: CVal) -> CVal {
         ctx.tracer().instr(InstrClass::Call, 1);
         let v = self.pm.get(ctx, port);
         ctx.tracer().instr(InstrClass::Ret, 1);
@@ -533,7 +533,13 @@ impl NetworkFunction for Nat {
         NatTable::new(ids, &self.cfg, aspace)
     }
 
-    fn process(&self, ctx: &mut ConcreteCtx<'_>, state: &mut NatTable, clock: &Clock, mbuf: Mbuf) {
+    fn process<T: Tracer>(
+        &self,
+        ctx: &mut ConcreteCtx<'_, T>,
+        state: &mut NatTable,
+        clock: &Clock,
+        mbuf: Mbuf,
+    ) {
         let now = clock.now(ctx);
         process(ctx, state, &self.cfg, now, mbuf);
     }

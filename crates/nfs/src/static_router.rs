@@ -12,7 +12,7 @@
 use bolt_core::nf::{Fingerprinter, NetworkFunction};
 use bolt_expr::Width;
 use bolt_see::{ConcreteCtx, NfCtx, NfVerdict, SymbolicCtx};
-use bolt_trace::{AddressSpace, MemRegion};
+use bolt_trace::{AddressSpace, MemRegion, Tracer};
 use dpdk_sim::{headers as h, Mbuf};
 use nf_lib::clock::Clock;
 use nf_lib::registry::DsRegistry;
@@ -55,7 +55,7 @@ impl StaticRouterState {
     }
 
     /// Install the next-hop bytes into a concrete context.
-    fn install(&self, ctx: &mut ConcreteCtx<'_>, cfg: &StaticRouterConfig) {
+    fn install<T: Tracer>(&self, ctx: &mut ConcreteCtx<'_, T>, cfg: &StaticRouterConfig) {
         let mut bytes = Vec::with_capacity(32);
         for nh in cfg.next_hop {
             bytes.extend_from_slice(&nh.to_be_bytes());
@@ -168,9 +168,9 @@ impl NetworkFunction for StaticRouter {
         StaticRouterState::new(aspace)
     }
 
-    fn process(
+    fn process<T: Tracer>(
         &self,
-        ctx: &mut ConcreteCtx<'_>,
+        ctx: &mut ConcreteCtx<'_, T>,
         state: &mut StaticRouterState,
         _clock: &Clock,
         mbuf: Mbuf,
@@ -209,7 +209,7 @@ mod tests {
         let mut ctx = ConcreteCtx::new(&mut tracer);
         router.install(&mut ctx, &cfg);
         let v = env.process_packet(&mut ctx, frame, 0, |ctx, mbuf| process(ctx, &router, mbuf));
-        (v, tracer.instructions)
+        (v, tracer.instructions())
     }
 
     #[test]

@@ -27,10 +27,12 @@ impl CVal {
     }
 }
 
-/// Concrete execution context. Generic over nothing; holds a tracer by
-/// mutable reference so callers can aggregate events across many packets.
-pub struct ConcreteCtx<'t> {
-    tracer: &'t mut dyn Tracer,
+/// Concrete execution context. Generic over its sink, which it holds by
+/// mutable reference so callers can aggregate events across many packets:
+/// every event is a direct call into `T`'s own methods, inlined into the
+/// NF code, not a call through a vtable.
+pub struct ConcreteCtx<'t, T: Tracer> {
+    tracer: &'t mut T,
     /// `(region base, bytes)`: one entry per region ever registered — the
     /// mbuf slots in flight plus any static table, a handful — searched
     /// linearly.
@@ -38,9 +40,9 @@ pub struct ConcreteCtx<'t> {
     verdicts: Vec<NfVerdict>,
 }
 
-impl<'t> ConcreteCtx<'t> {
+impl<'t, T: Tracer> ConcreteCtx<'t, T> {
     /// New context writing events into `tracer`.
-    pub fn new(tracer: &'t mut dyn Tracer) -> Self {
+    pub fn new(tracer: &'t mut T) -> Self {
         ConcreteCtx {
             tracer,
             buffers: Vec::new(),
@@ -95,8 +97,9 @@ impl<'t> ConcreteCtx<'t> {
     }
 }
 
-impl NfCtx for ConcreteCtx<'_> {
+impl<T: Tracer> NfCtx for ConcreteCtx<'_, T> {
     type Val = CVal;
+    type Sink = T;
 
     fn lit(&mut self, v: u64, w: Width) -> CVal {
         CVal::new(v, w)
@@ -203,7 +206,7 @@ impl NfCtx for ConcreteCtx<'_> {
         Some(v.v)
     }
 
-    fn tracer(&mut self) -> &mut dyn Tracer {
+    fn tracer(&mut self) -> &mut T {
         self.tracer
     }
 }
@@ -308,7 +311,7 @@ mod tests {
             let _ = ctx.load(region, 0, 4); // 1 load + access
             ctx.store(region, 0, s, 4); // 1 store + access
         }
-        assert_eq!(t.instructions, 5);
+        assert_eq!(t.instructions(), 5);
         assert_eq!(t.mem_accesses, 2);
     }
 

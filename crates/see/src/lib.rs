@@ -65,6 +65,11 @@ pub trait NfCtx {
     /// symbolic.
     type Val: Copy + std::fmt::Debug;
 
+    /// The sink every event goes to: the production build's caller-chosen
+    /// one, the analysis build's path recording. A type, not a trait
+    /// object, so an instrumented call is a direct call.
+    type Sink: Tracer;
+
     /// An immediate constant (free: folded into consuming instructions).
     fn lit(&mut self, v: u64, w: Width) -> Self::Val;
 
@@ -132,7 +137,7 @@ pub trait NfCtx {
 
     /// The ambient tracer, for instrumented data-structure internals and
     /// model [`bolt_trace::StatefulCall`] events.
-    fn tracer(&mut self) -> &mut dyn Tracer;
+    fn tracer(&mut self) -> &mut Self::Sink;
 
     // ------------------------------------------------------------------
     // Conveniences (derived forms; no extra cost beyond their parts)

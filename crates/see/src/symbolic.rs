@@ -344,6 +344,7 @@ impl<'p> SymbolicCtx<'p> {
 
 impl NfCtx for SymbolicCtx<'_> {
     type Val = TermRef;
+    type Sink = RecordingTracer;
 
     fn lit(&mut self, v: u64, w: Width) -> TermRef {
         self.pool.constant(v, w)
@@ -461,7 +462,7 @@ impl NfCtx for SymbolicCtx<'_> {
         self.pool.as_const(v)
     }
 
-    fn tracer(&mut self) -> &mut dyn Tracer {
+    fn tracer(&mut self) -> &mut RecordingTracer {
         &mut self.tracer
     }
 }

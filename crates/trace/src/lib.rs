@@ -19,13 +19,14 @@
 //! everything (used when only the functional result matters), and a pair
 //! `(A, B)` of sinks is itself a sink that hands every event to `A` then
 //! `B` — nest pairs for more, lend a sink with `&mut`. The pair's type
-//! names its members, so the one virtual call an NF makes per event (the
-//! `&mut dyn Tracer` inside the execution context) lands in code where
-//! every member is inlined; nothing is allocated to fan out. Pairs and
-//! borrows pass [`Tracer::instr`] and the `mem_*` calls, nearly all of an
-//! NF's, to each member's own method, so a sink that overrides them (the
-//! counters, the testbed model) handles an instruction or an access
-//! without building a [`TraceEvent`] and matching on its kind.
+//! names its members, and the production execution context is generic
+//! over its sink's type, so an NF's call per event is a direct call into
+//! code where every member is inlined: no vtable, and nothing allocated
+//! to fan out. Pairs and borrows pass [`Tracer::instr`] and the `mem_*`
+//! calls, nearly all of an NF's, to each member's own method, so a sink
+//! that overrides them (the counters, the testbed model) handles an
+//! instruction or an access without building a [`TraceEvent`] and
+//! matching on its kind.
 
 use std::fmt;
 
@@ -310,10 +311,16 @@ impl Tracer for RecordingTracer {
 /// Streaming IC and MA totals. O(1) memory regardless of run length —
 /// this is what makes the pathological mass-expiry scenarios (billions of
 /// instructions) measurable.
+///
+/// Each event bumps one counter: an access is one instruction with a
+/// memory operand, so IC is the sum of the two fields, read through
+/// [`CountingTracer::instructions`]. (Bumping two adjacent counters per
+/// access compiles to one wide read-modify-write that cannot take its
+/// input from the narrower store of the instruction count before it.)
 #[derive(Default, Debug, Clone)]
 pub struct CountingTracer {
-    /// Total executed instructions (IC metric).
-    pub instructions: u64,
+    /// Executed instructions without a memory operand.
+    pub plain: u64,
     /// Total memory accesses (MA metric).
     pub mem_accesses: u64,
 }
@@ -324,11 +331,11 @@ impl CountingTracer {
         Self::default()
     }
 
-    /// One memory access: one instruction, one access.
+    /// Total executed instructions (IC metric): the plain ones and one
+    /// per memory access.
     #[inline]
-    fn access(&mut self) {
-        self.instructions += 1;
-        self.mem_accesses += 1;
+    pub fn instructions(&self) -> u64 {
+        self.plain + self.mem_accesses
     }
 }
 
@@ -336,30 +343,30 @@ impl Tracer for CountingTracer {
     #[inline]
     fn event(&mut self, ev: TraceEvent) {
         match ev {
-            TraceEvent::Instr { n, .. } => self.instructions += n as u64,
-            TraceEvent::MemRead { .. } | TraceEvent::MemWrite { .. } => self.access(),
+            TraceEvent::Instr { n, .. } => self.plain += n as u64,
+            TraceEvent::MemRead { .. } | TraceEvent::MemWrite { .. } => self.mem_accesses += 1,
             _ => {}
         }
     }
 
     #[inline]
     fn instr(&mut self, _class: InstrClass, n: u32) {
-        self.instructions += n as u64;
+        self.plain += n as u64;
     }
 
     #[inline]
     fn mem_read(&mut self, _addr: u64, _bytes: u8) {
-        self.access();
+        self.mem_accesses += 1;
     }
 
     #[inline]
     fn mem_read_dep(&mut self, _addr: u64, _bytes: u8) {
-        self.access();
+        self.mem_accesses += 1;
     }
 
     #[inline]
     fn mem_write(&mut self, _addr: u64, _bytes: u8) {
-        self.access();
+        self.mem_accesses += 1;
     }
 }
 
@@ -449,7 +456,7 @@ mod tests {
         t.mem_read(0x1000, 8);
         t.mem_write(0x1008, 4);
         t.branch_instr();
-        assert_eq!(t.instructions, 3 + 1 + 1 + 1);
+        assert_eq!(t.instructions(), 3 + 1 + 1 + 1);
         assert_eq!(t.mem_accesses, 2);
     }
 
@@ -472,7 +479,7 @@ mod tests {
         for ev in &r.events {
             c.event(*ev);
         }
-        assert_eq!(ic, c.instructions);
+        assert_eq!(ic, c.instructions());
         assert_eq!(ma, c.mem_accesses);
     }
 
@@ -485,7 +492,7 @@ mod tests {
             tee.alu(7);
             tee.mem_read(0x10, 4);
         }
-        assert_eq!(a.instructions, 8);
+        assert_eq!(a.instructions(), 8);
         assert_eq!(b.events.len(), 2);
     }
 
@@ -511,7 +518,7 @@ mod tests {
             6,
             "the zero-count instruction is dropped"
         );
-        assert_eq!((tee.0.instructions, tee.0.mem_accesses), (ic, ma));
+        assert_eq!((tee.0.instructions(), tee.0.mem_accesses), (ic, ma));
         assert_eq!((ic, ma), (7, 3));
     }
 

@@ -16,7 +16,10 @@
 //!     `decode_result`, `generate`, and dropping the contract as an
 //!     eviction does;
 //!   - `sweep_*`: refuting four exhausted component sweeps as batch
-//!     queries (see [`exhausted_sweep`] and [`exhausted_square`]).
+//!     queries (see [`exhausted_sweep`] and [`exhausted_square`]);
+//!   - `replay`: the data plane — one `NfRunner::play_nf` call on a
+//!     warm runner, a chunk of the NAT's churning-flows trace as the
+//!     benchmark's `replay_dataplane` plays it (see [`replay_chunk`]).
 //!
 //!   A round's first run warms the process-wide memos (the calibrated
 //!   registry, interned path tags); the second is the count, and a third
@@ -25,8 +28,8 @@
 //!   catalog round: paths, runs, interned terms, minted symbols, and
 //!   every `SolverStats` counter.
 //!
-//! Each round — catalog, chain, reload, sweeps — is one test, and a
-//! fifth fails on a counter the last row holds but no round counts.
+//! Each round — catalog, chain, reload, sweeps, replay — is one test,
+//! and a sixth fails on a counter the last row holds but no round counts.
 //!
 //! `BENCH_work.json` holds one flat JSON object per line, oldest first;
 //! its `pr` field names the change whose tree measured the row. After an
@@ -42,14 +45,18 @@ use std::io::Write;
 use std::sync::Arc;
 
 use bolt::core::{generate, InputClass, Pipeline};
+use bolt::distiller::NfRunner;
 use bolt::expr::{PcvAssignment, TermPool, TermRef, Width};
+use bolt::lib::clock::Granularity;
 use bolt::lib::registry::DsRegistry;
 use bolt::nfs::nat::{AllocKind, NatConfig};
 use bolt::nfs::{Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, Nat, StaticRouter};
 use bolt::see::codec::{decode_result, encode_result};
 use bolt::see::{ExploreStats, StackLevel};
 use bolt::solver::{Solver, SolverCache, SolverCtx};
-use bolt::trace::Metric;
+use bolt::trace::{AddressSpace, Metric};
+use bolt::workloads::generators::churn_flows;
+use bolt::workloads::TimedPacket;
 use bolt::NetworkFunction;
 
 /// A pass-through global allocator that counts allocations and
@@ -278,6 +285,22 @@ fn allocations_to_refute((p, cs): (TermPool, Vec<TermRef>)) -> u64 {
     allocations
 }
 
+/// Packets per `play_nf` call, as `replay_dataplane` times them.
+const CHUNK: usize = 512;
+
+/// The allocations of one `play_nf` call on a warm runner: fresh NAT-A
+/// state and a fresh runner play the trace's first chunk, and the
+/// second chunk is the count. The NAT, trace shape, clock and stack
+/// level are those of `replay_dataplane`'s NAT segment.
+fn replay_chunk(nat: &Nat, packets: &[TimedPacket]) -> u64 {
+    let ids = nat.register(&mut DsRegistry::new());
+    let mut state = nat.state(ids, &mut AddressSpace::new());
+    let mut runner = NfRunner::new(StackLevel::FullStack, Granularity::Milliseconds);
+    let (warm, counted) = packets.split_at(CHUNK);
+    runner.play_nf(nat, &mut state, warm);
+    allocations(|| runner.play_nf(nat, &mut state, counted)).0
+}
+
 /// A round of counted work: the counters it fills, in the order a row
 /// lists them, and the function that counts them in that order.
 struct Round {
@@ -354,8 +377,30 @@ const SWEEPS: Round = Round {
     },
 };
 
+const REPLAY: Round = Round {
+    counters: &["alloc.replay"],
+    count: || {
+        let nat = Nat::with(
+            NatConfig {
+                ttl_ns: 500_000,
+                ..NatConfig::default()
+            },
+            AllocKind::A,
+        );
+        let packets = churn_flows(0x4A, 2 * CHUNK, 256, 4, 20_000, 0);
+        replay_chunk(&nat, &packets);
+        let count = replay_chunk(&nat, &packets);
+        assert_eq!(
+            replay_chunk(&nat, &packets),
+            count,
+            "a warm replay chunk's allocations repeat"
+        );
+        vec![count]
+    },
+};
+
 /// Every round, in the order a row lists them.
-const ROUNDS: [Round; 4] = [CATALOG, CHAIN, RELOAD, SWEEPS];
+const ROUNDS: [Round; 5] = [CATALOG, CHAIN, RELOAD, SWEEPS, REPLAY];
 
 /// A round's counters and this tree's counts of them.
 fn counted(round: &Round) -> Vec<(&'static str, u64)> {
@@ -444,6 +489,11 @@ fn reloading_the_catalog_allocates_what_the_last_row_says() {
 #[test]
 fn exhausted_sweeps_allocate_what_the_last_row_says() {
     check(&SWEEPS);
+}
+
+#[test]
+fn a_warm_replay_chunk_allocates_what_the_last_row_says() {
+    check(&REPLAY);
 }
 
 #[test]
