@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 use bolt_expr::{PcvAssignment, PcvId, PcvTable};
-use bolt_trace::{Marker, TraceEvent, Tracer};
+use bolt_trace::{InstrClass, Marker, TraceEvent, Tracer};
 
 /// One PCV observation of a packet: `(pcv, max, sum)`.
 type Obs = (PcvId, u64, u64);
@@ -340,6 +340,21 @@ impl Tracer for Distiller {
             _ => {}
         }
     }
+
+    // Instructions and accesses observe nothing: a method of their own
+    // each, so that they never reach `event`, whether or not it inlines.
+
+    #[inline]
+    fn instr(&mut self, _class: InstrClass, _n: u32) {}
+
+    #[inline]
+    fn mem_read(&mut self, _addr: u64, _bytes: u8) {}
+
+    #[inline]
+    fn mem_read_dep(&mut self, _addr: u64, _bytes: u8) {}
+
+    #[inline]
+    fn mem_write(&mut self, _addr: u64, _bytes: u8) {}
 }
 
 /// CCDF over arbitrary float samples (for latency plots — Figures 2/4).

@@ -3,17 +3,21 @@
 //!
 //! The runner advances the simulated clock to each arrival and the NF's
 //! event stream makes one pass through one sink, whose type the device
-//! loop, the NF and its library are instantiated for (no vtable): a
-//! `bolt_trace` pair of pairs holding (a) streaming IC/MA counters, (b)
-//! the warm [`TestbedModel`] for measured cycles (the paper's per-packet
-//! TSC readings) and (c) the [`Distiller`], inside a window that reads
-//! (a) and (b) at the first `PacketStart` of a device-loop iteration and
-//! again at its `TxDone`. The difference is the iteration's one record:
-//! first sequence number, packets, IC, MA and cycles, joined after the
-//! call with the verdicts the device loop returned — a [`PacketSample`]
-//! per packet, or a [`BurstSample`] per burst. Bursts attribute as they
-//! always have: the NF body is bracketed once, so IC/MA/cycles are per
-//! burst and the body's PCV observations land on the burst's last packet.
+//! loop, the NF and its library are instantiated for (no vtable). The
+//! sink owns by value (a) streaming IC/MA counters and (b) the warm
+//! [`TestbedModel`] for measured cycles (the paper's per-packet TSC
+//! readings), and for the length of a `play*` call (c) the runner's
+//! [`Distiller`], moved in and back out without allocating; so the
+//! context's one pointer reaches every member, with no second pointer to
+//! load per event. A window in the sink reads (a) and (b) at the first
+//! `PacketStart` of a device-loop iteration and again at its `TxDone`,
+//! keeping only the start totals in between. The difference is the
+//! iteration's one record: first sequence number, packets, IC, MA and
+//! cycles, joined after the call with the verdicts the device loop
+//! returned — a [`PacketSample`] per packet, or a [`BurstSample`] per
+//! burst. Bursts attribute as they always have: the NF body is bracketed
+//! once, so IC/MA/cycles are per burst and the body's PCV observations
+//! land on the burst's last packet.
 //! With the distiller's per-packet observations ([`crate::PacketObs`],
 //! filed in blocks shared by all packets) that is all the evaluation's
 //! tables and figures consume and all a run retains: two small records a
@@ -64,74 +68,119 @@ pub struct BurstSample {
 /// The runner's sink: every event goes to the counters, the testbed
 /// machine and the distiller, and every device-loop iteration — a burst,
 /// or under `DpdkEnv::process_packet` a burst of one — leaves its record
-/// (verdicts apart: no event carries them).
-struct Windowed<'a> {
-    tee: (
-        &'a mut CountingTracer,
-        (&'a mut TestbedModel, &'a mut Distiller),
-    ),
-    /// The iteration in flight, holding the totals at its first marker.
-    open: Option<BurstSample>,
+/// (verdicts apart: no event carries them). It owns all three by value:
+/// the counters and the model for the runner's life, the runner's
+/// distiller for the length of a `play*` call (moved in and back out, an
+/// empty one in its place between calls). So an event reaches each member
+/// at a fixed offset from the one pointer the context holds.
+struct Windowed {
+    counting: CountingTracer,
+    model: TestbedModel,
+    distiller: Distiller,
+    /// Packets in the iteration in flight; 0 when none is open.
+    open: usize,
+    /// The iteration in flight's first sequence number, and the totals
+    /// at its first marker.
+    first_seq: u64,
+    ic: u64,
+    ma: u64,
+    cycles: f64,
     closed: Vec<BurstSample>,
 }
 
-impl Windowed<'_> {
-    fn totals(&self, first_seq: u64, len: usize) -> BurstSample {
-        BurstSample {
-            first_seq,
-            len,
-            ic: self.tee.0.instructions(),
-            ma: self.tee.0.mem_accesses,
-            cycles: self.tee.1 .0.cycles_f64(),
-            verdicts: Vec::new(),
+impl Windowed {
+    fn new() -> Self {
+        Windowed {
+            counting: CountingTracer::new(),
+            model: TestbedModel::new(),
+            distiller: Distiller::new(),
+            open: 0,
+            first_seq: 0,
+            ic: 0,
+            ma: 0,
+            cycles: 0.0,
+            closed: Vec::new(),
         }
     }
-}
 
-impl Tracer for Windowed<'_> {
+    /// Every member sees `ev`.
     #[inline]
-    fn event(&mut self, ev: TraceEvent) {
-        match ev {
-            TraceEvent::Mark(Marker::PacketStart(seq)) => match &mut self.open {
-                Some(w) => w.len += 1,
-                None => self.open = Some(self.totals(seq, 1)),
-            },
-            TraceEvent::Mark(Marker::TxDone) => {
-                let w0 = self.open.take().expect("TxDone with no packet open");
-                let w1 = self.totals(w0.first_seq, w0.len);
+    fn each(&mut self, ev: TraceEvent) {
+        self.counting.event(ev);
+        self.model.event(ev);
+        self.distiller.event(ev);
+    }
+
+    /// A marker: open or close the window, then pass it on. A few per
+    /// packet, so out of line.
+    #[inline(never)]
+    fn mark(&mut self, m: Marker) {
+        match m {
+            Marker::PacketStart(seq) => {
+                if self.open == 0 {
+                    self.first_seq = seq;
+                    self.ic = self.counting.instructions();
+                    self.ma = self.counting.mem_accesses;
+                    self.cycles = self.model.cycles_f64();
+                }
+                self.open += 1;
+            }
+            Marker::TxDone => {
+                assert!(self.open > 0, "TxDone with no packet open");
                 self.closed.push(BurstSample {
-                    ic: w1.ic - w0.ic,
-                    ma: w1.ma - w0.ma,
-                    cycles: w1.cycles - w0.cycles,
-                    ..w1
+                    first_seq: self.first_seq,
+                    len: self.open,
+                    ic: self.counting.instructions() - self.ic,
+                    ma: self.counting.mem_accesses - self.ma,
+                    cycles: self.model.cycles_f64() - self.cycles,
+                    verdicts: Vec::new(),
                 });
+                self.open = 0;
             }
             _ => {}
         }
-        self.tee.event(ev);
+        self.each(TraceEvent::Mark(m));
+    }
+}
+
+impl Tracer for Windowed {
+    #[inline]
+    fn event(&mut self, ev: TraceEvent) {
+        match ev {
+            TraceEvent::Mark(m) => self.mark(m),
+            _ => self.each(ev),
+        }
     }
 
     // Instructions and memory accesses carry no marker: straight to the
-    // sinks' own methods for them.
+    // members' own methods for them.
 
     #[inline]
     fn instr(&mut self, class: InstrClass, n: u32) {
-        self.tee.instr(class, n);
+        self.counting.instr(class, n);
+        self.model.instr(class, n);
+        self.distiller.instr(class, n);
     }
 
     #[inline]
     fn mem_read(&mut self, addr: u64, bytes: u8) {
-        self.tee.mem_read(addr, bytes);
+        self.counting.mem_read(addr, bytes);
+        self.model.mem_read(addr, bytes);
+        self.distiller.mem_read(addr, bytes);
     }
 
     #[inline]
     fn mem_read_dep(&mut self, addr: u64, bytes: u8) {
-        self.tee.mem_read_dep(addr, bytes);
+        self.counting.mem_read_dep(addr, bytes);
+        self.model.mem_read_dep(addr, bytes);
+        self.distiller.mem_read_dep(addr, bytes);
     }
 
     #[inline]
     fn mem_write(&mut self, addr: u64, bytes: u8) {
-        self.tee.mem_write(addr, bytes);
+        self.counting.mem_write(addr, bytes);
+        self.model.mem_write(addr, bytes);
+        self.distiller.mem_write(addr, bytes);
     }
 }
 
@@ -141,8 +190,9 @@ pub struct NfRunner {
     /// The simulated clock the NF reads (advanced to each packet's
     /// arrival time before processing).
     pub clock: Clock,
-    counting: CountingTracer,
-    cycles: TestbedModel,
+    /// The counters, the testbed model, and the distiller while a
+    /// `play*` call runs.
+    sink: Windowed,
     /// The distiller capturing PCV observations.
     pub distiller: Distiller,
     /// Per-packet samples, in arrival order.
@@ -157,8 +207,7 @@ impl NfRunner {
         NfRunner {
             env: DpdkEnv::new(level, 512, 2048),
             clock: Clock::new(granularity),
-            counting: CountingTracer::new(),
-            cycles: TestbedModel::new(),
+            sink: Windowed::new(),
             distiller: Distiller::new(),
             samples: Vec::new(),
             burst_samples: Vec::new(),
@@ -172,7 +221,7 @@ impl NfRunner {
     /// as in the analysis build.
     fn play<F>(&mut self, packets: &[TimedPacket], mut body: F)
     where
-        F: FnMut(&mut ConcreteCtx<'_, Windowed<'_>>, Mbuf, &Clock),
+        F: FnMut(&mut ConcreteCtx<'_, Windowed>, Mbuf, &Clock),
     {
         let mut verdicts = Vec::with_capacity(packets.len());
         let windows = self.windows(packets.len(), packets.len(), |env, clock, ctx| {
@@ -205,20 +254,15 @@ impl NfRunner {
         &mut self,
         iterations: usize,
         packets: usize,
-        drive: impl FnOnce(&mut DpdkEnv, &mut Clock, &mut ConcreteCtx<'_, Windowed<'_>>),
+        drive: impl FnOnce(&mut DpdkEnv, &mut Clock, &mut ConcreteCtx<'_, Windowed>),
     ) -> Vec<BurstSample> {
-        self.distiller.reserve(packets);
-        let mut sink = Windowed {
-            tee: (&mut self.counting, (&mut self.cycles, &mut self.distiller)),
-            open: None,
-            closed: Vec::with_capacity(iterations),
-        };
-        drive(
-            &mut self.env,
-            &mut self.clock,
-            &mut ConcreteCtx::new(&mut sink),
-        );
-        sink.closed
+        let sink = &mut self.sink;
+        std::mem::swap(&mut sink.distiller, &mut self.distiller);
+        sink.distiller.reserve(packets);
+        sink.closed = Vec::with_capacity(iterations);
+        drive(&mut self.env, &mut self.clock, &mut ConcreteCtx::new(sink));
+        std::mem::swap(&mut sink.distiller, &mut self.distiller);
+        std::mem::take(&mut sink.closed)
     }
 
     /// Play a workload through a [`NetworkFunction`]'s production build,
@@ -278,12 +322,12 @@ impl NfRunner {
 
     /// Total instructions so far.
     pub fn total_ic(&self) -> u64 {
-        self.counting.instructions()
+        self.sink.counting.instructions()
     }
 
     /// Total memory accesses so far.
     pub fn total_ma(&self) -> u64 {
-        self.counting.mem_accesses
+        self.sink.counting.mem_accesses
     }
 
     /// Per-packet cycle samples as floats (for CDF/CCDF plots).

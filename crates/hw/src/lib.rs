@@ -189,10 +189,14 @@ pub struct TestbedModel {
     last_miss_end: Option<u64>,
     /// Number of misses currently overlapped.
     outstanding: u32,
-    /// Recently accessed lines (stream detection table); `EMPTY_STREAM`
-    /// marks a slot not yet filled.
+    /// Recently accessed lines (stream detection table); `NO_LINE` marks
+    /// a slot not yet filled.
     streams: [u64; 8],
     stream_next: usize,
+    /// The line the last line access touched, if that access did not
+    /// stream; `NO_LINE` otherwise. A next access to this line alone is a
+    /// repeat (see [`TestbedModel::mem_access`]).
+    repeat_line: u64,
 }
 
 impl TestbedModel {
@@ -210,10 +214,10 @@ impl TestbedModel {
     /// out-of-order core pipelines them at ~1/cycle, while dependent
     /// (pointer-chasing) hits pay the full load-to-use latency.
     const L1_HIT_INDEPENDENT: u64 = 4;
-    /// A stream slot not yet filled. It matches no line: a line number
-    /// is below 2^63 (a line is at least two bytes), so neither `L-1` nor
-    /// `L-2` is ever 2^63.
-    const EMPTY_STREAM: u64 = 1 << 63;
+    /// No line: a line number is below 2^63 (a line is at least two
+    /// bytes), so this is no line, nor `L-1` or `L-2` of one. It marks a
+    /// stream slot not yet filled, and a model with no repeatable line.
+    const NO_LINE: u64 = 1 << 63;
 
     /// New cold testbed with Xeon-like parameters.
     pub fn new() -> Self {
@@ -225,8 +229,9 @@ impl TestbedModel {
             quarters: 0,
             last_miss_end: None,
             outstanding: 0,
-            streams: [Self::EMPTY_STREAM; 8],
+            streams: [Self::NO_LINE; 8],
             stream_next: 0,
+            repeat_line: Self::NO_LINE,
         }
     }
 
@@ -268,9 +273,15 @@ impl TestbedModel {
             .iter()
             .map(|&s| u32::from(line.wrapping_sub(s).wrapping_sub(1) < 2))
             .sum();
+        self.train(line);
+        hits != 0
+    }
+
+    /// Record `line` in the stream detector's oldest slot.
+    #[inline]
+    fn train(&mut self, line: u64) {
         self.streams[self.stream_next] = line;
         self.stream_next = (self.stream_next + 1) % self.streams.len();
-        hits != 0
     }
 
     /// A load: its issue cost, then its lines.
@@ -280,11 +291,47 @@ impl TestbedModel {
         self.mem_access(addr, bytes, dep, false);
     }
 
+    /// The lines of an access. An access that stays inside line `L`,
+    /// the line the last line access touched, is a *repeat* when that
+    /// access did not stream, and what the full path would do to it is
+    /// known without running it:
+    /// * it does not stream. The eight slots held neither `L-1` nor `L-2`
+    ///   when the last access compared them; they now hold seven of those
+    ///   and `L` itself, which is neither. So nothing is prefetched;
+    /// * it hits L1 on its set's most recent line, a lookup that changes
+    ///   nothing: the last access left `L` there, and no cache has been
+    ///   touched since (only a streaming access installs);
+    /// * so it costs `store_buffer` for a store and `l1_hit` for a load,
+    ///   and leaves the MLP state alone.
+    ///
+    /// It still trains the detector, and leaves `L` repeatable. Any other
+    /// access pays one compare and branch for the check, then takes
+    /// [`TestbedModel::lines`].
     #[inline]
     fn mem_access(&mut self, addr: u64, bytes: u8, dep: bool, is_store: bool) {
         let shift = self.l1.line_shift();
+        let first = addr >> shift;
         let last = (addr + bytes.max(1) as u64 - 1) >> shift;
-        for l in addr >> shift..=last {
+        // `first == last == repeat_line`, in one branch.
+        if (first ^ self.repeat_line) | (last ^ self.repeat_line) == 0 {
+            self.train(first);
+            self.quarters += if is_store {
+                self.cost.store_buffer
+            } else {
+                self.cost.l1_hit
+            };
+        } else {
+            self.lines(first, last, dep, is_store);
+        }
+    }
+
+    /// The full path of lines `first..=last`: stream detection, prefetch
+    /// installs, the hierarchy and MLP. Out of line, so that an access
+    /// inlines only the repeat check.
+    #[inline(never)]
+    fn lines(&mut self, first: u64, last: u64, dep: bool, is_store: bool) {
+        let shift = self.l1.line_shift();
+        for l in first..=last {
             // Prefetch ahead of any detected ascending stream, hit or miss,
             // so an established stream stays resident ahead of the access
             // point.
@@ -297,6 +344,7 @@ impl TestbedModel {
                     self.l3.install(pf);
                 }
             }
+            self.repeat_line = if streaming { Self::NO_LINE } else { l };
             let lat = self.hierarchy_latency(l << shift);
             if is_store {
                 // Stores retire through the store buffer, hit or miss; the
